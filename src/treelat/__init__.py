@@ -56,6 +56,7 @@ from treelat.zlinalg import (
     SmithDecomposition,
     cokernel_invariants,
     kernel_basis,
+    lattice_contains,
     lattice_membership,
     smith_normal_form,
 )
@@ -89,6 +90,7 @@ __all__ = [
     "homology_report",
     "k0_rank",
     "kernel_basis",
+    "lattice_contains",
     "lattice_membership",
     "load_complex",
     "norm_quaternions",

@@ -1,10 +1,14 @@
-"""Pure-Python integer reduction kernels.
+"""Integer reduction kernels: the hot loops behind treelat.zlinalg.
 
-These are the hot loops behind treelat.zlinalg: Smith normal form with the
-unimodular transforms, and the canonical row-style Hermite normal form.
-A compiled twin lives in _kernels.pyx; both must implement *exactly* the
-same elementary-operation schedule so that results are identical no matter
-which backend is active.
+Smith normal form with its unimodular transforms, and the canonical
+row-style Hermite normal form.  This is the only implementation; it is
+plain Python, so every algorithm change is made in one place.
+
+The matrices the pipeline reduces (transition operators, boundary maps) are
+0/+-1 and sparse, so the Smith kernel does no work on zeros: each
+elementary operation collects the nonzero positions of its source row or
+column once and updates only those.  The schedule of pivots and operations
+is the dense one, so the output does not depend on these shortcuts.
 
 Matrices are lists of row lists of Python ints (arbitrary precision is
 required: intermediate entries can far exceed machine range even for small
@@ -18,28 +22,52 @@ def _eye(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def snf_with_transforms(a):
+def _nonzeros(row):
+    return [(j, x) for j, x in enumerate(row) if x]
+
+
+def snf_with_transforms(a, left=True):
     """Return (u, d, v) with u*a*v = d the canonical Smith normal form.
 
     d is diagonal with positive invariant factors d1 | d2 | ... followed by
-    zeros; u (m x m) and v (n x n) are unimodular.  Deterministic: the pivot
-    is always the smallest-magnitude nonzero entry of the working submatrix,
-    first in row-major order on ties.
+    zeros; u (m x m) and v (n x n) are unimodular.  With left=False the left
+    transform is neither built nor updated and u is None; d and v are the
+    same.  Deterministic: the pivot is always the smallest-magnitude nonzero
+    entry of the working submatrix, first in row-major order on ties.
     """
     m = len(a)
     n = len(a[0]) if m else 0
     d = [list(row) for row in a]
-    u = _eye(m)
-    v = _eye(n)
+    u = _eye(m) if left else None
+    # Columns of v, so that a column operation or swap is a row one here.
+    vt = _eye(n)
     limit = m if m < n else n
     k = 0
     while k < limit:
-        # Pivot search over the untouched submatrix.
+        # Invariant at the top of step k: d[k:][:k] and d[:k][k:] are zero
+        # (finished pivots have clean rows and columns), so whole-row tests
+        # on a row i >= k see only the working submatrix.
+        #
+        # Pivot search over the untouched submatrix: the first +-1 in
+        # row-major order if there is one, else the first entry of least
+        # magnitude.  Zero rows and rows holding a unit are settled by
+        # C-level scans; only the other rows are walked entry by entry.
         pi = -1
         pj = -1
         best = 0
         for i in range(k, m):
             di = d[i]
+            if not any(di):
+                continue
+            has_pos = 1 in di
+            has_neg = -1 in di
+            if has_pos or has_neg:
+                pi = i
+                jp = di.index(1) if has_pos else n
+                jn = di.index(-1) if has_neg else n
+                pj = jp if jp < jn else jn
+                best = 1
+                break
             for j in range(k, n):
                 x = di[j]
                 if x != 0:
@@ -48,84 +76,94 @@ def snf_with_transforms(a):
                         pi = i
                         pj = j
                         best = ax
-                        if best == 1:
-                            break
-            if best == 1 and pi >= 0:
-                break
         if pi < 0:
             break  # remaining block is zero; d is final
         if pi != k:
             d[k], d[pi] = d[pi], d[k]
-            u[k], u[pi] = u[pi], u[k]
+            if left:
+                u[k], u[pi] = u[pi], u[k]
         if pj != k:
-            for row in d:
+            # Rows above k are zero in both columns.
+            for i in range(k, m):
+                row = d[i]
                 row[k], row[pj] = row[pj], row[k]
-            for row in v:
-                row[k], row[pj] = row[pj], row[k]
+            vt[k], vt[pj] = vt[pj], vt[k]
         if d[k][k] < 0:
-            dk = d[k]
-            uk = u[k]
-            for j in range(k, n):
-                dk[j] = -dk[j]
-            for j in range(m):
-                uk[j] = -uk[j]
+            d[k] = [-x for x in d[k]]
+            if left:
+                u[k] = [-x for x in u[k]]
 
         while True:
             # Clear column k below the pivot.  Floor division against the
             # positive pivot leaves remainders in [0, pivot); if any survive,
-            # the smallest becomes the new (strictly smaller) pivot.
+            # the smallest becomes the new (strictly smaller) pivot.  Row k
+            # does not change during one sweep, so its nonzero positions
+            # (and those of u's row k) are collected once; a row operation
+            # adds a multiple of zero everywhere else.
             while True:
-                p = d[k][k]
                 dk = d[k]
-                uk = u[k]
+                p = dk[k]
+                rows = [i for i in range(k + 1, m) if d[i][k]]
+                if not rows:
+                    break
+                dk_nz = _nonzeros(dk)
+                if left:
+                    uk_nz = _nonzeros(u[k])
                 bi = -1
                 bval = 0
-                for i in range(k + 1, m):
-                    x = d[i][k]
-                    if x != 0:
-                        q = x // p
-                        if q:
-                            di = d[i]
+                for i in rows:
+                    di = d[i]
+                    q = di[k] // p
+                    if q:
+                        for j, x in dk_nz:
+                            di[j] -= q * x
+                        if left:
                             ui = u[i]
-                            for j in range(k, n):
-                                di[j] -= q * dk[j]
-                            for j in range(m):
-                                ui[j] -= q * uk[j]
-                        r = d[i][k]
-                        if r and (bi < 0 or r < bval):
-                            bi = i
-                            bval = r
+                            for j, x in uk_nz:
+                                ui[j] -= q * x
+                    r = di[k]
+                    if r and (bi < 0 or r < bval):
+                        bi = i
+                        bval = r
                 if bi < 0:
                     break
                 d[k], d[bi] = d[bi], d[k]
-                u[k], u[bi] = u[bi], u[k]
+                if left:
+                    u[k], u[bi] = u[bi], u[k]
             # Clear row k right of the pivot, by column operations.  Column
-            # k below the pivot is zero at this point, so subtracting
+            # k below the pivot is zero on the first sweep, so subtracting
             # multiples of it touches row k only; but a column *swap* can
-            # re-dirty column k, hence the outer loop.
+            # re-dirty column k, hence the outer loop.  Column k of d and of
+            # v does not change during one sweep, so their nonzero rows are
+            # collected once.
             while True:
-                p = d[k][k]
+                dk = d[k]
+                p = dk[k]
+                cols = [j for j in range(k + 1, n) if dk[j]]
+                if not cols:
+                    break
+                dcol = [(i, d[i][k]) for i in range(k, m) if d[i][k]]
+                vcol = _nonzeros(vt[k])
                 bj = -1
                 bval = 0
-                for j in range(k + 1, n):
-                    x = d[k][j]
-                    if x != 0:
-                        q = x // p
-                        if q:
-                            for i in range(k, m):
-                                d[i][j] -= q * d[i][k]
-                            for i in range(n):
-                                v[i][j] -= q * v[i][k]
-                        r = d[k][j]
-                        if r and (bj < 0 or r < bval):
-                            bj = j
-                            bval = r
+                for j in cols:
+                    q = dk[j] // p
+                    if q:
+                        for i, y in dcol:
+                            d[i][j] -= q * y
+                        vj = vt[j]
+                        for i, y in vcol:
+                            vj[i] -= q * y
+                    r = dk[j]
+                    if r and (bj < 0 or r < bval):
+                        bj = j
+                        bval = r
                 if bj < 0:
                     break
-                for row in d:
+                for i in range(k, m):
+                    row = d[i]
                     row[k], row[bj] = row[bj], row[k]
-                for row in v:
-                    row[k], row[bj] = row[bj], row[k]
+                vt[k], vt[bj] = vt[bj], vt[k]
             clean = True
             for i in range(k + 1, m):
                 if d[i][k] != 0:
@@ -137,25 +175,29 @@ def snf_with_transforms(a):
         # Divisibility: the pivot must divide every remaining entry.  If it
         # does not, folding the offending row into row k and re-clearing
         # shrinks the pivot toward the gcd; this terminates because the
-        # pivot strictly decreases.
+        # pivot strictly decreases.  A unit pivot divides every integer, so
+        # its O(mn) scan could never find anything and is skipped.
         p = d[k][k]
         dirty = False
-        for i in range(k + 1, m):
-            di = d[i]
-            for j in range(k + 1, n):
-                if di[j] % p:
+        if p != 1:
+            for i in range(k + 1, m):
+                di = d[i]
+                # Some x % p != 0; entries of row i left of k + 1 are zero,
+                # so the whole row can be tested.
+                if any(map(p.__rmod__, di)):
                     dk = d[k]
-                    uk = u[k]
                     for jj in range(k, n):
                         dk[jj] += di[jj]
-                    for jj in range(m):
-                        uk[jj] += u[i][jj]
+                    if left:
+                        uk = u[k]
+                        ui = u[i]
+                        for jj in range(m):
+                            uk[jj] += ui[jj]
                     dirty = True
                     break
-            if dirty:
-                break
         if not dirty:
             k += 1
+    v = [list(row) for row in zip(*vt)]
     return u, d, v
 
 
@@ -197,6 +239,9 @@ def hermite_rows(a):
                 for jj in range(j, n):
                     rr[jj] = -rr[jj]
             p = rr[j]
+            # Row r is fixed while the rows below are reduced against it, and
+            # its entries left of j are zero; only its nonzeros are applied.
+            rr_nz = _nonzeros(rr)
             clear = True
             for i in range(r + 1, m):
                 ri = rows[i]
@@ -204,8 +249,8 @@ def hermite_rows(a):
                 if x != 0:
                     q = x // p
                     if q:
-                        for jj in range(j, n):
-                            ri[jj] -= q * rr[jj]
+                        for jj, y in rr_nz:
+                            ri[jj] -= q * y
                     if ri[j] != 0:
                         clear = False
             if clear:
@@ -213,12 +258,13 @@ def hermite_rows(a):
         if placed:
             rr = rows[r]
             p = rr[j]
+            rr_nz = _nonzeros(rr)
             for i in range(r):
                 ri = rows[i]
                 q = ri[j] // p
                 if q:
-                    for jj in range(j, n):
-                        ri[jj] -= q * rr[jj]
+                    for jj, y in rr_nz:
+                        ri[jj] -= q * y
             r += 1
     del rows[r:]
     return rows

@@ -39,6 +39,7 @@ from treelat.tiling_system import (
     k0_rank,
     stacked_matrix,
 )
+from treelat.zlinalg import kernel_basis
 
 EXPORTABLE = ("m1", "m2", "stacked", "d1", "d2", "phi1", "phi2")
 
@@ -65,16 +66,23 @@ def analyze_document(text: str) -> tuple[ValidationReport, Analysis | None]:
     r = expand_directed_squares(c)
     ts = build_tiling(r, c)
     maps = chain_maps(c, r)
+    conn = connectivity(ts, c)
+    # The stacked operator, its kernel lattice and ker d2 are the costly
+    # exact objects; each is computed once and shared by the K-ranks, the
+    # homology and the verifier.
+    stacked = stacked_matrix(ts)
+    stacked_kernel = kernel_basis(stacked)
+    h2_basis = kernel_basis(maps.d2)
     return validation, Analysis(
         complex=c,
         validation=validation,
         expanded=r,
         tiling=ts,
         maps=maps,
-        homology=homology_report(c, r, maps),
-        connectivity=connectivity(ts, c),
-        k0=k0_rank(ts),
-        theorem=verify_main_theorem(c, r, ts, maps),
+        homology=homology_report(c, maps, h2_basis),
+        connectivity=conn,
+        k0=k0_rank(ts, conn, stacked_kernel),
+        theorem=verify_main_theorem(c, r, maps, stacked, stacked_kernel, h2_basis),
     )
 
 
@@ -176,12 +184,19 @@ def build_report(a: Analysis, input_bytes: bytes) -> dict:
     }
 
 
+class OutputError(Exception):
+    """The output file could not be written (exit 1)."""
+
+
 def _emit(text: str, out_path: str | None) -> None:
     if out_path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise OutputError(f"cannot write {out_path}: {exc}") from None
 
 
 def _to_json(obj) -> str:
@@ -407,7 +422,11 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return args.func(args)
+    try:
+        return args.func(args)
+    except OutputError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

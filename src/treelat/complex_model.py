@@ -261,6 +261,8 @@ def load_complex(text: str) -> SquareComplex:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ComplexFormatError([f"not valid JSON: {exc}"]) from exc
+    except RecursionError:
+        raise ComplexFormatError(["not valid JSON: nested too deeply"]) from None
     if not isinstance(doc, dict):
         raise ComplexFormatError(["document root must be an object"])
 
@@ -268,6 +270,8 @@ def load_complex(text: str) -> SquareComplex:
     unknown = set(doc) - set(_TOP_KEYS) - {"metadata"}
     if unknown:
         problems.append(f"unknown top-level keys {sorted(unknown)}")
+    if "metadata" in doc and not isinstance(doc["metadata"], dict):
+        problems.append("metadata must be an object")
     missing = [k for k in _TOP_KEYS if k not in doc]
     if missing:
         problems.append(f"missing top-level keys {missing}")

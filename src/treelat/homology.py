@@ -29,19 +29,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from treelat.complex_model import DirectedSquare, SquareComplex
-from treelat.tiling_system import (
-    TilingSystem,
-    h_image_index,
-    stacked_matrix,
-    v_image_index,
-    vh_image_index,
-)
+from treelat.tiling_system import h_image_index, v_image_index, vh_image_index
 from treelat.zlinalg import (
     AbelianInvariants,
     IntMatrix,
     cokernel_invariants,
-    kernel_basis,
-    lattice_membership,
+    lattice_contains,
     smith_normal_form,
     solve_exact,
 )
@@ -168,87 +161,94 @@ def chain_maps(c: SquareComplex, r: tuple[DirectedSquare, ...]) -> ChainMaps:
 
 
 def homology_report(
-    c: SquareComplex, r: tuple[DirectedSquare, ...], maps: ChainMaps
+    c: SquareComplex, maps: ChainMaps, h2_basis: tuple[tuple[int, ...], ...]
 ) -> HomologyReport:
     """Integral homology in degrees 0, 1, 2.
 
-    H2 is the kernel of d2, hence free: only its rank is reported.  H1 is
-    ker d1 / im d2, computed by expressing the columns of d2 in a saturated
-    basis of ker d1 and taking the cokernel there.  H0 is the cokernel of
-    d1 (free of rank one exactly when the complex is connected).
+    H2 is the kernel of d2, hence free: only its rank, the size of the
+    given basis h2_basis of ker d2, is reported.  H1 is ker d1 / im d2,
+    computed by expressing the columns of d2 in a saturated basis of ker d1
+    and taking the cokernel there.  H0 is the cokernel of d1 (free of rank
+    one exactly when the complex is connected); one Smith form of d1 gives
+    both H0 and the basis of ker d1.
     """
-    h2_rank = maps.d2.cols - smith_normal_form(maps.d2).rank
-    h0 = cokernel_invariants(maps.d1)
+    s1 = smith_normal_form(maps.d1, left=False)
+    h0 = s1.cokernel()
 
-    kernel_d1 = kernel_basis(maps.d1)
-    k = IntMatrix.from_columns(kernel_d1, rows=maps.d1.cols)
+    k = IntMatrix.from_columns(s1.kernel_basis(), rows=maps.d1.cols)
     y = solve_exact(k, maps.d2)
     if y is None:  # d1.d2 = 0 and the kernel basis is saturated, so never
         raise RuntimeError("boundary image escaped the cycle lattice")
     h1 = cokernel_invariants(y)
 
     euler = len(c.vertices) - (len(c.h_edges) + len(c.v_edges)) + len(c.squares)
-    return HomologyReport(h0=h0, h1=h1, h2_rank=h2_rank, euler_characteristic=euler)
+    return HomologyReport(h0=h0, h1=h1, h2_rank=len(h2_basis), euler_characteristic=euler)
 
 
 def verify_main_theorem(
     c: SquareComplex,
     r: tuple[DirectedSquare, ...],
-    ts: TilingSystem,
     maps: ChainMaps,
+    stacked: IntMatrix,
+    stacked_kernel: tuple[tuple[int, ...], ...],
+    h2_basis: tuple[tuple[int, ...], ...],
 ) -> TheoremVerdict:
     """Check, on this instance, every step that ties H2 to the tiling kernel.
 
+    stacked is the stacked transition operator, stacked_kernel a saturated
+    basis of its kernel lattice and h2_basis one of ker d2, as computed once
+    by the caller.
+
     (1) the square stacked.phi2 = phi1.d2 commutes exactly; (2) the kernel
-    ranks of d2 and of the stacked operator agree; (3) phi2 carries each
-    H2 basis vector into the stacked-kernel lattice; (4) each stacked-kernel
-    basis vector is alternating under the reflections (negated by v and by
-    h, fixed by vh) and is phi2 of the integer vector of its orbit-
-    representative coordinates; (5) for each stacked-kernel basis vector the
-    per-directed-edge sums mu(b) = sum over b'(t) = b (and the horizontal
-    analogue) all vanish.
+    ranks of d2 and of the stacked operator agree; (3) phi2 carries the H2
+    basis into the stacked-kernel lattice, tested for all basis vectors at
+    once by comparing Hermite bases (zlinalg.lattice_contains); (4) each
+    stacked-kernel basis vector is alternating under the reflections
+    (negated by v and by h, fixed by vh) and is phi2 of the integer vector
+    of its orbit-representative coordinates; (5) for each stacked-kernel
+    basis vector the per-directed-edge sums mu(b) = sum over b'(t) = b (and
+    the horizontal analogue) all vanish.
     """
-    stacked = stacked_matrix(ts)
     diagram_commutes = stacked.mul(maps.phi2).entries == maps.phi1.mul(maps.d2).entries
 
-    h2_basis = kernel_basis(maps.d2)
-    stacked_kernel = kernel_basis(stacked)
     rank_ker_d2 = len(h2_basis)
     rank_ker_stacked = len(stacked_kernel)
 
-    phi2_image_in_kernel = all(
-        lattice_membership(
-            maps.phi2.mul(IntMatrix.from_columns([vec])).column(0), stacked_kernel
-        )
-        for vec in h2_basis
-    )
-
     n_tiles = len(r)
+    n_cells = len(c.squares)
+    # phi2 of every H2 basis vector, one per column, from a single product.
+    h2_image = maps.phi2.mul(IntMatrix.from_columns(h2_basis, rows=n_cells)).transpose()
+    phi2_image_in_kernel = lattice_contains(stacked_kernel, h2_image.entries)
+
+    h_img = [h_image_index(i) for i in range(n_tiles)]
+    v_img = [v_image_index(i) for i in range(n_tiles)]
+    vh_img = [vh_image_index(i) for i in range(n_tiles)]
     symmetries = True
-    in_image = True
     for lam in stacked_kernel:
         for i in range(n_tiles):
-            if (
-                lam[i] != -lam[h_image_index(i)]
-                or lam[i] != -lam[v_image_index(i)]
-                or lam[i] != lam[vh_image_index(i)]
-            ):
+            if lam[i] != -lam[h_img[i]] or lam[i] != -lam[v_img[i]] or lam[i] != lam[vh_img[i]]:
                 symmetries = False
-        w = [lam[4 * k] for k in range(len(c.squares))]
-        image = maps.phi2.mul(IntMatrix.from_columns([w])).column(0)
-        if tuple(image) != tuple(lam):
-            in_image = False
+    # phi2 of the orbit-representative coordinates of every kernel vector,
+    # again from one product.
+    reps = IntMatrix.from_columns(
+        [[lam[4 * k] for k in range(n_cells)] for lam in stacked_kernel], rows=n_cells
+    )
+    in_image = maps.phi2.mul(reps).transpose().entries == tuple(stacked_kernel)
 
+    # Tiles grouped by b'(t) and by a'(t), numbered once for all vectors.
+    by_bp: dict = {}
+    by_ap: dict = {}
+    bp_of = [by_bp.setdefault(s.b_prime, len(by_bp)) for s in r]
+    ap_of = [by_ap.setdefault(s.a_prime, len(by_ap)) for s in r]
     mu_ok = True
     for lam in stacked_kernel:
-        by_bp: dict = {}
-        by_ap: dict = {}
-        for i, s in enumerate(r):
-            by_bp[s.b_prime] = by_bp.get(s.b_prime, 0) + lam[i]
-            by_ap[s.a_prime] = by_ap.get(s.a_prime, 0) + lam[i]
-        if any(total != 0 for total in by_bp.values()) or any(
-            total != 0 for total in by_ap.values()
-        ):
+        mu_b = [0] * len(by_bp)
+        mu_a = [0] * len(by_ap)
+        for i, x in enumerate(lam):
+            if x:
+                mu_b[bp_of[i]] += x
+                mu_a[ap_of[i]] += x
+        if any(mu_b) or any(mu_a):
             mu_ok = False
 
     within = all(hd >= 3 and vd >= 3 for hd, vd in c.degrees.values())

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from treelat.complex_model import DirectedSquare, SquareComplex
-from treelat.zlinalg import IntMatrix, smith_normal_form
+from treelat.zlinalg import IntMatrix
 
 
 def h_image_index(idx: int) -> int:
@@ -278,19 +278,25 @@ def connectivity(ts: TilingSystem, c: SquareComplex) -> ConnectivityReport:
     )
 
 
-def k0_rank(ts: TilingSystem, irreducible_lattice_asserted: bool = False) -> K0Result:
+def k0_rank(
+    ts: TilingSystem,
+    conn: ConnectivityReport,
+    stacked_kernel: tuple[tuple[int, ...], ...],
+    irreducible_lattice_asserted: bool = False,
+) -> K0Result:
     """Kernel rank of the stacked operator and the derived K-group ranks.
 
+    conn is connectivity(ts, ...) and stacked_kernel a basis of the kernel
+    lattice of stacked_matrix(ts); both are computed once by the caller.
     The ranks are always computed; the hypothesis flags record whether the
     operator-algebra reading of them (K_0 = K_1 of the boundary crossed
     product, each of rank twice the kernel rank) is supported on this
     instance: a one-vertex complex or an asserted irreducible-lattice
     provenance, plus strong connectivity of both tile graphs.
     """
-    stacked = stacked_matrix(ts)
-    kernel_rank = stacked.cols - smith_normal_form(stacked).rank
-    gh = _axis_connectivity(ts.m1).strongly_connected
-    gv = _axis_connectivity(ts.m2).strongly_connected
+    kernel_rank = len(stacked_kernel)
+    gh = conn.horizontal.strongly_connected
+    gv = conn.vertical.strongly_connected
     one_vertex = ts.n_vertices == 1
     irreducible = gh and gv
     hypotheses = K0Hypotheses(

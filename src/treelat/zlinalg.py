@@ -4,9 +4,8 @@ Everything downstream (homology ranks, kernel lattices, cokernel invariant
 factors, K-group ranks) reduces to the operations here.  All arithmetic is
 exact; there is no floating point anywhere in the package.
 
-The reduction loops live in a compiled Cython module when it built
-(treelat._kernels), with an identical pure-Python fallback selected at
-import time (treelat._kernels_py).  Both produce bit-identical output.
+The reduction loops live in treelat._kernels_py, the one kernel
+implementation; it is plain Python, so BACKEND is always "pure".
 """
 
 from __future__ import annotations
@@ -14,14 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-try:
-    from treelat import _kernels as _impl
+from treelat import _kernels_py as _impl
 
-    BACKEND = "compiled"
-except ImportError:  # extension not built; pure Python is fully equivalent
-    from treelat import _kernels_py as _impl
-
-    BACKEND = "pure"
+BACKEND = "pure"
 
 
 @dataclass(frozen=True)
@@ -37,9 +31,8 @@ class IntMatrix:
             raise ValueError("negative matrix dimension")
         if len(self.entries) != self.rows:
             raise ValueError("row count does not match entries")
-        for row in self.entries:
-            if len(row) != self.cols:
-                raise ValueError("ragged matrix rows")
+        if not set(map(len, self.entries)) <= {self.cols}:
+            raise ValueError("ragged matrix rows")
 
     @classmethod
     def from_rows(cls, rows: Iterable[Sequence[int]], cols: int | None = None) -> "IntMatrix":
@@ -83,9 +76,9 @@ class IntMatrix:
         return tuple(sum(row[j] for row in self.entries) for j in range(self.cols))
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(
-            self.cols, self.rows, tuple(tuple(row[j] for row in self.entries) for j in range(self.cols))
-        )
+        if not self.rows:
+            return IntMatrix.zeros(self.cols, 0)
+        return IntMatrix(self.cols, self.rows, tuple(zip(*self.entries)))
 
     def is_zero(self) -> bool:
         return all(x == 0 for row in self.entries for x in row)
@@ -93,11 +86,19 @@ class IntMatrix:
     def mul(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch in matrix product")
-        bt = [other.column(j) for j in range(other.cols)]
-        data = tuple(
-            tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in self.entries
-        )
-        return IntMatrix(self.rows, other.cols, data)
+        # Row i of the product is the combination of the rows of other
+        # weighted by row i of self.  Only nonzero weights and the nonzero
+        # entries of the rows they weight are visited, which is what makes
+        # products of the sparse 0/+-1 maps of the pipeline cheap.
+        below = [[(c, y) for c, y in enumerate(row) if y] for row in other.entries]
+        data = []
+        for row in self.entries:
+            acc = [0] * other.cols
+            for j, x in [(j, x) for j, x in enumerate(row) if x]:
+                for c, y in below[j]:
+                    acc[c] += x * y
+            data.append(tuple(acc))
+        return IntMatrix(self.rows, other.cols, tuple(data))
 
     def sub(self, other: "IntMatrix") -> "IntMatrix":
         if self.rows != other.rows or self.cols != other.cols:
@@ -124,10 +125,11 @@ class SmithDecomposition:
     """Smith normal form u*a*v = d with unimodular u, v.
 
     d is diagonal; invariant_factors are its nonzero diagonal entries, each
-    dividing the next.
+    dividing the next.  u is None when the left transform was not asked
+    for; d and v do not depend on that.
     """
 
-    u: IntMatrix
+    u: IntMatrix | None
     d: IntMatrix
     v: IntMatrix
     invariant_factors: tuple[int, ...]
@@ -136,19 +138,39 @@ class SmithDecomposition:
     def rank(self) -> int:
         return len(self.invariant_factors)
 
+    def kernel_basis(self) -> tuple[tuple[int, ...], ...]:
+        """Saturated basis of {x : a.x = 0}: the last cols - rank columns of v.
 
-def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
-    """Canonical Smith normal form; deterministic for a fixed input."""
+        d.(v^-1 x) = u.a.x, so a.x = 0 iff v^-1 x is supported on the zero
+        columns of d; v is unimodular, so these columns span every integer
+        kernel vector with integer coefficients.
+        """
+        return tuple(self.v.column(j) for j in range(self.rank, self.v.cols))
+
+    def cokernel(self) -> AbelianInvariants:
+        """Structure of Z^rows / column-span(a)."""
+        return AbelianInvariants(
+            free_rank=self.d.rows - self.rank,
+            torsion=tuple(x for x in self.invariant_factors if x > 1),
+        )
+
+
+def smith_normal_form(a: IntMatrix, left: bool = True) -> SmithDecomposition:
+    """Canonical Smith normal form; deterministic for a fixed input.
+
+    left=False skips the left transform u, which is m x m and so the larger
+    transform of a tall matrix; only solving a.x = b needs it.
+    """
     if a.rows == 0 or a.cols == 0:
         # The row-list encoding cannot carry the column count of an empty
         # matrix through the kernels.
         return SmithDecomposition(
-            u=IntMatrix.identity(a.rows),
+            u=IntMatrix.identity(a.rows) if left else None,
             d=IntMatrix.zeros(a.rows, a.cols),
             v=IntMatrix.identity(a.cols),
             invariant_factors=(),
         )
-    u, d, v = _impl.snf_with_transforms(a.to_lists())
+    u, d, v = _impl.snf_with_transforms(a.to_lists(), left)
     factors = []
     for i in range(min(a.rows, a.cols)):
         x = d[i][i]
@@ -156,32 +178,30 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
             break
         factors.append(x)
     return SmithDecomposition(
-        u=IntMatrix.from_rows(u, cols=a.rows),
-        d=IntMatrix.from_rows(d, cols=a.cols),
-        v=IntMatrix.from_rows(v, cols=a.cols),
+        u=None if u is None else _from_kernel(u, a.rows),
+        d=_from_kernel(d, a.cols),
+        v=_from_kernel(v, a.cols),
         invariant_factors=tuple(factors),
     )
+
+
+def _from_kernel(rows: list[list[int]], cols: int) -> IntMatrix:
+    # The kernels return Python ints already; from_rows would re-convert.
+    return IntMatrix(len(rows), cols, tuple(map(tuple, rows)))
 
 
 def kernel_basis(a: IntMatrix) -> tuple[tuple[int, ...], ...]:
     """Basis of the full kernel lattice {x : a.x = 0}.
 
     The basis is saturated: every integer kernel vector is an *integer*
-    combination of it.  With u*a*v = d diagonal of rank r, the last
-    cols - r columns of v are such a basis.
+    combination of it (see SmithDecomposition.kernel_basis).
     """
-    s = smith_normal_form(a)
-    r = s.rank
-    return tuple(s.v.column(j) for j in range(r, a.cols))
+    return smith_normal_form(a, left=False).kernel_basis()
 
 
 def cokernel_invariants(a: IntMatrix) -> AbelianInvariants:
     """Structure of Z^rows / column-span(a)."""
-    s = smith_normal_form(a)
-    return AbelianInvariants(
-        free_rank=a.rows - s.rank,
-        torsion=tuple(x for x in s.invariant_factors if x > 1),
-    )
+    return smith_normal_form(a, left=False).cokernel()
 
 
 def hermite_row_basis(vectors: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
@@ -213,6 +233,22 @@ def lattice_membership(x: Sequence[int], basis: Sequence[Sequence[int]]) -> bool
         for i in range(j, n):
             v[i] -= q * row[i]
     return not any(v)
+
+
+def lattice_contains(basis: Sequence[Sequence[int]], vectors: Sequence[Sequence[int]]) -> bool:
+    """True iff every given vector is an integer combination of the basis.
+
+    One test for the whole set, with two Hermite reductions: L(basis) is
+    always inside L(basis + vectors), and the two lattices are equal iff
+    every vector lies in L(basis).  The Hermite basis is canonical for the
+    lattice, so that equality holds iff the two Hermite bases are equal.
+    """
+    if not vectors:
+        return True
+    n = len(vectors[0])
+    if any(len(vec) != n for vec in list(basis) + list(vectors)):
+        raise ValueError("dimension mismatch in lattice inclusion test")
+    return hermite_row_basis(list(basis) + list(vectors)) == hermite_row_basis(basis)
 
 
 def solve_exact(a: IntMatrix, b: IntMatrix) -> IntMatrix | None:

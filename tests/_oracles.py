@@ -68,3 +68,68 @@ def strongly_connected_by_closure(matrix_rows):
                     if rk[j]:
                         ri[j] = True
     return all(all(row) for row in reach)
+
+
+def dense_snf(a):
+    """(u, d, v) by the plain dense Smith schedule that the kernel must follow.
+
+    Same pivot rule and elementary operations as treelat._kernels_py, but
+    every operation sweeps whole rows and columns, the left transform is
+    always carried and the divisibility scan always runs: the reference the
+    zero-skipping kernel is checked against, entry for entry.
+    """
+    m = len(a)
+    n = len(a[0]) if m else 0
+    d = [list(row) for row in a]
+    u = [[int(i == j) for j in range(m)] for i in range(m)]
+    v = [[int(i == j) for j in range(n)] for i in range(n)]
+
+    def swap_rows(i, j):
+        d[i], d[j] = d[j], d[i]
+        u[i], u[j] = u[j], u[i]
+
+    def swap_cols(i, j):
+        for mat in (d, v):
+            for row in mat:
+                row[i], row[j] = row[j], row[i]
+
+    def add_row(dst, src, q):  # row dst += q * row src, in d and u
+        for mat in (d, u):
+            mat[dst] = [x + q * y for x, y in zip(mat[dst], mat[src])]
+
+    k = 0
+    while k < min(m, n):
+        entries = [(abs(d[i][j]), i, j) for i in range(k, m) for j in range(k, n) if d[i][j]]
+        if not entries:
+            break
+        _, pi, pj = min(entries)  # least magnitude, then first in row-major order
+        swap_rows(k, pi)
+        swap_cols(k, pj)
+        if d[k][k] < 0:
+            add_row(k, k, -2)
+        while True:
+            while True:  # clear column k below the pivot by row operations
+                for i in range(k + 1, m):
+                    add_row(i, k, -(d[i][k] // d[k][k]))
+                rest = [(d[i][k], i) for i in range(k + 1, m) if d[i][k]]
+                if not rest:
+                    break
+                swap_rows(k, min(rest)[1])
+            while True:  # clear row k right of the pivot by column operations
+                for j in range(k + 1, n):
+                    q = d[k][j] // d[k][k]
+                    for mat in (d, v):
+                        for row in mat:
+                            row[j] -= q * row[k]
+                rest = [(d[k][j], j) for j in range(k + 1, n) if d[k][j]]
+                if not rest:
+                    break
+                swap_cols(k, min(rest)[1])
+            if all(d[i][k] == 0 for i in range(k + 1, m)):
+                break
+        bad = [i for i in range(k + 1, m) for j in range(k + 1, n) if d[i][j] % d[k][k]]
+        if bad:
+            add_row(k, bad[0], 1)
+        else:
+            k += 1
+    return u, d, v

@@ -1,9 +1,15 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from treelat import matio
-from treelat.cli import main
+import treelat
+from treelat import cli, homology, matio, tiling_system, zlinalg
+from treelat.cli import analyze_document, main
 
 import _complexes
 
@@ -188,3 +194,112 @@ def test_thread_env_accepted(runner, monkeypatch, tmp_path):
     from treelat.mozes import generate_mozes_complex
 
     assert out_path.read_text() == generate_mozes_complex(5, 13)
+
+
+# --- no tracebacks: every failure is an exit code and one error line ----------
+
+
+def run_process(*argv):
+    """The CLI in a fresh interpreter, as a user runs it."""
+    env = dict(os.environ, PYTHONPATH=str(Path(treelat.__file__).resolve().parent.parent))
+    env.pop("TREELAT_THREADS", None)
+    proc = subprocess.run(
+        [sys.executable, "-m", "treelat", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_deeply_nested_document_exit_1(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000)
+    code, out, err = run_process("validate", str(path))
+    assert code == 1
+    assert "Traceback" not in err
+    assert "nested too deeply" in err
+
+
+def test_unwritable_output_exit_1(tmp_path, torus_file):
+    target = tmp_path / "missing-dir" / "x.json"
+    code, out, err = run_process("analyze", torus_file, "--json", "-o", str(target))
+    assert code == 1
+    assert "Traceback" not in err
+    assert f"cannot write {target}" in err
+    assert not target.exists()
+
+
+def test_metadata_must_be_an_object_exit_1(tmp_path):
+    doc = json.loads(_complexes.torus_doc())
+    doc["metadata"] = [1, 2]
+    path = tmp_path / "meta.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_process("analyze", str(path), "--json")
+    assert code == 1
+    assert "Traceback" not in err
+    assert "metadata must be an object" in err
+
+
+# --- canonical reports, pinned -----------------------------------------------
+
+# sha256 of `treelat analyze --json` for the test corpus, recorded before the
+# Smith kernel skipped zeros and the pipeline shared its kernels; the fast
+# path must reproduce the dense path's reports byte for byte.
+PINNED_REPORTS = {
+    "torus": "bc647b4fefcc43a10a8ff123d1cda98ee041e2e6160b051dd2a9d9db574b96e3",
+    "f2xf2": "fab51ca794eb59cbffcc80ee7afb4273fd2ad0306eef8301338428c0d6cafea9",
+    "klein": "0839124f5a1ca64c5057073f12d09717b213004cd76200c2ea04df288eea4590",
+    "mozes513": "adfb87bb3b4e11fc4f1a2c3ab5b97b4a71a52581aef531c5340183cb9dcca3b4",
+    "mozes517": "9b65e848a67bd27c84b6c862d5bff61cfdfe8d66a3d2d7374fda1a00ec6916c1",
+}
+
+
+def test_analyze_json_matches_pinned_digests(runner, tmp_path, mozes513_doc, mozes517_doc):
+    docs = {
+        "torus": _complexes.torus_doc(),
+        "f2xf2": _complexes.f2xf2_doc(),
+        "klein": _complexes.klein_doc(),
+        "mozes513": mozes513_doc,
+        "mozes517": mozes517_doc,
+    }
+    for name, doc in docs.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(doc)
+        code, out, err = runner("analyze", str(path), "--json")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == PINNED_REPORTS[name], name
+
+
+# --- work done by one analysis -------------------------------------------------
+
+
+def count_calls(monkeypatch, module, name):
+    """Record the first argument of every call of module.name, under each
+    treelat module attribute that refers to the function."""
+    original = getattr(module, name)
+    seen = []
+
+    def counted(*args, **kwargs):
+        seen.append(args[0])
+        return original(*args, **kwargs)
+
+    for mod in (zlinalg, tiling_system, homology, cli):
+        if getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, counted)
+    return seen
+
+
+def test_analysis_computes_each_kernel_once(monkeypatch, mozes513, mozes513_doc):
+    stacked = tiling_system.stacked_matrix(mozes513.tiling)
+    snf = count_calls(monkeypatch, zlinalg, "smith_normal_form")
+    hermite = count_calls(monkeypatch, zlinalg, "hermite_row_basis")
+    built = count_calls(monkeypatch, tiling_system, "stacked_matrix")
+    _, analysis = analyze_document(mozes513_doc)
+    assert analysis.theorem.holds
+    assert len(built) == 1
+    assert sum(a == stacked for a in snf) == 1
+    # d2, d1, the ker d1 basis and the H1 presentation are the others.
+    assert len(snf) <= 5
+    assert len(hermite) <= 2

@@ -1,6 +1,6 @@
-from treelat.homology import forward_edge_index
+from treelat.homology import forward_edge_index, verify_main_theorem
 from treelat.tiling_system import stacked_matrix
-from treelat.zlinalg import smith_normal_form
+from treelat.zlinalg import kernel_basis, smith_normal_form
 
 
 def test_d1_composed_with_d2_vanishes(corpus):
@@ -128,3 +128,35 @@ def test_verdict_on_torus_outside_hypotheses(torus):
     assert not verdict.kernel_symmetries_hold
     assert not verdict.mu_vanishes
     assert not verdict.holds
+
+
+def test_verifier_flags_each_failed_edge_sum(mozes513):
+    # The verifier checks whatever kernel basis it is given, so a vector
+    # e_s - e_t built for the purpose must fail the mu check exactly when
+    # one of its two per-edge sums does not vanish.
+    a = mozes513
+    r = a.expanded
+    n = len(r)
+    stacked = stacked_matrix(a.tiling)
+    h2_basis = kernel_basis(a.maps.d2)
+
+    def mu_vanishes(vectors):
+        return verify_main_theorem(a.complex, r, a.maps, stacked, vectors, h2_basis).mu_vanishes
+
+    def difference(s, t):
+        lam = [0] * n
+        lam[s] += 1
+        lam[t] -= 1
+        return tuple(lam)
+
+    pairs = [(s, t) for s in range(n) for t in range(n) if s != t]
+    same_b = next(
+        (s, t) for s, t in pairs if r[s].b_prime == r[t].b_prime and r[s].a_prime != r[t].a_prime
+    )
+    same_a = next(
+        (s, t) for s, t in pairs if r[s].a_prime == r[t].a_prime and r[s].b_prime != r[t].b_prime
+    )
+    assert mu_vanishes(())
+    assert not mu_vanishes((difference(*same_b),))
+    assert not mu_vanishes((difference(*same_a),))
+    assert mu_vanishes(kernel_basis(stacked))

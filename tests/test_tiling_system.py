@@ -9,7 +9,7 @@ from treelat.tiling_system import (
     stacked_matrix,
     v_image_index,
 )
-from treelat.zlinalg import IntMatrix
+from treelat.zlinalg import IntMatrix, kernel_basis
 
 import _complexes
 from _oracles import strongly_connected_by_closure
@@ -165,7 +165,8 @@ def test_k0_rank_values(mozes513, mozes517, f2xf2):
 
 
 def test_k0_rank_user_assertion_flag(f2xf2):
-    result = k0_rank(f2xf2.tiling, irreducible_lattice_asserted=True)
+    kernel = kernel_basis(stacked_matrix(f2xf2.tiling))
+    result = k0_rank(f2xf2.tiling, f2xf2.connectivity, kernel, irreducible_lattice_asserted=True)
     assert result.hypotheses.irreducible_lattice_asserted
     # the tile graphs are still reducible, so the interpretation stays off
     assert not result.hypotheses.interpretation_supported

@@ -9,12 +9,16 @@ from treelat.zlinalg import (
     determinant,
     hermite_row_basis,
     kernel_basis,
+    lattice_contains,
     lattice_membership,
     smith_normal_form,
     solve_exact,
 )
 
-from _oracles import det_by_fraction_elimination, rank_by_fraction_elimination
+from treelat import _kernels_py
+from treelat.tiling_system import stacked_matrix
+
+from _oracles import dense_snf, det_by_fraction_elimination, rank_by_fraction_elimination
 
 
 def M(rows):
@@ -177,3 +181,105 @@ def test_determinant_against_oracle():
             [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)], cols=n
         )
         assert determinant(a) == det_by_fraction_elimination(a.to_lists())
+
+
+def sparse_random_matrix(rng, max_dim=9):
+    """Random shape, density and entry range: from 0/+-1 and sparse, like
+    the pipeline's maps, to dense with entries far from units."""
+    m = rng.randint(0, max_dim)
+    n = rng.randint(0, max_dim)
+    span = rng.choice((1, 2, 9, 40))
+    density = rng.random()
+    return IntMatrix.from_rows(
+        [
+            [rng.randint(-span, span) if rng.random() < density else 0 for _ in range(n)]
+            for _ in range(m)
+        ],
+        cols=n,
+    )
+
+
+def assert_same_without_left(a):
+    full = smith_normal_form(a)
+    fast = smith_normal_form(a, left=False)
+    assert fast.u is None
+    assert fast.d == full.d
+    assert fast.v == full.v
+    assert fast.invariant_factors == full.invariant_factors
+
+
+def test_snf_without_left_transform_random():
+    rng = random.Random(60221)
+    for _ in range(600):
+        assert_same_without_left(sparse_random_matrix(rng))
+
+
+def test_snf_without_left_transform_pipeline_matrices(mozes513):
+    assert_same_without_left(stacked_matrix(mozes513.tiling))
+    assert_same_without_left(mozes513.maps.d2)
+
+
+def test_kernel_follows_the_dense_schedule(mozes513):
+    # Entry for entry, transforms included: the zero-skipping shortcuts
+    # change the work done, never the operations' outcome.
+    rng = random.Random(1414)
+    inputs = [sparse_random_matrix(rng).to_lists() for _ in range(500)]
+    inputs = [a for a in inputs if a and a[0]]
+    inputs += [stacked_matrix(mozes513.tiling).to_lists(), mozes513.maps.d2.to_lists()]
+    for a in inputs:
+        u, d, v = dense_snf(a)
+        assert _kernels_py.snf_with_transforms(a) == (u, d, v)
+        assert _kernels_py.snf_with_transforms(a, left=False) == (None, d, v)
+
+
+def test_snf_divisibility_fold_with_zero_rows():
+    # No unit entry: the pivot 2 does not divide 3, so rows are folded until
+    # the pivots divide each other; the zero rows are never pivots.
+    a = M([[0, 0, 0], [2, 0, 0], [0, 3, 0], [0, 0, 0], [0, 0, 4]])
+    for s in (smith_normal_form(a), smith_normal_form(a, left=False)):
+        assert s.invariant_factors == (1, 2, 12)
+    s = smith_normal_form(a)
+    assert s.u.mul(a).mul(s.v) == s.d
+
+
+def test_lattice_contains_matches_membership():
+    rng = random.Random(1729)
+    outcomes = set()
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        basis = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(rng.randint(0, 4))]
+        vectors = []
+        for _ in range(rng.randint(1, 4)):
+            if basis and rng.random() < 0.6:
+                coeffs = [rng.randint(-3, 3) for _ in basis]
+                vectors.append([sum(c * b[i] for c, b in zip(coeffs, basis)) for i in range(n)])
+            else:
+                vectors.append([rng.randint(-6, 6) for _ in range(n)])
+        expected = all(lattice_membership(x, basis) for x in vectors)
+        assert lattice_contains(basis, vectors) == expected
+        outcomes.add(expected)
+    assert outcomes == {True, False}
+
+
+def test_lattice_contains_edge_cases():
+    assert lattice_contains([(1, -1)], [])
+    assert lattice_contains([], [(0, 0)])
+    assert not lattice_contains([], [(1, 0)])
+    assert not lattice_contains([(2, 0)], [(2, 0), (1, 0)])
+    with pytest.raises(ValueError):
+        lattice_contains([(1, 0, 0)], [(1, 0)])
+
+
+def test_sparse_product_matches_dense_definition():
+    rng = random.Random(314)
+    for _ in range(200):
+        a = sparse_random_matrix(rng, max_dim=6)
+        cols = rng.randint(0, 6)
+        b = IntMatrix.from_rows(
+            [[rng.choice((0, 0, 1, -1, 5)) for _ in range(cols)] for _ in range(a.cols)], cols=cols
+        )
+        expected = [
+            [sum(a.entry(i, k) * b.entry(k, j) for k in range(a.cols)) for j in range(b.cols)]
+            for i in range(a.rows)
+        ]
+        assert a.mul(b) == IntMatrix.from_rows(expected, cols=b.cols)
