@@ -1,8 +1,9 @@
-"""Internal worker-count policy.
+"""The TREELAT_THREADS setting.
 
-TREELAT_THREADS (a positive integer) caps internal parallelism; when it is
-absent the implementation default of one worker (sequential execution)
-applies.  Results never depend on the worker count.
+TREELAT_THREADS, when set, must be a positive integer; the CLI checks it at
+start-up and exits 2 otherwise.  It is the documented cap on internal
+parallelism, but no code path currently runs in parallel: every stage is
+sequential whatever its value, and results never depend on it.
 """
 
 from __future__ import annotations

@@ -9,6 +9,7 @@ shape so that empty matrices round-trip.
 from __future__ import annotations
 
 import json
+from itertools import compress
 
 from treelat.zlinalg import IntMatrix
 
@@ -19,10 +20,10 @@ class MatrixFormatError(ValueError):
 
 def write_triplets(m: IntMatrix) -> str:
     lines = [f"{m.rows} {m.cols}"]
-    for i, row in enumerate(m.entries):
-        for j, x in enumerate(row):
-            if x:
-                lines.append(f"{i + 1} {j + 1} {x}")
+    cols = range(m.cols)
+    for i, row in enumerate(m.entries, 1):
+        for j in compress(cols, row):
+            lines.append(f"{i} {j + 1} {row[j]}")
     return "\n".join(lines) + "\n"
 
 

@@ -18,11 +18,9 @@ quaternions and is discarded when building the complex.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import isqrt
 
-from treelat._threads import worker_count
 from treelat.complex_model import (
     DirectedEdgeRef,
     DirectedSquare,
@@ -122,28 +120,52 @@ def norm_quaternions(p: int) -> GeneratorSet:
     return GeneratorSet(prime=p, quats=tuple(found))
 
 
+def _up_to_sign(q: Quaternion) -> tuple[Quaternion, int]:
+    """(key, sign) with key = max(q, -q) and q = sign * key."""
+    neg = -q
+    return (q, 1) if q > neg else (neg, -1)
+
+
+def _relation_table(ql: GeneratorSet, qp: GeneratorSet) -> dict:
+    """Every product y~ * x~ over ql x qp, keyed up to sign.
+
+    The entry of a key lists each (y~, x~, sign) with y~ * x~ = sign * key,
+    in the order of ql x qp.  A nonzero quaternion never equals its
+    negative, so the solutions of s * key = s' * y~ * x~ are exactly the
+    entries of that key, with s' = s * sign.
+    """
+    table: dict = {}
+    for yt in ql.quats:
+        for xt in qp.quats:
+            key, sign = _up_to_sign(yt * xt)
+            table.setdefault(key, []).append((yt, xt, sign))
+    return table
+
+
+def _solve_from_table(
+    table: dict, x: Quaternion, y: Quaternion
+) -> tuple[Quaternion, Quaternion, int]:
+    key, s = _up_to_sign(x * y)
+    hits = table.get(key, ())
+    if len(hits) != 1:
+        raise RelationSolveError(
+            f"relation for ({x}, {y}) has {len(hits)} solutions, expected 1"
+        )
+    yt, xt, sign = hits[0]
+    return yt, xt, s * sign
+
+
 def solve_square_relation(
     x: Quaternion, y: Quaternion, ql: GeneratorSet, qp: GeneratorSet
 ) -> tuple[Quaternion, Quaternion, int]:
     """The unique (y~, x~, sign) with x*y = sign * y~ * x~.
 
-    Exhaustive search over ql x qp x {+1, -1}; anything other than exactly
-    one hit means the inputs are not a generator pair of this construction.
+    Looks x*y up among all products of ql x qp x {+1, -1}; anything other
+    than exactly one hit means the inputs are not a generator pair of this
+    construction.  build_mozes_complex builds the product table once and
+    looks every pair up in it.
     """
-    target = x * y
-    hits = []
-    for yt in ql.quats:
-        for xt in qp.quats:
-            prod = yt * xt
-            if prod == target:
-                hits.append((yt, xt, 1))
-            elif -prod == target:
-                hits.append((yt, xt, -1))
-    if len(hits) != 1:
-        raise RelationSolveError(
-            f"relation for ({x}, {y}) has {len(hits)} solutions, expected 1"
-        )
-    return hits[0]
+    return _solve_from_table(_relation_table(ql, qp), x, y)
 
 
 def _edge_data(quats, prefix):
@@ -174,22 +196,15 @@ def build_mozes_complex(p: int, l: int) -> SquareComplex:
         (x, y): (i, j) for i, x in enumerate(qp.quats) for j, y in enumerate(ql.quats)
     }
 
-    def solve(pair):
-        x, y = pair
-        yt, xt, _ = solve_square_relation(x, y, ql, qp)
-        return DirectedSquare(
-            a=h_ref(x), b=v_ref(yt), a_prime=h_ref(xt), b_prime=v_ref(y),
-            orbit_id=0, sigma_tag="1",
-        )
-
-    pairs = [(x, y) for x in qp.quats for y in ql.quats]
-    workers = worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            solved = list(pool.map(solve, pairs))
-    else:
-        solved = [solve(pair) for pair in pairs]
-    square_by_pair = {pair_index[pair]: sq for pair, sq in zip(pairs, solved)}
+    table = _relation_table(ql, qp)
+    square_by_pair = {}
+    for i, x in enumerate(qp.quats):
+        for j, y in enumerate(ql.quats):
+            yt, xt, _ = _solve_from_table(table, x, y)
+            square_by_pair[i, j] = DirectedSquare(
+                a=h_ref(x), b=v_ref(yt), a_prime=h_ref(xt), b_prime=v_ref(y),
+                orbit_id=0, sigma_tag="1",
+            )
 
     def pair_of(sq: DirectedSquare) -> tuple[int, int]:
         return pair_index[(h_quat[sq.a], v_quat[sq.b_prime])]

@@ -16,6 +16,7 @@ the degree-2 homology; twice its rank is the boundary-algebra K_0 rank.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 
 from treelat.complex_model import DirectedSquare, SquareComplex
 from treelat.zlinalg import IntMatrix
@@ -108,8 +109,8 @@ def build_tiling(r: tuple[DirectedSquare, ...], c: SquareComplex) -> TilingSyste
                 m2_rows[s_idx][t_idx] = 1
     return TilingSystem(
         squares=tuple(r),
-        m1=IntMatrix.from_rows(m1_rows, cols=n),
-        m2=IntMatrix.from_rows(m2_rows, cols=n),
+        m1=IntMatrix(n, n, tuple(map(tuple, m1_rows))),
+        m2=IntMatrix(n, n, tuple(map(tuple, m2_rows))),
         n_vertices=len(c.vertices),
     )
 
@@ -117,19 +118,22 @@ def build_tiling(r: tuple[DirectedSquare, ...], c: SquareComplex) -> TilingSyste
 def stacked_matrix(ts: TilingSystem) -> IntMatrix:
     """The 2n x n matrix (m1 - I) stacked over (m2 - I)."""
     n = len(ts.squares)
-    eye = IntMatrix.identity(n)
-    return IntMatrix.vstack(ts.m1.sub(eye), ts.m2.sub(eye))
+    rows = []
+    for m in (ts.m1, ts.m2):
+        for i, row in enumerate(m.entries):
+            row = list(row)
+            row[i] -= 1
+            rows.append(tuple(row))
+    return IntMatrix(2 * n, n, tuple(rows))
 
 
 def _successors(m: IntMatrix) -> list[list[int]]:
     # edge t -> s whenever m[s][t] = 1
     n = m.cols
     adj: list[list[int]] = [[] for _ in range(n)]
-    for s in range(n):
-        row = m.entries[s]
-        for t in range(n):
-            if row[t]:
-                adj[t].append(s)
+    for s, row in enumerate(m.entries):
+        for t in compress(range(n), row):
+            adj[t].append(s)
     return adj
 
 

@@ -133,3 +133,35 @@ def dense_snf(a):
         else:
             k += 1
     return u, d, v
+
+
+def solve_relation_by_search(x, y, ql, qp):
+    """The unique (y~, x~, sign) with x*y = sign * y~ * x~, by trying every
+    product of ql x qp x {+1, -1}: the exhaustive search that the product
+    table of treelat.mozes replaces."""
+    from treelat.mozes import RelationSolveError
+
+    target = x * y
+    hits = []
+    for yt in ql.quats:
+        for xt in qp.quats:
+            prod = yt * xt
+            if prod == target:
+                hits.append((yt, xt, 1))
+            elif -prod == target:
+                hits.append((yt, xt, -1))
+    if len(hits) != 1:
+        raise RelationSolveError(
+            f"relation for ({x}, {y}) has {len(hits)} solutions, expected 1"
+        )
+    return hits[0]
+
+
+def triplets_by_dense_scan(rows, cols):
+    """Triplet text by testing every entry of every row in order."""
+    lines = [f"{len(rows)} {cols}"]
+    for i in range(len(rows)):
+        for j in range(cols):
+            if rows[i][j] != 0:
+                lines.append(f"{i + 1} {j + 1} {rows[i][j]}")
+    return "\n".join(lines) + "\n"

@@ -4,18 +4,25 @@ import random
 import pytest
 
 from treelat import matio
+from treelat.tiling_system import stacked_matrix
 from treelat.zlinalg import IntMatrix
 
+from _oracles import triplets_by_dense_scan
 
-def test_triplet_round_trip_random():
+
+def test_triplet_round_trip_random(mozes513):
     rng = random.Random(55)
+    inputs = [stacked_matrix(mozes513.tiling)]
     for _ in range(50):
         m = rng.randint(0, 6)
         n = rng.randint(0, 6)
-        a = IntMatrix.from_rows(
-            [[rng.randint(-5, 5) for _ in range(n)] for _ in range(m)], cols=n
+        inputs.append(
+            IntMatrix.from_rows([[rng.randint(-5, 5) for _ in range(n)] for _ in range(m)], cols=n)
         )
-        assert matio.read_triplets(matio.write_triplets(a)) == a
+    for a in inputs:
+        text = matio.write_triplets(a)
+        assert text == triplets_by_dense_scan(a.entries, a.cols)
+        assert matio.read_triplets(text) == a
 
 
 def test_zero_matrix_is_header_only():

@@ -1,16 +1,21 @@
+import hashlib
 import json
 
 import pytest
 
 from treelat.complex_model import load_complex, sigma_act, validate_vht
 from treelat.mozes import (
+    GeneratorSet,
     MozesParameterError,
     Quaternion,
+    RelationSolveError,
     build_mozes_complex,
     generate_mozes_complex,
     norm_quaternions,
     solve_square_relation,
 )
+
+from _oracles import solve_relation_by_search
 
 
 def q(a0, a1, a2, a3):
@@ -83,21 +88,58 @@ def test_solve_relation_noncommuting_pair():
 
 
 def test_solve_relation_unique_for_all_pairs():
-    q5, q13 = norm_quaternions(5), norm_quaternions(13)
-    for x in q5.quats:
-        for y in q13.quats:
-            yt, xt, sign = solve_square_relation(x, y, q13, q5)
-            lhs = x * y
-            rhs = yt * xt
-            assert lhs == rhs if sign == 1 else lhs == -rhs
+    for p, l in ((5, 13), (5, 17), (13, 17), (13, 5)):
+        qp, ql = norm_quaternions(p), norm_quaternions(l)
+        for x in qp.quats:
+            for y in ql.quats:
+                yt, xt, sign = solve_square_relation(x, y, ql, qp)
+                assert (yt, xt, sign) == solve_relation_by_search(x, y, ql, qp), (p, l, x, y)
+                assert x * y == (yt * xt if sign == 1 else -(yt * xt))
 
 
 def test_solve_relation_rejects_bad_input():
     q5, q13 = norm_quaternions(5), norm_quaternions(13)
-    from treelat.mozes import RelationSolveError
 
-    with pytest.raises(RelationSolveError):
+    with pytest.raises(RelationSolveError, match="0 solutions"):
         solve_square_relation(q(1, 0, 0, 0), q(3, 2, 0, 0), q13, q5)
+    # a repeated generator gives the pairs it solves two solutions
+    x = q5.quats[0]
+    y = next(y for y in q13.quats if solve_square_relation(x, y, q13, q5)[1] == x)
+    doubled = GeneratorSet(prime=5, quats=q5.quats + (x,))
+    for solve in (solve_square_relation, solve_relation_by_search):
+        with pytest.raises(RelationSolveError, match="2 solutions"):
+            solve(x, y, q13, doubled)
+
+
+def test_generation_multiplies_each_pair_twice(monkeypatch):
+    # one product table of (p+1)(l+1) entries plus one x*y per pair; a
+    # search per pair would make (p+1)(l+1) products for every pair
+    calls = 0
+    mul = Quaternion.__mul__
+
+    def counting_mul(self, other):
+        nonlocal calls
+        calls += 1
+        return mul(self, other)
+
+    monkeypatch.setattr(Quaternion, "__mul__", counting_mul)
+    build_mozes_complex(5, 13)
+    assert calls <= 2 * (5 + 1) * (13 + 1)
+
+
+# sha256 of the generated documents, as the per-pair search produced them
+GENERATED_SHA256 = {
+    (5, 13): "969c757dca13c16907daf5d16cbffec96456b58d1c92757e3d270978d36d6ab5",
+    (13, 17): "ea660ac88044ef86516c23ce9cc9418ffbc1d1b7f9c6786eb08878b7f1f2c823",
+    (17, 29): "7663916f8bb4812b9958af76f55630e3e58dd3fe6277c17099a51c0c94820424",
+    (29, 37): "b29ce497581e470f6095d3ef4d0a8268ad178db3b6f73122b29dd4acffba0d80",
+}
+
+
+def test_generated_documents_match_pinned_digests():
+    for (p, l), digest in GENERATED_SHA256.items():
+        doc = generate_mozes_complex(p, l)
+        assert hashlib.sha256(doc.encode()).hexdigest() == digest, (p, l)
 
 
 def test_generate_counts_5_13():

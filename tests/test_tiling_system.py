@@ -83,10 +83,15 @@ def test_mozes_column_sums(mozes513):
     assert set(mozes513.tiling.m2.column_sums()) == {13}
 
 
-def test_stacked_shape_and_column_sums(mozes513):
-    stacked = stacked_matrix(mozes513.tiling)
+def test_stacked_shape_and_column_sums(corpus):
+    stacked = stacked_matrix(corpus["mozes513"].tiling)
     assert (stacked.rows, stacked.cols) == (168, 84)
     assert set(stacked.column_sums()) == {(5 - 1) + (13 - 1)}
+    for name, analysis in corpus.items():
+        ts = analysis.tiling
+        eye = IntMatrix.identity(len(ts.squares))
+        expected = IntMatrix.vstack(ts.m1.sub(eye), ts.m2.sub(eye))
+        assert stacked_matrix(ts) == expected, name
 
 
 def test_stacked_kernel_annihilated_by_both_blocks(mozes513):
