@@ -1,12 +1,14 @@
-"""Time the Smith and Hermite kernels, with and without the left transform.
+"""Time the Smith and Hermite kernels, and the rank over F_p beside them.
 
 Usage: PYTHONPATH=src python benchmarks/bench_kernels.py [--repeat N]
 
 Workloads: a batch of small random matrices (the shape the property suite
 hammers), one mid-size dense random matrix, and the stacked transition
-matrix of the (5,13) quaternion complex (the shape the pipeline hammers).
-Only solving a.x = b needs the left transform; every other Smith form in
-the pipeline runs without it.  Prints the best of N runs of each.
+matrices of the (5,13) and (13,17) quaternion complexes (the shape the
+pipeline hammers).  The Smith form is timed with and without the left
+transform: only solving a.x = b needs it.  On the stacked matrices the
+sparse rank mod p, which certifies the stacked kernel without any Smith
+form, is timed too.  Prints the best of N runs of each.
 """
 
 import argparse
@@ -14,9 +16,9 @@ import random
 import time
 
 from treelat import _kernels_py as kernels
-from treelat.cli import analyze_document
+from treelat.complex_model import expand_directed_squares, load_complex
 from treelat.mozes import generate_mozes_complex
-from treelat.tiling_system import stacked_matrix
+from treelat.tiling_system import build_tiling, stacked_matrix
 
 
 def batch_8x8(rng):
@@ -25,17 +27,25 @@ def batch_8x8(rng):
     ]
 
 
+def mozes_stacked(p, l):
+    c = load_complex(generate_mozes_complex(p, l))
+    return stacked_matrix(build_tiling(expand_directed_squares(c), c)).to_lists()
+
+
 def make_workloads():
     rng = random.Random(12345)
     small = batch_8x8(rng)
     mid = [[rng.randint(-20, 20) for _ in range(40)] for _ in range(40)]
-    _, analysis = analyze_document(generate_mozes_complex(5, 13))
-    stacked = stacked_matrix(analysis.tiling).to_lists()
+    s513 = mozes_stacked(5, 13)
+    s1317 = mozes_stacked(13, 17)
     return [
         ("snf 300 x (8x8)", lambda left: [kernels.snf_with_transforms(a, left) for a in small]),
         ("snf 40x40", lambda left: kernels.snf_with_transforms(mid, left)),
-        ("snf stacked 168x84", lambda left: kernels.snf_with_transforms(stacked, left)),
-        ("hermite stacked", lambda left: kernels.hermite_rows(stacked)),
+        ("snf stacked 168x84", lambda left: kernels.snf_with_transforms(s513, left)),
+        ("snf stacked 504x252", lambda left: kernels.snf_with_transforms(s1317, left)),
+        ("hermite stacked 168x84", lambda left: kernels.hermite_rows(s513)),
+        ("rank_mod_p stacked 168x84", lambda left: kernels.rank_mod_p(s513)),
+        ("rank_mod_p stacked 504x252", lambda left: kernels.rank_mod_p(s1317)),
     ]
 
 
@@ -53,14 +63,14 @@ def main():
     parser.add_argument("--repeat", type=int, default=3)
     args = parser.parse_args()
 
-    print(f"{'workload':<22} {'with u [s]':>11} {'without u [s]':>14}")
+    print(f"{'workload':<28} {'with u [s]':>11} {'without u [s]':>14}")
     for name, fn in make_workloads():
-        if name.startswith("hermite"):
-            print(f"{name:<22} {best_of(fn, True, args.repeat):>11.4f} {'-':>14}")
+        if not name.startswith("snf"):
+            print(f"{name:<28} {best_of(fn, True, args.repeat):>11.4f} {'-':>14}")
             continue
         full = best_of(fn, True, args.repeat)
         fast = best_of(fn, False, args.repeat)
-        print(f"{name:<22} {full:>11.4f} {fast:>14.4f}")
+        print(f"{name:<28} {full:>11.4f} {fast:>14.4f}")
 
 
 if __name__ == "__main__":

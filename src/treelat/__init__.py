@@ -32,6 +32,7 @@ from treelat.homology import (
     TheoremVerdict,
     chain_maps,
     homology_report,
+    stacked_kernel_basis,
     verify_main_theorem,
 )
 from treelat.mozes import (
@@ -58,6 +59,7 @@ from treelat.zlinalg import (
     kernel_basis,
     lattice_contains,
     lattice_membership,
+    rank_mod_prime,
     smith_normal_form,
 )
 
@@ -94,10 +96,12 @@ __all__ = [
     "lattice_membership",
     "load_complex",
     "norm_quaternions",
+    "rank_mod_prime",
     "serialize_complex",
     "sigma_act",
     "smith_normal_form",
     "solve_square_relation",
+    "stacked_kernel_basis",
     "stacked_matrix",
     "validate_vht",
     "verify_main_theorem",

@@ -1,8 +1,9 @@
 """Integer reduction kernels: the hot loops behind treelat.zlinalg.
 
-Smith normal form with its unimodular transforms, and the canonical
-row-style Hermite normal form.  This is the only implementation; it is
-plain Python, so every algorithm change is made in one place.
+Smith normal form with its unimodular transforms, the canonical row-style
+Hermite normal form, and a sparse rank over a prime field.  This is the
+only implementation; it is plain Python, so every algorithm change is made
+in one place.
 
 The matrices the pipeline reduces (transition operators, boundary maps) are
 0/+-1 and sparse, so the Smith kernel does no work on zeros: each
@@ -16,6 +17,14 @@ inputs).  Inputs are never mutated.
 """
 
 from __future__ import annotations
+
+from itertools import compress
+
+# The prime of rank_mod_p: the Mersenne prime 2^61 - 1.  The rank of an
+# integer matrix over F_p falls below its rank over Q only when p divides
+# one of its invariant factors, which a prime this large practically never
+# does for the small entries of the pipeline's operators.
+PRIME = (1 << 61) - 1
 
 
 def _eye(n):
@@ -42,6 +51,14 @@ def snf_with_transforms(a, left=True):
     # Columns of v, so that a column operation or swap is a row one here.
     vt = _eye(n)
     limit = m if m < n else n
+    # The rows i >= k not yet seen to be zero, in increasing order.  A zero
+    # row stays zero: row operations add multiples of the pivot row only to
+    # rows with a nonzero in the pivot column, a column operation changes a
+    # row by a multiple of its own pivot-column entry, and a fold changes
+    # only the pivot row.  Swaps move rows, and live follows them.  So a row
+    # is dropped for good once it reads zero, and every loop over the rows
+    # of the working block runs over live only.
+    live = list(range(m))
     k = 0
     while k < limit:
         # Invariant at the top of step k: d[k:][:k] and d[:k][k:] are zero
@@ -55,9 +72,11 @@ def snf_with_transforms(a, left=True):
         pi = -1
         pj = -1
         best = 0
-        for i in range(k, m):
+        zero = []
+        for i in live:
             di = d[i]
             if not any(di):
+                zero.append(i)
                 continue
             has_pos = 1 in di
             has_neg = -1 in di
@@ -78,13 +97,21 @@ def snf_with_transforms(a, left=True):
                         best = ax
         if pi < 0:
             break  # remaining block is zero; d is final
+        if zero:
+            dropped = set(zero)
+            live = [i for i in live if i not in dropped]
         if pi != k:
             d[k], d[pi] = d[pi], d[k]
             if left:
                 u[k], u[pi] = u[pi], u[k]
+            if live[0] != k:
+                # Row k was zero, and now row pi is.
+                live.remove(pi)
+                live.insert(0, k)
+        below = live[1:]
         if pj != k:
-            # Rows above k are zero in both columns.
-            for i in range(k, m):
+            # Rows above k and zero rows are zero in both columns.
+            for i in live:
                 row = d[i]
                 row[k], row[pj] = row[pj], row[k]
             vt[k], vt[pj] = vt[pj], vt[k]
@@ -103,7 +130,7 @@ def snf_with_transforms(a, left=True):
             while True:
                 dk = d[k]
                 p = dk[k]
-                rows = [i for i in range(k + 1, m) if d[i][k]]
+                rows = [i for i in below if d[i][k]]
                 if not rows:
                     break
                 dk_nz = _nonzeros(dk)
@@ -142,7 +169,7 @@ def snf_with_transforms(a, left=True):
                 cols = [j for j in range(k + 1, n) if dk[j]]
                 if not cols:
                     break
-                dcol = [(i, d[i][k]) for i in range(k, m) if d[i][k]]
+                dcol = [(i, d[i][k]) for i in live if d[i][k]]
                 vcol = _nonzeros(vt[k])
                 bj = -1
                 bval = 0
@@ -160,12 +187,12 @@ def snf_with_transforms(a, left=True):
                         bval = r
                 if bj < 0:
                     break
-                for i in range(k, m):
+                for i in live:
                     row = d[i]
                     row[k], row[bj] = row[bj], row[k]
                 vt[k], vt[bj] = vt[bj], vt[k]
             clean = True
-            for i in range(k + 1, m):
+            for i in below:
                 if d[i][k] != 0:
                     clean = False
                     break
@@ -180,7 +207,7 @@ def snf_with_transforms(a, left=True):
         p = d[k][k]
         dirty = False
         if p != 1:
-            for i in range(k + 1, m):
+            for i in below:
                 di = d[i]
                 # Some x % p != 0; entries of row i left of k + 1 are zero,
                 # so the whole row can be tested.
@@ -196,6 +223,7 @@ def snf_with_transforms(a, left=True):
                     dirty = True
                     break
         if not dirty:
+            del live[0]
             k += 1
     v = [list(row) for row in zip(*vt)]
     return u, d, v
@@ -268,3 +296,69 @@ def hermite_rows(a):
             r += 1
     del rows[r:]
     return rows
+
+
+def rank_mod_p(a):
+    """Rank of the integer matrix a (row lists) over the field F_PRIME.
+
+    Sparse Gaussian elimination: each live row is a dict {column: entry
+    mod p}, and each column keeps the set of live rows it meets.  Pivoting
+    is Markowitz-style, to keep fill-in low: the column with the fewest live
+    entries, then the shortest live row in it, ties broken by the smaller
+    index.  Eliminating a pivot clears its column from every other row, so
+    the column and the pivot row leave the active matrix; the rank is the
+    number of pivots taken.  PRIME is read at call time.
+    """
+    p = PRIME
+    n = len(a[0]) if a else 0
+    rows = {}
+    cols = {}
+    for i, row in enumerate(a):
+        live = {}
+        for j in compress(range(n), row):
+            x = row[j] % p
+            if x:
+                live[j] = x
+                if j in cols:
+                    cols[j].add(i)
+                else:
+                    cols[j] = {i}
+        if live:
+            rows[i] = live
+    rank = 0
+    while cols:
+        fewest = min(map(len, cols.values()))
+        j = min([c for c, live in cols.items() if len(live) == fewest])
+        col = cols.pop(j)
+        pi = min(col, key=lambda r: (len(rows[r]), r))
+        pivot = rows.pop(pi)
+        # Row i becomes row i - (row_i[j] / pivot[j]) * pivot: with the
+        # pivot row scaled by -1 / pivot[j] once, each update is one
+        # multiply-add, and each entry carries its column's row set.
+        scale = p - pow(pivot.pop(j), -1, p)
+        update = [(c, x * scale % p, cols[c]) for c, x in pivot.items()]
+        for i in col:
+            if i == pi:
+                continue
+            row = rows[i]
+            f = row.pop(j)
+            for c, x, live in update:
+                y = row.get(c)
+                if y is None:
+                    row[c] = f * x % p
+                    live.add(i)
+                else:
+                    y = (y + f * x) % p
+                    if y:
+                        row[c] = y
+                    else:
+                        del row[c]
+                        live.discard(i)
+            if not row:
+                del rows[i]
+        for c, _, live in update:
+            live.discard(pi)
+            if not live:
+                del cols[c]
+        rank += 1
+    return rank

@@ -28,7 +28,15 @@ from treelat.complex_model import (
     load_complex,
     validate_vht,
 )
-from treelat.homology import ChainMaps, HomologyReport, TheoremVerdict, chain_maps, homology_report, verify_main_theorem
+from treelat.homology import (
+    ChainMaps,
+    HomologyReport,
+    TheoremVerdict,
+    chain_maps,
+    homology_report,
+    stacked_kernel_basis,
+    verify_main_theorem,
+)
 from treelat.mozes import MozesParameterError, generate_mozes_complex
 from treelat.tiling_system import (
     ConnectivityReport,
@@ -39,7 +47,7 @@ from treelat.tiling_system import (
     k0_rank,
     stacked_matrix,
 )
-from treelat.zlinalg import kernel_basis
+from treelat.zlinalg import smith_normal_form
 
 EXPORTABLE = ("m1", "m2", "stacked", "d1", "d2", "phi1", "phi2")
 
@@ -67,19 +75,21 @@ def analyze_document(text: str) -> tuple[ValidationReport, Analysis | None]:
     ts = build_tiling(r, c)
     maps = chain_maps(c, r)
     conn = connectivity(ts, c)
-    # The stacked operator, its kernel lattice and ker d2 are the costly
-    # exact objects; each is computed once and shared by the K-ranks, the
-    # homology and the verifier.
+    # The stacked operator, its kernel lattice and the Smith form of d2
+    # are the costly exact objects; each is computed once and shared by the
+    # K-ranks, the homology and the verifier.  The stacked kernel is
+    # phi2(ker d2) whenever a rank mod p certifies that.
     stacked = stacked_matrix(ts)
-    stacked_kernel = kernel_basis(stacked)
-    h2_basis = kernel_basis(maps.d2)
+    s2 = smith_normal_form(maps.d2, left=False)
+    h2_basis = s2.kernel_basis()
+    stacked_kernel = stacked_kernel_basis(stacked, maps, h2_basis)
     return validation, Analysis(
         complex=c,
         validation=validation,
         expanded=r,
         tiling=ts,
         maps=maps,
-        homology=homology_report(c, maps, h2_basis),
+        homology=homology_report(c, maps, s2),
         connectivity=conn,
         k0=k0_rank(ts, conn, stacked_kernel),
         theorem=verify_main_theorem(c, r, maps, stacked, stacked_kernel, h2_basis),

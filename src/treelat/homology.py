@@ -33,8 +33,10 @@ from treelat.tiling_system import h_image_index, v_image_index, vh_image_index
 from treelat.zlinalg import (
     AbelianInvariants,
     IntMatrix,
+    SmithDecomposition,
     cokernel_invariants,
-    lattice_contains,
+    kernel_basis,
+    rank_mod_prime,
     smith_normal_form,
     solve_exact,
 )
@@ -160,29 +162,68 @@ def chain_maps(c: SquareComplex, r: tuple[DirectedSquare, ...]) -> ChainMaps:
     )
 
 
-def homology_report(
-    c: SquareComplex, maps: ChainMaps, h2_basis: tuple[tuple[int, ...], ...]
-) -> HomologyReport:
+def homology_report(c: SquareComplex, maps: ChainMaps, s2: SmithDecomposition) -> HomologyReport:
     """Integral homology in degrees 0, 1, 2.
 
-    H2 is the kernel of d2, hence free: only its rank, the size of the
-    given basis h2_basis of ker d2, is reported.  H1 is ker d1 / im d2,
-    computed by expressing the columns of d2 in a saturated basis of ker d1
-    and taking the cokernel there.  H0 is the cokernel of d1 (free of rank
-    one exactly when the complex is connected); one Smith form of d1 gives
-    both H0 and the basis of ker d1.
+    s2 is the Smith form of d2, computed once by the caller.  H2 is the
+    kernel of d2, hence free: only its rank is reported.  H1 is
+    ker d1 / im d2, computed by expressing the columns of d2 in a saturated
+    basis of ker d1 and taking the cokernel there; when d1 is zero (one
+    vertex), ker d1 is all of Z^E and H1 is the cokernel of d2 itself, read
+    off s2.  H0 is the cokernel of d1 (free of rank one exactly when the
+    complex is connected); one Smith form of d1 gives both H0 and the basis
+    of ker d1.
     """
     s1 = smith_normal_form(maps.d1, left=False)
     h0 = s1.cokernel()
 
-    k = IntMatrix.from_columns(s1.kernel_basis(), rows=maps.d1.cols)
-    y = solve_exact(k, maps.d2)
-    if y is None:  # d1.d2 = 0 and the kernel basis is saturated, so never
-        raise RuntimeError("boundary image escaped the cycle lattice")
-    h1 = cokernel_invariants(y)
+    if maps.d1.is_zero():
+        h1 = s2.cokernel()
+    else:
+        k = IntMatrix.from_columns(s1.kernel_basis(), rows=maps.d1.cols)
+        y = solve_exact(k, maps.d2)
+        if y is None:  # d1.d2 = 0 and the kernel basis is saturated, so never
+            raise RuntimeError("boundary image escaped the cycle lattice")
+        h1 = cokernel_invariants(y)
 
     euler = len(c.vertices) - (len(c.h_edges) + len(c.v_edges)) + len(c.squares)
-    return HomologyReport(h0=h0, h1=h1, h2_rank=len(h2_basis), euler_characteristic=euler)
+    h2_rank = maps.d2.cols - s2.rank
+    return HomologyReport(h0=h0, h1=h1, h2_rank=h2_rank, euler_characteristic=euler)
+
+
+def stacked_kernel_basis(
+    stacked: IntMatrix, maps: ChainMaps, h2_basis: tuple[tuple[int, ...], ...]
+) -> tuple[tuple[int, ...], ...]:
+    """Saturated basis of the kernel lattice K = {x in Z^n : stacked.x = 0}.
+
+    h2_basis is the basis of ker d2 read off its Smith form.  When two
+    checks pass, the basis is H' = phi2(h2_basis) and no Smith form of the
+    2n x n stacked operator S is taken:
+
+    (a) S.H' = 0, by one sparse product, so L = phi2(ker d2) lies in K;
+    (b) n - rank_p(S) == |H|, with rank_p the rank over F_p
+        (zlinalg.rank_mod_prime).
+
+    Why that gives L = K.  The rank over F_p is at most the rank over Q,
+    so n - rank_p(S) >= rank K.  phi2 is injective and by (a) carries the
+    |H| independent vectors of h2_basis into K, so rank K >= |H|.  By (b)
+    the two bounds meet, and rank L = rank K.  L is saturated in Z^n: phi2
+    has an integer left inverse pi, which reads coordinate 4k of each
+    orbit, and ker d2 is saturated in Z^F, since h2_basis spans every
+    integer kernel vector of d2 (SmithDecomposition.kernel_basis).  So if
+    m.x = phi2(y) with m != 0 and y in ker d2, then y = m.pi(x), hence
+    pi(x) is in ker d2 and x = phi2(pi(x)) is in L.  Last, a saturated
+    sublattice of K of full rank is K: for x in K some m != 0 puts m.x in
+    L, and saturation puts x in L.
+
+    Otherwise (the torus, the Klein bottle, any instance where the rank
+    identity fails or p divides an invariant factor of S) the basis is the
+    one of the dense Smith form of S, zlinalg.kernel_basis.
+    """
+    image = maps.phi2.mul(IntMatrix.from_columns(h2_basis, rows=maps.phi2.cols))
+    if stacked.mul(image).is_zero() and stacked.cols - rank_mod_prime(stacked) == len(h2_basis):
+        return image.transpose().entries
+    return kernel_basis(stacked)
 
 
 def verify_main_theorem(
@@ -201,8 +242,9 @@ def verify_main_theorem(
 
     (1) the square stacked.phi2 = phi1.d2 commutes exactly; (2) the kernel
     ranks of d2 and of the stacked operator agree; (3) phi2 carries the H2
-    basis into the stacked-kernel lattice, tested for all basis vectors at
-    once by comparing Hermite bases (zlinalg.lattice_contains); (4) each
+    basis into the stacked-kernel lattice, tested as stacked.phi2(H) = 0
+    against the operator itself, which for a saturated kernel basis is the
+    same as membership in the lattice that stacked_kernel spans; (4) each
     stacked-kernel basis vector is alternating under the reflections
     (negated by v and by h, fixed by vh) and is phi2 of the integer vector
     of its orbit-representative coordinates; (5) for each stacked-kernel
@@ -217,8 +259,8 @@ def verify_main_theorem(
     n_tiles = len(r)
     n_cells = len(c.squares)
     # phi2 of every H2 basis vector, one per column, from a single product.
-    h2_image = maps.phi2.mul(IntMatrix.from_columns(h2_basis, rows=n_cells)).transpose()
-    phi2_image_in_kernel = lattice_contains(stacked_kernel, h2_image.entries)
+    h2_image = maps.phi2.mul(IntMatrix.from_columns(h2_basis, rows=n_cells))
+    phi2_image_in_kernel = stacked.mul(h2_image).is_zero()
 
     h_img = [h_image_index(i) for i in range(n_tiles)]
     v_img = [v_image_index(i) for i in range(n_tiles)]

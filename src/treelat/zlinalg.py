@@ -11,6 +11,7 @@ implementation; it is plain Python, so BACKEND is always "pure".
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterable, Sequence
 
 from treelat import _kernels_py as _impl
@@ -81,7 +82,7 @@ class IntMatrix:
         return IntMatrix(self.cols, self.rows, tuple(zip(*self.entries)))
 
     def is_zero(self) -> bool:
-        return all(x == 0 for row in self.entries for x in row)
+        return not any(map(any, self.entries))
 
     def mul(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
@@ -90,11 +91,15 @@ class IntMatrix:
         # weighted by row i of self.  Only nonzero weights and the nonzero
         # entries of the rows they weight are visited, which is what makes
         # products of the sparse 0/+-1 maps of the pipeline cheap.
-        below = [[(c, y) for c, y in enumerate(row) if y] for row in other.entries]
+        # compress finds the nonzero positions of a row at C speed.
+        positions = range(other.cols)
+        below = [[(c, row[c]) for c in compress(positions, row)] for row in other.entries]
+        inner = range(self.cols)
         data = []
         for row in self.entries:
             acc = [0] * other.cols
-            for j, x in [(j, x) for j, x in enumerate(row) if x]:
+            for j in compress(inner, row):
+                x = row[j]
                 for c, y in below[j]:
                     acc[c] += x * y
             data.append(tuple(acc))
@@ -197,6 +202,16 @@ def kernel_basis(a: IntMatrix) -> tuple[tuple[int, ...], ...]:
     combination of it (see SmithDecomposition.kernel_basis).
     """
     return smith_normal_form(a, left=False).kernel_basis()
+
+
+def rank_mod_prime(a: IntMatrix) -> int:
+    """Rank of a over the prime field F_p, p = 2^61 - 1, by sparse elimination.
+
+    Never more than the rank over Q, since a minor that vanishes over the
+    integers vanishes mod p; it is less exactly when p divides one of the
+    invariant factors of a.
+    """
+    return _impl.rank_mod_p(a.entries)
 
 
 def cokernel_invariants(a: IntMatrix) -> AbelianInvariants:

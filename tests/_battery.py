@@ -7,6 +7,7 @@ reachability closure).
 """
 
 from treelat.complex_model import sigma_act
+from treelat.homology import stacked_kernel_basis
 from treelat.tiling_system import (
     h_image_index,
     stacked_matrix,
@@ -104,6 +105,12 @@ def assert_instance_properties(analysis):
     cells = len(c.vertices) - (len(c.h_edges) + len(c.v_edges)) + len(c.squares)
     assert hom.euler_characteristic == cells
     assert cells == hom.h0.free_rank - hom.h1.free_rank + hom.h2_rank
+
+    # the kernel lattice, certified or not, is the dense Smith form's
+    certified = stacked_kernel_basis(stacked, maps, kernel_basis(maps.d2))
+    dense = kernel_basis(stacked)
+    assert hermite_row_basis(certified) == hermite_row_basis(dense)
+    assert analysis.k0.kernel_rank == len(dense)
 
     verdict = analysis.theorem
     assert verdict.diagram_commutes

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import treelat
-from treelat import cli, homology, matio, tiling_system, zlinalg
+from treelat import _kernels_py, cli, homology, matio, tiling_system, zlinalg
 from treelat.cli import analyze_document, main
 
 import _complexes
@@ -299,7 +299,36 @@ def test_analysis_computes_each_kernel_once(monkeypatch, mozes513, mozes513_doc)
     _, analysis = analyze_document(mozes513_doc)
     assert analysis.theorem.holds
     assert len(built) == 1
+    # The stacked kernel is certified as phi2(ker d2), so no Smith form of
+    # the stacked operator; one vertex, so H1 is read off the one of d2.
+    assert sum(a == stacked for a in snf) == 0
+    assert len(snf) <= 2
+    assert len(hermite) == 0
+
+
+def test_tiny_prime_falls_back_to_the_dense_kernel(
+    runner, tmp_path, monkeypatch, mozes513, mozes513_doc
+):
+    # Mod 2 the (5,13) stacked operator loses the rank of its invariant
+    # factors 2 and 4, the certificate fails, and the dense Smith form
+    # gives the same lattice: the report is the pinned one.
+    monkeypatch.setattr(_kernels_py, "PRIME", 2)
+    stacked = tiling_system.stacked_matrix(mozes513.tiling)
+    snf = count_calls(monkeypatch, zlinalg, "smith_normal_form")
+    path = tmp_path / "mozes513.json"
+    path.write_text(mozes513_doc)
+    code, out, err = runner("analyze", str(path), "--json")
+    assert code == 0
     assert sum(a == stacked for a in snf) == 1
-    # d2, d1, the ker d1 basis and the H1 presentation are the others.
-    assert len(snf) <= 5
-    assert len(hermite) <= 2
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_REPORTS["mozes513"]
+
+
+def test_torus_falls_back_to_the_dense_kernel(monkeypatch, torus):
+    # rank ker d2 = 1 but the stacked kernel has rank 4: no certificate.
+    stacked = tiling_system.stacked_matrix(torus.tiling)
+    snf = count_calls(monkeypatch, zlinalg, "smith_normal_form")
+    _, analysis = analyze_document(_complexes.torus_doc())
+    assert sum(a == stacked for a in snf) == 1
+    assert analysis.theorem == torus.theorem
+    assert (analysis.theorem.rank_ker_d2, analysis.theorem.rank_ker_stacked) == (1, 4)
+    assert not analysis.theorem.holds

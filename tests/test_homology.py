@@ -1,6 +1,16 @@
-from treelat.homology import forward_edge_index, verify_main_theorem
+import pytest
+
+from treelat.cli import analyze_document
+from treelat.homology import forward_edge_index, stacked_kernel_basis, verify_main_theorem
+from treelat.mozes import generate_mozes_complex
 from treelat.tiling_system import stacked_matrix
-from treelat.zlinalg import kernel_basis, smith_normal_form
+from treelat.zlinalg import (
+    IntMatrix,
+    hermite_row_basis,
+    kernel_basis,
+    rank_mod_prime,
+    smith_normal_form,
+)
 
 
 def test_d1_composed_with_d2_vanishes(corpus):
@@ -160,3 +170,63 @@ def test_verifier_flags_each_failed_edge_sum(mozes513):
     assert not mu_vanishes((difference(*same_b),))
     assert not mu_vanishes((difference(*same_a),))
     assert mu_vanishes(kernel_basis(stacked))
+
+
+def test_stacked_kernel_certificate_steps(corpus):
+    # Each step of the argument in stacked_kernel_basis, on every corpus
+    # complex; the torus and the Klein bottle are the ones it does not
+    # certify, and they take the dense Smith form.
+    for name, a in corpus.items():
+        maps = a.maps
+        stacked = stacked_matrix(a.tiling)
+        h2_basis = kernel_basis(maps.d2)
+        cells = maps.phi2.cols
+        image = maps.phi2.mul(IntMatrix.from_columns(h2_basis, rows=cells))
+        vectors = image.transpose().entries
+        # phi2(H) lies in the kernel, and phi2 has an integer left inverse:
+        # coordinate 4k of each orbit.
+        assert stacked.mul(image).is_zero(), name
+        assert tuple(tuple(lam[4 * k] for k in range(cells)) for lam in vectors) == h2_basis
+        # phi2(ker d2) is saturated: unit invariant factors, full rank.
+        factors = smith_normal_form(image, left=False).invariant_factors
+        assert factors == (1,) * len(h2_basis), name
+        # F_p rank bounds the kernel rank from above, phi2(H) from below.
+        dense = kernel_basis(stacked)
+        upper = stacked.cols - rank_mod_prime(stacked)
+        assert upper >= len(dense) >= len(h2_basis), name
+        certified = upper == len(h2_basis)
+        assert certified == (name not in ("torus", "klein")), name
+        basis = stacked_kernel_basis(stacked, maps, h2_basis)
+        assert (basis == vectors) == certified, name
+        assert hermite_row_basis(basis) == hermite_row_basis(dense), name
+
+
+@pytest.mark.parametrize("p,l", [(5, 13), (5, 17), (13, 17)])
+def test_stacked_kernel_matches_dense_oracle_on_mozes(p, l):
+    _, a = analyze_document(generate_mozes_complex(p, l))
+    stacked = stacked_matrix(a.tiling)
+    certified = stacked_kernel_basis(stacked, a.maps, kernel_basis(a.maps.d2))
+    assert len(certified) == a.homology.h2_rank == (p - 1) * (l - 1) // 4 - 1
+    assert hermite_row_basis(certified) == hermite_row_basis(kernel_basis(stacked))
+
+
+def test_verifier_tests_phi2_image_against_the_operator(mozes513):
+    # phi2 of a 2-chain with nonzero boundary is not a kernel vector
+    # (stacked.phi2 = phi1.d2 and phi1 is injective), whatever basis of the
+    # kernel the verifier is handed.
+    a = mozes513
+    stacked = stacked_matrix(a.tiling)
+    kernel = kernel_basis(stacked)
+    h2_basis = kernel_basis(a.maps.d2)
+    cells = a.maps.d2.cols
+    chain = tuple(int(k == 0) for k in range(cells))
+    assert not a.maps.d2.mul(IntMatrix.from_columns([chain], rows=cells)).is_zero()
+
+    def image_in_kernel(basis):
+        return verify_main_theorem(
+            a.complex, a.expanded, a.maps, stacked, kernel, basis
+        ).phi2_image_in_kernel
+
+    assert image_in_kernel(h2_basis)
+    assert image_in_kernel(())
+    assert not image_in_kernel(h2_basis + (chain,))

@@ -11,6 +11,7 @@ from treelat.zlinalg import (
     kernel_basis,
     lattice_contains,
     lattice_membership,
+    rank_mod_prime,
     smith_normal_form,
     solve_exact,
 )
@@ -283,3 +284,35 @@ def test_sparse_product_matches_dense_definition():
             for i in range(a.rows)
         ]
         assert a.mul(b) == IntMatrix.from_rows(expected, cols=b.cols)
+
+
+def test_rank_mod_prime_counts_invariant_factors_prime_to_p(monkeypatch, mozes513):
+    # The Smith form is a change of basis over Z, which stays invertible
+    # mod p, so the rank over F_p is the number of invariant factors that p
+    # does not divide.  Tiny primes divide some of them, and the rank drops.
+    rng = random.Random(2305843)
+    stacked = stacked_matrix(mozes513.tiling)
+    dropped = 0
+    for prime in (_kernels_py.PRIME, 2, 3):
+        monkeypatch.setattr(_kernels_py, "PRIME", prime)
+        inputs = [sparse_random_matrix(rng) for _ in range(300)]
+        inputs += [random_matrix(rng) for _ in range(100)] + [stacked]
+        for a in inputs:
+            factors = smith_normal_form(a, left=False).invariant_factors
+            expected = sum(1 for x in factors if x % prime)
+            assert rank_mod_prime(a) == expected
+            dropped += expected < len(factors)
+    assert dropped > 50
+    monkeypatch.setattr(_kernels_py, "PRIME", 2)
+    assert rank_mod_prime(stacked) == 67  # invariant factors 2 and 4 at (5,13)
+
+
+def test_rank_mod_prime_edge_cases():
+    assert rank_mod_prime(IntMatrix.zeros(0, 0)) == 0
+    assert rank_mod_prime(IntMatrix.zeros(3, 0)) == 0
+    assert rank_mod_prime(IntMatrix.zeros(0, 3)) == 0
+    assert rank_mod_prime(IntMatrix.zeros(4, 5)) == 0
+    p = _kernels_py.PRIME
+    assert rank_mod_prime(M([[p, 2 * p], [-p, 0]])) == 0
+    assert rank_mod_prime(M([[p + 1, 0], [0, 2]])) == 2
+    assert rank_mod_prime(IntMatrix.identity(7)) == 7
