@@ -13,12 +13,11 @@ is the dense one, so the output does not depend on these shortcuts.
 
 Matrices are lists of row lists of Python ints (arbitrary precision is
 required: intermediate entries can far exceed machine range even for small
-inputs).  Inputs are never mutated.
+inputs); rank_mod_p reads sparse rows of (column, value) pairs instead.
+Inputs are never mutated.
 """
 
 from __future__ import annotations
-
-from itertools import compress
 
 # The prime of rank_mod_p: the Mersenne prime 2^61 - 1.  The rank of an
 # integer matrix over F_p falls below its rank over Q only when p divides
@@ -299,7 +298,8 @@ def hermite_rows(a):
 
 
 def rank_mod_p(a):
-    """Rank of the integer matrix a (row lists) over the field F_PRIME.
+    """Rank over the field F_PRIME of the integer matrix whose row i has the
+    nonzero (column, value) pairs a[i].
 
     Sparse Gaussian elimination: each live row is a dict {column: entry
     mod p}, and each column keeps the set of live rows it meets.  Pivoting
@@ -310,13 +310,12 @@ def rank_mod_p(a):
     number of pivots taken.  PRIME is read at call time.
     """
     p = PRIME
-    n = len(a[0]) if a else 0
     rows = {}
     cols = {}
     for i, row in enumerate(a):
         live = {}
-        for j in compress(range(n), row):
-            x = row[j] % p
+        for j, x in row:
+            x %= p
             if x:
                 live[j] = x
                 if j in cols:

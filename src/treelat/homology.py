@@ -251,7 +251,7 @@ def verify_main_theorem(
     basis vector the per-directed-edge sums mu(b) = sum over b'(t) = b (and
     the horizontal analogue) all vanish.
     """
-    diagram_commutes = stacked.mul(maps.phi2).entries == maps.phi1.mul(maps.d2).entries
+    diagram_commutes = stacked.mul(maps.phi2) == maps.phi1.mul(maps.d2)
 
     rank_ker_d2 = len(h2_basis)
     rank_ker_stacked = len(stacked_kernel)

@@ -9,7 +9,6 @@ shape so that empty matrices round-trip.
 from __future__ import annotations
 
 import json
-from itertools import compress
 
 from treelat.zlinalg import IntMatrix
 
@@ -20,14 +19,19 @@ class MatrixFormatError(ValueError):
 
 def write_triplets(m: IntMatrix) -> str:
     lines = [f"{m.rows} {m.cols}"]
-    cols = range(m.cols)
-    for i, row in enumerate(m.entries, 1):
-        for j in compress(cols, row):
-            lines.append(f"{i} {j + 1} {row[j]}")
+    for i, pairs in enumerate(m.row_pairs, 1):
+        for j, x in pairs:
+            lines.append(f"{i} {j + 1} {x}")
     return "\n".join(lines) + "\n"
 
 
 def read_triplets(text: str) -> IntMatrix:
+    """The matrix of a triplet file; lines may come in any order.
+
+    A repeated (i, j) is an error, and an explicit zero value is accepted
+    but not stored, so the result equals the matrix the file was written
+    from.
+    """
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines:
         raise MatrixFormatError("empty matrix file")
@@ -37,7 +41,7 @@ def read_triplets(text: str) -> IntMatrix:
         raise MatrixFormatError(f"bad header {lines[0]!r}") from exc
     if rows < 0 or cols < 0:
         raise MatrixFormatError("negative dimensions")
-    data = [[0] * cols for _ in range(rows)]
+    values: dict[tuple[int, int], int] = {}
     for line in lines[1:]:
         parts = line.split()
         if len(parts) != 3:
@@ -48,8 +52,14 @@ def read_triplets(text: str) -> IntMatrix:
             raise MatrixFormatError(f"bad triplet line {line!r}") from exc
         if not (1 <= i <= rows and 1 <= j <= cols):
             raise MatrixFormatError(f"triplet index out of range: {line!r}")
-        data[i - 1][j - 1] = x
-    return IntMatrix.from_rows(data, cols=cols)
+        if (i - 1, j - 1) in values:
+            raise MatrixFormatError(f"repeated triplet position: {line!r}")
+        values[i - 1, j - 1] = x
+    data: list[list[tuple[int, int]]] = [[] for _ in range(rows)]
+    for (i, j), x in sorted(values.items()):
+        if x:
+            data[i].append((j, x))
+    return IntMatrix(rows, cols, tuple(map(tuple, data)))
 
 
 def write_dense_json(m: IntMatrix) -> str:

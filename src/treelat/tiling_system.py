@@ -16,7 +16,7 @@ the degree-2 homology; twice its rank is the boundary-algebra K_0 rank.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
+from bisect import bisect_left
 
 from treelat.complex_model import DirectedSquare, SquareComplex
 from treelat.zlinalg import IntMatrix
@@ -96,17 +96,19 @@ def build_tiling(r: tuple[DirectedSquare, ...], c: SquareComplex) -> TilingSyste
         by_b.setdefault(s.b, []).append(i)
         by_a.setdefault(s.a, []).append(i)
 
-    m1_rows = [[0] * n for _ in range(n)]
-    m2_rows = [[0] * n for _ in range(n)]
+    # Row s of m1 gets the pair (t, 1) for every t it follows; visiting t
+    # in increasing order keeps each row sorted by column.
+    m1_rows: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    m2_rows: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for t_idx, t in enumerate(r):
         excluded = h_image_index(t_idx)
         for s_idx in by_b.get(t.b_prime, ()):
             if s_idx != excluded:
-                m1_rows[s_idx][t_idx] = 1
+                m1_rows[s_idx].append((t_idx, 1))
         excluded = v_image_index(t_idx)
         for s_idx in by_a.get(t.a_prime, ()):
             if s_idx != excluded:
-                m2_rows[s_idx][t_idx] = 1
+                m2_rows[s_idx].append((t_idx, 1))
     return TilingSystem(
         squares=tuple(r),
         m1=IntMatrix(n, n, tuple(map(tuple, m1_rows))),
@@ -115,24 +117,29 @@ def build_tiling(r: tuple[DirectedSquare, ...], c: SquareComplex) -> TilingSyste
     )
 
 
+def _minus_diagonal(pairs: tuple, i: int) -> tuple:
+    """Row i of m - I, from the stored pairs of row i of m."""
+    k = bisect_left(pairs, (i,))  # (i,) sorts before every pair (i, x)
+    if k < len(pairs) and pairs[k][0] == i:
+        x = pairs[k][1] - 1
+        return pairs[:k] + (((i, x),) if x else ()) + pairs[k + 1 :]
+    return pairs[:k] + ((i, -1),) + pairs[k:]
+
+
 def stacked_matrix(ts: TilingSystem) -> IntMatrix:
     """The 2n x n matrix (m1 - I) stacked over (m2 - I)."""
     n = len(ts.squares)
     rows = []
     for m in (ts.m1, ts.m2):
-        for i, row in enumerate(m.entries):
-            row = list(row)
-            row[i] -= 1
-            rows.append(tuple(row))
+        rows.extend(map(_minus_diagonal, m.row_pairs, range(n)))
     return IntMatrix(2 * n, n, tuple(rows))
 
 
 def _successors(m: IntMatrix) -> list[list[int]]:
     # edge t -> s whenever m[s][t] = 1
-    n = m.cols
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for s, row in enumerate(m.entries):
-        for t in compress(range(n), row):
+    adj: list[list[int]] = [[] for _ in range(m.cols)]
+    for s, pairs in enumerate(m.row_pairs):
+        for t, _ in pairs:
             adj[t].append(s)
     return adj
 
@@ -208,14 +215,19 @@ def _axis_connectivity(m: IntMatrix) -> AxisConnectivity:
     adj = _successors(m)
     n = len(adj)
     scc = _scc_count(adj)
-    uf = _UnionFind(n)
-    for t in range(n):
-        for s in adj[t]:
-            uf.union(t, s)
-    weak = n == 0 or uf.component_count() == 1
+    strong = n == 0 or scc == 1
+    # A strongly connected graph is weakly connected; only a graph with
+    # several strong components needs the union-find over its edges.
+    weak = strong
+    if not strong:
+        uf = _UnionFind(n)
+        for t in range(n):
+            for s in adj[t]:
+                uf.union(t, s)
+        weak = uf.component_count() == 1
     return AxisConnectivity(
         weakly_connected=weak,
-        strongly_connected=n == 0 or scc == 1,
+        strongly_connected=strong,
         scc_count=scc,
     )
 

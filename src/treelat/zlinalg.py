@@ -5,7 +5,10 @@ factors, K-group ranks) reduces to the operations here.  All arithmetic is
 exact; there is no floating point anywhere in the package.
 
 The reduction loops live in treelat._kernels_py, the one kernel
-implementation; it is plain Python, so BACKEND is always "pure".
+implementation; it is plain Python, so BACKEND is always "pure".  IntMatrix
+stores only the nonzeros of each row: the pipeline's operators are sparse
+0/+-1 matrices.  The Smith and Hermite kernels reduce its dense view; the
+rank mod p reads the stored pairs.
 """
 
 from __future__ import annotations
@@ -19,102 +22,153 @@ from treelat import _kernels_py as _impl
 BACKEND = "pure"
 
 
+Row = tuple[tuple[int, int], ...]
+
+
+def _pairs(row: Sequence[int]) -> Row:
+    """The (column, value) pairs of the nonzeros of a dense row of ints."""
+    return tuple([(j, row[j]) for j in compress(range(len(row)), row)])
+
+
 @dataclass(frozen=True)
 class IntMatrix:
-    """Dense immutable integer matrix; entries are Python ints."""
+    """Immutable integer matrix stored as canonical sparse rows.
+
+    row_pairs[i] holds the (column, value) pairs of the nonzeros of row i,
+    sorted by column; entries are Python ints.  The form is canonical, so
+    equality and hashing are structural.  The constructor trusts its
+    row_pairs to be canonical; from_rows, from_columns and
+    matio.read_triplets build them from outside input.  entries and
+    to_lists() are the dense views, for small matrices and the dense
+    reduction kernels.
+    """
 
     rows: int
     cols: int
-    entries: tuple[tuple[int, ...], ...]
+    row_pairs: tuple[Row, ...]
 
     def __post_init__(self):
         if self.rows < 0 or self.cols < 0:
             raise ValueError("negative matrix dimension")
-        if len(self.entries) != self.rows:
-            raise ValueError("row count does not match entries")
-        if not set(map(len, self.entries)) <= {self.cols}:
-            raise ValueError("ragged matrix rows")
+        if len(self.row_pairs) != self.rows:
+            raise ValueError("row count does not match row_pairs")
 
     @classmethod
     def from_rows(cls, rows: Iterable[Sequence[int]], cols: int | None = None) -> "IntMatrix":
-        data = tuple(tuple(int(x) for x in row) for row in rows)
+        data = [[int(x) for x in row] for row in rows]
         if cols is None:
             cols = len(data[0]) if data else 0
-        return cls(len(data), cols, data)
+        if not set(map(len, data)) <= {cols}:
+            raise ValueError("ragged matrix rows")
+        return cls(len(data), cols, tuple(map(_pairs, data)))
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return cls(n, n, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
+        return cls(n, n, tuple(((i, 1),) for i in range(n)))
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls(rows, cols, tuple(tuple(0 for _ in range(cols)) for _ in range(rows)))
+        return cls(rows, cols, ((),) * rows)
 
     @classmethod
     def vstack(cls, top: "IntMatrix", bottom: "IntMatrix") -> "IntMatrix":
         if top.cols != bottom.cols:
             raise ValueError("column mismatch in vstack")
-        return cls(top.rows + bottom.rows, top.cols, top.entries + bottom.entries)
+        return cls(top.rows + bottom.rows, top.cols, top.row_pairs + bottom.row_pairs)
 
     @classmethod
     def from_columns(cls, columns: Sequence[Sequence[int]], rows: int | None = None) -> "IntMatrix":
         if rows is None:
             rows = len(columns[0]) if columns else 0
-        return cls.from_rows(
-            [[int(col[i]) for col in columns] for i in range(rows)], cols=len(columns)
-        )
+        data: list[list[tuple[int, int]]] = [[] for _ in range(rows)]
+        for j, col in enumerate(columns):
+            for i in range(rows):
+                x = int(col[i])
+                if x:
+                    data[i].append((j, x))
+        return cls(rows, len(columns), tuple(map(tuple, data)))
+
+    def _dense(self, pairs: Row) -> list[int]:
+        row = [0] * self.cols
+        for j, x in pairs:
+            row[j] = x
+        return row
+
+    @property
+    def entries(self) -> tuple[tuple[int, ...], ...]:
+        """Dense rows, built on each access."""
+        return tuple(tuple(self._dense(pairs)) for pairs in self.row_pairs)
+
+    def to_lists(self) -> list[list[int]]:
+        return [self._dense(pairs) for pairs in self.row_pairs]
 
     def entry(self, i: int, j: int) -> int:
-        return self.entries[i][j]
+        if not 0 <= j < self.cols:
+            raise IndexError("column index out of range")
+        for c, x in self.row_pairs[i]:
+            if c >= j:
+                return x if c == j else 0
+        return 0
 
     def row(self, i: int) -> tuple[int, ...]:
-        return self.entries[i]
+        return tuple(self._dense(self.row_pairs[i]))
 
     def column(self, j: int) -> tuple[int, ...]:
-        return tuple(row[j] for row in self.entries)
+        return tuple(self.entry(i, j) for i in range(self.rows))
 
     def column_sums(self) -> tuple[int, ...]:
-        return tuple(sum(row[j] for row in self.entries) for j in range(self.cols))
+        sums = [0] * self.cols
+        for pairs in self.row_pairs:
+            for j, x in pairs:
+                sums[j] += x
+        return tuple(sums)
 
     def transpose(self) -> "IntMatrix":
-        if not self.rows:
-            return IntMatrix.zeros(self.cols, 0)
-        return IntMatrix(self.cols, self.rows, tuple(zip(*self.entries)))
+        # Rows are visited in order, so each column collects its pairs
+        # sorted by row.
+        data: list[list[tuple[int, int]]] = [[] for _ in range(self.cols)]
+        for i, pairs in enumerate(self.row_pairs):
+            for j, x in pairs:
+                data[j].append((i, x))
+        return IntMatrix(self.cols, self.rows, tuple(map(tuple, data)))
 
     def is_zero(self) -> bool:
-        return not any(map(any, self.entries))
+        return not any(self.row_pairs)
 
     def mul(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch in matrix product")
         # Row i of the product is the combination of the rows of other
-        # weighted by row i of self.  Only nonzero weights and the nonzero
-        # entries of the rows they weight are visited, which is what makes
-        # products of the sparse 0/+-1 maps of the pipeline cheap.
-        # compress finds the nonzero positions of a row at C speed.
+        # weighted by row i of self; only stored pairs are visited.  A row
+        # with one nonzero (every row of phi1 and phi2) scales one row of
+        # other, which is already canonical.  Other rows add up in a dense
+        # accumulator, whose nonzeros compress finds at C speed: cheaper
+        # than a dict and a sort once a row gathers more than a few terms.
+        below = other.row_pairs
         positions = range(other.cols)
-        below = [[(c, row[c]) for c in compress(positions, row)] for row in other.entries]
-        inner = range(self.cols)
         data = []
-        for row in self.entries:
+        for pairs in self.row_pairs:
+            if len(pairs) == 1:
+                ((j, x),) = pairs
+                data.append(below[j] if x == 1 else tuple([(c, x * y) for c, y in below[j]]))
+                continue
             acc = [0] * other.cols
-            for j in compress(inner, row):
-                x = row[j]
+            for j, x in pairs:
                 for c, y in below[j]:
                     acc[c] += x * y
-            data.append(tuple(acc))
+            data.append(tuple([(c, acc[c]) for c in compress(positions, acc)]))
         return IntMatrix(self.rows, other.cols, tuple(data))
 
     def sub(self, other: "IntMatrix") -> "IntMatrix":
         if self.rows != other.rows or self.cols != other.cols:
             raise ValueError("shape mismatch in matrix difference")
-        data = tuple(
-            tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(self.entries, other.entries)
-        )
-        return IntMatrix(self.rows, self.cols, data)
-
-    def to_lists(self) -> list[list[int]]:
-        return [list(row) for row in self.entries]
+        data = []
+        for ra, rb in zip(self.row_pairs, other.row_pairs):
+            acc = dict(ra)
+            for j, y in rb:
+                acc[j] = acc.get(j, 0) - y
+            data.append(tuple([(j, x) for j, x in sorted(acc.items()) if x]))
+        return IntMatrix(self.rows, self.cols, tuple(data))
 
 
 @dataclass(frozen=True)
@@ -150,7 +204,8 @@ class SmithDecomposition:
         columns of d; v is unimodular, so these columns span every integer
         kernel vector with integer coefficients.
         """
-        return tuple(self.v.column(j) for j in range(self.rank, self.v.cols))
+        columns = self.v.transpose()
+        return tuple(columns.row(j) for j in range(self.rank, self.v.cols))
 
     def cokernel(self) -> AbelianInvariants:
         """Structure of Z^rows / column-span(a)."""
@@ -192,7 +247,7 @@ def smith_normal_form(a: IntMatrix, left: bool = True) -> SmithDecomposition:
 
 def _from_kernel(rows: list[list[int]], cols: int) -> IntMatrix:
     # The kernels return Python ints already; from_rows would re-convert.
-    return IntMatrix(len(rows), cols, tuple(map(tuple, rows)))
+    return IntMatrix(len(rows), cols, tuple(map(_pairs, rows)))
 
 
 def kernel_basis(a: IntMatrix) -> tuple[tuple[int, ...], ...]:
@@ -211,7 +266,7 @@ def rank_mod_prime(a: IntMatrix) -> int:
     integers vanishes mod p; it is less exactly when p divides one of the
     invariant factors of a.
     """
-    return _impl.rank_mod_p(a.entries)
+    return _impl.rank_mod_p(a.row_pairs)
 
 
 def cokernel_invariants(a: IntMatrix) -> AbelianInvariants:
@@ -276,19 +331,21 @@ def solve_exact(a: IntMatrix, b: IntMatrix) -> IntMatrix | None:
     s = smith_normal_form(a)
     r = s.rank
     ub = s.u.mul(b)
-    z = [[0] * b.cols for _ in range(a.cols)]
-    for i in range(ub.rows):
-        if i < r:
-            p = s.invariant_factors[i]
-            for j in range(b.cols):
-                q, rem = divmod(ub.entry(i, j), p)
-                if rem:
-                    return None
-                z[i][j] = q
-        else:
-            if any(ub.entry(i, j) != 0 for j in range(b.cols)):
+    if any(ub.row_pairs[r:]):
+        return None
+    # d.z = u.b with d diagonal: row i of z is row i of u.b divided by the
+    # i-th invariant factor, and zero past the rank.
+    z: list[Row] = [()] * a.cols
+    for i, pairs in enumerate(ub.row_pairs[:r]):
+        p = s.invariant_factors[i]
+        row = []
+        for j, x in pairs:
+            q, rem = divmod(x, p)
+            if rem:
                 return None
-    return s.v.mul(IntMatrix.from_rows(z, cols=b.cols))
+            row.append((j, q))
+        z[i] = tuple(row)
+    return s.v.mul(IntMatrix(a.cols, b.cols, tuple(z)))
 
 
 def determinant(a: IntMatrix) -> int:

@@ -2,7 +2,9 @@
 
 Deliberately different algorithms from the code under test: ranks and
 determinants over exact rationals instead of integer normal forms, and a
-reachability closure instead of Tarjan for strong connectivity.
+reachability closure instead of Tarjan for strong connectivity, and loops
+over every cell of a dense matrix for the operations that IntMatrix runs
+on its stored nonzeros only.
 """
 
 from fractions import Fraction
@@ -165,3 +167,36 @@ def triplets_by_dense_scan(rows, cols):
             if rows[i][j] != 0:
                 lines.append(f"{i + 1} {j + 1} {rows[i][j]}")
     return "\n".join(lines) + "\n"
+
+
+# Dense references for the sparse-row IntMatrix: each takes lists of row
+# lists and, where a row list cannot carry it, the column count.
+
+
+def dense_product(a, b, cols):
+    """a.b by the textbook triple loop."""
+    inner = len(b)
+    return [[sum(row[k] * b[k][j] for k in range(inner)) for j in range(cols)] for row in a]
+
+
+def dense_transpose(a, cols):
+    return [[row[j] for row in a] for j in range(cols)]
+
+
+def dense_column(a, j):
+    return tuple(row[j] for row in a)
+
+
+def dense_column_sums(a, cols):
+    return tuple(sum(row[j] for row in a) for j in range(cols))
+
+
+def dense_is_zero(a):
+    return all(x == 0 for row in a for x in row)
+
+
+def dense_equal(a, a_cols, b, b_cols):
+    """Same shape and the same entry at every position."""
+    return (len(a), a_cols) == (len(b), b_cols) and all(
+        x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb)
+    )

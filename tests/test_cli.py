@@ -165,6 +165,23 @@ def test_export_round_trip_equals_pipeline_matrix(runner, g513_file):
     assert matrix == analysis.tiling.m1
 
 
+# sha256 of `treelat export --what stacked` for the (5,13) complex, as the
+# dense matrix type wrote it.
+PINNED_STACKED_513 = "34f912cb9633cd7f51fd8a7625f2280c133c4c70cc13b1f048cc7568a1f83e7c"
+
+
+def test_export_stacked_never_densifies(runner, g513_file, monkeypatch):
+    def dense(self, *args):
+        raise AssertionError("dense view of a matrix on the export path")
+
+    monkeypatch.setattr(zlinalg.IntMatrix, "entries", property(dense))
+    monkeypatch.setattr(zlinalg.IntMatrix, "to_lists", dense)
+    monkeypatch.setattr(zlinalg.IntMatrix, "row", dense)
+    code, out, err = runner("export", g513_file, "--what", "stacked")
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_STACKED_513
+
+
 def test_export_dense_json(runner, torus_file):
     code, out, err = runner("export", torus_file, "--what", "m2", "--json")
     assert code == 0

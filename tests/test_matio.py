@@ -50,3 +50,16 @@ def test_read_rejects_garbage():
         matio.read_triplets("2 2\n3 1 5\n")
     with pytest.raises(matio.MatrixFormatError):
         matio.read_triplets("2 2\n1 1\n")
+
+
+def test_read_rejects_a_repeated_position():
+    with pytest.raises(matio.MatrixFormatError):
+        matio.read_triplets("2 2\n1 2 3\n1 2 3\n")
+    with pytest.raises(matio.MatrixFormatError):
+        matio.read_triplets("2 2\n2 1 0\n1 1 4\n2 1 5\n")
+
+
+def test_read_drops_explicit_zeros():
+    a = matio.read_triplets("2 3\n2 3 -1\n1 2 0\n2 1 0\n1 1 7\n")
+    assert a == IntMatrix.from_rows([[7, 0, 0], [0, 0, -1]])
+    assert a.row_pairs == (((0, 7),), ((2, -1),))

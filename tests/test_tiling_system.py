@@ -1,5 +1,8 @@
 import random
 
+import pytest
+
+from treelat import tiling_system
 from treelat.complex_model import load_complex, expand_directed_squares, validate_vht
 from treelat.tiling_system import (
     build_tiling,
@@ -194,3 +197,41 @@ def test_random_complexes_rederive(seed=321):
         assert conn.horizontal.strongly_connected == strongly_connected_by_closure(
             ts.m1.to_lists()
         )
+
+
+def test_transition_matrices_store_only_their_nonzeros(mozes513):
+    # Every tile has p = 5 horizontal and l = 13 vertical successors.
+    ts = mozes513.tiling
+    n = len(ts.squares)
+    assert sum(map(len, ts.m1.row_pairs)) == 5 * n
+    assert sum(map(len, ts.m2.row_pairs)) == 13 * n
+
+
+def digraph(n, edges):
+    """The matrix with entry [s][t] = 1 for every edge t -> s."""
+    rows = [[0] * n for _ in range(n)]
+    for t, s in edges:
+        rows[s][t] = 1
+    return IntMatrix.from_rows(rows, cols=n)
+
+
+def test_axis_connectivity_weak_but_not_strong():
+    conn = tiling_system._axis_connectivity(digraph(3, [(0, 1), (1, 2)]))
+    assert (conn.weakly_connected, conn.strongly_connected, conn.scc_count) == (True, False, 3)
+
+
+def test_axis_connectivity_not_even_weak():
+    conn = tiling_system._axis_connectivity(digraph(4, [(0, 1), (1, 0), (2, 3), (3, 2)]))
+    assert (conn.weakly_connected, conn.strongly_connected, conn.scc_count) == (False, False, 2)
+
+
+def test_axis_connectivity_strong_skips_the_union_find(monkeypatch):
+    class NoUnionFind:
+        def __init__(self, n):
+            raise AssertionError("union-find run on a strongly connected graph")
+
+    monkeypatch.setattr(tiling_system, "_UnionFind", NoUnionFind)
+    conn = tiling_system._axis_connectivity(digraph(3, [(0, 1), (1, 2), (2, 0)]))
+    assert (conn.weakly_connected, conn.strongly_connected, conn.scc_count) == (True, True, 1)
+    with pytest.raises(AssertionError):
+        tiling_system._axis_connectivity(digraph(2, [(0, 1)]))

@@ -19,7 +19,17 @@ from treelat.zlinalg import (
 from treelat import _kernels_py
 from treelat.tiling_system import stacked_matrix
 
-from _oracles import dense_snf, det_by_fraction_elimination, rank_by_fraction_elimination
+from _oracles import (
+    dense_column,
+    dense_column_sums,
+    dense_equal,
+    dense_is_zero,
+    dense_product,
+    dense_snf,
+    dense_transpose,
+    det_by_fraction_elimination,
+    rank_by_fraction_elimination,
+)
 
 
 def M(rows):
@@ -316,3 +326,77 @@ def test_rank_mod_prime_edge_cases():
     assert rank_mod_prime(M([[p, 2 * p], [-p, 0]])) == 0
     assert rank_mod_prime(M([[p + 1, 0], [0, 2]])) == 2
     assert rank_mod_prime(IntMatrix.identity(7)) == 7
+
+
+def random_with_zero_lines(rng, m, n):
+    """Dense rows of an m x n matrix with some rows and columns all zero."""
+    rows = [[rng.choice((0, 0, 0, 1, -1, 3, -40)) for _ in range(n)] for _ in range(m)]
+    for i in rng.sample(range(m), rng.randint(0, m)):
+        rows[i] = [0] * n
+    for j in rng.sample(range(n), rng.randint(0, n)):
+        for row in rows:
+            row[j] = 0
+    return rows
+
+
+def test_sparse_rows_match_the_dense_references():
+    rng = random.Random(4242)
+    shapes = [(0, 0), (0, 5), (5, 0), (0, 1), (1, 0)]
+    shapes += [(rng.randint(1, 7), rng.randint(1, 7)) for _ in range(300)]
+    for m, n in shapes:
+        dense = random_with_zero_lines(rng, m, n)
+        a = IntMatrix.from_rows(dense, cols=n)
+        # Canonical storage: the nonzeros of each row, sorted by column.
+        for row, pairs in zip(dense, a.row_pairs):
+            assert list(pairs) == [(j, x) for j, x in enumerate(row) if x]
+        assert (a.rows, a.cols) == (m, n)
+        assert a.to_lists() == dense
+        assert a.entries == tuple(map(tuple, dense))
+        assert IntMatrix.from_rows(a.entries, cols=n) == a
+        assert IntMatrix.from_columns(dense_transpose(dense, n), rows=m) == a
+        t = a.transpose()
+        assert (t.rows, t.cols) == (n, m)
+        assert t.to_lists() == dense_transpose(dense, n)
+        assert t.transpose() == a
+        assert [a.column(j) for j in range(n)] == [dense_column(dense, j) for j in range(n)]
+        assert a.column_sums() == dense_column_sums(dense, n)
+        assert a.is_zero() == dense_is_zero(dense)
+        k = rng.randint(0, 6)
+        b_dense = random_with_zero_lines(rng, n, k)
+        product = a.mul(IntMatrix.from_rows(b_dense, cols=k))
+        assert (product.rows, product.cols) == (m, k)
+        assert product.to_lists() == dense_product(dense, b_dense, k)
+        other = random_with_zero_lines(rng, m, n)
+        diff = a.sub(IntMatrix.from_rows(other, cols=n))
+        assert diff.to_lists() == [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(dense, other)]
+
+
+def test_equality_is_the_dense_equality():
+    rng = random.Random(77)
+    for _ in range(300):
+        m, n = rng.randint(0, 4), rng.randint(0, 4)
+        a_dense = random_with_zero_lines(rng, m, n)
+        if rng.random() < 0.5:
+            b_dense, b_cols = [list(row) for row in a_dense], n
+            if m and n and rng.random() < 0.5:
+                b_dense[rng.randrange(m)][rng.randrange(n)] += rng.choice((1, -1))
+        else:
+            b_cols = rng.randint(0, 4)
+            b_dense = random_with_zero_lines(rng, rng.randint(0, 4), b_cols)
+        a = IntMatrix.from_rows(a_dense, cols=n)
+        b = IntMatrix.from_rows(b_dense, cols=b_cols)
+        same = dense_equal(a_dense, n, b_dense, b_cols)
+        assert (a == b) == same
+        if same:
+            assert hash(a) == hash(b)
+    assert IntMatrix.zeros(0, 3) != IntMatrix.zeros(0, 4)
+    assert IntMatrix.zeros(3, 0) != IntMatrix.zeros(4, 0)
+    assert hash(IntMatrix.identity(3).entries) == hash(M([[1, 0, 0], [0, 1, 0], [0, 0, 1]]).entries)
+
+
+def test_from_rows_validates_outside_input():
+    with pytest.raises(ValueError):
+        IntMatrix.from_rows([[1, 2], [3]])
+    with pytest.raises(ValueError):
+        IntMatrix.from_rows([[1, 2]], cols=3)
+    assert M([[True, 0, -0]]).row_pairs == (((0, 1),),)
