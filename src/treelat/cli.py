@@ -14,12 +14,12 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 from dataclasses import dataclass
 
 import treelat
 from treelat import matio
-from treelat._threads import worker_count
 from treelat.complex_model import (
     ComplexFormatError,
     SquareComplex,
@@ -78,7 +78,8 @@ def analyze_document(text: str) -> tuple[ValidationReport, Analysis | None]:
     # The stacked operator, its kernel lattice and the Smith form of d2
     # are the costly exact objects; each is computed once and shared by the
     # K-ranks, the homology and the verifier.  The stacked kernel is
-    # phi2(ker d2) whenever a rank mod p certifies that.
+    # phi2(ker d2) whenever its dimension mod p, counted from the factors
+    # of the stacked operator, certifies that.
     stacked = stacked_matrix(ts)
     s2 = smith_normal_form(maps.d2, left=False)
     h2_basis = s2.kernel_basis()
@@ -427,11 +428,17 @@ def make_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
-    try:
-        worker_count()
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    # TREELAT_THREADS caps internal parallelism, of which there is none:
+    # it is only checked to be a positive integer when set.
+    threads = os.environ.get("TREELAT_THREADS")
+    if threads is not None:
+        try:
+            valid = int(threads) >= 1
+        except ValueError:
+            valid = False
+        if not valid:
+            print(f"error: TREELAT_THREADS must be a positive integer, got {threads!r}", file=sys.stderr)
+            return 2
     try:
         return args.func(args)
     except OutputError as exc:

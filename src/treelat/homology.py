@@ -29,7 +29,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from treelat.complex_model import DirectedSquare, SquareComplex
-from treelat.tiling_system import h_image_index, v_image_index, vh_image_index
+from treelat.tiling_system import (
+    _UnionFind,
+    h_image_index,
+    matches_factors,
+    v_image_index,
+    vh_image_index,
+)
 from treelat.zlinalg import (
     AbelianInvariants,
     IntMatrix,
@@ -37,6 +43,7 @@ from treelat.zlinalg import (
     cokernel_invariants,
     kernel_basis,
     rank_mod_prime,
+    rank_prime,
     smith_normal_form,
     solve_exact,
 )
@@ -105,6 +112,9 @@ def forward_edge_index(c: SquareComplex) -> dict[str, int]:
 
 
 def chain_maps(c: SquareComplex, r: tuple[DirectedSquare, ...]) -> ChainMaps:
+    # Every map is built as canonical sparse rows: each row collects its
+    # (column, value) pairs while the columns are visited in increasing
+    # order, so it comes out sorted.
     eidx = forward_edge_index(c)
     n_edges = len(eidx)
     n_cells = len(c.squares)
@@ -114,51 +124,50 @@ def chain_maps(c: SquareComplex, r: tuple[DirectedSquare, ...]) -> ChainMaps:
     def eps(ref) -> tuple[int, int]:
         return eidx[ref.edge], (-1 if ref.reversed else 1)
 
-    d2 = [[0] * n_cells for _ in range(n_edges)]
+    d2: list[list[tuple[int, int]]] = [[] for _ in range(n_edges)]
     for k, t in enumerate(c.squares):
+        column: dict[int, int] = {}
         for ref, sign in ((t.a, 1), (t.b_prime, 1), (t.a_prime, -1), (t.b, -1)):
             row, s = eps(ref)
-            d2[row][k] += sign * s
+            column[row] = column.get(row, 0) + sign * s
+        for row, x in column.items():
+            if x:
+                d2[row].append((k, x))
 
-    d1 = [[0] * n_edges for _ in range(len(c.vertices))]
+    d1: list[list[tuple[int, int]]] = [[] for _ in c.vertices]
     for e in c.h_edges + c.v_edges:
-        j = eidx[e.id]
-        d1[vidx[e.terminus]][j] += 1
-        d1[vidx[e.origin]][j] -= 1
+        if e.terminus != e.origin:  # a loop has zero boundary
+            j = eidx[e.id]
+            d1[vidx[e.terminus]].append((j, 1))
+            d1[vidx[e.origin]].append((j, -1))
 
-    phi2 = [[0] * n_cells for _ in range(n_tiles)]
-    for k in range(n_cells):
-        base = 4 * k
-        phi2[base][k] = 1
-        phi2[base + 1][k] = -1
-        phi2[base + 2][k] = -1
-        phi2[base + 3][k] = 1
+    # Tile 4k + i is the orbit-k square with tag (1, v, h, vh)[i].
+    signs = (1, -1, -1, 1)
+    phi2 = tuple(((t >> 2, signs[t & 3]),) for t in range(n_tiles))
 
-    phi1 = [[0] * n_edges for _ in range(2 * n_tiles)]
-    for e in c.v_edges:
-        j = eidx[e.id]
-        for i, s in enumerate(r):
-            if s.b.edge == e.id:
-                phi1[i][j] += -1 if s.b.reversed else 1
-    for e in c.h_edges:
-        j = eidx[e.id]
-        for i, s in enumerate(r):
-            if s.a.edge == e.id:
-                phi1[n_tiles + i][j] += 1 if s.a.reversed else -1
+    v_ids = {e.id for e in c.v_edges}
+    h_ids = {e.id for e in c.h_edges}
+    phi1 = [
+        ((eidx[s.b.edge], -1 if s.b.reversed else 1),) if s.b.edge in v_ids else () for s in r
+    ]
+    phi1 += [
+        ((eidx[s.a.edge], 1 if s.a.reversed else -1),) if s.a.edge in h_ids else () for s in r
+    ]
 
-    psi = [[0] * (2 * n_tiles) for _ in range(n_edges)]
+    psi: list[list[tuple[int, int]]] = [[] for _ in range(n_edges)]
     for i, s in enumerate(r):
         row, sign = eps(s.b)
-        psi[row][i] += sign
+        psi[row].append((i, sign))
+    for i, s in enumerate(r):
         row, sign = eps(s.a)
-        psi[row][n_tiles + i] -= sign
+        psi[row].append((n_tiles + i, -sign))
 
     return ChainMaps(
-        d2=IntMatrix.from_rows(d2, cols=n_cells),
-        d1=IntMatrix.from_rows(d1, cols=n_edges),
-        phi2=IntMatrix.from_rows(phi2, cols=n_cells),
-        phi1=IntMatrix.from_rows(phi1, cols=n_edges),
-        psi=IntMatrix.from_rows(psi, cols=2 * n_tiles),
+        d2=IntMatrix(n_edges, n_cells, tuple(map(tuple, d2))),
+        d1=IntMatrix(len(c.vertices), n_edges, tuple(map(tuple, d1))),
+        phi2=IntMatrix(n_tiles, n_cells, phi2),
+        phi1=IntMatrix(2 * n_tiles, n_edges, tuple(phi1)),
+        psi=IntMatrix(n_edges, 2 * n_tiles, tuple(map(tuple, psi))),
     )
 
 
@@ -191,6 +200,116 @@ def homology_report(c: SquareComplex, maps: ChainMaps, s2: SmithDecomposition) -
     return HomologyReport(h0=h0, h1=h1, h2_rank=h2_rank, euler_characteristic=euler)
 
 
+def tile_labels(psi: IntMatrix) -> tuple[list[int], list[int]] | None:
+    """The labels b(s) and a(s) of every tile, as integers, read off psi.
+
+    Column s of psi holds eps(b(s)) and column n + s holds -eps(a(s)), one
+    +-1 each; directed edge (e, sign) gets label 2e or 2e + 1.  The a labels
+    are shifted past the b labels, so the two never share a value.  None
+    when some column is empty.
+    """
+    n = psi.cols // 2
+    shift = 2 * psi.rows
+    b = [-1] * n
+    a = [-1] * n
+    for e, pairs in enumerate(psi.row_pairs):
+        for s, x in pairs:
+            if s < n:
+                b[s] = 2 * e + (x < 0)
+            else:
+                a[s - n] = shift + 2 * e + (x > 0)
+    if -1 in b or -1 in a:
+        return None
+    return b, a
+
+
+def structured_kernel_dim(stacked: IntMatrix, psi: IntMatrix) -> int | None:
+    """dim ker S over F_p, p = zlinalg.rank_prime(), from the factors of S.
+
+    S is the 2n x n stacked operator.  With the tile labels b, a of psi
+    (tile_labels), b'(t) = b(t^h), a'(t) = a(t^v), bb(t) = b(t^v) and
+    aa(t) = a(t^h), the definition of the transition matrices reads
+    M1 = E.F^T - P_h and M2 = E'.G^T - P_v (tiling_system.matches_factors,
+    which is checked first; None when it fails, when p is even or when a
+    column of psi is empty).
+
+    Over F_p with p odd, P_h and P_v are commuting involutions, so F^n is
+    the sum of their four joint eigenspaces, and x is in ker S iff
+    (I + P_h)x = E.y and (I + P_v)x = E'.z with y = F^T x and z = G^T x.
+    Split x that way: its h-even part is 1/2 (I + P_h)x = 1/2 E.y; its
+    h-odd, v-even part is 1/2 (I - P_h) 1/2 (I + P_v)x = 1/4 (I - P_h)E'.z;
+    its h-odd, v-odd part is phi2.w for one w in F^|F|, since the columns
+    t - t^v - t^h + t^vh of phi2 are a basis of that eigenspace.  So
+
+        x = 1/2 E.y + 1/4 (I - P_h)E'.z + phi2.w.
+
+    Conversely, (y, z, w) gives by that formula a kernel vector with
+    F^T x = y and G^T x = z exactly when the conditions C hold:
+
+    - y[b(t)] = y[b'(t)] and z[a(t)] = z[a'(t)] for every tile, that is
+      P_h E.y = E.y and P_v E'.z = E'.z, which (I + P_h)x = E.y and
+      (I + P_v)x = E'.z force.  So y and z are constant on the components
+      of the graphs with edges b(t)-b'(t) and a(t)-a'(t), and C has one
+      unknown per component instead of one per label;
+    - y[b(t)] + y[bb(t)] = z[a(t)] + z[aa(t)] for every tile: the h-even
+      part of (I + P_v)x = E'.z.  Its h-odd part reads
+      1/4 (I - P_h)(I + P_v)E'.z = 1/2 (I - P_h)E'.z, which holds once
+      P_v E'.z = E'.z; and (I + P_h)x = E.y holds once P_h E.y = E.y;
+    - F^T x = y and G^T x = z, one row per label, with x as above.
+
+    Those rows are scaled by 4 to keep integer coefficients, which p odd
+    allows.  The map (y, z, w) -> x is a bijection from the solutions of C
+    onto ker_p S: onto by the split above, and one to one because y and z
+    are read back as F^T x and G^T x, and w from the h-odd, v-odd part of
+    x, phi2 being injective.  So dim ker_p S = (#unknowns) - rank_p(C), and
+    C has a few dozen rows (69 x 287 at the Mozes pair (29,37), where S is
+    2280 x 1140).
+    """
+    n = stacked.cols
+    if rank_prime() % 2 == 0 or psi.cols != 2 * n:
+        return None
+    labels = tile_labels(psi)
+    if labels is None:
+        return None
+    b, a = labels
+    if not matches_factors(stacked, b, a):
+        return None
+
+    # One unknown per component of each label graph, then w_k per orbit.
+    uf = _UnionFind(4 * psi.rows)
+    for t in range(n):
+        uf.union(b[t], b[t ^ 2])  # b'(t) = b(t^h), and t^h = t ^ 2
+        uf.union(a[t], a[t ^ 1])  # a'(t) = a(t^v), and t^v = t ^ 1
+    unknown: dict[int, int] = {}
+    yb = [unknown.setdefault(uf.find(x), len(unknown)) for x in b]
+    za = [unknown.setdefault(uf.find(x), len(unknown)) for x in a]
+    w0 = len(unknown)
+
+    def combine(terms) -> tuple[tuple[int, int], ...]:
+        row: dict[int, int] = {}
+        for j, x in terms:
+            row[j] = row.get(j, 0) + x
+        return tuple(sorted((j, x) for j, x in row.items() if x))
+
+    # Tile rows: t, t^v, t^h and t^vh give the same one (b(t^h) = b'(t) and
+    # a(t^v) = a'(t) are in the components of b(t) and a(t)), so one per
+    # orbit, and only the distinct ones.
+    tile_keys = {(yb[t], yb[t ^ 1], za[t], za[t ^ 2]) for t in range(0, n, 4)}
+    tile_rows = [combine(((y1, 1), (y2, 1), (z1, -1), (z2, -1))) for y1, y2, z1, z2 in tile_keys]
+    # 4 x[t] = 2 y[b(t)] + z[a(t)] - z[aa(t)] + 4 (+-w_k), summed into the
+    # row of label b'(t) and the row of label a'(t); each row then takes
+    # away 4 y (4 z) of its own label.
+    signs = (4, -4, -4, 4)
+    sums: dict[int, list[tuple[int, int]]] = {}
+    for t in range(n):
+        terms = ((yb[t], 2), (za[t], 1), (za[t ^ 2], -1), (w0 + (t >> 2), signs[t & 3]))
+        sums.setdefault(b[t ^ 2], [(yb[t], -4)]).extend(terms)
+        sums.setdefault(a[t ^ 1], [(za[t], -4)]).extend(terms)
+    rows = sorted(tile_rows) + [combine(terms) for terms in sums.values()]
+    c = IntMatrix(len(rows), w0 + n // 4, tuple(rows))
+    return c.cols - rank_mod_prime(c)
+
+
 def stacked_kernel_basis(
     stacked: IntMatrix, maps: ChainMaps, h2_basis: tuple[tuple[int, ...], ...]
 ) -> tuple[tuple[int, ...], ...]:
@@ -201,11 +320,11 @@ def stacked_kernel_basis(
     2n x n stacked operator S is taken:
 
     (a) S.H' = 0, by one sparse product, so L = phi2(ker d2) lies in K;
-    (b) n - rank_p(S) == |H|, with rank_p the rank over F_p
-        (zlinalg.rank_mod_prime).
+    (b) dim ker_p S == |H|, with ker_p S the kernel over F_p counted from
+        the factors of S (structured_kernel_dim).
 
     Why that gives L = K.  The rank over F_p is at most the rank over Q,
-    so n - rank_p(S) >= rank K.  phi2 is injective and by (a) carries the
+    so dim ker_p S >= rank K.  phi2 is injective and by (a) carries the
     |H| independent vectors of h2_basis into K, so rank K >= |H|.  By (b)
     the two bounds meet, and rank L = rank K.  L is saturated in Z^n: phi2
     has an integer left inverse pi, which reads coordinate 4k of each
@@ -217,12 +336,14 @@ def stacked_kernel_basis(
     L, and saturation puts x in L.
 
     Otherwise (the torus, the Klein bottle, any instance where the rank
-    identity fails or p divides an invariant factor of S) the basis is the
-    one of the dense Smith form of S, zlinalg.kernel_basis.
+    identity fails, p divides an invariant factor of S, p is even or S is
+    not the product of its factors) the basis is the one of the dense
+    Smith form of S, zlinalg.kernel_basis.
     """
-    image = maps.phi2.mul(IntMatrix.from_columns(h2_basis, rows=maps.phi2.cols))
-    if stacked.mul(image).is_zero() and stacked.cols - rank_mod_prime(stacked) == len(h2_basis):
-        return image.transpose().entries
+    if structured_kernel_dim(stacked, maps.psi) == len(h2_basis):
+        image = maps.phi2.mul(IntMatrix.from_columns(h2_basis, rows=maps.phi2.cols))
+        if stacked.mul(image).is_zero():
+            return image.transpose().entries
     return kernel_basis(stacked)
 
 

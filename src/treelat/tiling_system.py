@@ -135,6 +135,35 @@ def stacked_matrix(ts: TilingSystem) -> IntMatrix:
     return IntMatrix(2 * n, n, tuple(rows))
 
 
+def matches_factors(stacked: IntMatrix, b: list[int], a: list[int]) -> bool:
+    """True iff stacked = (E.F^T - P_h - I over E'.G^T - P_v - I) for the tile labels b, a.
+
+    E[s][x] = [b(s) = x] and F[t][x] = [b'(t) = x] with b'(t) = b(t^h); E'
+    and G are the same for a, with a'(t) = a(t^v); P_h and P_v permute tiles
+    by t -> t^h and t -> t^v.  The labels are any integers.  Since
+    b'(s^h) = b(s), row s of E.F^T - P_h holds a 1 at every t with
+    b'(t) = b(s) except s^h: the definition of m1, and of m2 for a.  Each
+    expected row is cut out of the shared list of tiles with that primed
+    label, so the check costs O(n) Python steps and O(nnz) copying.
+    """
+    n = len(b)
+    if stacked.rows != 2 * n or stacked.cols != n or len(a) != n or n % 4:
+        return False
+    rows = stacked.row_pairs
+    for top, labels, flip in ((0, b, 2), (n, a, 1)):
+        # tile t ^ 2 is t^h and tile t ^ 1 is t^v (h_image_index, v_image_index)
+        followers: dict[int, list[tuple[int, int]]] = {}
+        for t in range(n):
+            followers.setdefault(labels[t ^ flip], []).append((t, 1))
+        shared = {x: tuple(pairs) for x, pairs in followers.items()}
+        for s in range(n):
+            base = shared[labels[s]]  # holds (s ^ flip, 1), since labels[s ^ flip ^ flip] = labels[s]
+            k = bisect_left(base, (s ^ flip,))
+            if rows[top + s] != _minus_diagonal(base[:k] + base[k + 1 :], s):
+                return False
+    return True
+
+
 def _successors(m: IntMatrix) -> list[list[int]]:
     # edge t -> s whenever m[s][t] = 1
     adj: list[list[int]] = [[] for _ in range(m.cols)]

@@ -81,8 +81,11 @@ class IntMatrix:
         if rows is None:
             rows = len(columns[0]) if columns else 0
         data: list[list[tuple[int, int]]] = [[] for _ in range(rows)]
+        positions = range(rows)
         for j, col in enumerate(columns):
-            for i in range(rows):
+            if len(col) < rows:
+                raise IndexError("column shorter than the row count")
+            for i in compress(positions, col):
                 x = int(col[i])
                 if x:
                     data[i].append((j, x))
@@ -144,6 +147,7 @@ class IntMatrix:
         # other, which is already canonical.  Other rows add up in a dense
         # accumulator, whose nonzeros compress finds at C speed: cheaper
         # than a dict and a sort once a row gathers more than a few terms.
+        # Unit weights (all of them in the 0/+-1 operators) skip the multiply.
         below = other.row_pairs
         positions = range(other.cols)
         data = []
@@ -154,8 +158,15 @@ class IntMatrix:
                 continue
             acc = [0] * other.cols
             for j, x in pairs:
-                for c, y in below[j]:
-                    acc[c] += x * y
+                if x == 1:
+                    for c, y in below[j]:
+                        acc[c] += y
+                elif x == -1:
+                    for c, y in below[j]:
+                        acc[c] -= y
+                else:
+                    for c, y in below[j]:
+                        acc[c] += x * y
             data.append(tuple([(c, acc[c]) for c in compress(positions, acc)]))
         return IntMatrix(self.rows, other.cols, tuple(data))
 
@@ -257,6 +268,11 @@ def kernel_basis(a: IntMatrix) -> tuple[tuple[int, ...], ...]:
     combination of it (see SmithDecomposition.kernel_basis).
     """
     return smith_normal_form(a, left=False).kernel_basis()
+
+
+def rank_prime() -> int:
+    """The prime p of rank_mod_prime, read at call time."""
+    return _impl.PRIME
 
 
 def rank_mod_prime(a: IntMatrix) -> int:

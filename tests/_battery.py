@@ -2,12 +2,13 @@
 
 Run on every corpus complex and on randomized valid complexes; every check
 is exact.  Where the pipeline computes something one way, the battery
-re-derives it another way (naive double loops, rational elimination,
-reachability closure).
+re-derives it another way (naive double loops, dense chain maps, rational
+elimination, reachability closure, the rank mod p of the whole stacked
+operator).
 """
 
 from treelat.complex_model import sigma_act
-from treelat.homology import stacked_kernel_basis
+from treelat.homology import stacked_kernel_basis, structured_kernel_dim
 from treelat.tiling_system import (
     h_image_index,
     stacked_matrix,
@@ -20,10 +21,15 @@ from treelat.zlinalg import (
     hermite_row_basis,
     kernel_basis,
     lattice_membership,
+    rank_mod_prime,
     smith_normal_form,
 )
 
-from _oracles import rank_by_fraction_elimination, strongly_connected_by_closure
+from _oracles import (
+    dense_chain_maps,
+    rank_by_fraction_elimination,
+    strongly_connected_by_closure,
+)
 
 
 def assert_instance_properties(analysis):
@@ -56,6 +62,10 @@ def assert_instance_properties(analysis):
     for t_idx, t in enumerate(r):
         assert sum(ts.m1.column(t_idx)) == c.h_degree(c.origin(t.b_prime)) - 1
         assert sum(ts.m2.column(t_idx)) == c.v_degree(c.origin(t.a_prime)) - 1
+
+    # the sparse chain maps equal the dense builder's, map by map
+    for name, (rows, cols) in dense_chain_maps(c, r).items():
+        assert getattr(maps, name) == IntMatrix.from_rows(rows, cols=cols), name
 
     # chain complex and commuting square, exactly
     assert maps.d1.mul(maps.d2).is_zero()
@@ -111,6 +121,11 @@ def assert_instance_properties(analysis):
     dense = kernel_basis(stacked)
     assert hermite_row_basis(certified) == hermite_row_basis(dense)
     assert analysis.k0.kernel_rank == len(dense)
+
+    # the kernel dimension counted from the factors of the stacked operator
+    # equals n - rank_p of the whole operator and the dense kernel rank
+    structured = structured_kernel_dim(stacked, maps.psi)
+    assert structured == stacked.cols - rank_mod_prime(stacked) == len(dense)
 
     verdict = analysis.theorem
     assert verdict.diagram_commutes

@@ -4,7 +4,8 @@ Deliberately different algorithms from the code under test: ranks and
 determinants over exact rationals instead of integer normal forms, and a
 reachability closure instead of Tarjan for strong connectivity, and loops
 over every cell of a dense matrix for the operations that IntMatrix runs
-on its stored nonzeros only.
+on its stored nonzeros only (and for the chain maps, which the pipeline
+builds as sparse rows).
 """
 
 from fractions import Fraction
@@ -200,3 +201,66 @@ def dense_equal(a, a_cols, b, b_cols):
     return (len(a), a_cols) == (len(b), b_cols) and all(
         x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb)
     )
+
+
+def dense_chain_maps(c, r):
+    """d2, d1, phi2, phi1 and psi as dense row lists, by name, each with
+    its column count: every entry accumulated into a full matrix, phi1 by
+    a scan of all tiles for each edge."""
+    from treelat.homology import forward_edge_index
+
+    eidx = forward_edge_index(c)
+    n_edges = len(eidx)
+    n_cells = len(c.squares)
+    n_tiles = len(r)
+    vidx = {v: i for i, v in enumerate(c.vertices)}
+
+    def eps(ref):
+        return eidx[ref.edge], (-1 if ref.reversed else 1)
+
+    d2 = [[0] * n_cells for _ in range(n_edges)]
+    for k, t in enumerate(c.squares):
+        for ref, sign in ((t.a, 1), (t.b_prime, 1), (t.a_prime, -1), (t.b, -1)):
+            row, s = eps(ref)
+            d2[row][k] += sign * s
+
+    d1 = [[0] * n_edges for _ in range(len(c.vertices))]
+    for e in c.h_edges + c.v_edges:
+        j = eidx[e.id]
+        d1[vidx[e.terminus]][j] += 1
+        d1[vidx[e.origin]][j] -= 1
+
+    phi2 = [[0] * n_cells for _ in range(n_tiles)]
+    for k in range(n_cells):
+        base = 4 * k
+        phi2[base][k] = 1
+        phi2[base + 1][k] = -1
+        phi2[base + 2][k] = -1
+        phi2[base + 3][k] = 1
+
+    phi1 = [[0] * n_edges for _ in range(2 * n_tiles)]
+    for e in c.v_edges:
+        j = eidx[e.id]
+        for i, s in enumerate(r):
+            if s.b.edge == e.id:
+                phi1[i][j] += -1 if s.b.reversed else 1
+    for e in c.h_edges:
+        j = eidx[e.id]
+        for i, s in enumerate(r):
+            if s.a.edge == e.id:
+                phi1[n_tiles + i][j] += 1 if s.a.reversed else -1
+
+    psi = [[0] * (2 * n_tiles) for _ in range(n_edges)]
+    for i, s in enumerate(r):
+        row, sign = eps(s.b)
+        psi[row][i] += sign
+        row, sign = eps(s.a)
+        psi[row][n_tiles + i] -= sign
+
+    return {
+        "d2": (d2, n_cells),
+        "d1": (d1, n_edges),
+        "phi2": (phi2, n_cells),
+        "phi1": (phi1, n_edges),
+        "psi": (psi, 2 * n_tiles),
+    }

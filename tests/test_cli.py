@@ -349,3 +349,46 @@ def test_torus_falls_back_to_the_dense_kernel(monkeypatch, torus):
     assert analysis.theorem == torus.theorem
     assert (analysis.theorem.rank_ker_d2, analysis.theorem.rank_ker_stacked) == (1, 4)
     assert not analysis.theorem.holds
+
+
+def test_small_odd_prime_keeps_the_certified_kernel(monkeypatch, mozes513, mozes513_doc):
+    # The (5,13) stacked operator has invariant factors 1, 2 and 4 only, so
+    # over F_3 its kernel still has dimension rank H2 = 11: the count from
+    # its factors certifies phi2(ker d2), and no stacked Smith form runs.
+    monkeypatch.setattr(_kernels_py, "PRIME", 3)
+    stacked = tiling_system.stacked_matrix(mozes513.tiling)
+    assert homology.structured_kernel_dim(stacked, mozes513.maps.psi) == 11
+    snf = count_calls(monkeypatch, zlinalg, "smith_normal_form")
+    _, analysis = analyze_document(mozes513_doc)
+    assert sum(a == stacked for a in snf) == 0
+    assert analysis.k0 == mozes513.k0
+    assert analysis.theorem == mozes513.theorem
+
+
+def test_broken_factor_identity_falls_back_to_the_dense_kernel(monkeypatch, mozes513):
+    # Move one nonzero of the M1 block of the (5,13) stacked matrix to a
+    # column its row does not hold: the matrix is no longer
+    # (E.F^T - P_h - I over E'.G^T - P_v - I), the count from the factors
+    # refuses it, and the kernel comes from one Smith form of that matrix.
+    maps = mozes513.maps
+    stacked = tiling_system.stacked_matrix(mozes513.tiling)
+    rows = list(stacked.row_pairs)
+    pairs = list(rows[0])
+    k = next(i for i, (_, x) in enumerate(pairs) if x == 1)
+    held = {j for j, _ in pairs}
+    pairs[k] = (next(j for j in range(stacked.cols) if j not in held), 1)
+    rows[0] = tuple(sorted(pairs))
+    broken = zlinalg.IntMatrix(stacked.rows, stacked.cols, tuple(rows))
+
+    b, a = homology.tile_labels(maps.psi)
+    assert tiling_system.matches_factors(stacked, b, a)
+    assert not tiling_system.matches_factors(broken, b, a)
+    assert homology.structured_kernel_dim(broken, maps.psi) is None
+
+    h2_basis = zlinalg.kernel_basis(maps.d2)
+    snf = count_calls(monkeypatch, zlinalg, "smith_normal_form")
+    basis = homology.stacked_kernel_basis(broken, maps, h2_basis)
+    assert sum(x == broken for x in snf) == 1
+    assert len(snf) == 1
+    dense = zlinalg.kernel_basis(broken)
+    assert zlinalg.hermite_row_basis(basis) == zlinalg.hermite_row_basis(dense)

@@ -1,7 +1,14 @@
 import pytest
 
 from treelat.cli import analyze_document
-from treelat.homology import forward_edge_index, stacked_kernel_basis, verify_main_theorem
+from treelat.complex_model import expand_directed_squares, load_complex
+from treelat.homology import (
+    chain_maps,
+    forward_edge_index,
+    stacked_kernel_basis,
+    structured_kernel_dim,
+    verify_main_theorem,
+)
 from treelat.mozes import generate_mozes_complex
 from treelat.tiling_system import stacked_matrix
 from treelat.zlinalg import (
@@ -11,6 +18,8 @@ from treelat.zlinalg import (
     rank_mod_prime,
     smith_normal_form,
 )
+
+from _oracles import dense_chain_maps
 
 
 def test_d1_composed_with_d2_vanishes(corpus):
@@ -230,3 +239,27 @@ def test_verifier_tests_phi2_image_against_the_operator(mozes513):
     assert image_in_kernel(h2_basis)
     assert image_in_kernel(())
     assert not image_in_kernel(h2_basis + (chain,))
+
+
+def test_chain_maps_match_the_dense_builder_on_mozes513(mozes513_doc):
+    c = load_complex(mozes513_doc)
+    r = expand_directed_squares(c)
+    maps = chain_maps(c, r)
+    for name, (rows, cols) in dense_chain_maps(c, r).items():
+        assert getattr(maps, name) == IntMatrix.from_rows(rows, cols=cols), name
+
+
+@pytest.mark.parametrize("p,l", [(5, 13), (5, 17), (13, 17)])
+def test_structured_count_matches_rank_mod_p_and_dense_kernel(p, l):
+    _, a = analyze_document(generate_mozes_complex(p, l))
+    stacked = stacked_matrix(a.tiling)
+    dim = structured_kernel_dim(stacked, a.maps.psi)
+    assert dim == stacked.cols - rank_mod_prime(stacked) == len(kernel_basis(stacked))
+    assert dim == (p - 1) * (l - 1) // 4 - 1
+
+
+def test_structured_count_matches_rank_mod_p_at_17_29():
+    _, a = analyze_document(generate_mozes_complex(17, 29))
+    stacked = stacked_matrix(a.tiling)
+    assert structured_kernel_dim(stacked, a.maps.psi) == stacked.cols - rank_mod_prime(stacked)
+    assert a.k0.kernel_rank == a.homology.h2_rank == 16 * 28 // 4 - 1
