@@ -57,8 +57,6 @@ from treelat.zlinalg import (
     SmithDecomposition,
     cokernel_invariants,
     kernel_basis,
-    lattice_contains,
-    lattice_membership,
     rank_mod_prime,
     smith_normal_form,
 )
@@ -92,8 +90,6 @@ __all__ = [
     "homology_report",
     "k0_rank",
     "kernel_basis",
-    "lattice_contains",
-    "lattice_membership",
     "load_complex",
     "norm_quaternions",
     "rank_mod_prime",

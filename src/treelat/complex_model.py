@@ -400,21 +400,32 @@ def serialize_complex(c: SquareComplex, metadata: dict | None = None) -> str:
 # --- validation -------------------------------------------------------------
 
 
-def _connected_components(c: SquareComplex) -> int:
-    index = {v: i for i, v in enumerate(c.vertices)}
-    parent = list(range(len(c.vertices)))
+class _UnionFind:
+    def __init__(self, n: int):
+        self.parent = list(range(n))
 
-    def find(x: int) -> int:
+    def find(self, x: int) -> int:
+        parent = self.parent
         while parent[x] != x:
             parent[x] = parent[parent[x]]
             x = parent[x]
         return x
 
+    def union(self, x: int, y: int) -> None:
+        rx, ry = self.find(x), self.find(y)
+        if rx != ry:
+            self.parent[rx] = ry
+
+    def component_count(self) -> int:
+        return len({self.find(i) for i in range(len(self.parent))})
+
+
+def _connected_components(c: SquareComplex) -> int:
+    index = {v: i for i, v in enumerate(c.vertices)}
+    uf = _UnionFind(len(c.vertices))
     for e in c.h_edges + c.v_edges:
-        ra, rb = find(index[e.origin]), find(index[e.terminus])
-        if ra != rb:
-            parent[ra] = rb
-    return len({find(i) for i in range(len(c.vertices))})
+        uf.union(index[e.origin], index[e.terminus])
+    return uf.component_count()
 
 
 def validate_vht(c: SquareComplex) -> ValidationReport:

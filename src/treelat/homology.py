@@ -28,24 +28,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from treelat.complex_model import DirectedSquare, SquareComplex
-from treelat.tiling_system import (
-    _UnionFind,
-    h_image_index,
-    matches_factors,
-    v_image_index,
-    vh_image_index,
-)
+from treelat.complex_model import DirectedSquare, SquareComplex, _UnionFind
+from treelat.tiling_system import matches_factors
 from treelat.zlinalg import (
     AbelianInvariants,
     IntMatrix,
     SmithDecomposition,
-    cokernel_invariants,
     kernel_basis,
     rank_mod_prime,
     rank_prime,
     smith_normal_form,
-    solve_exact,
 )
 
 
@@ -174,30 +166,24 @@ def chain_maps(c: SquareComplex, r: tuple[DirectedSquare, ...]) -> ChainMaps:
 def homology_report(c: SquareComplex, maps: ChainMaps, s2: SmithDecomposition) -> HomologyReport:
     """Integral homology in degrees 0, 1, 2.
 
-    s2 is the Smith form of d2, computed once by the caller.  H2 is the
-    kernel of d2, hence free: only its rank is reported.  H1 is
-    ker d1 / im d2, computed by expressing the columns of d2 in a saturated
-    basis of ker d1 and taking the cokernel there; when d1 is zero (one
-    vertex), ker d1 is all of Z^E and H1 is the cokernel of d2 itself, read
-    off s2.  H0 is the cokernel of d1 (free of rank one exactly when the
-    complex is connected); one Smith form of d1 gives both H0 and the basis
-    of ker d1.
+    s2 is the Smith form of d2, computed once by the caller; one Smith form
+    of d1 gives the rest.  H0 is the cokernel of d1 (free of rank one
+    exactly when the complex is connected).  H2 is the kernel of d2, hence
+    free: only its rank is reported.  H1 = ker d1 / im d2 sits in the exact
+    sequence
+
+        0 -> ker d1 / im d2 -> Z^E / im d2 -> im d1 -> 0,
+
+    the second map induced by d1.  It splits, since im d1 is a subgroup of
+    the free group Z^V and so free.  Hence Z^E / im d2 = H1 + Z^rank(d1):
+    H1 has the torsion of the cokernel of d2 and rank(d1) less free rank.
     """
     s1 = smith_normal_form(maps.d1, left=False)
-    h0 = s1.cokernel()
-
-    if maps.d1.is_zero():
-        h1 = s2.cokernel()
-    else:
-        k = IntMatrix.from_columns(s1.kernel_basis(), rows=maps.d1.cols)
-        y = solve_exact(k, maps.d2)
-        if y is None:  # d1.d2 = 0 and the kernel basis is saturated, so never
-            raise RuntimeError("boundary image escaped the cycle lattice")
-        h1 = cokernel_invariants(y)
-
+    coker = s2.cokernel()
+    h1 = AbelianInvariants(free_rank=coker.free_rank - s1.rank, torsion=coker.torsion)
     euler = len(c.vertices) - (len(c.h_edges) + len(c.v_edges)) + len(c.squares)
     h2_rank = maps.d2.cols - s2.rank
-    return HomologyReport(h0=h0, h1=h1, h2_rank=h2_rank, euler_characteristic=euler)
+    return HomologyReport(h0=s1.cokernel(), h1=h1, h2_rank=h2_rank, euler_characteristic=euler)
 
 
 def tile_labels(psi: IntMatrix) -> tuple[list[int], list[int]] | None:
@@ -359,67 +345,63 @@ def verify_main_theorem(
 
     stacked is the stacked transition operator, stacked_kernel a saturated
     basis of its kernel lattice and h2_basis one of ker d2, as computed once
-    by the caller.
+    by the caller.  Every check is an identity of sparse matrices: H holds
+    the H2 basis and K the stacked-kernel basis, one vector per column.
 
     (1) the square stacked.phi2 = phi1.d2 commutes exactly; (2) the kernel
     ranks of d2 and of the stacked operator agree; (3) phi2 carries the H2
-    basis into the stacked-kernel lattice, tested as stacked.phi2(H) = 0
-    against the operator itself, which for a saturated kernel basis is the
-    same as membership in the lattice that stacked_kernel spans; (4) each
-    stacked-kernel basis vector is alternating under the reflections
-    (negated by v and by h, fixed by vh) and is phi2 of the integer vector
-    of its orbit-representative coordinates; (5) for each stacked-kernel
-    basis vector the per-directed-edge sums mu(b) = sum over b'(t) = b (and
-    the horizontal analogue) all vanish.
+    basis into the stacked-kernel lattice, tested as (stacked.phi2).H = 0
+    against the operator itself: by associativity that is stacked.(phi2.H),
+    and for a saturated kernel basis it is the same as membership in the
+    lattice that stacked_kernel spans.  The product stacked.phi2 is the
+    left side of (1), taken once, and (3) multiplies it by H whatever (1)
+    found; (4) each stacked-kernel basis vector is alternating under the
+    reflections (negated by v and by h, fixed by vh), and is phi2 of the
+    integer vector of its orbit-representative coordinates: phi2 applied to
+    rows 4k of K gives K back; (5) for each stacked-kernel basis vector the
+    per-directed-edge sums mu(b) = sum over b'(t) = b (and the horizontal
+    analogue) all vanish: the 0/1 matrix that groups the tiles by b'(t),
+    and the one that groups them by a'(t), each times K, is zero.
     """
-    diagram_commutes = stacked.mul(maps.phi2) == maps.phi1.mul(maps.d2)
-
-    rank_ker_d2 = len(h2_basis)
-    rank_ker_stacked = len(stacked_kernel)
+    left = stacked.mul(maps.phi2)
+    diagram_commutes = left == maps.phi1.mul(maps.d2)
 
     n_tiles = len(r)
     n_cells = len(c.squares)
-    # phi2 of every H2 basis vector, one per column, from a single product.
-    h2_image = maps.phi2.mul(IntMatrix.from_columns(h2_basis, rows=n_cells))
-    phi2_image_in_kernel = stacked.mul(h2_image).is_zero()
+    h = IntMatrix.from_columns(h2_basis, rows=n_cells)
+    phi2_image_in_kernel = left.mul(h).is_zero()
 
-    h_img = [h_image_index(i) for i in range(n_tiles)]
-    v_img = [v_image_index(i) for i in range(n_tiles)]
-    vh_img = [vh_image_index(i) for i in range(n_tiles)]
-    symmetries = True
-    for lam in stacked_kernel:
-        for i in range(n_tiles):
-            if lam[i] != -lam[h_img[i]] or lam[i] != -lam[v_img[i]] or lam[i] != lam[vh_img[i]]:
-                symmetries = False
-    # phi2 of the orbit-representative coordinates of every kernel vector,
-    # again from one product.
-    reps = IntMatrix.from_columns(
-        [[lam[4 * k] for k in range(n_cells)] for lam in stacked_kernel], rows=n_cells
+    kernel = IntMatrix.from_columns(stacked_kernel, rows=n_tiles)
+    rows = kernel.row_pairs
+    # The reflections act on tile indices by xor on the offset in the
+    # orbit (tiling_system.h_image_index), so the rows of each orbit
+    # decide the symmetries: t^v = 4k + 1 and t^h = 4k + 2 are minus the
+    # row of t = 4k, and t^vh = 4k + 3 is the row of t.
+    symmetries = all(
+        rows[t + 3] == rows[t]
+        and rows[t + 1] == rows[t + 2] == tuple([(j, -x) for j, x in rows[t]])
+        for t in range(0, n_tiles, 4)
     )
-    in_image = maps.phi2.mul(reps).transpose().entries == tuple(stacked_kernel)
+    reps = IntMatrix(n_cells, kernel.cols, rows[::4])
+    in_image = maps.phi2.mul(reps) == kernel
 
-    # Tiles grouped by b'(t) and by a'(t), numbered once for all vectors.
-    by_bp: dict = {}
-    by_ap: dict = {}
-    bp_of = [by_bp.setdefault(s.b_prime, len(by_bp)) for s in r]
-    ap_of = [by_ap.setdefault(s.a_prime, len(by_ap)) for s in r]
-    mu_ok = True
-    for lam in stacked_kernel:
-        mu_b = [0] * len(by_bp)
-        mu_a = [0] * len(by_ap)
-        for i, x in enumerate(lam):
-            if x:
-                mu_b[bp_of[i]] += x
-                mu_a[ap_of[i]] += x
-        if any(mu_b) or any(mu_a):
-            mu_ok = False
+    def grouping(keys) -> IntMatrix:
+        groups: dict = {}
+        for t, key in enumerate(keys):
+            groups.setdefault(key, []).append((t, 1))
+        return IntMatrix(len(groups), n_tiles, tuple(map(tuple, groups.values())))
+
+    mu_ok = (
+        grouping(s.b_prime for s in r).mul(kernel).is_zero()
+        and grouping(s.a_prime for s in r).mul(kernel).is_zero()
+    )
 
     within = all(hd >= 3 and vd >= 3 for hd, vd in c.degrees.values())
     return TheoremVerdict(
         within_hypotheses=within,
         diagram_commutes=diagram_commutes,
-        rank_ker_d2=rank_ker_d2,
-        rank_ker_stacked=rank_ker_stacked,
+        rank_ker_d2=len(h2_basis),
+        rank_ker_stacked=len(stacked_kernel),
         phi2_image_in_kernel=phi2_image_in_kernel,
         kernel_in_phi2_image=in_image,
         kernel_symmetries_hold=symmetries,

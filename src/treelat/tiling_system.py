@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from bisect import bisect_left
 
-from treelat.complex_model import DirectedSquare, SquareComplex
+from treelat.complex_model import DirectedSquare, SquareComplex, _UnionFind
 from treelat.zlinalg import IntMatrix
 
 
@@ -218,26 +218,6 @@ def _scc_count(adj: list[list[int]]) -> int:
                     if w == v:
                         break
     return count
-
-
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        parent = self.parent
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(self, x: int, y: int) -> None:
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            self.parent[rx] = ry
-
-    def component_count(self) -> int:
-        return len({self.find(i) for i in range(len(self.parent))})
 
 
 def _axis_connectivity(m: IntMatrix) -> AxisConnectivity:

@@ -321,22 +321,6 @@ def lattice_membership(x: Sequence[int], basis: Sequence[Sequence[int]]) -> bool
     return not any(v)
 
 
-def lattice_contains(basis: Sequence[Sequence[int]], vectors: Sequence[Sequence[int]]) -> bool:
-    """True iff every given vector is an integer combination of the basis.
-
-    One test for the whole set, with two Hermite reductions: L(basis) is
-    always inside L(basis + vectors), and the two lattices are equal iff
-    every vector lies in L(basis).  The Hermite basis is canonical for the
-    lattice, so that equality holds iff the two Hermite bases are equal.
-    """
-    if not vectors:
-        return True
-    n = len(vectors[0])
-    if any(len(vec) != n for vec in list(basis) + list(vectors)):
-        raise ValueError("dimension mismatch in lattice inclusion test")
-    return hermite_row_basis(list(basis) + list(vectors)) == hermite_row_basis(basis)
-
-
 def solve_exact(a: IntMatrix, b: IntMatrix) -> IntMatrix | None:
     """One integer solution x of a.x = b, or None when there is none.
 
@@ -362,27 +346,3 @@ def solve_exact(a: IntMatrix, b: IntMatrix) -> IntMatrix | None:
             row.append((j, q))
         z[i] = tuple(row)
     return s.v.mul(IntMatrix(a.cols, b.cols, tuple(z)))
-
-
-def determinant(a: IntMatrix) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
-    if a.rows != a.cols:
-        raise ValueError("determinant of a non-square matrix")
-    n = a.rows
-    if n == 0:
-        return 1
-    m = a.to_lists()
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            pivot = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
-            if pivot is None:
-                return 0
-            m[k], m[pivot] = m[pivot], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]

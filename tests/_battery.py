@@ -4,11 +4,11 @@ Run on every corpus complex and on randomized valid complexes; every check
 is exact.  Where the pipeline computes something one way, the battery
 re-derives it another way (naive double loops, dense chain maps, rational
 elimination, reachability closure, the rank mod p of the whole stacked
-operator).
+operator, the dense verifier, H1 through the cycle basis of ker d1).
 """
 
 from treelat.complex_model import sigma_act
-from treelat.homology import stacked_kernel_basis, structured_kernel_dim
+from treelat.homology import stacked_kernel_basis, structured_kernel_dim, verify_main_theorem
 from treelat.tiling_system import (
     h_image_index,
     stacked_matrix,
@@ -17,7 +17,6 @@ from treelat.tiling_system import (
 )
 from treelat.zlinalg import (
     IntMatrix,
-    determinant,
     hermite_row_basis,
     kernel_basis,
     lattice_membership,
@@ -27,6 +26,9 @@ from treelat.zlinalg import (
 
 from _oracles import (
     dense_chain_maps,
+    dense_verify,
+    determinant,
+    h1_by_cycle_basis,
     rank_by_fraction_elimination,
     strongly_connected_by_closure,
 )
@@ -116,8 +118,12 @@ def assert_instance_properties(analysis):
     assert hom.euler_characteristic == cells
     assert cells == hom.h0.free_rank - hom.h1.free_rank + hom.h2_rank
 
+    # H1 read off the Smith form of d2 is the cycle-basis route's
+    assert hom.h1 == h1_by_cycle_basis(maps)
+
     # the kernel lattice, certified or not, is the dense Smith form's
-    certified = stacked_kernel_basis(stacked, maps, kernel_basis(maps.d2))
+    h2_basis = kernel_basis(maps.d2)
+    certified = stacked_kernel_basis(stacked, maps, h2_basis)
     dense = kernel_basis(stacked)
     assert hermite_row_basis(certified) == hermite_row_basis(dense)
     assert analysis.k0.kernel_rank == len(dense)
@@ -127,7 +133,26 @@ def assert_instance_properties(analysis):
     structured = structured_kernel_dim(stacked, maps.psi)
     assert structured == stacked.cols - rank_mod_prime(stacked) == len(dense)
 
+    # every verdict field equals the dense verifier's: on the analysis's
+    # own kernel, on the dense Smith kernel, and on crafted inputs that
+    # break the checks (a unit vector, phi2 of one square with some signs
+    # of its orbit flipped, a 2-chain with nonzero boundary added to the H2
+    # basis)
     verdict = analysis.theorem
+    assert verdict == dense_verify(c, r, maps, stacked, certified, h2_basis)
+    unit = tuple(int(i == 0) for i in range(n))
+    orbits = [
+        tuple(signs[i - n + 4] if i >= n - 4 else 0 for i in range(n))
+        for signs in ((1, -1, -1, 1), (1, 1, -1, 1), (1, -1, 1, 1), (1, -1, -1, -1), (1, 1, 1, 1))
+    ]
+    chain = tuple(int(k == 0) for k in range(maps.d2.cols))
+    crafted = [((unit,), h2_basis), (certified + (unit,), h2_basis)]
+    crafted += [((lam,), h2_basis) for lam in orbits]
+    crafted += [((lam, unit), h2_basis) for lam in orbits]
+    for kernel, h2 in [(dense, h2_basis), (certified, h2_basis + (chain,)), ((), ())] + crafted:
+        expected = dense_verify(c, r, maps, stacked, kernel, h2)
+        assert verify_main_theorem(c, r, maps, stacked, kernel, h2) == expected
+
     assert verdict.diagram_commutes
     assert verdict.phi2_image_in_kernel
 

@@ -45,6 +45,29 @@ def klein_doc():
     )
 
 
+def two_vertex_klein_doc():
+    # Horizontal edges a1: v0 -> v1 and a2: v1 -> v0, a vertical loop at
+    # each vertex, and the second square glued with a flip of b0.  d1 is
+    # not zero, and H1 = Z + Z/2, H2 = 0.
+    return json.dumps(
+        {
+            "vertices": ["v0", "v1"],
+            "horizontal_edges": [
+                {"id": "a1", "origin": "v0", "terminus": "v1"},
+                {"id": "a2", "origin": "v1", "terminus": "v0"},
+            ],
+            "vertical_edges": [
+                {"id": "b0", "origin": "v0", "terminus": "v0"},
+                {"id": "b1", "origin": "v1", "terminus": "v1"},
+            ],
+            "squares": [
+                square(ref("a1"), ref("b0"), ref("a1"), ref("b1")),
+                square(ref("a2"), ref("b1"), ref("a2"), ref("b0", True)),
+            ],
+        }
+    )
+
+
 def two_torus_components_doc():
     return json.dumps(
         {

@@ -11,11 +11,11 @@ from treelat import matio
 from treelat.cli import analyze_document, build_report, main
 from treelat.mozes import generate_mozes_complex
 from treelat.complex_model import load_complex, validate_vht
-from treelat.zlinalg import IntMatrix, determinant, smith_normal_form
+from treelat.zlinalg import IntMatrix, smith_normal_form
 
 import _complexes
 from _battery import assert_instance_properties, assert_rank_identity
-from _oracles import rank_by_fraction_elimination
+from _oracles import determinant, rank_by_fraction_elimination
 
 
 @contextmanager

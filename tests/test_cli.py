@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -289,6 +290,32 @@ def test_analyze_json_matches_pinned_digests(runner, tmp_path, mozes513_doc, moz
         assert hashlib.sha256(out.encode()).hexdigest() == PINNED_REPORTS[name], name
 
 
+# sha256 of `treelat analyze --json` for two complexes with more than one
+# vertex, where d1 is not zero, recorded while H1 was still computed
+# through a basis of ker d1.
+PINNED_MULTI_VERTEX_REPORTS = {
+    "two_vertex_klein": "4c0f41e9cf0ac0b0dd0c3cb7b517ca3d6df154271c40db5ac1f4e02f5cae0674",
+    "product": "ef1ecec7db37d06e8e9cb629948861077ba07ea07c5880c63163a367a3c25a5a",
+}
+
+
+def seeded_product_doc():
+    rng = random.Random(2026)
+    g1 = _complexes.random_multigraph(rng, 2, 2, 3)
+    g2 = _complexes.random_multigraph(rng, 2, 3, 3)
+    return _complexes.product_doc(g1, g2)
+
+
+def test_analyze_json_matches_pinned_digests_with_several_vertices(runner, tmp_path):
+    docs = {"two_vertex_klein": _complexes.two_vertex_klein_doc(), "product": seeded_product_doc()}
+    for name, doc in docs.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(doc)
+        code, out, err = runner("analyze", str(path), "--json")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == PINNED_MULTI_VERTEX_REPORTS[name], name
+
+
 # --- work done by one analysis -------------------------------------------------
 
 
@@ -321,6 +348,20 @@ def test_analysis_computes_each_kernel_once(monkeypatch, mozes513, mozes513_doc)
     assert sum(a == stacked for a in snf) == 0
     assert len(snf) <= 2
     assert len(hermite) == 0
+
+
+def test_product_analysis_takes_two_smith_forms(monkeypatch):
+    # H1 is read off the Smith form of d2 and the rank of d1: no basis of
+    # ker d1, no exact solve and no further cokernel, whatever d1 is.
+    snf = count_calls(monkeypatch, zlinalg, "smith_normal_form")
+    solves = count_calls(monkeypatch, zlinalg, "solve_exact")
+    cokernels = count_calls(monkeypatch, zlinalg, "cokernel_invariants")
+    _, analysis = analyze_document(seeded_product_doc())
+    assert analysis.theorem.holds
+    assert not analysis.maps.d1.is_zero()
+    assert len(snf) == 2
+    assert analysis.maps.d1 in snf and analysis.maps.d2 in snf
+    assert solves == [] and cokernels == []
 
 
 def test_tiny_prime_falls_back_to_the_dense_kernel(

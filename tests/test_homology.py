@@ -19,7 +19,9 @@ from treelat.zlinalg import (
     smith_normal_form,
 )
 
-from _oracles import dense_chain_maps
+import _complexes
+from _battery import assert_instance_properties
+from _oracles import dense_chain_maps, dense_verify, h1_by_cycle_basis
 
 
 def test_d1_composed_with_d2_vanishes(corpus):
@@ -45,6 +47,20 @@ def test_klein_bottle_homology(klein):
     assert (hom.h1.free_rank, hom.h1.torsion) == (1, (2,))
     assert hom.h2_rank == 0
     assert hom.euler_characteristic == 0
+
+
+def test_two_vertex_klein_bottle_homology():
+    # Two vertices, so d1 is not zero and H1 is Z^E / im d2 less the
+    # free rank of im d1; the cycle-basis route gives the same group.
+    _, a = analyze_document(_complexes.two_vertex_klein_doc())
+    assert not a.maps.d1.is_zero()
+    hom = a.homology
+    assert (hom.h0.free_rank, hom.h0.torsion) == (1, ())
+    assert (hom.h1.free_rank, hom.h1.torsion) == (1, (2,))
+    assert hom.h2_rank == 0
+    assert hom.euler_characteristic == 0
+    assert hom.h1 == h1_by_cycle_basis(a.maps)
+    assert_instance_properties(a)
 
 
 def test_f2xf2_homology(f2xf2):
@@ -179,6 +195,35 @@ def test_verifier_flags_each_failed_edge_sum(mozes513):
     assert not mu_vanishes((difference(*same_b),))
     assert not mu_vanishes((difference(*same_a),))
     assert mu_vanishes(kernel_basis(stacked))
+
+
+def test_verifier_rejects_a_unit_vector(mozes513):
+    # e_0 is neither alternating under the reflections nor phi2 of its
+    # orbit-representative coordinates, and its mu sums do not vanish.
+    a = mozes513
+    stacked = stacked_matrix(a.tiling)
+    h2_basis = kernel_basis(a.maps.d2)
+    unit = (tuple(int(i == 0) for i in range(len(a.expanded))),)
+    verdict = verify_main_theorem(a.complex, a.expanded, a.maps, stacked, unit, h2_basis)
+    assert not verdict.kernel_symmetries_hold
+    assert not verdict.kernel_in_phi2_image
+    assert not verdict.mu_vanishes
+    assert verdict == dense_verify(a.complex, a.expanded, a.maps, stacked, unit, h2_basis)
+
+
+def test_verifier_flags_a_tampered_operator(mozes513):
+    # Drop one nonzero of the stacked operator: stacked.phi2 loses a term
+    # that phi1.d2 keeps, so the square no longer commutes.
+    a = mozes513
+    stacked = stacked_matrix(a.tiling)
+    rows = list(stacked.row_pairs)
+    rows[0] = rows[0][1:]
+    broken = IntMatrix(stacked.rows, stacked.cols, tuple(rows))
+    h2_basis = kernel_basis(a.maps.d2)
+    kernel = kernel_basis(stacked)
+    verdict = verify_main_theorem(a.complex, a.expanded, a.maps, broken, kernel, h2_basis)
+    assert not verdict.diagram_commutes
+    assert verdict == dense_verify(a.complex, a.expanded, a.maps, broken, kernel, h2_basis)
 
 
 def test_stacked_kernel_certificate_steps(corpus):

@@ -6,10 +6,8 @@ from treelat.zlinalg import (
     AbelianInvariants,
     IntMatrix,
     cokernel_invariants,
-    determinant,
     hermite_row_basis,
     kernel_basis,
-    lattice_contains,
     lattice_membership,
     rank_mod_prime,
     smith_normal_form,
@@ -28,6 +26,8 @@ from _oracles import (
     dense_snf,
     dense_transpose,
     det_by_fraction_elimination,
+    determinant,
+    lattice_contains,
     rank_by_fraction_elimination,
 )
 
