@@ -10,9 +10,12 @@ transform: only solving a.x = b needs it.  On the stacked matrices of
 (13,17) and (29,37) the dimension of the kernel mod p counted from the
 factors of the operator, which certifies the stacked kernel, is timed
 beside the sparse rank mod p of the whole operator, which it replaced
-(now a test oracle); so is the product stacked.phi2 that the certificate
-and the verifier take, on the sparse rows that IntMatrix stores.  Prints
-the best of N runs of each.
+(now a test oracle); so is the product stacked.phi2 that the verifier
+takes for its commuting square, on the sparse rows that IntMatrix stores.
+On the same two pairs, with H the basis of ker d2 as columns, the
+certificate's product S.(phi2.H) is timed beside phi1.(d2.H), the thin
+product through which the verifier reads that phi2(H) lies in the kernel
+once the square commutes.  Prints the best of N runs of each.
 """
 
 import argparse
@@ -24,7 +27,7 @@ from treelat.complex_model import expand_directed_squares, load_complex
 from treelat.homology import chain_maps, structured_kernel_dim
 from treelat.mozes import generate_mozes_complex
 from treelat.tiling_system import build_tiling, stacked_matrix
-from treelat.zlinalg import rank_mod_prime
+from treelat.zlinalg import IntMatrix, kernel_basis, rank_mod_prime
 
 
 def batch_8x8(rng):
@@ -34,19 +37,23 @@ def batch_8x8(rng):
 
 
 def mozes_stacked(p, l):
-    """The stacked matrix of the (p, l) complex and its chain maps."""
+    """The stacked matrix of the (p, l) complex, its chain maps and the
+    basis of ker d2 as the columns of one matrix."""
     c = load_complex(generate_mozes_complex(p, l))
     r = expand_directed_squares(c)
-    return stacked_matrix(build_tiling(r, c)), chain_maps(c, r)
+    maps = chain_maps(c, r)
+    h = IntMatrix.from_columns(kernel_basis(maps.d2), rows=maps.d2.cols)
+    return stacked_matrix(build_tiling(r, c)), maps, h
 
 
 def make_workloads():
     rng = random.Random(12345)
     small = batch_8x8(rng)
     mid = [[rng.randint(-20, 20) for _ in range(40)] for _ in range(40)]
-    s513, _ = mozes_stacked(5, 13)
-    s1317, maps1317 = mozes_stacked(13, 17)
-    s2937, maps2937 = mozes_stacked(29, 37)
+    s513, _, _ = mozes_stacked(5, 13)
+    s1317, maps1317, h1317 = mozes_stacked(13, 17)
+    s2937, maps2937, h2937 = mozes_stacked(29, 37)
+    image1317, image2937 = maps1317.phi2.mul(h1317), maps2937.phi2.mul(h2937)
     d513, d1317 = s513.to_lists(), s1317.to_lists()
     return [
         ("snf 300 x (8x8)", lambda left: [kernels.snf_with_transforms(a, left) for a in small]),
@@ -60,6 +67,10 @@ def make_workloads():
         ("rank_mod_prime stacked 2280x1140", lambda left: rank_mod_prime(s2937)),
         ("structured count 2280x1140", lambda left: structured_kernel_dim(s2937, maps2937.psi)),
         ("stacked.mul(phi2) 504x252", lambda left: s1317.mul(maps1317.phi2)),
+        ("S.(phi2.H) 504x252", lambda left: s1317.mul(image1317)),
+        ("phi1.(d2.H) 504x252", lambda left: maps1317.phi1.mul(maps1317.d2.mul(h1317))),
+        ("S.(phi2.H) 2280x1140", lambda left: s2937.mul(image2937)),
+        ("phi1.(d2.H) 2280x1140", lambda left: maps2937.phi1.mul(maps2937.d2.mul(h2937))),
     ]
 
 

@@ -47,7 +47,7 @@ from treelat.tiling_system import (
     k0_rank,
     stacked_matrix,
 )
-from treelat.zlinalg import smith_normal_form
+from treelat.zlinalg import IntMatrix, smith_normal_form
 
 EXPORTABLE = ("m1", "m2", "stacked", "d1", "d2", "phi1", "phi2")
 
@@ -77,13 +77,14 @@ def analyze_document(text: str) -> tuple[ValidationReport, Analysis | None]:
     conn = connectivity(ts, c)
     # The stacked operator, its kernel lattice and the Smith form of d2
     # are the costly exact objects; each is computed once and shared by the
-    # K-ranks, the homology and the verifier.  The stacked kernel is
+    # K-ranks, the homology and the verifier.  Both kernels travel as
+    # sparse matrices, one basis vector per column.  The stacked kernel is
     # phi2(ker d2) whenever its dimension mod p, counted from the factors
     # of the stacked operator, certifies that.
     stacked = stacked_matrix(ts)
     s2 = smith_normal_form(maps.d2, left=False)
-    h2_basis = s2.kernel_basis()
-    stacked_kernel = stacked_kernel_basis(stacked, maps, h2_basis)
+    h = IntMatrix.from_columns(s2.kernel_basis(), rows=maps.d2.cols)
+    kernel = stacked_kernel_basis(stacked, maps, h)
     return validation, Analysis(
         complex=c,
         validation=validation,
@@ -92,8 +93,8 @@ def analyze_document(text: str) -> tuple[ValidationReport, Analysis | None]:
         maps=maps,
         homology=homology_report(c, maps, s2),
         connectivity=conn,
-        k0=k0_rank(ts, conn, stacked_kernel),
-        theorem=verify_main_theorem(c, r, maps, stacked, stacked_kernel, h2_basis),
+        k0=k0_rank(ts, conn, kernel),
+        theorem=verify_main_theorem(c, r, maps, stacked, kernel, h),
     )
 
 

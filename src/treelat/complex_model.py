@@ -86,19 +86,11 @@ class SquareComplex:
     squares: tuple[DirectedSquare, ...]
 
     @cached_property
-    def _edge_index(self) -> dict[str, tuple[GeometricEdge, bool]]:
-        index: dict[str, tuple[GeometricEdge, bool]] = {}
-        for e in self.h_edges:
-            index[e.id] = (e, True)
-        for e in self.v_edges:
-            index[e.id] = (e, False)
-        return index
+    def _edge_index(self) -> dict[str, GeometricEdge]:
+        return {e.id: e for e in self.h_edges + self.v_edges}
 
     def edge(self, edge_id: str) -> GeometricEdge:
-        return self._edge_index[edge_id][0]
-
-    def is_horizontal(self, edge_id: str) -> bool:
-        return self._edge_index[edge_id][1]
+        return self._edge_index[edge_id]
 
     def origin(self, ref: DirectedEdgeRef) -> str:
         e = self.edge(ref.edge)

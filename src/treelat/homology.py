@@ -296,41 +296,40 @@ def structured_kernel_dim(stacked: IntMatrix, psi: IntMatrix) -> int | None:
     return c.cols - rank_mod_prime(c)
 
 
-def stacked_kernel_basis(
-    stacked: IntMatrix, maps: ChainMaps, h2_basis: tuple[tuple[int, ...], ...]
-) -> tuple[tuple[int, ...], ...]:
-    """Saturated basis of the kernel lattice K = {x in Z^n : stacked.x = 0}.
+def stacked_kernel_basis(stacked: IntMatrix, maps: ChainMaps, h: IntMatrix) -> IntMatrix:
+    """Saturated basis of the kernel lattice K = {x in Z^n : stacked.x = 0},
+    one basis vector per column.
 
-    h2_basis is the basis of ker d2 read off its Smith form.  When two
-    checks pass, the basis is H' = phi2(h2_basis) and no Smith form of the
-    2n x n stacked operator S is taken:
+    h holds the basis of ker d2 read off its Smith form, one vector per
+    column.  When two checks pass, the basis is phi2.h and no Smith form of
+    the 2n x n stacked operator S is taken:
 
-    (a) S.H' = 0, by one sparse product, so L = phi2(ker d2) lies in K;
+    (a) S.(phi2.h) = 0, by one sparse product, so L = phi2(ker d2) lies in K;
     (b) dim ker_p S == |H|, with ker_p S the kernel over F_p counted from
         the factors of S (structured_kernel_dim).
 
     Why that gives L = K.  The rank over F_p is at most the rank over Q,
     so dim ker_p S >= rank K.  phi2 is injective and by (a) carries the
-    |H| independent vectors of h2_basis into K, so rank K >= |H|.  By (b)
-    the two bounds meet, and rank L = rank K.  L is saturated in Z^n: phi2
-    has an integer left inverse pi, which reads coordinate 4k of each
-    orbit, and ker d2 is saturated in Z^F, since h2_basis spans every
-    integer kernel vector of d2 (SmithDecomposition.kernel_basis).  So if
-    m.x = phi2(y) with m != 0 and y in ker d2, then y = m.pi(x), hence
-    pi(x) is in ker d2 and x = phi2(pi(x)) is in L.  Last, a saturated
-    sublattice of K of full rank is K: for x in K some m != 0 puts m.x in
-    L, and saturation puts x in L.
+    |H| independent columns of h into K, so rank K >= |H|.  By (b) the two
+    bounds meet, and rank L = rank K.  L is saturated in Z^n: phi2 has an
+    integer left inverse pi, which reads coordinate 4k of each orbit, and
+    ker d2 is saturated in Z^F, since h spans every integer kernel vector
+    of d2 (SmithDecomposition.kernel_basis).  So if m.x = phi2(y) with
+    m != 0 and y in ker d2, then y = m.pi(x), hence pi(x) is in ker d2 and
+    x = phi2(pi(x)) is in L.  Last, a saturated sublattice of K of full
+    rank is K: for x in K some m != 0 puts m.x in L, and saturation puts x
+    in L.
 
     Otherwise (the torus, the Klein bottle, any instance where the rank
     identity fails, p divides an invariant factor of S, p is even or S is
     not the product of its factors) the basis is the one of the dense
     Smith form of S, zlinalg.kernel_basis.
     """
-    if structured_kernel_dim(stacked, maps.psi) == len(h2_basis):
-        image = maps.phi2.mul(IntMatrix.from_columns(h2_basis, rows=maps.phi2.cols))
+    if structured_kernel_dim(stacked, maps.psi) == h.cols:
+        image = maps.phi2.mul(h)
         if stacked.mul(image).is_zero():
-            return image.transpose().entries
-    return kernel_basis(stacked)
+            return image
+    return IntMatrix.from_columns(kernel_basis(stacked), rows=stacked.cols)
 
 
 def verify_main_theorem(
@@ -338,24 +337,26 @@ def verify_main_theorem(
     r: tuple[DirectedSquare, ...],
     maps: ChainMaps,
     stacked: IntMatrix,
-    stacked_kernel: tuple[tuple[int, ...], ...],
-    h2_basis: tuple[tuple[int, ...], ...],
+    kernel: IntMatrix,
+    h: IntMatrix,
 ) -> TheoremVerdict:
     """Check, on this instance, every step that ties H2 to the tiling kernel.
 
-    stacked is the stacked transition operator, stacked_kernel a saturated
-    basis of its kernel lattice and h2_basis one of ker d2, as computed once
-    by the caller.  Every check is an identity of sparse matrices: H holds
-    the H2 basis and K the stacked-kernel basis, one vector per column.
+    stacked is the stacked transition operator, kernel K a saturated basis
+    of its kernel lattice and h a basis H of ker d2, one vector per column,
+    as computed once by the caller.  Every check is an identity of sparse
+    matrices.
 
     (1) the square stacked.phi2 = phi1.d2 commutes exactly; (2) the kernel
     ranks of d2 and of the stacked operator agree; (3) phi2 carries the H2
     basis into the stacked-kernel lattice, tested as (stacked.phi2).H = 0
     against the operator itself: by associativity that is stacked.(phi2.H),
     and for a saturated kernel basis it is the same as membership in the
-    lattice that stacked_kernel spans.  The product stacked.phi2 is the
-    left side of (1), taken once, and (3) multiplies it by H whatever (1)
-    found; (4) each stacked-kernel basis vector is alternating under the
+    lattice that K spans.  When (1) holds, stacked.phi2 and phi1.d2 are the
+    same matrix, so (3) is read as phi1.(d2.H) = 0, through the thin
+    |E| x |H| matrix d2.H; when (1) fails, (3) multiplies the left side of
+    (1) by H.  Either way its value is that of (stacked.phi2).H = 0;
+    (4) each stacked-kernel basis vector is alternating under the
     reflections (negated by v and by h, fixed by vh), and is phi2 of the
     integer vector of its orbit-representative coordinates: phi2 applied to
     rows 4k of K gives K back; (5) for each stacked-kernel basis vector the
@@ -365,18 +366,18 @@ def verify_main_theorem(
     """
     left = stacked.mul(maps.phi2)
     diagram_commutes = left == maps.phi1.mul(maps.d2)
+    if diagram_commutes:
+        phi2_image_in_kernel = maps.phi1.mul(maps.d2.mul(h)).is_zero()
+    else:
+        phi2_image_in_kernel = left.mul(h).is_zero()
 
     n_tiles = len(r)
     n_cells = len(c.squares)
-    h = IntMatrix.from_columns(h2_basis, rows=n_cells)
-    phi2_image_in_kernel = left.mul(h).is_zero()
-
-    kernel = IntMatrix.from_columns(stacked_kernel, rows=n_tiles)
     rows = kernel.row_pairs
     # The reflections act on tile indices by xor on the offset in the
-    # orbit (tiling_system.h_image_index), so the rows of each orbit
-    # decide the symmetries: t^v = 4k + 1 and t^h = 4k + 2 are minus the
-    # row of t = 4k, and t^vh = 4k + 3 is the row of t.
+    # orbit (t^v = t ^ 1, t^h = t ^ 2), so the rows of each orbit decide
+    # the symmetries: t^v = 4k + 1 and t^h = 4k + 2 are minus the row of
+    # t = 4k, and t^vh = 4k + 3 is the row of t.
     symmetries = all(
         rows[t + 3] == rows[t]
         and rows[t + 1] == rows[t + 2] == tuple([(j, -x) for j, x in rows[t]])
@@ -400,8 +401,8 @@ def verify_main_theorem(
     return TheoremVerdict(
         within_hypotheses=within,
         diagram_commutes=diagram_commutes,
-        rank_ker_d2=len(h2_basis),
-        rank_ker_stacked=len(stacked_kernel),
+        rank_ker_d2=h.cols,
+        rank_ker_stacked=kernel.cols,
         phi2_image_in_kernel=phi2_image_in_kernel,
         kernel_in_phi2_image=in_image,
         kernel_symmetries_hold=symmetries,

@@ -22,21 +22,6 @@ from treelat.complex_model import DirectedSquare, SquareComplex, _UnionFind
 from treelat.zlinalg import IntMatrix
 
 
-def h_image_index(idx: int) -> int:
-    """Index of t^h for the expanded square at idx."""
-    return (idx & ~3) | ((idx & 3) ^ 2)
-
-
-def v_image_index(idx: int) -> int:
-    """Index of t^v for the expanded square at idx."""
-    return (idx & ~3) | ((idx & 3) ^ 1)
-
-
-def vh_image_index(idx: int) -> int:
-    """Index of t^vh for the expanded square at idx."""
-    return (idx & ~3) | ((idx & 3) ^ 3)
-
-
 @dataclass(frozen=True)
 class TilingSystem:
     squares: tuple[DirectedSquare, ...]
@@ -101,13 +86,11 @@ def build_tiling(r: tuple[DirectedSquare, ...], c: SquareComplex) -> TilingSyste
     m1_rows: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     m2_rows: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for t_idx, t in enumerate(r):
-        excluded = h_image_index(t_idx)
         for s_idx in by_b.get(t.b_prime, ()):
-            if s_idx != excluded:
+            if s_idx != t_idx ^ 2:  # t^h
                 m1_rows[s_idx].append((t_idx, 1))
-        excluded = v_image_index(t_idx)
         for s_idx in by_a.get(t.a_prime, ()):
-            if s_idx != excluded:
+            if s_idx != t_idx ^ 1:  # t^v
                 m2_rows[s_idx].append((t_idx, 1))
     return TilingSystem(
         squares=tuple(r),
@@ -151,7 +134,7 @@ def matches_factors(stacked: IntMatrix, b: list[int], a: list[int]) -> bool:
         return False
     rows = stacked.row_pairs
     for top, labels, flip in ((0, b, 2), (n, a, 1)):
-        # tile t ^ 2 is t^h and tile t ^ 1 is t^v (h_image_index, v_image_index)
+        # tile t ^ 2 is t^h and tile t ^ 1 is t^v
         followers: dict[int, list[tuple[int, int]]] = {}
         for t in range(n):
             followers.setdefault(labels[t ^ flip], []).append((t, 1))
@@ -306,20 +289,21 @@ def connectivity(ts: TilingSystem, c: SquareComplex) -> ConnectivityReport:
 def k0_rank(
     ts: TilingSystem,
     conn: ConnectivityReport,
-    stacked_kernel: tuple[tuple[int, ...], ...],
+    stacked_kernel: IntMatrix,
     irreducible_lattice_asserted: bool = False,
 ) -> K0Result:
     """Kernel rank of the stacked operator and the derived K-group ranks.
 
     conn is connectivity(ts, ...) and stacked_kernel a basis of the kernel
-    lattice of stacked_matrix(ts); both are computed once by the caller.
+    lattice of stacked_matrix(ts), one vector per column; both are computed
+    once by the caller.
     The ranks are always computed; the hypothesis flags record whether the
     operator-algebra reading of them (K_0 = K_1 of the boundary crossed
     product, each of rank twice the kernel rank) is supported on this
     instance: a one-vertex complex or an asserted irreducible-lattice
     provenance, plus strong connectivity of both tile graphs.
     """
-    kernel_rank = len(stacked_kernel)
+    kernel_rank = stacked_kernel.cols
     gh = conn.horizontal.strongly_connected
     gv = conn.vertical.strongly_connected
     one_vertex = ts.n_vertices == 1

@@ -71,20 +71,14 @@ class IntMatrix:
         return cls(rows, cols, ((),) * rows)
 
     @classmethod
-    def vstack(cls, top: "IntMatrix", bottom: "IntMatrix") -> "IntMatrix":
-        if top.cols != bottom.cols:
-            raise ValueError("column mismatch in vstack")
-        return cls(top.rows + bottom.rows, top.cols, top.row_pairs + bottom.row_pairs)
-
-    @classmethod
     def from_columns(cls, columns: Sequence[Sequence[int]], rows: int | None = None) -> "IntMatrix":
         if rows is None:
             rows = len(columns[0]) if columns else 0
         data: list[list[tuple[int, int]]] = [[] for _ in range(rows)]
         positions = range(rows)
         for j, col in enumerate(columns):
-            if len(col) < rows:
-                raise IndexError("column shorter than the row count")
+            if len(col) != rows:
+                raise ValueError("ragged matrix columns")
             for i in compress(positions, col):
                 x = int(col[i])
                 if x:
@@ -169,17 +163,6 @@ class IntMatrix:
                         acc[c] += x * y
             data.append(tuple([(c, acc[c]) for c in compress(positions, acc)]))
         return IntMatrix(self.rows, other.cols, tuple(data))
-
-    def sub(self, other: "IntMatrix") -> "IntMatrix":
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ValueError("shape mismatch in matrix difference")
-        data = []
-        for ra, rb in zip(self.row_pairs, other.row_pairs):
-            acc = dict(ra)
-            for j, y in rb:
-                acc[j] = acc.get(j, 0) - y
-            data.append(tuple([(j, x) for j, x in sorted(acc.items()) if x]))
-        return IntMatrix(self.rows, self.cols, tuple(data))
 
 
 @dataclass(frozen=True)

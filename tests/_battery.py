@@ -9,12 +9,7 @@ operator, the dense verifier, H1 through the cycle basis of ker d1).
 
 from treelat.complex_model import sigma_act
 from treelat.homology import stacked_kernel_basis, structured_kernel_dim, verify_main_theorem
-from treelat.tiling_system import (
-    h_image_index,
-    stacked_matrix,
-    v_image_index,
-    vh_image_index,
-)
+from treelat.tiling_system import stacked_matrix
 from treelat.zlinalg import (
     IntMatrix,
     hermite_row_basis,
@@ -29,8 +24,11 @@ from _oracles import (
     dense_verify,
     determinant,
     h1_by_cycle_basis,
+    h_image_index,
     rank_by_fraction_elimination,
     strongly_connected_by_closure,
+    v_image_index,
+    vh_image_index,
 )
 
 
@@ -123,7 +121,8 @@ def assert_instance_properties(analysis):
 
     # the kernel lattice, certified or not, is the dense Smith form's
     h2_basis = kernel_basis(maps.d2)
-    certified = stacked_kernel_basis(stacked, maps, h2_basis)
+    h = IntMatrix.from_columns(h2_basis, rows=maps.d2.cols)
+    certified = stacked_kernel_basis(stacked, maps, h).transpose().entries
     dense = kernel_basis(stacked)
     assert hermite_row_basis(certified) == hermite_row_basis(dense)
     assert analysis.k0.kernel_rank == len(dense)
@@ -151,7 +150,9 @@ def assert_instance_properties(analysis):
     crafted += [((lam, unit), h2_basis) for lam in orbits]
     for kernel, h2 in [(dense, h2_basis), (certified, h2_basis + (chain,)), ((), ())] + crafted:
         expected = dense_verify(c, r, maps, stacked, kernel, h2)
-        assert verify_main_theorem(c, r, maps, stacked, kernel, h2) == expected
+        k = IntMatrix.from_columns(kernel, rows=n)
+        h = IntMatrix.from_columns(h2, rows=maps.d2.cols)
+        assert verify_main_theorem(c, r, maps, stacked, k, h) == expected
 
     assert verdict.diagram_commutes
     assert verdict.phi2_image_in_kernel

@@ -8,7 +8,9 @@ on its stored nonzeros only (and for the chain maps, which the pipeline
 builds as sparse rows).  The rank-identity verifier and H1 keep their
 earlier routes here: loops over every entry of every kernel vector, and
 the cycle basis of ker d1.  Helpers that only tests call (the Bareiss
-determinant, lattice inclusion) live here too.
+determinant, lattice inclusion, the difference and vertical stack of two
+IntMatrix, the reflections of a tile index by their positional formula)
+live here too.
 """
 
 from fractions import Fraction
@@ -199,6 +201,49 @@ def dense_is_zero(a):
     return all(x == 0 for row in a for x in row)
 
 
+def sub(a, b):
+    """The IntMatrix a - b, row by row through a dict of the stored pairs."""
+    from treelat.zlinalg import IntMatrix
+
+    if a.rows != b.rows or a.cols != b.cols:
+        raise ValueError("shape mismatch in matrix difference")
+    data = []
+    for ra, rb in zip(a.row_pairs, b.row_pairs):
+        acc = dict(ra)
+        for j, y in rb:
+            acc[j] = acc.get(j, 0) - y
+        data.append(tuple([(j, x) for j, x in sorted(acc.items()) if x]))
+    return IntMatrix(a.rows, a.cols, tuple(data))
+
+
+def vstack(top, bottom):
+    """The IntMatrix top stacked over bottom."""
+    from treelat.zlinalg import IntMatrix
+
+    if top.cols != bottom.cols:
+        raise ValueError("column mismatch in vstack")
+    return IntMatrix(top.rows + bottom.rows, top.cols, top.row_pairs + bottom.row_pairs)
+
+
+# The reflections on tile indices, orbit-major with tags 1, v, h, vh at
+# offsets 0..3: keep the orbit bits, flip the offset.
+
+
+def h_image_index(idx):
+    """Index of t^h for the expanded square at idx."""
+    return (idx & ~3) | ((idx & 3) ^ 2)
+
+
+def v_image_index(idx):
+    """Index of t^v for the expanded square at idx."""
+    return (idx & ~3) | ((idx & 3) ^ 1)
+
+
+def vh_image_index(idx):
+    """Index of t^vh for the expanded square at idx."""
+    return (idx & ~3) | ((idx & 3) ^ 3)
+
+
 def dense_equal(a, a_cols, b, b_cols):
     """Same shape and the same entry at every position."""
     return (len(a), a_cols) == (len(b), b_cols) and all(
@@ -331,7 +376,6 @@ def dense_verify(c, r, maps, stacked, stacked_kernel, h2_basis):
     operator, the reflection symmetries read off the index maps entry by
     entry, and the mu sums accumulated per vector."""
     from treelat.homology import TheoremVerdict
-    from treelat.tiling_system import h_image_index, v_image_index, vh_image_index
     from treelat.zlinalg import IntMatrix
 
     n_tiles = len(r)

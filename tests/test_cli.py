@@ -350,6 +350,36 @@ def test_analysis_computes_each_kernel_once(monkeypatch, mozes513, mozes513_doc)
     assert len(hermite) == 0
 
 
+def test_certified_kernel_stays_sparse_and_meets_the_operator_once(
+    runner, tmp_path, monkeypatch, mozes513_doc
+):
+    # The certified kernel phi2.H goes from the certificate to the verdict
+    # as one sparse matrix: no dense view of a matrix is taken, the stacked
+    # operator multiplies it once (the certificate's S.(phi2.H)), and once
+    # the square commutes the verifier reads (3) as phi1.(d2.H), never
+    # forming (S.phi2).H.
+    def dense(self, *args):
+        raise AssertionError("dense view of a matrix in the analysis")
+
+    original = zlinalg.IntMatrix.mul
+    products = []
+
+    def mul(self, other):
+        products.append((self.rows, self.cols, other.cols))
+        return original(self, other)
+
+    monkeypatch.setattr(zlinalg.IntMatrix, "entries", property(dense))
+    monkeypatch.setattr(zlinalg.IntMatrix, "mul", mul)
+    path = tmp_path / "mozes513.json"
+    path.write_text(mozes513_doc)
+    code, out, err = runner("analyze", str(path), "--json")
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_REPORTS["mozes513"]
+    n, r = 4 * 21, 11  # tiles and rank H2 of (5,13)
+    assert products.count((2 * n, n, r)) == 1
+    assert (2 * n, n // 4, r) not in products
+
+
 def test_product_analysis_takes_two_smith_forms(monkeypatch):
     # H1 is read off the Smith form of d2 and the rank of d1: no basis of
     # ker d1, no exact solve and no further cokernel, whatever d1 is.
@@ -428,7 +458,8 @@ def test_broken_factor_identity_falls_back_to_the_dense_kernel(monkeypatch, moze
 
     h2_basis = zlinalg.kernel_basis(maps.d2)
     snf = count_calls(monkeypatch, zlinalg, "smith_normal_form")
-    basis = homology.stacked_kernel_basis(broken, maps, h2_basis)
+    h = zlinalg.IntMatrix.from_columns(h2_basis, rows=maps.d2.cols)
+    basis = homology.stacked_kernel_basis(broken, maps, h).transpose().entries
     assert sum(x == broken for x in snf) == 1
     assert len(snf) == 1
     dense = zlinalg.kernel_basis(broken)

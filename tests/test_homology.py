@@ -174,9 +174,11 @@ def test_verifier_flags_each_failed_edge_sum(mozes513):
     n = len(r)
     stacked = stacked_matrix(a.tiling)
     h2_basis = kernel_basis(a.maps.d2)
+    h = IntMatrix.from_columns(h2_basis, rows=a.maps.d2.cols)
 
     def mu_vanishes(vectors):
-        return verify_main_theorem(a.complex, r, a.maps, stacked, vectors, h2_basis).mu_vanishes
+        k = IntMatrix.from_columns(vectors, rows=n)
+        return verify_main_theorem(a.complex, r, a.maps, stacked, k, h).mu_vanishes
 
     def difference(s, t):
         lam = [0] * n
@@ -204,7 +206,9 @@ def test_verifier_rejects_a_unit_vector(mozes513):
     stacked = stacked_matrix(a.tiling)
     h2_basis = kernel_basis(a.maps.d2)
     unit = (tuple(int(i == 0) for i in range(len(a.expanded))),)
-    verdict = verify_main_theorem(a.complex, a.expanded, a.maps, stacked, unit, h2_basis)
+    k = IntMatrix.from_columns(unit, rows=len(a.expanded))
+    h = IntMatrix.from_columns(h2_basis, rows=a.maps.d2.cols)
+    verdict = verify_main_theorem(a.complex, a.expanded, a.maps, stacked, k, h)
     assert not verdict.kernel_symmetries_hold
     assert not verdict.kernel_in_phi2_image
     assert not verdict.mu_vanishes
@@ -221,7 +225,9 @@ def test_verifier_flags_a_tampered_operator(mozes513):
     broken = IntMatrix(stacked.rows, stacked.cols, tuple(rows))
     h2_basis = kernel_basis(a.maps.d2)
     kernel = kernel_basis(stacked)
-    verdict = verify_main_theorem(a.complex, a.expanded, a.maps, broken, kernel, h2_basis)
+    k = IntMatrix.from_columns(kernel, rows=stacked.cols)
+    h = IntMatrix.from_columns(h2_basis, rows=a.maps.d2.cols)
+    verdict = verify_main_theorem(a.complex, a.expanded, a.maps, broken, k, h)
     assert not verdict.diagram_commutes
     assert verdict == dense_verify(a.complex, a.expanded, a.maps, broken, kernel, h2_basis)
 
@@ -250,7 +256,8 @@ def test_stacked_kernel_certificate_steps(corpus):
         assert upper >= len(dense) >= len(h2_basis), name
         certified = upper == len(h2_basis)
         assert certified == (name not in ("torus", "klein")), name
-        basis = stacked_kernel_basis(stacked, maps, h2_basis)
+        h = IntMatrix.from_columns(h2_basis, rows=cells)
+        basis = stacked_kernel_basis(stacked, maps, h).transpose().entries
         assert (basis == vectors) == certified, name
         assert hermite_row_basis(basis) == hermite_row_basis(dense), name
 
@@ -259,7 +266,8 @@ def test_stacked_kernel_certificate_steps(corpus):
 def test_stacked_kernel_matches_dense_oracle_on_mozes(p, l):
     _, a = analyze_document(generate_mozes_complex(p, l))
     stacked = stacked_matrix(a.tiling)
-    certified = stacked_kernel_basis(stacked, a.maps, kernel_basis(a.maps.d2))
+    h = IntMatrix.from_columns(kernel_basis(a.maps.d2), rows=a.maps.d2.cols)
+    certified = stacked_kernel_basis(stacked, a.maps, h).transpose().entries
     assert len(certified) == a.homology.h2_rank == (p - 1) * (l - 1) // 4 - 1
     assert hermite_row_basis(certified) == hermite_row_basis(kernel_basis(stacked))
 
@@ -276,9 +284,12 @@ def test_verifier_tests_phi2_image_against_the_operator(mozes513):
     chain = tuple(int(k == 0) for k in range(cells))
     assert not a.maps.d2.mul(IntMatrix.from_columns([chain], rows=cells)).is_zero()
 
+    k = IntMatrix.from_columns(kernel, rows=stacked.cols)
+
     def image_in_kernel(basis):
+        h = IntMatrix.from_columns(basis, rows=cells)
         return verify_main_theorem(
-            a.complex, a.expanded, a.maps, stacked, kernel, basis
+            a.complex, a.expanded, a.maps, stacked, k, h
         ).phi2_image_in_kernel
 
     assert image_in_kernel(h2_basis)

@@ -29,6 +29,7 @@ from _oracles import (
     determinant,
     lattice_contains,
     rank_by_fraction_elimination,
+    sub,
 )
 
 
@@ -367,7 +368,7 @@ def test_sparse_rows_match_the_dense_references():
         assert (product.rows, product.cols) == (m, k)
         assert product.to_lists() == dense_product(dense, b_dense, k)
         other = random_with_zero_lines(rng, m, n)
-        diff = a.sub(IntMatrix.from_rows(other, cols=n))
+        diff = sub(a, IntMatrix.from_rows(other, cols=n))
         assert diff.to_lists() == [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(dense, other)]
 
 
@@ -400,3 +401,13 @@ def test_from_rows_validates_outside_input():
     with pytest.raises(ValueError):
         IntMatrix.from_rows([[1, 2]], cols=3)
     assert M([[True, 0, -0]]).row_pairs == (((0, 1),),)
+
+
+def test_from_columns_rejects_a_column_of_the_wrong_length():
+    with pytest.raises(ValueError):
+        IntMatrix.from_columns([(1, 0, 0), (1, 0, 0, 5)])
+    with pytest.raises(ValueError):
+        IntMatrix.from_columns([(1, 0, 0), (1, 0)])
+    with pytest.raises(ValueError):
+        IntMatrix.from_columns([(1, 0)], rows=3)
+    assert IntMatrix.from_columns([(1, 0, 0), (0, 0, 5)]) == M([[1, 0], [0, 0], [0, 5]])
