@@ -31,6 +31,7 @@ from treelat.homology import (
     HomologyReport,
     TheoremVerdict,
     chain_maps,
+    commuting_square,
     homology_report,
     stacked_kernel_basis,
     verify_main_theorem,
@@ -84,6 +85,7 @@ __all__ = [
     "build_tiling",
     "chain_maps",
     "cokernel_invariants",
+    "commuting_square",
     "connectivity",
     "expand_directed_squares",
     "generate_mozes_complex",

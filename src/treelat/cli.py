@@ -33,6 +33,7 @@ from treelat.homology import (
     HomologyReport,
     TheoremVerdict,
     chain_maps,
+    commuting_square,
     homology_report,
     stacked_kernel_basis,
     verify_main_theorem,
@@ -75,16 +76,16 @@ def analyze_document(text: str) -> tuple[ValidationReport, Analysis | None]:
     ts = build_tiling(r, c)
     maps = chain_maps(c, r)
     conn = connectivity(ts, c)
-    # The stacked operator, its kernel lattice and the Smith form of d2
-    # are the costly exact objects; each is computed once and shared by the
-    # K-ranks, the homology and the verifier.  Both kernels travel as
-    # sparse matrices, one basis vector per column.  The stacked kernel is
-    # phi2(ker d2) whenever its dimension mod p, counted from the factors
-    # of the stacked operator, certifies that.
+    # The stacked operator, its kernel, the Smith form of d2 and the
+    # commuting square are each computed once and shared.  Both kernels are
+    # sparse, one basis vector per column.  The stacked kernel is
+    # phi2(ker d2) whenever the square and its dimension mod p, counted from
+    # the factors of the stacked operator, certify that.
     stacked = stacked_matrix(ts)
     s2 = smith_normal_form(maps.d2, left=False)
     h = IntMatrix.from_columns(s2.kernel_basis(), rows=maps.d2.cols)
-    kernel = stacked_kernel_basis(stacked, maps, h)
+    square = commuting_square(stacked, maps, h)
+    kernel = stacked_kernel_basis(stacked, maps, h, square)
     return validation, Analysis(
         complex=c,
         validation=validation,
@@ -94,7 +95,7 @@ def analyze_document(text: str) -> tuple[ValidationReport, Analysis | None]:
         homology=homology_report(c, maps, s2),
         connectivity=conn,
         k0=k0_rank(ts, conn, kernel),
-        theorem=verify_main_theorem(c, r, maps, stacked, kernel, h),
+        theorem=verify_main_theorem(c, r, maps, kernel, h, square),
     )
 
 

@@ -296,15 +296,32 @@ def structured_kernel_dim(stacked: IntMatrix, psi: IntMatrix) -> int | None:
     return c.cols - rank_mod_prime(c)
 
 
-def stacked_kernel_basis(stacked: IntMatrix, maps: ChainMaps, h: IntMatrix) -> IntMatrix:
+def commuting_square(stacked: IntMatrix, maps: ChainMaps, h: IntMatrix) -> tuple[bool, bool]:
+    """Checks (1) and (3) of verify_main_theorem, taken once for it and for
+    stacked_kernel_basis: (diagram_commutes, phi2_image_in_kernel).
+
+    (1) is stacked.phi2 = phi1.d2.  (3) is stacked.(phi2.H) = 0 for the
+    basis H of ker d2 in the columns of h, read by associativity as
+    phi1.(d2.H) = 0 when (1) holds (its two sides are then one matrix) and
+    as (stacked.phi2).H = 0 otherwise.  Neither reads a stacked kernel basis.
+    """
+    left = stacked.mul(maps.phi2)
+    if left == maps.phi1.mul(maps.d2):
+        return True, maps.phi1.mul(maps.d2.mul(h)).is_zero()
+    return False, left.mul(h).is_zero()
+
+
+def stacked_kernel_basis(
+    stacked: IntMatrix, maps: ChainMaps, h: IntMatrix, square: tuple[bool, bool]
+) -> IntMatrix:
     """Saturated basis of the kernel lattice K = {x in Z^n : stacked.x = 0},
     one basis vector per column.
 
     h holds the basis of ker d2 read off its Smith form, one vector per
-    column.  When two checks pass, the basis is phi2.h and no Smith form of
-    the 2n x n stacked operator S is taken:
+    column; square is commuting_square(stacked, maps, h).  When two checks
+    pass, the basis is phi2.h, and S = stacked enters no Smith form or product:
 
-    (a) S.(phi2.h) = 0, by one sparse product, so L = phi2(ker d2) lies in K;
+    (a) square[1], which is S.(phi2.h) = 0, so L = phi2(ker d2) lies in K;
     (b) dim ker_p S == |H|, with ker_p S the kernel over F_p counted from
         the factors of S (structured_kernel_dim).
 
@@ -325,10 +342,8 @@ def stacked_kernel_basis(stacked: IntMatrix, maps: ChainMaps, h: IntMatrix) -> I
     not the product of its factors) the basis is the one of the dense
     Smith form of S, zlinalg.kernel_basis.
     """
-    if structured_kernel_dim(stacked, maps.psi) == h.cols:
-        image = maps.phi2.mul(h)
-        if stacked.mul(image).is_zero():
-            return image
+    if square[1] and structured_kernel_dim(stacked, maps.psi) == h.cols:
+        return maps.phi2.mul(h)
     return IntMatrix.from_columns(kernel_basis(stacked), rows=stacked.cols)
 
 
@@ -336,26 +351,18 @@ def verify_main_theorem(
     c: SquareComplex,
     r: tuple[DirectedSquare, ...],
     maps: ChainMaps,
-    stacked: IntMatrix,
     kernel: IntMatrix,
     h: IntMatrix,
+    square: tuple[bool, bool],
 ) -> TheoremVerdict:
     """Check, on this instance, every step that ties H2 to the tiling kernel.
 
-    stacked is the stacked transition operator, kernel K a saturated basis
-    of its kernel lattice and h a basis H of ker d2, one vector per column,
-    as computed once by the caller.  Every check is an identity of sparse
-    matrices.
-
-    (1) the square stacked.phi2 = phi1.d2 commutes exactly; (2) the kernel
-    ranks of d2 and of the stacked operator agree; (3) phi2 carries the H2
-    basis into the stacked-kernel lattice, tested as (stacked.phi2).H = 0
-    against the operator itself: by associativity that is stacked.(phi2.H),
-    and for a saturated kernel basis it is the same as membership in the
-    lattice that K spans.  When (1) holds, stacked.phi2 and phi1.d2 are the
-    same matrix, so (3) is read as phi1.(d2.H) = 0, through the thin
-    |E| x |H| matrix d2.H; when (1) fails, (3) multiplies the left side of
-    (1) by H.  Either way its value is that of (stacked.phi2).H = 0;
+    kernel K is a saturated basis of the stacked-kernel lattice and h a
+    basis H of ker d2, one vector per column.  (1) the square commutes and
+    (3) phi2 carries H into the stacked-kernel lattice are read from square
+    (commuting_square), which never reads K: a K certified through (3) is
+    still checked by (2), (4) and (5), sparse identities of K itself.
+    (2) the kernel ranks of d2 and of the stacked operator agree;
     (4) each stacked-kernel basis vector is alternating under the
     reflections (negated by v and by h, fixed by vh), and is phi2 of the
     integer vector of its orbit-representative coordinates: phi2 applied to
@@ -364,13 +371,6 @@ def verify_main_theorem(
     analogue) all vanish: the 0/1 matrix that groups the tiles by b'(t),
     and the one that groups them by a'(t), each times K, is zero.
     """
-    left = stacked.mul(maps.phi2)
-    diagram_commutes = left == maps.phi1.mul(maps.d2)
-    if diagram_commutes:
-        phi2_image_in_kernel = maps.phi1.mul(maps.d2.mul(h)).is_zero()
-    else:
-        phi2_image_in_kernel = left.mul(h).is_zero()
-
     n_tiles = len(r)
     n_cells = len(c.squares)
     rows = kernel.row_pairs
@@ -400,10 +400,10 @@ def verify_main_theorem(
     within = all(hd >= 3 and vd >= 3 for hd, vd in c.degrees.values())
     return TheoremVerdict(
         within_hypotheses=within,
-        diagram_commutes=diagram_commutes,
+        diagram_commutes=square[0],
         rank_ker_d2=h.cols,
         rank_ker_stacked=kernel.cols,
-        phi2_image_in_kernel=phi2_image_in_kernel,
+        phi2_image_in_kernel=square[1],
         kernel_in_phi2_image=in_image,
         kernel_symmetries_hold=symmetries,
         mu_vanishes=mu_ok,

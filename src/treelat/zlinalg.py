@@ -100,14 +100,16 @@ class IntMatrix:
         return [self._dense(pairs) for pairs in self.row_pairs]
 
     def entry(self, i: int, j: int) -> int:
-        if not 0 <= j < self.cols:
-            raise IndexError("column index out of range")
+        if not (0 <= i < self.rows and 0 <= j < self.cols):
+            raise IndexError("matrix index out of range")
         for c, x in self.row_pairs[i]:
             if c >= j:
                 return x if c == j else 0
         return 0
 
     def row(self, i: int) -> tuple[int, ...]:
+        if not 0 <= i < self.rows:
+            raise IndexError("row index out of range")
         return tuple(self._dense(self.row_pairs[i]))
 
     def column(self, j: int) -> tuple[int, ...]:

@@ -8,7 +8,12 @@ operator, the dense verifier, H1 through the cycle basis of ker d1).
 """
 
 from treelat.complex_model import sigma_act
-from treelat.homology import stacked_kernel_basis, structured_kernel_dim, verify_main_theorem
+from treelat.homology import (
+    commuting_square,
+    stacked_kernel_basis,
+    structured_kernel_dim,
+    verify_main_theorem,
+)
 from treelat.tiling_system import stacked_matrix
 from treelat.zlinalg import (
     IntMatrix,
@@ -122,7 +127,9 @@ def assert_instance_properties(analysis):
     # the kernel lattice, certified or not, is the dense Smith form's
     h2_basis = kernel_basis(maps.d2)
     h = IntMatrix.from_columns(h2_basis, rows=maps.d2.cols)
-    certified = stacked_kernel_basis(stacked, maps, h).transpose().entries
+    certified = stacked_kernel_basis(
+        stacked, maps, h, commuting_square(stacked, maps, h)
+    ).transpose().entries
     dense = kernel_basis(stacked)
     assert hermite_row_basis(certified) == hermite_row_basis(dense)
     assert analysis.k0.kernel_rank == len(dense)
@@ -152,7 +159,8 @@ def assert_instance_properties(analysis):
         expected = dense_verify(c, r, maps, stacked, kernel, h2)
         k = IntMatrix.from_columns(kernel, rows=n)
         h = IntMatrix.from_columns(h2, rows=maps.d2.cols)
-        assert verify_main_theorem(c, r, maps, stacked, k, h) == expected
+        square = commuting_square(stacked, maps, h)
+        assert verify_main_theorem(c, r, maps, k, h, square) == expected
 
     assert verdict.diagram_commutes
     assert verdict.phi2_image_in_kernel

@@ -354,10 +354,10 @@ def test_certified_kernel_stays_sparse_and_meets_the_operator_once(
     runner, tmp_path, monkeypatch, mozes513_doc
 ):
     # The certified kernel phi2.H goes from the certificate to the verdict
-    # as one sparse matrix: no dense view of a matrix is taken, the stacked
-    # operator multiplies it once (the certificate's S.(phi2.H)), and once
-    # the square commutes the verifier reads (3) as phi1.(d2.H), never
-    # forming (S.phi2).H.
+    # as one sparse matrix: no dense view of a matrix is taken, and the
+    # stacked operator S enters one product, S.phi2 of check (1).  The
+    # certificate reads check (3), which once the square commutes is
+    # phi1.(d2.H), so neither S.(phi2.H) nor (S.phi2).H is formed.
     def dense(self, *args):
         raise AssertionError("dense view of a matrix in the analysis")
 
@@ -376,7 +376,8 @@ def test_certified_kernel_stays_sparse_and_meets_the_operator_once(
     assert code == 0, err
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_REPORTS["mozes513"]
     n, r = 4 * 21, 11  # tiles and rank H2 of (5,13)
-    assert products.count((2 * n, n, r)) == 1
+    assert products.count((2 * n, n, r)) == 0
+    assert products.count((2 * n, n, n // 4)) == 1
     assert (2 * n, n // 4, r) not in products
 
 
@@ -436,6 +437,38 @@ def test_small_odd_prime_keeps_the_certified_kernel(monkeypatch, mozes513, mozes
     assert analysis.theorem == mozes513.theorem
 
 
+def test_certificate_rests_on_the_commuting_square(monkeypatch, mozes513):
+    # Put the unit 2-chain e_0, whose boundary is not zero, in place of the
+    # first vector of H: the structured count still equals |H|, but phi2(H)
+    # no longer lies in ker S, so check (3) fails and the certificate falls
+    # back to one Smith form of S.  With the true H both checks hold and the
+    # basis is phi2.H itself, with no Smith form of S.
+    maps = mozes513.maps
+    stacked = tiling_system.stacked_matrix(mozes513.tiling)
+    h2_basis = zlinalg.kernel_basis(maps.d2)
+    cells = maps.d2.cols
+    chain = tuple(int(k == 0) for k in range(cells))
+    assert not maps.d2.mul(zlinalg.IntMatrix.from_columns([chain], rows=cells)).is_zero()
+    true_h = zlinalg.IntMatrix.from_columns(h2_basis, rows=cells)
+    bad_h = zlinalg.IntMatrix.from_columns((chain,) + h2_basis[1:], rows=cells)
+    assert homology.structured_kernel_dim(stacked, maps.psi) == bad_h.cols == 11
+
+    snf = count_calls(monkeypatch, zlinalg, "smith_normal_form")
+    square = homology.commuting_square(stacked, maps, bad_h)
+    assert square == (True, False)
+    basis = homology.stacked_kernel_basis(stacked, maps, bad_h, square)
+    assert len(snf) == 1 and snf[0] == stacked
+    dense = zlinalg.kernel_basis(stacked)
+    hermite = zlinalg.hermite_row_basis
+    assert hermite(basis.transpose().entries) == hermite(dense)
+
+    snf.clear()
+    square = homology.commuting_square(stacked, maps, true_h)
+    assert square == (True, True)
+    assert homology.stacked_kernel_basis(stacked, maps, true_h, square) == maps.phi2.mul(true_h)
+    assert sum(a == stacked for a in snf) == 0
+
+
 def test_broken_factor_identity_falls_back_to_the_dense_kernel(monkeypatch, mozes513):
     # Move one nonzero of the M1 block of the (5,13) stacked matrix to a
     # column its row does not hold: the matrix is no longer
@@ -459,7 +492,8 @@ def test_broken_factor_identity_falls_back_to_the_dense_kernel(monkeypatch, moze
     h2_basis = zlinalg.kernel_basis(maps.d2)
     snf = count_calls(monkeypatch, zlinalg, "smith_normal_form")
     h = zlinalg.IntMatrix.from_columns(h2_basis, rows=maps.d2.cols)
-    basis = homology.stacked_kernel_basis(broken, maps, h).transpose().entries
+    square = homology.commuting_square(broken, maps, h)
+    basis = homology.stacked_kernel_basis(broken, maps, h, square).transpose().entries
     assert sum(x == broken for x in snf) == 1
     assert len(snf) == 1
     dense = zlinalg.kernel_basis(broken)

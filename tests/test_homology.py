@@ -4,6 +4,7 @@ from treelat.cli import analyze_document
 from treelat.complex_model import expand_directed_squares, load_complex
 from treelat.homology import (
     chain_maps,
+    commuting_square,
     forward_edge_index,
     stacked_kernel_basis,
     structured_kernel_dim,
@@ -178,7 +179,9 @@ def test_verifier_flags_each_failed_edge_sum(mozes513):
 
     def mu_vanishes(vectors):
         k = IntMatrix.from_columns(vectors, rows=n)
-        return verify_main_theorem(a.complex, r, a.maps, stacked, k, h).mu_vanishes
+        return verify_main_theorem(
+            a.complex, r, a.maps, k, h, commuting_square(stacked, a.maps, h)
+        ).mu_vanishes
 
     def difference(s, t):
         lam = [0] * n
@@ -208,7 +211,9 @@ def test_verifier_rejects_a_unit_vector(mozes513):
     unit = (tuple(int(i == 0) for i in range(len(a.expanded))),)
     k = IntMatrix.from_columns(unit, rows=len(a.expanded))
     h = IntMatrix.from_columns(h2_basis, rows=a.maps.d2.cols)
-    verdict = verify_main_theorem(a.complex, a.expanded, a.maps, stacked, k, h)
+    verdict = verify_main_theorem(
+        a.complex, a.expanded, a.maps, k, h, commuting_square(stacked, a.maps, h)
+    )
     assert not verdict.kernel_symmetries_hold
     assert not verdict.kernel_in_phi2_image
     assert not verdict.mu_vanishes
@@ -227,7 +232,9 @@ def test_verifier_flags_a_tampered_operator(mozes513):
     kernel = kernel_basis(stacked)
     k = IntMatrix.from_columns(kernel, rows=stacked.cols)
     h = IntMatrix.from_columns(h2_basis, rows=a.maps.d2.cols)
-    verdict = verify_main_theorem(a.complex, a.expanded, a.maps, broken, k, h)
+    verdict = verify_main_theorem(
+        a.complex, a.expanded, a.maps, k, h, commuting_square(broken, a.maps, h)
+    )
     assert not verdict.diagram_commutes
     assert verdict == dense_verify(a.complex, a.expanded, a.maps, broken, kernel, h2_basis)
 
@@ -257,7 +264,8 @@ def test_stacked_kernel_certificate_steps(corpus):
         certified = upper == len(h2_basis)
         assert certified == (name not in ("torus", "klein")), name
         h = IntMatrix.from_columns(h2_basis, rows=cells)
-        basis = stacked_kernel_basis(stacked, maps, h).transpose().entries
+        square = commuting_square(stacked, maps, h)
+        basis = stacked_kernel_basis(stacked, maps, h, square).transpose().entries
         assert (basis == vectors) == certified, name
         assert hermite_row_basis(basis) == hermite_row_basis(dense), name
 
@@ -267,7 +275,8 @@ def test_stacked_kernel_matches_dense_oracle_on_mozes(p, l):
     _, a = analyze_document(generate_mozes_complex(p, l))
     stacked = stacked_matrix(a.tiling)
     h = IntMatrix.from_columns(kernel_basis(a.maps.d2), rows=a.maps.d2.cols)
-    certified = stacked_kernel_basis(stacked, a.maps, h).transpose().entries
+    square = commuting_square(stacked, a.maps, h)
+    certified = stacked_kernel_basis(stacked, a.maps, h, square).transpose().entries
     assert len(certified) == a.homology.h2_rank == (p - 1) * (l - 1) // 4 - 1
     assert hermite_row_basis(certified) == hermite_row_basis(kernel_basis(stacked))
 
@@ -289,7 +298,7 @@ def test_verifier_tests_phi2_image_against_the_operator(mozes513):
     def image_in_kernel(basis):
         h = IntMatrix.from_columns(basis, rows=cells)
         return verify_main_theorem(
-            a.complex, a.expanded, a.maps, stacked, k, h
+            a.complex, a.expanded, a.maps, k, h, commuting_square(stacked, a.maps, h)
         ).phi2_image_in_kernel
 
     assert image_in_kernel(h2_basis)

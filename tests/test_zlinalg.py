@@ -372,6 +372,19 @@ def test_sparse_rows_match_the_dense_references():
         assert diff.to_lists() == [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(dense, other)]
 
 
+def test_entry_and_row_reject_an_index_out_of_range():
+    # A negative row index is out of range, as a negative column is: it
+    # does not read a row from the end.
+    a = IntMatrix.from_rows([[1, 2], [3, 4]])
+    assert (a.entry(1, 0), a.row(1)) == (3, (3, 4))
+    for i, j in ((-1, 0), (2, 0), (0, -1), (0, 2)):
+        with pytest.raises(IndexError):
+            a.entry(i, j)
+    for i in (-1, -2, 2):
+        with pytest.raises(IndexError):
+            a.row(i)
+
+
 def test_equality_is_the_dense_equality():
     rng = random.Random(77)
     for _ in range(300):
