@@ -33,6 +33,7 @@ from treelat.homology import (
     chain_maps,
     commuting_square,
     homology_report,
+    stacked_factors,
     stacked_kernel_basis,
     verify_main_theorem,
 )
@@ -99,6 +100,7 @@ __all__ = [
     "sigma_act",
     "smith_normal_form",
     "solve_square_relation",
+    "stacked_factors",
     "stacked_kernel_basis",
     "stacked_matrix",
     "validate_vht",

@@ -35,6 +35,7 @@ from treelat.homology import (
     chain_maps,
     commuting_square,
     homology_report,
+    stacked_factors,
     stacked_kernel_basis,
     verify_main_theorem,
 )
@@ -76,16 +77,18 @@ def analyze_document(text: str) -> tuple[ValidationReport, Analysis | None]:
     ts = build_tiling(r, c)
     maps = chain_maps(c, r)
     conn = connectivity(ts, c)
-    # The stacked operator, its kernel, the Smith form of d2 and the
-    # commuting square are each computed once and shared.  Both kernels are
-    # sparse, one basis vector per column.  The stacked kernel is
-    # phi2(ker d2) whenever the square and its dimension mod p, counted from
-    # the factors of the stacked operator, certify that.
+    # The stacked operator, its factor check, its kernel, the Smith form of
+    # d2 and the commuting square are each computed once and shared.  Both
+    # kernels are sparse, one basis vector per column.  The stacked kernel
+    # is phi2(ker d2) whenever the square and its dimension mod p, counted
+    # from the factors of the stacked operator, certify that; the square
+    # then reads S.phi2 off those factors too.
     stacked = stacked_matrix(ts)
+    factors = stacked_factors(stacked, maps.psi)
     s2 = smith_normal_form(maps.d2, left=False)
     h = IntMatrix.from_columns(s2.kernel_basis(), rows=maps.d2.cols)
-    square = commuting_square(stacked, maps, h)
-    kernel = stacked_kernel_basis(stacked, maps, h, square)
+    square = commuting_square(stacked, maps, h, factors)
+    kernel = stacked_kernel_basis(stacked, maps, h, square, factors)
     return validation, Analysis(
         complex=c,
         validation=validation,

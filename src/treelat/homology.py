@@ -41,6 +41,10 @@ from treelat.zlinalg import (
 )
 
 
+# The labels b(t) and a(t) of every tile (tile_labels).
+TileLabels = tuple[list[int], list[int]]
+
+
 @dataclass(frozen=True)
 class ChainMaps:
     d2: IntMatrix
@@ -186,7 +190,7 @@ def homology_report(c: SquareComplex, maps: ChainMaps, s2: SmithDecomposition) -
     return HomologyReport(h0=s1.cokernel(), h1=h1, h2_rank=h2_rank, euler_characteristic=euler)
 
 
-def tile_labels(psi: IntMatrix) -> tuple[list[int], list[int]] | None:
+def tile_labels(psi: IntMatrix) -> TileLabels | None:
     """The labels b(s) and a(s) of every tile, as integers, read off psi.
 
     Column s of psi holds eps(b(s)) and column n + s holds -eps(a(s)), one
@@ -209,15 +213,33 @@ def tile_labels(psi: IntMatrix) -> tuple[list[int], list[int]] | None:
     return b, a
 
 
-def structured_kernel_dim(stacked: IntMatrix, psi: IntMatrix) -> int | None:
+def stacked_factors(stacked: IntMatrix, psi: IntMatrix) -> TileLabels | None:
+    """The tile labels (b, a) of psi when stacked is the product of its
+    factors, else None.
+
+    tile_labels, then tiling_system.matches_factors, which checks
+    stacked = (E.F^T - P_h - I over E'.G^T - P_v - I) row by row.  Run once
+    per analysis; structured_kernel_dim and commuting_square both take its
+    result.  None when psi does not fit stacked, when a column of psi is
+    empty or when the check fails.
+    """
+    if psi.cols != 2 * stacked.cols:
+        return None
+    labels = tile_labels(psi)
+    if labels is None or not matches_factors(stacked, *labels):
+        return None
+    return labels
+
+
+def structured_kernel_dim(factors: TileLabels | None) -> int | None:
     """dim ker S over F_p, p = zlinalg.rank_prime(), from the factors of S.
 
-    S is the 2n x n stacked operator.  With the tile labels b, a of psi
-    (tile_labels), b'(t) = b(t^h), a'(t) = a(t^v), bb(t) = b(t^v) and
+    S is the 2n x n stacked operator and factors is stacked_factors(S, psi):
+    the tile labels b, a, once S has been checked to be the product of its
+    factors, or None, and then the count is None too (as it is when p is
+    even).  With b'(t) = b(t^h), a'(t) = a(t^v), bb(t) = b(t^v) and
     aa(t) = a(t^h), the definition of the transition matrices reads
-    M1 = E.F^T - P_h and M2 = E'.G^T - P_v (tiling_system.matches_factors,
-    which is checked first; None when it fails, when p is even or when a
-    column of psi is empty).
+    M1 = E.F^T - P_h and M2 = E'.G^T - P_v.
 
     Over F_p with p odd, P_h and P_v are commuting involutions, so F^n is
     the sum of their four joint eigenspaces, and x is in ker S iff
@@ -251,18 +273,13 @@ def structured_kernel_dim(stacked: IntMatrix, psi: IntMatrix) -> int | None:
     C has a few dozen rows (69 x 287 at the Mozes pair (29,37), where S is
     2280 x 1140).
     """
-    n = stacked.cols
-    if rank_prime() % 2 == 0 or psi.cols != 2 * n:
+    if factors is None or rank_prime() % 2 == 0:
         return None
-    labels = tile_labels(psi)
-    if labels is None:
-        return None
-    b, a = labels
-    if not matches_factors(stacked, b, a):
-        return None
+    b, a = factors
+    n = len(b)
 
     # One unknown per component of each label graph, then w_k per orbit.
-    uf = _UnionFind(4 * psi.rows)
+    uf = _UnionFind(1 + max(b + a, default=0))
     for t in range(n):
         uf.union(b[t], b[t ^ 2])  # b'(t) = b(t^h), and t^h = t ^ 2
         uf.union(a[t], a[t ^ 1])  # a'(t) = a(t^v), and t^v = t ^ 1
@@ -296,34 +313,98 @@ def structured_kernel_dim(stacked: IntMatrix, psi: IntMatrix) -> int | None:
     return c.cols - rank_mod_prime(c)
 
 
-def commuting_square(stacked: IntMatrix, maps: ChainMaps, h: IntMatrix) -> tuple[bool, bool]:
+def _alternates(rows) -> bool:
+    """True iff (I + P_h).X = 0 and (I + P_v).X = 0 for the matrix X with
+    these rows, tiles indexed orbit-major.
+
+    The reflections act on tile indices by xor on the offset in the orbit
+    (t^v = t ^ 1, t^h = t ^ 2), so the rows of each orbit decide it:
+    t^v = 4k + 1 and t^h = 4k + 2 are minus the row of t = 4k, and
+    t^vh = 4k + 3 is the row of t.
+    """
+    return all(
+        rows[t + 3] == rows[t]
+        and rows[t + 1] == rows[t + 2] == tuple([(j, -x) for j, x in rows[t]])
+        for t in range(0, len(rows), 4)
+    )
+
+
+def _stacked_phi2_from_factors(phi2: IntMatrix, factors: TileLabels) -> IntMatrix | None:
+    """S.phi2 read off the factors of S (stacked_factors), or None when
+    phi2 does not alternate.
+
+    With S = (E.F^T - P_h - I over E'.G^T - P_v - I) and
+    (I + P_h).phi2 = (I + P_v).phi2 = 0, S.phi2 = (E.(F^T.phi2) over
+    E'.(G^T.phi2)).  Row x of F^T.phi2 is the sum of the rows t of phi2
+    with b'(t) = b(t ^ 2) = x, and row s of E.X is row b(s) of X: so the
+    top block holds one shared row per label, and the bottom block the
+    same for a, with a'(t) = a(t ^ 1).  O(nnz(phi2)) steps, against one
+    row addition per nonzero of S for the product.
+    """
+    b, a = factors
+    rows = phi2.row_pairs
+    if phi2.rows != len(b) or not _alternates(rows):
+        return None
+    blocks = []
+    for labels, flip in ((b, 2), (a, 1)):
+        sums: dict[int, dict[int, int]] = {}
+        for t, pairs in enumerate(rows):
+            acc = sums.setdefault(labels[t ^ flip], {})
+            for j, x in pairs:
+                acc[j] = acc.get(j, 0) + x
+        shared = {
+            x: tuple(sorted([(j, y) for j, y in acc.items() if y])) for x, acc in sums.items()
+        }
+        # every label b(s) is the primed label b'(s ^ 2), so it has a row
+        blocks.extend([shared[x] for x in labels])
+    return IntMatrix(2 * len(b), phi2.cols, tuple(blocks))
+
+
+def commuting_square(
+    stacked: IntMatrix,
+    maps: ChainMaps,
+    h: IntMatrix,
+    factors: TileLabels | None,
+) -> tuple[bool, bool]:
     """Checks (1) and (3) of verify_main_theorem, taken once for it and for
     stacked_kernel_basis: (diagram_commutes, phi2_image_in_kernel).
 
-    (1) is stacked.phi2 = phi1.d2.  (3) is stacked.(phi2.H) = 0 for the
+    (1) is stacked.phi2 = phi1.d2.  factors is stacked_factors(stacked,
+    maps.psi).  When it holds and phi2 alternates, the left side is read
+    off the verified factors of S (_stacked_phi2_from_factors) and S enters
+    no product; otherwise it is the product stacked.phi2.  Both give the
+    same matrix, so (1) has the same value on every input, and it is still
+    derived from S and the chain maps.  (3) is stacked.(phi2.H) = 0 for the
     basis H of ker d2 in the columns of h, read by associativity as
     phi1.(d2.H) = 0 when (1) holds (its two sides are then one matrix) and
     as (stacked.phi2).H = 0 otherwise.  Neither reads a stacked kernel basis.
     """
-    left = stacked.mul(maps.phi2)
+    left = None if factors is None else _stacked_phi2_from_factors(maps.phi2, factors)
+    if left is None:
+        left = stacked.mul(maps.phi2)
     if left == maps.phi1.mul(maps.d2):
         return True, maps.phi1.mul(maps.d2.mul(h)).is_zero()
     return False, left.mul(h).is_zero()
 
 
 def stacked_kernel_basis(
-    stacked: IntMatrix, maps: ChainMaps, h: IntMatrix, square: tuple[bool, bool]
+    stacked: IntMatrix,
+    maps: ChainMaps,
+    h: IntMatrix,
+    square: tuple[bool, bool],
+    factors: TileLabels | None,
 ) -> IntMatrix:
     """Saturated basis of the kernel lattice K = {x in Z^n : stacked.x = 0},
     one basis vector per column.
 
     h holds the basis of ker d2 read off its Smith form, one vector per
-    column; square is commuting_square(stacked, maps, h).  When two checks
-    pass, the basis is phi2.h, and S = stacked enters no Smith form or product:
+    column; factors is stacked_factors(stacked, maps.psi) and square is
+    commuting_square(stacked, maps, h, factors).  When two checks pass, the
+    basis is phi2.h, and S = stacked enters no Smith form or product:
 
     (a) square[1], which is S.(phi2.h) = 0, so L = phi2(ker d2) lies in K;
     (b) dim ker_p S == |H|, with ker_p S the kernel over F_p counted from
-        the factors of S (structured_kernel_dim).
+        the factors of S (structured_kernel_dim(factors)).
 
     Why that gives L = K.  The rank over F_p is at most the rank over Q,
     so dim ker_p S >= rank K.  phi2 is injective and by (a) carries the
@@ -342,7 +423,7 @@ def stacked_kernel_basis(
     not the product of its factors) the basis is the one of the dense
     Smith form of S, zlinalg.kernel_basis.
     """
-    if square[1] and structured_kernel_dim(stacked, maps.psi) == h.cols:
+    if square[1] and structured_kernel_dim(factors) == h.cols:
         return maps.phi2.mul(h)
     return IntMatrix.from_columns(kernel_basis(stacked), rows=stacked.cols)
 
@@ -374,15 +455,7 @@ def verify_main_theorem(
     n_tiles = len(r)
     n_cells = len(c.squares)
     rows = kernel.row_pairs
-    # The reflections act on tile indices by xor on the offset in the
-    # orbit (t^v = t ^ 1, t^h = t ^ 2), so the rows of each orbit decide
-    # the symmetries: t^v = 4k + 1 and t^h = 4k + 2 are minus the row of
-    # t = 4k, and t^vh = 4k + 3 is the row of t.
-    symmetries = all(
-        rows[t + 3] == rows[t]
-        and rows[t + 1] == rows[t + 2] == tuple([(j, -x) for j, x in rows[t]])
-        for t in range(0, n_tiles, 4)
-    )
+    symmetries = _alternates(rows)
     reps = IntMatrix(n_cells, kernel.cols, rows[::4])
     in_image = maps.phi2.mul(reps) == kernel
 

@@ -72,30 +72,48 @@ class K0Result:
     hypotheses: K0Hypotheses
 
 
-def build_tiling(r: tuple[DirectedSquare, ...], c: SquareComplex) -> TilingSystem:
-    """Transition matrices from the expanded directed squares."""
-    n = len(r)
-    by_b: dict = {}
-    by_a: dict = {}
-    for i, s in enumerate(r):
-        by_b.setdefault(s.b, []).append(i)
-        by_a.setdefault(s.a, []).append(i)
+def _follower_rows(labels: list[int], primed: list[int], flip: int) -> list[tuple]:
+    """The rows s of a transition matrix: (t, 1) for every t with
+    primed[t] = labels[s], except t = s ^ flip.
 
-    # Row s of m1 gets the pair (t, 1) for every t it follows; visiting t
-    # in increasing order keeps each row sorted by column.
-    m1_rows: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    m2_rows: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for t_idx, t in enumerate(r):
-        for s_idx in by_b.get(t.b_prime, ()):
-            if s_idx != t_idx ^ 2:  # t^h
-                m1_rows[s_idx].append((t_idx, 1))
-        for s_idx in by_a.get(t.a_prime, ()):
-            if s_idx != t_idx ^ 1:  # t^v
-                m2_rows[s_idx].append((t_idx, 1))
+    The pairs of each primed label form one sorted tuple, shared by every
+    row with that label; row s is that tuple with (s ^ flip, 1) cut out, or
+    the tuple itself when it does not hold that pair.
+    """
+    followers: dict[int, list[tuple[int, int]]] = {}
+    for t, x in enumerate(primed):
+        followers.setdefault(x, []).append((t, 1))
+    shared = {x: tuple(pairs) for x, pairs in followers.items()}
+    rows = []
+    for s, x in enumerate(labels):
+        base = shared.get(x, ())
+        k = bisect_left(base, (s ^ flip,))  # (t,) sorts before every pair (t, 1)
+        if k < len(base) and base[k][0] == s ^ flip:
+            base = base[:k] + base[k + 1 :]
+        rows.append(base)
+    return rows
+
+
+def build_tiling(r: tuple[DirectedSquare, ...], c: SquareComplex) -> TilingSystem:
+    """Transition matrices from the expanded directed squares.
+
+    Each directed edge gets an integer label, keyed by (edge id, reversed);
+    the rows of m1 and m2 are then cut from one shared list per primed
+    label (_follower_rows): t^h = t ^ 2 is dropped from row s of m1 and
+    t^v = t ^ 1 from row s of m2.
+    """
+    index: dict[tuple[str, bool], int] = {}
+
+    def labels(refs) -> list[int]:
+        return [index.setdefault((ref.edge, ref.reversed), len(index)) for ref in refs]
+
+    n = len(r)
+    m1 = _follower_rows(labels(t.b for t in r), labels(t.b_prime for t in r), 2)
+    m2 = _follower_rows(labels(t.a for t in r), labels(t.a_prime for t in r), 1)
     return TilingSystem(
         squares=tuple(r),
-        m1=IntMatrix(n, n, tuple(map(tuple, m1_rows))),
-        m2=IntMatrix(n, n, tuple(map(tuple, m2_rows))),
+        m1=IntMatrix(n, n, tuple(m1)),
+        m2=IntMatrix(n, n, tuple(m2)),
         n_vertices=len(c.vertices),
     )
 
@@ -127,7 +145,8 @@ def matches_factors(stacked: IntMatrix, b: list[int], a: list[int]) -> bool:
     b'(s^h) = b(s), row s of E.F^T - P_h holds a 1 at every t with
     b'(t) = b(s) except s^h: the definition of m1, and of m2 for a.  Each
     expected row is cut out of the shared list of tiles with that primed
-    label, so the check costs O(n) Python steps and O(nnz) copying.
+    label (_follower_rows, as in build_tiling), so the check costs O(n)
+    Python steps and O(nnz) copying.
     """
     n = len(b)
     if stacked.rows != 2 * n or stacked.cols != n or len(a) != n or n % 4:
@@ -135,14 +154,10 @@ def matches_factors(stacked: IntMatrix, b: list[int], a: list[int]) -> bool:
     rows = stacked.row_pairs
     for top, labels, flip in ((0, b, 2), (n, a, 1)):
         # tile t ^ 2 is t^h and tile t ^ 1 is t^v
-        followers: dict[int, list[tuple[int, int]]] = {}
-        for t in range(n):
-            followers.setdefault(labels[t ^ flip], []).append((t, 1))
-        shared = {x: tuple(pairs) for x, pairs in followers.items()}
+        primed = [labels[t ^ flip] for t in range(n)]
+        expected = _follower_rows(labels, primed, flip)
         for s in range(n):
-            base = shared[labels[s]]  # holds (s ^ flip, 1), since labels[s ^ flip ^ flip] = labels[s]
-            k = bisect_left(base, (s ^ flip,))
-            if rows[top + s] != _minus_diagonal(base[:k] + base[k + 1 :], s):
+            if rows[top + s] != _minus_diagonal(expected[s], s):
                 return False
     return True
 
@@ -270,19 +285,27 @@ def connectivity(ts: TilingSystem, c: SquareComplex) -> ConnectivityReport:
     horizontal = _axis_connectivity(ts.m1)
     vertical = _axis_connectivity(ts.m2)
 
-    v_index = {ref: i for i, ref in enumerate(c.directed_v())}
-    h_index = {ref: i for i, ref in enumerate(c.directed_h())}
+    # Directed edge (e, reversed) is vertex 2i + reversed of its edge
+    # graph, e the i-th edge of its axis: the order of c.directed_v() and
+    # c.directed_h().
+    v_pos = {e.id: 2 * i for i, e in enumerate(c.v_edges)}
+    h_pos = {e.id: 2 * i for i, e in enumerate(c.h_edges)}
 
-    b_pairs = [(v_index[t.b], v_index[t.b_prime]) for t in ts.squares]
-    b_plus = [t.sigma_tag in ("1", "v") for t in ts.squares]
-    a_pairs = [(h_index[t.a], h_index[t.a_prime]) for t in ts.squares]
-    a_plus = [t.sigma_tag in ("1", "h") for t in ts.squares]
+    r = ts.squares
+    b_pairs = [
+        (v_pos[t.b.edge] + t.b.reversed, v_pos[t.b_prime.edge] + t.b_prime.reversed) for t in r
+    ]
+    b_plus = [t.sigma_tag in ("1", "v") for t in r]
+    a_pairs = [
+        (h_pos[t.a.edge] + t.a.reversed, h_pos[t.a_prime.edge] + t.a_prime.reversed) for t in r
+    ]
+    a_plus = [t.sigma_tag in ("1", "h") for t in r]
 
     return ConnectivityReport(
         horizontal=horizontal,
         vertical=vertical,
-        gh_b_components=_edge_graph_components(len(v_index), b_pairs, b_plus),
-        gv_a_components=_edge_graph_components(len(h_index), a_pairs, a_plus),
+        gh_b_components=_edge_graph_components(2 * len(c.v_edges), b_pairs, b_plus),
+        gv_a_components=_edge_graph_components(2 * len(c.h_edges), a_pairs, a_plus),
     )
 
 

@@ -4,12 +4,15 @@ Run on every corpus complex and on randomized valid complexes; every check
 is exact.  Where the pipeline computes something one way, the battery
 re-derives it another way (naive double loops, dense chain maps, rational
 elimination, reachability closure, the rank mod p of the whole stacked
-operator, the dense verifier, H1 through the cycle basis of ker d1).
+operator, the dense verifier, H1 through the cycle basis of ker d1, the
+transition matrices one pair at a time, S.phi2 as a product).
 """
 
 from treelat.complex_model import sigma_act
 from treelat.homology import (
+    _stacked_phi2_from_factors,
     commuting_square,
+    stacked_factors,
     stacked_kernel_basis,
     structured_kernel_dim,
     verify_main_theorem,
@@ -25,6 +28,8 @@ from treelat.zlinalg import (
 )
 
 from _oracles import (
+    build_tiling_by_pairs,
+    connectivity_by_refs,
     dense_chain_maps,
     dense_verify,
     determinant,
@@ -63,6 +68,10 @@ def assert_instance_properties(analysis):
             assert ts.m1.entry(s_idx, t_idx) == expected1
             assert ts.m2.entry(s_idx, t_idx) == expected2
 
+    # the rows cut from shared label lists are the per-pair builder's
+    by_pairs = build_tiling_by_pairs(r, c)
+    assert (ts.m1, ts.m2) == (by_pairs.m1, by_pairs.m2)
+
     # column sums against transverse degrees
     for t_idx, t in enumerate(r):
         assert sum(ts.m1.column(t_idx)) == c.h_degree(c.origin(t.b_prime)) - 1
@@ -76,6 +85,12 @@ def assert_instance_properties(analysis):
     assert maps.d1.mul(maps.d2).is_zero()
     stacked = stacked_matrix(ts)
     assert stacked.mul(maps.phi2).entries == maps.phi1.mul(maps.d2).entries
+
+    # S is the product of its factors, and S.phi2 read off them is the
+    # product itself
+    table = stacked_factors(stacked, maps.psi)
+    assert table is not None
+    assert _stacked_phi2_from_factors(maps.phi2, table) == stacked.mul(maps.phi2)
 
     # injectivity of the comparison maps
     assert smith_normal_form(maps.phi2).rank == maps.phi2.cols
@@ -98,6 +113,9 @@ def assert_instance_properties(analysis):
     assert conn.vertical.strongly_connected == strongly_connected_by_closure(
         ts.m2.to_lists()
     )
+
+    # the edge graphs indexed by integers are the DirectedEdgeRef-indexed ones
+    assert conn == connectivity_by_refs(ts, c)
 
     # orientation halves every edge-graph component
     for comp in conn.gh_b_components + conn.gv_a_components:
@@ -128,7 +146,7 @@ def assert_instance_properties(analysis):
     h2_basis = kernel_basis(maps.d2)
     h = IntMatrix.from_columns(h2_basis, rows=maps.d2.cols)
     certified = stacked_kernel_basis(
-        stacked, maps, h, commuting_square(stacked, maps, h)
+        stacked, maps, h, commuting_square(stacked, maps, h, table), table
     ).transpose().entries
     dense = kernel_basis(stacked)
     assert hermite_row_basis(certified) == hermite_row_basis(dense)
@@ -136,7 +154,7 @@ def assert_instance_properties(analysis):
 
     # the kernel dimension counted from the factors of the stacked operator
     # equals n - rank_p of the whole operator and the dense kernel rank
-    structured = structured_kernel_dim(stacked, maps.psi)
+    structured = structured_kernel_dim(table)
     assert structured == stacked.cols - rank_mod_prime(stacked) == len(dense)
 
     # every verdict field equals the dense verifier's: on the analysis's
@@ -159,7 +177,7 @@ def assert_instance_properties(analysis):
         expected = dense_verify(c, r, maps, stacked, kernel, h2)
         k = IntMatrix.from_columns(kernel, rows=n)
         h = IntMatrix.from_columns(h2, rows=maps.d2.cols)
-        square = commuting_square(stacked, maps, h)
+        square = commuting_square(stacked, maps, h, table)
         assert verify_main_theorem(c, r, maps, k, h, square) == expected
 
     assert verdict.diagram_commutes

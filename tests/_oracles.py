@@ -10,7 +10,9 @@ earlier routes here: loops over every entry of every kernel vector, and
 the cycle basis of ker d1.  Helpers that only tests call (the Bareiss
 determinant, lattice inclusion, the difference and vertical stack of two
 IntMatrix, the reflections of a tile index by their positional formula)
-live here too.
+live here too, as do the transition matrices built one pair at a time
+and the edge graphs indexed by DirectedEdgeRef, which the pipeline
+replaced with shared label lists and integer indices.
 """
 
 from fractions import Fraction
@@ -242,6 +244,60 @@ def v_image_index(idx):
 def vh_image_index(idx):
     """Index of t^vh for the expanded square at idx."""
     return (idx & ~3) | ((idx & 3) ^ 3)
+
+
+def build_tiling_by_pairs(r, c):
+    """The TilingSystem of tiling_system.build_tiling, by one append per
+    nonzero: tiles grouped by their DirectedEdgeRef labels, then every
+    column t visited and (t, 1) appended to each row it follows."""
+    from treelat.tiling_system import TilingSystem
+    from treelat.zlinalg import IntMatrix
+
+    n = len(r)
+    by_b = {}
+    by_a = {}
+    for i, s in enumerate(r):
+        by_b.setdefault(s.b, []).append(i)
+        by_a.setdefault(s.a, []).append(i)
+    m1_rows = [[] for _ in range(n)]
+    m2_rows = [[] for _ in range(n)]
+    for t_idx, t in enumerate(r):
+        for s_idx in by_b.get(t.b_prime, ()):
+            if s_idx != h_image_index(t_idx):
+                m1_rows[s_idx].append((t_idx, 1))
+        for s_idx in by_a.get(t.a_prime, ()):
+            if s_idx != v_image_index(t_idx):
+                m2_rows[s_idx].append((t_idx, 1))
+    return TilingSystem(
+        squares=tuple(r),
+        m1=IntMatrix(n, n, tuple(map(tuple, m1_rows))),
+        m2=IntMatrix(n, n, tuple(map(tuple, m2_rows))),
+        n_vertices=len(c.vertices),
+    )
+
+
+def connectivity_by_refs(ts, c):
+    """The ConnectivityReport of tiling_system.connectivity, with the
+    vertices of the edge graphs found by DirectedEdgeRef in
+    c.directed_v() and c.directed_h()."""
+    from treelat.tiling_system import (
+        ConnectivityReport,
+        _axis_connectivity,
+        _edge_graph_components,
+    )
+
+    v_index = {ref: i for i, ref in enumerate(c.directed_v())}
+    h_index = {ref: i for i, ref in enumerate(c.directed_h())}
+    b_pairs = [(v_index[t.b], v_index[t.b_prime]) for t in ts.squares]
+    b_plus = [t.sigma_tag in ("1", "v") for t in ts.squares]
+    a_pairs = [(h_index[t.a], h_index[t.a_prime]) for t in ts.squares]
+    a_plus = [t.sigma_tag in ("1", "h") for t in ts.squares]
+    return ConnectivityReport(
+        horizontal=_axis_connectivity(ts.m1),
+        vertical=_axis_connectivity(ts.m2),
+        gh_b_components=_edge_graph_components(len(v_index), b_pairs, b_plus),
+        gv_a_components=_edge_graph_components(len(h_index), a_pairs, a_plus),
+    )
 
 
 def dense_equal(a, a_cols, b, b_cols):

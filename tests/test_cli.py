@@ -355,9 +355,10 @@ def test_certified_kernel_stays_sparse_and_meets_the_operator_once(
 ):
     # The certified kernel phi2.H goes from the certificate to the verdict
     # as one sparse matrix: no dense view of a matrix is taken, and the
-    # stacked operator S enters one product, S.phi2 of check (1).  The
-    # certificate reads check (3), which once the square commutes is
-    # phi1.(d2.H), so neither S.(phi2.H) nor (S.phi2).H is formed.
+    # stacked operator S enters no product.  Its factors are checked once,
+    # and check (1) reads S.phi2 off them.  The certificate reads check
+    # (3), which once the square commutes is phi1.(d2.H), so neither
+    # S.(phi2.H) nor (S.phi2).H is formed.
     def dense(self, *args):
         raise AssertionError("dense view of a matrix in the analysis")
 
@@ -370,6 +371,8 @@ def test_certified_kernel_stays_sparse_and_meets_the_operator_once(
 
     monkeypatch.setattr(zlinalg.IntMatrix, "entries", property(dense))
     monkeypatch.setattr(zlinalg.IntMatrix, "mul", mul)
+    factor_tables = count_calls(monkeypatch, homology, "stacked_factors")
+    factor_checks = count_calls(monkeypatch, tiling_system, "matches_factors")
     path = tmp_path / "mozes513.json"
     path.write_text(mozes513_doc)
     code, out, err = runner("analyze", str(path), "--json")
@@ -377,8 +380,9 @@ def test_certified_kernel_stays_sparse_and_meets_the_operator_once(
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_REPORTS["mozes513"]
     n, r = 4 * 21, 11  # tiles and rank H2 of (5,13)
     assert products.count((2 * n, n, r)) == 0
-    assert products.count((2 * n, n, n // 4)) == 1
+    assert products.count((2 * n, n, n // 4)) == 0
     assert (2 * n, n // 4, r) not in products
+    assert len(factor_tables) == 1 and len(factor_checks) == 1
 
 
 def test_product_analysis_takes_two_smith_forms(monkeypatch):
@@ -429,7 +433,7 @@ def test_small_odd_prime_keeps_the_certified_kernel(monkeypatch, mozes513, mozes
     # its factors certifies phi2(ker d2), and no stacked Smith form runs.
     monkeypatch.setattr(_kernels_py, "PRIME", 3)
     stacked = tiling_system.stacked_matrix(mozes513.tiling)
-    assert homology.structured_kernel_dim(stacked, mozes513.maps.psi) == 11
+    assert homology.structured_kernel_dim(homology.stacked_factors(stacked, mozes513.maps.psi)) == 11
     snf = count_calls(monkeypatch, zlinalg, "smith_normal_form")
     _, analysis = analyze_document(mozes513_doc)
     assert sum(a == stacked for a in snf) == 0
@@ -451,21 +455,23 @@ def test_certificate_rests_on_the_commuting_square(monkeypatch, mozes513):
     assert not maps.d2.mul(zlinalg.IntMatrix.from_columns([chain], rows=cells)).is_zero()
     true_h = zlinalg.IntMatrix.from_columns(h2_basis, rows=cells)
     bad_h = zlinalg.IntMatrix.from_columns((chain,) + h2_basis[1:], rows=cells)
-    assert homology.structured_kernel_dim(stacked, maps.psi) == bad_h.cols == 11
+    factors = homology.stacked_factors(stacked, maps.psi)
+    assert homology.structured_kernel_dim(factors) == bad_h.cols == 11
 
     snf = count_calls(monkeypatch, zlinalg, "smith_normal_form")
-    square = homology.commuting_square(stacked, maps, bad_h)
+    square = homology.commuting_square(stacked, maps, bad_h, factors)
     assert square == (True, False)
-    basis = homology.stacked_kernel_basis(stacked, maps, bad_h, square)
+    basis = homology.stacked_kernel_basis(stacked, maps, bad_h, square, factors)
     assert len(snf) == 1 and snf[0] == stacked
     dense = zlinalg.kernel_basis(stacked)
     hermite = zlinalg.hermite_row_basis
     assert hermite(basis.transpose().entries) == hermite(dense)
 
     snf.clear()
-    square = homology.commuting_square(stacked, maps, true_h)
+    square = homology.commuting_square(stacked, maps, true_h, factors)
     assert square == (True, True)
-    assert homology.stacked_kernel_basis(stacked, maps, true_h, square) == maps.phi2.mul(true_h)
+    certified = homology.stacked_kernel_basis(stacked, maps, true_h, square, factors)
+    assert certified == maps.phi2.mul(true_h)
     assert sum(a == stacked for a in snf) == 0
 
 
@@ -487,13 +493,14 @@ def test_broken_factor_identity_falls_back_to_the_dense_kernel(monkeypatch, moze
     b, a = homology.tile_labels(maps.psi)
     assert tiling_system.matches_factors(stacked, b, a)
     assert not tiling_system.matches_factors(broken, b, a)
-    assert homology.structured_kernel_dim(broken, maps.psi) is None
+    assert homology.structured_kernel_dim(homology.stacked_factors(broken, maps.psi)) is None
 
     h2_basis = zlinalg.kernel_basis(maps.d2)
     snf = count_calls(monkeypatch, zlinalg, "smith_normal_form")
     h = zlinalg.IntMatrix.from_columns(h2_basis, rows=maps.d2.cols)
-    square = homology.commuting_square(broken, maps, h)
-    basis = homology.stacked_kernel_basis(broken, maps, h, square).transpose().entries
+    factors = homology.stacked_factors(broken, maps.psi)
+    square = homology.commuting_square(broken, maps, h, factors)
+    basis = homology.stacked_kernel_basis(broken, maps, h, square, factors).transpose().entries
     assert sum(x == broken for x in snf) == 1
     assert len(snf) == 1
     dense = zlinalg.kernel_basis(broken)

@@ -1,17 +1,21 @@
+import dataclasses
+
 import pytest
 
 from treelat.cli import analyze_document
 from treelat.complex_model import expand_directed_squares, load_complex
 from treelat.homology import (
+    _stacked_phi2_from_factors,
     chain_maps,
     commuting_square,
+    stacked_factors,
     forward_edge_index,
     stacked_kernel_basis,
     structured_kernel_dim,
     verify_main_theorem,
 )
 from treelat.mozes import generate_mozes_complex
-from treelat.tiling_system import stacked_matrix
+from treelat.tiling_system import build_tiling, stacked_matrix
 from treelat.zlinalg import (
     IntMatrix,
     hermite_row_basis,
@@ -174,13 +178,14 @@ def test_verifier_flags_each_failed_edge_sum(mozes513):
     r = a.expanded
     n = len(r)
     stacked = stacked_matrix(a.tiling)
+    factors = stacked_factors(stacked, a.maps.psi)
     h2_basis = kernel_basis(a.maps.d2)
     h = IntMatrix.from_columns(h2_basis, rows=a.maps.d2.cols)
 
     def mu_vanishes(vectors):
         k = IntMatrix.from_columns(vectors, rows=n)
         return verify_main_theorem(
-            a.complex, r, a.maps, k, h, commuting_square(stacked, a.maps, h)
+            a.complex, r, a.maps, k, h, commuting_square(stacked, a.maps, h, factors)
         ).mu_vanishes
 
     def difference(s, t):
@@ -211,8 +216,9 @@ def test_verifier_rejects_a_unit_vector(mozes513):
     unit = (tuple(int(i == 0) for i in range(len(a.expanded))),)
     k = IntMatrix.from_columns(unit, rows=len(a.expanded))
     h = IntMatrix.from_columns(h2_basis, rows=a.maps.d2.cols)
+    factors = stacked_factors(stacked, a.maps.psi)
     verdict = verify_main_theorem(
-        a.complex, a.expanded, a.maps, k, h, commuting_square(stacked, a.maps, h)
+        a.complex, a.expanded, a.maps, k, h, commuting_square(stacked, a.maps, h, factors)
     )
     assert not verdict.kernel_symmetries_hold
     assert not verdict.kernel_in_phi2_image
@@ -232,11 +238,59 @@ def test_verifier_flags_a_tampered_operator(mozes513):
     kernel = kernel_basis(stacked)
     k = IntMatrix.from_columns(kernel, rows=stacked.cols)
     h = IntMatrix.from_columns(h2_basis, rows=a.maps.d2.cols)
+    factors = stacked_factors(broken, a.maps.psi)
     verdict = verify_main_theorem(
-        a.complex, a.expanded, a.maps, k, h, commuting_square(broken, a.maps, h)
+        a.complex, a.expanded, a.maps, k, h, commuting_square(broken, a.maps, h, factors)
     )
     assert not verdict.diagram_commutes
     assert verdict == dense_verify(a.complex, a.expanded, a.maps, broken, kernel, h2_basis)
+
+
+@pytest.mark.parametrize("p,l", [(5, 13), (5, 17), (5, 29), (13, 17), (17, 29)])
+def test_factored_square_equals_the_product_on_the_ladder(p, l):
+    c = load_complex(generate_mozes_complex(p, l))
+    r = expand_directed_squares(c)
+    maps = chain_maps(c, r)
+    stacked = stacked_matrix(build_tiling(r, c))
+    factors = stacked_factors(stacked, maps.psi)
+    assert factors is not None
+    assert _stacked_phi2_from_factors(maps.phi2, factors) == stacked.mul(maps.phi2)
+
+
+def test_non_alternating_phi2_takes_the_product(monkeypatch, mozes513):
+    # Negate one row of phi2: it no longer alternates under the
+    # reflections, so check (1) forms the product S.phi2 instead of reading
+    # it off the factors of S, and the verdict is the dense verifier's.
+    a = mozes513
+    stacked = stacked_matrix(a.tiling)
+    factors = stacked_factors(stacked, a.maps.psi)
+    rows = list(a.maps.phi2.row_pairs)
+    rows[0] = tuple([(j, -x) for j, x in rows[0]])
+    phi2 = IntMatrix(a.maps.phi2.rows, a.maps.phi2.cols, tuple(rows))
+    maps = dataclasses.replace(a.maps, phi2=phi2)
+    assert _stacked_phi2_from_factors(a.maps.phi2, factors) is not None
+    assert _stacked_phi2_from_factors(phi2, factors) is None
+
+    h2_basis = kernel_basis(a.maps.d2)
+    h = IntMatrix.from_columns(h2_basis, rows=a.maps.d2.cols)
+    original = IntMatrix.mul
+    left_factors = []
+
+    def mul(self, other):
+        left_factors.append(self)
+        return original(self, other)
+
+    monkeypatch.setattr(IntMatrix, "mul", mul)
+    assert commuting_square(stacked, a.maps, h, factors) == (True, True)
+    assert not any(x is stacked for x in left_factors)
+    square = commuting_square(stacked, maps, h, factors)
+    assert sum(x is stacked for x in left_factors) == 1
+
+    kernel = kernel_basis(stacked)
+    k = IntMatrix.from_columns(kernel, rows=stacked.cols)
+    verdict = verify_main_theorem(a.complex, a.expanded, maps, k, h, square)
+    assert not verdict.diagram_commutes
+    assert verdict == dense_verify(a.complex, a.expanded, maps, stacked, kernel, h2_basis)
 
 
 def test_stacked_kernel_certificate_steps(corpus):
@@ -264,8 +318,9 @@ def test_stacked_kernel_certificate_steps(corpus):
         certified = upper == len(h2_basis)
         assert certified == (name not in ("torus", "klein")), name
         h = IntMatrix.from_columns(h2_basis, rows=cells)
-        square = commuting_square(stacked, maps, h)
-        basis = stacked_kernel_basis(stacked, maps, h, square).transpose().entries
+        factors = stacked_factors(stacked, maps.psi)
+        square = commuting_square(stacked, maps, h, factors)
+        basis = stacked_kernel_basis(stacked, maps, h, square, factors).transpose().entries
         assert (basis == vectors) == certified, name
         assert hermite_row_basis(basis) == hermite_row_basis(dense), name
 
@@ -275,8 +330,9 @@ def test_stacked_kernel_matches_dense_oracle_on_mozes(p, l):
     _, a = analyze_document(generate_mozes_complex(p, l))
     stacked = stacked_matrix(a.tiling)
     h = IntMatrix.from_columns(kernel_basis(a.maps.d2), rows=a.maps.d2.cols)
-    square = commuting_square(stacked, a.maps, h)
-    certified = stacked_kernel_basis(stacked, a.maps, h, square).transpose().entries
+    factors = stacked_factors(stacked, a.maps.psi)
+    square = commuting_square(stacked, a.maps, h, factors)
+    certified = stacked_kernel_basis(stacked, a.maps, h, square, factors).transpose().entries
     assert len(certified) == a.homology.h2_rank == (p - 1) * (l - 1) // 4 - 1
     assert hermite_row_basis(certified) == hermite_row_basis(kernel_basis(stacked))
 
@@ -294,11 +350,12 @@ def test_verifier_tests_phi2_image_against_the_operator(mozes513):
     assert not a.maps.d2.mul(IntMatrix.from_columns([chain], rows=cells)).is_zero()
 
     k = IntMatrix.from_columns(kernel, rows=stacked.cols)
+    factors = stacked_factors(stacked, a.maps.psi)
 
     def image_in_kernel(basis):
         h = IntMatrix.from_columns(basis, rows=cells)
         return verify_main_theorem(
-            a.complex, a.expanded, a.maps, k, h, commuting_square(stacked, a.maps, h)
+            a.complex, a.expanded, a.maps, k, h, commuting_square(stacked, a.maps, h, factors)
         ).phi2_image_in_kernel
 
     assert image_in_kernel(h2_basis)
@@ -318,7 +375,7 @@ def test_chain_maps_match_the_dense_builder_on_mozes513(mozes513_doc):
 def test_structured_count_matches_rank_mod_p_and_dense_kernel(p, l):
     _, a = analyze_document(generate_mozes_complex(p, l))
     stacked = stacked_matrix(a.tiling)
-    dim = structured_kernel_dim(stacked, a.maps.psi)
+    dim = structured_kernel_dim(stacked_factors(stacked, a.maps.psi))
     assert dim == stacked.cols - rank_mod_prime(stacked) == len(kernel_basis(stacked))
     assert dim == (p - 1) * (l - 1) // 4 - 1
 
@@ -326,5 +383,6 @@ def test_structured_count_matches_rank_mod_p_and_dense_kernel(p, l):
 def test_structured_count_matches_rank_mod_p_at_17_29():
     _, a = analyze_document(generate_mozes_complex(17, 29))
     stacked = stacked_matrix(a.tiling)
-    assert structured_kernel_dim(stacked, a.maps.psi) == stacked.cols - rank_mod_prime(stacked)
+    dim = structured_kernel_dim(stacked_factors(stacked, a.maps.psi))
+    assert dim == stacked.cols - rank_mod_prime(stacked)
     assert a.k0.kernel_rank == a.homology.h2_rank == 16 * 28 // 4 - 1

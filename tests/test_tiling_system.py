@@ -4,11 +4,20 @@ import pytest
 
 from treelat import tiling_system
 from treelat.complex_model import load_complex, expand_directed_squares, validate_vht
+from treelat.mozes import generate_mozes_complex
 from treelat.tiling_system import build_tiling, connectivity, k0_rank, stacked_matrix
 from treelat.zlinalg import IntMatrix, kernel_basis
 
 import _complexes
-from _oracles import h_image_index, strongly_connected_by_closure, sub, v_image_index, vstack
+from _oracles import (
+    build_tiling_by_pairs,
+    connectivity_by_refs,
+    h_image_index,
+    strongly_connected_by_closure,
+    sub,
+    v_image_index,
+    vstack,
+)
 
 
 def rederive_entries(analysis):
@@ -191,6 +200,19 @@ def test_random_complexes_rederive(seed=321):
         assert conn.horizontal.strongly_connected == strongly_connected_by_closure(
             ts.m1.to_lists()
         )
+
+
+@pytest.mark.parametrize("p,l", [(5, 13), (5, 17), (5, 29), (13, 17), (17, 29)])
+def test_label_lists_match_the_per_pair_builder_on_the_ladder(p, l):
+    # Rows cut from one shared list per primed label, and edge graphs
+    # indexed by integers, against one append per nonzero and edge graphs
+    # indexed by DirectedEdgeRef.
+    c = load_complex(generate_mozes_complex(p, l))
+    r = expand_directed_squares(c)
+    ts = build_tiling(r, c)
+    by_pairs = build_tiling_by_pairs(r, c)
+    assert (ts.m1, ts.m2) == (by_pairs.m1, by_pairs.m2)
+    assert connectivity(ts, c) == connectivity_by_refs(ts, c)
 
 
 def test_transition_matrices_store_only_their_nonzeros(mozes513):
