@@ -6,35 +6,39 @@ Workloads: a batch of small random matrices (the shape the property suite
 hammers), one mid-size dense random matrix, and the stacked transition
 matrices of the (5,13) and (13,17) quaternion complexes (the shape the
 pipeline hammers).  The Smith form is timed with and without the left
-transform: only solving a.x = b needs it.  On the stacked matrices of
-(13,17) and (29,37) the factor table of the operator (stacked_factors: the
-tile labels and the check that S is the product of its factors, taken once
-per analysis) is timed, then the dimension of the kernel mod p counted
-from that table, which certifies the stacked kernel, beside the sparse
-rank mod p of the whole operator, which it replaced (now a test oracle).
-On the same two pairs, with H the basis of ker d2 as columns,
-commuting_square, which takes checks (1) and (3) once for the certificate
-and the verifier and reads S.phi2 off the shared factor table, is timed
-beside the product stacked.phi2 that it no longer forms.  Last,
-build_tiling at (29,37): M1 and M2 cut from shared label lists.
+transform: only solving a.x = b needs it.  At (13,17) and (29,37) the
+label check is timed (label_tiling, which numbers the sides of the tiles,
+then TilingSystem.factors, which checks b'(t) = b(t^h) and a'(t) = a(t^v)
+and so gives the factors of the stacked operator; once per analysis), then
+the dimension of the kernel mod p counted from those factors, which
+certifies the stacked kernel, beside the sparse rank mod p of the whole
+operator, which it replaced (now a test oracle).  On the same two pairs,
+with H the basis of ker d2 as columns, commuting_square, which takes
+checks (1) and (3) once for the certificate and the verifier and reads
+S.phi2 off the factors, is timed beside the product stacked.phi2 that it
+no longer forms.  Last, at (29,37) and (53,61), Tarjan over the tile graphs
+of both axes: from the labels, one shared follower list per label, as
+connectivity runs it, beside the successor lists of the built M1 and M2
+(tests/_oracles.py; the matrices are built before the clock starts).
 Prints the best of N runs of each.
 """
 
 import argparse
 import random
+import sys
 import time
+from pathlib import Path
 
 from treelat import _kernels_py as kernels
+from treelat import tiling_system
 from treelat.complex_model import expand_directed_squares, load_complex
-from treelat.homology import (
-    chain_maps,
-    commuting_square,
-    stacked_factors,
-    structured_kernel_dim,
-)
+from treelat.homology import chain_maps, commuting_square, structured_kernel_dim
 from treelat.mozes import generate_mozes_complex
-from treelat.tiling_system import build_tiling, stacked_matrix
+from treelat.tiling_system import build_tiling, label_tiling, stacked_matrix
 from treelat.zlinalg import IntMatrix, kernel_basis, rank_mod_prime
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from _oracles import axis_connectivity_by_matrix  # noqa: E402
 
 
 def batch_8x8(rng):
@@ -43,25 +47,37 @@ def batch_8x8(rng):
     ]
 
 
-def mozes_stacked(p, l):
-    """The stacked matrix of the (p, l) complex, its chain maps, the basis
-    of ker d2 as the columns of one matrix, its factor table, and the
-    expanded squares with the complex."""
+def mozes_pair(p, l):
+    """The (p, l) complex with its expanded squares, its tiling system with
+    M1 and M2 built, its chain maps, the basis of ker d2 as the columns of
+    one matrix, and its stacked matrix."""
     c = load_complex(generate_mozes_complex(p, l))
     r = expand_directed_squares(c)
     maps = chain_maps(c, r)
     h = IntMatrix.from_columns(kernel_basis(maps.d2), rows=maps.d2.cols)
-    stacked = stacked_matrix(build_tiling(r, c))
-    return stacked, maps, h, stacked_factors(stacked, maps.psi), (r, c)
+    ts = build_tiling(r, c)
+    return (r, c), ts, maps, h, stacked_matrix(ts)
+
+
+def label_tarjan(ts):
+    return (
+        tiling_system._axis_connectivity(ts.b, ts.b_prime, 2),
+        tiling_system._axis_connectivity(ts.a, ts.a_prime, 1),
+    )
+
+
+def matrix_tarjan(ts):
+    return axis_connectivity_by_matrix(ts.m1), axis_connectivity_by_matrix(ts.m2)
 
 
 def make_workloads():
     rng = random.Random(12345)
     small = batch_8x8(rng)
     mid = [[rng.randint(-20, 20) for _ in range(40)] for _ in range(40)]
-    s513 = mozes_stacked(5, 13)[0]
-    s1317, maps1317, h1317, f1317, _ = mozes_stacked(13, 17)
-    s2937, maps2937, h2937, f2937, (r2937, c2937) = mozes_stacked(29, 37)
+    s513 = mozes_pair(5, 13)[-1]
+    rc1317, ts1317, maps1317, h1317, s1317 = mozes_pair(13, 17)
+    rc2937, ts2937, maps2937, h2937, s2937 = mozes_pair(29, 37)
+    ts5361 = mozes_pair(53, 61)[1]
     d513, d1317 = s513.to_lists(), s1317.to_lists()
     return [
         ("snf 300 x (8x8)", lambda left: [kernels.snf_with_transforms(a, left) for a in small]),
@@ -71,16 +87,19 @@ def make_workloads():
         ("hermite stacked 168x84", lambda left: kernels.hermite_rows(d513)),
         ("rank_mod_prime stacked 168x84", lambda left: rank_mod_prime(s513)),
         ("rank_mod_prime stacked 504x252", lambda left: rank_mod_prime(s1317)),
-        ("stacked_factors 504x252", lambda left: stacked_factors(s1317, maps1317.psi)),
-        ("structured count 504x252", lambda left: structured_kernel_dim(f1317)),
+        ("label check (13,17)", lambda left: label_tiling(*rc1317).factors),
+        ("structured count 504x252", lambda left: structured_kernel_dim(ts1317.factors)),
         ("rank_mod_prime stacked 2280x1140", lambda left: rank_mod_prime(s2937)),
-        ("stacked_factors 2280x1140", lambda left: stacked_factors(s2937, maps2937.psi)),
-        ("structured count 2280x1140", lambda left: structured_kernel_dim(f2937)),
+        ("label check (29,37)", lambda left: label_tiling(*rc2937).factors),
+        ("structured count 2280x1140", lambda left: structured_kernel_dim(ts2937.factors)),
         ("stacked.mul(phi2) 504x252", lambda left: s1317.mul(maps1317.phi2)),
-        ("commuting_square 504x252", lambda left: commuting_square(s1317, maps1317, h1317, f1317)),
+        ("commuting_square 504x252", lambda left: commuting_square(ts1317, maps1317, h1317)),
         ("stacked.mul(phi2) 2280x1140", lambda left: s2937.mul(maps2937.phi2)),
-        ("commuting_square 2280x1140", lambda left: commuting_square(s2937, maps2937, h2937, f2937)),
-        ("build_tiling (29,37)", lambda left: build_tiling(r2937, c2937)),
+        ("commuting_square 2280x1140", lambda left: commuting_square(ts2937, maps2937, h2937)),
+        ("label Tarjan (29,37)", lambda left: label_tarjan(ts2937)),
+        ("matrix Tarjan (29,37)", lambda left: matrix_tarjan(ts2937)),
+        ("label Tarjan (53,61)", lambda left: label_tarjan(ts5361)),
+        ("matrix Tarjan (53,61)", lambda left: matrix_tarjan(ts5361)),
     ]
 
 

@@ -33,7 +33,6 @@ from treelat.homology import (
     chain_maps,
     commuting_square,
     homology_report,
-    stacked_factors,
     stacked_kernel_basis,
     verify_main_theorem,
 )
@@ -51,6 +50,7 @@ from treelat.tiling_system import (
     build_tiling,
     connectivity,
     k0_rank,
+    label_tiling,
     stacked_matrix,
 )
 from treelat.zlinalg import (
@@ -93,6 +93,7 @@ __all__ = [
     "homology_report",
     "k0_rank",
     "kernel_basis",
+    "label_tiling",
     "load_complex",
     "norm_quaternions",
     "rank_mod_prime",
@@ -100,7 +101,6 @@ __all__ = [
     "sigma_act",
     "smith_normal_form",
     "solve_square_relation",
-    "stacked_factors",
     "stacked_kernel_basis",
     "stacked_matrix",
     "validate_vht",

@@ -35,7 +35,6 @@ from treelat.homology import (
     chain_maps,
     commuting_square,
     homology_report,
-    stacked_factors,
     stacked_kernel_basis,
     verify_main_theorem,
 )
@@ -47,7 +46,7 @@ from treelat.tiling_system import (
     build_tiling,
     connectivity,
     k0_rank,
-    stacked_matrix,
+    label_tiling,
 )
 from treelat.zlinalg import IntMatrix, smith_normal_form
 
@@ -74,21 +73,19 @@ def analyze_document(text: str) -> tuple[ValidationReport, Analysis | None]:
     if validation.errors:
         return validation, None
     r = expand_directed_squares(c)
-    ts = build_tiling(r, c)
+    ts = label_tiling(r, c)
     maps = chain_maps(c, r)
     conn = connectivity(ts, c)
-    # The stacked operator, its factor check, its kernel, the Smith form of
-    # d2 and the commuting square are each computed once and shared.  Both
-    # kernels are sparse, one basis vector per column.  The stacked kernel
-    # is phi2(ker d2) whenever the square and its dimension mod p, counted
-    # from the factors of the stacked operator, certify that; the square
-    # then reads S.phi2 off those factors too.
-    stacked = stacked_matrix(ts)
-    factors = stacked_factors(stacked, maps.psi)
+    # The Smith form of d2, the commuting square and the stacked kernel are
+    # each computed once and shared.  Both kernels are sparse, one basis
+    # vector per column.  The stacked kernel is phi2(ker d2) whenever the
+    # square and its dimension mod p, counted from the factors of the
+    # stacked operator S that the tile labels give, certify that; the
+    # square then reads S.phi2 off those factors too, and S is never built.
     s2 = smith_normal_form(maps.d2, left=False)
     h = IntMatrix.from_columns(s2.kernel_basis(), rows=maps.d2.cols)
-    square = commuting_square(stacked, maps, h, factors)
-    kernel = stacked_kernel_basis(stacked, maps, h, square, factors)
+    square = commuting_square(ts, maps, h)
+    kernel = stacked_kernel_basis(ts, maps, h, square)
     return validation, Analysis(
         complex=c,
         validation=validation,
@@ -147,8 +144,7 @@ def _provenance(data: bytes) -> dict:
 
 
 def build_report(a: Analysis, input_bytes: bytes) -> dict:
-    m1_sums = a.tiling.m1.column_sums()
-    m2_sums = a.tiling.m2.column_sums()
+    m1_sums, m2_sums = a.tiling.column_sums()
 
     def span(sums):
         return [min(sums), max(sums)] if sums else [0, 0]
@@ -377,11 +373,9 @@ def cmd_export(args) -> int:
         return _validation_failure(data, text, v, args)
     r = expand_directed_squares(c)
     if args.what in ("m1", "m2", "stacked"):
-        ts = build_tiling(r, c)
-        matrix = {"m1": ts.m1, "m2": ts.m2, "stacked": stacked_matrix(ts)}[args.what]
+        matrix = getattr(build_tiling(r, c), args.what)
     else:
-        maps = chain_maps(c, r)
-        matrix = getattr(maps, args.what)
+        matrix = getattr(chain_maps(c, r), args.what)
     _emit(matio.write_dense_json(matrix) if args.json else matio.write_triplets(matrix), args.out)
     return 0
 

@@ -111,6 +111,12 @@ class SquareComplex:
         )
 
     @cached_property
+    def _expanded(self) -> tuple[DirectedSquare, ...]:
+        # every orbit expanded once, for validate_vht and
+        # expand_directed_squares both
+        return tuple(s for t in self.squares for s in _expand_orbit(t))
+
+    @cached_property
     def degrees(self) -> dict[str, tuple[int, int]]:
         """Per vertex: number of directed horizontal / vertical edges based there.
 
@@ -184,10 +190,7 @@ def expand_directed_squares(c: SquareComplex) -> tuple[DirectedSquare, ...]:
         raise DegenerateOrbitError(
             f"squares {bad} coincide with their vh-images; orbits are not free"
         )
-    out: list[DirectedSquare] = []
-    for t in c.squares:
-        out.extend(_expand_orbit(t))
-    return tuple(out)
+    return c._expanded
 
 
 # --- parsing ---------------------------------------------------------------
@@ -468,9 +471,8 @@ def validate_vht(c: SquareComplex) -> ValidationReport:
 
     # Link condition: over the expanded directed squares, t -> (a(t), b(t))
     # must cover each incident pair (horizontal, vertical) exactly once.
-    expanded = [s for t in c.squares for s in _expand_orbit(t)]
     coverage: dict[tuple[DirectedEdgeRef, DirectedEdgeRef], list[DirectedSquare]] = {}
-    for s in expanded:
+    for s in c._expanded:
         coverage.setdefault((s.a, s.b), []).append(s)
 
     incident = [

@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from treelat.complex_model import DirectedSquare, SquareComplex, _UnionFind
-from treelat.tiling_system import matches_factors
+from treelat.tiling_system import TileLabels, TilingSystem
 from treelat.zlinalg import (
     AbelianInvariants,
     IntMatrix,
@@ -39,10 +39,6 @@ from treelat.zlinalg import (
     rank_prime,
     smith_normal_form,
 )
-
-
-# The labels b(t) and a(t) of every tile (tile_labels).
-TileLabels = tuple[list[int], list[int]]
 
 
 @dataclass(frozen=True)
@@ -190,56 +186,14 @@ def homology_report(c: SquareComplex, maps: ChainMaps, s2: SmithDecomposition) -
     return HomologyReport(h0=s1.cokernel(), h1=h1, h2_rank=h2_rank, euler_characteristic=euler)
 
 
-def tile_labels(psi: IntMatrix) -> TileLabels | None:
-    """The labels b(s) and a(s) of every tile, as integers, read off psi.
-
-    Column s of psi holds eps(b(s)) and column n + s holds -eps(a(s)), one
-    +-1 each; directed edge (e, sign) gets label 2e or 2e + 1.  The a labels
-    are shifted past the b labels, so the two never share a value.  None
-    when some column is empty.
-    """
-    n = psi.cols // 2
-    shift = 2 * psi.rows
-    b = [-1] * n
-    a = [-1] * n
-    for e, pairs in enumerate(psi.row_pairs):
-        for s, x in pairs:
-            if s < n:
-                b[s] = 2 * e + (x < 0)
-            else:
-                a[s - n] = shift + 2 * e + (x > 0)
-    if -1 in b or -1 in a:
-        return None
-    return b, a
-
-
-def stacked_factors(stacked: IntMatrix, psi: IntMatrix) -> TileLabels | None:
-    """The tile labels (b, a) of psi when stacked is the product of its
-    factors, else None.
-
-    tile_labels, then tiling_system.matches_factors, which checks
-    stacked = (E.F^T - P_h - I over E'.G^T - P_v - I) row by row.  Run once
-    per analysis; structured_kernel_dim and commuting_square both take its
-    result.  None when psi does not fit stacked, when a column of psi is
-    empty or when the check fails.
-    """
-    if psi.cols != 2 * stacked.cols:
-        return None
-    labels = tile_labels(psi)
-    if labels is None or not matches_factors(stacked, *labels):
-        return None
-    return labels
-
-
 def structured_kernel_dim(factors: TileLabels | None) -> int | None:
     """dim ker S over F_p, p = zlinalg.rank_prime(), from the factors of S.
 
-    S is the 2n x n stacked operator and factors is stacked_factors(S, psi):
-    the tile labels b, a, once S has been checked to be the product of its
-    factors, or None, and then the count is None too (as it is when p is
-    even).  With b'(t) = b(t^h), a'(t) = a(t^v), bb(t) = b(t^v) and
-    aa(t) = a(t^h), the definition of the transition matrices reads
-    M1 = E.F^T - P_h and M2 = E'.G^T - P_v.
+    S is the 2n x n stacked operator and factors is TilingSystem.factors:
+    the tile labels b, a, once b'(t) = b(t^h) and a'(t) = a(t^v) have been
+    checked, or None, and then the count is None too (as it is when p is
+    even).  With bb(t) = b(t^v) and aa(t) = a(t^h), the definition of the
+    transition matrices then reads M1 = E.F^T - P_h and M2 = E'.G^T - P_v.
 
     Over F_p with p odd, P_h and P_v are commuting involutions, so F^n is
     the sum of their four joint eigenspaces, and x is in ker S iff
@@ -277,9 +231,13 @@ def structured_kernel_dim(factors: TileLabels | None) -> int | None:
         return None
     b, a = factors
     n = len(b)
+    # The a labels are shifted past the b labels, so the two never share
+    # an unknown or a row.
+    shift = 1 + max(b, default=-1)
+    a = [shift + x for x in a]
 
     # One unknown per component of each label graph, then w_k per orbit.
-    uf = _UnionFind(1 + max(b + a, default=0))
+    uf = _UnionFind(1 + max(a, default=shift))
     for t in range(n):
         uf.union(b[t], b[t ^ 2])  # b'(t) = b(t^h), and t^h = t ^ 2
         uf.union(a[t], a[t ^ 1])  # a'(t) = a(t^v), and t^v = t ^ 1
@@ -330,8 +288,8 @@ def _alternates(rows) -> bool:
 
 
 def _stacked_phi2_from_factors(phi2: IntMatrix, factors: TileLabels) -> IntMatrix | None:
-    """S.phi2 read off the factors of S (stacked_factors), or None when
-    phi2 does not alternate.
+    """S.phi2 read off the factors of S (TilingSystem.factors), or None
+    when phi2 does not alternate.
 
     With S = (E.F^T - P_h - I over E'.G^T - P_v - I) and
     (I + P_h).phi2 = (I + P_v).phi2 = 0, S.phi2 = (E.(F^T.phi2) over
@@ -360,51 +318,46 @@ def _stacked_phi2_from_factors(phi2: IntMatrix, factors: TileLabels) -> IntMatri
     return IntMatrix(2 * len(b), phi2.cols, tuple(blocks))
 
 
-def commuting_square(
-    stacked: IntMatrix,
-    maps: ChainMaps,
-    h: IntMatrix,
-    factors: TileLabels | None,
-) -> tuple[bool, bool]:
+def commuting_square(ts: TilingSystem, maps: ChainMaps, h: IntMatrix) -> tuple[bool, bool]:
     """Checks (1) and (3) of verify_main_theorem, taken once for it and for
     stacked_kernel_basis: (diagram_commutes, phi2_image_in_kernel).
 
-    (1) is stacked.phi2 = phi1.d2.  factors is stacked_factors(stacked,
-    maps.psi).  When it holds and phi2 alternates, the left side is read
-    off the verified factors of S (_stacked_phi2_from_factors) and S enters
-    no product; otherwise it is the product stacked.phi2.  Both give the
-    same matrix, so (1) has the same value on every input, and it is still
-    derived from S and the chain maps.  (3) is stacked.(phi2.H) = 0 for the
-    basis H of ker d2 in the columns of h, read by associativity as
-    phi1.(d2.H) = 0 when (1) holds (its two sides are then one matrix) and
-    as (stacked.phi2).H = 0 otherwise.  Neither reads a stacked kernel basis.
+    (1) is S.phi2 = phi1.d2 for the stacked operator S of ts.  When the
+    labels of ts give the factors of S (ts.factors) and phi2 alternates,
+    the left side is read off those factors (_stacked_phi2_from_factors)
+    and S is never built; otherwise it is the product ts.stacked.phi2.
+    Both give the same matrix, so (1) has the same value on every input,
+    and it is still derived from the tiles and the chain maps.  (3) is
+    S.(phi2.H) = 0 for the basis H of ker d2 in the columns of h, read by
+    associativity as phi1.(d2.H) = 0 when (1) holds (its two sides are then
+    one matrix) and as (S.phi2).H = 0 otherwise.  Neither reads a stacked
+    kernel basis.
     """
+    factors = ts.factors
     left = None if factors is None else _stacked_phi2_from_factors(maps.phi2, factors)
     if left is None:
-        left = stacked.mul(maps.phi2)
+        left = ts.stacked.mul(maps.phi2)
     if left == maps.phi1.mul(maps.d2):
         return True, maps.phi1.mul(maps.d2.mul(h)).is_zero()
     return False, left.mul(h).is_zero()
 
 
 def stacked_kernel_basis(
-    stacked: IntMatrix,
+    ts: TilingSystem,
     maps: ChainMaps,
     h: IntMatrix,
     square: tuple[bool, bool],
-    factors: TileLabels | None,
 ) -> IntMatrix:
-    """Saturated basis of the kernel lattice K = {x in Z^n : stacked.x = 0},
-    one basis vector per column.
+    """Saturated basis of the kernel lattice K = {x in Z^n : S.x = 0} of
+    the stacked operator S of ts, one basis vector per column.
 
     h holds the basis of ker d2 read off its Smith form, one vector per
-    column; factors is stacked_factors(stacked, maps.psi) and square is
-    commuting_square(stacked, maps, h, factors).  When two checks pass, the
-    basis is phi2.h, and S = stacked enters no Smith form or product:
+    column, and square is commuting_square(ts, maps, h).  When two checks
+    pass, the basis is phi2.h, and S is never built:
 
     (a) square[1], which is S.(phi2.h) = 0, so L = phi2(ker d2) lies in K;
     (b) dim ker_p S == |H|, with ker_p S the kernel over F_p counted from
-        the factors of S (structured_kernel_dim(factors)).
+        the factors of S (structured_kernel_dim(ts.factors)).
 
     Why that gives L = K.  The rank over F_p is at most the rank over Q,
     so dim ker_p S >= rank K.  phi2 is injective and by (a) carries the
@@ -419,12 +372,13 @@ def stacked_kernel_basis(
     in L.
 
     Otherwise (the torus, the Klein bottle, any instance where the rank
-    identity fails, p divides an invariant factor of S, p is even or S is
-    not the product of its factors) the basis is the one of the dense
-    Smith form of S, zlinalg.kernel_basis.
+    identity fails, p divides an invariant factor of S, p is even or the
+    labels do not give the factors of S) the basis is the one of the dense
+    Smith form of S = ts.stacked, zlinalg.kernel_basis.
     """
-    if square[1] and structured_kernel_dim(factors) == h.cols:
+    if square[1] and structured_kernel_dim(ts.factors) == h.cols:
         return maps.phi2.mul(h)
+    stacked = ts.stacked
     return IntMatrix.from_columns(kernel_basis(stacked), rows=stacked.cols)
 
 

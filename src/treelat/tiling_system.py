@@ -1,4 +1,5 @@
-"""Tiling system of a VH-T complex: transition matrices and derived graphs.
+"""Tiling system of a VH-T complex: tile labels, transition matrices and
+derived graphs.
 
 With the expanded directed squares indexed orbit-major (tags 1, v, h, vh at
 offsets 0..3), the reflections act on indices by xor on the offset.  The
@@ -11,23 +12,87 @@ Columns index the domain, so the image of the basis tile t under the
 horizontal transition operator is read off column t of m1.  The stacked
 matrix (m1 - I over m2 - I) is the operator whose kernel lattice carries
 the degree-2 homology; twice its rank is the boundary-algebra K_0 rank.
+
+An analysis reads the tile and edge graphs, the column sums and the factors
+of the stacked operator off the tile labels (label_tiling); m1, m2 and the
+stacked matrix are built only on demand: for export and on fallback.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from bisect import bisect_left
+from collections import Counter
+from dataclasses import dataclass
+from functools import cached_property
 
 from treelat.complex_model import DirectedSquare, SquareComplex, _UnionFind
 from treelat.zlinalg import IntMatrix
 
 
+# The labels b(t) and a(t) of every tile, as TilingSystem.factors checks them.
+TileLabels = tuple[tuple[int, ...], tuple[int, ...]]
+
+
 @dataclass(frozen=True)
 class TilingSystem:
+    """The tiles of a complex, by the integer labels of their sides.
+
+    b[t] and b_prime[t] number the directed vertical edges b(t) and b'(t):
+    edge (e, reversed) is 2i + reversed for e the i-th vertical edge, which
+    is also its vertex in the edge graph of connectivity; a and a_prime
+    number the directed horizontal edges the same way.  m1, m2, stacked and
+    factors are derived from the labels on first access, then kept.
+    """
+
     squares: tuple[DirectedSquare, ...]
-    m1: IntMatrix
-    m2: IntMatrix
+    b: tuple[int, ...]
+    b_prime: tuple[int, ...]
+    a: tuple[int, ...]
+    a_prime: tuple[int, ...]
     n_vertices: int
+
+    @cached_property
+    def m1(self) -> IntMatrix:
+        n = len(self.b)
+        return IntMatrix(n, n, tuple(_follower_rows(self.b, self.b_prime, 2)))
+
+    @cached_property
+    def m2(self) -> IntMatrix:
+        n = len(self.a)
+        return IntMatrix(n, n, tuple(_follower_rows(self.a, self.a_prime, 1)))
+
+    @cached_property
+    def stacked(self) -> IntMatrix:
+        """stacked_matrix(self), built once."""
+        return stacked_matrix(self)
+
+    @cached_property
+    def factors(self) -> TileLabels | None:
+        """(b, a) when b'(t) = b(t^h) and a'(t) = a(t^v) for every tile,
+        else None.  O(n): t^h = t ^ 2 and t^v = t ^ 1.
+
+        When it holds, stacked = (E.F^T - P_h - I over E'.G^T - P_v - I),
+        with E[s][x] = [b(s) = x] and F[t][x] = [b'(t) = x], E' and G the
+        same for a, and P_h, P_v the permutations t -> t^h and t -> t^v.
+        Entry [s][t] of E.F^T is [b(s) = b'(t)], and b'(s^h) = b(s), so
+        row s of E.F^T - P_h holds a 1 at every t with b'(t) = b(s) except
+        s^h: the definition of m1, and likewise of m2 for a.  The stacked
+        kernel (homology.structured_kernel_dim) and the commuting square
+        read the operator off these factors, and never build it.
+        """
+        b, a = self.b, self.a
+        n = len(b)
+        if (
+            n % 4
+            or self.b_prime != tuple([b[t ^ 2] for t in range(n)])
+            or self.a_prime != tuple([a[t ^ 1] for t in range(n)])
+        ):
+            return None
+        return b, a
+
+    def column_sums(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The column sums of m1 and of m2, read off the labels."""
+        return _column_sums(self.b, self.b_prime, 2), _column_sums(self.a, self.a_prime, 1)
 
 
 @dataclass(frozen=True)
@@ -72,7 +137,7 @@ class K0Result:
     hypotheses: K0Hypotheses
 
 
-def _follower_rows(labels: list[int], primed: list[int], flip: int) -> list[tuple]:
+def _follower_rows(labels, primed, flip: int) -> list[tuple]:
     """The rows s of a transition matrix: (t, 1) for every t with
     primed[t] = labels[s], except t = s ^ flip.
 
@@ -94,28 +159,42 @@ def _follower_rows(labels: list[int], primed: list[int], flip: int) -> list[tupl
     return rows
 
 
-def build_tiling(r: tuple[DirectedSquare, ...], c: SquareComplex) -> TilingSystem:
-    """Transition matrices from the expanded directed squares.
+def _column_sums(labels, primed, flip: int) -> tuple[int, ...]:
+    """Column t of a transition matrix counts the tiles s with
+    labels[s] = primed[t], less t ^ flip when it is one of them."""
+    count = Counter(labels)
+    return tuple([count[x] - (labels[t ^ flip] == x) for t, x in enumerate(primed)])
 
-    Each directed edge gets an integer label, keyed by (edge id, reversed);
-    the rows of m1 and m2 are then cut from one shared list per primed
-    label (_follower_rows): t^h = t ^ 2 is dropped from row s of m1 and
-    t^v = t ^ 1 from row s of m2.
-    """
-    index: dict[tuple[str, bool], int] = {}
 
-    def labels(refs) -> list[int]:
-        return [index.setdefault((ref.edge, ref.reversed), len(index)) for ref in refs]
+def label_tiling(r: tuple[DirectedSquare, ...], c: SquareComplex) -> TilingSystem:
+    """The tiling system of the expanded directed squares r, as the
+    integer labels of their sides; O(n), and no matrix is built."""
+    v_pos = {e.id: 2 * i for i, e in enumerate(c.v_edges)}
+    h_pos = {e.id: 2 * i for i, e in enumerate(c.h_edges)}
 
-    n = len(r)
-    m1 = _follower_rows(labels(t.b for t in r), labels(t.b_prime for t in r), 2)
-    m2 = _follower_rows(labels(t.a for t in r), labels(t.a_prime for t in r), 1)
+    def number(pos, refs) -> tuple[int, ...]:
+        return tuple([pos[ref.edge] + ref.reversed for ref in refs])
+
     return TilingSystem(
         squares=tuple(r),
-        m1=IntMatrix(n, n, tuple(m1)),
-        m2=IntMatrix(n, n, tuple(m2)),
+        b=number(v_pos, (t.b for t in r)),
+        b_prime=number(v_pos, (t.b_prime for t in r)),
+        a=number(h_pos, (t.a for t in r)),
+        a_prime=number(h_pos, (t.a_prime for t in r)),
         n_vertices=len(c.vertices),
     )
+
+
+def build_tiling(r: tuple[DirectedSquare, ...], c: SquareComplex) -> TilingSystem:
+    """label_tiling with m1 and m2 built at once: the export path.
+
+    The rows of m1 and m2 are cut from one shared list per primed label
+    (_follower_rows): t^h = t ^ 2 is dropped from row s of m1 and
+    t^v = t ^ 1 from row s of m2.
+    """
+    ts = label_tiling(r, c)
+    _ = ts.m1, ts.m2  # built now, and kept on ts
+    return ts
 
 
 def _minus_diagonal(pairs: tuple, i: int) -> tuple:
@@ -136,101 +215,82 @@ def stacked_matrix(ts: TilingSystem) -> IntMatrix:
     return IntMatrix(2 * n, n, tuple(rows))
 
 
-def matches_factors(stacked: IntMatrix, b: list[int], a: list[int]) -> bool:
-    """True iff stacked = (E.F^T - P_h - I over E'.G^T - P_v - I) for the tile labels b, a.
+def _scc_count(succ: list, flip: int) -> int:
+    """Number of strongly connected components (iterative Tarjan) of the
+    graph on range(len(succ)) with an edge t -> s for every s in succ[t]
+    other than t ^ flip.
 
-    E[s][x] = [b(s) = x] and F[t][x] = [b'(t) = x] with b'(t) = b(t^h); E'
-    and G are the same for a, with a'(t) = a(t^v); P_h and P_v permute tiles
-    by t -> t^h and t -> t^v.  The labels are any integers.  Since
-    b'(s^h) = b(s), row s of E.F^T - P_h holds a 1 at every t with
-    b'(t) = b(s) except s^h: the definition of m1, and of m2 for a.  Each
-    expected row is cut out of the shared list of tiles with that primed
-    label (_follower_rows, as in build_tiling), so the check costs O(n)
-    Python steps and O(nnz) copying.
+    Each frame of the work stack keeps its iterator over succ[v], so it
+    resumes where it left off.  A tile gets index n once its component is
+    closed: no low link reads it again, so no on-stack flags are needed.
     """
-    n = len(b)
-    if stacked.rows != 2 * n or stacked.cols != n or len(a) != n or n % 4:
-        return False
-    rows = stacked.row_pairs
-    for top, labels, flip in ((0, b, 2), (n, a, 1)):
-        # tile t ^ 2 is t^h and tile t ^ 1 is t^v
-        primed = [labels[t ^ flip] for t in range(n)]
-        expected = _follower_rows(labels, primed, flip)
-        for s in range(n):
-            if rows[top + s] != _minus_diagonal(expected[s], s):
-                return False
-    return True
-
-
-def _successors(m: IntMatrix) -> list[list[int]]:
-    # edge t -> s whenever m[s][t] = 1
-    adj: list[list[int]] = [[] for _ in range(m.cols)]
-    for s, pairs in enumerate(m.row_pairs):
-        for t, _ in pairs:
-            adj[t].append(s)
-    return adj
-
-
-def _scc_count(adj: list[list[int]]) -> int:
-    """Number of strongly connected components (iterative Tarjan)."""
-    n = len(adj)
+    n = len(succ)
     index = [-1] * n
     low = [0] * n
-    on_stack = [False] * n
     stack: list[int] = []
     count = 0
     counter = 0
     for root in range(n):
         if index[root] != -1:
             continue
-        work = [(root, 0)]
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        work = [(root, iter(succ[root]))]
         while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            for k in range(pi, len(adj[v])):
-                w = adj[v][k]
+            v, followers = work[-1]
+            skip = v ^ flip
+            for w in followers:
+                if w == skip:
+                    continue
                 if index[w] == -1:
-                    work[-1] = (v, k + 1)
-                    work.append((w, 0))
-                    advanced = True
+                    index[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    work.append((w, iter(succ[w])))
                     break
-                if on_stack[w] and index[w] < low[v]:
+                if index[w] < low[v]:
                     low[v] = index[w]
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                pv = work[-1][0]
-                if low[v] < low[pv]:
-                    low[pv] = low[v]
-            if low[v] == index[v]:
-                count += 1
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    if w == v:
-                        break
+            else:
+                work.pop()
+                if work:
+                    pv = work[-1][0]
+                    if low[v] < low[pv]:
+                        low[pv] = low[v]
+                if low[v] == index[v]:
+                    count += 1
+                    while True:
+                        w = stack.pop()
+                        index[w] = n
+                        if w == v:
+                            break
     return count
 
 
-def _axis_connectivity(m: IntMatrix) -> AxisConnectivity:
-    adj = _successors(m)
-    n = len(adj)
-    scc = _scc_count(adj)
+def _axis_connectivity(labels, primed, flip: int) -> AxisConnectivity:
+    """Connectivity of the tile graph with an edge t -> s whenever
+    labels[s] = primed[t] and s != t ^ flip: the graph of m1 for
+    (b, b', 2) and of m2 for (a, a', 1).
+
+    The successors of t are one list shared by every tile with the primed
+    label of t, and the walks skip t ^ flip in it.
+    """
+    followers: dict[int, list[int]] = {}
+    for s, x in enumerate(labels):
+        followers.setdefault(x, []).append(s)
+    succ = [followers.get(x, ()) for x in primed]
+    n = len(succ)
+    scc = _scc_count(succ, flip)
     strong = n == 0 or scc == 1
     # A strongly connected graph is weakly connected; only a graph with
     # several strong components needs the union-find over its edges.
     weak = strong
     if not strong:
         uf = _UnionFind(n)
-        for t in range(n):
-            for s in adj[t]:
-                uf.union(t, s)
+        for t, ss in enumerate(succ):
+            for s in ss:
+                if s != t ^ flip:
+                    uf.union(t, s)
         weak = uf.component_count() == 1
     return AxisConnectivity(
         weakly_connected=weak,
@@ -272,40 +332,29 @@ def _edge_graph_components(
 
 
 def connectivity(ts: TilingSystem, c: SquareComplex) -> ConnectivityReport:
-    """Connectivity of the four derived graphs.
+    """Connectivity of the four derived graphs, read off the tile labels.
 
     The directed graphs on tiles (edge t -> s whenever the transition matrix
     entry [s][t] is 1) are reported with weak and strong connectivity, since
     strong connectivity is what matrix irreducibility needs.  The undirected
     edge graphs have the directed vertical (resp. horizontal) edges as
-    vertices, one edge per tile joining b(t) to b'(t) (resp. a(t) to a'(t));
-    for each component the orientation class keeps one tile out of each
-    {t, t^h} (resp. {t, t^v}) pair, namely sigma tags (1, v) (resp. (1, h)).
+    vertices, numbered as the labels are, one edge per tile joining b(t) to
+    b'(t) (resp. a(t) to a'(t)); for each component the orientation class
+    keeps one tile out of each {t, t^h} (resp. {t, t^v}) pair, namely sigma
+    tags (1, v) (resp. (1, h)).
     """
-    horizontal = _axis_connectivity(ts.m1)
-    vertical = _axis_connectivity(ts.m2)
-
-    # Directed edge (e, reversed) is vertex 2i + reversed of its edge
-    # graph, e the i-th edge of its axis: the order of c.directed_v() and
-    # c.directed_h().
-    v_pos = {e.id: 2 * i for i, e in enumerate(c.v_edges)}
-    h_pos = {e.id: 2 * i for i, e in enumerate(c.h_edges)}
-
     r = ts.squares
-    b_pairs = [
-        (v_pos[t.b.edge] + t.b.reversed, v_pos[t.b_prime.edge] + t.b_prime.reversed) for t in r
-    ]
     b_plus = [t.sigma_tag in ("1", "v") for t in r]
-    a_pairs = [
-        (h_pos[t.a.edge] + t.a.reversed, h_pos[t.a_prime.edge] + t.a_prime.reversed) for t in r
-    ]
     a_plus = [t.sigma_tag in ("1", "h") for t in r]
-
     return ConnectivityReport(
-        horizontal=horizontal,
-        vertical=vertical,
-        gh_b_components=_edge_graph_components(2 * len(c.v_edges), b_pairs, b_plus),
-        gv_a_components=_edge_graph_components(2 * len(c.h_edges), a_pairs, a_plus),
+        horizontal=_axis_connectivity(ts.b, ts.b_prime, 2),
+        vertical=_axis_connectivity(ts.a, ts.a_prime, 1),
+        gh_b_components=_edge_graph_components(
+            2 * len(c.v_edges), list(zip(ts.b, ts.b_prime)), b_plus
+        ),
+        gv_a_components=_edge_graph_components(
+            2 * len(c.h_edges), list(zip(ts.a, ts.a_prime)), a_plus
+        ),
     )
 
 

@@ -5,19 +5,24 @@ is exact.  Where the pipeline computes something one way, the battery
 re-derives it another way (naive double loops, dense chain maps, rational
 elimination, reachability closure, the rank mod p of the whole stacked
 operator, the dense verifier, H1 through the cycle basis of ker d1, the
-transition matrices one pair at a time, S.phi2 as a product).
+transition matrices one pair at a time, S.phi2 as a product, Tarjan and
+the column sums of the built transition matrices, the built S checked
+against the labels read off psi).
 """
 
+import dataclasses
+
+from treelat import tiling_system
 from treelat.complex_model import sigma_act
 from treelat.homology import (
     _stacked_phi2_from_factors,
+    chain_maps,
     commuting_square,
-    stacked_factors,
     stacked_kernel_basis,
     structured_kernel_dim,
     verify_main_theorem,
 )
-from treelat.tiling_system import stacked_matrix
+from treelat.tiling_system import build_tiling, label_tiling, stacked_matrix
 from treelat.zlinalg import (
     IntMatrix,
     hermite_row_basis,
@@ -35,8 +40,10 @@ from _oracles import (
     determinant,
     h1_by_cycle_basis,
     h_image_index,
+    matches_factors,
     rank_by_fraction_elimination,
     strongly_connected_by_closure,
+    tile_labels,
     v_image_index,
     vh_image_index,
 )
@@ -69,13 +76,13 @@ def assert_instance_properties(analysis):
             assert ts.m2.entry(s_idx, t_idx) == expected2
 
     # the rows cut from shared label lists are the per-pair builder's
-    by_pairs = build_tiling_by_pairs(r, c)
-    assert (ts.m1, ts.m2) == (by_pairs.m1, by_pairs.m2)
+    assert (ts.m1, ts.m2) == build_tiling_by_pairs(r, c)
 
-    # column sums against transverse degrees
+    # column sums against transverse degrees, and read off the labels
     for t_idx, t in enumerate(r):
         assert sum(ts.m1.column(t_idx)) == c.h_degree(c.origin(t.b_prime)) - 1
         assert sum(ts.m2.column(t_idx)) == c.v_degree(c.origin(t.a_prime)) - 1
+    assert ts.column_sums() == (ts.m1.column_sums(), ts.m2.column_sums())
 
     # the sparse chain maps equal the dense builder's, map by map
     for name, (rows, cols) in dense_chain_maps(c, r).items():
@@ -86,10 +93,11 @@ def assert_instance_properties(analysis):
     stacked = stacked_matrix(ts)
     assert stacked.mul(maps.phi2).entries == maps.phi1.mul(maps.d2).entries
 
-    # S is the product of its factors, and S.phi2 read off them is the
-    # product itself
-    table = stacked_factors(stacked, maps.psi)
+    # the labels give the factors of S, as the built S checked against the
+    # labels read off psi says, and S.phi2 read off them is the product
+    table = ts.factors
     assert table is not None
+    assert matches_factors(stacked, *tile_labels(maps.psi))
     assert _stacked_phi2_from_factors(maps.phi2, table) == stacked.mul(maps.phi2)
 
     # injectivity of the comparison maps
@@ -114,7 +122,8 @@ def assert_instance_properties(analysis):
         ts.m2.to_lists()
     )
 
-    # the edge graphs indexed by integers are the DirectedEdgeRef-indexed ones
+    # connectivity read off the labels is the one of Tarjan over the built
+    # matrices and of the DirectedEdgeRef-indexed edge graphs
     assert conn == connectivity_by_refs(ts, c)
 
     # orientation halves every edge-graph component
@@ -146,7 +155,7 @@ def assert_instance_properties(analysis):
     h2_basis = kernel_basis(maps.d2)
     h = IntMatrix.from_columns(h2_basis, rows=maps.d2.cols)
     certified = stacked_kernel_basis(
-        stacked, maps, h, commuting_square(stacked, maps, h, table), table
+        ts, maps, h, commuting_square(ts, maps, h)
     ).transpose().entries
     dense = kernel_basis(stacked)
     assert hermite_row_basis(certified) == hermite_row_basis(dense)
@@ -177,7 +186,7 @@ def assert_instance_properties(analysis):
         expected = dense_verify(c, r, maps, stacked, kernel, h2)
         k = IntMatrix.from_columns(kernel, rows=n)
         h = IntMatrix.from_columns(h2, rows=maps.d2.cols)
-        square = commuting_square(stacked, maps, h, table)
+        square = commuting_square(ts, maps, h)
         assert verify_main_theorem(c, r, maps, k, h, square) == expected
 
     assert verdict.diagram_commutes
@@ -226,3 +235,45 @@ def assert_rank_identity(analysis):
     for lam in stacked_basis:
         assert lattice_membership(lam, image)
     assert hermite_row_basis(image) == hermite_row_basis(stacked_basis)
+
+
+def retarget(analysis, slot):
+    """The expanded squares of the analysis with side slot ("b_prime" or
+    "a_prime") of tile 0 moved to another directed edge of its axis."""
+    c = analysis.complex
+    r = list(analysis.expanded)
+    edges = c.directed_v() if slot == "b_prime" else c.directed_h()
+    old = getattr(r[0], slot)
+    r[0] = dataclasses.replace(r[0], **{slot: next(e for e in edges if e != old)})
+    return tuple(r)
+
+
+def assert_tampered_tiles_build_the_operator_once(monkeypatch, analysis, slot):
+    """Retarget one side of a tile: the label check refuses the tiles, as
+    the built S checked against the labels read off psi does; S is built
+    once, from the tampered tiles, for the square and the kernel both.
+    Returns (tiles, chain maps, H2 basis, kernel, verdict, S)."""
+    c = analysis.complex
+    r = retarget(analysis, slot)
+    maps = chain_maps(c, r)
+    ts = label_tiling(r, c)
+    stacked = stacked_matrix(build_tiling(r, c))
+    assert ts.factors is None
+    assert not matches_factors(stacked, *tile_labels(maps.psi))
+
+    original = tiling_system.stacked_matrix
+    built = []
+
+    def counted(tiling):
+        built.append(tiling)
+        return original(tiling)
+
+    monkeypatch.setattr(tiling_system, "stacked_matrix", counted)
+    h2_basis = kernel_basis(maps.d2)
+    h = IntMatrix.from_columns(h2_basis, rows=maps.d2.cols)
+    square = commuting_square(ts, maps, h)
+    kernel = stacked_kernel_basis(ts, maps, h, square)
+    assert built == [ts]
+    assert ts.stacked == stacked
+    verdict = verify_main_theorem(c, r, maps, kernel, h, square)
+    return r, maps, h2_basis, kernel, verdict, stacked

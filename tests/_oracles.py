@@ -12,7 +12,10 @@ determinant, lattice inclusion, the difference and vertical stack of two
 IntMatrix, the reflections of a tile index by their positional formula)
 live here too, as do the transition matrices built one pair at a time
 and the edge graphs indexed by DirectedEdgeRef, which the pipeline
-replaced with shared label lists and integer indices.
+replaced with shared label lists and integer indices.  So are the routes
+the pipeline left for the tile labels: the labels read off psi, the check
+of a built stacked matrix against their factors, and Tarjan over the
+successor lists of a built transition matrix.
 """
 
 from fractions import Fraction
@@ -247,10 +250,9 @@ def vh_image_index(idx):
 
 
 def build_tiling_by_pairs(r, c):
-    """The TilingSystem of tiling_system.build_tiling, by one append per
-    nonzero: tiles grouped by their DirectedEdgeRef labels, then every
-    column t visited and (t, 1) appended to each row it follows."""
-    from treelat.tiling_system import TilingSystem
+    """m1 and m2 of tiling_system.build_tiling, by one append per nonzero:
+    tiles grouped by their DirectedEdgeRef labels, then every column t
+    visited and (t, 1) appended to each row it follows."""
     from treelat.zlinalg import IntMatrix
 
     n = len(r)
@@ -268,23 +270,99 @@ def build_tiling_by_pairs(r, c):
         for s_idx in by_a.get(t.a_prime, ()):
             if s_idx != v_image_index(t_idx):
                 m2_rows[s_idx].append((t_idx, 1))
-    return TilingSystem(
-        squares=tuple(r),
-        m1=IntMatrix(n, n, tuple(map(tuple, m1_rows))),
-        m2=IntMatrix(n, n, tuple(map(tuple, m2_rows))),
-        n_vertices=len(c.vertices),
+    return (
+        IntMatrix(n, n, tuple(map(tuple, m1_rows))),
+        IntMatrix(n, n, tuple(map(tuple, m2_rows))),
+    )
+
+
+def successors(m):
+    """Successor lists of the tile graph of a transition matrix: an edge
+    t -> s whenever m[s][t] = 1."""
+    adj = [[] for _ in range(m.cols)]
+    for s, pairs in enumerate(m.row_pairs):
+        for t, _ in pairs:
+            adj[t].append(s)
+    return adj
+
+
+def scc_count_by_index(adj):
+    """Number of strongly connected components (iterative Tarjan, each
+    frame resuming at a position in its successor list, on-stack flags)."""
+    n = len(adj)
+    index = [-1] * n
+    low = [0] * n
+    on_stack = [False] * n
+    stack = []
+    count = 0
+    counter = 0
+    for root in range(n):
+        if index[root] != -1:
+            continue
+        work = [(root, 0)]
+        while work:
+            v, pi = work[-1]
+            if pi == 0:
+                index[v] = low[v] = counter
+                counter += 1
+                stack.append(v)
+                on_stack[v] = True
+            advanced = False
+            for k in range(pi, len(adj[v])):
+                w = adj[v][k]
+                if index[w] == -1:
+                    work[-1] = (v, k + 1)
+                    work.append((w, 0))
+                    advanced = True
+                    break
+                if on_stack[w] and index[w] < low[v]:
+                    low[v] = index[w]
+            if advanced:
+                continue
+            work.pop()
+            if work:
+                pv = work[-1][0]
+                if low[v] < low[pv]:
+                    low[pv] = low[v]
+            if low[v] == index[v]:
+                count += 1
+                while True:
+                    w = stack.pop()
+                    on_stack[w] = False
+                    if w == v:
+                        break
+    return count
+
+
+def axis_connectivity_by_matrix(m):
+    """The AxisConnectivity of tiling_system._axis_connectivity, from the
+    built transition matrix m: Tarjan over its successor lists, then a
+    union-find over its edges when it is not strongly connected."""
+    from treelat import tiling_system
+
+    adj = successors(m)
+    n = len(adj)
+    scc = scc_count_by_index(adj)
+    strong = n == 0 or scc == 1
+    weak = strong
+    if not strong:
+        uf = tiling_system._UnionFind(n)
+        for t in range(n):
+            for s in adj[t]:
+                uf.union(t, s)
+        weak = uf.component_count() == 1
+    return tiling_system.AxisConnectivity(
+        weakly_connected=weak,
+        strongly_connected=strong,
+        scc_count=scc,
     )
 
 
 def connectivity_by_refs(ts, c):
-    """The ConnectivityReport of tiling_system.connectivity, with the
-    vertices of the edge graphs found by DirectedEdgeRef in
-    c.directed_v() and c.directed_h()."""
-    from treelat.tiling_system import (
-        ConnectivityReport,
-        _axis_connectivity,
-        _edge_graph_components,
-    )
+    """The ConnectivityReport of tiling_system.connectivity, from the
+    built m1 and m2 of ts and with the vertices of the edge graphs found
+    by DirectedEdgeRef in c.directed_v() and c.directed_h()."""
+    from treelat.tiling_system import ConnectivityReport, _edge_graph_components
 
     v_index = {ref: i for i, ref in enumerate(c.directed_v())}
     h_index = {ref: i for i, ref in enumerate(c.directed_h())}
@@ -293,11 +371,66 @@ def connectivity_by_refs(ts, c):
     a_pairs = [(h_index[t.a], h_index[t.a_prime]) for t in ts.squares]
     a_plus = [t.sigma_tag in ("1", "h") for t in ts.squares]
     return ConnectivityReport(
-        horizontal=_axis_connectivity(ts.m1),
-        vertical=_axis_connectivity(ts.m2),
+        horizontal=axis_connectivity_by_matrix(ts.m1),
+        vertical=axis_connectivity_by_matrix(ts.m2),
         gh_b_components=_edge_graph_components(len(v_index), b_pairs, b_plus),
         gv_a_components=_edge_graph_components(len(h_index), a_pairs, a_plus),
     )
+
+
+def tile_labels(psi):
+    """The labels b(s) and a(s) of every tile, as integers, read off psi.
+
+    Column s of psi holds eps(b(s)) and column n + s holds -eps(a(s)), one
+    +-1 each; directed edge (e, sign) gets label 2e or 2e + 1.  The a labels
+    are shifted past the b labels, so the two never share a value.  None
+    when some column is empty.
+    """
+    n = psi.cols // 2
+    shift = 2 * psi.rows
+    b = [-1] * n
+    a = [-1] * n
+    for e, pairs in enumerate(psi.row_pairs):
+        for s, x in pairs:
+            if s < n:
+                b[s] = 2 * e + (x < 0)
+            else:
+                a[s - n] = shift + 2 * e + (x > 0)
+    if -1 in b or -1 in a:
+        return None
+    return b, a
+
+
+def matches_factors(stacked, b, a):
+    """True iff stacked = (E.F^T - P_h - I over E'.G^T - P_v - I) for the
+    tile labels b, a, with b'(t) = b(t^h) and a'(t) = a(t^v): each row of
+    the built matrix against the row cut from the shared list of tiles
+    with its primed label (the construction of build_tiling)."""
+    from treelat.tiling_system import _follower_rows, _minus_diagonal
+
+    n = len(b)
+    if stacked.rows != 2 * n or stacked.cols != n or len(a) != n or n % 4:
+        return False
+    rows = stacked.row_pairs
+    for top, labels, flip in ((0, b, 2), (n, a, 1)):
+        # tile t ^ 2 is t^h and tile t ^ 1 is t^v
+        primed = [labels[t ^ flip] for t in range(n)]
+        expected = _follower_rows(labels, primed, flip)
+        for s in range(n):
+            if rows[top + s] != _minus_diagonal(expected[s], s):
+                return False
+    return True
+
+
+def stacked_factors(stacked, psi):
+    """The tile labels (b, a) of psi when the built stacked matrix is the
+    product of its factors (matches_factors), else None."""
+    if psi.cols != 2 * stacked.cols:
+        return None
+    labels = tile_labels(psi)
+    if labels is None or not matches_factors(stacked, *labels):
+        return None
+    return labels
 
 
 def dense_equal(a, a_cols, b, b_cols):

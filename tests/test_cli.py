@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import json
 import os
@@ -13,6 +14,8 @@ from treelat import _kernels_py, cli, homology, matio, tiling_system, zlinalg
 from treelat.cli import analyze_document, main
 
 import _complexes
+from _oracles import dense_verify
+from _battery import assert_tampered_tiles_build_the_operator_once
 
 
 @pytest.fixture()
@@ -335,14 +338,35 @@ def count_calls(monkeypatch, module, name):
     return seen
 
 
+def count_reads(monkeypatch, cls, name):
+    """Record every instance whose attribute name, a cached_property of
+    cls, is computed."""
+    original = getattr(cls, name).func
+    seen = []
+
+    def counted(self):
+        seen.append(self)
+        return original(self)
+
+    prop = functools.cached_property(counted)
+    prop.__set_name__(cls, name)
+    monkeypatch.setattr(cls, name, prop)
+    return seen
+
+
 def test_analysis_computes_each_kernel_once(monkeypatch, mozes513, mozes513_doc):
     stacked = tiling_system.stacked_matrix(mozes513.tiling)
     snf = count_calls(monkeypatch, zlinalg, "smith_normal_form")
     hermite = count_calls(monkeypatch, zlinalg, "hermite_row_basis")
     built = count_calls(monkeypatch, tiling_system, "stacked_matrix")
+    tilings = count_calls(monkeypatch, tiling_system, "build_tiling")
+    matrices = [count_reads(monkeypatch, tiling_system.TilingSystem, m) for m in ("m1", "m2")]
     _, analysis = analyze_document(mozes513_doc)
     assert analysis.theorem.holds
-    assert len(built) == 1
+    # Everything on the tiling side is read off the tile labels: neither
+    # M1, M2 nor the stacked operator is built.
+    assert len(built) == 0 and len(tilings) == 0
+    assert matrices == [[], []]
     # The stacked kernel is certified as phi2(ker d2), so no Smith form of
     # the stacked operator; one vertex, so H1 is read off the one of d2.
     assert sum(a == stacked for a in snf) == 0
@@ -371,8 +395,8 @@ def test_certified_kernel_stays_sparse_and_meets_the_operator_once(
 
     monkeypatch.setattr(zlinalg.IntMatrix, "entries", property(dense))
     monkeypatch.setattr(zlinalg.IntMatrix, "mul", mul)
-    factor_tables = count_calls(monkeypatch, homology, "stacked_factors")
-    factor_checks = count_calls(monkeypatch, tiling_system, "matches_factors")
+    factor_checks = count_reads(monkeypatch, tiling_system.TilingSystem, "factors")
+    built = count_calls(monkeypatch, tiling_system, "stacked_matrix")
     path = tmp_path / "mozes513.json"
     path.write_text(mozes513_doc)
     code, out, err = runner("analyze", str(path), "--json")
@@ -382,7 +406,7 @@ def test_certified_kernel_stays_sparse_and_meets_the_operator_once(
     assert products.count((2 * n, n, r)) == 0
     assert products.count((2 * n, n, n // 4)) == 0
     assert (2 * n, n // 4, r) not in products
-    assert len(factor_tables) == 1 and len(factor_checks) == 1
+    assert len(factor_checks) == 1 and len(built) == 0
 
 
 def test_product_analysis_takes_two_smith_forms(monkeypatch):
@@ -417,13 +441,29 @@ def test_tiny_prime_falls_back_to_the_dense_kernel(
 
 
 def test_torus_falls_back_to_the_dense_kernel(monkeypatch, torus):
-    # rank ker d2 = 1 but the stacked kernel has rank 4: no certificate.
+    # rank ker d2 = 1 but the stacked kernel has rank 4: no certificate,
+    # and the stacked operator is built once, for its Smith form.
     stacked = tiling_system.stacked_matrix(torus.tiling)
     snf = count_calls(monkeypatch, zlinalg, "smith_normal_form")
+    built = count_calls(monkeypatch, tiling_system, "stacked_matrix")
     _, analysis = analyze_document(_complexes.torus_doc())
+    assert len(built) == 1
     assert sum(a == stacked for a in snf) == 1
     assert analysis.theorem == torus.theorem
     assert (analysis.theorem.rank_ker_d2, analysis.theorem.rank_ker_stacked) == (1, 4)
+    assert not analysis.theorem.holds
+
+
+def test_klein_bottle_builds_the_operator_once(monkeypatch, klein):
+    # No certificate either: one build of the stacked operator, shared by
+    # the fallback kernel, and one Smith form of it.
+    stacked = tiling_system.stacked_matrix(klein.tiling)
+    snf = count_calls(monkeypatch, zlinalg, "smith_normal_form")
+    built = count_calls(monkeypatch, tiling_system, "stacked_matrix")
+    _, analysis = analyze_document(_complexes.klein_doc())
+    assert len(built) == 1
+    assert sum(a == stacked for a in snf) == 1
+    assert analysis.theorem == klein.theorem
     assert not analysis.theorem.holds
 
 
@@ -433,7 +473,7 @@ def test_small_odd_prime_keeps_the_certified_kernel(monkeypatch, mozes513, mozes
     # its factors certifies phi2(ker d2), and no stacked Smith form runs.
     monkeypatch.setattr(_kernels_py, "PRIME", 3)
     stacked = tiling_system.stacked_matrix(mozes513.tiling)
-    assert homology.structured_kernel_dim(homology.stacked_factors(stacked, mozes513.maps.psi)) == 11
+    assert homology.structured_kernel_dim(mozes513.tiling.factors) == 11
     snf = count_calls(monkeypatch, zlinalg, "smith_normal_form")
     _, analysis = analyze_document(mozes513_doc)
     assert sum(a == stacked for a in snf) == 0
@@ -448,6 +488,7 @@ def test_certificate_rests_on_the_commuting_square(monkeypatch, mozes513):
     # back to one Smith form of S.  With the true H both checks hold and the
     # basis is phi2.H itself, with no Smith form of S.
     maps = mozes513.maps
+    ts = tiling_system.label_tiling(mozes513.expanded, mozes513.complex)
     stacked = tiling_system.stacked_matrix(mozes513.tiling)
     h2_basis = zlinalg.kernel_basis(maps.d2)
     cells = maps.d2.cols
@@ -455,53 +496,40 @@ def test_certificate_rests_on_the_commuting_square(monkeypatch, mozes513):
     assert not maps.d2.mul(zlinalg.IntMatrix.from_columns([chain], rows=cells)).is_zero()
     true_h = zlinalg.IntMatrix.from_columns(h2_basis, rows=cells)
     bad_h = zlinalg.IntMatrix.from_columns((chain,) + h2_basis[1:], rows=cells)
-    factors = homology.stacked_factors(stacked, maps.psi)
-    assert homology.structured_kernel_dim(factors) == bad_h.cols == 11
+    assert homology.structured_kernel_dim(ts.factors) == bad_h.cols == 11
 
     snf = count_calls(monkeypatch, zlinalg, "smith_normal_form")
-    square = homology.commuting_square(stacked, maps, bad_h, factors)
+    square = homology.commuting_square(ts, maps, bad_h)
     assert square == (True, False)
-    basis = homology.stacked_kernel_basis(stacked, maps, bad_h, square, factors)
+    basis = homology.stacked_kernel_basis(ts, maps, bad_h, square)
     assert len(snf) == 1 and snf[0] == stacked
     dense = zlinalg.kernel_basis(stacked)
     hermite = zlinalg.hermite_row_basis
     assert hermite(basis.transpose().entries) == hermite(dense)
 
     snf.clear()
-    square = homology.commuting_square(stacked, maps, true_h, factors)
+    square = homology.commuting_square(ts, maps, true_h)
     assert square == (True, True)
-    certified = homology.stacked_kernel_basis(stacked, maps, true_h, square, factors)
+    certified = homology.stacked_kernel_basis(ts, maps, true_h, square)
     assert certified == maps.phi2.mul(true_h)
     assert sum(a == stacked for a in snf) == 0
 
 
 def test_broken_factor_identity_falls_back_to_the_dense_kernel(monkeypatch, mozes513):
-    # Move one nonzero of the M1 block of the (5,13) stacked matrix to a
-    # column its row does not hold: the matrix is no longer
-    # (E.F^T - P_h - I over E'.G^T - P_v - I), the count from the factors
-    # refuses it, and the kernel comes from one Smith form of that matrix.
-    maps = mozes513.maps
-    stacked = tiling_system.stacked_matrix(mozes513.tiling)
-    rows = list(stacked.row_pairs)
-    pairs = list(rows[0])
-    k = next(i for i, (_, x) in enumerate(pairs) if x == 1)
-    held = {j for j, _ in pairs}
-    pairs[k] = (next(j for j in range(stacked.cols) if j not in held), 1)
-    rows[0] = tuple(sorted(pairs))
-    broken = zlinalg.IntMatrix(stacked.rows, stacked.cols, tuple(rows))
-
-    b, a = homology.tile_labels(maps.psi)
-    assert tiling_system.matches_factors(stacked, b, a)
-    assert not tiling_system.matches_factors(broken, b, a)
-    assert homology.structured_kernel_dim(homology.stacked_factors(broken, maps.psi)) is None
-
-    h2_basis = zlinalg.kernel_basis(maps.d2)
+    # Move b'(t) of tile 0 to another vertical edge: the labels no longer
+    # satisfy b'(t) = b(t^h), so they do not give the factors
+    # (E.F^T - P_h - I over E'.G^T - P_v - I) of the stacked matrix of
+    # those tiles, the count from the factors refuses them, S is built
+    # once, and the kernel comes from one Smith form of it; the verdict is
+    # the dense verifier's.
     snf = count_calls(monkeypatch, zlinalg, "smith_normal_form")
-    h = zlinalg.IntMatrix.from_columns(h2_basis, rows=maps.d2.cols)
-    factors = homology.stacked_factors(broken, maps.psi)
-    square = homology.commuting_square(broken, maps, h, factors)
-    basis = homology.stacked_kernel_basis(broken, maps, h, square, factors).transpose().entries
-    assert sum(x == broken for x in snf) == 1
-    assert len(snf) == 1
+    r, maps, h2_basis, kernel, verdict, broken = assert_tampered_tiles_build_the_operator_once(
+        monkeypatch, mozes513, "b_prime"
+    )
+    refused = tiling_system.label_tiling(r, mozes513.complex).factors
+    assert homology.structured_kernel_dim(refused) is None
+    assert snf == [maps.d2, broken]  # the basis of ker d2, then the fallback kernel
+    basis = kernel.transpose().entries
     dense = zlinalg.kernel_basis(broken)
     assert zlinalg.hermite_row_basis(basis) == zlinalg.hermite_row_basis(dense)
+    assert verdict == dense_verify(mozes513.complex, r, maps, broken, basis, h2_basis)

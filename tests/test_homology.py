@@ -2,20 +2,20 @@ import dataclasses
 
 import pytest
 
+from treelat import tiling_system
 from treelat.cli import analyze_document
 from treelat.complex_model import expand_directed_squares, load_complex
 from treelat.homology import (
     _stacked_phi2_from_factors,
     chain_maps,
     commuting_square,
-    stacked_factors,
     forward_edge_index,
     stacked_kernel_basis,
     structured_kernel_dim,
     verify_main_theorem,
 )
 from treelat.mozes import generate_mozes_complex
-from treelat.tiling_system import build_tiling, stacked_matrix
+from treelat.tiling_system import build_tiling, label_tiling, stacked_matrix
 from treelat.zlinalg import (
     IntMatrix,
     hermite_row_basis,
@@ -25,8 +25,8 @@ from treelat.zlinalg import (
 )
 
 import _complexes
-from _battery import assert_instance_properties
-from _oracles import dense_chain_maps, dense_verify, h1_by_cycle_basis
+from _battery import assert_instance_properties, assert_tampered_tiles_build_the_operator_once
+from _oracles import dense_chain_maps, dense_verify, h1_by_cycle_basis, stacked_factors
 
 
 def test_d1_composed_with_d2_vanishes(corpus):
@@ -178,14 +178,13 @@ def test_verifier_flags_each_failed_edge_sum(mozes513):
     r = a.expanded
     n = len(r)
     stacked = stacked_matrix(a.tiling)
-    factors = stacked_factors(stacked, a.maps.psi)
     h2_basis = kernel_basis(a.maps.d2)
     h = IntMatrix.from_columns(h2_basis, rows=a.maps.d2.cols)
 
     def mu_vanishes(vectors):
         k = IntMatrix.from_columns(vectors, rows=n)
         return verify_main_theorem(
-            a.complex, r, a.maps, k, h, commuting_square(stacked, a.maps, h, factors)
+            a.complex, r, a.maps, k, h, commuting_square(a.tiling, a.maps, h)
         ).mu_vanishes
 
     def difference(s, t):
@@ -216,9 +215,8 @@ def test_verifier_rejects_a_unit_vector(mozes513):
     unit = (tuple(int(i == 0) for i in range(len(a.expanded))),)
     k = IntMatrix.from_columns(unit, rows=len(a.expanded))
     h = IntMatrix.from_columns(h2_basis, rows=a.maps.d2.cols)
-    factors = stacked_factors(stacked, a.maps.psi)
     verdict = verify_main_theorem(
-        a.complex, a.expanded, a.maps, k, h, commuting_square(stacked, a.maps, h, factors)
+        a.complex, a.expanded, a.maps, k, h, commuting_square(a.tiling, a.maps, h)
     )
     assert not verdict.kernel_symmetries_hold
     assert not verdict.kernel_in_phi2_image
@@ -226,24 +224,17 @@ def test_verifier_rejects_a_unit_vector(mozes513):
     assert verdict == dense_verify(a.complex, a.expanded, a.maps, stacked, unit, h2_basis)
 
 
-def test_verifier_flags_a_tampered_operator(mozes513):
-    # Drop one nonzero of the stacked operator: stacked.phi2 loses a term
-    # that phi1.d2 keeps, so the square no longer commutes.
-    a = mozes513
-    stacked = stacked_matrix(a.tiling)
-    rows = list(stacked.row_pairs)
-    rows[0] = rows[0][1:]
-    broken = IntMatrix(stacked.rows, stacked.cols, tuple(rows))
-    h2_basis = kernel_basis(a.maps.d2)
-    kernel = kernel_basis(stacked)
-    k = IntMatrix.from_columns(kernel, rows=stacked.cols)
-    h = IntMatrix.from_columns(h2_basis, rows=a.maps.d2.cols)
-    factors = stacked_factors(broken, a.maps.psi)
-    verdict = verify_main_theorem(
-        a.complex, a.expanded, a.maps, k, h, commuting_square(broken, a.maps, h, factors)
+def test_verifier_flags_a_tampered_operator(monkeypatch, mozes513):
+    # Move a'(t) of tile 0 to another horizontal edge: the stacked operator
+    # of those tiles, built once, gains and loses nonzeros in column 0 of
+    # its M2 block, so S.phi2 no longer equals phi1.d2 and the square no
+    # longer commutes.
+    r, maps, h2_basis, kernel, verdict, stacked = assert_tampered_tiles_build_the_operator_once(
+        monkeypatch, mozes513, "a_prime"
     )
     assert not verdict.diagram_commutes
-    assert verdict == dense_verify(a.complex, a.expanded, a.maps, broken, kernel, h2_basis)
+    vectors = kernel.transpose().entries
+    assert verdict == dense_verify(mozes513.complex, r, maps, stacked, vectors, h2_basis)
 
 
 @pytest.mark.parametrize("p,l", [(5, 13), (5, 17), (5, 29), (13, 17), (17, 29)])
@@ -252,18 +243,21 @@ def test_factored_square_equals_the_product_on_the_ladder(p, l):
     r = expand_directed_squares(c)
     maps = chain_maps(c, r)
     stacked = stacked_matrix(build_tiling(r, c))
-    factors = stacked_factors(stacked, maps.psi)
+    factors = label_tiling(r, c).factors
     assert factors is not None
+    assert stacked_factors(stacked, maps.psi) is not None
     assert _stacked_phi2_from_factors(maps.phi2, factors) == stacked.mul(maps.phi2)
 
 
 def test_non_alternating_phi2_takes_the_product(monkeypatch, mozes513):
     # Negate one row of phi2: it no longer alternates under the
-    # reflections, so check (1) forms the product S.phi2 instead of reading
-    # it off the factors of S, and the verdict is the dense verifier's.
+    # reflections, so check (1) builds S and forms the product S.phi2
+    # instead of reading it off the factors of S, and the verdict is the
+    # dense verifier's.
     a = mozes513
     stacked = stacked_matrix(a.tiling)
-    factors = stacked_factors(stacked, a.maps.psi)
+    ts = label_tiling(a.expanded, a.complex)
+    factors = ts.factors
     rows = list(a.maps.phi2.row_pairs)
     rows[0] = tuple([(j, -x) for j, x in rows[0]])
     phi2 = IntMatrix(a.maps.phi2.rows, a.maps.phi2.cols, tuple(rows))
@@ -281,10 +275,19 @@ def test_non_alternating_phi2_takes_the_product(monkeypatch, mozes513):
         return original(self, other)
 
     monkeypatch.setattr(IntMatrix, "mul", mul)
-    assert commuting_square(stacked, a.maps, h, factors) == (True, True)
-    assert not any(x is stacked for x in left_factors)
-    square = commuting_square(stacked, maps, h, factors)
-    assert sum(x is stacked for x in left_factors) == 1
+    built = []
+    original_stacked = tiling_system.stacked_matrix
+
+    def stacked_matrix_counted(tiling):
+        built.append(tiling)
+        return original_stacked(tiling)
+
+    monkeypatch.setattr(tiling_system, "stacked_matrix", stacked_matrix_counted)
+    assert commuting_square(ts, a.maps, h) == (True, True)
+    assert built == []
+    square = commuting_square(ts, maps, h)
+    assert built == [ts] and ts.stacked == stacked
+    assert sum(x is ts.stacked for x in left_factors) == 1
 
     kernel = kernel_basis(stacked)
     k = IntMatrix.from_columns(kernel, rows=stacked.cols)
@@ -318,9 +321,8 @@ def test_stacked_kernel_certificate_steps(corpus):
         certified = upper == len(h2_basis)
         assert certified == (name not in ("torus", "klein")), name
         h = IntMatrix.from_columns(h2_basis, rows=cells)
-        factors = stacked_factors(stacked, maps.psi)
-        square = commuting_square(stacked, maps, h, factors)
-        basis = stacked_kernel_basis(stacked, maps, h, square, factors).transpose().entries
+        square = commuting_square(a.tiling, maps, h)
+        basis = stacked_kernel_basis(a.tiling, maps, h, square).transpose().entries
         assert (basis == vectors) == certified, name
         assert hermite_row_basis(basis) == hermite_row_basis(dense), name
 
@@ -330,9 +332,8 @@ def test_stacked_kernel_matches_dense_oracle_on_mozes(p, l):
     _, a = analyze_document(generate_mozes_complex(p, l))
     stacked = stacked_matrix(a.tiling)
     h = IntMatrix.from_columns(kernel_basis(a.maps.d2), rows=a.maps.d2.cols)
-    factors = stacked_factors(stacked, a.maps.psi)
-    square = commuting_square(stacked, a.maps, h, factors)
-    certified = stacked_kernel_basis(stacked, a.maps, h, square, factors).transpose().entries
+    square = commuting_square(a.tiling, a.maps, h)
+    certified = stacked_kernel_basis(a.tiling, a.maps, h, square).transpose().entries
     assert len(certified) == a.homology.h2_rank == (p - 1) * (l - 1) // 4 - 1
     assert hermite_row_basis(certified) == hermite_row_basis(kernel_basis(stacked))
 
@@ -350,12 +351,11 @@ def test_verifier_tests_phi2_image_against_the_operator(mozes513):
     assert not a.maps.d2.mul(IntMatrix.from_columns([chain], rows=cells)).is_zero()
 
     k = IntMatrix.from_columns(kernel, rows=stacked.cols)
-    factors = stacked_factors(stacked, a.maps.psi)
 
     def image_in_kernel(basis):
         h = IntMatrix.from_columns(basis, rows=cells)
         return verify_main_theorem(
-            a.complex, a.expanded, a.maps, k, h, commuting_square(stacked, a.maps, h, factors)
+            a.complex, a.expanded, a.maps, k, h, commuting_square(a.tiling, a.maps, h)
         ).phi2_image_in_kernel
 
     assert image_in_kernel(h2_basis)
@@ -375,7 +375,8 @@ def test_chain_maps_match_the_dense_builder_on_mozes513(mozes513_doc):
 def test_structured_count_matches_rank_mod_p_and_dense_kernel(p, l):
     _, a = analyze_document(generate_mozes_complex(p, l))
     stacked = stacked_matrix(a.tiling)
-    dim = structured_kernel_dim(stacked_factors(stacked, a.maps.psi))
+    dim = structured_kernel_dim(a.tiling.factors)
+    assert dim == structured_kernel_dim(stacked_factors(stacked, a.maps.psi))
     assert dim == stacked.cols - rank_mod_prime(stacked) == len(kernel_basis(stacked))
     assert dim == (p - 1) * (l - 1) // 4 - 1
 
@@ -383,6 +384,7 @@ def test_structured_count_matches_rank_mod_p_and_dense_kernel(p, l):
 def test_structured_count_matches_rank_mod_p_at_17_29():
     _, a = analyze_document(generate_mozes_complex(17, 29))
     stacked = stacked_matrix(a.tiling)
-    dim = structured_kernel_dim(stacked_factors(stacked, a.maps.psi))
+    dim = structured_kernel_dim(a.tiling.factors)
+    assert dim == structured_kernel_dim(stacked_factors(stacked, a.maps.psi))
     assert dim == stacked.cols - rank_mod_prime(stacked)
     assert a.k0.kernel_rank == a.homology.h2_rank == 16 * 28 // 4 - 1

@@ -5,16 +5,20 @@ import pytest
 from treelat import tiling_system
 from treelat.complex_model import load_complex, expand_directed_squares, validate_vht
 from treelat.mozes import generate_mozes_complex
-from treelat.tiling_system import build_tiling, connectivity, k0_rank, stacked_matrix
+from treelat.homology import chain_maps
+from treelat.tiling_system import build_tiling, connectivity, k0_rank, label_tiling, stacked_matrix
 from treelat.zlinalg import IntMatrix, kernel_basis
 
 import _complexes
 from _oracles import (
+    axis_connectivity_by_matrix,
     build_tiling_by_pairs,
     connectivity_by_refs,
     h_image_index,
+    matches_factors,
     strongly_connected_by_closure,
     sub,
+    tile_labels,
     v_image_index,
     vstack,
 )
@@ -204,15 +208,20 @@ def test_random_complexes_rederive(seed=321):
 
 @pytest.mark.parametrize("p,l", [(5, 13), (5, 17), (5, 29), (13, 17), (17, 29)])
 def test_label_lists_match_the_per_pair_builder_on_the_ladder(p, l):
-    # Rows cut from one shared list per primed label, and edge graphs
-    # indexed by integers, against one append per nonzero and edge graphs
-    # indexed by DirectedEdgeRef.
+    # Rows cut from one shared list per primed label against one append
+    # per nonzero; connectivity and column sums read off the labels against
+    # Tarjan over the built matrices, edge graphs indexed by
+    # DirectedEdgeRef and the built column sums; the label check against
+    # the built S checked against the labels read off psi.
     c = load_complex(generate_mozes_complex(p, l))
     r = expand_directed_squares(c)
-    ts = build_tiling(r, c)
-    by_pairs = build_tiling_by_pairs(r, c)
-    assert (ts.m1, ts.m2) == (by_pairs.m1, by_pairs.m2)
-    assert connectivity(ts, c) == connectivity_by_refs(ts, c)
+    ts = label_tiling(r, c)
+    assert connectivity(ts, c) == connectivity_by_refs(build_tiling(r, c), c)
+    assert (ts.m1, ts.m2) == build_tiling_by_pairs(r, c)
+    assert ts.column_sums() == (ts.m1.column_sums(), ts.m2.column_sums())
+    built = stacked_matrix(build_tiling(r, c))
+    assert ts.factors is not None
+    assert matches_factors(built, *tile_labels(chain_maps(c, r).psi))
 
 
 def test_transition_matrices_store_only_their_nonzeros(mozes513):
@@ -232,12 +241,12 @@ def digraph(n, edges):
 
 
 def test_axis_connectivity_weak_but_not_strong():
-    conn = tiling_system._axis_connectivity(digraph(3, [(0, 1), (1, 2)]))
+    conn = axis_connectivity_by_matrix(digraph(3, [(0, 1), (1, 2)]))
     assert (conn.weakly_connected, conn.strongly_connected, conn.scc_count) == (True, False, 3)
 
 
 def test_axis_connectivity_not_even_weak():
-    conn = tiling_system._axis_connectivity(digraph(4, [(0, 1), (1, 0), (2, 3), (3, 2)]))
+    conn = axis_connectivity_by_matrix(digraph(4, [(0, 1), (1, 0), (2, 3), (3, 2)]))
     assert (conn.weakly_connected, conn.strongly_connected, conn.scc_count) == (False, False, 2)
 
 
@@ -247,7 +256,44 @@ def test_axis_connectivity_strong_skips_the_union_find(monkeypatch):
             raise AssertionError("union-find run on a strongly connected graph")
 
     monkeypatch.setattr(tiling_system, "_UnionFind", NoUnionFind)
-    conn = tiling_system._axis_connectivity(digraph(3, [(0, 1), (1, 2), (2, 0)]))
+    conn = axis_connectivity_by_matrix(digraph(3, [(0, 1), (1, 2), (2, 0)]))
     assert (conn.weakly_connected, conn.strongly_connected, conn.scc_count) == (True, True, 1)
     with pytest.raises(AssertionError):
-        tiling_system._axis_connectivity(digraph(2, [(0, 1)]))
+        axis_connectivity_by_matrix(digraph(2, [(0, 1)]))
+
+
+# The same digraphs on label input: an edge t -> s whenever
+# labels[s] = primed[t] and s != t ^ flip.
+
+
+def test_label_axis_connectivity_weak_but_not_strong():
+    # 0 -> 1 -> 2; no tile has label 6, the primed label of tile 2
+    conn = tiling_system._axis_connectivity([7, 8, 9], [8, 9, 6], 2)
+    assert (conn.weakly_connected, conn.strongly_connected, conn.scc_count) == (True, False, 3)
+
+
+def test_label_axis_connectivity_not_even_weak():
+    # 0 <-> 1 and 2 <-> 3, with loops
+    conn = tiling_system._axis_connectivity([0, 0, 1, 1], [0, 0, 1, 1], 2)
+    assert (conn.weakly_connected, conn.strongly_connected, conn.scc_count) == (False, False, 2)
+    # tiles 0 and 1 both have label 0 and primed label 0, but each skips
+    # t ^ 1, the other one: only the loops are left
+    conn = tiling_system._axis_connectivity([0, 0], [0, 0], 1)
+    assert (conn.weakly_connected, conn.strongly_connected, conn.scc_count) == (False, False, 2)
+    # with a skip that names no tile, 0 <-> 1
+    conn = tiling_system._axis_connectivity([0, 0], [0, 0], 4)
+    assert (conn.weakly_connected, conn.strongly_connected, conn.scc_count) == (True, True, 1)
+
+
+def test_label_axis_connectivity_strong_skips_the_union_find(monkeypatch):
+    class NoUnionFind:
+        def __init__(self, n):
+            raise AssertionError("union-find run on a strongly connected graph")
+
+    monkeypatch.setattr(tiling_system, "_UnionFind", NoUnionFind)
+    # 0 -> 1 -> 2 -> 3 -> 0
+    conn = tiling_system._axis_connectivity([0, 1, 2, 3], [1, 2, 3, 0], 2)
+    assert (conn.weakly_connected, conn.strongly_connected, conn.scc_count) == (True, True, 1)
+    with pytest.raises(AssertionError):
+        # 0 -> 1 only
+        tiling_system._axis_connectivity([0, 1], [1, 5], 2)
