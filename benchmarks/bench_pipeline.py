@@ -1,0 +1,165 @@
+"""Time every stage of an analysis, pair by pair, and write the table as JSON.
+
+Usage:
+
+    PYTHONPATH=src python benchmarks/bench_pipeline.py --out BENCH.json \
+        [--src OTHER_CHECKOUT]
+
+The stages are those of cli.analyze_document, run in its order on a fresh
+load of the document: load, validate, expand, label_tiling, chain_maps,
+connectivity, the Smith form of d2 with its kernel columns (smith_d2),
+commuting_square, stacked_kernel_basis, homology_report, k0_rank, verify
+and build_report.  Each is the best of REPEAT full pipelines, so cached
+properties built by one run never shorten the next.  The
+pairs are the Mozes ladder (5,13) (5,17) (5,29) (13,17) with (17,29) and
+(29,37); on the product of two 40-cycles (1600 vertices, 3200 edges, 1600
+squares) only load and validate are timed.
+
+Every pair runs in its own interpreter, which reports its peak RSS.  The
+documents are made once, by this checkout, and handed to each run on
+standard input, so both sides read the same bytes.  The table of this
+checkout is stored under "after"; with --src, the same stages are timed
+with the package of that checkout (its src/ directory), for instance the
+parent commit, and stored under "before", so one file holds both from one
+machine.  The two run each document one after the other.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+LADDER = ((5, 13), (5, 17), (5, 29), (13, 17), (17, 29), (29, 37))
+CYCLE = 40
+REPEAT = 5
+
+
+def documents() -> dict[str, str]:
+    """The benchmark documents by name, made by this checkout."""
+    sys.path.insert(0, str(ROOT / "src"))
+    sys.path.insert(0, str(ROOT / "tests"))
+    from treelat.mozes import generate_mozes_complex
+
+    import _complexes
+
+    docs = {f"{p},{l}": generate_mozes_complex(p, l) for p, l in LADDER}
+    cycle = (CYCLE, [(i, (i + 1) % CYCLE) for i in range(CYCLE)])
+    docs[f"C{CYCLE}xC{CYCLE}"] = _complexes.product_doc(cycle, cycle)
+    return docs
+
+
+def measure(text: str, validate_only: bool) -> dict:
+    """Best-of-REPEAT seconds of each stage on one document, run in this
+    interpreter against the treelat on sys.path."""
+    import resource
+    from time import perf_counter
+
+    from treelat.cli import Analysis, build_report
+    from treelat.complex_model import expand_directed_squares, load_complex, validate_vht
+    from treelat.homology import (
+        chain_maps,
+        commuting_square,
+        homology_report,
+        stacked_kernel_basis,
+        verify_main_theorem,
+    )
+    from treelat.tiling_system import connectivity, k0_rank, label_tiling
+    from treelat.zlinalg import IntMatrix, smith_normal_form
+
+    data = text.encode()
+    best: dict[str, float] = {}
+
+    def timed(stage, fn, *args):
+        start = perf_counter()
+        out = fn(*args)
+        elapsed = perf_counter() - start
+        best[stage] = min(best.get(stage, elapsed), elapsed)
+        return out
+
+    def smith_d2(d2):
+        s2 = smith_normal_form(d2, left=False)
+        return s2, IntMatrix.from_columns(s2.kernel_basis(), rows=d2.cols)
+
+    for _ in range(REPEAT):
+        c = timed("load", load_complex, text)
+        v = timed("validate", validate_vht, c)
+        if validate_only:
+            continue
+        r = timed("expand", expand_directed_squares, c)
+        ts = timed("label_tiling", label_tiling, r, c)
+        maps = timed("chain_maps", chain_maps, c, r)
+        conn = timed("connectivity", connectivity, ts, c)
+        s2, h = timed("smith_d2", smith_d2, maps.d2)
+        square = timed("commuting_square", commuting_square, ts, maps, h)
+        kernel = timed("stacked_kernel_basis", stacked_kernel_basis, ts, maps, h, square)
+        hom = timed("homology_report", homology_report, c, maps, s2)
+        k0 = timed("k0_rank", k0_rank, ts, conn, kernel)
+        theorem = timed("verify", verify_main_theorem, c, r, maps, kernel, h, square)
+        analysis = Analysis(
+            complex=c, validation=v, expanded=r, tiling=ts, maps=maps,
+            homology=hom, connectivity=conn, k0=k0, theorem=theorem,
+        )
+        timed("build_report", build_report, analysis, data)
+    return {
+        "tiles": 4 * len(c.squares),
+        "stages_s": {k: round(x, 6) for k, x in best.items()},
+        "total_s": round(sum(best.values()), 6),
+        "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
+    }
+
+
+def run_pair(src: Path, name: str, text: str) -> dict:
+    """The stage table of one document with the package under src, in its
+    own interpreter."""
+    stages = "validate" if name.startswith("C") else "analyze"
+    argv = [sys.executable, __file__, "--measure", stages]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(argv, input=text, capture_output=True, text=True, env=env, check=True)
+    table = json.loads(done.stdout)
+    print(f"{src}: {name}: {table['total_s']:.4f} s", file=sys.stderr)
+    return table
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--out", help="write the table to this file")
+    parser.add_argument("--src", type=Path, help="another checkout, timed as 'before'")
+    # the interface of run_pair: time the stages of the document on stdin
+    parser.add_argument("--measure", choices=("analyze", "validate"), help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.measure:
+        print(json.dumps(measure(sys.stdin.read(), args.measure == "validate")))
+        return 0
+    if args.out is None:
+        parser.error("--out is required")
+
+    trees = {"after": ROOT / "src"}
+    if args.src is not None:
+        trees = {"before": args.src.resolve() / "src", **trees}
+    runs: dict[str, dict] = {label: {} for label in trees}
+    # Both checkouts run each document back to back, so a drift in the
+    # machine's speed during the run shifts both sides alike.
+    for name, text in documents().items():
+        for label, src in trees.items():
+            runs[label][name] = run_pair(src, name, text)
+    table = {
+        "machine": {
+            "python": platform.python_version(),
+            "platform": platform.platform(),
+            "nproc": len(os.sched_getaffinity(0)),
+            "clock": f"time.perf_counter, best of {REPEAT}",
+        },
+        "runs": runs,
+    }
+    Path(args.out).write_text(json.dumps(table, indent=2) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -78,6 +78,64 @@ class DirectedSquare:
         return (self.a, self.b, self.a_prime, self.b_prime)
 
 
+class EdgeTable:
+    """Every directed edge of a complex numbered once, and the squares in
+    those numbers; SquareComplex.edge_table builds it once per complex.
+
+    Directed edge (e, reversed) has code 2i + reversed, where e is the i-th
+    geometric edge, horizontal edges first and then vertical ones: the row
+    order of d2 and psi, so code >> 1 is the row of the edge and code & 1
+    its sign, and code ^ 1 is the reversal.  Codes below `vertical` are
+    horizontal.  position maps an edge id to 2i, origin[code] and
+    terminus[code] are vertex indices into SquareComplex.vertices, and
+    squares holds the codes (a, b, a', b') of each orbit representative.
+    """
+
+    def __init__(self, c: SquareComplex):
+        vertex = {v: i for i, v in enumerate(c.vertices)}
+        position: dict[str, int] = {}
+        origin: list[int] = []
+        terminus: list[int] = []
+        for e in c.h_edges + c.v_edges:
+            position[e.id] = len(origin)
+            o, t = vertex[e.origin], vertex[e.terminus]
+            origin += (o, t)
+            terminus += (t, o)
+        self.position = position
+        self.origin = tuple(origin)
+        self.terminus = tuple(terminus)
+        self.vertical = 2 * len(c.h_edges)
+        sides = iter(self.codes(x for t in c.squares for x in t.labels()))
+        self.squares = tuple(zip(sides, sides, sides, sides))
+
+    @cached_property
+    def refs(self) -> tuple[DirectedEdgeRef, ...]:
+        """The one DirectedEdgeRef of each code, built on first use."""
+        return tuple(
+            [DirectedEdgeRef(e, rev) for e in self.position for rev in (False, True)]
+        )
+
+    def codes(self, refs: Iterable[DirectedEdgeRef]) -> list[int]:
+        """The code of each directed edge of refs."""
+        position = self.position
+        return [position[ref.edge] + ref.reversed for ref in refs]
+
+    @cached_property
+    def tiles(self) -> tuple[tuple[int, int, int, int], ...]:
+        """The codes (a, b, a', b') of all 4n directed squares, orbit-major
+        in the order (1, v, h, vh): the reflections of the module docstring,
+        with ~x = x ^ 1."""
+        tiles: list[tuple[int, int, int, int]] = []
+        for a, b, ap, bp in self.squares:
+            tiles += (
+                (a, b, ap, bp),
+                (ap, b ^ 1, a, bp ^ 1),
+                (a ^ 1, bp, ap ^ 1, b),
+                (ap ^ 1, bp ^ 1, a ^ 1, b ^ 1),
+            )
+        return tuple(tiles)
+
+
 @dataclass(frozen=True)
 class SquareComplex:
     vertices: tuple[str, ...]
@@ -100,21 +158,36 @@ class SquareComplex:
         e = self.edge(ref.edge)
         return e.origin if ref.reversed else e.terminus
 
+    @cached_property
+    def edge_table(self) -> EdgeTable:
+        """The numbering of the directed edges, built once (EdgeTable)."""
+        return EdgeTable(self)
+
     def directed_h(self) -> tuple[DirectedEdgeRef, ...]:
-        return tuple(
-            DirectedEdgeRef(e.id, rev) for e in self.h_edges for rev in (False, True)
-        )
+        table = self.edge_table
+        return table.refs[: table.vertical]
 
     def directed_v(self) -> tuple[DirectedEdgeRef, ...]:
-        return tuple(
-            DirectedEdgeRef(e.id, rev) for e in self.v_edges for rev in (False, True)
-        )
+        table = self.edge_table
+        return table.refs[table.vertical :]
 
     @cached_property
     def _expanded(self) -> tuple[DirectedSquare, ...]:
-        # every orbit expanded once, for validate_vht and
-        # expand_directed_squares both
-        return tuple(s for t in self.squares for s in _expand_orbit(t))
+        # every orbit expanded once, from the interned refs of the codes
+        refs = self.edge_table.refs
+        tiles = self.edge_table.tiles
+        expanded: list[DirectedSquare] = []
+        for k, t in enumerate(self.squares):
+            expanded.append(t)
+            for g in (1, 2, 3):
+                a, b, ap, bp = tiles[4 * k + g]
+                expanded.append(
+                    DirectedSquare(
+                        refs[a], refs[b], refs[ap], refs[bp],
+                        orbit_id=t.orbit_id, sigma_tag=SIGMA_TAGS[g],
+                    )
+                )
+        return tuple(expanded)
 
     @cached_property
     def degrees(self) -> dict[str, tuple[int, int]]:
@@ -171,21 +244,21 @@ def sigma_act(t: DirectedSquare, g: str) -> DirectedSquare:
     return DirectedSquare(*labels, orbit_id=t.orbit_id, sigma_tag=tag)
 
 
-def _expand_orbit(t: DirectedSquare) -> tuple[DirectedSquare, ...]:
-    return (t, sigma_act(t, "v"), sigma_act(t, "h"), sigma_act(t, "vh"))
-
-
-def _orbit_degenerate(t: DirectedSquare) -> bool:
+def _degenerate_orbits(c: SquareComplex) -> list[int]:
     # t equals its vh-image exactly when both opposite sides are the same
     # edge traversed backwards; the v- and h-degeneracies cannot even be
     # written down in this representation (they would need an edge equal to
     # its own reversal).
-    return t.a_prime == t.a.bar() and t.b_prime == t.b.bar()
+    return [
+        t.orbit_id
+        for t, (a, b, ap, bp) in zip(c.squares, c.edge_table.squares)
+        if ap == a ^ 1 and bp == b ^ 1
+    ]
 
 
 def expand_directed_squares(c: SquareComplex) -> tuple[DirectedSquare, ...]:
     """All 4n directed squares, orbit-major, each orbit ordered (1, v, h, vh)."""
-    bad = [t.orbit_id for t in c.squares if _orbit_degenerate(t)]
+    bad = _degenerate_orbits(c)
     if bad:
         raise DegenerateOrbitError(
             f"squares {bad} coincide with their vh-images; orbits are not free"
@@ -349,19 +422,19 @@ def load_complex(text: str) -> SquareComplex:
 
     c = SquareComplex(tuple(vertices), tuple(h_edges), tuple(v_edges), tuple(squares))
 
-    corner_checks = (
-        ("o(a)", "o(b)", lambda t: (c.origin(t.a), c.origin(t.b))),
-        ("t(a)", "o(b_prime)", lambda t: (c.terminus(t.a), c.origin(t.b_prime))),
-        ("t(b)", "o(a_prime)", lambda t: (c.terminus(t.b), c.origin(t.a_prime))),
-        ("t(a_prime)", "t(b_prime)", lambda t: (c.terminus(t.a_prime), c.terminus(t.b_prime))),
-    )
-    for t in c.squares:
-        for left, right, get in corner_checks:
-            x, y = get(t)
+    table = c.edge_table
+    o, t = table.origin, table.terminus
+    for sq, (a, b, ap, bp) in zip(c.squares, table.squares):
+        for left, right, x, y in (
+            ("o(a)", "o(b)", o[a], o[b]),
+            ("t(a)", "o(b_prime)", t[a], o[bp]),
+            ("t(b)", "o(a_prime)", t[b], o[ap]),
+            ("t(a_prime)", "t(b_prime)", t[ap], t[bp]),
+        ):
             if x != y:
                 problems.append(
-                    f"squares[{t.orbit_id}]: corner incidence {left} = {right} fails"
-                    f" ('{x}' != '{y}')"
+                    f"squares[{sq.orbit_id}]: corner incidence {left} = {right} fails"
+                    f" ('{c.vertices[x]}' != '{c.vertices[y]}')"
                 )
     if problems:
         raise ComplexFormatError(problems)
@@ -416,10 +489,10 @@ class _UnionFind:
 
 
 def _connected_components(c: SquareComplex) -> int:
-    index = {v: i for i, v in enumerate(c.vertices)}
+    table = c.edge_table
     uf = _UnionFind(len(c.vertices))
-    for e in c.h_edges + c.v_edges:
-        uf.union(index[e.origin], index[e.terminus])
+    for x, y in zip(table.origin[::2], table.terminus[::2]):
+        uf.union(x, y)
     return uf.component_count()
 
 
@@ -432,6 +505,9 @@ def validate_vht(c: SquareComplex) -> ValidationReport:
     reversal, a degenerate reflection orbit, or a disconnected complex.
     Degrees below three only warn: homology is still meaningful there, but
     the tiling-kernel rank identity is outside its hypotheses.
+
+    Everything is read off the edge codes (SquareComplex.edge_table), in
+    time linear in tiles plus edges on a valid complex.
     """
     errors: list[ValidationIssue] = []
     warnings: list[ValidationIssue] = []
@@ -460,47 +536,65 @@ def validate_vht(c: SquareComplex) -> ValidationReport:
                 )
             )
 
-    for t in c.squares:
-        if _orbit_degenerate(t):
-            errors.append(
-                ValidationIssue(
-                    "orbit_degenerate",
-                    f"square {t.orbit_id} equals its vh-image; its reflection orbit has size 2",
-                )
+    for k in _degenerate_orbits(c):
+        errors.append(
+            ValidationIssue(
+                "orbit_degenerate",
+                f"square {k} equals its vh-image; its reflection orbit has size 2",
             )
+        )
 
     # Link condition: over the expanded directed squares, t -> (a(t), b(t))
     # must cover each incident pair (horizontal, vertical) exactly once.
-    coverage: dict[tuple[DirectedEdgeRef, DirectedEdgeRef], list[DirectedSquare]] = {}
-    for s in c._expanded:
-        coverage.setdefault((s.a, s.b), []).append(s)
+    # The pair of codes (x, y) has key x * width + y; cover maps each key
+    # to a tile, and repeated maps each key covered more than once to its tiles.
+    table = c.edge_table
+    tiles = table.tiles
+    origin, vertical = table.origin, table.vertical
+    width = len(origin)
+    keys = [a * width + b for a, b, _, _ in tiles]
+    cover = dict(zip(keys, range(len(keys))))
+    repeated: dict[int, list[int]] = {}
+    if len(cover) < len(keys):
+        for t, key in enumerate(keys):
+            repeated.setdefault(key, []).append(t)
+        repeated = {key: hits for key, hits in repeated.items() if len(hits) > 1}
 
-    incident = [
-        (alpha, beta)
-        for alpha in c.directed_h()
-        for beta in c.directed_v()
-        if c.origin(alpha) == c.origin(beta)
-    ]
-    incident_set = set(incident)
+    def name(t: int) -> str:
+        return f"{c.squares[t >> 2].orbit_id}^{SIGMA_TAGS[t & 3]}"
 
-    for pair in incident:
-        hits = coverage.get(pair, [])
-        alpha, beta = pair
-        if not hits:
-            errors.append(
-                ValidationIssue(
-                    "link_uncovered",
-                    f"link failure at vertex {c.origin(alpha)}: corner pair "
-                    f"({alpha.display()}, {beta.display()}) not covered by any square",
+    def pair(alpha: int, beta: int) -> str:
+        refs = table.refs
+        return f"({refs[alpha].display()}, {refs[beta].display()})"
+
+    # The incident pairs, alpha-major over directed_h() and then beta over
+    # directed_v(): the vertical codes based at each vertex, ascending.
+    v_at: list[list[int]] = [[] for _ in c.vertices]
+    for beta in range(vertical, width):
+        v_at[origin[beta]].append(beta)
+    found = 0
+    for alpha in range(vertical):
+        for beta in v_at[origin[alpha]]:
+            key = alpha * width + beta
+            if key not in cover:
+                errors.append(
+                    ValidationIssue(
+                        "link_uncovered",
+                        f"link failure at vertex {c.vertices[origin[alpha]]}: corner pair "
+                        f"{pair(alpha, beta)} not covered by any square",
+                    )
                 )
-            )
-        elif len(hits) > 1:
-            names = ", ".join(f"{s.orbit_id}^{s.sigma_tag}" for s in hits)
+                continue
+            found += 1
+            hits = repeated.get(key)
+            if hits is None:
+                continue
+            shown = pair(alpha, beta)
             errors.append(
                 ValidationIssue(
                     "link_multiple",
-                    f"link failure: corner pair ({alpha.display()}, {beta.display()}) "
-                    f"covered {len(hits)} times (squares {names})",
+                    f"link failure: corner pair {shown} covered {len(hits)} times "
+                    f"(squares {', '.join(map(name, hits))})",
                 )
             )
             # When two colliding squares agree except for direction flags on
@@ -508,36 +602,30 @@ def validate_vht(c: SquareComplex) -> ValidationReport:
             # their own reversals.
             for x in range(len(hits)):
                 for y in range(x + 1, len(hits)):
-                    s1, s2 = hits[x], hits[y]
-                    forced = []
-                    for r1, r2 in ((s1.a_prime, s2.a_prime), (s1.b_prime, s2.b_prime)):
-                        if r1.edge == r2.edge and r1.reversed != r2.reversed:
-                            forced.append(r1.edge)
-                    same_edges = (
-                        s1.a_prime.edge == s2.a_prime.edge
-                        and s1.b_prime.edge == s2.b_prime.edge
-                    )
+                    s1, s2 = tiles[hits[x]], tiles[hits[y]]
+                    same_edges = s1[2] >> 1 == s2[2] >> 1 and s1[3] >> 1 == s2[3] >> 1
+                    forced = [table.refs[s1[i]].edge for i in (2, 3) if s1[i] ^ s2[i] == 1]
                     if forced and same_edges:
                         errors.append(
                             ValidationIssue(
                                 "edge_inverted",
-                                f"squares {s1.orbit_id}^{s1.sigma_tag} and "
-                                f"{s2.orbit_id}^{s2.sigma_tag} share corner "
-                                f"({alpha.display()}, {beta.display()}) and force "
+                                f"squares {name(hits[x])} and {name(hits[y])} share corner "
+                                f"{shown} and force "
                                 + " and ".join(f"{e} = ~{e}" for e in forced),
                             )
                         )
-    for pair, hits in coverage.items():
-        if pair not in incident_set:
-            # Unreachable for structurally sound complexes (corner
-            # incidences guarantee o(a) = o(b)); kept as a safety net.
-            alpha, beta = pair
-            errors.append(
-                ValidationIssue(
-                    "link_multiple",
-                    f"corner pair ({alpha.display()}, {beta.display()}) is not incident",
+    if found < len(cover):
+        # Unreachable for structurally sound complexes (corner incidences
+        # guarantee o(a) = o(b)); kept as a safety net.
+        for key in cover:
+            alpha, beta = divmod(key, width)
+            if not (alpha < vertical <= beta and origin[alpha] == origin[beta]):
+                errors.append(
+                    ValidationIssue(
+                        "link_multiple",
+                        f"corner pair {pair(alpha, beta)} is not incident",
+                    )
                 )
-            )
 
     return ValidationReport(
         errors=tuple(errors),

@@ -94,27 +94,24 @@ class TheoremVerdict:
 
 
 def forward_edge_index(c: SquareComplex) -> dict[str, int]:
-    """Row index of each geometric edge: horizontals first, then verticals."""
-    index: dict[str, int] = {}
-    for e in c.h_edges:
-        index[e.id] = len(index)
-    for e in c.v_edges:
-        index[e.id] = len(index)
-    return index
+    """Row index of each geometric edge: horizontals first, then verticals;
+    the code >> 1 of its directed edges (complex_model.EdgeTable)."""
+    return {e: code >> 1 for e, code in c.edge_table.position.items()}
 
 
 def chain_maps(c: SquareComplex, r: tuple[DirectedSquare, ...]) -> ChainMaps:
     # Every map is built as canonical sparse rows: each row collects its
     # (column, value) pairs while the columns are visited in increasing
-    # order, so it comes out sorted.
-    eidx = forward_edge_index(c)
-    n_edges = len(eidx)
+    # order, so it comes out sorted.  Rows are numbered by the edge codes
+    # of c.edge_table: row code >> 1, sign -1 when code & 1.
+    table = c.edge_table
+    position = table.position
+    n_edges = len(position)
     n_cells = len(c.squares)
     n_tiles = len(r)
-    vidx = {v: i for i, v in enumerate(c.vertices)}
 
     def eps(ref) -> tuple[int, int]:
-        return eidx[ref.edge], (-1 if ref.reversed else 1)
+        return position[ref.edge] >> 1, (-1 if ref.reversed else 1)
 
     d2: list[list[tuple[int, int]]] = [[] for _ in range(n_edges)]
     for k, t in enumerate(c.squares):
@@ -127,23 +124,25 @@ def chain_maps(c: SquareComplex, r: tuple[DirectedSquare, ...]) -> ChainMaps:
                 d2[row].append((k, x))
 
     d1: list[list[tuple[int, int]]] = [[] for _ in c.vertices]
-    for e in c.h_edges + c.v_edges:
-        if e.terminus != e.origin:  # a loop has zero boundary
-            j = eidx[e.id]
-            d1[vidx[e.terminus]].append((j, 1))
-            d1[vidx[e.origin]].append((j, -1))
+    for j, (o, t) in enumerate(zip(table.origin[::2], table.terminus[::2])):
+        if t != o:  # a loop has zero boundary
+            d1[t].append((j, 1))
+            d1[o].append((j, -1))
 
     # Tile 4k + i is the orbit-k square with tag (1, v, h, vh)[i].
     signs = (1, -1, -1, 1)
     phi2 = tuple(((t >> 2, signs[t & 3]),) for t in range(n_tiles))
 
-    v_ids = {e.id for e in c.v_edges}
-    h_ids = {e.id for e in c.h_edges}
+    # phi1 has a row for b(s) when it is vertical, and for a(s) when it is
+    # horizontal: the codes from table.vertical on, and those below it.
+    vertical = table.vertical
     phi1 = [
-        ((eidx[s.b.edge], -1 if s.b.reversed else 1),) if s.b.edge in v_ids else () for s in r
+        ((code >> 1, -1 if code & 1 else 1),) if code >= vertical else ()
+        for code in table.codes(s.b for s in r)
     ]
     phi1 += [
-        ((eidx[s.a.edge], 1 if s.a.reversed else -1),) if s.a.edge in h_ids else () for s in r
+        ((code >> 1, 1 if code & 1 else -1),) if code < vertical else ()
+        for code in table.codes(s.a for s in r)
     ]
 
     psi: list[list[tuple[int, int]]] = [[] for _ in range(n_edges)]
@@ -413,15 +412,17 @@ def verify_main_theorem(
     reps = IntMatrix(n_cells, kernel.cols, rows[::4])
     in_image = maps.phi2.mul(reps) == kernel
 
-    def grouping(keys) -> IntMatrix:
-        groups: dict = {}
-        for t, key in enumerate(keys):
-            groups.setdefault(key, []).append((t, 1))
+    def grouping(codes) -> IntMatrix:
+        groups: dict[int, list[tuple[int, int]]] = {}
+        for t, code in enumerate(codes):
+            groups.setdefault(code, []).append((t, 1))
         return IntMatrix(len(groups), n_tiles, tuple(map(tuple, groups.values())))
 
+    # tiles grouped by the edge code of a side (complex_model.EdgeTable)
+    table = c.edge_table
     mu_ok = (
-        grouping(s.b_prime for s in r).mul(kernel).is_zero()
-        and grouping(s.a_prime for s in r).mul(kernel).is_zero()
+        grouping(table.codes(s.b_prime for s in r)).mul(kernel).is_zero()
+        and grouping(table.codes(s.a_prime for s in r)).mul(kernel).is_zero()
     )
 
     within = all(hd >= 3 and vd >= 3 for hd, vd in c.degrees.values())

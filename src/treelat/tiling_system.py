@@ -168,19 +168,22 @@ def _column_sums(labels, primed, flip: int) -> tuple[int, ...]:
 
 def label_tiling(r: tuple[DirectedSquare, ...], c: SquareComplex) -> TilingSystem:
     """The tiling system of the expanded directed squares r, as the
-    integer labels of their sides; O(n), and no matrix is built."""
-    v_pos = {e.id: 2 * i for i, e in enumerate(c.v_edges)}
-    h_pos = {e.id: 2 * i for i, e in enumerate(c.h_edges)}
+    integer labels of their sides; O(n), and no matrix is built.
 
-    def number(pos, refs) -> tuple[int, ...]:
-        return tuple([pos[ref.edge] + ref.reversed for ref in refs])
+    The labels are the codes of c.edge_table, the vertical ones less the
+    first vertical code, so both axes number their directed edges from 0.
+    """
+    table = c.edge_table
+
+    def number(refs, first: int) -> tuple[int, ...]:
+        return tuple([x - first for x in table.codes(refs)])
 
     return TilingSystem(
         squares=tuple(r),
-        b=number(v_pos, (t.b for t in r)),
-        b_prime=number(v_pos, (t.b_prime for t in r)),
-        a=number(h_pos, (t.a for t in r)),
-        a_prime=number(h_pos, (t.a_prime for t in r)),
+        b=number((t.b for t in r), table.vertical),
+        b_prime=number((t.b_prime for t in r), table.vertical),
+        a=number((t.a for t in r), 0),
+        a_prime=number((t.a_prime for t in r), 0),
         n_vertices=len(c.vertices),
     )
 
@@ -341,11 +344,12 @@ def connectivity(ts: TilingSystem, c: SquareComplex) -> ConnectivityReport:
     vertices, numbered as the labels are, one edge per tile joining b(t) to
     b'(t) (resp. a(t) to a'(t)); for each component the orientation class
     keeps one tile out of each {t, t^h} (resp. {t, t^v}) pair, namely sigma
-    tags (1, v) (resp. (1, h)).
+    tags (1, v) (resp. (1, h)), the tiles t with t & 2 == 0 (resp.
+    t & 1 == 0), tiles being indexed orbit-major.
     """
-    r = ts.squares
-    b_plus = [t.sigma_tag in ("1", "v") for t in r]
-    a_plus = [t.sigma_tag in ("1", "h") for t in r]
+    tiles = range(len(ts.squares))
+    b_plus = [not t & 2 for t in tiles]
+    a_plus = [not t & 1 for t in tiles]
     return ConnectivityReport(
         horizontal=_axis_connectivity(ts.b, ts.b_prime, 2),
         vertical=_axis_connectivity(ts.a, ts.a_prime, 1),

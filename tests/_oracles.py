@@ -15,7 +15,11 @@ and the edge graphs indexed by DirectedEdgeRef, which the pipeline
 replaced with shared label lists and integer indices.  So are the routes
 the pipeline left for the tile labels: the labels read off psi, the check
 of a built stacked matrix against their factors, and Tarjan over the
-successor lists of a built transition matrix.
+successor lists of a built transition matrix.  The validator and the
+corner checks of the parser keep their DirectedEdgeRef route here too:
+coverage keyed by pairs of refs, the incident pairs found by a scan of
+all directed-edge pairs, and every vertex read through
+SquareComplex.origin, where the pipeline reads integer edge codes.
 """
 
 from fractions import Fraction
@@ -604,4 +608,176 @@ def dense_verify(c, r, maps, stacked, stacked_kernel, h2_basis):
         kernel_in_phi2_image=in_image,
         kernel_symmetries_hold=symmetries,
         mu_vanishes=mu_ok,
+    )
+
+
+# --- validation by DirectedEdgeRef --------------------------------------------
+
+
+def corner_problems_by_refs(text):
+    """The corner-incidence messages of complex_model.load_complex for a
+    document that passes every structural check: each square's four
+    incidences compared through SquareComplex.origin and .terminus."""
+    import json
+
+    from treelat.complex_model import DirectedEdgeRef, DirectedSquare, GeometricEdge, SquareComplex
+
+    doc = json.loads(text)
+
+    def edges(key):
+        return tuple(GeometricEdge(e["id"], e["origin"], e["terminus"]) for e in doc[key])
+
+    def ref(raw):
+        return DirectedEdgeRef(raw["edge"], raw["reversed"])
+
+    squares = tuple(
+        DirectedSquare(ref(s["a"]), ref(s["b"]), ref(s["a_prime"]), ref(s["b_prime"]), k, "1")
+        for k, s in enumerate(doc["squares"])
+    )
+    c = SquareComplex(
+        tuple(doc["vertices"]), edges("horizontal_edges"), edges("vertical_edges"), squares
+    )
+    corner_checks = (
+        ("o(a)", "o(b)", lambda t: (c.origin(t.a), c.origin(t.b))),
+        ("t(a)", "o(b_prime)", lambda t: (c.terminus(t.a), c.origin(t.b_prime))),
+        ("t(b)", "o(a_prime)", lambda t: (c.terminus(t.b), c.origin(t.a_prime))),
+        ("t(a_prime)", "t(b_prime)", lambda t: (c.terminus(t.a_prime), c.terminus(t.b_prime))),
+    )
+    problems = []
+    for t in c.squares:
+        for left, right, get in corner_checks:
+            x, y = get(t)
+            if x != y:
+                problems.append(
+                    f"squares[{t.orbit_id}]: corner incidence {left} = {right} fails"
+                    f" ('{x}' != '{y}')"
+                )
+    return problems
+
+
+def validate_vht_by_refs(c):
+    """The ValidationReport of complex_model.validate_vht, by the route it
+    replaced: every orbit expanded with sigma_act, coverage counted in a
+    dict keyed by pairs of DirectedEdgeRef, the incident pairs found by a
+    scan of all |H+| x |V+| directed-edge pairs through SquareComplex.origin,
+    and the components by a union-find over vertex names."""
+    from treelat.complex_model import (
+        SIGMA_TAGS,
+        DirectedEdgeRef,
+        ValidationIssue,
+        ValidationReport,
+        _UnionFind,
+        sigma_act,
+    )
+
+    errors = []
+    warnings = []
+
+    degrees = tuple((v, *c.degrees[v]) for v in c.vertices)
+    for v, hd, vd in degrees:
+        if hd < 3:
+            warnings.append(
+                ValidationIssue("low_h_degree", f"horizontal degree {hd} < 3 at vertex {v}")
+            )
+        if vd < 3:
+            warnings.append(
+                ValidationIssue("low_v_degree", f"vertical degree {vd} < 3 at vertex {v}")
+            )
+
+    if not c.vertices:
+        errors.append(ValidationIssue("disconnected", "complex has no vertices"))
+        connected = False
+    else:
+        index = {v: i for i, v in enumerate(c.vertices)}
+        uf = _UnionFind(len(c.vertices))
+        for e in c.h_edges + c.v_edges:
+            uf.union(index[e.origin], index[e.terminus])
+        n_comp = uf.component_count()
+        connected = n_comp == 1
+        if not connected:
+            errors.append(
+                ValidationIssue("disconnected", f"complex has {n_comp} connected components")
+            )
+
+    for t in c.squares:
+        if t.a_prime == t.a.bar() and t.b_prime == t.b.bar():
+            errors.append(
+                ValidationIssue(
+                    "orbit_degenerate",
+                    f"square {t.orbit_id} equals its vh-image; its reflection orbit has size 2",
+                )
+            )
+
+    coverage = {}
+    for t in c.squares:
+        for g in SIGMA_TAGS:
+            s = sigma_act(t, g)
+            coverage.setdefault((s.a, s.b), []).append(s)
+
+    directed_h = [DirectedEdgeRef(e.id, rev) for e in c.h_edges for rev in (False, True)]
+    directed_v = [DirectedEdgeRef(e.id, rev) for e in c.v_edges for rev in (False, True)]
+    incident = [
+        (alpha, beta)
+        for alpha in directed_h
+        for beta in directed_v
+        if c.origin(alpha) == c.origin(beta)
+    ]
+    incident_set = set(incident)
+
+    for pair in incident:
+        hits = coverage.get(pair, [])
+        alpha, beta = pair
+        if not hits:
+            errors.append(
+                ValidationIssue(
+                    "link_uncovered",
+                    f"link failure at vertex {c.origin(alpha)}: corner pair "
+                    f"({alpha.display()}, {beta.display()}) not covered by any square",
+                )
+            )
+        elif len(hits) > 1:
+            names = ", ".join(f"{s.orbit_id}^{s.sigma_tag}" for s in hits)
+            errors.append(
+                ValidationIssue(
+                    "link_multiple",
+                    f"link failure: corner pair ({alpha.display()}, {beta.display()}) "
+                    f"covered {len(hits)} times (squares {names})",
+                )
+            )
+            for x in range(len(hits)):
+                for y in range(x + 1, len(hits)):
+                    s1, s2 = hits[x], hits[y]
+                    forced = []
+                    for r1, r2 in ((s1.a_prime, s2.a_prime), (s1.b_prime, s2.b_prime)):
+                        if r1.edge == r2.edge and r1.reversed != r2.reversed:
+                            forced.append(r1.edge)
+                    same_edges = (
+                        s1.a_prime.edge == s2.a_prime.edge
+                        and s1.b_prime.edge == s2.b_prime.edge
+                    )
+                    if forced and same_edges:
+                        errors.append(
+                            ValidationIssue(
+                                "edge_inverted",
+                                f"squares {s1.orbit_id}^{s1.sigma_tag} and "
+                                f"{s2.orbit_id}^{s2.sigma_tag} share corner "
+                                f"({alpha.display()}, {beta.display()}) and force "
+                                + " and ".join(f"{e} = ~{e}" for e in forced),
+                            )
+                        )
+    for pair in coverage:
+        if pair not in incident_set:
+            alpha, beta = pair
+            errors.append(
+                ValidationIssue(
+                    "link_multiple",
+                    f"corner pair ({alpha.display()}, {beta.display()}) is not incident",
+                )
+            )
+
+    return ValidationReport(
+        errors=tuple(errors),
+        warnings=tuple(warnings),
+        degrees=degrees,
+        connected=connected,
     )

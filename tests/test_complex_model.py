@@ -1,21 +1,29 @@
+import dataclasses
 import json
 import random
+import time
 
 import pytest
+from hypothesis import given, settings
 
 from treelat.complex_model import (
     ComplexFormatError,
     DegenerateOrbitError,
     DirectedEdgeRef,
+    DirectedSquare,
+    SquareComplex,
     expand_directed_squares,
     load_complex,
     serialize_complex,
     sigma_act,
     validate_vht,
 )
+from treelat.mozes import generate_mozes_complex
 
 import _complexes
 from _complexes import one_vertex_doc, ref, square
+from _oracles import corner_problems_by_refs, validate_vht_by_refs
+from test_fuzz_cli import mutated_documents
 
 
 def load(doc):
@@ -291,3 +299,223 @@ def test_random_product_complexes_validate():
         rep = validate_vht(load(_complexes.product_doc(g1, g2)))
         assert rep.ok, rep.errors
         assert not rep.warnings
+
+
+# --- edge codes and the validation oracle ---------------------------------------
+
+
+def test_edge_table_numbers_each_directed_edge_once(corpus):
+    for analysis in corpus.values():
+        c = analysis.complex
+        table = c.edge_table
+        refs = [DirectedEdgeRef(e.id, rev) for e in c.h_edges + c.v_edges for rev in (False, True)]
+        assert list(table.refs) == refs
+        assert c.directed_h() + c.directed_v() == table.refs
+        assert table.vertical == 2 * len(c.h_edges)
+        for code, ref_ in enumerate(refs):
+            assert table.position[ref_.edge] + ref_.reversed == code
+            assert c.vertices[table.origin[code]] == c.origin(ref_)
+            assert c.vertices[table.terminus[code]] == c.terminus(ref_)
+            assert table.refs[code ^ 1] == ref_.bar()
+        # the codes of every tile are those of its sides, in expanded order
+        assert table.tiles == tuple(
+            tuple(table.position[x.edge] + x.reversed for x in t.labels())
+            for t in analysis.expanded
+        )
+
+
+def _corpus_documents():
+    docs = {
+        name: getattr(_complexes, name)()
+        for name in (
+            "torus_doc",
+            "f2xf2_doc",
+            "klein_doc",
+            "two_vertex_klein_doc",
+            "two_torus_components_doc",
+        )
+    }
+    # the random complexes of the property battery (tests/test_properties.py)
+    rng = random.Random(20260810)
+    for k in range(10):
+        docs[f"one_vertex{k}"] = _complexes.random_one_vertex_doc(
+            rng, rng.randint(2, 3), rng.randint(2, 3)
+        )
+    rng = random.Random(424242)
+    for k in range(6):
+        g1 = _complexes.random_multigraph(rng, rng.randint(1, 2), rng.randint(1, 3), 3)
+        g2 = _complexes.random_multigraph(rng, rng.randint(1, 2), rng.randint(1, 3), 3)
+        docs[f"product{k}"] = _complexes.product_doc(g1, g2)
+    docs["low_degree_product"] = _complexes.product_doc(
+        (2, [(0, 1), (0, 1)]), _complexes.random_multigraph(random.Random(77), 2, 2, 3)
+    )
+    return docs
+
+
+# One document per validation error kind: (name, kind, document).
+CRAFTED = (
+    ("uncovered", "link_uncovered", one_vertex_doc(["a"], ["b"], [])),
+    (
+        "covered twice",
+        "link_multiple",
+        one_vertex_doc(
+            ["a1", "a2"],
+            ["b1", "b2"],
+            [
+                square(ref("a1"), ref("b1"), ref("a1"), ref("b1")),
+                square(ref("a1"), ref("b1"), ref("a1"), ref("b1")),
+                square(ref("a2"), ref("b1"), ref("a2"), ref("b1")),
+                square(ref("a2"), ref("b2"), ref("a2"), ref("b2")),
+            ],
+        ),
+    ),
+    (
+        "covered three times",
+        "link_multiple",
+        one_vertex_doc(
+            ["a", "c"],
+            ["b", "d"],
+            [
+                square(ref("a"), ref("b"), ref("c"), ref("d")),
+                square(ref("a"), ref("b"), ref("c", True), ref("d")),
+                square(ref("a"), ref("b"), ref("c"), ref("d")),
+            ],
+        ),
+    ),
+    (
+        "inverted",
+        "edge_inverted",
+        one_vertex_doc(
+            ["a", "c"],
+            ["b", "d"],
+            [
+                square(ref("a"), ref("b"), ref("c"), ref("d")),
+                square(ref("a"), ref("b"), ref("c", True), ref("d")),
+            ],
+        ),
+    ),
+    (
+        "degenerate",
+        "orbit_degenerate",
+        one_vertex_doc(["a"], ["b"], [square(ref("a"), ref("b"), ref("a", True), ref("b", True))]),
+    ),
+    ("disconnected", "disconnected", _complexes.two_torus_components_doc()),
+)
+
+
+def test_validation_matches_the_ref_oracle_on_the_corpus():
+    for name, doc in _corpus_documents().items():
+        c = load(doc)
+        assert validate_vht(c) == validate_vht_by_refs(c), name
+
+
+def test_validation_matches_the_ref_oracle_on_the_ladder(mozes513_doc, mozes517_doc):
+    docs = [mozes513_doc, mozes517_doc]
+    docs += [generate_mozes_complex(p, l) for p, l in ((5, 29), (13, 17))]
+    for doc in docs:
+        c = load(doc)
+        report = validate_vht(c)
+        assert report.ok
+        assert report == validate_vht_by_refs(c)
+
+
+def test_validation_matches_the_ref_oracle_on_each_error_kind():
+    for name, kind, doc in CRAFTED:
+        c = load(doc)
+        report = validate_vht(c)
+        assert kind in {e.kind for e in report.errors}, name
+        assert report == validate_vht_by_refs(c), name
+
+
+def test_pair_covered_three_times_names_every_hit_in_tile_order():
+    doc = next(doc for name, _, doc in CRAFTED if name == "covered three times")
+    messages = [e.message for e in validate_vht(load(doc)).errors]
+    assert messages[:3] == [
+        "link failure: corner pair (a, b) covered 3 times (squares 0^1, 1^1, 2^1)",
+        "squares 0^1 and 1^1 share corner (a, b) and force c = ~c",
+        "squares 1^1 and 2^1 share corner (a, b) and force c = ~c",
+    ]
+    assert "link failure: corner pair (~a, d) covered 3 times (squares 0^h, 1^h, 2^h)" in messages
+
+
+def test_pair_that_is_not_incident_is_reported_as_the_oracle_does():
+    # Built directly, past load_complex's corner checks: square 1 pairs the
+    # horizontal loop c at w with the vertical loop b at v.
+    c = load(_complexes.two_torus_components_doc())
+    crossed = dataclasses.replace(c.squares[1], b=DirectedEdgeRef("b", False))
+    c = SquareComplex(c.vertices, c.h_edges, c.v_edges, (c.squares[0], crossed))
+    report = validate_vht(c)
+    assert any(e.message.endswith("is not incident") for e in report.errors)
+    assert report == validate_vht_by_refs(c)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(mutated_documents())
+def test_validation_matches_the_ref_oracle_on_mutated_documents(text):
+    try:
+        c = load(text)
+    except ComplexFormatError as exc:
+        # corner incidences are checked last, once the document is sound
+        if any("corner incidence" in p for p in exc.problems):
+            assert list(exc.problems) == corner_problems_by_refs(text)
+        return
+    assert validate_vht(c) == validate_vht_by_refs(c)
+
+
+def test_corner_incidence_messages_match_the_ref_oracle():
+    doc = json.dumps(
+        {
+            "vertices": ["v", "w", "x"],
+            "horizontal_edges": [
+                {"id": "a", "origin": "v", "terminus": "w"},
+                {"id": "c", "origin": "w", "terminus": "x"},
+            ],
+            "vertical_edges": [
+                {"id": "b", "origin": "v", "terminus": "v"},
+                {"id": "d", "origin": "x", "terminus": "w"},
+            ],
+            "squares": [
+                square(ref("a"), ref("b"), ref("a"), ref("b")),
+                square(ref("c", True), ref("d"), ref("a"), ref("b", True)),
+                square(ref("a"), ref("d"), ref("c"), ref("b")),
+            ],
+        }
+    )
+    with pytest.raises(ComplexFormatError) as info:
+        load(doc)
+    assert len(info.value.problems) == 8
+    assert list(info.value.problems) == corner_problems_by_refs(doc)
+
+
+def test_valid_documents_load_and_validate_on_edge_codes(monkeypatch, mozes513_doc):
+    # The valid-document path hashes no DirectedEdgeRef and looks up no
+    # vertex through SquareComplex.origin or .terminus.
+    def refuse(*args):
+        raise AssertionError("read through DirectedEdgeRef")
+
+    docs = [mozes513_doc, _complexes.two_vertex_klein_doc()]
+    rng = random.Random(5)
+    g1 = _complexes.random_multigraph(rng, 3, 2, 3)
+    docs.append(_complexes.product_doc(g1, g1))
+    monkeypatch.setattr(DirectedEdgeRef, "__hash__", refuse)
+    monkeypatch.setattr(DirectedSquare, "__hash__", refuse)
+    monkeypatch.setattr(SquareComplex, "origin", refuse)
+    monkeypatch.setattr(SquareComplex, "terminus", refuse)
+    for doc in docs:
+        assert validate_vht(load(doc)).ok
+
+
+def test_validation_is_linear_on_a_product_of_two_long_cycles():
+    # 1600 vertices, 3200 edges, 1600 squares: every pair of a horizontal
+    # and a vertical directed edge is 10.24 million pairs, the incident
+    # ones 6400.
+    cycle = (40, [(i, (i + 1) % 40) for i in range(40)])
+    c = load(_complexes.product_doc(cycle, cycle))
+    assert (len(c.vertices), len(c.h_edges) + len(c.v_edges), len(c.squares)) == (1600, 3200, 1600)
+    start = time.perf_counter()
+    report = validate_vht(c)
+    elapsed = time.perf_counter() - start
+    assert report.errors == ()
+    assert len(report.warnings) == 3200
+    assert {w.kind for w in report.warnings} == {"low_h_degree", "low_v_degree"}
+    assert elapsed < 2.0, elapsed
