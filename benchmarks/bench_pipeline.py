@@ -13,7 +13,10 @@ and build_report.  Each is the best of REPEAT full pipelines, so cached
 properties built by one run never shorten the next.  The
 pairs are the Mozes ladder (5,13) (5,17) (5,29) (13,17) with (17,29) and
 (29,37); on the product of two 40-cycles (1600 vertices, 3200 edges, 1600
-squares) only load and validate are timed.
+squares) only load and validate are timed.  The generation of each Mozes
+pair, generate_mozes_complex, is timed apart as "generate_s" (best of
+REPEAT, checked against the document handed in); it is not part of
+"total_s", which sums the analysis stages only.
 
 Every pair runs in its own interpreter, which reports its peak RSS.  The
 documents are made once, by this checkout, and handed to each run on
@@ -54,8 +57,9 @@ def documents() -> dict[str, str]:
     return docs
 
 
-def measure(text: str, validate_only: bool) -> dict:
-    """Best-of-REPEAT seconds of each stage on one document, run in this
+def measure(text: str, validate_only: bool, pair: str | None) -> dict:
+    """Best-of-REPEAT seconds of each stage on one document, and of the
+    generation of the Mozes pair "p,l" when one is given, run in this
     interpreter against the treelat on sys.path."""
     import resource
     from time import perf_counter
@@ -69,6 +73,7 @@ def measure(text: str, validate_only: bool) -> dict:
         stacked_kernel_basis,
         verify_main_theorem,
     )
+    from treelat.mozes import generate_mozes_complex
     from treelat.tiling_system import connectivity, k0_rank, label_tiling
     from treelat.zlinalg import IntMatrix, smith_normal_form
 
@@ -85,6 +90,13 @@ def measure(text: str, validate_only: bool) -> dict:
     def smith_d2(d2):
         s2 = smith_normal_form(d2, left=False)
         return s2, IntMatrix.from_columns(s2.kernel_basis(), rows=d2.cols)
+
+    if pair is not None:
+        p, l = map(int, pair.split(","))
+        for _ in range(REPEAT):
+            doc = timed("generate", generate_mozes_complex, p, l)
+        if doc != text:
+            raise SystemExit(f"generate_mozes_complex({pair}) differs from the document given")
 
     for _ in range(REPEAT):
         c = timed("load", load_complex, text)
@@ -106,19 +118,25 @@ def measure(text: str, validate_only: bool) -> dict:
             homology=hom, connectivity=conn, k0=k0, theorem=theorem,
         )
         timed("build_report", build_report, analysis, data)
-    return {
+    generate_s = best.pop("generate", None)
+    table = {
         "tiles": 4 * len(c.squares),
         "stages_s": {k: round(x, 6) for k, x in best.items()},
         "total_s": round(sum(best.values()), 6),
         "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
     }
+    if generate_s is not None:
+        table["generate_s"] = round(generate_s, 6)
+    return table
 
 
 def run_pair(src: Path, name: str, text: str) -> dict:
     """The stage table of one document with the package under src, in its
     own interpreter."""
-    stages = "validate" if name.startswith("C") else "analyze"
-    argv = [sys.executable, __file__, "--measure", stages]
+    if name.startswith("C"):
+        argv = [sys.executable, __file__, "--measure", "validate"]
+    else:
+        argv = [sys.executable, __file__, "--measure", "analyze", "--generate", name]
     env = dict(os.environ, PYTHONPATH=str(src))
     done = subprocess.run(argv, input=text, capture_output=True, text=True, env=env, check=True)
     table = json.loads(done.stdout)
@@ -132,9 +150,10 @@ def main(argv=None) -> int:
     parser.add_argument("--src", type=Path, help="another checkout, timed as 'before'")
     # the interface of run_pair: time the stages of the document on stdin
     parser.add_argument("--measure", choices=("analyze", "validate"), help=argparse.SUPPRESS)
+    parser.add_argument("--generate", metavar="P,L", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.measure:
-        print(json.dumps(measure(sys.stdin.read(), args.measure == "validate")))
+        print(json.dumps(measure(sys.stdin.read(), args.measure == "validate", args.generate)))
         return 0
     if args.out is None:
         parser.error("--out is required")

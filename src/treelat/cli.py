@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 from dataclasses import dataclass
 
@@ -427,17 +426,6 @@ def make_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
-    # TREELAT_THREADS caps internal parallelism, of which there is none:
-    # it is only checked to be a positive integer when set.
-    threads = os.environ.get("TREELAT_THREADS")
-    if threads is not None:
-        try:
-            valid = int(threads) >= 1
-        except ValueError:
-            valid = False
-        if not valid:
-            print(f"error: TREELAT_THREADS must be a positive integer, got {threads!r}", file=sys.stderr)
-            return 2
     try:
         return args.func(args)
     except OutputError as exc:

@@ -78,6 +78,18 @@ class DirectedSquare:
         return (self.a, self.b, self.a_prime, self.b_prime)
 
 
+def orbit_codes(a: int, b: int, ap: int, bp: int) -> tuple[tuple[int, int, int, int], ...]:
+    """The codes of t, t^v, t^h and t^vh for the square t with codes
+    (a, b, a', b'): the reflections of the module docstring, with ~x = x ^ 1.
+    Any numbering in which code ^ 1 is the reversal will do."""
+    return (
+        (a, b, ap, bp),
+        (ap, b ^ 1, a, bp ^ 1),
+        (a ^ 1, bp, ap ^ 1, b),
+        (ap ^ 1, bp ^ 1, a ^ 1, b ^ 1),
+    )
+
+
 class EdgeTable:
     """Every directed edge of a complex numbered once, and the squares in
     those numbers; SquareComplex.edge_table builds it once per complex.
@@ -123,17 +135,8 @@ class EdgeTable:
     @cached_property
     def tiles(self) -> tuple[tuple[int, int, int, int], ...]:
         """The codes (a, b, a', b') of all 4n directed squares, orbit-major
-        in the order (1, v, h, vh): the reflections of the module docstring,
-        with ~x = x ^ 1."""
-        tiles: list[tuple[int, int, int, int]] = []
-        for a, b, ap, bp in self.squares:
-            tiles += (
-                (a, b, ap, bp),
-                (ap, b ^ 1, a, bp ^ 1),
-                (a ^ 1, bp, ap ^ 1, b),
-                (ap ^ 1, bp ^ 1, a ^ 1, b ^ 1),
-            )
-        return tuple(tiles)
+        in the order (1, v, h, vh) (orbit_codes)."""
+        return tuple(t for square in self.squares for t in orbit_codes(*square))
 
 
 @dataclass(frozen=True)
@@ -270,8 +273,9 @@ def expand_directed_squares(c: SquareComplex) -> tuple[DirectedSquare, ...]:
 
 _TOP_KEYS = ("vertices", "horizontal_edges", "vertical_edges", "squares")
 _EDGE_KEYS = ("id", "origin", "terminus")
-_SQUARE_KEYS = ("a", "b", "a_prime", "b_prime")
-_REF_KEYS = ("edge", "reversed")
+# the keys of a square, in document order, and the axis of each slot
+_SLOT_AXIS = {"a": "horizontal", "b": "vertical", "a_prime": "horizontal", "b_prime": "vertical"}
+_REF_KEYS = frozenset(("edge", "reversed"))
 
 
 def _parse_edges(raw, key, vertex_set, problems) -> list[GeometricEdge]:
@@ -307,7 +311,7 @@ def _parse_ref(raw, where, problems) -> DirectedEdgeRef | None:
     if not isinstance(raw, dict):
         problems.append(f"{where} must be an object")
         return None
-    unknown = set(raw) - set(_REF_KEYS)
+    unknown = raw.keys() - _REF_KEYS
     if unknown:
         problems.append(f"{where}: unknown keys {sorted(unknown)}")
         return None
@@ -361,14 +365,13 @@ def load_complex(text: str) -> SquareComplex:
     h_edges = _parse_edges(doc["horizontal_edges"], "horizontal_edges", vertex_set, problems)
     v_edges = _parse_edges(doc["vertical_edges"], "vertical_edges", vertex_set, problems)
 
-    edge_ids = set()
-    for e in h_edges + v_edges:
-        if e.id in edge_ids:
-            problems.append(f"duplicate edge id '{e.id}'")
-        edge_ids.add(e.id)
-
-    h_ids = {e.id for e in h_edges}
-    v_ids = {e.id for e in v_edges}
+    # the axes each edge id is listed under, once per listing
+    axes: dict[str, tuple[str, ...]] = {}
+    for axis, edges in (("horizontal", h_edges), ("vertical", v_edges)):
+        for e in edges:
+            if e.id in axes:
+                problems.append(f"duplicate edge id '{e.id}'")
+            axes[e.id] = axes.get(e.id, ()) + (axis,)
 
     squares: list[DirectedSquare] = []
     raw_squares = doc["squares"]
@@ -379,33 +382,28 @@ def load_complex(text: str) -> SquareComplex:
         if not isinstance(item, dict):
             problems.append(f"squares[{k}] must be an object")
             continue
-        unknown = set(item) - set(_SQUARE_KEYS)
+        unknown = item.keys() - _SLOT_AXIS.keys()
         if unknown:
             problems.append(f"squares[{k}]: unknown keys {sorted(unknown)}")
             continue
-        missing = [x for x in _SQUARE_KEYS if x not in item]
+        missing = [x for x in _SLOT_AXIS if x not in item]
         if missing:
             problems.append(f"squares[{k}]: missing keys {missing}")
             continue
         refs = {}
         ok = True
-        for slot in _SQUARE_KEYS:
+        for slot, axis in _SLOT_AXIS.items():
             ref = _parse_ref(item[slot], f"squares[{k}].{slot}", problems)
             if ref is None:
                 ok = False
                 continue
-            wanted_h = slot in ("a", "a_prime")
-            if ref.edge not in edge_ids:
+            listed = axes.get(ref.edge)
+            if listed is None:
                 problems.append(f"squares[{k}].{slot}: unknown edge '{ref.edge}'")
                 ok = False
-            elif wanted_h and ref.edge not in h_ids:
+            elif axis not in listed:
                 problems.append(
-                    f"squares[{k}].{slot}: edge '{ref.edge}' is vertical but the slot is horizontal"
-                )
-                ok = False
-            elif not wanted_h and ref.edge not in v_ids:
-                problems.append(
-                    f"squares[{k}].{slot}: edge '{ref.edge}' is horizontal but the slot is vertical"
+                    f"squares[{k}].{slot}: edge '{ref.edge}' is {listed[0]} but the slot is {axis}"
                 )
                 ok = False
             refs[slot] = ref

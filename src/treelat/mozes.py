@@ -14,6 +14,11 @@ reversal, produces a one-vertex VH-T complex with (p+1)/2 horizontal and
 (l+1)/2 vertical geometric edges whose (p+1)(l+1)/4 listed squares expand
 to all (p+1)(l+1) pairs.  The sign only reflects the unit ambiguity of the
 quaternions and is discarded when building the complex.
+
+The squares are built as integer edge codes, 2k + reversed per axis as in
+complex_model.EdgeTable, and reflected by complex_model.orbit_codes, the
+formula the expansion uses; refs and DirectedSquares are made only for the
+emitted orbit representatives.
 """
 
 from __future__ import annotations
@@ -26,8 +31,8 @@ from treelat.complex_model import (
     DirectedSquare,
     GeometricEdge,
     SquareComplex,
+    orbit_codes,
     serialize_complex,
-    sigma_act,
 )
 
 
@@ -129,30 +134,30 @@ def _up_to_sign(q: Quaternion) -> tuple[Quaternion, int]:
 def _relation_table(ql: GeneratorSet, qp: GeneratorSet) -> dict:
     """Every product y~ * x~ over ql x qp, keyed up to sign.
 
-    The entry of a key lists each (y~, x~, sign) with y~ * x~ = sign * key,
-    in the order of ql x qp.  A nonzero quaternion never equals its
-    negative, so the solutions of s * key = s' * y~ * x~ are exactly the
-    entries of that key, with s' = s * sign.
+    The entry of a key lists each (j, i, sign) with
+    ql.quats[j] * qp.quats[i] = sign * key, in the order of ql x qp.  A
+    nonzero quaternion never equals its negative, so the solutions of
+    s * key = s' * y~ * x~ are exactly the entries of that key, with
+    s' = s * sign.
     """
     table: dict = {}
-    for yt in ql.quats:
-        for xt in qp.quats:
+    for j, yt in enumerate(ql.quats):
+        for i, xt in enumerate(qp.quats):
             key, sign = _up_to_sign(yt * xt)
-            table.setdefault(key, []).append((yt, xt, sign))
+            table.setdefault(key, []).append((j, i, sign))
     return table
 
 
-def _solve_from_table(
-    table: dict, x: Quaternion, y: Quaternion
-) -> tuple[Quaternion, Quaternion, int]:
+def _solve_from_table(table: dict, x: Quaternion, y: Quaternion) -> tuple[int, int, int]:
+    """The indices (j, i, sign) of the unique solution for (x, y)."""
     key, s = _up_to_sign(x * y)
     hits = table.get(key, ())
     if len(hits) != 1:
         raise RelationSolveError(
             f"relation for ({x}, {y}) has {len(hits)} solutions, expected 1"
         )
-    yt, xt, sign = hits[0]
-    return yt, xt, s * sign
+    j, i, sign = hits[0]
+    return j, i, s * sign
 
 
 def solve_square_relation(
@@ -165,80 +170,72 @@ def solve_square_relation(
     construction.  build_mozes_complex builds the product table once and
     looks every pair up in it.
     """
-    return _solve_from_table(_relation_table(ql, qp), x, y)
+    j, i, sign = _solve_from_table(_relation_table(ql, qp), x, y)
+    return ql.quats[j], qp.quats[i], sign
 
 
-def _edge_data(quats, prefix):
-    reps = sorted({min(q, q.conjugate()) for q in quats})
-    edge_id = {rep: f"{prefix}{i + 1}" for i, rep in enumerate(reps)}
-
-    def ref(q: Quaternion) -> DirectedEdgeRef:
-        rep = min(q, q.conjugate())
-        return DirectedEdgeRef(edge_id[rep], q != rep)
-
-    quat_of = {}
-    for q in quats:
-        quat_of[ref(q)] = q
-    return reps, edge_id, ref, quat_of
+def _edge_codes(quats: tuple[Quaternion, ...]) -> tuple[list[int], list[int]]:
+    """The code 2k + (q != rep) of each quaternion q, where rep = min(q, q~)
+    is the k-th representative in sorted order, and the index in quats of
+    the quaternion of each code.  Conjugation is reversal, code ^ 1."""
+    reps = [min(q, q.conjugate()) for q in quats]
+    rank = {rep: k for k, rep in enumerate(sorted(set(reps)))}
+    codes = [2 * rank[rep] + (q != rep) for q, rep in zip(quats, reps)]
+    return codes, sorted(range(len(codes)), key=codes.__getitem__)
 
 
 def build_mozes_complex(p: int, l: int) -> SquareComplex:
-    """The one-vertex complex itself; see generate_mozes_complex for the document."""
+    """The one-vertex complex itself; see generate_mozes_complex for the document.
+
+    Pair k = i * (l+1) + j, of x = qp.quats[i] and y = ql.quats[j], has the
+    square of edge codes (x, y~, x~, y), numbered per axis (_edge_codes).
+    Each orbit's reflections (orbit_codes) must be the squares of three
+    more pairs, read off their a and b' codes, and none seen before.
+    """
     if p == l:
         raise MozesParameterError("the two primes must be distinct")
     qp = norm_quaternions(p)
     ql = norm_quaternions(l)
-
-    h_reps, _, h_ref, h_quat = _edge_data(qp.quats, "a")
-    v_reps, _, v_ref, v_quat = _edge_data(ql.quats, "b")
-
-    pair_index = {
-        (x, y): (i, j) for i, x in enumerate(qp.quats) for j, y in enumerate(ql.quats)
-    }
+    h_code, h_index = _edge_codes(qp.quats)
+    v_code, v_index = _edge_codes(ql.quats)
+    width = len(ql.quats)
 
     table = _relation_table(ql, qp)
-    square_by_pair = {}
+    squares = []
     for i, x in enumerate(qp.quats):
         for j, y in enumerate(ql.quats):
-            yt, xt, _ = _solve_from_table(table, x, y)
-            square_by_pair[i, j] = DirectedSquare(
-                a=h_ref(x), b=v_ref(yt), a_prime=h_ref(xt), b_prime=v_ref(y),
-                orbit_id=0, sigma_tag="1",
-            )
+            jt, it, _ = _solve_from_table(table, x, y)
+            squares.append((h_code[i], v_code[jt], h_code[it], v_code[j]))
 
-    def pair_of(sq: DirectedSquare) -> tuple[int, int]:
-        return pair_index[(h_quat[sq.a], v_quat[sq.b_prime])]
-
-    emitted: list[DirectedSquare] = []
-    seen: set[tuple[int, int]] = set()
-    for ij in sorted(square_by_pair):
-        if ij in seen:
+    emitted: list[tuple[int, int, int, int]] = []
+    seen: set[int] = set()
+    for k, square in enumerate(squares):
+        if k in seen:
             continue
-        sq = square_by_pair[ij]
-        orbit = {ij}
-        for g in ("v", "h", "vh"):
-            image = sigma_act(sq, g)
-            other = pair_of(image)
-            if square_by_pair[other].labels() != image.labels():
+        orbit = {k}
+        for image in orbit_codes(*square)[1:]:
+            other = h_index[image[0]] * width + v_index[image[3]]
+            if squares[other] != image:
                 raise RelationSolveError(
-                    f"reflection image of pair {ij} disagrees with the solved square at {other}"
+                    f"reflection image of pair {divmod(k, width)} disagrees with the"
+                    f" solved square at {divmod(other, width)}"
                 )
             orbit.add(other)
         if len(orbit) != 4 or orbit & seen:
-            raise RelationSolveError(f"reflection orbit of pair {ij} is not free")
+            raise RelationSolveError(f"reflection orbit of pair {divmod(k, width)} is not free")
         seen |= orbit
-        emitted.append(
-            DirectedSquare(
-                sq.a, sq.b, sq.a_prime, sq.b_prime,
-                orbit_id=len(emitted), sigma_tag="1",
-            )
-        )
+        emitted.append(square)
 
+    h_refs = [DirectedEdgeRef(f"a{k // 2 + 1}", bool(k & 1)) for k in range(len(h_code))]
+    v_refs = [DirectedEdgeRef(f"b{k // 2 + 1}", bool(k & 1)) for k in range(width)]
     return SquareComplex(
         vertices=("v0",),
-        h_edges=tuple(GeometricEdge(f"a{i + 1}", "v0", "v0") for i in range(len(h_reps))),
-        v_edges=tuple(GeometricEdge(f"b{j + 1}", "v0", "v0") for j in range(len(v_reps))),
-        squares=tuple(emitted),
+        h_edges=tuple(GeometricEdge(r.edge, "v0", "v0") for r in h_refs[::2]),
+        v_edges=tuple(GeometricEdge(r.edge, "v0", "v0") for r in v_refs[::2]),
+        squares=tuple(
+            DirectedSquare(h_refs[a], v_refs[b], h_refs[ap], v_refs[bp], orbit_id=n, sigma_tag="1")
+            for n, (a, b, ap, bp) in enumerate(emitted)
+        ),
     )
 
 

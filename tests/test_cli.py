@@ -199,11 +199,14 @@ def test_export_unknown_matrix_exit_2(g513_file, capsys):
     assert exc.value.code == 2
 
 
-def test_thread_env_rejected_when_invalid(runner, torus_file, monkeypatch):
+def test_thread_env_is_not_read(runner, torus_file, monkeypatch):
+    # no environment variable is consulted: TREELAT_THREADS, even one that
+    # is not a positive integer, changes neither output nor exit code
+    monkeypatch.delenv("TREELAT_THREADS", raising=False)
+    unset = runner("validate", torus_file)
     monkeypatch.setenv("TREELAT_THREADS", "zero")
-    code, out, err = runner("validate", torus_file)
-    assert code == 2
-    assert "TREELAT_THREADS" in err
+    assert runner("validate", torus_file) == unset
+    assert unset[0] == 0
 
 
 def test_thread_env_accepted(runner, monkeypatch, tmp_path):

@@ -14,6 +14,7 @@ from treelat.complex_model import (
     SquareComplex,
     expand_directed_squares,
     load_complex,
+    orbit_codes,
     serialize_complex,
     sigma_act,
     validate_vht,
@@ -48,6 +49,24 @@ def test_wrong_edge_role():
     doc = one_vertex_doc(["a"], ["b"], [square(ref("b"), ref("a"), ref("b"), ref("a"))])
     with pytest.raises(ComplexFormatError, match="slot is horizontal"):
         load(doc)
+
+
+def test_horizontal_edge_in_a_vertical_slot():
+    doc = one_vertex_doc(["a"], ["b"], [square(ref("a"), ref("a"), ref("a"), ref("b"))])
+    with pytest.raises(ComplexFormatError) as exc:
+        load(doc)
+    assert exc.value.problems == (
+        "squares[0].b: edge 'a' is horizontal but the slot is vertical",
+    )
+
+
+def test_cross_listed_edge_passes_both_slots():
+    # an id listed in both edge arrays is reported once, as a duplicate;
+    # it fills a horizontal and a vertical slot without a role problem
+    doc = one_vertex_doc(["e"], ["e"], [square(ref("e"), ref("e"), ref("e", True), ref("e", True))])
+    with pytest.raises(ComplexFormatError) as exc:
+        load(doc)
+    assert exc.value.problems == ("duplicate edge id 'e'",)
 
 
 def test_duplicate_edge_id_across_lists():
@@ -322,6 +341,16 @@ def test_edge_table_numbers_each_directed_edge_once(corpus):
             tuple(table.position[x.edge] + x.reversed for x in t.labels())
             for t in analysis.expanded
         )
+
+
+def test_orbit_codes_are_the_codes_of_sigma_act(corpus):
+    for analysis in corpus.values():
+        c = analysis.complex
+        table = c.edge_table
+        for t, codes in zip(c.squares, table.squares):
+            assert orbit_codes(*codes) == tuple(
+                tuple(table.codes(sigma_act(t, g).labels())) for g in ("1", "v", "h", "vh")
+            )
 
 
 def _corpus_documents():

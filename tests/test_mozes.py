@@ -3,7 +3,14 @@ import json
 
 import pytest
 
-from treelat.complex_model import load_complex, sigma_act, validate_vht
+from treelat import complex_model, mozes
+from treelat.complex_model import (
+    DirectedEdgeRef,
+    DirectedSquare,
+    load_complex,
+    sigma_act,
+    validate_vht,
+)
 from treelat.mozes import (
     GeneratorSet,
     MozesParameterError,
@@ -140,6 +147,50 @@ def test_generated_documents_match_pinned_digests():
     for (p, l), digest in GENERATED_SHA256.items():
         doc = generate_mozes_complex(p, l)
         assert hashlib.sha256(doc.encode()).hexdigest() == digest, (p, l)
+
+
+def test_generation_reflects_codes_without_hashing_refs(monkeypatch):
+    # the squares are solved, reflected and checked as integer edge codes;
+    # refs and DirectedSquares are made only for the emitted squares
+    def refuse(*args):
+        raise AssertionError("generation hashed a ref or called sigma_act")
+
+    monkeypatch.setattr(DirectedEdgeRef, "__hash__", refuse)
+    monkeypatch.setattr(DirectedSquare, "__hash__", refuse)
+    monkeypatch.setattr(complex_model, "sigma_act", refuse)
+    doc = generate_mozes_complex(13, 17)
+    assert hashlib.sha256(doc.encode()).hexdigest() == GENERATED_SHA256[(13, 17)]
+
+
+def test_generation_rejects_squares_fixed_by_vh(monkeypatch):
+    # (y~, x~) = (conj y, conj x) makes every square its own vh-image, so
+    # each orbit holds two pairs
+    q5, q13 = norm_quaternions(5), norm_quaternions(13)
+
+    def conjugates(table, x, y):
+        return q13.quats.index(y.conjugate()), q5.quats.index(x.conjugate()), 1
+
+    monkeypatch.setattr(mozes, "_solve_from_table", conjugates)
+    with pytest.raises(RelationSolveError, match=r"^reflection orbit of pair \(0, 0\) is not free$"):
+        build_mozes_complex(5, 13)
+
+
+def test_generation_rejects_a_wrong_solution(monkeypatch):
+    # a wrong x~ at the first pair: its reflections are the squares of
+    # other pairs, solved correctly, and differ from them
+    solve = mozes._solve_from_table
+    first = norm_quaternions(5).quats[0], norm_quaternions(13).quats[0]
+
+    def wrong_at_first(table, x, y):
+        jt, it, sign = solve(table, x, y)
+        return (jt, (it + 1) % 6, sign) if (x, y) == first else (jt, it, sign)
+
+    monkeypatch.setattr(mozes, "_solve_from_table", wrong_at_first)
+    with pytest.raises(
+        RelationSolveError,
+        match=r"^reflection image of pair \(0, 0\) disagrees with the solved square at \(\d+, \d+\)$",
+    ):
+        build_mozes_complex(5, 13)
 
 
 def test_generate_counts_5_13():
