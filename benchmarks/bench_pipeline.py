@@ -15,8 +15,10 @@ pairs are the Mozes ladder (5,13) (5,17) (5,29) (13,17) with (17,29) and
 (29,37); on the product of two 40-cycles (1600 vertices, 3200 edges, 1600
 squares) only load and validate are timed.  The generation of each Mozes
 pair, generate_mozes_complex, is timed apart as "generate_s" (best of
-REPEAT, checked against the document handed in); it is not part of
-"total_s", which sums the analysis stages only.
+REPEAT, checked against the document handed in), and so is the export
+of its stacked matrix, build_tiling -> stacked_matrix -> write_triplets on
+the expanded squares of the last run, as "export_s" (best of REPEAT);
+neither is part of "total_s", which sums the analysis stages only.
 
 Every pair runs in its own interpreter, which reports its peak RSS.  The
 documents are made once, by this checkout, and handed to each run on
@@ -59,8 +61,8 @@ def documents() -> dict[str, str]:
 
 def measure(text: str, validate_only: bool, pair: str | None) -> dict:
     """Best-of-REPEAT seconds of each stage on one document, and of the
-    generation of the Mozes pair "p,l" when one is given, run in this
-    interpreter against the treelat on sys.path."""
+    generation and the export of the Mozes pair "p,l" when one is given,
+    run in this interpreter against the treelat on sys.path."""
     import resource
     from time import perf_counter
 
@@ -74,7 +76,14 @@ def measure(text: str, validate_only: bool, pair: str | None) -> dict:
         verify_main_theorem,
     )
     from treelat.mozes import generate_mozes_complex
-    from treelat.tiling_system import connectivity, k0_rank, label_tiling
+    from treelat.matio import write_triplets
+    from treelat.tiling_system import (
+        build_tiling,
+        connectivity,
+        k0_rank,
+        label_tiling,
+        stacked_matrix,
+    )
     from treelat.zlinalg import IntMatrix, smith_normal_form
 
     data = text.encode()
@@ -86,6 +95,9 @@ def measure(text: str, validate_only: bool, pair: str | None) -> dict:
         elapsed = perf_counter() - start
         best[stage] = min(best.get(stage, elapsed), elapsed)
         return out
+
+    def export(r, c):
+        return write_triplets(stacked_matrix(build_tiling(r, c)))
 
     def smith_d2(d2):
         s2 = smith_normal_form(d2, left=False)
@@ -118,7 +130,11 @@ def measure(text: str, validate_only: bool, pair: str | None) -> dict:
             homology=hom, connectivity=conn, k0=k0, theorem=theorem,
         )
         timed("build_report", build_report, analysis, data)
+    if pair is not None:
+        for _ in range(REPEAT):
+            timed("export", export, r, c)
     generate_s = best.pop("generate", None)
+    export_s = best.pop("export", None)
     table = {
         "tiles": 4 * len(c.squares),
         "stages_s": {k: round(x, 6) for k, x in best.items()},
@@ -127,6 +143,8 @@ def measure(text: str, validate_only: bool, pair: str | None) -> dict:
     }
     if generate_s is not None:
         table["generate_s"] = round(generate_s, 6)
+    if export_s is not None:
+        table["export_s"] = round(export_s, 6)
     return table
 
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from json.encoder import encode_basestring_ascii
 from typing import Iterable
 
 SIGMA_TAGS = ("1", "v", "h", "vh")
@@ -307,18 +308,24 @@ def _parse_edges(raw, key, vertex_set, problems) -> list[GeometricEdge]:
     return edges
 
 
-def _parse_ref(raw, where, problems) -> DirectedEdgeRef | None:
+def _parse_ref(raw, k, slot, problems, interned) -> DirectedEdgeRef | None:
+    """The reference in slot of squares[k], the one object interned holds
+    for its (edge, reversed); its problems name the slot, and the name is
+    built only then."""
     if not isinstance(raw, dict):
-        problems.append(f"{where} must be an object")
+        problems.append(f"squares[{k}].{slot} must be an object")
         return None
-    unknown = raw.keys() - _REF_KEYS
-    if unknown:
-        problems.append(f"{where}: unknown keys {sorted(unknown)}")
+    if not raw.keys() <= _REF_KEYS:
+        problems.append(f"squares[{k}].{slot}: unknown keys {sorted(raw.keys() - _REF_KEYS)}")
         return None
-    if not isinstance(raw.get("edge"), str) or not isinstance(raw.get("reversed"), bool):
-        problems.append(f"{where}: need edge (string) and reversed (boolean)")
+    key = raw.get("edge"), raw.get("reversed")
+    if not isinstance(key[0], str) or not isinstance(key[1], bool):
+        problems.append(f"squares[{k}].{slot}: need edge (string) and reversed (boolean)")
         return None
-    return DirectedEdgeRef(raw["edge"], raw["reversed"])
+    ref = interned.get(key)
+    if ref is None:
+        ref = interned[key] = DirectedEdgeRef(*key)
+    return ref
 
 
 def load_complex(text: str) -> SquareComplex:
@@ -374,6 +381,7 @@ def load_complex(text: str) -> SquareComplex:
             axes[e.id] = axes.get(e.id, ()) + (axis,)
 
     squares: list[DirectedSquare] = []
+    interned: dict[tuple[str, bool], DirectedEdgeRef] = {}
     raw_squares = doc["squares"]
     if not isinstance(raw_squares, list):
         problems.append("squares must be an array")
@@ -393,7 +401,7 @@ def load_complex(text: str) -> SquareComplex:
         refs = {}
         ok = True
         for slot, axis in _SLOT_AXIS.items():
-            ref = _parse_ref(item[slot], f"squares[{k}].{slot}", problems)
+            ref = _parse_ref(item[slot], k, slot, problems, interned)
             if ref is None:
                 ok = False
                 continue
@@ -439,28 +447,45 @@ def load_complex(text: str) -> SquareComplex:
     return c
 
 
+def _json_array(items: list[str]) -> str:
+    """Already written items as the array of a top-level field, laid out
+    as json.dumps(indent=2) lays it out."""
+    return "[\n    " + ",\n    ".join(items) + "\n  ]" if items else "[]"
+
+
 def serialize_complex(c: SquareComplex, metadata: dict | None = None) -> str:
-    """Canonical document text: fixed key order, input array order."""
+    """Canonical document text: fixed key order, input array order.
 
-    def ref(r: DirectedEdgeRef) -> dict:
-        return {"edge": r.edge, "reversed": r.reversed}
+    The text of json.dumps(doc, indent=2), written from string templates:
+    strings are escaped by encode_basestring_ascii, as json.dumps escapes
+    them, and only metadata goes through json.dumps itself.
+    """
+    q = encode_basestring_ascii
 
-    doc: dict = {
-        "vertices": list(c.vertices),
-        "horizontal_edges": [
-            {"id": e.id, "origin": e.origin, "terminus": e.terminus} for e in c.h_edges
-        ],
-        "vertical_edges": [
-            {"id": e.id, "origin": e.origin, "terminus": e.terminus} for e in c.v_edges
-        ],
-        "squares": [
-            {"a": ref(t.a), "b": ref(t.b), "a_prime": ref(t.a_prime), "b_prime": ref(t.b_prime)}
-            for t in c.squares
-        ],
-    }
+    def edge(e: GeometricEdge) -> str:
+        return (
+            f'{{\n      "id": {q(e.id)},\n      "origin": {q(e.origin)},'
+            f'\n      "terminus": {q(e.terminus)}\n    }}'
+        )
+
+    def ref(r: DirectedEdgeRef) -> str:
+        flag = "true" if r.reversed else "false"
+        return f'{{\n        "edge": {q(r.edge)},\n        "reversed": {flag}\n      }}'
+
+    squares = [
+        f'{{\n      "a": {ref(t.a)},\n      "b": {ref(t.b)},'
+        f'\n      "a_prime": {ref(t.a_prime)},\n      "b_prime": {ref(t.b_prime)}\n    }}'
+        for t in c.squares
+    ]
+    fields = [
+        f'"vertices": {_json_array([q(v) for v in c.vertices])}',
+        f'"horizontal_edges": {_json_array([edge(e) for e in c.h_edges])}',
+        f'"vertical_edges": {_json_array([edge(e) for e in c.v_edges])}',
+        f'"squares": {_json_array(squares)}',
+    ]
     if metadata is not None:
-        doc["metadata"] = metadata
-    return json.dumps(doc, indent=2) + "\n"
+        fields.append('"metadata": ' + json.dumps(metadata, indent=2).replace("\n", "\n  "))
+    return "{\n  " + ",\n  ".join(fields) + "\n}\n"
 
 
 # --- validation -------------------------------------------------------------

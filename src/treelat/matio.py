@@ -8,8 +8,6 @@ shape so that empty matrices round-trip.
 
 from __future__ import annotations
 
-import json
-
 from treelat.zlinalg import IntMatrix
 
 
@@ -18,11 +16,19 @@ class MatrixFormatError(ValueError):
 
 
 def write_triplets(m: IntMatrix) -> str:
-    lines = [f"{m.rows} {m.cols}"]
+    """The triplet text of m: one string per row, joined once.
+
+    The fragment "j 1" of each column is made once per call, and a row is
+    its fragments joined by a line break and the row number; only a value
+    other than 1 gets its own fragment.
+    """
+    ones = [f"{j} 1" for j in range(1, m.cols + 1)]
+    lines = [f"{m.rows} {m.cols}\n"]
     for i, pairs in enumerate(m.row_pairs, 1):
-        for j, x in pairs:
-            lines.append(f"{i} {j + 1} {x}")
-    return "\n".join(lines) + "\n"
+        if pairs:
+            fragments = [ones[j] if x == 1 else f"{j + 1} {x}" for j, x in pairs]
+            lines.append(f"{i} " + f"\n{i} ".join(fragments) + "\n")
+    return "".join(lines)
 
 
 def read_triplets(text: str) -> IntMatrix:
@@ -63,5 +69,15 @@ def read_triplets(text: str) -> IntMatrix:
 
 
 def write_dense_json(m: IntMatrix) -> str:
-    doc = {"rows": m.rows, "cols": m.cols, "entries": m.to_lists()}
-    return json.dumps(doc, indent=2) + "\n"
+    """The text of json.dumps({"rows", "cols", "entries"}, indent=2), the
+    entries written dense: each row is a copy of one row of "0" strings
+    with its nonzeros set, joined once."""
+    zeros = ["0"] * m.cols
+    rows = []
+    for pairs in m.row_pairs:
+        row = zeros.copy()
+        for j, x in pairs:
+            row[j] = str(x)
+        rows.append("[\n      " + ",\n      ".join(row) + "\n    ]" if row else "[]")
+    entries = "[\n    " + ",\n    ".join(rows) + "\n  ]" if rows else "[]"
+    return f'{{\n  "rows": {m.rows},\n  "cols": {m.cols},\n  "entries": {entries}\n}}\n'

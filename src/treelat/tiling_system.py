@@ -15,7 +15,8 @@ the degree-2 homology; twice its rank is the boundary-algebra K_0 rank.
 
 An analysis reads the tile and edge graphs, the column sums and the factors
 of the stacked operator off the tile labels (label_tiling); m1, m2 and the
-stacked matrix are built only on demand: for export and on fallback.
+stacked matrix are built only on demand, each from the labels on its own:
+for export and on fallback.
 """
 
 from __future__ import annotations
@@ -137,6 +138,14 @@ class K0Result:
     hypotheses: K0Hypotheses
 
 
+def _shared_followers(primed) -> dict[int, tuple]:
+    """The sorted pairs (t, 1) of the tiles t with each primed label."""
+    followers: dict[int, list[tuple[int, int]]] = {}
+    for t, x in enumerate(primed):
+        followers.setdefault(x, []).append((t, 1))
+    return {x: tuple(pairs) for x, pairs in followers.items()}
+
+
 def _follower_rows(labels, primed, flip: int) -> list[tuple]:
     """The rows s of a transition matrix: (t, 1) for every t with
     primed[t] = labels[s], except t = s ^ flip.
@@ -145,10 +154,7 @@ def _follower_rows(labels, primed, flip: int) -> list[tuple]:
     row with that label; row s is that tuple with (s ^ flip, 1) cut out, or
     the tuple itself when it does not hold that pair.
     """
-    followers: dict[int, list[tuple[int, int]]] = {}
-    for t, x in enumerate(primed):
-        followers.setdefault(x, []).append((t, 1))
-    shared = {x: tuple(pairs) for x, pairs in followers.items()}
+    shared = _shared_followers(primed)
     rows = []
     for s, x in enumerate(labels):
         base = shared.get(x, ())
@@ -156,6 +162,30 @@ def _follower_rows(labels, primed, flip: int) -> list[tuple]:
         if k < len(base) and base[k][0] == s ^ flip:
             base = base[:k] + base[k + 1 :]
         rows.append(base)
+    return rows
+
+
+def _minus_identity_rows(labels, primed, flip: int) -> list[tuple]:
+    """The rows s of a transition matrix less the identity, cut from the
+    same shared tuples as _follower_rows in one slice pass.
+
+    Both columns s ^ flip and s leave the tuple when it holds them: the
+    first is cut from the transition matrix, and at the second 1 - 1 = 0.
+    When the tuple does not hold s, (s, -1) goes in its place.
+    """
+    shared = _shared_followers(primed)
+    rows = []
+    for s, x in enumerate(labels):
+        base = shared.get(x, ())
+        cut = s ^ flip
+        lo, hi = (s, cut) if s < cut else (cut, s)
+        i = bisect_left(base, (lo,))
+        i_end = i + (i < len(base) and base[i][0] == lo)
+        j = bisect_left(base, (hi,), i_end)
+        j_end = j + (j < len(base) and base[j][0] == hi)
+        at_lo = ((s, -1),) if lo == s and i == i_end else ()
+        at_hi = ((s, -1),) if hi == s and j == j_end else ()
+        rows.append(base[:i] + at_lo + base[i_end:j] + at_hi + base[j_end:])
     return rows
 
 
@@ -189,32 +219,22 @@ def label_tiling(r: tuple[DirectedSquare, ...], c: SquareComplex) -> TilingSyste
 
 
 def build_tiling(r: tuple[DirectedSquare, ...], c: SquareComplex) -> TilingSystem:
-    """label_tiling with m1 and m2 built at once: the export path.
+    """The tiling system of the export path: label_tiling(r, c).
 
-    The rows of m1 and m2 are cut from one shared list per primed label
-    (_follower_rows): t^h = t ^ 2 is dropped from row s of m1 and
-    t^v = t ^ 1 from row s of m2.
+    Nothing is built beyond the labels; m1, m2 and stacked are cached
+    properties, each built from the labels on its first read, so exporting
+    one of them builds neither of the others.  A function of its own, not
+    a second name for label_tiling, so a trace of an analysis never
+    records its label_tiling call under this name.
     """
-    ts = label_tiling(r, c)
-    _ = ts.m1, ts.m2  # built now, and kept on ts
-    return ts
-
-
-def _minus_diagonal(pairs: tuple, i: int) -> tuple:
-    """Row i of m - I, from the stored pairs of row i of m."""
-    k = bisect_left(pairs, (i,))  # (i,) sorts before every pair (i, x)
-    if k < len(pairs) and pairs[k][0] == i:
-        x = pairs[k][1] - 1
-        return pairs[:k] + (((i, x),) if x else ()) + pairs[k + 1 :]
-    return pairs[:k] + ((i, -1),) + pairs[k:]
+    return label_tiling(r, c)
 
 
 def stacked_matrix(ts: TilingSystem) -> IntMatrix:
-    """The 2n x n matrix (m1 - I) stacked over (m2 - I)."""
-    n = len(ts.squares)
-    rows = []
-    for m in (ts.m1, ts.m2):
-        rows.extend(map(_minus_diagonal, m.row_pairs, range(n)))
+    """The 2n x n matrix (m1 - I) stacked over (m2 - I), cut from the tile
+    labels row by row (_minus_identity_rows); neither m1 nor m2 is read."""
+    n = len(ts.b)
+    rows = _minus_identity_rows(ts.b, ts.b_prime, 2) + _minus_identity_rows(ts.a, ts.a_prime, 1)
     return IntMatrix(2 * n, n, tuple(rows))
 
 

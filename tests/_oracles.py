@@ -20,8 +20,14 @@ corner checks of the parser keep their DirectedEdgeRef route here too:
 coverage keyed by pairs of refs, the incident pairs found by a scan of
 all directed-edge pairs, and every vertex read through
 SquareComplex.origin, where the pipeline reads integer edge codes.
+The export path keeps its earlier writers here: triplets with one
+formatted line per nonzero, the dense form and the canonical document
+written by json.dumps, and the stacked matrix re-sliced row by row from
+the built m1 and m2, where the pipeline joins strings and cuts each row
+of S from the tile labels.
 """
 
+from bisect import bisect_left
 from fractions import Fraction
 
 
@@ -182,6 +188,49 @@ def triplets_by_dense_scan(rows, cols):
             if rows[i][j] != 0:
                 lines.append(f"{i + 1} {j + 1} {rows[i][j]}")
     return "\n".join(lines) + "\n"
+
+
+def write_triplets_by_line(m):
+    """Triplet text with one formatted line appended per nonzero."""
+    lines = [f"{m.rows} {m.cols}"]
+    for i, pairs in enumerate(m.row_pairs, 1):
+        for j, x in pairs:
+            lines.append(f"{i} {j + 1} {x}")
+    return "\n".join(lines) + "\n"
+
+
+def write_dense_json_by_dumps(m):
+    """The dense JSON form, written by json.dumps."""
+    import json
+
+    doc = {"rows": m.rows, "cols": m.cols, "entries": m.to_lists()}
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def serialize_complex_by_dumps(c, metadata=None):
+    """The canonical document of c, built as a dict and written by
+    json.dumps(indent=2)."""
+    import json
+
+    def ref(r):
+        return {"edge": r.edge, "reversed": r.reversed}
+
+    doc = {
+        "vertices": list(c.vertices),
+        "horizontal_edges": [
+            {"id": e.id, "origin": e.origin, "terminus": e.terminus} for e in c.h_edges
+        ],
+        "vertical_edges": [
+            {"id": e.id, "origin": e.origin, "terminus": e.terminus} for e in c.v_edges
+        ],
+        "squares": [
+            {"a": ref(t.a), "b": ref(t.b), "a_prime": ref(t.a_prime), "b_prime": ref(t.b_prime)}
+            for t in c.squares
+        ],
+    }
+    if metadata is not None:
+        doc["metadata"] = metadata
+    return json.dumps(doc, indent=2) + "\n"
 
 
 # Dense references for the sparse-row IntMatrix: each takes lists of row
@@ -410,7 +459,7 @@ def matches_factors(stacked, b, a):
     tile labels b, a, with b'(t) = b(t^h) and a'(t) = a(t^v): each row of
     the built matrix against the row cut from the shared list of tiles
     with its primed label (the construction of build_tiling)."""
-    from treelat.tiling_system import _follower_rows, _minus_diagonal
+    from treelat.tiling_system import _follower_rows
 
     n = len(b)
     if stacked.rows != 2 * n or stacked.cols != n or len(a) != n or n % 4:
@@ -421,9 +470,30 @@ def matches_factors(stacked, b, a):
         primed = [labels[t ^ flip] for t in range(n)]
         expected = _follower_rows(labels, primed, flip)
         for s in range(n):
-            if rows[top + s] != _minus_diagonal(expected[s], s):
+            if rows[top + s] != minus_diagonal(expected[s], s):
                 return False
     return True
+
+
+def minus_diagonal(pairs, i):
+    """Row i of m - I, from the stored pairs of row i of m."""
+    k = bisect_left(pairs, (i,))  # (i,) sorts before every pair (i, x)
+    if k < len(pairs) and pairs[k][0] == i:
+        x = pairs[k][1] - 1
+        return pairs[:k] + (((i, x),) if x else ()) + pairs[k + 1 :]
+    return pairs[:k] + ((i, -1),) + pairs[k:]
+
+
+def stacked_matrix_by_minus_diagonal(ts):
+    """(m1 - I) stacked over (m2 - I), each row re-sliced from the built
+    m1 and m2 of ts (the export path before rows were cut from the labels)."""
+    from treelat.zlinalg import IntMatrix
+
+    n = len(ts.squares)
+    rows = []
+    for m in (ts.m1, ts.m2):
+        rows.extend(map(minus_diagonal, m.row_pairs, range(n)))
+    return IntMatrix(2 * n, n, tuple(rows))
 
 
 def stacked_factors(stacked, psi):

@@ -377,6 +377,25 @@ def test_analysis_computes_each_kernel_once(monkeypatch, mozes513, mozes513_doc)
     assert len(hermite) == 0
 
 
+def test_export_of_the_stacked_matrix_builds_neither_transition_matrix(
+    runner, g513_file, monkeypatch, mozes513
+):
+    # S is cut from the tile labels: neither build_tiling nor
+    # stacked_matrix reads m1 or m2, in the library or through the CLI.
+    matrices = [count_reads(monkeypatch, tiling_system.TilingSystem, m) for m in ("m1", "m2")]
+    c, r = mozes513.complex, mozes513.expanded
+    stacked = tiling_system.stacked_matrix(tiling_system.build_tiling(r, c))
+    assert stacked == tiling_system.label_tiling(r, c).stacked
+    code, out, err = runner("export", g513_file, "--what", "stacked")
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_STACKED_513
+    assert matrices == [[], []]
+    # m1 and m2 are still there to export, each built on its own read.
+    code, out, err = runner("export", g513_file, "--what", "m2")
+    assert code == 0, err
+    assert [len(seen) for seen in matrices] == [0, 1]
+
+
 def test_certified_kernel_stays_sparse_and_meets_the_operator_once(
     runner, tmp_path, monkeypatch, mozes513_doc
 ):

@@ -23,7 +23,7 @@ from treelat.mozes import generate_mozes_complex
 
 import _complexes
 from _complexes import one_vertex_doc, ref, square
-from _oracles import corner_problems_by_refs, validate_vht_by_refs
+from _oracles import corner_problems_by_refs, serialize_complex_by_dumps, validate_vht_by_refs
 from test_fuzz_cli import mutated_documents
 
 
@@ -143,6 +143,68 @@ def test_serialize_round_trip():
     doc = serialize_complex(load(_complexes.f2xf2_doc()))
     c = load(doc)
     assert serialize_complex(c) == doc
+
+
+def test_serialize_matches_the_dumps_oracle():
+    # Every corpus document and a Mozes one, with no metadata, empty
+    # metadata and nested metadata; a complex with no vertices, edges or
+    # squares; ids that need escaping and are not ASCII.
+    odd = one_vertex_doc(
+        ["\u00e5 \"a\"", "a\\\t2"],
+        ["\u2603", "b/\u00e9"],
+        [square(ref("\u00e5 \"a\""), ref("\u2603"), ref("a\\\t2", True), ref("b/\u00e9", True))],
+        vertex="v\u00e9\n",
+    )
+    complexes = [
+        load(doc())
+        for doc in (
+            _complexes.torus_doc,
+            _complexes.f2xf2_doc,
+            _complexes.klein_doc,
+            _complexes.two_vertex_klein_doc,
+            _complexes.two_torus_components_doc,
+        )
+    ]
+    complexes += [load(odd), load(generate_mozes_complex(5, 13)), SquareComplex((), (), (), ())]
+    metadata = (
+        None,
+        {},
+        {"construction": "mozes", "p": 5, "l": 13},
+        {"note": "\u00fcber \"x\"", "list": [], "nested": {"a": [1, -2.5, None, True], "b": {}}},
+    )
+    for c in complexes:
+        for m in metadata:
+            text = serialize_complex(c, m)
+            assert text == serialize_complex_by_dumps(c, m)
+            assert serialize_complex(load(text), m) == text
+    assert "\\u2603" in serialize_complex(load(odd))
+
+
+def test_load_interns_one_ref_per_directed_edge():
+    c = load(generate_mozes_complex(5, 13))
+    refs = {}
+    for t in c.squares:
+        for r in t.labels():
+            assert refs.setdefault((r.edge, r.reversed), r) is r
+    assert len(refs) == 2 * (len(c.h_edges) + len(c.v_edges))
+
+
+def test_bad_references_keep_their_messages_and_order():
+    doc = json.loads(_complexes.f2xf2_doc())
+    doc["squares"][0]["a"] = ["a1", False]
+    doc["squares"][0]["b_prime"] = {"edge": "b1", "reversed": False, "sign": 1, "x": 0}
+    doc["squares"][1]["b"] = {"edge": "b1", "reversed": 1}
+    doc["squares"][1]["a_prime"] = {"edge": "zz", "reversed": True}
+    doc["squares"][2]["b"] = {"edge": "a1", "reversed": True}
+    with pytest.raises(ComplexFormatError) as exc:
+        load(json.dumps(doc))
+    assert exc.value.problems == (
+        "squares[0].a must be an object",
+        "squares[0].b_prime: unknown keys ['sign', 'x']",
+        "squares[1].b: need edge (string) and reversed (boolean)",
+        "squares[1].a_prime: unknown edge 'zz'",
+        "squares[2].b: edge 'a1' is horizontal but the slot is vertical",
+    )
 
 
 # --- reflections and expansion ------------------------------------------------

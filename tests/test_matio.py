@@ -4,10 +4,21 @@ import random
 import pytest
 
 from treelat import matio
-from treelat.tiling_system import stacked_matrix
+from treelat.cli import EXPORTABLE
+from treelat.complex_model import expand_directed_squares, load_complex
+from treelat.homology import chain_maps
+from treelat.mozes import generate_mozes_complex
+from treelat.tiling_system import build_tiling, stacked_matrix
 from treelat.zlinalg import IntMatrix
 
-from _oracles import triplets_by_dense_scan
+import _complexes
+from _battery import retarget
+from _oracles import (
+    stacked_matrix_by_minus_diagonal,
+    triplets_by_dense_scan,
+    write_dense_json_by_dumps,
+    write_triplets_by_line,
+)
 
 
 def test_triplet_round_trip_random(mozes513):
@@ -63,3 +74,71 @@ def test_read_drops_explicit_zeros():
     a = matio.read_triplets("2 3\n2 3 -1\n1 2 0\n2 1 0\n1 1 7\n")
     assert a == IntMatrix.from_rows([[7, 0, 0], [0, 0, -1]])
     assert a.row_pairs == (((0, 7),), ((2, -1),))
+
+
+def assert_writers_match_the_oracles(a):
+    assert matio.write_triplets(a) == write_triplets_by_line(a)
+    assert matio.write_dense_json(a) == write_dense_json_by_dumps(a)
+
+
+def test_writers_match_the_oracles_on_random_matrices():
+    # Zero rows and columns, zero matrices, negative values and values
+    # other than +-1, in every shape up to 7 x 7.
+    rng = random.Random(15)
+    for _ in range(300):
+        m, n = rng.randint(0, 7), rng.randint(0, 7)
+        density = rng.random()
+        rows = [
+            [rng.choice((-7, -2, -1, 1, 1, 2, 12)) if rng.random() < density else 0 for _ in range(n)]
+            for _ in range(m)
+        ]
+        assert_writers_match_the_oracles(IntMatrix.from_rows(rows, cols=n))
+    for m, n in ((0, 0), (0, 3), (3, 0), (2, 2)):
+        assert_writers_match_the_oracles(IntMatrix.zeros(m, n))
+
+
+def exported_matrices(c):
+    """The seven matrices of `treelat export`, by name, with S built by
+    the pipeline and by the oracle from the built m1 and m2."""
+    r = expand_directed_squares(c)
+    ts = build_tiling(r, c)
+    maps = chain_maps(c, r)
+    out = {w: getattr(ts if w in ("m1", "m2", "stacked") else maps, w) for w in EXPORTABLE}
+    return out, stacked_matrix_by_minus_diagonal(build_tiling(r, c))
+
+
+CORPUS = {
+    "torus": _complexes.torus_doc,
+    "f2xf2": _complexes.f2xf2_doc,
+    "klein": _complexes.klein_doc,
+    "two_vertex_klein": _complexes.two_vertex_klein_doc,
+    "two_torus_components": _complexes.two_torus_components_doc,
+}
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_export_matches_the_oracles_on_the_corpus(name):
+    matrices, oracle_stacked = exported_matrices(load_complex(CORPUS[name]()))
+    assert matrices["stacked"] == oracle_stacked
+    for a in matrices.values():
+        assert_writers_match_the_oracles(a)
+
+
+@pytest.mark.parametrize("p,l", [(5, 13), (5, 17), (5, 29), (13, 17), (17, 29)])
+def test_export_matches_the_oracles_on_the_ladder(p, l):
+    matrices, oracle_stacked = exported_matrices(load_complex(generate_mozes_complex(p, l)))
+    assert matrices["stacked"] == oracle_stacked
+    for a in matrices.values():
+        assert_writers_match_the_oracles(a)
+
+
+@pytest.mark.parametrize("slot", ["b_prime", "a_prime"])
+def test_stacked_matches_the_oracle_on_tampered_tiles(mozes513, slot):
+    # One side of a tile retargeted: the labels give no factors of S, and
+    # S is still cut from them row by row as the oracle re-slices m1, m2.
+    c = mozes513.complex
+    ts = build_tiling(retarget(mozes513, slot), c)
+    assert ts.factors is None
+    stacked = stacked_matrix(ts)
+    assert stacked == stacked_matrix_by_minus_diagonal(ts)
+    assert_writers_match_the_oracles(stacked)
