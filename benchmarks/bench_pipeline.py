@@ -9,15 +9,18 @@ The stages are those of cli.analyze_document, run in its order on a fresh
 load of the document: load, validate, expand, label_tiling, chain_maps,
 connectivity, the Smith form of d2 with its kernel columns (smith_d2),
 commuting_square, stacked_kernel_basis, homology_report, k0_rank, verify
-and build_report.  Each is the best of REPEAT full pipelines, so cached
-properties built by one run never shorten the next.  The
-pairs are the Mozes ladder (5,13) (5,17) (5,29) (13,17) with (17,29) and
-(29,37); on the product of two 40-cycles (1600 vertices, 3200 edges, 1600
-squares) only load and validate are timed.  The generation of each Mozes
-pair, generate_mozes_complex, is timed apart as "generate_s" (best of
-REPEAT, checked against the document handed in), and so is the export
-of its stacked matrix, build_tiling -> stacked_matrix -> write_triplets on
-the expanded squares of the last run, as "export_s" (best of REPEAT);
+and build_report.  Each is the best of "repeat" full pipelines (REPEAT,
+or the pair's entry in REPEATS), so cached properties built by one run
+never shorten the next.  The pairs are the Mozes ladder (5,13) (5,17)
+(5,29) (13,17) with (17,29), (29,37) and (89,97); on the product of two
+40-cycles (1600 vertices, 3200 edges, 1600 squares) only load and validate
+are timed.  The small pairs repeat more, since a run of theirs takes a few
+milliseconds and one slow run moves a best of five; (89,97) takes seconds
+a run and repeats less.  The generation of each Mozes pair,
+generate_mozes_complex, is timed apart as "generate_s" (best of "repeat",
+checked against the document handed in), and so is the export of its
+stacked matrix, build_tiling -> stacked_matrix -> write_triplets on the
+expanded squares of the last run, as "export_s" (best of "repeat");
 neither is part of "total_s", which sums the analysis stages only.
 
 Every pair runs in its own interpreter, which reports its peak RSS.  The
@@ -40,9 +43,10 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-LADDER = ((5, 13), (5, 17), (5, 29), (13, 17), (17, 29), (29, 37))
+LADDER = ((5, 13), (5, 17), (5, 29), (13, 17), (17, 29), (29, 37), (89, 97))
 CYCLE = 40
 REPEAT = 5
+REPEATS = {"5,13": 15, "5,17": 15, "5,29": 15, "13,17": 15, "89,97": 2}
 
 
 def documents() -> dict[str, str]:
@@ -59,8 +63,8 @@ def documents() -> dict[str, str]:
     return docs
 
 
-def measure(text: str, validate_only: bool, pair: str | None) -> dict:
-    """Best-of-REPEAT seconds of each stage on one document, and of the
+def measure(text: str, validate_only: bool, pair: str | None, repeat: int) -> dict:
+    """Best-of-repeat seconds of each stage on one document, and of the
     generation and the export of the Mozes pair "p,l" when one is given,
     run in this interpreter against the treelat on sys.path."""
     import resource
@@ -105,12 +109,12 @@ def measure(text: str, validate_only: bool, pair: str | None) -> dict:
 
     if pair is not None:
         p, l = map(int, pair.split(","))
-        for _ in range(REPEAT):
+        for _ in range(repeat):
             doc = timed("generate", generate_mozes_complex, p, l)
         if doc != text:
             raise SystemExit(f"generate_mozes_complex({pair}) differs from the document given")
 
-    for _ in range(REPEAT):
+    for _ in range(repeat):
         c = timed("load", load_complex, text)
         v = timed("validate", validate_vht, c)
         if validate_only:
@@ -131,12 +135,13 @@ def measure(text: str, validate_only: bool, pair: str | None) -> dict:
         )
         timed("build_report", build_report, analysis, data)
     if pair is not None:
-        for _ in range(REPEAT):
+        for _ in range(repeat):
             timed("export", export, r, c)
     generate_s = best.pop("generate", None)
     export_s = best.pop("export", None)
     table = {
         "tiles": 4 * len(c.squares),
+        "repeat": repeat,
         "stages_s": {k: round(x, 6) for k, x in best.items()},
         "total_s": round(sum(best.values()), 6),
         "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
@@ -151,10 +156,11 @@ def measure(text: str, validate_only: bool, pair: str | None) -> dict:
 def run_pair(src: Path, name: str, text: str) -> dict:
     """The stage table of one document with the package under src, in its
     own interpreter."""
+    repeat = ["--repeat", str(REPEATS.get(name, REPEAT))]
     if name.startswith("C"):
-        argv = [sys.executable, __file__, "--measure", "validate"]
+        argv = [sys.executable, __file__, "--measure", "validate", *repeat]
     else:
-        argv = [sys.executable, __file__, "--measure", "analyze", "--generate", name]
+        argv = [sys.executable, __file__, "--measure", "analyze", "--generate", name, *repeat]
     env = dict(os.environ, PYTHONPATH=str(src))
     done = subprocess.run(argv, input=text, capture_output=True, text=True, env=env, check=True)
     table = json.loads(done.stdout)
@@ -169,9 +175,11 @@ def main(argv=None) -> int:
     # the interface of run_pair: time the stages of the document on stdin
     parser.add_argument("--measure", choices=("analyze", "validate"), help=argparse.SUPPRESS)
     parser.add_argument("--generate", metavar="P,L", help=argparse.SUPPRESS)
+    parser.add_argument("--repeat", type=int, default=REPEAT, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.measure:
-        print(json.dumps(measure(sys.stdin.read(), args.measure == "validate", args.generate)))
+        text = sys.stdin.read()
+        print(json.dumps(measure(text, args.measure == "validate", args.generate, args.repeat)))
         return 0
     if args.out is None:
         parser.error("--out is required")
@@ -190,7 +198,7 @@ def main(argv=None) -> int:
             "python": platform.python_version(),
             "platform": platform.platform(),
             "nproc": len(os.sched_getaffinity(0)),
-            "clock": f"time.perf_counter, best of {REPEAT}",
+            "clock": "time.perf_counter, best of each table's repeat",
         },
         "runs": runs,
     }

@@ -28,11 +28,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from treelat.complex_model import DirectedSquare, SquareComplex, _UnionFind
-from treelat.tiling_system import TileLabels, TilingSystem
+from treelat.complex_model import DirectedSquare, SquareComplex
+from treelat.tiling_system import TileLabels, TilingSystem, label_components
 from treelat.zlinalg import (
     AbelianInvariants,
     IntMatrix,
+    Row,
     SmithDecomposition,
     kernel_basis,
     rank_mod_prime,
@@ -99,6 +100,15 @@ def forward_edge_index(c: SquareComplex) -> dict[str, int]:
     return {e: code >> 1 for e, code in c.edge_table.position.items()}
 
 
+# Tile 4k + i is the orbit-k square with tag (1, v, h, vh)[i].
+_PHI2_SIGNS = (1, -1, -1, 1)
+
+
+def _phi2_rows(n_tiles: int) -> tuple[Row, ...]:
+    """The rows of phi2 over n_tiles tiles: row t is signs[t & 3].e_{t >> 2}."""
+    return tuple([((t >> 2, _PHI2_SIGNS[t & 3]),) for t in range(n_tiles)])
+
+
 def chain_maps(c: SquareComplex, r: tuple[DirectedSquare, ...]) -> ChainMaps:
     # Every map is built as canonical sparse rows: each row collects its
     # (column, value) pairs while the columns are visited in increasing
@@ -129,9 +139,7 @@ def chain_maps(c: SquareComplex, r: tuple[DirectedSquare, ...]) -> ChainMaps:
             d1[t].append((j, 1))
             d1[o].append((j, -1))
 
-    # Tile 4k + i is the orbit-k square with tag (1, v, h, vh)[i].
-    signs = (1, -1, -1, 1)
-    phi2 = tuple(((t >> 2, signs[t & 3]),) for t in range(n_tiles))
+    phi2 = _phi2_rows(n_tiles)
 
     # phi1 has a row for b(s) when it is vertical, and for a(s) when it is
     # horizontal: the codes from table.vertical on, and those below it.
@@ -185,7 +193,15 @@ def homology_report(c: SquareComplex, maps: ChainMaps, s2: SmithDecomposition) -
     return HomologyReport(h0=s1.cokernel(), h1=h1, h2_rank=h2_rank, euler_characteristic=euler)
 
 
-def structured_kernel_dim(factors: TileLabels | None) -> int | None:
+def _row(acc: dict[int, int]) -> Row:
+    """The canonical row of a {column: value} accumulator."""
+    return tuple(sorted([(j, x) for j, x in acc.items() if x]))
+
+
+def structured_kernel_dim(
+    factors: TileLabels | None,
+    components: tuple[tuple[int, ...], tuple[int, ...]] | None = None,
+) -> int | None:
     """dim ker S over F_p, p = zlinalg.rank_prime(), from the factors of S.
 
     S is the 2n x n stacked operator and factors is TilingSystem.factors:
@@ -225,49 +241,68 @@ def structured_kernel_dim(factors: TileLabels | None) -> int | None:
     x, phi2 being injective.  So dim ker_p S = (#unknowns) - rank_p(C), and
     C has a few dozen rows (69 x 287 at the Mozes pair (29,37), where S is
     2280 x 1140).
+
+    components gives the components of the two label graphs as
+    tiling_system.label_components numbers them; the caller passes
+    TilingSystem.components of the tiles the factors come from, which
+    connectivity reads too, and without it they are found here.  The rows
+    of C are built in one pass over the tiles.
     """
     if factors is None or rank_prime() % 2 == 0:
         return None
     b, a = factors
     n = len(b)
-    # The a labels are shifted past the b labels, so the two never share
-    # an unknown or a row.
-    shift = 1 + max(b, default=-1)
-    a = [shift + x for x in a]
+    if components is None:
+        components = (
+            label_components(b, [b[t ^ 2] for t in range(n)]),  # b'(t) = b(t^h)
+            label_components(a, [a[t ^ 1] for t in range(n)]),  # a'(t) = a(t^v)
+        )
+    comp_b, comp_a = components
+    # One unknown y per b component, then one z per a component, then w_k
+    # per orbit.  A component that holds no label of a tile is an unknown
+    # in no row.
+    z0 = 1 + max(comp_b, default=-1)
+    w0 = z0 + 1 + max(comp_a, default=-1)
+    yb = [comp_b[x] for x in b]
+    za = [z0 + comp_a[x] for x in a]
+    unknowns = len(set(yb)) + len(set(za)) + n // 4
 
-    # One unknown per component of each label graph, then w_k per orbit.
-    uf = _UnionFind(1 + max(a, default=shift))
-    for t in range(n):
-        uf.union(b[t], b[t ^ 2])  # b'(t) = b(t^h), and t^h = t ^ 2
-        uf.union(a[t], a[t ^ 1])  # a'(t) = a(t^v), and t^v = t ^ 1
-    unknown: dict[int, int] = {}
-    yb = [unknown.setdefault(uf.find(x), len(unknown)) for x in b]
-    za = [unknown.setdefault(uf.find(x), len(unknown)) for x in a]
-    w0 = len(unknown)
-
-    def combine(terms) -> tuple[tuple[int, int], ...]:
-        row: dict[int, int] = {}
-        for j, x in terms:
-            row[j] = row.get(j, 0) + x
-        return tuple(sorted((j, x) for j, x in row.items() if x))
-
-    # Tile rows: t, t^v, t^h and t^vh give the same one (b(t^h) = b'(t) and
-    # a(t^v) = a'(t) are in the components of b(t) and a(t)), so one per
-    # orbit, and only the distinct ones.
-    tile_keys = {(yb[t], yb[t ^ 1], za[t], za[t ^ 2]) for t in range(0, n, 4)}
-    tile_rows = [combine(((y1, 1), (y2, 1), (z1, -1), (z2, -1))) for y1, y2, z1, z2 in tile_keys]
-    # 4 x[t] = 2 y[b(t)] + z[a(t)] - z[aa(t)] + 4 (+-w_k), summed into the
-    # row of label b'(t) and the row of label a'(t); each row then takes
-    # away 4 y (4 z) of its own label.
+    # One pass over the tiles.  Tile rows: t, t^v, t^h and t^vh give the
+    # same one (b(t^h) = b'(t) and a(t^v) = a'(t) are in the components of
+    # b(t) and a(t)), so one per orbit, and only the distinct ones.  Label
+    # rows: 4 x[t] = 2 y[b(t)] + z[a(t)] - z[aa(t)] + 4 (+-w_k) is summed
+    # into the row of label b'(t) and the row of label a'(t); each row
+    # starts at -4 y (-4 z) of its own label.
+    tile_keys = set()
+    b_rows: dict[int, dict[int, int]] = {}
+    a_rows: dict[int, dict[int, int]] = {}
     signs = (4, -4, -4, 4)
-    sums: dict[int, list[tuple[int, int]]] = {}
     for t in range(n):
-        terms = ((yb[t], 2), (za[t], 1), (za[t ^ 2], -1), (w0 + (t >> 2), signs[t & 3]))
-        sums.setdefault(b[t ^ 2], [(yb[t], -4)]).extend(terms)
-        sums.setdefault(a[t ^ 1], [(za[t], -4)]).extend(terms)
-    rows = sorted(tile_rows) + [combine(terms) for terms in sums.values()]
+        y, z1, z2 = yb[t], za[t], za[t ^ 2]
+        if not t & 3:
+            tile_keys.add((y, yb[t ^ 1], z1, z2))
+        w, sign = w0 + (t >> 2), signs[t & 3]
+        acc_b = b_rows.get(b[t ^ 2])
+        if acc_b is None:
+            acc_b = b_rows[b[t ^ 2]] = {y: -4}
+        acc_a = a_rows.get(a[t ^ 1])
+        if acc_a is None:
+            acc_a = a_rows[a[t ^ 1]] = {z1: -4}
+        for acc in (acc_b, acc_a):
+            acc[y] = acc.get(y, 0) + 2
+            acc[z1] = acc.get(z1, 0) + 1
+            acc[z2] = acc.get(z2, 0) - 1
+            acc[w] = acc.get(w, 0) + sign
+
+    tile_rows = []
+    for y1, y2, z1, z2 in tile_keys:
+        acc = {}
+        for j, x in ((y1, 1), (y2, 1), (z1, -1), (z2, -1)):
+            acc[j] = acc.get(j, 0) + x
+        tile_rows.append(acc)
+    rows = [_row(acc) for acc in (*tile_rows, *b_rows.values(), *a_rows.values())]
     c = IntMatrix(len(rows), w0 + n // 4, tuple(rows))
-    return c.cols - rank_mod_prime(c)
+    return unknowns - rank_mod_prime(c)
 
 
 def _alternates(rows) -> bool:
@@ -286,58 +321,95 @@ def _alternates(rows) -> bool:
     )
 
 
-def _stacked_phi2_from_factors(phi2: IntMatrix, factors: TileLabels) -> IntMatrix | None:
-    """S.phi2 read off the factors of S (TilingSystem.factors), or None
-    when phi2 does not alternate.
+def _label_sums(rows, labels, flip: int) -> dict[int, Row]:
+    """Row x of F^T.X, for the matrix X with these rows and F[t][x] =
+    [labels[t ^ flip] = x]: the sum of the rows t of X whose primed label
+    labels[t ^ flip] is x.  With (b, 2) that is b'(t) = b(t^h), and F^T.X;
+    with (a, 1) it is a'(t) = a(t^v), and G^T.X (TilingSystem.factors).
+    O(nnz(X)) steps."""
+    sums: dict[int, dict[int, int]] = {}
+    for t, pairs in enumerate(rows):
+        acc = sums.get(labels[t ^ flip])
+        if acc is None:
+            acc = sums[labels[t ^ flip]] = {}
+        for j, x in pairs:
+            acc[j] = acc.get(j, 0) + x
+    return {x: _row(acc) for x, acc in sums.items()}
 
-    With S = (E.F^T - P_h - I over E'.G^T - P_v - I) and
-    (I + P_h).phi2 = (I + P_v).phi2 = 0, S.phi2 = (E.(F^T.phi2) over
-    E'.(G^T.phi2)).  Row x of F^T.phi2 is the sum of the rows t of phi2
-    with b'(t) = b(t ^ 2) = x, and row s of E.X is row b(s) of X: so the
-    top block holds one shared row per label, and the bottom block the
-    same for a, with a'(t) = a(t ^ 1).  O(nnz(phi2)) steps, against one
-    row addition per nonzero of S for the product.
+
+def _rows_by_label(rows, labels) -> dict[int, Row] | None:
+    """The row of each label, in the order the labels first occur, when
+    rows[s] depends on labels[s] alone; else None.  O(n)."""
+    by_label: dict[int, Row] = {}
+    for row, x in zip(rows, labels):
+        if by_label.setdefault(x, row) != row:
+            return None
+    return by_label
+
+
+def _square_by_labels(ts: TilingSystem, maps: ChainMaps) -> tuple[IntMatrix, IntMatrix] | None:
+    """(L, Phi): S.phi2 and phi1 with one row per label, or None when the
+    tiles and maps are not of the form that allows it.
+
+    The form: the labels give the factors of S (ts.factors), phi2
+    alternates, and row s of phi1 depends on b(s) alone in the top block
+    and on a(s) alone in the bottom one.  Then phi1 = (E.Phi_b over
+    E'.Phi_a), row x of Phi_b being the phi1 row of any tile with b(s) = x,
+    and S.phi2 = (E.F^T.phi2 over E'.G^T.phi2) (_label_sums), since
+    (I + P_h).phi2 = (I + P_v).phi2 = 0.  Write E^ for the block diagonal
+    (E, E'), L for F^T.phi2 over G^T.phi2 and Phi for Phi_b over Phi_a,
+    each on the labels that occur, b's then a's.  So S.phi2 = E^.L and
+    phi1 = E^.Phi.  E^ has exactly one 1 per row and a 1 in every column,
+    so E^.X = E^.Y iff X = Y; and every label b(s) is a primed label
+    b'(s ^ 2), so L has a row for it.  Hence S.phi2 = phi1.d2 iff
+    L = Phi.d2; (S.phi2).H = 0 iff L.H = 0; and phi1.(d2.H) = 0 iff
+    Phi.(d2.H) = 0: each check reads the same with (L, Phi) in place of
+    (S.phi2, phi1), on 2|E| rows instead of 2n.
     """
-    b, a = factors
-    rows = phi2.row_pairs
-    if phi2.rows != len(b) or not _alternates(rows):
+    factors = ts.factors
+    phi1, phi2, d2 = maps.phi1, maps.phi2, maps.d2
+    if factors is None:
         return None
-    blocks = []
-    for labels, flip in ((b, 2), (a, 1)):
-        sums: dict[int, dict[int, int]] = {}
-        for t, pairs in enumerate(rows):
-            acc = sums.setdefault(labels[t ^ flip], {})
-            for j, x in pairs:
-                acc[j] = acc.get(j, 0) + x
-        shared = {
-            x: tuple(sorted([(j, y) for j, y in acc.items() if y])) for x, acc in sums.items()
-        }
-        # every label b(s) is the primed label b'(s ^ 2), so it has a row
-        blocks.extend([shared[x] for x in labels])
-    return IntMatrix(2 * len(b), phi2.cols, tuple(blocks))
+    b, a = factors
+    n = len(b)
+    if (phi2.rows, phi1.rows) != (n, 2 * n) or not _alternates(phi2.row_pairs):
+        return None
+    left: list[Row] = []
+    right: list[Row] = []
+    for labels, flip, rows in ((b, 2, phi1.row_pairs[:n]), (a, 1, phi1.row_pairs[n:])):
+        phi = _rows_by_label(rows, labels)
+        if phi is None:
+            return None
+        sums = _label_sums(phi2.row_pairs, labels, flip)
+        left += [sums[x] for x in phi]
+        right += phi.values()
+    return (
+        IntMatrix(len(left), phi2.cols, tuple(left)),
+        IntMatrix(len(right), phi1.cols, tuple(right)),
+    )
 
 
 def commuting_square(ts: TilingSystem, maps: ChainMaps, h: IntMatrix) -> tuple[bool, bool]:
     """Checks (1) and (3) of verify_main_theorem, taken once for it and for
     stacked_kernel_basis: (diagram_commutes, phi2_image_in_kernel).
 
-    (1) is S.phi2 = phi1.d2 for the stacked operator S of ts.  When the
-    labels of ts give the factors of S (ts.factors) and phi2 alternates,
-    the left side is read off those factors (_stacked_phi2_from_factors)
-    and S is never built; otherwise it is the product ts.stacked.phi2.
-    Both give the same matrix, so (1) has the same value on every input,
-    and it is still derived from the tiles and the chain maps.  (3) is
+    (1) is S.phi2 = phi1.d2 for the stacked operator S of ts.  (3) is
     S.(phi2.H) = 0 for the basis H of ker d2 in the columns of h, read by
     associativity as phi1.(d2.H) = 0 when (1) holds (its two sides are then
     one matrix) and as (S.phi2).H = 0 otherwise.  Neither reads a stacked
     kernel basis.
+
+    When the tiles and maps have the form of _square_by_labels, both checks
+    run on its matrices, with one row per label, and neither S nor
+    phi1.d2 is formed; that docstring gives the argument that each check
+    keeps its value.  Otherwise (tampered tiles or maps, labels that do not
+    give the factors of S) they run on S.phi2 and phi1 themselves, with S
+    built from the tiles.
     """
-    factors = ts.factors
-    left = None if factors is None else _stacked_phi2_from_factors(maps.phi2, factors)
-    if left is None:
-        left = ts.stacked.mul(maps.phi2)
-    if left == maps.phi1.mul(maps.d2):
-        return True, maps.phi1.mul(maps.d2.mul(h)).is_zero()
+    square = _square_by_labels(ts, maps)
+    left, phi1 = square if square is not None else (ts.stacked.mul(maps.phi2), maps.phi1)
+    if left == phi1.mul(maps.d2):
+        return True, phi1.mul(maps.d2.mul(h)).is_zero()
     return False, left.mul(h).is_zero()
 
 
@@ -356,7 +428,7 @@ def stacked_kernel_basis(
 
     (a) square[1], which is S.(phi2.h) = 0, so L = phi2(ker d2) lies in K;
     (b) dim ker_p S == |H|, with ker_p S the kernel over F_p counted from
-        the factors of S (structured_kernel_dim(ts.factors)).
+        the factors of S (structured_kernel_dim).
 
     Why that gives L = K.  The rank over F_p is at most the rank over Q,
     so dim ker_p S >= rank K.  phi2 is injective and by (a) carries the
@@ -375,7 +447,7 @@ def stacked_kernel_basis(
     labels do not give the factors of S) the basis is the one of the dense
     Smith form of S = ts.stacked, zlinalg.kernel_basis.
     """
-    if square[1] and structured_kernel_dim(ts.factors) == h.cols:
+    if square[1] and structured_kernel_dim(ts.factors, ts.components) == h.cols:
         return maps.phi2.mul(h)
     stacked = ts.stacked
     return IntMatrix.from_columns(kernel_basis(stacked), rows=stacked.cols)
@@ -397,20 +469,32 @@ def verify_main_theorem(
     (commuting_square), which never reads K: a K certified through (3) is
     still checked by (2), (4) and (5), sparse identities of K itself.
     (2) the kernel ranks of d2 and of the stacked operator agree;
-    (4) each stacked-kernel basis vector is alternating under the
-    reflections (negated by v and by h, fixed by vh), and is phi2 of the
-    integer vector of its orbit-representative coordinates: phi2 applied to
-    rows 4k of K gives K back; (5) for each stacked-kernel basis vector the
-    per-directed-edge sums mu(b) = sum over b'(t) = b (and the horizontal
-    analogue) all vanish: the 0/1 matrix that groups the tiles by b'(t),
-    and the one that groups them by a'(t), each times K, is zero.
+    (4a) each stacked-kernel basis vector is alternating under the
+    reflections (negated by v and by h, fixed by vh), and (4b) is phi2 of
+    the integer vector of its orbit-representative coordinates: phi2
+    applied to rows 4k of K gives K back; (5) for each stacked-kernel basis
+    vector the per-directed-edge sums mu(b) = sum over b'(t) = b (and the
+    horizontal analogue) all vanish: the 0/1 matrix that groups the tiles
+    by b'(t), and the one that groups them by a'(t), each times K, is zero.
+
+    (4b) is read off (4a) when phi2 is the one chain_maps builds, row t =
+    signs[t & 3].e_{t >> 2} (_phi2_rows), which is checked in O(n).  Row t
+    of phi2.(rows 4k of K) is then signs[t & 3] times row 4(t >> 2) of K.
+    So phi2.(rows 4k of K) = K iff rows 4k + 1 and 4k + 2 of K are minus
+    row 4k and row 4k + 3 is row 4k, for every k: exactly _alternates(K),
+    the check of (4a).  Any other phi2 forms the product.
     """
     n_tiles = len(r)
     n_cells = len(c.squares)
     rows = kernel.row_pairs
     symmetries = _alternates(rows)
-    reps = IntMatrix(n_cells, kernel.cols, rows[::4])
-    in_image = maps.phi2.mul(reps) == kernel
+    phi2 = maps.phi2
+    canonical = (kernel.rows, phi2.cols) == (4 * n_cells, n_cells)
+    if canonical and phi2.row_pairs == _phi2_rows(kernel.rows):
+        in_image = symmetries
+    else:
+        reps = IntMatrix(n_cells, kernel.cols, rows[::4])
+        in_image = phi2.mul(reps) == kernel
 
     def grouping(codes) -> IntMatrix:
         groups: dict[int, list[tuple[int, int]]] = {}

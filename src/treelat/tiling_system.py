@@ -91,6 +91,13 @@ class TilingSystem:
             return None
         return b, a
 
+    @cached_property
+    def components(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The label components of the b-b' graph and of the a-a' graph
+        (label_components), found once for connectivity and for the count
+        of the stacked kernel (homology.structured_kernel_dim)."""
+        return label_components(self.b, self.b_prime), label_components(self.a, self.a_prime)
+
     def column_sums(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """The column sums of m1 and of m2, read off the labels."""
         return _column_sums(self.b, self.b_prime, 2), _column_sums(self.a, self.a_prime, 1)
@@ -322,34 +329,37 @@ def _axis_connectivity(labels, primed, flip: int) -> AxisConnectivity:
     )
 
 
-def _edge_graph_components(
-    n_vertices: int,
-    endpoint_pairs: list[tuple[int, int]],
-    oriented: list[bool],
-) -> tuple[EdgeGraphComponent, ...]:
-    uf = _UnionFind(n_vertices)
-    for x, y in endpoint_pairs:
+def label_components(labels, primed) -> tuple[int, ...]:
+    """The component of every label x up to the largest one in labels and
+    primed, in the graph with an edge labels[t] - primed[t] for every tile
+    t; components are numbered 0, 1, ... in the order of their least label.
+    A label no tile carries is a component of its own."""
+    size = 1 + max(max(labels, default=-1), max(primed, default=-1))
+    uf = _UnionFind(size)
+    for x, y in zip(labels, primed):
         uf.union(x, y)
-    roots: dict[int, int] = {}
-    order: list[int] = []
-    for v in range(n_vertices):
-        root = uf.find(v)
-        if root not in roots:
-            roots[root] = len(order)
-            order.append(root)
-    n_comp = len(order)
-    vert_count = [0] * n_comp
-    edge_count = [0] * n_comp
-    plus_count = [0] * n_comp
-    for v in range(n_vertices):
-        vert_count[roots[uf.find(v)]] += 1
-    for (x, _), is_plus in zip(endpoint_pairs, oriented):
-        k = roots[uf.find(x)]
-        edge_count[k] += 1
-        if is_plus:
-            plus_count[k] += 1
+    find = uf.find
+    number: dict[int, int] = {}
+    return tuple([number.setdefault(find(x), len(number)) for x in range(size)])
+
+
+def _edge_graph_components(
+    n_vertices: int, component: tuple[int, ...], labels, oriented
+) -> tuple[EdgeGraphComponent, ...]:
+    """The components of the edge graph on range(n_vertices) with an edge
+    labels[t] - primed[t] for every tile t, in the order of their least
+    vertex, read off component = label_components(labels, primed); each
+    edge counts in the component of labels[t], and as oriented when
+    oriented[t].  The vertices past the last one component numbers meet no
+    edge: each is a component of its own, after all the others."""
+    n_comp = 1 + max(component, default=-1) + n_vertices - len(component)
+    vert_count = Counter(component)
+    edge_count = Counter([component[x] for x in labels])
+    plus_count = Counter([component[x] for x, is_plus in zip(labels, oriented) if is_plus])
     return tuple(
-        EdgeGraphComponent(vertices=vert_count[k], edges=edge_count[k], oriented_edges=plus_count[k])
+        EdgeGraphComponent(
+            vertices=vert_count.get(k, 1), edges=edge_count[k], oriented_edges=plus_count[k]
+        )
         for k in range(n_comp)
     )
 
@@ -370,15 +380,12 @@ def connectivity(ts: TilingSystem, c: SquareComplex) -> ConnectivityReport:
     tiles = range(len(ts.squares))
     b_plus = [not t & 2 for t in tiles]
     a_plus = [not t & 1 for t in tiles]
+    b_components, a_components = ts.components
     return ConnectivityReport(
         horizontal=_axis_connectivity(ts.b, ts.b_prime, 2),
         vertical=_axis_connectivity(ts.a, ts.a_prime, 1),
-        gh_b_components=_edge_graph_components(
-            2 * len(c.v_edges), list(zip(ts.b, ts.b_prime)), b_plus
-        ),
-        gv_a_components=_edge_graph_components(
-            2 * len(c.h_edges), list(zip(ts.a, ts.a_prime)), a_plus
-        ),
+        gh_b_components=_edge_graph_components(2 * len(c.v_edges), b_components, ts.b, b_plus),
+        gv_a_components=_edge_graph_components(2 * len(c.h_edges), a_components, ts.a, a_plus),
     )
 
 

@@ -140,17 +140,29 @@ class IntMatrix:
         # Row i of the product is the combination of the rows of other
         # weighted by row i of self; only stored pairs are visited.  A row
         # with one nonzero (every row of phi1 and phi2) scales one row of
-        # other, which is already canonical.  Other rows add up in a dense
-        # accumulator, whose nonzeros compress finds at C speed: cheaper
-        # than a dict and a sort once a row gathers more than a few terms.
-        # Unit weights (all of them in the 0/+-1 operators) skip the multiply.
+        # other, which is already canonical; a weight -1 takes the one
+        # negated copy of that row, shared by every row that asks for it
+        # (rows 4k + 1 and 4k + 2 of phi2 both negate row k).  Other rows
+        # add up in a dense accumulator, whose nonzeros compress finds at C
+        # speed: cheaper than a dict and a sort once a row gathers more than
+        # a few terms.  Unit weights (all of them in the 0/+-1 operators)
+        # skip the multiply.
         below = other.row_pairs
         positions = range(other.cols)
+        negated: dict[int, Row] = {}
         data = []
         for pairs in self.row_pairs:
             if len(pairs) == 1:
                 ((j, x),) = pairs
-                data.append(below[j] if x == 1 else tuple([(c, x * y) for c, y in below[j]]))
+                if x == 1:
+                    data.append(below[j])
+                elif x == -1:
+                    row = negated.get(j)
+                    if row is None:
+                        row = negated[j] = tuple([(c, -y) for c, y in below[j]])
+                    data.append(row)
+                else:
+                    data.append(tuple([(c, x * y) for c, y in below[j]]))
                 continue
             acc = [0] * other.cols
             for j, x in pairs:

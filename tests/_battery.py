@@ -15,7 +15,6 @@ import dataclasses
 from treelat import tiling_system
 from treelat.complex_model import sigma_act
 from treelat.homology import (
-    _stacked_phi2_from_factors,
     chain_maps,
     commuting_square,
     stacked_kernel_basis,
@@ -42,6 +41,7 @@ from _oracles import (
     h_image_index,
     matches_factors,
     rank_by_fraction_elimination,
+    stacked_phi2_from_factors,
     strongly_connected_by_closure,
     tile_labels,
     v_image_index,
@@ -98,7 +98,7 @@ def assert_instance_properties(analysis):
     table = ts.factors
     assert table is not None
     assert matches_factors(stacked, *tile_labels(maps.psi))
-    assert _stacked_phi2_from_factors(maps.phi2, table) == stacked.mul(maps.phi2)
+    assert stacked_phi2_from_factors(maps.phi2, table) == stacked.mul(maps.phi2)
 
     # injectivity of the comparison maps
     assert smith_normal_form(maps.phi2).rank == maps.phi2.cols

@@ -411,11 +411,58 @@ def axis_connectivity_by_matrix(m):
     )
 
 
+def edge_graph_components_by_pairs(n_vertices, endpoint_pairs, oriented):
+    """The EdgeGraphComponent tuple of tiling_system._edge_graph_components,
+    from a union-find over the endpoint pairs: components in the order of
+    their least vertex, each edge counted in the component of its first
+    endpoint."""
+    from treelat.tiling_system import EdgeGraphComponent, _UnionFind
+
+    uf = _UnionFind(n_vertices)
+    for x, y in endpoint_pairs:
+        uf.union(x, y)
+    order = {}
+    for v in range(n_vertices):
+        order.setdefault(uf.find(v), len(order))
+    counts = [[0, 0, 0] for _ in order]
+    for v in range(n_vertices):
+        counts[order[uf.find(v)]][0] += 1
+    for (x, _), is_plus in zip(endpoint_pairs, oriented):
+        k = order[uf.find(x)]
+        counts[k][1] += 1
+        counts[k][2] += is_plus
+    return tuple(EdgeGraphComponent(*k) for k in counts)
+
+
+def stacked_phi2_from_factors(phi2, factors):
+    """S.phi2 read off the factors of S (TilingSystem.factors), or None
+    when phi2 does not alternate: the E-expansion of the per-label sums of
+    homology._label_sums, row s of the top block being the sum for b(s)
+    and of the bottom block the sum for a(s).
+
+    With S = (E.F^T - P_h - I over E'.G^T - P_v - I) and
+    (I + P_h).phi2 = (I + P_v).phi2 = 0, S.phi2 = (E.(F^T.phi2) over
+    E'.(G^T.phi2)), and row s of E.X is row b(s) of X.
+    """
+    from treelat.homology import _alternates, _label_sums
+    from treelat.zlinalg import IntMatrix
+
+    b, a = factors
+    rows = phi2.row_pairs
+    if phi2.rows != len(b) or not _alternates(rows):
+        return None
+    blocks = []
+    for labels, flip in ((b, 2), (a, 1)):
+        sums = _label_sums(rows, labels, flip)
+        blocks += [sums[x] for x in labels]
+    return IntMatrix(2 * len(b), phi2.cols, tuple(blocks))
+
+
 def connectivity_by_refs(ts, c):
     """The ConnectivityReport of tiling_system.connectivity, from the
     built m1 and m2 of ts and with the vertices of the edge graphs found
     by DirectedEdgeRef in c.directed_v() and c.directed_h()."""
-    from treelat.tiling_system import ConnectivityReport, _edge_graph_components
+    from treelat.tiling_system import ConnectivityReport
 
     v_index = {ref: i for i, ref in enumerate(c.directed_v())}
     h_index = {ref: i for i, ref in enumerate(c.directed_h())}
@@ -426,8 +473,8 @@ def connectivity_by_refs(ts, c):
     return ConnectivityReport(
         horizontal=axis_connectivity_by_matrix(ts.m1),
         vertical=axis_connectivity_by_matrix(ts.m2),
-        gh_b_components=_edge_graph_components(len(v_index), b_pairs, b_plus),
-        gv_a_components=_edge_graph_components(len(h_index), a_pairs, a_plus),
+        gh_b_components=edge_graph_components_by_pairs(len(v_index), b_pairs, b_plus),
+        gv_a_components=edge_graph_components_by_pairs(len(h_index), a_pairs, a_plus),
     )
 
 

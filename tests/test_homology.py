@@ -6,7 +6,6 @@ from treelat import tiling_system
 from treelat.cli import analyze_document
 from treelat.complex_model import expand_directed_squares, load_complex
 from treelat.homology import (
-    _stacked_phi2_from_factors,
     chain_maps,
     commuting_square,
     forward_edge_index,
@@ -26,7 +25,13 @@ from treelat.zlinalg import (
 
 import _complexes
 from _battery import assert_instance_properties, assert_tampered_tiles_build_the_operator_once
-from _oracles import dense_chain_maps, dense_verify, h1_by_cycle_basis, stacked_factors
+from _oracles import (
+    dense_chain_maps,
+    dense_verify,
+    h1_by_cycle_basis,
+    stacked_factors,
+    stacked_phi2_from_factors,
+)
 
 
 def test_d1_composed_with_d2_vanishes(corpus):
@@ -246,7 +251,7 @@ def test_factored_square_equals_the_product_on_the_ladder(p, l):
     factors = label_tiling(r, c).factors
     assert factors is not None
     assert stacked_factors(stacked, maps.psi) is not None
-    assert _stacked_phi2_from_factors(maps.phi2, factors) == stacked.mul(maps.phi2)
+    assert stacked_phi2_from_factors(maps.phi2, factors) == stacked.mul(maps.phi2)
 
 
 def test_non_alternating_phi2_takes_the_product(monkeypatch, mozes513):
@@ -262,8 +267,8 @@ def test_non_alternating_phi2_takes_the_product(monkeypatch, mozes513):
     rows[0] = tuple([(j, -x) for j, x in rows[0]])
     phi2 = IntMatrix(a.maps.phi2.rows, a.maps.phi2.cols, tuple(rows))
     maps = dataclasses.replace(a.maps, phi2=phi2)
-    assert _stacked_phi2_from_factors(a.maps.phi2, factors) is not None
-    assert _stacked_phi2_from_factors(phi2, factors) is None
+    assert stacked_phi2_from_factors(a.maps.phi2, factors) is not None
+    assert stacked_phi2_from_factors(phi2, factors) is None
 
     h2_basis = kernel_basis(a.maps.d2)
     h = IntMatrix.from_columns(h2_basis, rows=a.maps.d2.cols)
@@ -388,3 +393,145 @@ def test_structured_count_matches_rank_mod_p_at_17_29():
     assert dim == structured_kernel_dim(stacked_factors(stacked, a.maps.psi))
     assert dim == stacked.cols - rank_mod_prime(stacked)
     assert a.k0.kernel_rank == a.homology.h2_rank == 16 * 28 // 4 - 1
+
+
+def _certified(a):
+    """(H2 basis, h, square, certified kernel) of an analysis, recomputed."""
+    h2_basis = kernel_basis(a.maps.d2)
+    h = IntMatrix.from_columns(h2_basis, rows=a.maps.d2.cols)
+    square = commuting_square(a.tiling, a.maps, h)
+    return h2_basis, h, square, stacked_kernel_basis(a.tiling, a.maps, h, square)
+
+
+def _count_builds(monkeypatch):
+    built = []
+    original = tiling_system.stacked_matrix
+
+    def counted(tiling):
+        built.append(tiling)
+        return original(tiling)
+
+    monkeypatch.setattr(tiling_system, "stacked_matrix", counted)
+    return built
+
+
+@pytest.mark.parametrize("p,l", [(5, 13), (13, 17)])
+def test_certified_path_forms_no_product_over_the_tiles(monkeypatch, p, l):
+    # The square is read one row per label and (4b) off (4a): phi1 is never
+    # a left factor, so neither phi1.d2 nor phi1.(d2.H) is formed, and phi2
+    # is one once, for the certified kernel phi2.H, so phi2.reps is never
+    # formed; S is never built.
+    doc = generate_mozes_complex(p, l)
+    products = []
+    original = IntMatrix.mul
+
+    def mul(self, other):
+        products.append((self, other))
+        return original(self, other)
+
+    monkeypatch.setattr(IntMatrix, "mul", mul)
+    built = _count_builds(monkeypatch)
+    _, a = analyze_document(doc)
+    assert a.theorem.holds and built == []
+    assert not any(left is a.maps.phi1 for left, _ in products)
+    (right,) = [right for left, right in products if left is a.maps.phi2]
+    assert right.cols == a.homology.h2_rank and original(a.maps.d2, right).is_zero()
+
+
+def test_phi1_not_a_function_of_its_label_takes_the_product(monkeypatch, mozes513):
+    # Give tile 0 the phi1 row of a tile with another label b(s): the rows
+    # of label b(0) disagree, so the square builds S and forms both
+    # products, and the verdict is the dense verifier's.
+    a = mozes513
+    ts = label_tiling(a.expanded, a.complex)
+    rows = list(a.maps.phi1.row_pairs)
+    other = next(s for s in range(len(ts.b)) if rows[s] != rows[0])
+    rows[0] = rows[other]
+    maps = dataclasses.replace(a.maps, phi1=IntMatrix(len(rows), a.maps.phi1.cols, tuple(rows)))
+    h2_basis, h, _, kernel = _certified(a)
+    built = _count_builds(monkeypatch)
+    square = commuting_square(ts, maps, h)
+    assert built == [ts]
+    verdict = verify_main_theorem(a.complex, a.expanded, maps, kernel, h, square)
+    assert not verdict.diagram_commutes
+    stacked = stacked_matrix(a.tiling)
+    vectors = kernel.transpose().entries
+    assert verdict == dense_verify(a.complex, a.expanded, maps, stacked, vectors, h2_basis)
+
+
+def test_phi1_of_the_wrong_labels_fails_at_label_resolution(monkeypatch, mozes513):
+    # Swap the phi1 rows of two b labels on every tile that carries them:
+    # each row still depends on its label alone, so the square stays at
+    # label resolution, builds no S, and finds that it does not commute;
+    # (3) is then read as L.H = 0.  Both agree with the dense verifier.
+    a = mozes513
+    ts = label_tiling(a.expanded, a.complex)
+    n = len(ts.b)
+    rows = list(a.maps.phi1.row_pairs)
+    by_label = {x: rows[s] for s, x in enumerate(ts.b)}
+    x, y = sorted(by_label)[:2]
+    by_label[x], by_label[y] = by_label[y], by_label[x]
+    rows[:n] = [by_label[b] for b in ts.b]
+    maps = dataclasses.replace(a.maps, phi1=IntMatrix(len(rows), a.maps.phi1.cols, tuple(rows)))
+    h2_basis, h, _, kernel = _certified(a)
+    built = _count_builds(monkeypatch)
+    square = commuting_square(ts, maps, h)
+    assert built == [] and square == (False, True)
+    verdict = verify_main_theorem(a.complex, a.expanded, maps, kernel, h, square)
+    stacked = stacked_matrix(a.tiling)
+    vectors = kernel.transpose().entries
+    assert verdict == dense_verify(a.complex, a.expanded, maps, stacked, vectors, h2_basis)
+
+
+def test_alternating_but_not_canonical_phi2_gets_the_dense_verdict(monkeypatch, mozes513):
+    # 2.phi2 alternates, so the square stays at label resolution (and
+    # fails: S.(2 phi2) = 2 phi1.d2); it is not the phi2 of chain_maps, so
+    # (4b) forms phi2.reps = 2K != K, while (4a) still holds.
+    a = mozes513
+    ts = label_tiling(a.expanded, a.complex)
+    phi2 = a.maps.phi2
+    doubled = IntMatrix(
+        phi2.rows, phi2.cols, tuple(tuple((j, 2 * x) for j, x in row) for row in phi2.row_pairs)
+    )
+    maps = dataclasses.replace(a.maps, phi2=doubled)
+    h2_basis, h, _, kernel = _certified(a)
+    built = _count_builds(monkeypatch)
+    square = commuting_square(ts, maps, h)
+    assert built == [] and square == (False, True)
+    verdict = verify_main_theorem(a.complex, a.expanded, maps, kernel, h, square)
+    assert verdict.kernel_symmetries_hold and not verdict.kernel_in_phi2_image
+    stacked = stacked_matrix(a.tiling)
+    vectors = kernel.transpose().entries
+    assert verdict == dense_verify(a.complex, a.expanded, maps, stacked, vectors, h2_basis)
+
+
+def test_tampered_kernel_flips_both_fourth_checks_together(mozes513):
+    # With the phi2 of chain_maps, (4b) is read off (4a): a kernel changed
+    # in one entry of any orbit offset fails both, a scaled kernel passes
+    # both, and every verdict is the dense verifier's.
+    a = mozes513
+    h2_basis, h, square, kernel = _certified(a)
+    stacked = stacked_matrix(a.tiling)
+    vectors = kernel.transpose().entries
+    n = len(a.expanded)
+    cases = []
+    for t in (0, 1, 2, 3, n - 1):
+        lam = list(vectors[0])
+        lam[t] += 1
+        cases.append(((tuple(lam),) + vectors[1:], False))
+    for scale in (2, -1):
+        cases.append((tuple(tuple(scale * x for x in lam) for lam in vectors), True))
+    for basis, holds in cases:
+        k = IntMatrix.from_columns(basis, rows=n)
+        verdict = verify_main_theorem(a.complex, a.expanded, a.maps, k, h, square)
+        assert verdict.kernel_symmetries_hold == verdict.kernel_in_phi2_image == holds
+        assert verdict == dense_verify(a.complex, a.expanded, a.maps, stacked, basis, h2_basis)
+
+
+def test_structured_count_ignores_labels_no_tile_carries(mozes513):
+    # Spread the labels out (x -> 2x + 1): the labels in between carry no
+    # tile and are unknowns in no row, so the count does not change.
+    b, a = mozes513.tiling.factors
+    spread = (tuple(2 * x + 1 for x in b), tuple(2 * x + 1 for x in a))
+    assert structured_kernel_dim(spread) == structured_kernel_dim((b, a)) == 11
+    assert structured_kernel_dim((b, a), mozes513.tiling.components) == 11

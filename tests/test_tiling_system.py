@@ -14,6 +14,7 @@ from _oracles import (
     axis_connectivity_by_matrix,
     build_tiling_by_pairs,
     connectivity_by_refs,
+    edge_graph_components_by_pairs,
     h_image_index,
     matches_factors,
     strongly_connected_by_closure,
@@ -297,3 +298,35 @@ def test_label_axis_connectivity_strong_skips_the_union_find(monkeypatch):
     with pytest.raises(AssertionError):
         # 0 -> 1 only
         tiling_system._axis_connectivity([0, 1], [1, 5], 2)
+
+
+def test_label_components_number_every_label_up_to_the_last():
+    # Labels 1 and 2 meet no tile and label 5 lies past the last one: each
+    # is an edge-graph vertex of its own, as the union-find oracle says.
+    labels, primed = (0, 3, 4), (3, 0, 4)
+    component = tiling_system.label_components(labels, primed)
+    assert component == (0, 1, 2, 0, 3)
+    oriented = (True, False, True)
+    assert tiling_system._edge_graph_components(
+        6, component, labels, oriented
+    ) == edge_graph_components_by_pairs(6, list(zip(labels, primed)), oriented)
+
+
+def test_label_components_are_found_once_per_analysis(monkeypatch, mozes513_doc):
+    # One union-find per label graph, shared by connectivity and the count
+    # of the stacked kernel.
+    from treelat import homology
+    from treelat.cli import analyze_document
+
+    calls = []
+    original = tiling_system.label_components
+
+    def counted(labels, primed):
+        calls.append(labels)
+        return original(labels, primed)
+
+    monkeypatch.setattr(tiling_system, "label_components", counted)
+    monkeypatch.setattr(homology, "label_components", counted)
+    _, a = analyze_document(mozes513_doc)
+    assert calls == [a.tiling.b, a.tiling.a]
+    assert a.k0.kernel_rank == 11

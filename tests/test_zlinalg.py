@@ -297,6 +297,23 @@ def test_sparse_product_matches_dense_definition():
         assert a.mul(b) == IntMatrix.from_rows(expected, cols=b.cols)
 
 
+def test_product_shares_one_negated_row_per_source_row(mozes513):
+    # Rows 4k + 1 and 4k + 2 of phi2 both weigh row k of H by -1: the
+    # product holds one negated copy of that row for both, row 4k and
+    # 4k + 3 are row k itself, and the product is the dense one.
+    maps = mozes513.maps
+    h = IntMatrix.from_columns(kernel_basis(maps.d2), rows=maps.d2.cols)
+    rows = maps.phi2.mul(h).row_pairs
+    for t in range(0, len(rows), 4):
+        assert rows[t] is rows[t + 3] is h.row_pairs[t >> 2]
+        assert rows[t + 1] is rows[t + 2]
+    expected = [
+        [sum(x * h.entry(k, j) for k, x in enumerate(row)) for j in range(h.cols)]
+        for row in maps.phi2.entries
+    ]
+    assert maps.phi2.mul(h) == IntMatrix.from_rows(expected, cols=h.cols)
+
+
 def test_rank_mod_prime_counts_invariant_factors_prime_to_p(monkeypatch, mozes513):
     # The Smith form is a change of basis over Z, which stays invertible
     # mod p, so the rank over F_p is the number of invariant factors that p
