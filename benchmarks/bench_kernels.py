@@ -31,10 +31,10 @@ from pathlib import Path
 
 from treelat import _kernels_py as kernels
 from treelat import tiling_system
-from treelat.complex_model import expand_directed_squares, load_complex
+from treelat.complex_model import load_complex
 from treelat.homology import chain_maps, commuting_square, structured_kernel_dim
 from treelat.mozes import generate_mozes_complex
-from treelat.tiling_system import build_tiling, label_tiling, stacked_matrix
+from treelat.tiling_system import label_tiling, stacked_matrix
 from treelat.zlinalg import IntMatrix, kernel_basis, rank_mod_prime
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
@@ -48,15 +48,15 @@ def batch_8x8(rng):
 
 
 def mozes_pair(p, l):
-    """The (p, l) complex with its expanded squares, its tiling system with
-    M1 and M2 built, its chain maps, the basis of ker d2 as the columns of
-    one matrix, and its stacked matrix."""
+    """The (p, l) complex with its tiles (the edge codes of its directed
+    squares), its tiling system, its chain maps, the basis of ker d2 as the
+    columns of one matrix, and its stacked matrix."""
     c = load_complex(generate_mozes_complex(p, l))
-    r = expand_directed_squares(c)
-    maps = chain_maps(c, r)
+    tiles = c.edge_table.tiles
+    maps = chain_maps(c, tiles)
     h = IntMatrix.from_columns(kernel_basis(maps.d2), rows=maps.d2.cols)
-    ts = build_tiling(r, c)
-    return (r, c), ts, maps, h, stacked_matrix(ts)
+    ts = label_tiling(tiles, c)
+    return (tiles, c), ts, maps, h, stacked_matrix(ts)
 
 
 def label_tarjan(ts):

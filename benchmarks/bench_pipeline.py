@@ -6,12 +6,16 @@ Usage:
         [--src OTHER_CHECKOUT]
 
 The stages are those of cli.analyze_document, run in its order on a fresh
-load of the document: load, validate, expand, label_tiling, chain_maps,
+load of the document: load, validate, label_tiling, chain_maps,
 connectivity, the Smith form of d2 with its kernel columns (smith_d2),
 commuting_square, stacked_kernel_basis, homology_report, k0_rank, verify
-and build_report.  Each is the best of "repeat" full pipelines (REPEAT,
-or the pair's entry in REPEATS), so cached properties built by one run
-never shorten the next.  The pairs are the Mozes ladder (5,13) (5,17)
+and build_report.  The tiling side reads the tiles as the edge codes of
+the edge table, which validation builds; a checkout from before that (its
+cli.Analysis still has an "expanded" field) times its expansion into
+DirectedSquares as one more stage, "expand", and hands those on instead.
+Each is the best of "repeat" full pipelines (REPEAT, or the pair's entry
+in REPEATS), so cached properties built by one run never shorten the
+next.  The pairs are the Mozes ladder (5,13) (5,17)
 (5,29) (13,17) with (17,29), (29,37) and (89,97); on the product of two
 40-cycles (1600 vertices, 3200 edges, 1600 squares) only load and validate
 are timed.  The small pairs repeat more, since a run of theirs takes a few
@@ -19,9 +23,10 @@ milliseconds and one slow run moves a best of five; (89,97) takes seconds
 a run and repeats less.  The generation of each Mozes pair,
 generate_mozes_complex, is timed apart as "generate_s" (best of "repeat",
 checked against the document handed in), and so is the export of its
-stacked matrix, build_tiling -> stacked_matrix -> write_triplets on the
-expanded squares of the last run, as "export_s" (best of "repeat");
-neither is part of "total_s", which sums the analysis stages only.
+stacked matrix, expand_directed_squares -> build_tiling -> stacked_matrix
+-> write_triplets on a fresh load (not timed), as "export_s" (best of
+"repeat"); neither is part of "total_s", which sums the analysis stages
+only.
 
 Every pair runs in its own interpreter, which reports its peak RSS.  The
 documents are made once, by this checkout, and handed to each run on
@@ -68,6 +73,7 @@ def measure(text: str, validate_only: bool, pair: str | None, repeat: int) -> di
     generation and the export of the Mozes pair "p,l" when one is given,
     run in this interpreter against the treelat on sys.path."""
     import resource
+    from dataclasses import fields
     from time import perf_counter
 
     from treelat.cli import Analysis, build_report
@@ -100,8 +106,10 @@ def measure(text: str, validate_only: bool, pair: str | None, repeat: int) -> di
         best[stage] = min(best.get(stage, elapsed), elapsed)
         return out
 
-    def export(r, c):
-        return write_triplets(stacked_matrix(build_tiling(r, c)))
+    def export(c):
+        return write_triplets(stacked_matrix(build_tiling(expand_directed_squares(c), c)))
+
+    expands = "expanded" in {f.name for f in fields(Analysis)}
 
     def smith_d2(d2):
         s2 = smith_normal_form(d2, left=False)
@@ -119,24 +127,25 @@ def measure(text: str, validate_only: bool, pair: str | None, repeat: int) -> di
         v = timed("validate", validate_vht, c)
         if validate_only:
             continue
-        r = timed("expand", expand_directed_squares, c)
-        ts = timed("label_tiling", label_tiling, r, c)
-        maps = timed("chain_maps", chain_maps, c, r)
+        tiles = timed("expand", expand_directed_squares, c) if expands else c.edge_table.tiles
+        ts = timed("label_tiling", label_tiling, tiles, c)
+        maps = timed("chain_maps", chain_maps, c, tiles)
         conn = timed("connectivity", connectivity, ts, c)
         s2, h = timed("smith_d2", smith_d2, maps.d2)
         square = timed("commuting_square", commuting_square, ts, maps, h)
         kernel = timed("stacked_kernel_basis", stacked_kernel_basis, ts, maps, h, square)
         hom = timed("homology_report", homology_report, c, maps, s2)
         k0 = timed("k0_rank", k0_rank, ts, conn, kernel)
-        theorem = timed("verify", verify_main_theorem, c, r, maps, kernel, h, square)
+        theorem = timed("verify", verify_main_theorem, c, tiles, maps, kernel, h, square)
         analysis = Analysis(
-            complex=c, validation=v, expanded=r, tiling=ts, maps=maps,
+            complex=c, validation=v, tiling=ts, maps=maps,
             homology=hom, connectivity=conn, k0=k0, theorem=theorem,
+            **({"expanded": tiles} if expands else {}),
         )
         timed("build_report", build_report, analysis, data)
     if pair is not None:
         for _ in range(repeat):
-            timed("export", export, r, c)
+            timed("export", export, load_complex(text))
     generate_s = best.pop("generate", None)
     export_s = best.pop("export", None)
     table = {

@@ -23,7 +23,6 @@ from treelat.complex_model import (
     ComplexFormatError,
     SquareComplex,
     ValidationReport,
-    expand_directed_squares,
     load_complex,
     validate_vht,
 )
@@ -42,7 +41,6 @@ from treelat.tiling_system import (
     ConnectivityReport,
     K0Result,
     TilingSystem,
-    build_tiling,
     connectivity,
     k0_rank,
     label_tiling,
@@ -56,7 +54,6 @@ EXPORTABLE = ("m1", "m2", "stacked", "d1", "d2", "phi1", "phi2")
 class Analysis:
     complex: SquareComplex
     validation: ValidationReport
-    expanded: tuple
     tiling: TilingSystem
     maps: ChainMaps
     homology: HomologyReport
@@ -71,9 +68,11 @@ def analyze_document(text: str) -> tuple[ValidationReport, Analysis | None]:
     validation = validate_vht(c)
     if validation.errors:
         return validation, None
-    r = expand_directed_squares(c)
-    ts = label_tiling(r, c)
-    maps = chain_maps(c, r)
+    # Validation has ruled out degenerate orbits, so the tiles are the 4n
+    # codes of the edge table, and no DirectedSquare is expanded.
+    tiles = c.edge_table.tiles
+    ts = label_tiling(tiles, c)
+    maps = chain_maps(c, tiles)
     conn = connectivity(ts, c)
     # The Smith form of d2, the commuting square and the stacked kernel are
     # each computed once and shared.  Both kernels are sparse, one basis
@@ -88,13 +87,12 @@ def analyze_document(text: str) -> tuple[ValidationReport, Analysis | None]:
     return validation, Analysis(
         complex=c,
         validation=validation,
-        expanded=r,
         tiling=ts,
         maps=maps,
         homology=homology_report(c, maps, s2),
         connectivity=conn,
         k0=k0_rank(ts, conn, kernel),
-        theorem=verify_main_theorem(c, r, maps, kernel, h, square),
+        theorem=verify_main_theorem(c, tiles, maps, kernel, h, square),
     )
 
 
@@ -370,11 +368,11 @@ def cmd_export(args) -> int:
     v = validate_vht(c)
     if v.errors:
         return _validation_failure(data, text, v, args)
-    r = expand_directed_squares(c)
+    tiles = c.edge_table.tiles
     if args.what in ("m1", "m2", "stacked"):
-        matrix = getattr(build_tiling(r, c), args.what)
+        matrix = getattr(label_tiling(tiles, c), args.what)
     else:
-        matrix = getattr(chain_maps(c, r), args.what)
+        matrix = getattr(chain_maps(c, tiles), args.what)
     _emit(matio.write_dense_json(matrix) if args.json else matio.write_triplets(matrix), args.out)
     return 0
 

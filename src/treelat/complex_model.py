@@ -118,8 +118,7 @@ class EdgeTable:
         self.origin = tuple(origin)
         self.terminus = tuple(terminus)
         self.vertical = 2 * len(c.h_edges)
-        sides = iter(self.codes(x for t in c.squares for x in t.labels()))
-        self.squares = tuple(zip(sides, sides, sides, sides))
+        self.squares = self.square_codes(c.squares)
 
     @cached_property
     def refs(self) -> tuple[DirectedEdgeRef, ...]:
@@ -128,10 +127,20 @@ class EdgeTable:
             [DirectedEdgeRef(e, rev) for e in self.position for rev in (False, True)]
         )
 
-    def codes(self, refs: Iterable[DirectedEdgeRef]) -> list[int]:
-        """The code of each directed edge of refs."""
-        position = self.position
-        return [position[ref.edge] + ref.reversed for ref in refs]
+    def square_codes(self, squares: Iterable[DirectedSquare]) -> tuple[tuple[int, ...], ...]:
+        """The codes (a, b, a', b') of each directed square, in one pass:
+        the one place where squares of DirectedEdgeRefs become codes."""
+        p = self.position
+        codes = [
+            (
+                p[t.a.edge] + t.a.reversed,
+                p[t.b.edge] + t.b.reversed,
+                p[t.a_prime.edge] + t.a_prime.reversed,
+                p[t.b_prime.edge] + t.b_prime.reversed,
+            )
+            for t in squares
+        ]
+        return tuple(codes)
 
     @cached_property
     def tiles(self) -> tuple[tuple[int, int, int, int], ...]:

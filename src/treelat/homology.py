@@ -3,9 +3,11 @@
 Coordinates.  Forward edges (the orientation class) are rows in the order
 horizontal edges then vertical edges, each in input order; a reversed
 reference contributes with sign -1 to the row of its forward edge (the
-signed projection written `eps` below).  Geometric squares (the input
-orbit representatives) index the columns of the boundary map d2; expanded
-directed squares index everything on the tiling side.
+signed projection written `eps` below).  On the edge codes of
+complex_model.EdgeTable, eps(code) is row code >> 1 with sign -1 when
+code & 1.  Geometric squares (the input orbit representatives) index the
+columns of the boundary map d2; the tiles, the codes (a, b, a', b') of the
+4n directed squares (EdgeTable.tiles), index everything on the tiling side.
 
 Maps:
 
@@ -28,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from treelat.complex_model import DirectedSquare, SquareComplex
+from treelat.complex_model import SquareComplex
 from treelat.tiling_system import TileLabels, TilingSystem, label_components
 from treelat.zlinalg import (
     AbelianInvariants,
@@ -94,12 +96,6 @@ class TheoremVerdict:
         )
 
 
-def forward_edge_index(c: SquareComplex) -> dict[str, int]:
-    """Row index of each geometric edge: horizontals first, then verticals;
-    the code >> 1 of its directed edges (complex_model.EdgeTable)."""
-    return {e: code >> 1 for e, code in c.edge_table.position.items()}
-
-
 # Tile 4k + i is the orbit-k square with tag (1, v, h, vh)[i].
 _PHI2_SIGNS = (1, -1, -1, 1)
 
@@ -109,26 +105,22 @@ def _phi2_rows(n_tiles: int) -> tuple[Row, ...]:
     return tuple([((t >> 2, _PHI2_SIGNS[t & 3]),) for t in range(n_tiles)])
 
 
-def chain_maps(c: SquareComplex, r: tuple[DirectedSquare, ...]) -> ChainMaps:
+def chain_maps(c: SquareComplex, tiles: tuple[tuple[int, ...], ...]) -> ChainMaps:
     # Every map is built as canonical sparse rows: each row collects its
     # (column, value) pairs while the columns are visited in increasing
-    # order, so it comes out sorted.  Rows are numbered by the edge codes
-    # of c.edge_table: row code >> 1, sign -1 when code & 1.
+    # order, so it comes out sorted.  d2 reads the codes of c.edge_table's
+    # squares and the tiling side the codes of tiles: row code >> 1, sign
+    # -1 when code & 1.
     table = c.edge_table
-    position = table.position
-    n_edges = len(position)
-    n_cells = len(c.squares)
-    n_tiles = len(r)
-
-    def eps(ref) -> tuple[int, int]:
-        return position[ref.edge] >> 1, (-1 if ref.reversed else 1)
+    n_edges = len(table.position)
+    n_cells = len(table.squares)
+    n_tiles = len(tiles)
 
     d2: list[list[tuple[int, int]]] = [[] for _ in range(n_edges)]
-    for k, t in enumerate(c.squares):
+    for k, (a, b, ap, bp) in enumerate(table.squares):
         column: dict[int, int] = {}
-        for ref, sign in ((t.a, 1), (t.b_prime, 1), (t.a_prime, -1), (t.b, -1)):
-            row, s = eps(ref)
-            column[row] = column.get(row, 0) + sign * s
+        for code, sign in ((a, 1), (bp, 1), (ap, -1), (b, -1)):
+            column[code >> 1] = column.get(code >> 1, 0) + (-sign if code & 1 else sign)
         for row, x in column.items():
             if x:
                 d2[row].append((k, x))
@@ -144,22 +136,14 @@ def chain_maps(c: SquareComplex, r: tuple[DirectedSquare, ...]) -> ChainMaps:
     # phi1 has a row for b(s) when it is vertical, and for a(s) when it is
     # horizontal: the codes from table.vertical on, and those below it.
     vertical = table.vertical
-    phi1 = [
-        ((code >> 1, -1 if code & 1 else 1),) if code >= vertical else ()
-        for code in table.codes(s.b for s in r)
-    ]
-    phi1 += [
-        ((code >> 1, 1 if code & 1 else -1),) if code < vertical else ()
-        for code in table.codes(s.a for s in r)
-    ]
+    phi1 = [((b >> 1, -1 if b & 1 else 1),) if b >= vertical else () for _, b, _, _ in tiles]
+    phi1 += [((a >> 1, 1 if a & 1 else -1),) if a < vertical else () for a, _, _, _ in tiles]
 
     psi: list[list[tuple[int, int]]] = [[] for _ in range(n_edges)]
-    for i, s in enumerate(r):
-        row, sign = eps(s.b)
-        psi[row].append((i, sign))
-    for i, s in enumerate(r):
-        row, sign = eps(s.a)
-        psi[row].append((n_tiles + i, -sign))
+    for i, (_, b, _, _) in enumerate(tiles):
+        psi[b >> 1].append((i, -1 if b & 1 else 1))
+    for i, (a, _, _, _) in enumerate(tiles, n_tiles):
+        psi[a >> 1].append((i, 1 if a & 1 else -1))
 
     return ChainMaps(
         d2=IntMatrix(n_edges, n_cells, tuple(map(tuple, d2))),
@@ -455,7 +439,7 @@ def stacked_kernel_basis(
 
 def verify_main_theorem(
     c: SquareComplex,
-    r: tuple[DirectedSquare, ...],
+    tiles: tuple[tuple[int, ...], ...],
     maps: ChainMaps,
     kernel: IntMatrix,
     h: IntMatrix,
@@ -484,7 +468,7 @@ def verify_main_theorem(
     row 4k and row 4k + 3 is row 4k, for every k: exactly _alternates(K),
     the check of (4a).  Any other phi2 forms the product.
     """
-    n_tiles = len(r)
+    n_tiles = len(tiles)
     n_cells = len(c.squares)
     rows = kernel.row_pairs
     symmetries = _alternates(rows)
@@ -502,11 +486,10 @@ def verify_main_theorem(
             groups.setdefault(code, []).append((t, 1))
         return IntMatrix(len(groups), n_tiles, tuple(map(tuple, groups.values())))
 
-    # tiles grouped by the edge code of a side (complex_model.EdgeTable)
-    table = c.edge_table
+    # tiles grouped by the edge code of a side, b' and then a'
     mu_ok = (
-        grouping(table.codes(s.b_prime for s in r)).mul(kernel).is_zero()
-        and grouping(table.codes(s.a_prime for s in r)).mul(kernel).is_zero()
+        grouping(t[3] for t in tiles).mul(kernel).is_zero()
+        and grouping(t[2] for t in tiles).mul(kernel).is_zero()
     )
 
     within = all(hd >= 3 and vd >= 3 for hd, vd in c.degrees.values())

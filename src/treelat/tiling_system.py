@@ -1,9 +1,11 @@
 """Tiling system of a VH-T complex: tile labels, transition matrices and
 derived graphs.
 
-With the expanded directed squares indexed orbit-major (tags 1, v, h, vh at
-offsets 0..3), the reflections act on indices by xor on the offset.  The
-two 0-1 transition matrices encode tile adjacency:
+The tiles are the 4n directed squares, each given by the edge codes
+(a, b, a', b') of complex_model.EdgeTable (EdgeTable.tiles).  With them
+indexed orbit-major (tags 1, v, h, vh at offsets 0..3), the reflections act
+on indices by xor on the offset.  The two 0-1 transition matrices encode
+tile adjacency:
 
     m1[s][t] = 1  iff  b(s) = b'(t) and s != t^h      (horizontal: s right of t)
     m2[s][t] = 1  iff  a(s) = a'(t) and s != t^v      (vertical:   s above t)
@@ -14,9 +16,10 @@ matrix (m1 - I over m2 - I) is the operator whose kernel lattice carries
 the degree-2 homology; twice its rank is the boundary-algebra K_0 rank.
 
 An analysis reads the tile and edge graphs, the column sums and the factors
-of the stacked operator off the tile labels (label_tiling); m1, m2 and the
-stacked matrix are built only on demand, each from the labels on its own:
-for export and on fallback.
+of the stacked operator off the tile labels (label_tiling of the codes);
+m1, m2 and the stacked matrix are built only on demand, each from the
+labels on its own: for export and on fallback.  build_tiling is the entry
+for tiles given as DirectedSquares.
 """
 
 from __future__ import annotations
@@ -45,7 +48,6 @@ class TilingSystem:
     factors are derived from the labels on first access, then kept.
     """
 
-    squares: tuple[DirectedSquare, ...]
     b: tuple[int, ...]
     b_prime: tuple[int, ...]
     a: tuple[int, ...]
@@ -203,38 +205,36 @@ def _column_sums(labels, primed, flip: int) -> tuple[int, ...]:
     return tuple([count[x] - (labels[t ^ flip] == x) for t, x in enumerate(primed)])
 
 
-def label_tiling(r: tuple[DirectedSquare, ...], c: SquareComplex) -> TilingSystem:
-    """The tiling system of the expanded directed squares r, as the
-    integer labels of their sides; O(n), and no matrix is built.
+def label_tiling(tiles: tuple[tuple[int, ...], ...], c: SquareComplex) -> TilingSystem:
+    """The tiling system of tiles, the codes (a, b, a', b') of each tile
+    (complex_model.EdgeTable), as the integer labels of their sides; O(n),
+    and no matrix is built.
 
-    The labels are the codes of c.edge_table, the vertical ones less the
-    first vertical code, so both axes number their directed edges from 0.
+    The horizontal labels are the codes themselves and the vertical ones
+    the codes less the first vertical code, so both axes number their
+    directed edges from 0.
     """
-    table = c.edge_table
-
-    def number(refs, first: int) -> tuple[int, ...]:
-        return tuple([x - first for x in table.codes(refs)])
-
+    first = c.edge_table.vertical
+    a, b, a_prime, b_prime = zip(*tiles) if tiles else ((), (), (), ())
     return TilingSystem(
-        squares=tuple(r),
-        b=number((t.b for t in r), table.vertical),
-        b_prime=number((t.b_prime for t in r), table.vertical),
-        a=number((t.a for t in r), 0),
-        a_prime=number((t.a_prime for t in r), 0),
+        b=tuple([x - first for x in b]),
+        b_prime=tuple([x - first for x in b_prime]),
+        a=a,
+        a_prime=a_prime,
         n_vertices=len(c.vertices),
     )
 
 
 def build_tiling(r: tuple[DirectedSquare, ...], c: SquareComplex) -> TilingSystem:
-    """The tiling system of the export path: label_tiling(r, c).
+    """The tiling system of the expanded directed squares r: label_tiling
+    of their codes (EdgeTable.square_codes), the one entry for tiles given
+    as DirectedSquares.
 
     Nothing is built beyond the labels; m1, m2 and stacked are cached
     properties, each built from the labels on its first read, so exporting
-    one of them builds neither of the others.  A function of its own, not
-    a second name for label_tiling, so a trace of an analysis never
-    records its label_tiling call under this name.
+    one of them builds neither of the others.
     """
-    return label_tiling(r, c)
+    return label_tiling(c.edge_table.square_codes(r), c)
 
 
 def stacked_matrix(ts: TilingSystem) -> IntMatrix:
@@ -377,7 +377,7 @@ def connectivity(ts: TilingSystem, c: SquareComplex) -> ConnectivityReport:
     tags (1, v) (resp. (1, h)), the tiles t with t & 2 == 0 (resp.
     t & 1 == 0), tiles being indexed orbit-major.
     """
-    tiles = range(len(ts.squares))
+    tiles = range(len(ts.b))
     b_plus = [not t & 2 for t in tiles]
     a_plus = [not t & 1 for t in tiles]
     b_components, a_components = ts.components

@@ -10,10 +10,8 @@ the column sums of the built transition matrices, the built S checked
 against the labels read off psi).
 """
 
-import dataclasses
-
 from treelat import tiling_system
-from treelat.complex_model import sigma_act
+from treelat.complex_model import SIGMA_TAGS, DirectedSquare, expand_directed_squares, sigma_act
 from treelat.homology import (
     chain_maps,
     commuting_square,
@@ -51,12 +49,15 @@ from _oracles import (
 
 def assert_instance_properties(analysis):
     c = analysis.complex
-    r = analysis.expanded
+    r = expand_directed_squares(c)
+    tiles = c.edge_table.tiles
     ts = analysis.tiling
     maps = analysis.maps
 
-    # four directed squares per geometric square
-    assert len(r) == 4 * len(c.squares)
+    # four directed squares per geometric square, and the tiles the
+    # analysis reads are the codes of their sides
+    assert len(r) == len(tiles) == 4 * len(c.squares)
+    assert c.edge_table.square_codes(r) == tiles
 
     # reflection formulas: flip identities and group laws on every square
     for t in r:
@@ -124,7 +125,7 @@ def assert_instance_properties(analysis):
 
     # connectivity read off the labels is the one of Tarjan over the built
     # matrices and of the DirectedEdgeRef-indexed edge graphs
-    assert conn == connectivity_by_refs(ts, c)
+    assert conn == connectivity_by_refs(ts, c, r)
 
     # orientation halves every edge-graph component
     for comp in conn.gh_b_components + conn.gv_a_components:
@@ -187,7 +188,7 @@ def assert_instance_properties(analysis):
         k = IntMatrix.from_columns(kernel, rows=n)
         h = IntMatrix.from_columns(h2, rows=maps.d2.cols)
         square = commuting_square(ts, maps, h)
-        assert verify_main_theorem(c, r, maps, k, h, square) == expected
+        assert verify_main_theorem(c, tiles, maps, k, h, square) == expected
 
     assert verdict.diagram_commutes
     assert verdict.phi2_image_in_kernel
@@ -213,7 +214,8 @@ def assert_rank_identity(analysis):
     assert verdict.mu_vanishes
     assert verdict.holds
 
-    n = len(analysis.expanded)
+    r = expand_directed_squares(analysis.complex)
+    n = len(r)
     for lam in stacked_basis:
         for i in range(n):
             assert lam[i] == -lam[h_image_index(i)]
@@ -221,7 +223,7 @@ def assert_rank_identity(analysis):
             assert lam[i] == lam[vh_image_index(i)]
         for ref_slot in ("b_prime", "a_prime"):
             sums = {}
-            for i, s in enumerate(analysis.expanded):
+            for i, s in enumerate(r):
                 key = getattr(s, ref_slot)
                 sums[key] = sums.get(key, 0) + lam[i]
             assert all(total == 0 for total in sums.values())
@@ -238,14 +240,25 @@ def assert_rank_identity(analysis):
 
 
 def retarget(analysis, slot):
-    """The expanded squares of the analysis with side slot ("b_prime" or
+    """The tiles of the analysis, as codes, with side slot ("b_prime" or
     "a_prime") of tile 0 moved to another directed edge of its axis."""
-    c = analysis.complex
-    r = list(analysis.expanded)
-    edges = c.directed_v() if slot == "b_prime" else c.directed_h()
-    old = getattr(r[0], slot)
-    r[0] = dataclasses.replace(r[0], **{slot: next(e for e in edges if e != old)})
-    return tuple(r)
+    table = analysis.complex.edge_table
+    tiles = list(table.tiles)
+    i = 3 if slot == "b_prime" else 2
+    axis = range(table.vertical, len(table.origin)) if i == 3 else range(table.vertical)
+    old = tiles[0][i]
+    tiles[0] = tiles[0][:i] + (next(x for x in axis if x != old),) + tiles[0][i + 1 :]
+    return tuple(tiles)
+
+
+def tile_squares(c, tiles):
+    """The directed squares of tiles, codes read back as the DirectedEdgeRefs
+    of c.edge_table, with the orbit and tag of each index."""
+    refs = c.edge_table.refs
+    return tuple(
+        DirectedSquare(*[refs[x] for x in t], c.squares[i >> 2].orbit_id, SIGMA_TAGS[i & 3])
+        for i, t in enumerate(tiles)
+    )
 
 
 def assert_tampered_tiles_build_the_operator_once(monkeypatch, analysis, slot):
@@ -254,10 +267,10 @@ def assert_tampered_tiles_build_the_operator_once(monkeypatch, analysis, slot):
     once, from the tampered tiles, for the square and the kernel both.
     Returns (tiles, chain maps, H2 basis, kernel, verdict, S)."""
     c = analysis.complex
-    r = retarget(analysis, slot)
-    maps = chain_maps(c, r)
-    ts = label_tiling(r, c)
-    stacked = stacked_matrix(build_tiling(r, c))
+    tiles = retarget(analysis, slot)
+    maps = chain_maps(c, tiles)
+    ts = label_tiling(tiles, c)
+    stacked = stacked_matrix(build_tiling(tile_squares(c, tiles), c))
     assert ts.factors is None
     assert not matches_factors(stacked, *tile_labels(maps.psi))
 
@@ -275,5 +288,5 @@ def assert_tampered_tiles_build_the_operator_once(monkeypatch, analysis, slot):
     kernel = stacked_kernel_basis(ts, maps, h, square)
     assert built == [ts]
     assert ts.stacked == stacked
-    verdict = verify_main_theorem(c, r, maps, kernel, h, square)
-    return r, maps, h2_basis, kernel, verdict, stacked
+    verdict = verify_main_theorem(c, tiles, maps, kernel, h, square)
+    return tiles, maps, h2_basis, kernel, verdict, stacked

@@ -458,18 +458,19 @@ def stacked_phi2_from_factors(phi2, factors):
     return IntMatrix(2 * len(b), phi2.cols, tuple(blocks))
 
 
-def connectivity_by_refs(ts, c):
+def connectivity_by_refs(ts, c, r):
     """The ConnectivityReport of tiling_system.connectivity, from the
     built m1 and m2 of ts and with the vertices of the edge graphs found
-    by DirectedEdgeRef in c.directed_v() and c.directed_h()."""
+    by DirectedEdgeRef in c.directed_v() and c.directed_h(), for the sides
+    and sigma tags of the directed squares r."""
     from treelat.tiling_system import ConnectivityReport
 
     v_index = {ref: i for i, ref in enumerate(c.directed_v())}
     h_index = {ref: i for i, ref in enumerate(c.directed_h())}
-    b_pairs = [(v_index[t.b], v_index[t.b_prime]) for t in ts.squares]
-    b_plus = [t.sigma_tag in ("1", "v") for t in ts.squares]
-    a_pairs = [(h_index[t.a], h_index[t.a_prime]) for t in ts.squares]
-    a_plus = [t.sigma_tag in ("1", "h") for t in ts.squares]
+    b_pairs = [(v_index[t.b], v_index[t.b_prime]) for t in r]
+    b_plus = [t.sigma_tag in ("1", "v") for t in r]
+    a_pairs = [(h_index[t.a], h_index[t.a_prime]) for t in r]
+    a_plus = [t.sigma_tag in ("1", "h") for t in r]
     return ConnectivityReport(
         horizontal=axis_connectivity_by_matrix(ts.m1),
         vertical=axis_connectivity_by_matrix(ts.m2),
@@ -536,7 +537,7 @@ def stacked_matrix_by_minus_diagonal(ts):
     m1 and m2 of ts (the export path before rows were cut from the labels)."""
     from treelat.zlinalg import IntMatrix
 
-    n = len(ts.squares)
+    n = len(ts.b)
     rows = []
     for m in (ts.m1, ts.m2):
         rows.extend(map(minus_diagonal, m.row_pairs, range(n)))
@@ -564,10 +565,9 @@ def dense_equal(a, a_cols, b, b_cols):
 def dense_chain_maps(c, r):
     """d2, d1, phi2, phi1 and psi as dense row lists, by name, each with
     its column count: every entry accumulated into a full matrix, phi1 by
-    a scan of all tiles for each edge."""
-    from treelat.homology import forward_edge_index
-
-    eidx = forward_edge_index(c)
+    a scan of all tiles for each edge.  The row of an edge is its place in
+    c.h_edges + c.v_edges."""
+    eidx = {e.id: i for i, e in enumerate(c.h_edges + c.v_edges)}
     n_edges = len(eidx)
     n_cells = len(c.squares)
     n_tiles = len(r)

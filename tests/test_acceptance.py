@@ -36,7 +36,7 @@ def test_criterion_1_mozes_5_13(mozes513):
             len(c.h_edges),
             len(c.v_edges),
             len(c.squares),
-            len(mozes513.expanded),
+            len(mozes513.complex.edge_table.tiles),
         ) == (1, 3, 7, 21, 84)
         p, l = 5, 13
         hom = mozes513.homology

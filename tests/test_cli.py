@@ -10,12 +10,12 @@ from pathlib import Path
 import pytest
 
 import treelat
-from treelat import _kernels_py, cli, homology, matio, tiling_system, zlinalg
+from treelat import _kernels_py, cli, complex_model, homology, matio, tiling_system, zlinalg
 from treelat.cli import analyze_document, main
 
 import _complexes
 from _oracles import dense_verify
-from _battery import assert_tampered_tiles_build_the_operator_once
+from _battery import assert_tampered_tiles_build_the_operator_once, tile_squares
 
 
 @pytest.fixture()
@@ -324,6 +324,37 @@ def test_analyze_json_matches_pinned_digests_with_several_vertices(runner, tmp_p
 
 # --- work done by one analysis -------------------------------------------------
 
+# sha256 of `treelat analyze --json` for the (13,17) complex, recorded while
+# the analysis still expanded the tiles into DirectedSquares.
+PINNED_REPORT_1317 = "8ed72926d99b4900bd67c11f455fc2817f79a88cc8139a65a1b8d4f9250ece75"
+
+
+def test_analysis_reads_the_tiles_as_edge_codes(runner, tmp_path, monkeypatch):
+    # The analysis reads the tiles as the edge codes of the edge table:
+    # with the expansion into DirectedSquares and the DirectedEdgeRef of
+    # each code made to raise, the reports are still the pinned ones.
+    from treelat.mozes import generate_mozes_complex
+
+    def refuse(*args):
+        raise AssertionError("DirectedSquare or DirectedEdgeRef built by the analysis")
+
+    expand = complex_model.expand_directed_squares
+    for mod in (complex_model, cli):
+        if getattr(mod, "expand_directed_squares", None) is expand:
+            monkeypatch.setattr(mod, "expand_directed_squares", refuse)
+    monkeypatch.setattr(complex_model.EdgeTable, "refs", property(refuse))
+    docs = {
+        "torus": (_complexes.torus_doc(), PINNED_REPORTS["torus"]),
+        "product": (seeded_product_doc(), PINNED_MULTI_VERTEX_REPORTS["product"]),
+        "mozes1317": (generate_mozes_complex(13, 17), PINNED_REPORT_1317),
+    }
+    for name, (doc, digest) in docs.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(doc)
+        code, out, err = runner("analyze", str(path), "--json")
+        assert code == 0, err
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, name
+
 
 def count_calls(monkeypatch, module, name):
     """Record the first argument of every call of module.name, under each
@@ -383,9 +414,10 @@ def test_export_of_the_stacked_matrix_builds_neither_transition_matrix(
     # S is cut from the tile labels: neither build_tiling nor
     # stacked_matrix reads m1 or m2, in the library or through the CLI.
     matrices = [count_reads(monkeypatch, tiling_system.TilingSystem, m) for m in ("m1", "m2")]
-    c, r = mozes513.complex, mozes513.expanded
+    c = mozes513.complex
+    r = complex_model.expand_directed_squares(c)
     stacked = tiling_system.stacked_matrix(tiling_system.build_tiling(r, c))
-    assert stacked == tiling_system.label_tiling(r, c).stacked
+    assert stacked == tiling_system.label_tiling(c.edge_table.tiles, c).stacked
     code, out, err = runner("export", g513_file, "--what", "stacked")
     assert code == 0, err
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_STACKED_513
@@ -510,7 +542,7 @@ def test_certificate_rests_on_the_commuting_square(monkeypatch, mozes513):
     # back to one Smith form of S.  With the true H both checks hold and the
     # basis is phi2.H itself, with no Smith form of S.
     maps = mozes513.maps
-    ts = tiling_system.label_tiling(mozes513.expanded, mozes513.complex)
+    ts = tiling_system.label_tiling(mozes513.complex.edge_table.tiles, mozes513.complex)
     stacked = tiling_system.stacked_matrix(mozes513.tiling)
     h2_basis = zlinalg.kernel_basis(maps.d2)
     cells = maps.d2.cols
@@ -545,13 +577,14 @@ def test_broken_factor_identity_falls_back_to_the_dense_kernel(monkeypatch, moze
     # once, and the kernel comes from one Smith form of it; the verdict is
     # the dense verifier's.
     snf = count_calls(monkeypatch, zlinalg, "smith_normal_form")
-    r, maps, h2_basis, kernel, verdict, broken = assert_tampered_tiles_build_the_operator_once(
-        monkeypatch, mozes513, "b_prime"
+    tiles, maps, h2_basis, kernel, verdict, broken = (
+        assert_tampered_tiles_build_the_operator_once(monkeypatch, mozes513, "b_prime")
     )
-    refused = tiling_system.label_tiling(r, mozes513.complex).factors
+    refused = tiling_system.label_tiling(tiles, mozes513.complex).factors
     assert homology.structured_kernel_dim(refused) is None
     assert snf == [maps.d2, broken]  # the basis of ker d2, then the fallback kernel
     basis = kernel.transpose().entries
     dense = zlinalg.kernel_basis(broken)
     assert zlinalg.hermite_row_basis(basis) == zlinalg.hermite_row_basis(dense)
+    r = tile_squares(mozes513.complex, tiles)
     assert verdict == dense_verify(mozes513.complex, r, maps, broken, basis, h2_basis)

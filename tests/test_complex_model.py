@@ -235,7 +235,7 @@ def test_sigma_group_laws(corpus):
     # all sixteen composition identities of the Klein four-group, on every
     # directed square of every corpus complex
     for analysis in corpus.values():
-        for t in analysis.expanded:
+        for t in expand_directed_squares(analysis.complex):
             assert sigma_act(t, "1") == t
             for (g, h), gh in KLEIN_TABLE.items():
                 lhs = sigma_act(sigma_act(t, h), g)
@@ -247,7 +247,7 @@ def test_sigma_group_laws(corpus):
 
 def test_expanded_orbits_have_four_distinct_tags(corpus):
     for analysis in corpus.values():
-        r = analysis.expanded
+        r = expand_directed_squares(analysis.complex)
         for base in range(0, len(r), 4):
             orbit = r[base : base + 4]
             assert [t.sigma_tag for t in orbit] == ["1", "v", "h", "vh"]
@@ -261,14 +261,15 @@ def test_expanded_orbits_have_four_distinct_tags(corpus):
 def test_flip_identities(corpus):
     # a'(t) = a(t^v) and b'(t) = b(t^h) for every directed square
     for analysis in corpus.values():
-        for t in analysis.expanded:
+        for t in expand_directed_squares(analysis.complex):
             assert t.a_prime == sigma_act(t, "v").a
             assert t.b_prime == sigma_act(t, "h").b
 
 
 def test_expansion_is_four_to_one(corpus):
     for analysis in corpus.values():
-        assert len(analysis.expanded) == 4 * len(analysis.complex.squares)
+        c = analysis.complex
+        assert len(expand_directed_squares(c)) == len(c.edge_table.tiles) == 4 * len(c.squares)
 
 
 def test_expansion_rejects_degenerate_orbit():
@@ -355,12 +356,12 @@ def test_link_count_identity(corpus):
     for analysis in corpus.values():
         c = analysis.complex
         total = sum(c.h_degree(v) * c.v_degree(v) for v in c.vertices)
-        assert total == len(analysis.expanded)
+        assert total == len(c.edge_table.tiles)
 
 
 def test_one_vertex_corner_map_is_onto_all_pairs(f2xf2):
     c = f2xf2.complex
-    pairs = {(t.a, t.b) for t in f2xf2.expanded}
+    pairs = {(t.a, t.b) for t in expand_directed_squares(c)}
     assert pairs == {(al, be) for al in c.directed_h() for be in c.directed_v()}
 
 
@@ -401,7 +402,7 @@ def test_edge_table_numbers_each_directed_edge_once(corpus):
         # the codes of every tile are those of its sides, in expanded order
         assert table.tiles == tuple(
             tuple(table.position[x.edge] + x.reversed for x in t.labels())
-            for t in analysis.expanded
+            for t in expand_directed_squares(c)
         )
 
 
@@ -411,7 +412,7 @@ def test_orbit_codes_are_the_codes_of_sigma_act(corpus):
         table = c.edge_table
         for t, codes in zip(c.squares, table.squares):
             assert orbit_codes(*codes) == tuple(
-                tuple(table.codes(sigma_act(t, g).labels())) for g in ("1", "v", "h", "vh")
+                table.square_codes(sigma_act(t, g) for g in ("1", "v", "h", "vh"))
             )
 
 

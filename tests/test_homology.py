@@ -8,7 +8,6 @@ from treelat.complex_model import expand_directed_squares, load_complex
 from treelat.homology import (
     chain_maps,
     commuting_square,
-    forward_edge_index,
     stacked_kernel_basis,
     structured_kernel_dim,
     verify_main_theorem,
@@ -24,7 +23,11 @@ from treelat.zlinalg import (
 )
 
 import _complexes
-from _battery import assert_instance_properties, assert_tampered_tiles_build_the_operator_once
+from _battery import (
+    assert_instance_properties,
+    assert_tampered_tiles_build_the_operator_once,
+    tile_squares,
+)
 from _oracles import (
     dense_chain_maps,
     dense_verify,
@@ -141,7 +144,7 @@ def test_psi_phi1_entries_are_twice_transverse_degrees(mozes513):
     # 2(p+1) on vertical rows
     c = mozes513.complex
     prod = mozes513.maps.psi.mul(mozes513.maps.phi1)
-    eidx = forward_edge_index(c)
+    eidx = {e.id: i for i, e in enumerate(c.h_edges + c.v_edges)}
     for e in c.h_edges:
         assert prod.entry(eidx[e.id], eidx[e.id]) == 2 * (13 + 1)
     for e in c.v_edges:
@@ -180,7 +183,8 @@ def test_verifier_flags_each_failed_edge_sum(mozes513):
     # e_s - e_t built for the purpose must fail the mu check exactly when
     # one of its two per-edge sums does not vanish.
     a = mozes513
-    r = a.expanded
+    r = expand_directed_squares(a.complex)
+    tiles = a.complex.edge_table.tiles
     n = len(r)
     stacked = stacked_matrix(a.tiling)
     h2_basis = kernel_basis(a.maps.d2)
@@ -189,7 +193,7 @@ def test_verifier_flags_each_failed_edge_sum(mozes513):
     def mu_vanishes(vectors):
         k = IntMatrix.from_columns(vectors, rows=n)
         return verify_main_theorem(
-            a.complex, r, a.maps, k, h, commuting_square(a.tiling, a.maps, h)
+            a.complex, tiles, a.maps, k, h, commuting_square(a.tiling, a.maps, h)
         ).mu_vanishes
 
     def difference(s, t):
@@ -217,16 +221,18 @@ def test_verifier_rejects_a_unit_vector(mozes513):
     a = mozes513
     stacked = stacked_matrix(a.tiling)
     h2_basis = kernel_basis(a.maps.d2)
-    unit = (tuple(int(i == 0) for i in range(len(a.expanded))),)
-    k = IntMatrix.from_columns(unit, rows=len(a.expanded))
+    tiles = a.complex.edge_table.tiles
+    unit = (tuple(int(i == 0) for i in range(len(tiles))),)
+    k = IntMatrix.from_columns(unit, rows=len(tiles))
     h = IntMatrix.from_columns(h2_basis, rows=a.maps.d2.cols)
     verdict = verify_main_theorem(
-        a.complex, a.expanded, a.maps, k, h, commuting_square(a.tiling, a.maps, h)
+        a.complex, tiles, a.maps, k, h, commuting_square(a.tiling, a.maps, h)
     )
     assert not verdict.kernel_symmetries_hold
     assert not verdict.kernel_in_phi2_image
     assert not verdict.mu_vanishes
-    assert verdict == dense_verify(a.complex, a.expanded, a.maps, stacked, unit, h2_basis)
+    r = expand_directed_squares(a.complex)
+    assert verdict == dense_verify(a.complex, r, a.maps, stacked, unit, h2_basis)
 
 
 def test_verifier_flags_a_tampered_operator(monkeypatch, mozes513):
@@ -234,11 +240,12 @@ def test_verifier_flags_a_tampered_operator(monkeypatch, mozes513):
     # of those tiles, built once, gains and loses nonzeros in column 0 of
     # its M2 block, so S.phi2 no longer equals phi1.d2 and the square no
     # longer commutes.
-    r, maps, h2_basis, kernel, verdict, stacked = assert_tampered_tiles_build_the_operator_once(
-        monkeypatch, mozes513, "a_prime"
+    tiles, maps, h2_basis, kernel, verdict, stacked = (
+        assert_tampered_tiles_build_the_operator_once(monkeypatch, mozes513, "a_prime")
     )
     assert not verdict.diagram_commutes
     vectors = kernel.transpose().entries
+    r = tile_squares(mozes513.complex, tiles)
     assert verdict == dense_verify(mozes513.complex, r, maps, stacked, vectors, h2_basis)
 
 
@@ -246,9 +253,9 @@ def test_verifier_flags_a_tampered_operator(monkeypatch, mozes513):
 def test_factored_square_equals_the_product_on_the_ladder(p, l):
     c = load_complex(generate_mozes_complex(p, l))
     r = expand_directed_squares(c)
-    maps = chain_maps(c, r)
+    maps = chain_maps(c, c.edge_table.tiles)
     stacked = stacked_matrix(build_tiling(r, c))
-    factors = label_tiling(r, c).factors
+    factors = label_tiling(c.edge_table.tiles, c).factors
     assert factors is not None
     assert stacked_factors(stacked, maps.psi) is not None
     assert stacked_phi2_from_factors(maps.phi2, factors) == stacked.mul(maps.phi2)
@@ -261,7 +268,7 @@ def test_non_alternating_phi2_takes_the_product(monkeypatch, mozes513):
     # dense verifier's.
     a = mozes513
     stacked = stacked_matrix(a.tiling)
-    ts = label_tiling(a.expanded, a.complex)
+    ts = label_tiling(a.complex.edge_table.tiles, a.complex)
     factors = ts.factors
     rows = list(a.maps.phi2.row_pairs)
     rows[0] = tuple([(j, -x) for j, x in rows[0]])
@@ -296,9 +303,10 @@ def test_non_alternating_phi2_takes_the_product(monkeypatch, mozes513):
 
     kernel = kernel_basis(stacked)
     k = IntMatrix.from_columns(kernel, rows=stacked.cols)
-    verdict = verify_main_theorem(a.complex, a.expanded, maps, k, h, square)
+    verdict = verify_main_theorem(a.complex, a.complex.edge_table.tiles, maps, k, h, square)
     assert not verdict.diagram_commutes
-    assert verdict == dense_verify(a.complex, a.expanded, maps, stacked, kernel, h2_basis)
+    r = expand_directed_squares(a.complex)
+    assert verdict == dense_verify(a.complex, r, maps, stacked, kernel, h2_basis)
 
 
 def test_stacked_kernel_certificate_steps(corpus):
@@ -356,11 +364,12 @@ def test_verifier_tests_phi2_image_against_the_operator(mozes513):
     assert not a.maps.d2.mul(IntMatrix.from_columns([chain], rows=cells)).is_zero()
 
     k = IntMatrix.from_columns(kernel, rows=stacked.cols)
+    tiles = a.complex.edge_table.tiles
 
     def image_in_kernel(basis):
         h = IntMatrix.from_columns(basis, rows=cells)
         return verify_main_theorem(
-            a.complex, a.expanded, a.maps, k, h, commuting_square(a.tiling, a.maps, h)
+            a.complex, tiles, a.maps, k, h, commuting_square(a.tiling, a.maps, h)
         ).phi2_image_in_kernel
 
     assert image_in_kernel(h2_basis)
@@ -370,9 +379,8 @@ def test_verifier_tests_phi2_image_against_the_operator(mozes513):
 
 def test_chain_maps_match_the_dense_builder_on_mozes513(mozes513_doc):
     c = load_complex(mozes513_doc)
-    r = expand_directed_squares(c)
-    maps = chain_maps(c, r)
-    for name, (rows, cols) in dense_chain_maps(c, r).items():
+    maps = chain_maps(c, c.edge_table.tiles)
+    for name, (rows, cols) in dense_chain_maps(c, expand_directed_squares(c)).items():
         assert getattr(maps, name) == IntMatrix.from_rows(rows, cols=cols), name
 
 
@@ -443,7 +451,7 @@ def test_phi1_not_a_function_of_its_label_takes_the_product(monkeypatch, mozes51
     # of label b(0) disagree, so the square builds S and forms both
     # products, and the verdict is the dense verifier's.
     a = mozes513
-    ts = label_tiling(a.expanded, a.complex)
+    ts = label_tiling(a.complex.edge_table.tiles, a.complex)
     rows = list(a.maps.phi1.row_pairs)
     other = next(s for s in range(len(ts.b)) if rows[s] != rows[0])
     rows[0] = rows[other]
@@ -452,11 +460,12 @@ def test_phi1_not_a_function_of_its_label_takes_the_product(monkeypatch, mozes51
     built = _count_builds(monkeypatch)
     square = commuting_square(ts, maps, h)
     assert built == [ts]
-    verdict = verify_main_theorem(a.complex, a.expanded, maps, kernel, h, square)
+    verdict = verify_main_theorem(a.complex, a.complex.edge_table.tiles, maps, kernel, h, square)
     assert not verdict.diagram_commutes
     stacked = stacked_matrix(a.tiling)
     vectors = kernel.transpose().entries
-    assert verdict == dense_verify(a.complex, a.expanded, maps, stacked, vectors, h2_basis)
+    r = expand_directed_squares(a.complex)
+    assert verdict == dense_verify(a.complex, r, maps, stacked, vectors, h2_basis)
 
 
 def test_phi1_of_the_wrong_labels_fails_at_label_resolution(monkeypatch, mozes513):
@@ -465,7 +474,7 @@ def test_phi1_of_the_wrong_labels_fails_at_label_resolution(monkeypatch, mozes51
     # label resolution, builds no S, and finds that it does not commute;
     # (3) is then read as L.H = 0.  Both agree with the dense verifier.
     a = mozes513
-    ts = label_tiling(a.expanded, a.complex)
+    ts = label_tiling(a.complex.edge_table.tiles, a.complex)
     n = len(ts.b)
     rows = list(a.maps.phi1.row_pairs)
     by_label = {x: rows[s] for s, x in enumerate(ts.b)}
@@ -477,10 +486,11 @@ def test_phi1_of_the_wrong_labels_fails_at_label_resolution(monkeypatch, mozes51
     built = _count_builds(monkeypatch)
     square = commuting_square(ts, maps, h)
     assert built == [] and square == (False, True)
-    verdict = verify_main_theorem(a.complex, a.expanded, maps, kernel, h, square)
+    verdict = verify_main_theorem(a.complex, a.complex.edge_table.tiles, maps, kernel, h, square)
     stacked = stacked_matrix(a.tiling)
     vectors = kernel.transpose().entries
-    assert verdict == dense_verify(a.complex, a.expanded, maps, stacked, vectors, h2_basis)
+    r = expand_directed_squares(a.complex)
+    assert verdict == dense_verify(a.complex, r, maps, stacked, vectors, h2_basis)
 
 
 def test_alternating_but_not_canonical_phi2_gets_the_dense_verdict(monkeypatch, mozes513):
@@ -488,7 +498,7 @@ def test_alternating_but_not_canonical_phi2_gets_the_dense_verdict(monkeypatch, 
     # fails: S.(2 phi2) = 2 phi1.d2); it is not the phi2 of chain_maps, so
     # (4b) forms phi2.reps = 2K != K, while (4a) still holds.
     a = mozes513
-    ts = label_tiling(a.expanded, a.complex)
+    ts = label_tiling(a.complex.edge_table.tiles, a.complex)
     phi2 = a.maps.phi2
     doubled = IntMatrix(
         phi2.rows, phi2.cols, tuple(tuple((j, 2 * x) for j, x in row) for row in phi2.row_pairs)
@@ -498,11 +508,12 @@ def test_alternating_but_not_canonical_phi2_gets_the_dense_verdict(monkeypatch, 
     built = _count_builds(monkeypatch)
     square = commuting_square(ts, maps, h)
     assert built == [] and square == (False, True)
-    verdict = verify_main_theorem(a.complex, a.expanded, maps, kernel, h, square)
+    verdict = verify_main_theorem(a.complex, a.complex.edge_table.tiles, maps, kernel, h, square)
     assert verdict.kernel_symmetries_hold and not verdict.kernel_in_phi2_image
     stacked = stacked_matrix(a.tiling)
     vectors = kernel.transpose().entries
-    assert verdict == dense_verify(a.complex, a.expanded, maps, stacked, vectors, h2_basis)
+    r = expand_directed_squares(a.complex)
+    assert verdict == dense_verify(a.complex, r, maps, stacked, vectors, h2_basis)
 
 
 def test_tampered_kernel_flips_both_fourth_checks_together(mozes513):
@@ -513,7 +524,7 @@ def test_tampered_kernel_flips_both_fourth_checks_together(mozes513):
     h2_basis, h, square, kernel = _certified(a)
     stacked = stacked_matrix(a.tiling)
     vectors = kernel.transpose().entries
-    n = len(a.expanded)
+    n = len(a.complex.edge_table.tiles)
     cases = []
     for t in (0, 1, 2, 3, n - 1):
         lam = list(vectors[0])
@@ -523,9 +534,10 @@ def test_tampered_kernel_flips_both_fourth_checks_together(mozes513):
         cases.append((tuple(tuple(scale * x for x in lam) for lam in vectors), True))
     for basis, holds in cases:
         k = IntMatrix.from_columns(basis, rows=n)
-        verdict = verify_main_theorem(a.complex, a.expanded, a.maps, k, h, square)
+        verdict = verify_main_theorem(a.complex, a.complex.edge_table.tiles, a.maps, k, h, square)
         assert verdict.kernel_symmetries_hold == verdict.kernel_in_phi2_image == holds
-        assert verdict == dense_verify(a.complex, a.expanded, a.maps, stacked, basis, h2_basis)
+        r = expand_directed_squares(a.complex)
+        assert verdict == dense_verify(a.complex, r, a.maps, stacked, basis, h2_basis)
 
 
 def test_structured_count_ignores_labels_no_tile_carries(mozes513):

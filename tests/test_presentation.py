@@ -13,6 +13,12 @@ its connectivity block, with each edge-graph component list taken as a
 multiset (component lists follow the label order, which a presentation
 moves); and the validation issues by kind and number, since their messages
 name ids.
+
+Swapping the axes (swap_axes) moves every index too, and it exchanges what
+the report says of each axis: the horizontal and vertical edge counts,
+degree warnings, transition matrices and tile and edge graphs.  The report
+of the swapped document is the report of the original with those
+exchanged (exchange_axes); the homology, kernel rank and theorem are equal.
 """
 
 import functools
@@ -86,7 +92,31 @@ def reorbit(doc, rng):
     doc["squares"] = squares
 
 
+def swap_axes(doc, rng=None):
+    """Exchange the axes: swap the edge lists, and make square
+    (a, b, a', b') into (b, a, b', a'), so that the corner incidences
+    still hold."""
+    doc["horizontal_edges"], doc["vertical_edges"] = doc["vertical_edges"], doc["horizontal_edges"]
+    doc["squares"] = [
+        {"a": sq["b"], "b": sq["a"], "a_prime": sq["b_prime"], "b_prime": sq["a_prime"]}
+        for sq in doc["squares"]
+    ]
+
+
 TRANSFORMS = {"rename": rename, "shuffle": shuffle, "reverse": reverse, "reorbit": reorbit}
+
+# The keys that name one axis of the report, each with its counterpart.
+_AXIS_KEYS = (
+    ("low_h_degree", "low_v_degree"),
+    ("h_edges", "v_edges"),
+    ("m1", "m2"),
+    ("gh_strongly_connected", "gv_strongly_connected"),
+    ("gh_strong", "gv_strong"),
+    ("gh_weak", "gv_weak"),
+    ("gh_scc_count", "gv_scc_count"),
+    ("gh_B", "gv_A"),
+)
+_EXCHANGE = dict(_AXIS_KEYS) | {v: h for h, v in _AXIS_KEYS}
 
 FIXED = {
     "mozes(13,17)": lambda: generate_mozes_complex(13, 17),
@@ -138,9 +168,34 @@ def invariants(text: str) -> dict:
     return out
 
 
+def exchange_axes(obj):
+    """The invariants obj with each axis key and its counterpart exchanged,
+    at every depth."""
+    if isinstance(obj, dict):
+        return type(obj)({_EXCHANGE.get(k, k): exchange_axes(v) for k, v in obj.items()})
+    return obj
+
+
 @functools.cache
 def base_invariants(key) -> dict:
     return invariants(document(key))
+
+
+def assert_swap_invariant(key, names, seed):
+    """The document of key with its axes swapped, then the changes names
+    applied: homology, kernel rank and theorem are equal, and the rest of
+    the report is the original's with the axes exchanged."""
+    rng = random.Random(seed)
+    doc = json.loads(document(key))
+    swap_axes(doc)
+    for name in names:
+        TRANSFORMS[name](doc, rng)
+    swapped = invariants(json.dumps(doc))
+    base = base_invariants(key)
+    for block in ("homology", "theorem"):
+        assert swapped.get(block) == base.get(block)
+    assert swapped.get("tiling", {}).get("kernel_rank") == base.get("tiling", {}).get("kernel_rank")
+    assert swapped == exchange_axes(base)
 
 
 transforms = st.lists(st.sampled_from(sorted(TRANSFORMS)), min_size=1, max_size=4, unique=True)
@@ -172,11 +227,27 @@ def test_small_report_is_invariant_under_presentation(key, names, seed):
     assert_invariant(key, names, seed)
 
 
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(
+    key=st.sampled_from(sorted(FIXED))
+    | st.tuples(st.sampled_from(["one_vertex", "product"]), st.integers(0, 10**6)),
+    names=st.lists(st.sampled_from(sorted(TRANSFORMS)), max_size=2, unique=True),
+    seed=seeds,
+)
+def test_report_is_invariant_under_an_axis_swap(key, names, seed):
+    assert_swap_invariant(key, names, seed)
+
+
+def test_every_fixed_report_is_invariant_under_an_axis_swap():
+    for key in FIXED:
+        assert_swap_invariant(key, (), 0)
+
+
 def test_every_change_of_presentation_moves_the_document():
     # Each change applied alone moves the (29,37) document, so none of
     # them is vacuous there.
     text = document("mozes(29,37)")
-    for name, transform in TRANSFORMS.items():
+    for name, transform in {**TRANSFORMS, "swap_axes": swap_axes}.items():
         doc = json.loads(text)
         transform(doc, random.Random(1))
         assert json.dumps(doc) != json.dumps(json.loads(text)), name

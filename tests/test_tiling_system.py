@@ -28,7 +28,7 @@ from _oracles import (
 def rederive_entries(analysis):
     """The transition-matrix entries straight from the defining conditions,
     by a naive double loop over square labels and positional reflections."""
-    r = analysis.expanded
+    r = expand_directed_squares(analysis.complex)
     n = len(r)
     m1 = [[0] * n for _ in range(n)]
     m2 = [[0] * n for _ in range(n)]
@@ -52,7 +52,7 @@ def test_h_image_never_adjacent(corpus):
     for analysis in corpus.values():
         m1 = analysis.tiling.m1
         m2 = analysis.tiling.m2
-        for t in range(len(analysis.expanded)):
+        for t in range(len(analysis.tiling.b)):
             assert m1.entry(h_image_index(t), t) == 0
             assert m2.entry(v_image_index(t), t) == 0
 
@@ -60,7 +60,7 @@ def test_h_image_never_adjacent(corpus):
 def test_column_sums_match_degrees(corpus):
     for analysis in corpus.values():
         c = analysis.complex
-        r = analysis.expanded
+        r = expand_directed_squares(c)
         for t_idx, t in enumerate(r):
             expected1 = c.h_degree(c.origin(t.b_prime)) - 1
             expected2 = c.v_degree(c.origin(t.a_prime)) - 1
@@ -74,7 +74,7 @@ def test_horizontal_flip_transposes_adjacency(corpus):
     for analysis in corpus.values():
         m1 = analysis.tiling.m1
         m2 = analysis.tiling.m2
-        n = len(analysis.expanded)
+        n = len(analysis.tiling.b)
         for t in range(n):
             for s in range(n):
                 assert m1.entry(s, t) == m1.entry(h_image_index(t), h_image_index(s))
@@ -99,7 +99,7 @@ def test_stacked_shape_and_column_sums(corpus):
     assert set(stacked.column_sums()) == {(5 - 1) + (13 - 1)}
     for name, analysis in corpus.items():
         ts = analysis.tiling
-        eye = IntMatrix.identity(len(ts.squares))
+        eye = IntMatrix.identity(len(ts.b))
         expected = vstack(sub(ts.m1, eye), sub(ts.m2, eye))
         assert stacked_matrix(ts) == expected, name
 
@@ -108,7 +108,7 @@ def test_stacked_kernel_annihilated_by_both_blocks(mozes513):
     from treelat.zlinalg import kernel_basis
 
     ts = mozes513.tiling
-    n = len(ts.squares)
+    n = len(ts.b)
     eye = IntMatrix.identity(n)
     top = sub(ts.m1, eye)
     bottom = sub(ts.m2, eye)
@@ -216,19 +216,19 @@ def test_label_lists_match_the_per_pair_builder_on_the_ladder(p, l):
     # the built S checked against the labels read off psi.
     c = load_complex(generate_mozes_complex(p, l))
     r = expand_directed_squares(c)
-    ts = label_tiling(r, c)
-    assert connectivity(ts, c) == connectivity_by_refs(build_tiling(r, c), c)
+    ts = label_tiling(c.edge_table.tiles, c)
+    assert connectivity(ts, c) == connectivity_by_refs(build_tiling(r, c), c, r)
     assert (ts.m1, ts.m2) == build_tiling_by_pairs(r, c)
     assert ts.column_sums() == (ts.m1.column_sums(), ts.m2.column_sums())
     built = stacked_matrix(build_tiling(r, c))
     assert ts.factors is not None
-    assert matches_factors(built, *tile_labels(chain_maps(c, r).psi))
+    assert matches_factors(built, *tile_labels(chain_maps(c, c.edge_table.tiles).psi))
 
 
 def test_transition_matrices_store_only_their_nonzeros(mozes513):
     # Every tile has p = 5 horizontal and l = 13 vertical successors.
     ts = mozes513.tiling
-    n = len(ts.squares)
+    n = len(ts.b)
     assert sum(map(len, ts.m1.row_pairs)) == 5 * n
     assert sum(map(len, ts.m2.row_pairs)) == 13 * n
 
