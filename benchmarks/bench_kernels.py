@@ -16,17 +16,22 @@ operator, which it replaced (now a test oracle).  On the same two pairs,
 with H the basis of ker d2 as columns, commuting_square, which takes
 checks (1) and (3) once for the certificate and the verifier and reads
 S.phi2 off the factors, is timed beside the product stacked.phi2 that it
-no longer forms.  Last, at (29,37) and (53,61), Tarjan over the tile graphs
-of both axes: from the labels, one shared follower list per label, as
-connectivity runs it, beside the successor lists of the built M1 and M2
-(tests/_oracles.py; the matrices are built before the clock starts).
-Prints the best of N runs of each.
+no longer forms.  Last, at (29,37) and (53,61), the connectivity of the
+tile graphs of both axes three ways: connectivity itself, which reads it
+off the label multigraph (label degrees and label components, on a fresh
+copy of the tiling system, so the components are found inside the clock
+as in an analysis; the edge-graph inventory is included); the tile Tarjan
+it leaves for the fallback, _axis_connectivity, which walks one shared
+follower list per label; and Tarjan over the successor lists of the built
+M1 and M2 (tests/_oracles.py; the matrices are built before the clock
+starts).  Prints the best of N runs of each.
 """
 
 import argparse
 import random
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 from treelat import _kernels_py as kernels
@@ -34,7 +39,7 @@ from treelat import tiling_system
 from treelat.complex_model import load_complex
 from treelat.homology import chain_maps, commuting_square, structured_kernel_dim
 from treelat.mozes import generate_mozes_complex
-from treelat.tiling_system import label_tiling, stacked_matrix
+from treelat.tiling_system import connectivity, label_tiling, stacked_matrix
 from treelat.zlinalg import IntMatrix, kernel_basis, rank_mod_prime
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
@@ -59,7 +64,11 @@ def mozes_pair(p, l):
     return (tiles, c), ts, maps, h, stacked_matrix(ts)
 
 
-def label_tarjan(ts):
+def fresh_connectivity(ts, c):
+    return connectivity(replace(ts), c)
+
+
+def tile_tarjan(ts):
     return (
         tiling_system._axis_connectivity(ts.b, ts.b_prime, 2),
         tiling_system._axis_connectivity(ts.a, ts.a_prime, 1),
@@ -77,7 +86,8 @@ def make_workloads():
     s513 = mozes_pair(5, 13)[-1]
     rc1317, ts1317, maps1317, h1317, s1317 = mozes_pair(13, 17)
     rc2937, ts2937, maps2937, h2937, s2937 = mozes_pair(29, 37)
-    ts5361 = mozes_pair(53, 61)[1]
+    c2937 = rc2937[1]
+    (_, c5361), ts5361 = mozes_pair(53, 61)[:2]
     d513, d1317 = s513.to_lists(), s1317.to_lists()
     return [
         ("snf 300 x (8x8)", lambda left: [kernels.snf_with_transforms(a, left) for a in small]),
@@ -96,9 +106,11 @@ def make_workloads():
         ("commuting_square 504x252", lambda left: commuting_square(ts1317, maps1317, h1317)),
         ("stacked.mul(phi2) 2280x1140", lambda left: s2937.mul(maps2937.phi2)),
         ("commuting_square 2280x1140", lambda left: commuting_square(ts2937, maps2937, h2937)),
-        ("label Tarjan (29,37)", lambda left: label_tarjan(ts2937)),
+        ("connectivity (29,37)", lambda left: fresh_connectivity(ts2937, c2937)),
+        ("tile Tarjan (29,37)", lambda left: tile_tarjan(ts2937)),
         ("matrix Tarjan (29,37)", lambda left: matrix_tarjan(ts2937)),
-        ("label Tarjan (53,61)", lambda left: label_tarjan(ts5361)),
+        ("connectivity (53,61)", lambda left: fresh_connectivity(ts5361, c5361)),
+        ("tile Tarjan (53,61)", lambda left: tile_tarjan(ts5361)),
         ("matrix Tarjan (53,61)", lambda left: matrix_tarjan(ts5361)),
     ]
 

@@ -224,7 +224,8 @@ def structured_kernel_dim(
     are read back as F^T x and G^T x, and w from the h-odd, v-odd part of
     x, phi2 being injective.  So dim ker_p S = (#unknowns) - rank_p(C), and
     C has a few dozen rows (69 x 287 at the Mozes pair (29,37), where S is
-    2280 x 1140).
+    2280 x 1140).  Before its rank is taken, the label rows of each edge
+    are paired (_pair_label_rows), which keeps rank_p(C) and so the count.
 
     components gives the components of the two label graphs as
     tiling_system.label_components numbers them; the caller passes
@@ -284,9 +285,31 @@ def structured_kernel_dim(
         for j, x in ((y1, 1), (y2, 1), (z1, -1), (z2, -1)):
             acc[j] = acc.get(j, 0) + x
         tile_rows.append(acc)
+    _pair_label_rows(b_rows)
+    _pair_label_rows(a_rows)
     rows = [_row(acc) for acc in (*tile_rows, *b_rows.values(), *a_rows.values())]
     c = IntMatrix(len(rows), w0 + n // 4, tuple(rows))
     return unknowns - rank_mod_prime(c)
+
+
+def _pair_label_rows(rows: dict[int, dict[int, int]]) -> None:
+    """Add the row of label x ^ 1 to the row of each odd label x, in
+    place, where both labels have a row.
+
+    A label is a directed edge code, 2i + reversed, so x and x ^ 1 are the
+    two directions of one edge.  Each pair is one elementary row
+    operation, row x += row x ^ 1 with the even row left as it is, and
+    the pairs are disjoint, so the rows span the same space over any field
+    and rank_p(C) is unchanged on every input.  The orbit columns w of the
+    two rows of an edge cancel in their sum when its two directions meet
+    each orbit with opposite signs, as on the Mozes complexes, so the
+    elimination in rank_mod_prime has fewer rows that reach the orbit
+    block, and fills less.
+    """
+    for x, acc in rows.items():
+        if x & 1 and x ^ 1 in rows:
+            for j, v in rows[x ^ 1].items():
+                acc[j] = acc.get(j, 0) + v
 
 
 def _alternates(rows) -> bool:

@@ -20,6 +20,14 @@ of the stacked operator off the tile labels (label_tiling of the codes);
 m1, m2 and the stacked matrix are built only on demand, each from the
 labels on its own: for export and on fallback.  build_tiling is the entry
 for tiles given as DirectedSquares.
+
+When the labels give the factors, the tiles of an axis are the darts of a
+multigraph on its labels, one edge b(t) - b(t^h) per pair {t, t^h} (resp.
+a(t) - a(t^v)), and the tile graph is that multigraph's non-backtracking
+graph.  connectivity then reads strong and weak connectivity off the label
+degrees and label components (_label_axis_connectivity, with the proof);
+Tarjan over the tiles is left for tiles without factors and for a label
+carried by one tile only.
 """
 
 from __future__ import annotations
@@ -329,6 +337,75 @@ def _axis_connectivity(labels, primed, flip: int) -> AxisConnectivity:
     )
 
 
+def _label_axis_connectivity(labels, component: tuple[int, ...]) -> AxisConnectivity | None:
+    """Connectivity of one tile graph read off its label multigraph, or
+    None when a label is carried by one tile only.
+
+    labels is b (resp. a) of tiles whose labels give the factors of S
+    (TilingSystem.factors), so primed[t] = labels[t ^ flip] with flip 2
+    (resp. 1), and component numbers the label components of that axis
+    (TilingSystem.components).  No tile edge is walked.
+
+    Darts.  Let U be the multigraph on the labels with one edge
+    labels[t] - labels[t ^ flip] per pair {t, t ^ flip}, a loop when the
+    two agree; label_components numbers its components.  Read tile t as
+    the dart of that edge from labels[t] to labels[t ^ flip], so that
+    t ^ flip is its reverse and the darts out of label x are the tiles that carry
+    x: the degree of x is their number, a loop counting twice.  The tile
+    graph has t -> s iff labels[s] = primed[t] = labels[t ^ flip] and
+    s != t ^ flip, that is, iff s leaves the head of t and is not its
+    reverse: it is the non-backtracking (Hashimoto) dart graph B of U.
+    An arc of B joins two darts of one component of U, so each component
+    K of U is counted on its own.  Let every degree be at least 2 (a leaf
+    of U, allowed with a warning, leaves this to the tile Tarjan: the dart
+    into a leaf has no successor).
+
+    Closed walks.  U is then its own 2-core: every dart e has
+    deg(head e) - 1 >= 1 successors and deg(tail e) - 1 >= 1
+    predecessors.  Give the arc e -> f through label w the weight
+    1 / (deg(w) - 1): the weights out of each dart and into each dart then
+    sum to 1, a circulation.  Take an arc e -> f and the darts R that f
+    reaches.  No arc leaves R, so no weight does, and by conservation no
+    weight enters R either: e lies in R, and f walks back to e.  So every
+    arc lies on a closed non-backtracking walk, a walk cannot leave a
+    strong component it could not come back from, and the strong
+    components of B are its weak components.
+
+    Weak components.  At a label w of degree d, the arcs of B through w
+    join each of the d darts into w to the d darts out of w less its own
+    reverse: K_{d,d} less a perfect matching.  For d >= 3 that graph is
+    connected: any two darts into w share a successor, a dart out of w
+    that is neither one's reverse, and every dart out of w has a dart into
+    w before it.  For d = 2 it falls into two arcs, e -> f and
+    rev f -> rev e, so each of the two darts of an edge at w lies in a
+    different piece.  Now let K have a label w of degree >= 3: all darts
+    at w lie in one weak component W.  If w and y are joined by an edge,
+    both its darts lie in W and are darts at y, so they meet the one piece
+    at y when deg y >= 3 and both pieces when deg y = 2, and every dart
+    at y lies in W.  K is connected, so all its darts lie in W: K gives
+    one strong and one weak component.  Otherwise every degree in K is 2
+    and K is a cycle (a loop, two parallel edges, ...): each dart has one
+    successor, B permutes the darts of K, and its orbits are the two
+    directions round the cycle: two strong and two weak components.
+
+    So scc_count is the number of components of U with a dart, plus the
+    number of those that are cycles, and both connectivities hold iff
+    there is no tile or scc_count is 1.
+    """
+    degree = Counter(labels)
+    if 1 in degree.values():
+        return None
+    carried = {component[x] for x in degree}
+    branched = {component[x] for x, d in degree.items() if d != 2}
+    scc = 2 * len(carried) - len(branched)
+    connected = not labels or scc == 1
+    return AxisConnectivity(
+        weakly_connected=connected,
+        strongly_connected=connected,
+        scc_count=scc,
+    )
+
+
 def label_components(labels, primed) -> tuple[int, ...]:
     """The component of every label x up to the largest one in labels and
     primed, in the graph with an edge labels[t] - primed[t] for every tile
@@ -376,14 +453,26 @@ def connectivity(ts: TilingSystem, c: SquareComplex) -> ConnectivityReport:
     keeps one tile out of each {t, t^h} (resp. {t, t^v}) pair, namely sigma
     tags (1, v) (resp. (1, h)), the tiles t with t & 2 == 0 (resp.
     t & 1 == 0), tiles being indexed orbit-major.
+
+    When the labels give the factors of S (ts.factors), each tile graph is
+    the non-backtracking graph of its label multigraph, and its
+    connectivity is read off the label degrees and the label components
+    (_label_axis_connectivity).  Tarjan over the tiles, with a union-find
+    over them when the graph is not strongly connected (_axis_connectivity),
+    is left for an axis that argument does not cover: tiles whose labels
+    do not give the factors, or a label carried by one tile only.
     """
     tiles = range(len(ts.b))
     b_plus = [not t & 2 for t in tiles]
     a_plus = [not t & 1 for t in tiles]
     b_components, a_components = ts.components
+    horizontal = vertical = None
+    if ts.factors is not None:
+        horizontal = _label_axis_connectivity(ts.b, b_components)
+        vertical = _label_axis_connectivity(ts.a, a_components)
     return ConnectivityReport(
-        horizontal=_axis_connectivity(ts.b, ts.b_prime, 2),
-        vertical=_axis_connectivity(ts.a, ts.a_prime, 1),
+        horizontal=horizontal or _axis_connectivity(ts.b, ts.b_prime, 2),
+        vertical=vertical or _axis_connectivity(ts.a, ts.a_prime, 1),
         gh_b_components=_edge_graph_components(2 * len(c.v_edges), b_components, ts.b, b_plus),
         gv_a_components=_edge_graph_components(2 * len(c.h_edges), a_components, ts.a, a_plus),
     )

@@ -15,7 +15,7 @@ from treelat.cli import analyze_document, main
 
 import _complexes
 from _oracles import dense_verify
-from _battery import assert_tampered_tiles_build_the_operator_once, tile_squares
+from _battery import assert_tampered_tiles_build_the_operator_once, retarget, tile_squares
 
 
 @pytest.fixture()
@@ -354,6 +354,45 @@ def test_analysis_reads_the_tiles_as_edge_codes(runner, tmp_path, monkeypatch):
         code, out, err = runner("analyze", str(path), "--json")
         assert code == 0, err
         assert hashlib.sha256(out.encode()).hexdigest() == digest, name
+
+
+def test_connectivity_walks_no_tile_edge(runner, tmp_path, monkeypatch):
+    # The labels give the factors on the ladder and the seeded product, and
+    # no label is carried by one tile only: connectivity is read off the
+    # label multigraph, so with the tile Tarjan and the union-find over the
+    # tiles made to raise, the reports are still the pinned ones.  The
+    # union-find over the labels (label_components) still runs.
+    from treelat.mozes import generate_mozes_complex
+
+    def refuse(*args):
+        raise AssertionError("tile Tarjan run by the analysis")
+
+    class LabelUnionFind(tiling_system._UnionFind):
+        def __init__(self, n):
+            if sys._getframe(1).f_code is tiling_system._axis_connectivity.__code__:
+                raise AssertionError("union-find over the tiles run by the analysis")
+            super().__init__(n)
+
+    monkeypatch.setattr(tiling_system, "_scc_count", refuse)
+    monkeypatch.setattr(tiling_system, "_UnionFind", LabelUnionFind)
+    docs = {
+        "mozes513": (generate_mozes_complex(5, 13), PINNED_REPORTS["mozes513"]),
+        "mozes517": (generate_mozes_complex(5, 17), PINNED_REPORTS["mozes517"]),
+        "mozes1317": (generate_mozes_complex(13, 17), PINNED_REPORT_1317),
+        "product": (seeded_product_doc(), PINNED_MULTI_VERTEX_REPORTS["product"]),
+    }
+    for name, (doc, digest) in docs.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(doc)
+        code, out, err = runner("analyze", str(path), "--json")
+        assert code == 0, err
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, name
+    # tiles whose labels do not give the factors still reach the tile Tarjan
+    _, analysis = analyze_document(docs["mozes513"][0])
+    c = analysis.complex
+    tampered = tiling_system.label_tiling(retarget(analysis, "b_prime"), c)
+    with pytest.raises(AssertionError, match="tile Tarjan"):
+        tiling_system.connectivity(tampered, c)
 
 
 def count_calls(monkeypatch, module, name):

@@ -2,7 +2,7 @@ import dataclasses
 
 import pytest
 
-from treelat import tiling_system
+from treelat import homology, tiling_system
 from treelat.cli import analyze_document
 from treelat.complex_model import expand_directed_squares, load_complex
 from treelat.homology import (
@@ -547,3 +547,40 @@ def test_structured_count_ignores_labels_no_tile_carries(mozes513):
     spread = (tuple(2 * x + 1 for x in b), tuple(2 * x + 1 for x in a))
     assert structured_kernel_dim(spread) == structured_kernel_dim((b, a)) == 11
     assert structured_kernel_dim((b, a), mozes513.tiling.components) == 11
+
+
+def _pair_both_label_rows(rows):
+    """Both rows of each pair replaced by their sum: two row operations
+    that leave two equal rows, no longer one that keeps the rank."""
+    for x in [x for x in rows if x & 1 and x ^ 1 in rows]:
+        total = dict(rows[x])
+        for j, v in rows[x ^ 1].items():
+            total[j] = total.get(j, 0) + v
+        rows[x], rows[x ^ 1] = total, dict(total)
+
+
+@pytest.mark.parametrize("p,l", [(5, 13), (5, 17), (13, 17)])
+def test_label_rows_are_paired_by_one_row_operation(monkeypatch, p, l):
+    # Row x += row x ^ 1 for each odd label x keeps rank_p(C), so the count
+    # is the dense one; on the Mozes complexes each pair sum is free of the
+    # orbit columns, so only the even label rows reach them.  Replacing
+    # both rows of a pair lowers the rank, and the count leaves the dense
+    # oracle.
+    _, a = analyze_document(generate_mozes_complex(p, l))
+    stacked = stacked_matrix(a.tiling)
+    dense = stacked.cols - rank_mod_prime(stacked)
+    systems = []
+
+    def spy(c):
+        systems.append(c)
+        return rank_mod_prime(c)
+
+    monkeypatch.setattr(homology, "rank_mod_prime", spy)
+    assert structured_kernel_dim(a.tiling.factors) == dense == len(kernel_basis(stacked))
+    (c,) = systems
+    b, lab = a.tiling.factors
+    orbit0 = c.cols - len(b) // 4
+    meets_orbits = sum(any(j >= orbit0 for j, _ in row) for row in c.row_pairs)
+    assert meets_orbits == (len(set(b)) + len(set(lab))) // 2
+    monkeypatch.setattr(homology, "_pair_label_rows", _pair_both_label_rows)
+    assert structured_kernel_dim(a.tiling.factors) != dense

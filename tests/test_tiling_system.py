@@ -1,6 +1,10 @@
 import random
+from collections import Counter
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treelat import tiling_system
 from treelat.complex_model import load_complex, expand_directed_squares, validate_vht
@@ -10,6 +14,7 @@ from treelat.tiling_system import build_tiling, connectivity, k0_rank, label_til
 from treelat.zlinalg import IntMatrix, kernel_basis
 
 import _complexes
+from _battery import retarget, tile_squares
 from _oracles import (
     axis_connectivity_by_matrix,
     build_tiling_by_pairs,
@@ -330,3 +335,169 @@ def test_label_components_are_found_once_per_analysis(monkeypatch, mozes513_doc)
     _, a = analyze_document(mozes513_doc)
     assert calls == [a.tiling.b, a.tiling.a]
     assert a.k0.kernel_rank == 11
+
+
+# --- connectivity read off the label multigraph -------------------------------
+#
+# When the labels give the factors of S, each tile graph is the
+# non-backtracking graph of the multigraph with one edge
+# labels[t] - labels[t ^ flip] per pair {t, t ^ flip}: tiles are its darts.
+
+
+def label_lists(edges, n, flip):
+    """The labels of n tiles, orbit-major, that make the edge (u, v) of
+    edges the pair {t, t ^ flip} of the i-th tile t with t < t ^ flip:
+    labels[t] = u and labels[t ^ flip] = v."""
+    labels = [0] * n
+    for t, (u, v) in zip([t for t in range(n) if t < t ^ flip], edges):
+        labels[t], labels[t ^ flip] = u, v
+    return labels
+
+
+def tile_graph_by_definition(labels, flip):
+    """The transition matrix with [s][t] = 1 iff labels[s] = labels[t ^ flip]
+    and s != t ^ flip, entry by entry."""
+    n = len(labels)
+    rows = [
+        tuple((t, 1) for t in range(n) if labels[s] == labels[t ^ flip] and s != t ^ flip)
+        for s in range(n)
+    ]
+    return IntMatrix(n, n, tuple(rows))
+
+
+@st.composite
+def label_multigraphs(draw):
+    """An even number of edges (u, v) over the vertices 0, 1, ...: loops,
+    parallel edges, paths and cycles, each on new vertices or glued at one
+    vertex to what is there, so leaves, branch points and pure cycles all
+    occur.  An odd count gets a disjoint copy of the whole.  The vertices
+    are spread over a larger range, leaving labels no tile carries, and
+    each edge is read in a random direction."""
+    edges: list[tuple[int, int]] = []
+    n_vertices = 0
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(("loop", "parallel", "path", "cycle")))
+        size = draw(st.integers(1, 4))
+        glued = n_vertices and draw(st.booleans())
+        first = draw(st.integers(0, n_vertices - 1)) if glued else n_vertices
+        fresh = n_vertices + (not glued)
+        ring = [first, *range(fresh, fresh + size)]
+        if kind == "loop":
+            edges += [(first, first)] * size
+        elif kind == "parallel":
+            edges += [(first, ring[1])] * size
+        elif kind == "path":
+            edges += list(zip(ring, ring[1:]))
+        else:
+            edges += list(zip(ring[:size], ring[1:size] + [first]))
+        n_vertices = 1 + max(max(e) for e in edges)
+    if len(edges) % 2:
+        edges += [(u + n_vertices, v + n_vertices) for u, v in edges]
+        n_vertices *= 2
+    spread = draw(st.permutations(range(2 * n_vertices)))
+    flips = draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
+    return [
+        (spread[v], spread[u]) if f else (spread[u], spread[v]) for (u, v), f in zip(edges, flips)
+    ]
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(edges=label_multigraphs())
+def test_label_path_agrees_with_tile_tarjan_and_matrix_oracle(edges):
+    # Both axes carry the same multigraph, the horizontal one on the pairs
+    # {t, t ^ 2} and the vertical one on the pairs {t, t ^ 1}.
+    n = 2 * len(edges)
+    b, a = label_lists(edges, n, 2), label_lists(edges, n, 1)
+    ts = tiling_system.TilingSystem(
+        b=tuple(b), b_prime=tuple(b[t ^ 2] for t in range(n)),
+        a=tuple(a), a_prime=tuple(a[t ^ 1] for t in range(n)), n_vertices=1,
+    )
+    assert ts.factors is not None
+    n_labels = 1 + max(max(e) for e in edges)
+    c = SimpleNamespace(v_edges=range(n_labels), h_edges=range(n_labels))
+    conn = connectivity(ts, c)
+    leaf = 1 in Counter(b).values()
+    for labels, primed, flip, component, got in (
+        (ts.b, ts.b_prime, 2, ts.components[0], conn.horizontal),
+        (ts.a, ts.a_prime, 1, ts.components[1], conn.vertical),
+    ):
+        expected = axis_connectivity_by_matrix(tile_graph_by_definition(labels, flip))
+        assert tiling_system._axis_connectivity(labels, primed, flip) == expected
+        assert got == expected
+        label_path = tiling_system._label_axis_connectivity(labels, component)
+        # the label path declines exactly when U has a leaf
+        assert (label_path is None) == leaf
+        if not leaf:
+            assert label_path == expected
+            assert expected.weakly_connected == expected.strongly_connected
+
+
+def tile_tarjan_calls(monkeypatch):
+    """Record every call of the tile Tarjan (_scc_count)."""
+    seen = []
+    original = tiling_system._scc_count
+
+    def counted(succ, flip):
+        seen.append(flip)
+        return original(succ, flip)
+
+    monkeypatch.setattr(tiling_system, "_scc_count", counted)
+    return seen
+
+
+@pytest.mark.parametrize(
+    "doc,cycles",
+    [(_complexes.torus_doc(), 2), (_complexes.two_torus_components_doc(), 4)],
+)
+def test_cycle_components_count_twice_on_the_label_path(monkeypatch, doc, cycles):
+    # Each label of the torus carries one loop of U: a cycle, whose two
+    # directions are two strong and two weak components of the tile graph.
+    calls = tile_tarjan_calls(monkeypatch)
+    c = load_complex(doc)
+    r = expand_directed_squares(c)
+    ts = label_tiling(c.edge_table.tiles, c)
+    assert ts.factors is not None
+    conn = connectivity(ts, c)
+    assert calls == []
+    for axis in (conn.horizontal, conn.vertical):
+        assert (axis.scc_count, axis.weakly_connected, axis.strongly_connected) == (
+            2 * cycles, False, False,
+        )
+    assert conn == connectivity_by_refs(build_tiling(r, c), c, r)
+
+
+def test_a_leaf_of_the_label_multigraph_takes_the_tile_tarjan(monkeypatch):
+    # Vertex 0 of the first factor has degree 1, so the b labels of the
+    # product's vertical edges over it are carried by one tile each: the
+    # horizontal axis falls back to the tile Tarjan, the vertical one does
+    # not.
+    calls = tile_tarjan_calls(monkeypatch)
+    g1 = (3, [(0, 1), (1, 2), (1, 2), (2, 2)])
+    g2 = (1, [(0, 0), (0, 0)])
+    c = load_complex(_complexes.product_doc(g1, g2))
+    assert validate_vht(c).ok
+    r = expand_directed_squares(c)
+    ts = label_tiling(c.edge_table.tiles, c)
+    assert ts.factors is not None
+    assert 1 in Counter(ts.b).values() and 1 not in Counter(ts.a).values()
+    conn = connectivity(ts, c)
+    assert calls == [2]
+    assert conn == connectivity_by_refs(build_tiling(r, c), c, r)
+
+
+def test_tampered_tiles_take_the_tile_tarjan(monkeypatch, mozes513):
+    # A retargeted side breaks the factors: both axes run the tile
+    # Tarjan, against the built matrices of the tampered tiles.
+    def refuse(*args):
+        raise AssertionError("label path run on tiles without factors")
+
+    calls = tile_tarjan_calls(monkeypatch)
+    monkeypatch.setattr(tiling_system, "_label_axis_connectivity", refuse)
+    c = mozes513.complex
+    for slot in ("b_prime", "a_prime"):
+        tiles = retarget(mozes513, slot)
+        ts = label_tiling(tiles, c)
+        assert ts.factors is None
+        r = tile_squares(c, tiles)
+        assert connectivity(ts, c) == connectivity_by_refs(build_tiling(r, c), c, r)
+    assert calls == [2, 1, 2, 1]
