@@ -1,12 +1,16 @@
-"""Time the Smith and Hermite kernels, and the rank over F_p beside them.
+"""Time the elimination, the Smith and Hermite kernels, and the rank over
+F_p beside them.
 
 Usage: PYTHONPATH=src python benchmarks/bench_kernels.py [--repeat N]
 
-Workloads: a batch of small random matrices (the shape the property suite
-hammers), one mid-size dense random matrix, and the stacked transition
-matrices of the (5,13) and (13,17) quaternion complexes (the shape the
-pipeline hammers).  The Smith form is timed with and without the left
-transform: only solving a.x = b needs it.  At (13,17) and (29,37) the
+Workloads: the Smith diagonal (the kernel keeps no transform) of a batch
+of small random matrices (the shape the property suite hammers), of one
+mid-size dense random matrix, and of the stacked transition matrices of
+the (5,13) and (13,17) quaternion complexes.  At (29,37) and (53,61), the
+unimodular elimination of d2 (kernel_and_image: the basis H of ker d2 and
+the image block B^T), then that with the Smith form of B^T, which is what
+an analysis runs for H and the torsion of d2, beside the Smith form of d2
+itself, which it replaced.  At (13,17) and (29,37) the
 label check is timed (label_tiling, which numbers the sides of the tiles,
 then TilingSystem.factors, which checks b'(t) = b(t^h) and a'(t) = a(t^v)
 and so gives the factors of the stacked operator; once per analysis), then
@@ -40,7 +44,13 @@ from treelat.complex_model import load_complex
 from treelat.homology import chain_maps, commuting_square, structured_kernel_dim
 from treelat.mozes import generate_mozes_complex
 from treelat.tiling_system import connectivity, label_tiling, stacked_matrix
-from treelat.zlinalg import IntMatrix, kernel_basis, rank_mod_prime
+from treelat.zlinalg import (
+    IntMatrix,
+    kernel_and_image,
+    kernel_basis,
+    rank_mod_prime,
+    smith_normal_form,
+)
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 from _oracles import axis_connectivity_by_matrix  # noqa: E402
@@ -62,6 +72,11 @@ def mozes_pair(p, l):
     h = IntMatrix.from_columns(kernel_basis(maps.d2), rows=maps.d2.cols)
     ts = label_tiling(tiles, c)
     return (tiles, c), ts, maps, h, stacked_matrix(ts)
+
+
+def h_and_torsion(d2):
+    h, image = kernel_and_image(d2)
+    return h, smith_normal_form(image)
 
 
 def fresh_connectivity(ts, c):
@@ -87,39 +102,46 @@ def make_workloads():
     rc1317, ts1317, maps1317, h1317, s1317 = mozes_pair(13, 17)
     rc2937, ts2937, maps2937, h2937, s2937 = mozes_pair(29, 37)
     c2937 = rc2937[1]
-    (_, c5361), ts5361 = mozes_pair(53, 61)[:2]
+    (_, c5361), ts5361, maps5361 = mozes_pair(53, 61)[:3]
     d513, d1317 = s513.to_lists(), s1317.to_lists()
+    d2_2937, d2_5361 = maps2937.d2, maps5361.d2
     return [
-        ("snf 300 x (8x8)", lambda left: [kernels.snf_with_transforms(a, left) for a in small]),
-        ("snf 40x40", lambda left: kernels.snf_with_transforms(mid, left)),
-        ("snf stacked 168x84", lambda left: kernels.snf_with_transforms(d513, left)),
-        ("snf stacked 504x252", lambda left: kernels.snf_with_transforms(d1317, left)),
-        ("hermite stacked 168x84", lambda left: kernels.hermite_rows(d513)),
-        ("rank_mod_prime stacked 168x84", lambda left: rank_mod_prime(s513)),
-        ("rank_mod_prime stacked 504x252", lambda left: rank_mod_prime(s1317)),
-        ("label check (13,17)", lambda left: label_tiling(*rc1317).factors),
-        ("structured count 504x252", lambda left: structured_kernel_dim(ts1317.factors)),
-        ("rank_mod_prime stacked 2280x1140", lambda left: rank_mod_prime(s2937)),
-        ("label check (29,37)", lambda left: label_tiling(*rc2937).factors),
-        ("structured count 2280x1140", lambda left: structured_kernel_dim(ts2937.factors)),
-        ("stacked.mul(phi2) 504x252", lambda left: s1317.mul(maps1317.phi2)),
-        ("commuting_square 504x252", lambda left: commuting_square(ts1317, maps1317, h1317)),
-        ("stacked.mul(phi2) 2280x1140", lambda left: s2937.mul(maps2937.phi2)),
-        ("commuting_square 2280x1140", lambda left: commuting_square(ts2937, maps2937, h2937)),
-        ("connectivity (29,37)", lambda left: fresh_connectivity(ts2937, c2937)),
-        ("tile Tarjan (29,37)", lambda left: tile_tarjan(ts2937)),
-        ("matrix Tarjan (29,37)", lambda left: matrix_tarjan(ts2937)),
-        ("connectivity (53,61)", lambda left: fresh_connectivity(ts5361, c5361)),
-        ("tile Tarjan (53,61)", lambda left: tile_tarjan(ts5361)),
-        ("matrix Tarjan (53,61)", lambda left: matrix_tarjan(ts5361)),
+        ("snf 300 x (8x8)", lambda: [kernels.smith_diagonal(a) for a in small]),
+        ("snf 40x40", lambda: kernels.smith_diagonal(mid)),
+        ("snf stacked 168x84", lambda: kernels.smith_diagonal(d513)),
+        ("snf stacked 504x252", lambda: kernels.smith_diagonal(d1317)),
+        ("elimination d2 (29,37)", lambda: kernel_and_image(d2_2937)),
+        ("elimination + snf B^T (29,37)", lambda: h_and_torsion(d2_2937)),
+        ("snf d2 (29,37)", lambda: smith_normal_form(d2_2937)),
+        ("elimination d2 (53,61)", lambda: kernel_and_image(d2_5361)),
+        ("elimination + snf B^T (53,61)", lambda: h_and_torsion(d2_5361)),
+        ("snf d2 (53,61)", lambda: smith_normal_form(d2_5361)),
+        ("hermite stacked 168x84", lambda: kernels.hermite_rows(d513)),
+        ("rank_mod_prime stacked 168x84", lambda: rank_mod_prime(s513)),
+        ("rank_mod_prime stacked 504x252", lambda: rank_mod_prime(s1317)),
+        ("label check (13,17)", lambda: label_tiling(*rc1317).factors),
+        ("structured count 504x252", lambda: structured_kernel_dim(ts1317.factors)),
+        ("rank_mod_prime stacked 2280x1140", lambda: rank_mod_prime(s2937)),
+        ("label check (29,37)", lambda: label_tiling(*rc2937).factors),
+        ("structured count 2280x1140", lambda: structured_kernel_dim(ts2937.factors)),
+        ("stacked.mul(phi2) 504x252", lambda: s1317.mul(maps1317.phi2)),
+        ("commuting_square 504x252", lambda: commuting_square(ts1317, maps1317, h1317)),
+        ("stacked.mul(phi2) 2280x1140", lambda: s2937.mul(maps2937.phi2)),
+        ("commuting_square 2280x1140", lambda: commuting_square(ts2937, maps2937, h2937)),
+        ("connectivity (29,37)", lambda: fresh_connectivity(ts2937, c2937)),
+        ("tile Tarjan (29,37)", lambda: tile_tarjan(ts2937)),
+        ("matrix Tarjan (29,37)", lambda: matrix_tarjan(ts2937)),
+        ("connectivity (53,61)", lambda: fresh_connectivity(ts5361, c5361)),
+        ("tile Tarjan (53,61)", lambda: tile_tarjan(ts5361)),
+        ("matrix Tarjan (53,61)", lambda: matrix_tarjan(ts5361)),
     ]
 
 
-def best_of(fn, left, repeat):
+def best_of(fn, repeat):
     times = []
     for _ in range(repeat):
         t0 = time.perf_counter()
-        fn(left)
+        fn()
         times.append(time.perf_counter() - t0)
     return min(times)
 
@@ -129,14 +151,9 @@ def main():
     parser.add_argument("--repeat", type=int, default=3)
     args = parser.parse_args()
 
-    print(f"{'workload':<32} {'with u [s]':>11} {'without u [s]':>14}")
+    print(f"{'workload':<34} {'best [s]':>9}")
     for name, fn in make_workloads():
-        if not name.startswith("snf"):
-            print(f"{name:<32} {best_of(fn, True, args.repeat):>11.4f} {'-':>14}")
-            continue
-        full = best_of(fn, True, args.repeat)
-        fast = best_of(fn, False, args.repeat)
-        print(f"{name:<32} {full:>11.4f} {fast:>14.4f}")
+        print(f"{name:<34} {best_of(fn, args.repeat):>9.4f}")
 
 
 if __name__ == "__main__":

@@ -7,9 +7,13 @@ Usage:
 
 The stages are those of cli.analyze_document, run in its order on a fresh
 load of the document: load, validate, label_tiling, chain_maps,
-connectivity, the Smith form of d2 with its kernel columns (smith_d2),
+connectivity, H and the torsion of d2 as one stage (h_torsion_d2),
 commuting_square, stacked_kernel_basis, homology_report, k0_rank, verify
-and build_report.  The tiling side reads the tiles as the edge codes of
+and build_report.  h_torsion_d2 runs the elimination of d2 and the Smith
+form of its image block B^T (zlinalg.kernel_and_image); a checkout from
+before the elimination has no kernel_and_image, and there it takes the
+Smith form of d2 with the kernel columns of its transform, so the stage
+lines up with --src on such a checkout.  The tiling side reads the tiles as the edge codes of
 the edge table, which validation builds; a checkout from before that (its
 cli.Analysis still has an "expanded" field) times its expansion into
 DirectedSquares as one more stage, "expand", and hands those on instead.
@@ -101,6 +105,7 @@ def measure(text: str, validate_only: bool, pair: str | None, repeat: int) -> di
         label_tiling,
         stacked_matrix,
     )
+    from treelat import zlinalg
     from treelat.zlinalg import IntMatrix, smith_normal_form
 
     data = text.encode()
@@ -118,7 +123,10 @@ def measure(text: str, validate_only: bool, pair: str | None, repeat: int) -> di
 
     expands = "expanded" in {f.name for f in fields(Analysis)}
 
-    def smith_d2(d2):
+    def h_torsion_d2(d2):
+        if hasattr(zlinalg, "kernel_and_image"):
+            h, image = zlinalg.kernel_and_image(d2)
+            return smith_normal_form(image), h
         s2 = smith_normal_form(d2, left=False)
         return s2, IntMatrix.from_columns(s2.kernel_basis(), rows=d2.cols)
 
@@ -138,7 +146,7 @@ def measure(text: str, validate_only: bool, pair: str | None, repeat: int) -> di
         ts = timed("label_tiling", label_tiling, tiles, c)
         maps = timed("chain_maps", chain_maps, c, tiles)
         conn = timed("connectivity", connectivity, ts, c)
-        s2, h = timed("smith_d2", smith_d2, maps.d2)
+        s2, h = timed("h_torsion_d2", h_torsion_d2, maps.d2)
         square = timed("commuting_square", commuting_square, ts, maps, h)
         kernel = timed("stacked_kernel_basis", stacked_kernel_basis, ts, maps, h, square)
         hom = timed("homology_report", homology_report, c, maps, s2)

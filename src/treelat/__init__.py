@@ -58,6 +58,7 @@ from treelat.zlinalg import (
     IntMatrix,
     SmithDecomposition,
     cokernel_invariants,
+    kernel_and_image,
     kernel_basis,
     rank_mod_prime,
     smith_normal_form,
@@ -92,6 +93,7 @@ __all__ = [
     "generate_mozes_complex",
     "homology_report",
     "k0_rank",
+    "kernel_and_image",
     "kernel_basis",
     "label_tiling",
     "load_complex",

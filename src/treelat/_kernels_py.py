@@ -1,9 +1,10 @@
 """Integer reduction kernels: the hot loops behind treelat.zlinalg.
 
-Smith normal form with its unimodular transforms, the canonical row-style
-Hermite normal form, and a sparse rank over a prime field.  This is the
-only implementation; it is plain Python, so every algorithm change is made
-in one place.
+A sparse unimodular elimination of [a^T | I], which gives a saturated
+kernel basis and a basis of the column lattice; the diagonal of the Smith
+normal form; the canonical row-style Hermite normal form; and a sparse
+rank over a prime field.  This is the only implementation; it is plain
+Python, so every algorithm change is made in one place.
 
 The matrices the pipeline reduces (transition operators, boundary maps) are
 0/+-1 and sparse, so the Smith kernel does no work on zeros: each
@@ -11,10 +12,10 @@ elementary operation collects the nonzero positions of its source row or
 column once and updates only those.  The schedule of pivots and operations
 is the dense one, so the output does not depend on these shortcuts.
 
-Matrices are lists of row lists of Python ints (arbitrary precision is
-required: intermediate entries can far exceed machine range even for small
-inputs); rank_mod_p reads sparse rows of (column, value) pairs instead.
-Inputs are never mutated.
+The Smith and Hermite kernels read lists of row lists of Python ints
+(arbitrary precision is required: intermediate entries can far exceed
+machine range even for small inputs); the elimination and rank_mod_p read
+sparse rows of (column, value) pairs instead.  Inputs are never mutated.
 """
 
 from __future__ import annotations
@@ -26,206 +27,213 @@ from __future__ import annotations
 PRIME = (1 << 61) - 1
 
 
-def _eye(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
 def _nonzeros(row):
     return [(j, x) for j, x in enumerate(row) if x]
 
 
-def snf_with_transforms(a, left=True):
-    """Return (u, d, v) with u*a*v = d the canonical Smith normal form.
+def unimodular_elimination(rows):
+    """Row-reduce [a^T | I] by unimodular integer row operations.
 
-    d is diagonal with positive invariant factors d1 | d2 | ... followed by
-    zeros; u (m x m) and v (n x n) are unimodular.  With left=False the left
-    transform is neither built nor updated and u is None; d and v are the
-    same.  Deterministic: the pivot is always the smallest-magnitude nonzero
+    rows are the rows of a^T, that is the n columns of an m x n matrix a,
+    as (index, value) pairs.  Each working row is a pair of dicts: its a^T
+    part and its I part, which starts as the unit vector of the row.
+    Returns (kernel, pivots): kernel holds the I parts of the rows whose a^T
+    part vanished, a saturated basis of ker a; pivots holds (c, image,
+    transform) for each pivot row in the order taken, c its pivot column
+    and image and transform its two parts.  The images, the rows of a
+    matrix B, span the column lattice of a.
+
+    Pivots, Markowitz-style: the column of a^T with the fewest live rows,
+    the smaller index on ties; in it, the entry of least magnitude, ties to
+    the row with the fewest nonzeros in [a^T | I], then the smaller index.
+    Every other live row with a nonzero in that column is reduced by the
+    floor quotient against the pivot.  A unit pivot clears the column.
+    Where the pivot is not a unit, remainders can survive, all smaller than
+    it; the least of them becomes the pivot, a Euclid step, until one row
+    is left in the column.  That row leaves the active matrix as a pivot
+    row, and every later pivot row has a zero in its column.  A row whose
+    a^T part vanishes leaves as a kernel row.
+
+    Why the kernel rows are a saturated basis.  Each step adds an integer
+    multiple of one row to another, so the working matrix is always
+    [U.a^T | U] with U unimodular, and at the end U.a^T = (R; 0): R is B,
+    the rows of U under it are the kernel rows.  R has full row rank, since
+    pivot row k is nonzero in column c_k and every later one is zero there.
+    U is invertible over Z, so every x in Z^n is x^T = y^T.U for one
+    integer y, and x^T.a^T = y^T.(R; 0) is zero iff y is zero on R's rows.
+    So a.x = 0 iff x is an integer combination of the kernel rows, which
+    are independent as rows of U.  The row lattice of R is that of
+    U.a^T, hence that of a^T: B^T has the column lattice of a.
+    """
+    live = {}  # row -> (a^T part, I part)
+    cols = {}  # column of a^T -> the live rows with a nonzero there
+    kernel = []
+    for i, pairs in enumerate(rows):
+        if pairs:
+            live[i] = (dict(pairs), {i: 1})
+            for c, _ in pairs:
+                cols.setdefault(c, set()).add(i)
+        else:
+            kernel.append({i: 1})
+
+    def weight(i):
+        image, transform = live[i]
+        return (abs(image[c]), len(image) + len(transform), i)
+
+    pivots = []
+    while cols:
+        fewest = min(map(len, cols.values()))
+        c = min([j for j, rows_j in cols.items() if len(rows_j) == fewest])
+        column = cols[c]
+        while True:
+            p = min(column, key=weight) if fewest > 1 else next(iter(column))
+            image_p, transform_p = live[p]
+            v = image_p[c]
+            for i in column - {p}:
+                image, transform = live[i]
+                q = image[c] // v
+                for j, x in image_p.items():
+                    y = image.get(j, 0) - q * x
+                    if y:
+                        if j not in image:
+                            cols[j].add(i)
+                        image[j] = y
+                    elif j in image:
+                        del image[j]
+                        cols[j].discard(i)
+                for j, x in transform_p.items():
+                    y = transform.get(j, 0) - q * x
+                    if y:
+                        transform[j] = y
+                    else:
+                        del transform[j]
+                if not image:
+                    del live[i]
+                    kernel.append(transform)
+            if len(column) == 1:
+                break
+        del live[p]
+        for j in image_p:
+            cols[j].discard(p)
+            if not cols[j]:
+                del cols[j]
+        pivots.append((c, image_p, transform_p))
+    return kernel, pivots
+
+
+def smith_diagonal(a):
+    """The canonical Smith normal form d of a, with no transforms.
+
+    d = u*a*v is diagonal with positive invariant factors d1 | d2 | ...
+    followed by zeros, for unimodular u and v that are not built.
+    Deterministic: the pivot is always the smallest-magnitude nonzero
     entry of the working submatrix, first in row-major order on ties.
     """
     m = len(a)
     n = len(a[0]) if m else 0
     d = [list(row) for row in a]
-    u = _eye(m) if left else None
-    # Columns of v, so that a column operation or swap is a row one here.
-    vt = _eye(n)
-    limit = m if m < n else n
-    # The rows i >= k not yet seen to be zero, in increasing order.  A zero
-    # row stays zero: row operations add multiples of the pivot row only to
-    # rows with a nonzero in the pivot column, a column operation changes a
-    # row by a multiple of its own pivot-column entry, and a fold changes
-    # only the pivot row.  Swaps move rows, and live follows them.  So a row
-    # is dropped for good once it reads zero, and every loop over the rows
-    # of the working block runs over live only.
-    live = list(range(m))
     k = 0
-    while k < limit:
+    while k < m and k < n:
         # Invariant at the top of step k: d[k:][:k] and d[:k][k:] are zero
         # (finished pivots have clean rows and columns), so whole-row tests
         # on a row i >= k see only the working submatrix.
         #
-        # Pivot search over the untouched submatrix: the first +-1 in
-        # row-major order if there is one, else the first entry of least
-        # magnitude.  Zero rows and rows holding a unit are settled by
-        # C-level scans; only the other rows are walked entry by entry.
-        pi = -1
-        pj = -1
+        # Pivot search: the first +-1 in row-major order if there is one,
+        # else the first entry of least magnitude.  Zero rows and rows
+        # holding a unit are settled by C-level scans; only the other rows
+        # are walked entry by entry.
+        pi = pj = -1
         best = 0
-        zero = []
-        for i in live:
+        for i in range(k, m):
             di = d[i]
-            if not any(di):
-                zero.append(i)
-                continue
             has_pos = 1 in di
-            has_neg = -1 in di
-            if has_pos or has_neg:
+            if has_pos or -1 in di:
                 pi = i
-                jp = di.index(1) if has_pos else n
-                jn = di.index(-1) if has_neg else n
-                pj = jp if jp < jn else jn
-                best = 1
+                pj = di.index(1) if has_pos else n
+                if -1 in di:
+                    pj = min(pj, di.index(-1))
                 break
+            if not any(di):
+                continue
             for j in range(k, n):
                 x = di[j]
-                if x != 0:
-                    ax = -x if x < 0 else x
-                    if pi < 0 or ax < best:
-                        pi = i
-                        pj = j
-                        best = ax
+                if x and (pi < 0 or abs(x) < best):
+                    pi, pj, best = i, j, abs(x)
         if pi < 0:
             break  # remaining block is zero; d is final
-        if zero:
-            dropped = set(zero)
-            live = [i for i in live if i not in dropped]
-        if pi != k:
-            d[k], d[pi] = d[pi], d[k]
-            if left:
-                u[k], u[pi] = u[pi], u[k]
-            if live[0] != k:
-                # Row k was zero, and now row pi is.
-                live.remove(pi)
-                live.insert(0, k)
-        below = live[1:]
+        d[k], d[pi] = d[pi], d[k]
         if pj != k:
-            # Rows above k and zero rows are zero in both columns.
-            for i in live:
-                row = d[i]
+            for row in d[k:]:  # rows above k are zero in both columns
                 row[k], row[pj] = row[pj], row[k]
-            vt[k], vt[pj] = vt[pj], vt[k]
         if d[k][k] < 0:
             d[k] = [-x for x in d[k]]
-            if left:
-                u[k] = [-x for x in u[k]]
 
         while True:
             # Clear column k below the pivot.  Floor division against the
             # positive pivot leaves remainders in [0, pivot); if any survive,
             # the smallest becomes the new (strictly smaller) pivot.  Row k
-            # does not change during one sweep, so its nonzero positions
-            # (and those of u's row k) are collected once; a row operation
-            # adds a multiple of zero everywhere else.
+            # does not change during one sweep, so its nonzero positions are
+            # collected once.
             while True:
-                dk = d[k]
-                p = dk[k]
-                rows = [i for i in below if d[i][k]]
+                p = d[k][k]
+                rows = [i for i in range(k + 1, m) if d[i][k]]
                 if not rows:
                     break
-                dk_nz = _nonzeros(dk)
-                if left:
-                    uk_nz = _nonzeros(u[k])
-                bi = -1
-                bval = 0
+                dk_nz = _nonzeros(d[k])
+                rest = []
                 for i in rows:
                     di = d[i]
                     q = di[k] // p
                     if q:
                         for j, x in dk_nz:
                             di[j] -= q * x
-                        if left:
-                            ui = u[i]
-                            for j, x in uk_nz:
-                                ui[j] -= q * x
-                    r = di[k]
-                    if r and (bi < 0 or r < bval):
-                        bi = i
-                        bval = r
-                if bi < 0:
+                    if di[k]:
+                        rest.append((di[k], i))
+                if not rest:
                     break
+                bi = min(rest)[1]
                 d[k], d[bi] = d[bi], d[k]
-                if left:
-                    u[k], u[bi] = u[bi], u[k]
             # Clear row k right of the pivot, by column operations.  Column
             # k below the pivot is zero on the first sweep, so subtracting
             # multiples of it touches row k only; but a column *swap* can
-            # re-dirty column k, hence the outer loop.  Column k of d and of
-            # v does not change during one sweep, so their nonzero rows are
-            # collected once.
+            # re-dirty column k, hence the outer loop.
             while True:
                 dk = d[k]
                 p = dk[k]
                 cols = [j for j in range(k + 1, n) if dk[j]]
                 if not cols:
                     break
-                dcol = [(i, d[i][k]) for i in live if d[i][k]]
-                vcol = _nonzeros(vt[k])
-                bj = -1
-                bval = 0
+                dcol = [(i, d[i][k]) for i in range(k, m) if d[i][k]]
+                rest = []
                 for j in cols:
                     q = dk[j] // p
                     if q:
                         for i, y in dcol:
                             d[i][j] -= q * y
-                        vj = vt[j]
-                        for i, y in vcol:
-                            vj[i] -= q * y
-                    r = dk[j]
-                    if r and (bj < 0 or r < bval):
-                        bj = j
-                        bval = r
-                if bj < 0:
+                    if dk[j]:
+                        rest.append((dk[j], j))
+                if not rest:
                     break
-                for i in live:
-                    row = d[i]
+                bj = min(rest)[1]
+                for row in d[k:]:
                     row[k], row[bj] = row[bj], row[k]
-                vt[k], vt[bj] = vt[bj], vt[k]
-            clean = True
-            for i in below:
-                if d[i][k] != 0:
-                    clean = False
-                    break
-            if clean:
+            if not any([d[i][k] for i in range(k + 1, m)]):
                 break
 
         # Divisibility: the pivot must divide every remaining entry.  If it
         # does not, folding the offending row into row k and re-clearing
         # shrinks the pivot toward the gcd; this terminates because the
         # pivot strictly decreases.  A unit pivot divides every integer, so
-        # its O(mn) scan could never find anything and is skipped.
+        # its scan could never find anything and is skipped.  Rows below k
+        # are zero left of k + 1, so the whole row can be tested.
         p = d[k][k]
-        dirty = False
-        if p != 1:
-            for i in below:
-                di = d[i]
-                # Some x % p != 0; entries of row i left of k + 1 are zero,
-                # so the whole row can be tested.
-                if any(map(p.__rmod__, di)):
-                    dk = d[k]
-                    for jj in range(k, n):
-                        dk[jj] += di[jj]
-                    if left:
-                        uk = u[k]
-                        ui = u[i]
-                        for jj in range(m):
-                            uk[jj] += ui[jj]
-                    dirty = True
-                    break
-        if not dirty:
-            del live[0]
+        for i in range(k + 1, m) if p != 1 else ():
+            if any(map(p.__rmod__, d[i])):
+                d[k] = [x + y for x, y in zip(d[k], d[i])]
+                break
+        else:
             k += 1
-    v = [list(row) for row in zip(*vt)]
-    return u, d, v
+    return d
 
 
 def hermite_rows(a):

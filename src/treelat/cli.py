@@ -45,7 +45,7 @@ from treelat.tiling_system import (
     k0_rank,
     label_tiling,
 )
-from treelat.zlinalg import IntMatrix, smith_normal_form
+from treelat.zlinalg import kernel_and_image, smith_normal_form
 
 EXPORTABLE = ("m1", "m2", "stacked", "d1", "d2", "phi1", "phi2")
 
@@ -74,14 +74,15 @@ def analyze_document(text: str) -> tuple[ValidationReport, Analysis | None]:
     ts = label_tiling(tiles, c)
     maps = chain_maps(c, tiles)
     conn = connectivity(ts, c)
-    # The Smith form of d2, the commuting square and the stacked kernel are
+    # The elimination of d2, the commuting square and the stacked kernel are
     # each computed once and shared.  Both kernels are sparse, one basis
-    # vector per column.  The stacked kernel is phi2(ker d2) whenever the
-    # square and its dimension mod p, counted from the factors of the
-    # stacked operator S that the tile labels give, certify that; the
-    # square then reads S.phi2 off those factors too, and S is never built.
-    s2 = smith_normal_form(maps.d2, left=False)
-    h = IntMatrix.from_columns(s2.kernel_basis(), rows=maps.d2.cols)
+    # vector per column.  The elimination gives ker d2 and a block with the
+    # column lattice of d2, whose small Smith form gives its torsion.  The
+    # stacked kernel is phi2(ker d2) whenever the square and its dimension
+    # mod p, counted from the factors of the stacked operator S that the
+    # tile labels give, certify that; the square then reads S.phi2 off
+    # those factors too, and S is never built.
+    h, image = kernel_and_image(maps.d2)
     square = commuting_square(ts, maps, h)
     kernel = stacked_kernel_basis(ts, maps, h, square)
     return validation, Analysis(
@@ -89,7 +90,7 @@ def analyze_document(text: str) -> tuple[ValidationReport, Analysis | None]:
         validation=validation,
         tiling=ts,
         maps=maps,
-        homology=homology_report(c, maps, s2),
+        homology=homology_report(c, maps, smith_normal_form(image)),
         connectivity=conn,
         k0=k0_rank(ts, conn, kernel),
         theorem=verify_main_theorem(c, tiles, maps, kernel, h, square),

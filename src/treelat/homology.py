@@ -37,7 +37,7 @@ from treelat.zlinalg import (
     IntMatrix,
     Row,
     SmithDecomposition,
-    kernel_basis,
+    kernel_and_image,
     rank_mod_prime,
     rank_prime,
     smith_normal_form,
@@ -157,11 +157,13 @@ def chain_maps(c: SquareComplex, tiles: tuple[tuple[int, ...], ...]) -> ChainMap
 def homology_report(c: SquareComplex, maps: ChainMaps, s2: SmithDecomposition) -> HomologyReport:
     """Integral homology in degrees 0, 1, 2.
 
-    s2 is the Smith form of d2, computed once by the caller; one Smith form
-    of d1 gives the rest.  H0 is the cokernel of d1 (free of rank one
-    exactly when the complex is connected).  H2 is the kernel of d2, hence
-    free: only its rank is reported.  H1 = ker d1 / im d2 sits in the exact
-    sequence
+    s2 is a Smith form with the rank and cokernel of d2, computed once by
+    the caller: that of the block B^T of zlinalg.kernel_and_image(d2),
+    which has the column lattice of d2 in rank(d2) columns instead of |F|.
+    One Smith form of d1 gives the rest.  H0 is the cokernel of d1 (free
+    of rank one exactly when the complex is connected).  H2 is the kernel
+    of d2, hence free: only its rank is reported.  H1 = ker d1 / im d2 sits
+    in the exact sequence
 
         0 -> ker d1 / im d2 -> Z^E / im d2 -> im d1 -> 0,
 
@@ -169,7 +171,7 @@ def homology_report(c: SquareComplex, maps: ChainMaps, s2: SmithDecomposition) -
     the free group Z^V and so free.  Hence Z^E / im d2 = H1 + Z^rank(d1):
     H1 has the torsion of the cokernel of d2 and rank(d1) less free rank.
     """
-    s1 = smith_normal_form(maps.d1, left=False)
+    s1 = smith_normal_form(maps.d1)
     coker = s2.cokernel()
     h1 = AbelianInvariants(free_rank=coker.free_rank - s1.rank, torsion=coker.torsion)
     euler = len(c.vertices) - (len(c.h_edges) + len(c.v_edges)) + len(c.squares)
@@ -429,7 +431,7 @@ def stacked_kernel_basis(
     """Saturated basis of the kernel lattice K = {x in Z^n : S.x = 0} of
     the stacked operator S of ts, one basis vector per column.
 
-    h holds the basis of ker d2 read off its Smith form, one vector per
+    h holds the basis of ker d2 from its elimination, one vector per
     column, and square is commuting_square(ts, maps, h).  When two checks
     pass, the basis is phi2.h, and S is never built:
 
@@ -443,21 +445,20 @@ def stacked_kernel_basis(
     bounds meet, and rank L = rank K.  L is saturated in Z^n: phi2 has an
     integer left inverse pi, which reads coordinate 4k of each orbit, and
     ker d2 is saturated in Z^F, since h spans every integer kernel vector
-    of d2 (SmithDecomposition.kernel_basis).  So if m.x = phi2(y) with
-    m != 0 and y in ker d2, then y = m.pi(x), hence pi(x) is in ker d2 and
-    x = phi2(pi(x)) is in L.  Last, a saturated sublattice of K of full
-    rank is K: for x in K some m != 0 puts m.x in L, and saturation puts x
-    in L.
+    of d2 (the argument is in _kernels_py.unimodular_elimination).  So if
+    m.x = phi2(y) with m != 0 and y in ker d2, then y = m.pi(x), hence
+    pi(x) is in ker d2 and x = phi2(pi(x)) is in L.  Last, a saturated
+    sublattice of K of full rank is K: for x in K some m != 0 puts m.x in
+    L, and saturation puts x in L.
 
     Otherwise (the torus, the Klein bottle, any instance where the rank
     identity fails, p divides an invariant factor of S, p is even or the
-    labels do not give the factors of S) the basis is the one of the dense
-    Smith form of S = ts.stacked, zlinalg.kernel_basis.
+    labels do not give the factors of S) the basis is the one of the
+    elimination of S = ts.stacked, zlinalg.kernel_and_image.
     """
     if square[1] and structured_kernel_dim(ts.factors, ts.components) == h.cols:
         return maps.phi2.mul(h)
-    stacked = ts.stacked
-    return IntMatrix.from_columns(kernel_basis(stacked), rows=stacked.cols)
+    return kernel_and_image(ts.stacked)[0]
 
 
 def verify_main_theorem(

@@ -7,8 +7,10 @@ exact; there is no floating point anywhere in the package.
 The reduction loops live in treelat._kernels_py, the one kernel
 implementation; it is plain Python, so BACKEND is always "pure".  IntMatrix
 stores only the nonzeros of each row: the pipeline's operators are sparse
-0/+-1 matrices.  The Smith and Hermite kernels reduce its dense view; the
-rank mod p reads the stored pairs.
+0/+-1 matrices.  Every kernel basis and every solve comes from one sparse
+unimodular elimination (kernel_and_image), which reads the stored pairs, as
+the rank mod p does.  The Smith and Hermite kernels reduce the dense view;
+the Smith form keeps only its diagonal.
 """
 
 from __future__ import annotations
@@ -74,16 +76,9 @@ class IntMatrix:
     def from_columns(cls, columns: Sequence[Sequence[int]], rows: int | None = None) -> "IntMatrix":
         if rows is None:
             rows = len(columns[0]) if columns else 0
-        data: list[list[tuple[int, int]]] = [[] for _ in range(rows)]
-        positions = range(rows)
-        for j, col in enumerate(columns):
-            if len(col) != rows:
-                raise ValueError("ragged matrix columns")
-            for i in compress(positions, col):
-                x = int(col[i])
-                if x:
-                    data[i].append((j, x))
-        return cls(rows, len(columns), tuple(map(tuple, data)))
+        if not set(map(len, columns)) <= {rows}:
+            raise ValueError("ragged matrix columns")
+        return cls.from_rows(columns, cols=rows).transpose()
 
     def _dense(self, pairs: Row) -> list[int]:
         row = [0] * self.cols
@@ -189,31 +184,19 @@ class AbelianInvariants:
 
 @dataclass(frozen=True)
 class SmithDecomposition:
-    """Smith normal form u*a*v = d with unimodular u, v.
+    """Smith normal form d = u*a*v of a matrix a; the unimodular u and v
+    are not built.
 
     d is diagonal; invariant_factors are its nonzero diagonal entries, each
-    dividing the next.  u is None when the left transform was not asked
-    for; d and v do not depend on that.
+    dividing the next.
     """
 
-    u: IntMatrix | None
     d: IntMatrix
-    v: IntMatrix
     invariant_factors: tuple[int, ...]
 
     @property
     def rank(self) -> int:
         return len(self.invariant_factors)
-
-    def kernel_basis(self) -> tuple[tuple[int, ...], ...]:
-        """Saturated basis of {x : a.x = 0}: the last cols - rank columns of v.
-
-        d.(v^-1 x) = u.a.x, so a.x = 0 iff v^-1 x is supported on the zero
-        columns of d; v is unimodular, so these columns span every integer
-        kernel vector with integer coefficients.
-        """
-        columns = self.v.transpose()
-        return tuple(columns.row(j) for j in range(self.rank, self.v.cols))
 
     def cokernel(self) -> AbelianInvariants:
         """Structure of Z^rows / column-span(a)."""
@@ -223,48 +206,44 @@ class SmithDecomposition:
         )
 
 
-def smith_normal_form(a: IntMatrix, left: bool = True) -> SmithDecomposition:
-    """Canonical Smith normal form; deterministic for a fixed input.
+def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
+    """Canonical Smith normal form; deterministic for a fixed input."""
+    # The kernel returns Python ints already; from_rows would re-convert.
+    d = _impl.smith_diagonal(a.to_lists())
+    factors = tuple(d[i][i] for i in range(min(a.rows, a.cols)) if d[i][i])
+    return SmithDecomposition(IntMatrix(a.rows, a.cols, tuple(map(_pairs, d))), factors)
 
-    left=False skips the left transform u, which is m x m and so the larger
-    transform of a tall matrix; only solving a.x = b needs it.
+
+def _columns(vectors: list[dict[int, int]], rows: int) -> IntMatrix:
+    """The matrix whose columns are these {row: nonzero value} vectors.
+    Each row collects its pairs in column order, so it comes out sorted."""
+    data: list[list[tuple[int, int]]] = [[] for _ in range(rows)]
+    for k, vec in enumerate(vectors):
+        for i, x in vec.items():
+            data[i].append((k, x))
+    return IntMatrix(rows, len(vectors), tuple(map(tuple, data)))
+
+
+def kernel_and_image(a: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
+    """(H, B^T) for the m x n matrix a, from one sparse unimodular
+    elimination of [a^T | I] (_kernels_py.unimodular_elimination, whose
+    docstring gives the argument).
+
+    H is n x (n - rank a), one basis vector of {x : a.x = 0} per column.
+    The basis is saturated: every integer kernel vector is an *integer*
+    combination of it.  B^T is m x rank a and has the column lattice of a,
+    hence its rank and cokernel: a Smith form of B^T gives them without the
+    n columns of a.
     """
-    if a.rows == 0 or a.cols == 0:
-        # The row-list encoding cannot carry the column count of an empty
-        # matrix through the kernels.
-        return SmithDecomposition(
-            u=IntMatrix.identity(a.rows) if left else None,
-            d=IntMatrix.zeros(a.rows, a.cols),
-            v=IntMatrix.identity(a.cols),
-            invariant_factors=(),
-        )
-    u, d, v = _impl.snf_with_transforms(a.to_lists(), left)
-    factors = []
-    for i in range(min(a.rows, a.cols)):
-        x = d[i][i]
-        if x == 0:
-            break
-        factors.append(x)
-    return SmithDecomposition(
-        u=None if u is None else _from_kernel(u, a.rows),
-        d=_from_kernel(d, a.cols),
-        v=_from_kernel(v, a.cols),
-        invariant_factors=tuple(factors),
-    )
-
-
-def _from_kernel(rows: list[list[int]], cols: int) -> IntMatrix:
-    # The kernels return Python ints already; from_rows would re-convert.
-    return IntMatrix(len(rows), cols, tuple(map(_pairs, rows)))
+    kernel, pivots = _impl.unimodular_elimination(a.transpose().row_pairs)
+    images = [image for _, image, _ in pivots]
+    return _columns(kernel, a.cols), _columns(images, a.rows)
 
 
 def kernel_basis(a: IntMatrix) -> tuple[tuple[int, ...], ...]:
-    """Basis of the full kernel lattice {x : a.x = 0}.
-
-    The basis is saturated: every integer kernel vector is an *integer*
-    combination of it (see SmithDecomposition.kernel_basis).
-    """
-    return smith_normal_form(a, left=False).kernel_basis()
+    """Saturated basis of the full kernel lattice {x : a.x = 0}, one
+    vector per tuple: the columns of H of kernel_and_image."""
+    return kernel_and_image(a)[0].transpose().entries
 
 
 def rank_prime() -> int:
@@ -284,7 +263,7 @@ def rank_mod_prime(a: IntMatrix) -> int:
 
 def cokernel_invariants(a: IntMatrix) -> AbelianInvariants:
     """Structure of Z^rows / column-span(a)."""
-    return smith_normal_form(a, left=False).cokernel()
+    return smith_normal_form(a).cokernel()
 
 
 def hermite_row_basis(vectors: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
@@ -321,25 +300,31 @@ def lattice_membership(x: Sequence[int], basis: Sequence[Sequence[int]]) -> bool
 def solve_exact(a: IntMatrix, b: IntMatrix) -> IntMatrix | None:
     """One integer solution x of a.x = b, or None when there is none.
 
-    Free coordinates are set to zero, so the result is deterministic.
+    The elimination of [a^T | I] gives U.a^T = (R; 0) with U unimodular
+    (_kernels_py.unimodular_elimination).  Every x is x^T = y^T.U for one
+    integer y, and then a.x = R^T.y_R, so a column b is solvable iff b^T is
+    an integer combination y_R^T.R of the pivot rows, and x is the same
+    combination of their I parts.  Pivot row k is nonzero in column c_k and
+    every later one is zero there, so forward substitution fixes y_k by
+    coordinate c_k of what is left of b; a remainder there is never touched
+    again, so b is solvable iff nothing is left at the end.  The kernel
+    rows get coefficient zero, so the result is deterministic.
     """
     if a.rows != b.rows:
         raise ValueError("shape mismatch in solve")
-    s = smith_normal_form(a)
-    r = s.rank
-    ub = s.u.mul(b)
-    if any(ub.row_pairs[r:]):
-        return None
-    # d.z = u.b with d diagonal: row i of z is row i of u.b divided by the
-    # i-th invariant factor, and zero past the rank.
-    z: list[Row] = [()] * a.cols
-    for i, pairs in enumerate(ub.row_pairs[:r]):
-        p = s.invariant_factors[i]
-        row = []
-        for j, x in pairs:
-            q, rem = divmod(x, p)
-            if rem:
-                return None
-            row.append((j, q))
-        z[i] = tuple(row)
-    return s.v.mul(IntMatrix(a.cols, b.cols, tuple(z)))
+    _, pivots = _impl.unimodular_elimination(a.transpose().row_pairs)
+    solutions = []
+    for pairs in b.transpose().row_pairs:
+        rest = dict(pairs)
+        x: dict[int, int] = {}
+        for c, image, transform in pivots:
+            q = rest.get(c, 0) // image[c]
+            if q:
+                for j, y in image.items():
+                    rest[j] = rest.get(j, 0) - q * y
+                for j, y in transform.items():
+                    x[j] = x.get(j, 0) + q * y
+        if any(rest.values()):
+            return None
+        solutions.append({j: y for j, y in x.items() if y})
+    return _columns(solutions, a.cols)

@@ -7,8 +7,11 @@ elimination, reachability closure, the rank mod p of the whole stacked
 operator, the dense verifier, H1 through the cycle basis of ker d1, the
 transition matrices one pair at a time, S.phi2 as a product, Tarjan and
 the column sums of the built transition matrices, the built S checked
-against the labels read off psi).
+against the labels read off psi, the kernels, invariant factors and solves
+of the elimination against the transforms of the dense Smith schedule).
 """
+
+import random
 
 from treelat import tiling_system
 from treelat.complex_model import SIGMA_TAGS, DirectedSquare, expand_directed_squares, sigma_act
@@ -23,18 +26,21 @@ from treelat.tiling_system import build_tiling, label_tiling, stacked_matrix
 from treelat.zlinalg import (
     IntMatrix,
     hermite_row_basis,
+    kernel_and_image,
     kernel_basis,
     lattice_membership,
     rank_mod_prime,
     smith_normal_form,
+    solve_exact,
 )
 
 from _oracles import (
     build_tiling_by_pairs,
+    certified_snf_diagonal,
     connectivity_by_refs,
     dense_chain_maps,
+    dense_snf,
     dense_verify,
-    determinant,
     h1_by_cycle_basis,
     h_image_index,
     matches_factors,
@@ -131,12 +137,13 @@ def assert_instance_properties(analysis):
     for comp in conn.gh_b_components + conn.gv_a_components:
         assert comp.edges == 2 * comp.oriented_edges
 
-    # Smith invariants of the two central matrices
+    # Smith invariants of the two central matrices: d is the dense
+    # schedule's, whose transforms are checked there; and the elimination
+    # of each against that schedule
     for matrix in (maps.d2, stacked):
         s = smith_normal_form(matrix)
-        assert s.u.mul(matrix).mul(s.v).entries == s.d.entries
-        assert determinant(s.u) in (1, -1)
-        assert determinant(s.v) in (1, -1)
+        assert s.d.to_lists() == certified_snf_diagonal(matrix)
+        assert_elimination_matches_dense_snf(matrix, random.Random(matrix.rows))
         factors = s.invariant_factors
         assert all(
             factors[i + 1] % factors[i] == 0 for i in range(len(factors) - 1)
@@ -195,6 +202,56 @@ def assert_instance_properties(analysis):
 
     if verdict.within_hypotheses:
         assert_rank_identity(analysis)
+
+
+def assert_elimination_matches_dense_snf(a, rng):
+    """kernel_and_image and solve_exact on the IntMatrix a, against the
+    transforms of dense_snf and the Hermite lattice oracle.  Returns the
+    outcomes of the solves, so a caller can see both kinds occur.
+
+    - a.H = 0, and H has cols - rank columns;
+    - the columns of H span the lattice of the last cols - rank columns
+      of dense_snf's v (equal Hermite bases);
+    - B^T has dense_snf's invariant factors;
+    - solve_exact(a, b) is solvable exactly when lattice_membership puts
+      b in the span of the columns of a, and then a.x = b.  The targets
+      are a random integer combination of the columns, that plus a unit
+      vector, and twice a random column plus one."""
+    h, image = kernel_and_image(a)
+    if a.rows and a.cols:
+        _, d, v = dense_snf(a.to_lists())
+    else:
+        d, v = a.to_lists(), [[int(i == j) for j in range(a.cols)] for i in range(a.cols)]
+    factors = tuple(d[i][i] for i in range(min(a.rows, a.cols)) if d[i][i])
+    rank = len(factors)
+    assert a.mul(h).is_zero()
+    assert (h.rows, h.cols) == (a.cols, a.cols - rank)
+    assert (image.rows, image.cols) == (a.rows, rank)
+    tail = [[row[j] for row in v] for j in range(rank, a.cols)]
+    assert hermite_row_basis(h.transpose().to_lists()) == hermite_row_basis(tail)
+    assert smith_normal_form(image).invariant_factors == factors
+
+    columns = a.transpose().to_lists()
+    combo = [0] * a.rows
+    for col in columns:
+        k = rng.randint(-2, 2)
+        combo = [x + k * y for x, y in zip(combo, col)]
+    targets = [combo]
+    if a.rows:
+        unit = rng.randrange(a.rows)
+        targets.append([x + (i == unit) for i, x in enumerate(combo)])
+        if columns:
+            col = rng.choice(columns)
+            targets.append([2 * x + (i == unit) for i, x in enumerate(col)])
+    outcomes = []
+    for b in targets:
+        x = solve_exact(a, IntMatrix.from_columns([b], rows=a.rows))
+        solvable = lattice_membership(b, columns)
+        assert (x is not None) == solvable
+        if x is not None:
+            assert a.mul(x) == IntMatrix.from_columns([b], rows=a.rows)
+        outcomes.append(solvable)
+    return outcomes
 
 
 def assert_rank_identity(analysis):

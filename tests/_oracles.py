@@ -7,7 +7,8 @@ over every cell of a dense matrix for the operations that IntMatrix runs
 on its stored nonzeros only (and for the chain maps, which the pipeline
 builds as sparse rows).  The rank-identity verifier and H1 keep their
 earlier routes here: loops over every entry of every kernel vector, and
-the cycle basis of ker d1.  Helpers that only tests call (the Bareiss
+the cycle basis of ker d1, read with its solve off the transforms of the
+dense Smith schedule.  Helpers that only tests call (the Bareiss
 determinant, lattice inclusion, the difference and vertical stack of two
 IntMatrix, the reflections of a tile index by their positional formula)
 live here too, as do the transition matrices built one pair at a time
@@ -96,10 +97,13 @@ def strongly_connected_by_closure(matrix_rows):
 def dense_snf(a):
     """(u, d, v) by the plain dense Smith schedule that the kernel must follow.
 
-    Same pivot rule and elementary operations as treelat._kernels_py, but
-    every operation sweeps whole rows and columns, the left transform is
-    always carried and the divisibility scan always runs: the reference the
-    zero-skipping kernel is checked against, entry for entry.
+    Same pivot rule and elementary operations as
+    treelat._kernels_py.smith_diagonal, but every operation sweeps whole
+    rows and columns, the transforms u and v, which the kernel does not
+    build, are carried, and the divisibility scan always runs: the
+    reference the zero-skipping kernel is checked against, entry for
+    entry.  Its v and u are also the independent route to kernel bases and
+    solves, where the package runs its sparse elimination.
     """
     m = len(a)
     n = len(a[0]) if m else 0
@@ -156,6 +160,22 @@ def dense_snf(a):
         else:
             k += 1
     return u, d, v
+
+
+def certified_snf_diagonal(a):
+    """The d of dense_snf for the IntMatrix a, as row lists, once its
+    certificate holds: u.a.v = d exactly, with det u and det v = +-1 by
+    the Bareiss determinant.  The Smith form keeps no transform, so this is
+    where the transforms of a Smith decomposition are checked."""
+    from treelat.zlinalg import IntMatrix
+
+    if a.rows == 0 or a.cols == 0:
+        return a.to_lists()
+    u, d, v = (IntMatrix.from_rows(x) for x in dense_snf(a.to_lists()))
+    assert u.mul(a).mul(v) == d
+    assert determinant(u) in (1, -1)
+    assert determinant(v) in (1, -1)
+    return d.to_lists()
 
 
 def solve_relation_by_search(x, y, ql, qp):
@@ -669,14 +689,29 @@ def lattice_contains(basis, vectors):
 def h1_by_cycle_basis(maps):
     """H1 = ker d1 / im d2 by the cycle basis: the columns of d2 written in
     a saturated basis of ker d1 (one exact solve), then the cokernel of
-    that coefficient matrix."""
-    from treelat.zlinalg import IntMatrix, cokernel_invariants, smith_normal_form, solve_exact
+    that coefficient matrix.  Both steps read the transforms of dense_snf,
+    not the elimination behind zlinalg's kernels and solves: with
+    u.d1.v = d, the cycles are the last columns of v, past the rank of d;
+    with u'.K.v' = d' for the matrix K of the cycles, K.y = d2 iff
+    d'.z = u'.d2 with y = v'.z."""
+    from treelat.zlinalg import IntMatrix, cokernel_invariants
 
-    cycles = smith_normal_form(maps.d1, left=False).kernel_basis()
-    k = IntMatrix.from_columns(cycles, rows=maps.d1.cols)
-    y = solve_exact(k, maps.d2)
-    if y is None:
+    n = maps.d1.cols
+    _, d, v = dense_snf(maps.d1.to_lists())
+    rank = sum(1 for i in range(min(len(d), n)) if d[i][i])
+    k = [row[rank:] for row in v]
+    if rank == n:
+        return cokernel_invariants(IntMatrix.zeros(0, maps.d2.cols))
+    uk, dk, vk = dense_snf(k)
+    image = IntMatrix.from_rows(uk).mul(maps.d2).row_pairs
+    if any(image[n - rank:]):
         raise AssertionError("boundary image escaped the cycle lattice")
+    z = []
+    for i, pairs in enumerate(image[: n - rank]):
+        if any(x % dk[i][i] for _, x in pairs):
+            raise AssertionError("boundary image escaped the cycle lattice")
+        z.append(tuple([(j, x // dk[i][i]) for j, x in pairs]))
+    y = IntMatrix.from_rows(vk).mul(IntMatrix(n - rank, maps.d2.cols, tuple(z)))
     return cokernel_invariants(y)
 
 

@@ -430,6 +430,7 @@ def count_reads(monkeypatch, cls, name):
 def test_analysis_computes_each_kernel_once(monkeypatch, mozes513, mozes513_doc):
     stacked = tiling_system.stacked_matrix(mozes513.tiling)
     snf = count_calls(monkeypatch, zlinalg, "smith_normal_form")
+    eliminations = count_calls(monkeypatch, zlinalg, "kernel_and_image")
     hermite = count_calls(monkeypatch, zlinalg, "hermite_row_basis")
     built = count_calls(monkeypatch, tiling_system, "stacked_matrix")
     tilings = count_calls(monkeypatch, tiling_system, "build_tiling")
@@ -440,8 +441,10 @@ def test_analysis_computes_each_kernel_once(monkeypatch, mozes513, mozes513_doc)
     # M1, M2 nor the stacked operator is built.
     assert len(built) == 0 and len(tilings) == 0
     assert matrices == [[], []]
-    # The stacked kernel is certified as phi2(ker d2), so no Smith form of
-    # the stacked operator; one vertex, so H1 is read off the one of d2.
+    # The stacked kernel is certified as phi2(ker d2), so S is neither
+    # eliminated nor put in a Smith form; d2 is eliminated once, and H1 is
+    # read off the Smith form of its image block.
+    assert eliminations == [analysis.maps.d2]
     assert sum(a == stacked for a in snf) == 0
     assert len(snf) <= 2
     assert len(hermite) == 0
@@ -502,9 +505,23 @@ def test_certified_kernel_stays_sparse_and_meets_the_operator_once(
     assert len(factor_checks) == 1 and len(built) == 0
 
 
+def test_no_smith_form_takes_a_column_per_cell(monkeypatch):
+    # H2 and the torsion of H1 come from the elimination of d2 and the
+    # Smith form of its image block, which has rank(d2) columns: at (13,17)
+    # no matrix with a column per geometric square reaches the Smith kernel.
+    doc = treelat.generate_mozes_complex(13, 17)
+    snf = count_calls(monkeypatch, zlinalg, "smith_normal_form")
+    _, analysis = analyze_document(doc)
+    cells = len(analysis.complex.squares)
+    assert analysis.maps.d2.cols == cells == 63
+    assert snf and all(a.cols != cells for a in snf)
+
+
 def test_product_analysis_takes_two_smith_forms(monkeypatch):
-    # H1 is read off the Smith form of d2 and the rank of d1: no basis of
-    # ker d1, no exact solve and no further cokernel, whatever d1 is.
+    # H1 is read off the Smith form of the image block of d2, which has the
+    # column lattice of d2, and the rank of d1: no basis of ker d1, no
+    # exact solve and no further cokernel, whatever d1 is.  d2 itself never
+    # enters a Smith form.
     snf = count_calls(monkeypatch, zlinalg, "smith_normal_form")
     solves = count_calls(monkeypatch, zlinalg, "solve_exact")
     cokernels = count_calls(monkeypatch, zlinalg, "cokernel_invariants")
@@ -512,7 +529,9 @@ def test_product_analysis_takes_two_smith_forms(monkeypatch):
     assert analysis.theorem.holds
     assert not analysis.maps.d1.is_zero()
     assert len(snf) == 2
-    assert analysis.maps.d1 in snf and analysis.maps.d2 in snf
+    image = zlinalg.kernel_and_image(analysis.maps.d2)[1]
+    assert analysis.maps.d1 in snf and image in snf
+    assert analysis.maps.d2 not in snf
     assert solves == [] and cokernels == []
 
 
@@ -520,28 +539,32 @@ def test_tiny_prime_falls_back_to_the_dense_kernel(
     runner, tmp_path, monkeypatch, mozes513, mozes513_doc
 ):
     # Mod 2 the (5,13) stacked operator loses the rank of its invariant
-    # factors 2 and 4, the certificate fails, and the dense Smith form
+    # factors 2 and 4, the certificate fails, and the elimination of S
     # gives the same lattice: the report is the pinned one.
     monkeypatch.setattr(_kernels_py, "PRIME", 2)
     stacked = tiling_system.stacked_matrix(mozes513.tiling)
     snf = count_calls(monkeypatch, zlinalg, "smith_normal_form")
+    eliminations = count_calls(monkeypatch, zlinalg, "kernel_and_image")
     path = tmp_path / "mozes513.json"
     path.write_text(mozes513_doc)
     code, out, err = runner("analyze", str(path), "--json")
     assert code == 0
-    assert sum(a == stacked for a in snf) == 1
+    assert sum(a == stacked for a in eliminations) == 1
+    assert sum(a == stacked for a in snf) == 0
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_REPORTS["mozes513"]
 
 
 def test_torus_falls_back_to_the_dense_kernel(monkeypatch, torus):
     # rank ker d2 = 1 but the stacked kernel has rank 4: no certificate,
-    # and the stacked operator is built once, for its Smith form.
+    # and the stacked operator is built once, for its elimination.
     stacked = tiling_system.stacked_matrix(torus.tiling)
     snf = count_calls(monkeypatch, zlinalg, "smith_normal_form")
+    eliminations = count_calls(monkeypatch, zlinalg, "kernel_and_image")
     built = count_calls(monkeypatch, tiling_system, "stacked_matrix")
     _, analysis = analyze_document(_complexes.torus_doc())
     assert len(built) == 1
-    assert sum(a == stacked for a in snf) == 1
+    assert sum(a == stacked for a in eliminations) == 1
+    assert sum(a == stacked for a in snf) == 0
     assert analysis.theorem == torus.theorem
     assert (analysis.theorem.rank_ker_d2, analysis.theorem.rank_ker_stacked) == (1, 4)
     assert not analysis.theorem.holds
@@ -549,13 +572,15 @@ def test_torus_falls_back_to_the_dense_kernel(monkeypatch, torus):
 
 def test_klein_bottle_builds_the_operator_once(monkeypatch, klein):
     # No certificate either: one build of the stacked operator, shared by
-    # the fallback kernel, and one Smith form of it.
+    # the fallback kernel, and one elimination of it.
     stacked = tiling_system.stacked_matrix(klein.tiling)
     snf = count_calls(monkeypatch, zlinalg, "smith_normal_form")
+    eliminations = count_calls(monkeypatch, zlinalg, "kernel_and_image")
     built = count_calls(monkeypatch, tiling_system, "stacked_matrix")
     _, analysis = analyze_document(_complexes.klein_doc())
     assert len(built) == 1
-    assert sum(a == stacked for a in snf) == 1
+    assert sum(a == stacked for a in eliminations) == 1
+    assert sum(a == stacked for a in snf) == 0
     assert analysis.theorem == klein.theorem
     assert not analysis.theorem.holds
 
@@ -563,13 +588,16 @@ def test_klein_bottle_builds_the_operator_once(monkeypatch, klein):
 def test_small_odd_prime_keeps_the_certified_kernel(monkeypatch, mozes513, mozes513_doc):
     # The (5,13) stacked operator has invariant factors 1, 2 and 4 only, so
     # over F_3 its kernel still has dimension rank H2 = 11: the count from
-    # its factors certifies phi2(ker d2), and no stacked Smith form runs.
+    # its factors certifies phi2(ker d2), and S is neither eliminated nor
+    # put in a Smith form.
     monkeypatch.setattr(_kernels_py, "PRIME", 3)
     stacked = tiling_system.stacked_matrix(mozes513.tiling)
     assert homology.structured_kernel_dim(mozes513.tiling.factors) == 11
     snf = count_calls(monkeypatch, zlinalg, "smith_normal_form")
+    eliminations = count_calls(monkeypatch, zlinalg, "kernel_and_image")
     _, analysis = analyze_document(mozes513_doc)
     assert sum(a == stacked for a in snf) == 0
+    assert eliminations == [analysis.maps.d2]
     assert analysis.k0 == mozes513.k0
     assert analysis.theorem == mozes513.theorem
 
@@ -578,8 +606,8 @@ def test_certificate_rests_on_the_commuting_square(monkeypatch, mozes513):
     # Put the unit 2-chain e_0, whose boundary is not zero, in place of the
     # first vector of H: the structured count still equals |H|, but phi2(H)
     # no longer lies in ker S, so check (3) fails and the certificate falls
-    # back to one Smith form of S.  With the true H both checks hold and the
-    # basis is phi2.H itself, with no Smith form of S.
+    # back to one elimination of S.  With the true H both checks hold and
+    # the basis is phi2.H itself, with no elimination of S.
     maps = mozes513.maps
     ts = tiling_system.label_tiling(mozes513.complex.edge_table.tiles, mozes513.complex)
     stacked = tiling_system.stacked_matrix(mozes513.tiling)
@@ -592,20 +620,21 @@ def test_certificate_rests_on_the_commuting_square(monkeypatch, mozes513):
     assert homology.structured_kernel_dim(ts.factors) == bad_h.cols == 11
 
     snf = count_calls(monkeypatch, zlinalg, "smith_normal_form")
+    eliminations = count_calls(monkeypatch, zlinalg, "kernel_and_image")
     square = homology.commuting_square(ts, maps, bad_h)
     assert square == (True, False)
     basis = homology.stacked_kernel_basis(ts, maps, bad_h, square)
-    assert len(snf) == 1 and snf[0] == stacked
+    assert eliminations == [stacked] and snf == []
     dense = zlinalg.kernel_basis(stacked)
     hermite = zlinalg.hermite_row_basis
     assert hermite(basis.transpose().entries) == hermite(dense)
 
-    snf.clear()
+    eliminations.clear()
     square = homology.commuting_square(ts, maps, true_h)
     assert square == (True, True)
     certified = homology.stacked_kernel_basis(ts, maps, true_h, square)
     assert certified == maps.phi2.mul(true_h)
-    assert sum(a == stacked for a in snf) == 0
+    assert eliminations == [] and snf == []
 
 
 def test_broken_factor_identity_falls_back_to_the_dense_kernel(monkeypatch, mozes513):
@@ -613,15 +642,17 @@ def test_broken_factor_identity_falls_back_to_the_dense_kernel(monkeypatch, moze
     # satisfy b'(t) = b(t^h), so they do not give the factors
     # (E.F^T - P_h - I over E'.G^T - P_v - I) of the stacked matrix of
     # those tiles, the count from the factors refuses them, S is built
-    # once, and the kernel comes from one Smith form of it; the verdict is
-    # the dense verifier's.
+    # once, and the kernel comes from one elimination of it; the verdict
+    # is the dense verifier's.
     snf = count_calls(monkeypatch, zlinalg, "smith_normal_form")
+    eliminations = count_calls(monkeypatch, zlinalg, "kernel_and_image")
     tiles, maps, h2_basis, kernel, verdict, broken = (
         assert_tampered_tiles_build_the_operator_once(monkeypatch, mozes513, "b_prime")
     )
     refused = tiling_system.label_tiling(tiles, mozes513.complex).factors
     assert homology.structured_kernel_dim(refused) is None
-    assert snf == [maps.d2, broken]  # the basis of ker d2, then the fallback kernel
+    # the basis of ker d2, then the fallback kernel, and no Smith form
+    assert eliminations == [maps.d2, broken] and snf == []
     basis = kernel.transpose().entries
     dense = zlinalg.kernel_basis(broken)
     assert zlinalg.hermite_row_basis(basis) == zlinalg.hermite_row_basis(dense)

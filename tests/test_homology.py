@@ -312,7 +312,7 @@ def test_non_alternating_phi2_takes_the_product(monkeypatch, mozes513):
 def test_stacked_kernel_certificate_steps(corpus):
     # Each step of the argument in stacked_kernel_basis, on every corpus
     # complex; the torus and the Klein bottle are the ones it does not
-    # certify, and they take the dense Smith form.
+    # certify, and they take the elimination of S.
     for name, a in corpus.items():
         maps = a.maps
         stacked = stacked_matrix(a.tiling)
@@ -325,7 +325,7 @@ def test_stacked_kernel_certificate_steps(corpus):
         assert stacked.mul(image).is_zero(), name
         assert tuple(tuple(lam[4 * k] for k in range(cells)) for lam in vectors) == h2_basis
         # phi2(ker d2) is saturated: unit invariant factors, full rank.
-        factors = smith_normal_form(image, left=False).invariant_factors
+        factors = smith_normal_form(image).invariant_factors
         assert factors == (1,) * len(h2_basis), name
         # F_p rank bounds the kernel rank from above, phi2(H) from below.
         dense = kernel_basis(stacked)

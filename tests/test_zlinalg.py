@@ -15,15 +15,19 @@ from treelat.zlinalg import (
 )
 
 from treelat import _kernels_py
+from treelat.cli import analyze_document
+from treelat.mozes import generate_mozes_complex
 from treelat.tiling_system import stacked_matrix
 
+import _complexes
+from _battery import assert_elimination_matches_dense_snf
 from _oracles import (
+    certified_snf_diagonal,
     dense_column,
     dense_column_sums,
     dense_equal,
     dense_is_zero,
     dense_product,
-    dense_snf,
     dense_transpose,
     det_by_fraction_elimination,
     determinant,
@@ -67,11 +71,9 @@ def test_snf_decomposition_properties_random():
     for _ in range(250):
         a = random_matrix(rng)
         s = smith_normal_form(a)
-        # u a v = d, exactly
-        assert s.u.mul(a).mul(s.v).entries == s.d.entries
-        # unimodularity, via the independent Bareiss determinant
-        assert determinant(s.u) in (1, -1)
-        assert determinant(s.v) in (1, -1)
+        # d is the oracle's, entry for entry, and the oracle's u a v = d
+        # exactly, with u and v unimodular by the Bareiss determinant
+        assert s.d.to_lists() == certified_snf_diagonal(a)
         # canonical form: positive factors, divisibility chain, diagonal d
         factors = s.invariant_factors
         assert all(x > 0 for x in factors)
@@ -211,47 +213,56 @@ def sparse_random_matrix(rng, max_dim=9):
     )
 
 
-def assert_same_without_left(a):
-    full = smith_normal_form(a)
-    fast = smith_normal_form(a, left=False)
-    assert fast.u is None
-    assert fast.d == full.d
-    assert fast.v == full.v
-    assert fast.invariant_factors == full.invariant_factors
-
-
-def test_snf_without_left_transform_random():
-    rng = random.Random(60221)
-    for _ in range(600):
-        assert_same_without_left(sparse_random_matrix(rng))
-
-
-def test_snf_without_left_transform_pipeline_matrices(mozes513):
-    assert_same_without_left(stacked_matrix(mozes513.tiling))
-    assert_same_without_left(mozes513.maps.d2)
-
-
 def test_kernel_follows_the_dense_schedule(mozes513):
-    # Entry for entry, transforms included: the zero-skipping shortcuts
-    # change the work done, never the operations' outcome.
+    # Entry for entry: the zero-skipping shortcuts change the work done,
+    # never the operations' outcome.  The kernel keeps no transform; the
+    # oracle's, on the same input, satisfy u a v = d and are unimodular.
     rng = random.Random(1414)
-    inputs = [sparse_random_matrix(rng).to_lists() for _ in range(500)]
-    inputs = [a for a in inputs if a and a[0]]
-    inputs += [stacked_matrix(mozes513.tiling).to_lists(), mozes513.maps.d2.to_lists()]
+    inputs = [sparse_random_matrix(rng) for _ in range(500)]
+    inputs = [a for a in inputs if a.rows and a.cols]
+    inputs += [stacked_matrix(mozes513.tiling), mozes513.maps.d2]
     for a in inputs:
-        u, d, v = dense_snf(a)
-        assert _kernels_py.snf_with_transforms(a) == (u, d, v)
-        assert _kernels_py.snf_with_transforms(a, left=False) == (None, d, v)
+        assert _kernels_py.smith_diagonal(a.to_lists()) == certified_snf_diagonal(a)
 
 
 def test_snf_divisibility_fold_with_zero_rows():
     # No unit entry: the pivot 2 does not divide 3, so rows are folded until
     # the pivots divide each other; the zero rows are never pivots.
     a = M([[0, 0, 0], [2, 0, 0], [0, 3, 0], [0, 0, 0], [0, 0, 4]])
-    for s in (smith_normal_form(a), smith_normal_form(a, left=False)):
-        assert s.invariant_factors == (1, 2, 12)
     s = smith_normal_form(a)
-    assert s.u.mul(a).mul(s.v) == s.d
+    assert s.invariant_factors == (1, 2, 12)
+    assert s.d.to_lists() == certified_snf_diagonal(a)
+
+
+def test_elimination_matches_the_dense_schedule_on_random_matrices():
+    # Every shape from 0 x n and m x 0 up, with zero rows and columns, 0/+-1
+    # and sparse to dense with entries far from units.
+    rng = random.Random(1931)
+    inputs = [IntMatrix.zeros(0, n) for n in range(4)]
+    inputs += [IntMatrix.zeros(m, 0) for m in range(1, 4)]
+    inputs += [sparse_random_matrix(rng) for _ in range(300)]
+    for _ in range(250):
+        m, n = rng.randint(1, 8), rng.randint(1, 8)
+        inputs.append(IntMatrix.from_rows(random_with_zero_lines(rng, m, n), cols=n))
+    outcomes = set()
+    for a in inputs:
+        outcomes.update(assert_elimination_matches_dense_snf(a, rng))
+    assert outcomes == {True, False}
+    assert sum(a.rows == 0 or a.cols == 0 for a in inputs) >= 7
+
+
+@pytest.mark.parametrize("p,l", [(5, 13), (5, 17), (5, 29), (13, 17), (17, 29), (29, 37)])
+def test_elimination_matches_the_dense_schedule_on_the_ladder(p, l):
+    _, a = analyze_document(generate_mozes_complex(p, l))
+    assert_elimination_matches_dense_snf(a.maps.d2, random.Random(p * l))
+
+
+@pytest.mark.parametrize("doc", ["torus_doc", "klein_doc", "two_vertex_klein_doc"])
+def test_elimination_matches_the_dense_schedule_off_the_certificate(doc):
+    # The complexes whose stacked kernel falls back to the elimination of S.
+    _, a = analyze_document(getattr(_complexes, doc)())
+    for matrix in (a.maps.d2, a.maps.d1, a.tiling.stacked):
+        assert_elimination_matches_dense_snf(matrix, random.Random(matrix.rows))
 
 
 def test_lattice_contains_matches_membership():
@@ -326,7 +337,7 @@ def test_rank_mod_prime_counts_invariant_factors_prime_to_p(monkeypatch, mozes51
         inputs = [sparse_random_matrix(rng) for _ in range(300)]
         inputs += [random_matrix(rng) for _ in range(100)] + [stacked]
         for a in inputs:
-            factors = smith_normal_form(a, left=False).invariant_factors
+            factors = smith_normal_form(a).invariant_factors
             expected = sum(1 for x in factors if x % prime)
             assert rank_mod_prime(a) == expected
             dropped += expected < len(factors)
