@@ -60,7 +60,7 @@ from treelat.zlinalg import (
     cokernel_invariants,
     kernel_and_image,
     kernel_basis,
-    rank_mod_prime,
+    rank,
     smith_normal_form,
 )
 
@@ -98,7 +98,7 @@ __all__ = [
     "label_tiling",
     "load_complex",
     "norm_quaternions",
-    "rank_mod_prime",
+    "rank",
     "serialize_complex",
     "sigma_act",
     "smith_normal_form",

@@ -1,10 +1,10 @@
 """Integer reduction kernels: the hot loops behind treelat.zlinalg.
 
 A sparse unimodular elimination of [a^T | I], which gives a saturated
-kernel basis and a basis of the column lattice; the diagonal of the Smith
-normal form; the canonical row-style Hermite normal form; and a sparse
-rank over a prime field.  This is the only implementation; it is plain
-Python, so every algorithm change is made in one place.
+kernel basis, a basis of the column lattice and, in its number of pivots,
+the rank over Q; the diagonal of the Smith normal form; and the canonical
+row-style Hermite normal form.  This is the only implementation; it is
+plain Python, so every algorithm change is made in one place.
 
 The matrices the pipeline reduces (transition operators, boundary maps) are
 0/+-1 and sparse, so the Smith kernel does no work on zeros: each
@@ -14,17 +14,11 @@ is the dense one, so the output does not depend on these shortcuts.
 
 The Smith and Hermite kernels read lists of row lists of Python ints
 (arbitrary precision is required: intermediate entries can far exceed
-machine range even for small inputs); the elimination and rank_mod_p read
-sparse rows of (column, value) pairs instead.  Inputs are never mutated.
+machine range even for small inputs); the elimination reads sparse rows
+of (column, value) pairs instead.  Inputs are never mutated.
 """
 
 from __future__ import annotations
-
-# The prime of rank_mod_p: the Mersenne prime 2^61 - 1.  The rank of an
-# integer matrix over F_p falls below its rank over Q only when p divides
-# one of its invariant factors, which a prime this large practically never
-# does for the small entries of the pipeline's operators.
-PRIME = (1 << 61) - 1
 
 
 def _nonzeros(row):
@@ -303,69 +297,3 @@ def hermite_rows(a):
             r += 1
     del rows[r:]
     return rows
-
-
-def rank_mod_p(a):
-    """Rank over the field F_PRIME of the integer matrix whose row i has the
-    nonzero (column, value) pairs a[i].
-
-    Sparse Gaussian elimination: each live row is a dict {column: entry
-    mod p}, and each column keeps the set of live rows it meets.  Pivoting
-    is Markowitz-style, to keep fill-in low: the column with the fewest live
-    entries, then the shortest live row in it, ties broken by the smaller
-    index.  Eliminating a pivot clears its column from every other row, so
-    the column and the pivot row leave the active matrix; the rank is the
-    number of pivots taken.  PRIME is read at call time.
-    """
-    p = PRIME
-    rows = {}
-    cols = {}
-    for i, row in enumerate(a):
-        live = {}
-        for j, x in row:
-            x %= p
-            if x:
-                live[j] = x
-                if j in cols:
-                    cols[j].add(i)
-                else:
-                    cols[j] = {i}
-        if live:
-            rows[i] = live
-    rank = 0
-    while cols:
-        fewest = min(map(len, cols.values()))
-        j = min([c for c, live in cols.items() if len(live) == fewest])
-        col = cols.pop(j)
-        pi = min(col, key=lambda r: (len(rows[r]), r))
-        pivot = rows.pop(pi)
-        # Row i becomes row i - (row_i[j] / pivot[j]) * pivot: with the
-        # pivot row scaled by -1 / pivot[j] once, each update is one
-        # multiply-add, and each entry carries its column's row set.
-        scale = p - pow(pivot.pop(j), -1, p)
-        update = [(c, x * scale % p, cols[c]) for c, x in pivot.items()]
-        for i in col:
-            if i == pi:
-                continue
-            row = rows[i]
-            f = row.pop(j)
-            for c, x, live in update:
-                y = row.get(c)
-                if y is None:
-                    row[c] = f * x % p
-                    live.add(i)
-                else:
-                    y = (y + f * x) % p
-                    if y:
-                        row[c] = y
-                    else:
-                        del row[c]
-                        live.discard(i)
-            if not row:
-                del rows[i]
-        for c, _, live in update:
-            live.discard(pi)
-            if not live:
-                del cols[c]
-        rank += 1
-    return rank

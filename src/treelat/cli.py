@@ -79,7 +79,7 @@ def analyze_document(text: str) -> tuple[ValidationReport, Analysis | None]:
     # vector per column.  The elimination gives ker d2 and a block with the
     # column lattice of d2, whose small Smith form gives its torsion.  The
     # stacked kernel is phi2(ker d2) whenever the square and its dimension
-    # mod p, counted from the factors of the stacked operator S that the
+    # over Q, counted from the factors of the stacked operator S that the
     # tile labels give, certify that; the square then reads S.phi2 off
     # those factors too, and S is never built.
     h, image = kernel_and_image(maps.d2)

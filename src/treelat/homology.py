@@ -38,8 +38,7 @@ from treelat.zlinalg import (
     Row,
     SmithDecomposition,
     kernel_and_image,
-    rank_mod_prime,
-    rank_prime,
+    rank,
     smith_normal_form,
 )
 
@@ -188,20 +187,21 @@ def structured_kernel_dim(
     factors: TileLabels | None,
     components: tuple[tuple[int, ...], tuple[int, ...]] | None = None,
 ) -> int | None:
-    """dim ker S over F_p, p = zlinalg.rank_prime(), from the factors of S.
+    """dim ker S over Q, from the factors of S.
 
     S is the 2n x n stacked operator and factors is TilingSystem.factors:
     the tile labels b, a, once b'(t) = b(t^h) and a'(t) = a(t^v) have been
-    checked, or None, and then the count is None too (as it is when p is
-    even).  With bb(t) = b(t^v) and aa(t) = a(t^h), the definition of the
-    transition matrices then reads M1 = E.F^T - P_h and M2 = E'.G^T - P_v.
+    checked, or None, and then the count is None too.  With bb(t) = b(t^v)
+    and aa(t) = a(t^h), the definition of the transition matrices then
+    reads M1 = E.F^T - P_h and M2 = E'.G^T - P_v.
 
-    Over F_p with p odd, P_h and P_v are commuting involutions, so F^n is
-    the sum of their four joint eigenspaces, and x is in ker S iff
-    (I + P_h)x = E.y and (I + P_v)x = E'.z with y = F^T x and z = G^T x.
+    The split below needs only that 2 be invertible, as it is over Q.
+    P_h and P_v are commuting involutions, so Q^n is the sum of their four
+    joint eigenspaces, and x is in ker S iff (I + P_h)x = E.y and
+    (I + P_v)x = E'.z with y = F^T x and z = G^T x.
     Split x that way: its h-even part is 1/2 (I + P_h)x = 1/2 E.y; its
     h-odd, v-even part is 1/2 (I - P_h) 1/2 (I + P_v)x = 1/4 (I - P_h)E'.z;
-    its h-odd, v-odd part is phi2.w for one w in F^|F|, since the columns
+    its h-odd, v-odd part is phi2.w for one w in Q^|F|, since the columns
     t - t^v - t^h + t^vh of phi2 are a basis of that eigenspace.  So
 
         x = 1/2 E.y + 1/4 (I - P_h)E'.z + phi2.w.
@@ -220,14 +220,16 @@ def structured_kernel_dim(
       P_v E'.z = E'.z; and (I + P_h)x = E.y holds once P_h E.y = E.y;
     - F^T x = y and G^T x = z, one row per label, with x as above.
 
-    Those rows are scaled by 4 to keep integer coefficients, which p odd
-    allows.  The map (y, z, w) -> x is a bijection from the solutions of C
-    onto ker_p S: onto by the split above, and one to one because y and z
-    are read back as F^T x and G^T x, and w from the h-odd, v-odd part of
-    x, phi2 being injective.  So dim ker_p S = (#unknowns) - rank_p(C), and
-    C has a few dozen rows (69 x 287 at the Mozes pair (29,37), where S is
-    2280 x 1140).  Before its rank is taken, the label rows of each edge
-    are paired (_pair_label_rows), which keeps rank_p(C) and so the count.
+    Those rows are scaled by 4 to keep integer coefficients, which leaves
+    their solutions over Q as they are.  The map (y, z, w) -> x is a
+    bijection from the solutions of C onto ker_Q S: onto by the split
+    above, and one to one because y and z are read back as F^T x and
+    G^T x, and w from the h-odd, v-odd part of x, phi2 being injective.
+    So dim ker_Q S = (#unknowns) - rank_Q(C), and C has a few dozen rows
+    (69 x 287 at the Mozes pair (29,37), where S is 2280 x 1140).
+    rank_Q(C) is zlinalg.rank(C), the number of pivots of the elimination
+    of C's rows.  Before it is taken, the label rows of each edge are
+    paired (_pair_label_rows), which keeps rank_Q(C) and so the count.
 
     components gives the components of the two label graphs as
     tiling_system.label_components numbers them; the caller passes
@@ -235,7 +237,7 @@ def structured_kernel_dim(
     connectivity reads too, and without it they are found here.  The rows
     of C are built in one pass over the tiles.
     """
-    if factors is None or rank_prime() % 2 == 0:
+    if factors is None:
         return None
     b, a = factors
     n = len(b)
@@ -291,7 +293,7 @@ def structured_kernel_dim(
     _pair_label_rows(a_rows)
     rows = [_row(acc) for acc in (*tile_rows, *b_rows.values(), *a_rows.values())]
     c = IntMatrix(len(rows), w0 + n // 4, tuple(rows))
-    return unknowns - rank_mod_prime(c)
+    return unknowns - rank(c)
 
 
 def _pair_label_rows(rows: dict[int, dict[int, int]]) -> None:
@@ -301,12 +303,12 @@ def _pair_label_rows(rows: dict[int, dict[int, int]]) -> None:
     A label is a directed edge code, 2i + reversed, so x and x ^ 1 are the
     two directions of one edge.  Each pair is one elementary row
     operation, row x += row x ^ 1 with the even row left as it is, and
-    the pairs are disjoint, so the rows span the same space over any field
-    and rank_p(C) is unchanged on every input.  The orbit columns w of the
-    two rows of an edge cancel in their sum when its two directions meet
-    each orbit with opposite signs, as on the Mozes complexes, so the
-    elimination in rank_mod_prime has fewer rows that reach the orbit
-    block, and fills less.
+    the pairs are disjoint, so the rows span the same space over Q and
+    rank_Q(C) is unchanged on every input.  The orbit columns w of the two
+    rows of an edge cancel in their sum when its two directions meet each
+    orbit with opposite signs, as on the Mozes complexes, so the
+    elimination in zlinalg.rank has fewer rows that reach the orbit block,
+    and fills less.
     """
     for x, acc in rows.items():
         if x & 1 and x ^ 1 in rows:
@@ -436,13 +438,14 @@ def stacked_kernel_basis(
     pass, the basis is phi2.h, and S is never built:
 
     (a) square[1], which is S.(phi2.h) = 0, so L = phi2(ker d2) lies in K;
-    (b) dim ker_p S == |H|, with ker_p S the kernel over F_p counted from
+    (b) dim ker_Q S == |H|, with ker_Q S the kernel over Q counted from
         the factors of S (structured_kernel_dim).
 
-    Why that gives L = K.  The rank over F_p is at most the rank over Q,
-    so dim ker_p S >= rank K.  phi2 is injective and by (a) carries the
-    |H| independent columns of h into K, so rank K >= |H|.  By (b) the two
-    bounds meet, and rank L = rank K.  L is saturated in Z^n: phi2 has an
+    Why that gives L = K.  dim ker_Q S is rank K: an integer kernel vector
+    is a rational one, and a common denominator puts a multiple of each
+    rational kernel vector in K.  So by (b) rank K = |H|.  phi2 is
+    injective and by (a) carries the |H| independent columns of h into K,
+    so rank L = |H| = rank K.  L is saturated in Z^n: phi2 has an
     integer left inverse pi, which reads coordinate 4k of each orbit, and
     ker d2 is saturated in Z^F, since h spans every integer kernel vector
     of d2 (the argument is in _kernels_py.unimodular_elimination).  So if
@@ -452,8 +455,7 @@ def stacked_kernel_basis(
     L, and saturation puts x in L.
 
     Otherwise (the torus, the Klein bottle, any instance where the rank
-    identity fails, p divides an invariant factor of S, p is even or the
-    labels do not give the factors of S) the basis is the one of the
+    identity fails, or the labels do not give the factors of S) the basis is the one of the
     elimination of S = ts.stacked, zlinalg.kernel_and_image.
     """
     if square[1] and structured_kernel_dim(ts.factors, ts.components) == h.cols:

@@ -8,9 +8,9 @@ The reduction loops live in treelat._kernels_py, the one kernel
 implementation; it is plain Python, so BACKEND is always "pure".  IntMatrix
 stores only the nonzeros of each row: the pipeline's operators are sparse
 0/+-1 matrices.  Every kernel basis and every solve comes from one sparse
-unimodular elimination (kernel_and_image), which reads the stored pairs, as
-the rank mod p does.  The Smith and Hermite kernels reduce the dense view;
-the Smith form keeps only its diagonal.
+unimodular elimination (kernel_and_image), which reads the stored pairs; so
+does the rank over Q (rank), its number of pivots.  The Smith and Hermite
+kernels reduce the dense view; the Smith form keeps only its diagonal.
 """
 
 from __future__ import annotations
@@ -246,19 +246,13 @@ def kernel_basis(a: IntMatrix) -> tuple[tuple[int, ...], ...]:
     return kernel_and_image(a)[0].transpose().entries
 
 
-def rank_prime() -> int:
-    """The prime p of rank_mod_prime, read at call time."""
-    return _impl.PRIME
-
-
-def rank_mod_prime(a: IntMatrix) -> int:
-    """Rank of a over the prime field F_p, p = 2^61 - 1, by sparse elimination.
-
-    Never more than the rank over Q, since a minor that vanishes over the
-    integers vanishes mod p; it is less exactly when p divides one of the
-    invariant factors of a.
-    """
-    return _impl.rank_mod_p(a.row_pairs)
+def rank(a: IntMatrix) -> int:
+    """Rank of a over Q: the number of pivot rows of the elimination of
+    [a | I] (_kernels_py.unimodular_elimination), which leaves U.a = (R; 0)
+    with U unimodular and R of full row rank.  It reduces the stored rows
+    of a as the rows of b^T for b = a^T, and rank b = rank a, so nothing is
+    transposed."""
+    return len(_impl.unimodular_elimination(a.row_pairs)[1])
 
 
 def cokernel_invariants(a: IntMatrix) -> AbelianInvariants:

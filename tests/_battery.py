@@ -29,7 +29,6 @@ from treelat.zlinalg import (
     kernel_and_image,
     kernel_basis,
     lattice_membership,
-    rank_mod_prime,
     smith_normal_form,
     solve_exact,
 )
@@ -45,6 +44,7 @@ from _oracles import (
     h_image_index,
     matches_factors,
     rank_by_fraction_elimination,
+    rank_mod_prime,
     stacked_phi2_from_factors,
     strongly_connected_by_closure,
     tile_labels,

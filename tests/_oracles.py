@@ -25,7 +25,11 @@ The export path keeps its earlier writers here: triplets with one
 formatted line per nonzero, the dense form and the canonical document
 written by json.dumps, and the stacked matrix re-sliced row by row from
 the built m1 and m2, where the pipeline joins strings and cuts each row
-of S from the tile labels.
+of S from the tile labels.  The sparse rank over F_p (rank_mod_p, with
+p a parameter, 2^61 - 1 by default, and rank_mod_prime on an IntMatrix)
+moved here from treelat._kernels_py: the package counts the stacked
+kernel over Q, with the pivots of its one integer elimination, and the
+rank mod p stays as an independent route to that count.
 """
 
 from bisect import bisect_left
@@ -74,6 +78,78 @@ def det_by_fraction_elimination(rows):
                 factor = m[i][col] / pv
                 m[i] = [a - factor * b for a, b in zip(m[i], m[col])]
     return det
+
+
+MERSENNE_61 = (1 << 61) - 1
+
+
+def rank_mod_p(rows, p=MERSENNE_61):
+    """Rank over the field F_p of the integer matrix whose row i has the
+    nonzero (column, value) pairs rows[i].
+
+    Sparse Gaussian elimination: each live row is a dict {column: entry
+    mod p}, and each column keeps the set of live rows it meets.  Pivoting
+    is Markowitz-style, to keep fill-in low: the column with the fewest live
+    entries, then the shortest live row in it, ties broken by the smaller
+    index.  Eliminating a pivot clears its column from every other row, so
+    the column and the pivot row leave the active matrix; the rank is the
+    number of pivots taken.
+    """
+    live_rows = {}
+    cols = {}
+    for i, row in enumerate(rows):
+        live = {}
+        for j, x in row:
+            x %= p
+            if x:
+                live[j] = x
+                cols.setdefault(j, set()).add(i)
+        if live:
+            live_rows[i] = live
+    rank = 0
+    while cols:
+        fewest = min(map(len, cols.values()))
+        j = min([c for c, live in cols.items() if len(live) == fewest])
+        col = cols.pop(j)
+        pi = min(col, key=lambda r: (len(live_rows[r]), r))
+        pivot = live_rows.pop(pi)
+        # Row i becomes row i - (row_i[j] / pivot[j]) * pivot: with the
+        # pivot row scaled by -1 / pivot[j] once, each update is one
+        # multiply-add, and each entry carries its column's row set.
+        scale = p - pow(pivot.pop(j), -1, p)
+        update = [(c, x * scale % p, cols[c]) for c, x in pivot.items()]
+        for i in col:
+            if i == pi:
+                continue
+            row = live_rows[i]
+            f = row.pop(j)
+            for c, x, live in update:
+                y = row.get(c)
+                if y is None:
+                    row[c] = f * x % p
+                    live.add(i)
+                else:
+                    y = (y + f * x) % p
+                    if y:
+                        row[c] = y
+                    else:
+                        del row[c]
+                        live.discard(i)
+            if not row:
+                del live_rows[i]
+        for c, _, live in update:
+            live.discard(pi)
+            if not live:
+                del cols[c]
+        rank += 1
+    return rank
+
+
+def rank_mod_prime(a, p=MERSENNE_61):
+    """Rank of the IntMatrix a over F_p.  Never more than its rank over Q,
+    since a minor that vanishes over the integers vanishes mod p; less
+    exactly when p divides one of the invariant factors of a."""
+    return rank_mod_p(a.row_pairs, p)
 
 
 def strongly_connected_by_closure(matrix_rows):

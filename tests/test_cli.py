@@ -450,6 +450,26 @@ def test_analysis_computes_each_kernel_once(monkeypatch, mozes513, mozes513_doc)
     assert len(hermite) == 0
 
 
+def test_one_elimination_counts_the_stacked_kernel(monkeypatch):
+    # The integer elimination is the one reduction behind H2 and the count
+    # of the stacked kernel: at (13,17) it reduces the rows of d2^T, for
+    # the basis of ker d2 and the image block, then the rows of the
+    # structured system C, whose pivots are its rank over Q.
+    original = _kernels_py.unimodular_elimination
+    inputs = []
+
+    def spy(rows):
+        inputs.append(rows)
+        return original(rows)
+
+    systems = count_calls(monkeypatch, zlinalg, "rank")
+    monkeypatch.setattr(_kernels_py, "unimodular_elimination", spy)
+    _, analysis = analyze_document(treelat.generate_mozes_complex(13, 17))
+    assert analysis.theorem.holds
+    (c,) = systems
+    assert inputs == [analysis.maps.d2.transpose().row_pairs, c.row_pairs]
+
+
 def test_export_of_the_stacked_matrix_builds_neither_transition_matrix(
     runner, g513_file, monkeypatch, mozes513
 ):
@@ -535,25 +555,6 @@ def test_product_analysis_takes_two_smith_forms(monkeypatch):
     assert solves == [] and cokernels == []
 
 
-def test_tiny_prime_falls_back_to_the_dense_kernel(
-    runner, tmp_path, monkeypatch, mozes513, mozes513_doc
-):
-    # Mod 2 the (5,13) stacked operator loses the rank of its invariant
-    # factors 2 and 4, the certificate fails, and the elimination of S
-    # gives the same lattice: the report is the pinned one.
-    monkeypatch.setattr(_kernels_py, "PRIME", 2)
-    stacked = tiling_system.stacked_matrix(mozes513.tiling)
-    snf = count_calls(monkeypatch, zlinalg, "smith_normal_form")
-    eliminations = count_calls(monkeypatch, zlinalg, "kernel_and_image")
-    path = tmp_path / "mozes513.json"
-    path.write_text(mozes513_doc)
-    code, out, err = runner("analyze", str(path), "--json")
-    assert code == 0
-    assert sum(a == stacked for a in eliminations) == 1
-    assert sum(a == stacked for a in snf) == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_REPORTS["mozes513"]
-
-
 def test_torus_falls_back_to_the_dense_kernel(monkeypatch, torus):
     # rank ker d2 = 1 but the stacked kernel has rank 4: no certificate,
     # and the stacked operator is built once, for its elimination.
@@ -583,23 +584,6 @@ def test_klein_bottle_builds_the_operator_once(monkeypatch, klein):
     assert sum(a == stacked for a in snf) == 0
     assert analysis.theorem == klein.theorem
     assert not analysis.theorem.holds
-
-
-def test_small_odd_prime_keeps_the_certified_kernel(monkeypatch, mozes513, mozes513_doc):
-    # The (5,13) stacked operator has invariant factors 1, 2 and 4 only, so
-    # over F_3 its kernel still has dimension rank H2 = 11: the count from
-    # its factors certifies phi2(ker d2), and S is neither eliminated nor
-    # put in a Smith form.
-    monkeypatch.setattr(_kernels_py, "PRIME", 3)
-    stacked = tiling_system.stacked_matrix(mozes513.tiling)
-    assert homology.structured_kernel_dim(mozes513.tiling.factors) == 11
-    snf = count_calls(monkeypatch, zlinalg, "smith_normal_form")
-    eliminations = count_calls(monkeypatch, zlinalg, "kernel_and_image")
-    _, analysis = analyze_document(mozes513_doc)
-    assert sum(a == stacked for a in snf) == 0
-    assert eliminations == [analysis.maps.d2]
-    assert analysis.k0 == mozes513.k0
-    assert analysis.theorem == mozes513.theorem
 
 
 def test_certificate_rests_on_the_commuting_square(monkeypatch, mozes513):

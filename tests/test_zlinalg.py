@@ -9,7 +9,7 @@ from treelat.zlinalg import (
     hermite_row_basis,
     kernel_basis,
     lattice_membership,
-    rank_mod_prime,
+    rank,
     smith_normal_form,
     solve_exact,
 )
@@ -31,8 +31,10 @@ from _oracles import (
     dense_transpose,
     det_by_fraction_elimination,
     determinant,
+    MERSENNE_61,
     lattice_contains,
     rank_by_fraction_elimination,
+    rank_mod_prime,
     sub,
 )
 
@@ -325,25 +327,23 @@ def test_product_shares_one_negated_row_per_source_row(mozes513):
     assert maps.phi2.mul(h) == IntMatrix.from_rows(expected, cols=h.cols)
 
 
-def test_rank_mod_prime_counts_invariant_factors_prime_to_p(monkeypatch, mozes513):
+def test_rank_mod_prime_counts_invariant_factors_prime_to_p(mozes513):
     # The Smith form is a change of basis over Z, which stays invertible
     # mod p, so the rank over F_p is the number of invariant factors that p
     # does not divide.  Tiny primes divide some of them, and the rank drops.
     rng = random.Random(2305843)
     stacked = stacked_matrix(mozes513.tiling)
     dropped = 0
-    for prime in (_kernels_py.PRIME, 2, 3):
-        monkeypatch.setattr(_kernels_py, "PRIME", prime)
+    for prime in (MERSENNE_61, 2, 3):
         inputs = [sparse_random_matrix(rng) for _ in range(300)]
         inputs += [random_matrix(rng) for _ in range(100)] + [stacked]
         for a in inputs:
             factors = smith_normal_form(a).invariant_factors
             expected = sum(1 for x in factors if x % prime)
-            assert rank_mod_prime(a) == expected
+            assert rank_mod_prime(a, prime) == expected
             dropped += expected < len(factors)
     assert dropped > 50
-    monkeypatch.setattr(_kernels_py, "PRIME", 2)
-    assert rank_mod_prime(stacked) == 67  # invariant factors 2 and 4 at (5,13)
+    assert rank_mod_prime(stacked, 2) == 67  # invariant factors 2 and 4 at (5,13)
 
 
 def test_rank_mod_prime_edge_cases():
@@ -351,10 +351,51 @@ def test_rank_mod_prime_edge_cases():
     assert rank_mod_prime(IntMatrix.zeros(3, 0)) == 0
     assert rank_mod_prime(IntMatrix.zeros(0, 3)) == 0
     assert rank_mod_prime(IntMatrix.zeros(4, 5)) == 0
-    p = _kernels_py.PRIME
+    p = MERSENNE_61
     assert rank_mod_prime(M([[p, 2 * p], [-p, 0]])) == 0
     assert rank_mod_prime(M([[p + 1, 0], [0, 2]])) == 2
     assert rank_mod_prime(IntMatrix.identity(7)) == 7
+
+
+def scrambled_diagonal(rng, m, n, factors):
+    """An m x n matrix with the given invariant-factor candidates on its
+    diagonal, hidden by random unimodular row and column operations."""
+    rows = [[factors[i] if i == j and i < len(factors) else 0 for j in range(n)] for i in range(m)]
+    for _ in range(2 * (m + n)):
+        q = rng.choice((-2, -1, 1, 2))
+        if m > 1 and rng.random() < 0.5:
+            i, k = rng.sample(range(m), 2)
+            rows[i] = [x + q * y for x, y in zip(rows[i], rows[k])]
+        elif n > 1:
+            j, k = rng.sample(range(n), 2)
+            for row in rows:
+                row[j] += q * row[k]
+    return IntMatrix.from_rows(rows, cols=n)
+
+
+def test_rank_is_the_rank_over_the_rationals():
+    # rank counts the pivots of the elimination of the rows of a.  It is
+    # the rank over Q: invariant factors divisible by 2 and 3, which drop
+    # the rank over F_2 and F_3, do not drop it.
+    rng = random.Random(20261019)
+    inputs = [IntMatrix.zeros(0, n) for n in range(4)] + [IntMatrix.zeros(m, 0) for m in range(1, 4)]
+    for _ in range(200):
+        m, n = rng.randint(1, 8), rng.randint(1, 8)
+        inputs.append(IntMatrix.from_rows(random_with_zero_lines(rng, m, n), cols=n))
+    inputs += [sparse_random_matrix(rng) for _ in range(150)]
+    for _ in range(150):
+        m, n = rng.randint(1, 7), rng.randint(1, 7)
+        factors = [rng.choice((0, 1, 2, 3, 4, 6, 12)) for _ in range(min(m, n))]
+        inputs.append(scrambled_diagonal(rng, m, n, factors))
+    dropped = {2: 0, 3: 0}
+    for a in inputs:
+        expected = rank_by_fraction_elimination(a.to_lists())
+        assert rank(a) == expected
+        assert rank(a.transpose()) == expected
+        for p in dropped:
+            dropped[p] += rank_mod_prime(a, p) < expected
+    assert len(inputs) >= 500
+    assert min(dropped.values()) > 50
 
 
 def random_with_zero_lines(rng, m, n):
