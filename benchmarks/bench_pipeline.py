@@ -5,38 +5,37 @@ Usage:
     PYTHONPATH=src python benchmarks/bench_pipeline.py --out BENCH.json \
         [--src OTHER_CHECKOUT]
 
-The stages are those of cli.analyze_document, run in its order on a fresh
-load of the document: load, validate, label_tiling, chain_maps,
-connectivity, H and the torsion of d2 as one stage (h_torsion_d2),
-commuting_square, stacked_kernel_basis, homology_report, k0_rank, verify
-and build_report.  h_torsion_d2 runs the elimination of d2 and the Smith
-form of its image block B^T (zlinalg.kernel_and_image); a checkout from
-before the elimination has no kernel_and_image, and there it takes the
-Smith form of d2 with the kernel columns of its transform, so the stage
-lines up with --src on such a checkout.  The tiling side reads the tiles as the edge codes of
-the edge table, which validation builds; a checkout from before that (its
-cli.Analysis still has an "expanded" field) times its expansion into
-DirectedSquares as one more stage, "expand", and hands those on instead.
-Each is the best of "repeat" full pipelines (REPEAT, or the pair's entry
-in REPEATS), so cached properties built by one run never shorten the
-next.  The pairs are the Mozes ladder (5,13) (5,17)
+A stage is a treelat function that cli calls through its module globals,
+timed under its own name: each is wrapped there, the way
+perfbench/tracer.py patches module attributes, while
+cli.analyze_document and cli.build_report run on the document.  So the
+stages and their order are read off the checkout's own pipeline, and no
+call sequence is copied here: on this checkout load_complex,
+validate_vht, label_tiling, chain_maps, connectivity, kernel_and_image
+(the elimination of d2), commuting_square, stacked_kernel_basis,
+smith_normal_form (of the image block of d2), homology_report, k0_rank,
+verify_main_theorem and build_report.  A function called inside a stage
+counts in that stage, and a stage called twice counts both calls.  Each
+time is the best of "repeat" full pipelines (REPEAT, or the pair's entry
+in REPEATS), each on a fresh load, so cached properties built by one run
+never shorten the next.  The pairs are the Mozes ladder (5,13) (5,17)
 (5,29) (13,17) with (17,29), (29,37) and (89,97); on the product of two
-40-cycles (1600 vertices, 3200 edges, 1600 squares) only load and validate
-are timed.  The small pairs repeat more, since a run of theirs takes a few
-milliseconds and one slow run moves a best of five.  (89,97) takes
-seconds a run, and the machine's speed drifts by up to a third over the
-minutes both sides take, more than a best of two in one interpreter per
-side can resolve (a stage neither side changed read 10-15 % apart).  So
-it runs in rounds (its entry in ROUNDS; one for the others), each an
-interpreter per side with the sides in alternating order, and each time
-in the table is the best over all rounds (best_table), so that a drift
-reaches both sides alike.  The generation of each Mozes pair,
-generate_mozes_complex, is timed apart as "generate_s" (best of "repeat",
-checked against the document handed in), and so is the export of its
-stacked matrix, expand_directed_squares -> build_tiling -> stacked_matrix
--> write_triplets on a fresh load (not timed), as "export_s" (best of
-"repeat"); neither is part of "total_s", which sums the analysis stages
-only.
+40-cycles (1600 vertices, 3200 edges, 1600 squares) only load_complex and
+validate_vht are timed.  The small pairs repeat more, since a run of
+theirs takes a few milliseconds and one slow run moves a best of five.
+(89,97) runs longest, and the machine's speed drifts by up to a third
+over the minutes both sides take, more than a best of two in one
+interpreter per side can resolve (a stage neither side changed read
+10-15 % apart).  So it runs in rounds (its entry in ROUNDS; one for the
+others), each an interpreter per side with the sides in alternating
+order, and each time in the table is the best over all rounds
+(best_table), so that a drift reaches both sides alike.  The generation
+of each Mozes pair, generate_mozes_complex, is timed apart as
+"generate_s" (best of "repeat", checked against the document handed in),
+and so is the export of its stacked matrix, expand_directed_squares ->
+build_tiling -> stacked_matrix -> write_triplets on a fresh load (not
+timed), as "export_s" (best of "repeat"); neither is part of "total_s",
+which sums the analysis stages only.
 
 Every pair runs in its own interpreter, which reports its peak RSS.  The
 documents are made once, by this checkout, and handed to each run on
@@ -83,88 +82,63 @@ def measure(text: str, validate_only: bool, pair: str | None, repeat: int) -> di
     """Best-of-repeat seconds of each stage on one document, and of the
     generation and the export of the Mozes pair "p,l" when one is given,
     run in this interpreter against the treelat on sys.path."""
+    import inspect
     import resource
-    from dataclasses import fields
     from time import perf_counter
 
-    from treelat.cli import Analysis, build_report
-    from treelat.complex_model import expand_directed_squares, load_complex, validate_vht
-    from treelat.homology import (
-        chain_maps,
-        commuting_square,
-        homology_report,
-        stacked_kernel_basis,
-        verify_main_theorem,
-    )
-    from treelat.mozes import generate_mozes_complex
+    from treelat import cli
+    from treelat.complex_model import expand_directed_squares, load_complex
     from treelat.matio import write_triplets
-    from treelat.tiling_system import (
-        build_tiling,
-        connectivity,
-        k0_rank,
-        label_tiling,
-        stacked_matrix,
-    )
-    from treelat import zlinalg
-    from treelat.zlinalg import IntMatrix, smith_normal_form
+    from treelat.mozes import generate_mozes_complex
+    from treelat.tiling_system import build_tiling, stacked_matrix
 
     data = text.encode()
+    run: dict[str, float] = {}
     best: dict[str, float] = {}
 
-    def timed(stage, fn, *args):
-        start = perf_counter()
-        out = fn(*args)
-        elapsed = perf_counter() - start
-        best[stage] = min(best.get(stage, elapsed), elapsed)
+    def timed(name, fn):
+        def wrapper(*args):
+            start = perf_counter()
+            out = fn(*args)
+            run[name] = run.get(name, 0.0) + perf_counter() - start
+            return out
+
+        return wrapper
+
+    def best_of(thunk):
+        for _ in range(repeat):
+            out = thunk()
+            for stage, x in run.items():
+                best[stage] = min(best.get(stage, x), x)
+            run.clear()
         return out
 
-    def export(c):
-        return write_triplets(stacked_matrix(build_tiling(expand_directed_squares(c), c)))
-
-    expands = "expanded" in {f.name for f in fields(Analysis)}
-
-    def h_torsion_d2(d2):
-        if hasattr(zlinalg, "kernel_and_image"):
-            h, image = zlinalg.kernel_and_image(d2)
-            return smith_normal_form(image), h
-        s2 = smith_normal_form(d2, left=False)
-        return s2, IntMatrix.from_columns(s2.kernel_basis(), rows=d2.cols)
+    # Every treelat function that cli calls through its module globals is
+    # a stage, under its own name.
+    for name, fn in list(vars(cli).items()):
+        module = getattr(fn, "__module__", "")
+        if inspect.isfunction(fn) and module.startswith("treelat.") and module != cli.__name__:
+            setattr(cli, name, timed(name, fn))
 
     if pair is not None:
         p, l = map(int, pair.split(","))
-        for _ in range(repeat):
-            doc = timed("generate", generate_mozes_complex, p, l)
-        if doc != text:
+        if best_of(lambda: timed("generate", generate_mozes_complex)(p, l)) != text:
             raise SystemExit(f"generate_mozes_complex({pair}) differs from the document given")
-
-    for _ in range(repeat):
-        c = timed("load", load_complex, text)
-        v = timed("validate", validate_vht, c)
-        if validate_only:
-            continue
-        tiles = timed("expand", expand_directed_squares, c) if expands else c.edge_table.tiles
-        ts = timed("label_tiling", label_tiling, tiles, c)
-        maps = timed("chain_maps", chain_maps, c, tiles)
-        conn = timed("connectivity", connectivity, ts, c)
-        s2, h = timed("h_torsion_d2", h_torsion_d2, maps.d2)
-        square = timed("commuting_square", commuting_square, ts, maps, h)
-        kernel = timed("stacked_kernel_basis", stacked_kernel_basis, ts, maps, h, square)
-        hom = timed("homology_report", homology_report, c, maps, s2)
-        k0 = timed("k0_rank", k0_rank, ts, conn, kernel)
-        theorem = timed("verify", verify_main_theorem, c, tiles, maps, kernel, h, square)
-        analysis = Analysis(
-            complex=c, validation=v, tiling=ts, maps=maps,
-            homology=hom, connectivity=conn, k0=k0, theorem=theorem,
-            **({"expanded": tiles} if expands else {}),
-        )
-        timed("build_report", build_report, analysis, data)
+    if validate_only:
+        best_of(lambda: cli.validate_vht(cli.load_complex(text)))
+    else:
+        report = timed("build_report", cli.build_report)
+        best_of(lambda: report(cli.analyze_document(text)[1], data))
     if pair is not None:
-        for _ in range(repeat):
-            timed("export", export, load_complex(text))
+
+        def export(c):
+            return write_triplets(stacked_matrix(build_tiling(expand_directed_squares(c), c)))
+
+        best_of(lambda: timed("export", export)(load_complex(text)))
     generate_s = best.pop("generate", None)
     export_s = best.pop("export", None)
     table = {
-        "tiles": 4 * len(c.squares),
+        "tiles": 4 * len(load_complex(text).squares),
         "repeat": repeat,
         "stages_s": {k: round(x, 6) for k, x in best.items()},
         "total_s": round(sum(best.values()), 6),

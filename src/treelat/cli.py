@@ -5,6 +5,11 @@ canonical JSON with --json (fixed key order, integers only, no timestamps;
 the provenance digest is derived from the input bytes alone), so identical
 input files produce byte-identical reports.
 
+Every command that takes a document reads, parses and validates it once,
+in _load; analyze and verify then run _analyze on the loaded complex, the
+one place the order of the analysis stages is written, which
+analyze_document runs too.
+
 Exit codes: 0 success (warnings allowed), 1 on I/O or parse failures,
 2 on validation errors or bad parameters.
 """
@@ -68,6 +73,12 @@ def analyze_document(text: str) -> tuple[ValidationReport, Analysis | None]:
     validation = validate_vht(c)
     if validation.errors:
         return validation, None
+    return validation, _analyze(c, validation)
+
+
+def _analyze(c: SquareComplex, validation: ValidationReport) -> Analysis:
+    """The analysis of a loaded complex that passed validation, in the one
+    order of its stages."""
     # Validation has ruled out degenerate orbits, so the tiles are the 4n
     # codes of the edge table, and no DirectedSquare is expanded.
     tiles = c.edge_table.tiles
@@ -85,7 +96,7 @@ def analyze_document(text: str) -> tuple[ValidationReport, Analysis | None]:
     h, image = kernel_and_image(maps.d2)
     square = commuting_square(ts, maps, h)
     kernel = stacked_kernel_basis(ts, maps, h, square)
-    return validation, Analysis(
+    return Analysis(
         complex=c,
         validation=validation,
         tiling=ts,
@@ -194,8 +205,9 @@ def build_report(a: Analysis, input_bytes: bytes) -> dict:
     }
 
 
-class OutputError(Exception):
-    """The output file could not be written (exit 1)."""
+class CommandError(Exception):
+    """The document could not be read or parsed, or the output could not
+    be written (exit 1); args holds one message per problem."""
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -206,30 +218,46 @@ def _emit(text: str, out_path: str | None) -> None:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:
-        raise OutputError(f"cannot write {out_path}: {exc}") from None
+        raise CommandError(f"cannot write {out_path}: {exc}") from None
 
 
 def _to_json(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
-def _read_input(path: str) -> bytes | None:
+def _load(path: str) -> tuple[bytes, SquareComplex, ValidationReport]:
+    """The document at path read, decoded, parsed and validated, once, for
+    every command that takes one; its bytes are kept for the provenance
+    digest.  Raises CommandError when the file cannot be read, is not
+    UTF-8 or does not parse."""
     try:
         with open(path, "rb") as fh:
-            return fh.read()
+            data = fh.read()
     except OSError as exc:
-        print(f"error: cannot read {path}: {exc}", file=sys.stderr)
-        return None
+        raise CommandError(f"cannot read {path}: {exc}") from None
+    try:
+        c = load_complex(data.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise CommandError(f"not UTF-8: {exc}") from None
+    except ComplexFormatError as exc:
+        raise CommandError(*exc.problems) from None
+    return data, c, validate_vht(c)
 
 
-def _human_validation(c: SquareComplex | None, v: ValidationReport) -> str:
-    lines = []
-    if c is not None:
-        n = _counts_dict(c)
-        lines.append(
-            f"{n['vertices']} vertices, {n['h_edges']} horizontal + "
-            f"{n['v_edges']} vertical edges, {n['squares']} squares"
-        )
+def _validation_report(data: bytes, c: SquareComplex, v: ValidationReport) -> dict:
+    return {
+        "counts": _counts_dict(c),
+        "validation": _validation_dict(v),
+        "provenance": _provenance(data),
+    }
+
+
+def _human_validation(c: SquareComplex, v: ValidationReport) -> str:
+    n = _counts_dict(c)
+    lines = [
+        f"{n['vertices']} vertices, {n['h_edges']} horizontal + "
+        f"{n['v_edges']} vertical edges, {n['squares']} squares"
+    ]
     for issue in v.errors:
         lines.append(f"error [{issue.kind}]: {issue.message}")
     for issue in v.warnings:
@@ -239,45 +267,19 @@ def _human_validation(c: SquareComplex | None, v: ValidationReport) -> str:
 
 
 def cmd_validate(args) -> int:
-    data = _read_input(args.path)
-    if data is None:
-        return 1
-    try:
-        c = load_complex(data.decode("utf-8"))
-    except (ComplexFormatError, UnicodeDecodeError) as exc:
-        return _parse_failure(exc, args)
-    v = validate_vht(c)
+    data, c, v = _load(args.path)
     if args.json:
-        report = {
-            "counts": _counts_dict(c),
-            "validation": _validation_dict(v),
-            "provenance": _provenance(data),
-        }
-        _emit(_to_json(report), args.out)
+        _emit(_to_json(_validation_report(data, c, v)), args.out)
     else:
         _emit(_human_validation(c, v), args.out)
     return 2 if v.errors else 0
 
 
-def _parse_failure(exc, args) -> int:
-    if isinstance(exc, UnicodeDecodeError):
-        problems = [f"not UTF-8: {exc}"]
-    else:
-        problems = list(exc.problems)
-    for p in problems:
-        print(f"error: {p}", file=sys.stderr)
-    return 1
-
-
-def _validation_failure(data: bytes, c_text: str, v: ValidationReport, args) -> int:
+def _validation_failure(data: bytes, c: SquareComplex, v: ValidationReport, args) -> int:
+    """Exit 2 on a document that failed validation: its validation report
+    with --json, else its errors on standard error."""
     if args.json:
-        c = load_complex(c_text)
-        report = {
-            "counts": _counts_dict(c),
-            "validation": _validation_dict(v),
-            "provenance": _provenance(data),
-        }
-        _emit(_to_json(report), args.out)
+        _emit(_to_json(_validation_report(data, c, v)), args.out)
     else:
         for issue in v.errors:
             print(f"error [{issue.kind}]: {issue.message}", file=sys.stderr)
@@ -285,21 +287,11 @@ def _validation_failure(data: bytes, c_text: str, v: ValidationReport, args) -> 
 
 
 def cmd_analyze(args) -> int:
-    data = _read_input(args.path)
-    if data is None:
-        return 1
-    try:
-        text = data.decode("utf-8")
-        v, analysis = analyze_document(text)
-    except (ComplexFormatError, UnicodeDecodeError) as exc:
-        return _parse_failure(exc, args)
-    if analysis is None:
-        return _validation_failure(data, text, v, args)
-    report = build_report(analysis, data)
-    if args.json:
-        _emit(_to_json(report), args.out)
-    else:
-        _emit(_human_report(report), args.out)
+    data, c, v = _load(args.path)
+    if v.errors:
+        return _validation_failure(data, c, v, args)
+    report = build_report(_analyze(c, v), data)
+    _emit(_to_json(report) if args.json else _human_report(report), args.out)
     return 0
 
 
@@ -328,22 +320,14 @@ def _human_report(report: dict) -> str:
 
 
 def cmd_verify(args) -> int:
-    data = _read_input(args.path)
-    if data is None:
-        return 1
-    try:
-        text = data.decode("utf-8")
-        v, analysis = analyze_document(text)
-    except (ComplexFormatError, UnicodeDecodeError) as exc:
-        return _parse_failure(exc, args)
-    if analysis is None:
-        return _validation_failure(data, text, v, args)
+    data, c, v = _load(args.path)
+    if v.errors:
+        return _validation_failure(data, c, v, args)
+    theorem = _theorem_dict(_analyze(c, v).theorem)
     if args.json:
-        report = {"theorem": _theorem_dict(analysis.theorem), "provenance": _provenance(data)}
-        _emit(_to_json(report), args.out)
+        _emit(_to_json({"theorem": theorem, "provenance": _provenance(data)}), args.out)
     else:
-        t = _theorem_dict(analysis.theorem)
-        _emit("".join(f"{k}: {str(v).lower()}\n" for k, v in t.items()), args.out)
+        _emit("".join(f"{k}: {str(x).lower()}\n" for k, x in theorem.items()), args.out)
     return 0
 
 
@@ -358,17 +342,9 @@ def cmd_generate(args) -> int:
 
 
 def cmd_export(args) -> int:
-    data = _read_input(args.path)
-    if data is None:
-        return 1
-    try:
-        text = data.decode("utf-8")
-        c = load_complex(text)
-    except (ComplexFormatError, UnicodeDecodeError) as exc:
-        return _parse_failure(exc, args)
-    v = validate_vht(c)
+    data, c, v = _load(args.path)
     if v.errors:
-        return _validation_failure(data, text, v, args)
+        return _validation_failure(data, c, v, args)
     tiles = c.edge_table.tiles
     if args.what in ("m1", "m2", "stacked"):
         matrix = getattr(label_tiling(tiles, c), args.what)
@@ -427,8 +403,9 @@ def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
         return args.func(args)
-    except OutputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except CommandError as exc:
+        for problem in exc.args:
+            print(f"error: {problem}", file=sys.stderr)
         return 1
 
 

@@ -203,6 +203,17 @@ class SquareComplex:
         return tuple(expanded)
 
     @cached_property
+    def component_count(self) -> int:
+        """The number of connected components of the 1-skeleton, found once
+        by a union-find over the edges, for validate_vht and for H0 in
+        homology.homology_report."""
+        table = self.edge_table
+        uf = _UnionFind(len(self.vertices))
+        for x, y in zip(table.origin[::2], table.terminus[::2]):
+            uf.union(x, y)
+        return uf.component_count()
+
+    @cached_property
     def degrees(self) -> dict[str, tuple[int, int]]:
         """Per vertex: number of directed horizontal / vertical edges based there.
 
@@ -520,14 +531,6 @@ class _UnionFind:
         return len({self.find(i) for i in range(len(self.parent))})
 
 
-def _connected_components(c: SquareComplex) -> int:
-    table = c.edge_table
-    uf = _UnionFind(len(c.vertices))
-    for x, y in zip(table.origin[::2], table.terminus[::2]):
-        uf.union(x, y)
-    return uf.component_count()
-
-
 def validate_vht(c: SquareComplex) -> ValidationReport:
     """Check the VH-T conditions beyond structural soundness.
 
@@ -559,7 +562,7 @@ def validate_vht(c: SquareComplex) -> ValidationReport:
         errors.append(ValidationIssue("disconnected", "complex has no vertices"))
         connected = False
     else:
-        n_comp = _connected_components(c)
+        n_comp = c.component_count
         connected = n_comp == 1
         if not connected:
             errors.append(

@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from treelat.complex_model import SquareComplex
-from treelat.tiling_system import TileLabels, TilingSystem, label_components
+from treelat.tiling_system import TilingSystem
 from treelat.zlinalg import (
     AbelianInvariants,
     IntMatrix,
@@ -39,7 +39,6 @@ from treelat.zlinalg import (
     SmithDecomposition,
     kernel_and_image,
     rank,
-    smith_normal_form,
 )
 
 
@@ -159,10 +158,19 @@ def homology_report(c: SquareComplex, maps: ChainMaps, s2: SmithDecomposition) -
     s2 is a Smith form with the rank and cokernel of d2, computed once by
     the caller: that of the block B^T of zlinalg.kernel_and_image(d2),
     which has the column lattice of d2 in rank(d2) columns instead of |F|.
-    One Smith form of d1 gives the rest.  H0 is the cokernel of d1 (free
-    of rank one exactly when the complex is connected).  H2 is the kernel
-    of d2, hence free: only its rank is reported.  H1 = ker d1 / im d2 sits
-    in the exact sequence
+    It is the one Smith form of an analysis.  H2 is the kernel of d2,
+    hence free: only its rank is reported.
+
+    d1 takes none.  It is the incidence matrix of the 1-skeleton: column e
+    is t(e) - o(e), and a loop is a zero column.  Let k be the number of
+    components (c.component_count).  Every column has coordinate sum zero
+    on each component, and v - r is a sum of +-columns along the path to v
+    from the root r of its component in a spanning forest; so im d1 is the
+    lattice of vectors with sum zero on every component, and the component
+    sums map Z^V / im d1 onto Z^k with no kernel.  Hence H0 = coker d1 =
+    Z^k, free, and rank(d1) = |V| - k.
+
+    H1 = ker d1 / im d2 sits in the exact sequence
 
         0 -> ker d1 / im d2 -> Z^E / im d2 -> im d1 -> 0,
 
@@ -170,12 +178,18 @@ def homology_report(c: SquareComplex, maps: ChainMaps, s2: SmithDecomposition) -
     the free group Z^V and so free.  Hence Z^E / im d2 = H1 + Z^rank(d1):
     H1 has the torsion of the cokernel of d2 and rank(d1) less free rank.
     """
-    s1 = smith_normal_form(maps.d1)
+    k = c.component_count
+    rank_d1 = len(c.vertices) - k
     coker = s2.cokernel()
-    h1 = AbelianInvariants(free_rank=coker.free_rank - s1.rank, torsion=coker.torsion)
+    h1 = AbelianInvariants(free_rank=coker.free_rank - rank_d1, torsion=coker.torsion)
     euler = len(c.vertices) - (len(c.h_edges) + len(c.v_edges)) + len(c.squares)
     h2_rank = maps.d2.cols - s2.rank
-    return HomologyReport(h0=s1.cokernel(), h1=h1, h2_rank=h2_rank, euler_characteristic=euler)
+    return HomologyReport(
+        h0=AbelianInvariants(free_rank=k, torsion=()),
+        h1=h1,
+        h2_rank=h2_rank,
+        euler_characteristic=euler,
+    )
 
 
 def _row(acc: dict[int, int]) -> Row:
@@ -183,17 +197,14 @@ def _row(acc: dict[int, int]) -> Row:
     return tuple(sorted([(j, x) for j, x in acc.items() if x]))
 
 
-def structured_kernel_dim(
-    factors: TileLabels | None,
-    components: tuple[tuple[int, ...], tuple[int, ...]] | None = None,
-) -> int | None:
+def structured_kernel_dim(ts: TilingSystem) -> int | None:
     """dim ker S over Q, from the factors of S.
 
-    S is the 2n x n stacked operator and factors is TilingSystem.factors:
-    the tile labels b, a, once b'(t) = b(t^h) and a'(t) = a(t^v) have been
-    checked, or None, and then the count is None too.  With bb(t) = b(t^v)
-    and aa(t) = a(t^h), the definition of the transition matrices then
-    reads M1 = E.F^T - P_h and M2 = E'.G^T - P_v.
+    S is the 2n x n stacked operator of ts, and its factors are
+    ts.factors: the tile labels b, a, once b'(t) = b(t^h) and
+    a'(t) = a(t^v) have been checked, or None, and then the count is None
+    too.  With bb(t) = b(t^v) and aa(t) = a(t^h), the definition of the
+    transition matrices then reads M1 = E.F^T - P_h and M2 = E'.G^T - P_v.
 
     The split below needs only that 2 be invertible, as it is over Q.
     P_h and P_v are commuting involutions, so Q^n is the sum of their four
@@ -231,22 +242,16 @@ def structured_kernel_dim(
     of C's rows.  Before it is taken, the label rows of each edge are
     paired (_pair_label_rows), which keeps rank_Q(C) and so the count.
 
-    components gives the components of the two label graphs as
-    tiling_system.label_components numbers them; the caller passes
-    TilingSystem.components of the tiles the factors come from, which
-    connectivity reads too, and without it they are found here.  The rows
-    of C are built in one pass over the tiles.
+    The components of the two label graphs are ts.components, which
+    connectivity reads too.  The rows of C are built in one pass over the
+    tiles.
     """
+    factors = ts.factors
     if factors is None:
         return None
     b, a = factors
     n = len(b)
-    if components is None:
-        components = (
-            label_components(b, [b[t ^ 2] for t in range(n)]),  # b'(t) = b(t^h)
-            label_components(a, [a[t ^ 1] for t in range(n)]),  # a'(t) = a(t^v)
-        )
-    comp_b, comp_a = components
+    comp_b, comp_a = ts.components
     # One unknown y per b component, then one z per a component, then w_k
     # per orbit.  A component that holds no label of a tile is an unknown
     # in no row.
@@ -458,7 +463,7 @@ def stacked_kernel_basis(
     identity fails, or the labels do not give the factors of S) the basis is the one of the
     elimination of S = ts.stacked, zlinalg.kernel_and_image.
     """
-    if square[1] and structured_kernel_dim(ts.factors, ts.components) == h.cols:
+    if square[1] and structured_kernel_dim(ts) == h.cols:
         return maps.phi2.mul(h)
     return kernel_and_image(ts.stacked)[0]
 

@@ -24,6 +24,7 @@ from treelat.homology import (
 )
 from treelat.tiling_system import build_tiling, label_tiling, stacked_matrix
 from treelat.zlinalg import (
+    AbelianInvariants,
     IntMatrix,
     hermite_row_basis,
     kernel_and_image,
@@ -156,8 +157,10 @@ def assert_instance_properties(analysis):
     assert hom.euler_characteristic == cells
     assert cells == hom.h0.free_rank - hom.h1.free_rank + hom.h2_rank
 
-    # H1 read off the Smith form of d2 is the cycle-basis route's
+    # H1 read off the Smith form of d2 is the cycle-basis route's, and H0
+    # and rank d1 read off the component count are the Smith form's of d1
     assert hom.h1 == h1_by_cycle_basis(maps)
+    assert_h0_is_the_smith_form_of_d1(c, hom, maps.d1)
 
     # the kernel lattice, certified or not, is the dense Smith form's
     h2_basis = kernel_basis(maps.d2)
@@ -171,7 +174,7 @@ def assert_instance_properties(analysis):
 
     # the kernel dimension counted from the factors of the stacked operator
     # equals n - rank_p of the whole operator and the dense kernel rank
-    structured = structured_kernel_dim(table)
+    structured = structured_kernel_dim(ts)
     assert structured == stacked.cols - rank_mod_prime(stacked) == len(dense)
 
     # every verdict field equals the dense verifier's: on the analysis's
@@ -202,6 +205,15 @@ def assert_instance_properties(analysis):
 
     if verdict.within_hypotheses:
         assert_rank_identity(analysis)
+
+
+def assert_h0_is_the_smith_form_of_d1(c, hom, d1):
+    """H0 and rank d1, which homology_report reads off the component count,
+    are the cokernel and the rank of the dense Smith form of d1."""
+    _, d, _ = dense_snf(d1.to_lists())
+    factors = [d[i][i] for i in range(min(d1.rows, d1.cols)) if d[i][i]]
+    assert hom.h0 == AbelianInvariants(d1.rows - len(factors), tuple(x for x in factors if x > 1))
+    assert len(c.vertices) - c.component_count == len(factors)
 
 
 def assert_elimination_matches_dense_snf(a, rng):

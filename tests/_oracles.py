@@ -15,7 +15,8 @@ live here too, as do the transition matrices built one pair at a time
 and the edge graphs indexed by DirectedEdgeRef, which the pipeline
 replaced with shared label lists and integer indices.  So are the routes
 the pipeline left for the tile labels: the labels read off psi, the check
-of a built stacked matrix against their factors, and Tarjan over the
+of a built stacked matrix against their factors, the tiling system whose
+factors are a given pair of labels (factor_tiling), and Tarjan over the
 successor lists of a built transition matrix.  The validator and the
 corner checks of the parser keep their DirectedEdgeRef route here too:
 coverage keyed by pairs of refs, the incident pairs found by a scan of
@@ -649,6 +650,18 @@ def stacked_factors(stacked, psi):
     if labels is None or not matches_factors(stacked, *labels):
         return None
     return labels
+
+
+def factor_tiling(labels):
+    """The TilingSystem whose tiles carry the labels (b, a), with
+    b'(t) = b(t^h) and a'(t) = a(t^v): the one whose factors are (b, a)."""
+    from treelat.tiling_system import TilingSystem
+
+    b, a = labels
+    n = len(b)
+    b_prime = tuple([b[t ^ 2] for t in range(n)])
+    a_prime = tuple([a[t ^ 1] for t in range(n)])
+    return TilingSystem(tuple(b), b_prime, tuple(a), a_prime, n_vertices=1)
 
 
 def dense_equal(a, a_cols, b, b_cols):

@@ -266,6 +266,48 @@ def test_metadata_must_be_an_object_exit_1(tmp_path):
     assert "metadata must be an object" in err
 
 
+# Each input that the shared loader refuses, with its exit code: 1 when
+# the document cannot be read, decoded or parsed, 2 when it fails validation.
+LOADER_INPUTS = {
+    "missing": (None, 1),
+    "not_utf8": (b'{"vertices": ["\xff"]}', 1),
+    "malformed": (b"{not json", 1),
+    "deep": (b"[" * 100000, 1),
+    "invalid": (_complexes.two_torus_components_doc().encode(), 2),
+}
+LOADER_COMMANDS = {
+    "validate": (),
+    "analyze": (),
+    "verify": (),
+    "export": ("--what", "d2"),
+}
+
+
+@pytest.mark.parametrize("command", list(LOADER_COMMANDS))
+@pytest.mark.parametrize("name", list(LOADER_INPUTS))
+def test_every_command_shares_the_loader_exit_codes(tmp_path, command, name):
+    data, expected = LOADER_INPUTS[name]
+    path = tmp_path / f"{name}.json"
+    if data is not None:
+        path.write_bytes(data)
+    code, out, err = run_process(command, str(path), *LOADER_COMMANDS[command])
+    assert code == expected
+    assert "Traceback" not in err
+    assert err.startswith("error") or (command == "validate" and expected == 2)
+
+
+def test_failing_analysis_parses_the_document_once(runner, tmp_path, monkeypatch):
+    # The validation report of a failing document is written from the
+    # complex the loader already holds.
+    path = tmp_path / "disc.json"
+    path.write_text(_complexes.two_torus_components_doc())
+    loads = count_calls(monkeypatch, complex_model, "load_complex")
+    code, out, err = runner("analyze", str(path), "--json")
+    assert code == 2
+    assert json.loads(out)["counts"]["vertices"] == 2
+    assert len(loads) == 1
+
+
 # --- canonical reports, pinned -----------------------------------------------
 
 # sha256 of `treelat analyze --json` for the test corpus, recorded before the
@@ -537,20 +579,20 @@ def test_no_smith_form_takes_a_column_per_cell(monkeypatch):
     assert snf and all(a.cols != cells for a in snf)
 
 
-def test_product_analysis_takes_two_smith_forms(monkeypatch):
+def test_product_analysis_takes_one_smith_form_of_the_image_block(monkeypatch):
     # H1 is read off the Smith form of the image block of d2, which has the
-    # column lattice of d2, and the rank of d1: no basis of ker d1, no
-    # exact solve and no further cokernel, whatever d1 is.  d2 itself never
-    # enters a Smith form.
+    # column lattice of d2, and the rank of d1; H0 and the rank of d1 are
+    # read off the component count, so d1 takes no Smith form even where it
+    # is not zero.  No basis of ker d1, no exact solve and no further
+    # cokernel; d2 itself never enters a Smith form.
     snf = count_calls(monkeypatch, zlinalg, "smith_normal_form")
     solves = count_calls(monkeypatch, zlinalg, "solve_exact")
     cokernels = count_calls(monkeypatch, zlinalg, "cokernel_invariants")
     _, analysis = analyze_document(seeded_product_doc())
     assert analysis.theorem.holds
     assert not analysis.maps.d1.is_zero()
-    assert len(snf) == 2
     image = zlinalg.kernel_and_image(analysis.maps.d2)[1]
-    assert analysis.maps.d1 in snf and image in snf
+    assert snf == [image]
     assert analysis.maps.d2 not in snf
     assert solves == [] and cokernels == []
 
@@ -601,7 +643,7 @@ def test_certificate_rests_on_the_commuting_square(monkeypatch, mozes513):
     assert not maps.d2.mul(zlinalg.IntMatrix.from_columns([chain], rows=cells)).is_zero()
     true_h = zlinalg.IntMatrix.from_columns(h2_basis, rows=cells)
     bad_h = zlinalg.IntMatrix.from_columns((chain,) + h2_basis[1:], rows=cells)
-    assert homology.structured_kernel_dim(ts.factors) == bad_h.cols == 11
+    assert homology.structured_kernel_dim(ts) == bad_h.cols == 11
 
     snf = count_calls(monkeypatch, zlinalg, "smith_normal_form")
     eliminations = count_calls(monkeypatch, zlinalg, "kernel_and_image")
@@ -633,7 +675,8 @@ def test_broken_factor_identity_falls_back_to_the_dense_kernel(monkeypatch, moze
     tiles, maps, h2_basis, kernel, verdict, broken = (
         assert_tampered_tiles_build_the_operator_once(monkeypatch, mozes513, "b_prime")
     )
-    refused = tiling_system.label_tiling(tiles, mozes513.complex).factors
+    refused = tiling_system.label_tiling(tiles, mozes513.complex)
+    assert refused.factors is None
     assert homology.structured_kernel_dim(refused) is None
     # the basis of ker d2, then the fallback kernel, and no Smith form
     assert eliminations == [maps.d2, broken] and snf == []

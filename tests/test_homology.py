@@ -11,6 +11,7 @@ from treelat.complex_model import expand_directed_squares, load_complex
 from treelat.homology import (
     chain_maps,
     commuting_square,
+    homology_report,
     stacked_kernel_basis,
     structured_kernel_dim,
     verify_main_theorem,
@@ -20,12 +21,14 @@ from treelat.tiling_system import build_tiling, label_tiling, stacked_matrix
 from treelat.zlinalg import (
     IntMatrix,
     hermite_row_basis,
+    kernel_and_image,
     kernel_basis,
     smith_normal_form,
 )
 
 import _complexes
 from _battery import (
+    assert_h0_is_the_smith_form_of_d1,
     assert_instance_properties,
     assert_tampered_tiles_build_the_operator_once,
     tile_squares,
@@ -33,6 +36,7 @@ from _battery import (
 from _oracles import (
     dense_chain_maps,
     dense_verify,
+    factor_tiling,
     h1_by_cycle_basis,
     rank_mod_prime,
     stacked_factors,
@@ -104,6 +108,33 @@ def test_mozes517_homology(mozes517):
 def test_one_vertex_d1_is_zero(mozes513):
     assert mozes513.maps.d1.is_zero()
     assert (mozes513.maps.d1.rows, mozes513.maps.d1.cols) == (1, 10)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        _complexes.torus_doc(),
+        _complexes.klein_doc(),
+        _complexes.two_vertex_klein_doc(),
+        _complexes.f2xf2_doc(),
+        # an annulus, one edge times a vertical loop, whose first edge is a
+        # bridge; then invalid but loadable: two components of loops only,
+        # and two components, each a theta graph times a vertical loop,
+        # where d1 is not zero
+        _complexes.product_doc((2, [(0, 1)]), (1, [(0, 0)])),
+        _complexes.two_torus_components_doc(),
+        _complexes.product_doc((2, [(0, 1), (0, 1), (0, 1)]), (2, [(0, 0), (1, 1)])),
+    ],
+    ids=[
+        "torus", "klein", "two_vertex_klein", "f2xf2", "annulus", "two_tori", "theta_x_two_loops"
+    ],
+)
+def test_h0_and_rank_d1_are_those_of_the_smith_form_of_d1(doc):
+    c = load_complex(doc)
+    maps = chain_maps(c, c.edge_table.tiles)
+    hom = homology_report(c, maps, smith_normal_form(kernel_and_image(maps.d2)[1]))
+    assert_h0_is_the_smith_form_of_d1(c, hom, maps.d1)
+    assert hom.h1 == h1_by_cycle_basis(maps)
 
 
 def test_euler_characteristic_consistency(corpus):
@@ -391,8 +422,8 @@ def test_chain_maps_match_the_dense_builder_on_mozes513(mozes513_doc):
 def test_structured_count_matches_rank_mod_p_and_dense_kernel(p, l):
     _, a = analyze_document(generate_mozes_complex(p, l))
     stacked = stacked_matrix(a.tiling)
-    dim = structured_kernel_dim(a.tiling.factors)
-    assert dim == structured_kernel_dim(stacked_factors(stacked, a.maps.psi))
+    dim = structured_kernel_dim(a.tiling)
+    assert dim == structured_kernel_dim(factor_tiling(stacked_factors(stacked, a.maps.psi)))
     assert dim == stacked.cols - rank_mod_prime(stacked) == len(kernel_basis(stacked))
     assert dim == (p - 1) * (l - 1) // 4 - 1
 
@@ -400,8 +431,8 @@ def test_structured_count_matches_rank_mod_p_and_dense_kernel(p, l):
 def test_structured_count_matches_rank_mod_p_at_17_29():
     _, a = analyze_document(generate_mozes_complex(17, 29))
     stacked = stacked_matrix(a.tiling)
-    dim = structured_kernel_dim(a.tiling.factors)
-    assert dim == structured_kernel_dim(stacked_factors(stacked, a.maps.psi))
+    dim = structured_kernel_dim(a.tiling)
+    assert dim == structured_kernel_dim(factor_tiling(stacked_factors(stacked, a.maps.psi)))
     assert dim == stacked.cols - rank_mod_prime(stacked)
     assert a.k0.kernel_rank == a.homology.h2_rank == 16 * 28 // 4 - 1
 
@@ -412,7 +443,7 @@ def test_structured_count_is_the_kernel_rank_off_the_certificate(doc):
     # of S, so the count over Q runs, and it is the rank of the kernel.
     _, a = analyze_document(getattr(_complexes, doc)())
     stacked = stacked_matrix(a.tiling)
-    dim = structured_kernel_dim(a.tiling.factors)
+    dim = structured_kernel_dim(a.tiling)
     assert dim == len(kernel_basis(stacked)) == stacked.cols - rank_mod_prime(stacked)
     assert dim > a.homology.h2_rank
 
@@ -423,7 +454,7 @@ def test_structured_count_is_the_kernel_rank_on_random_one_vertex_complexes(seed
     doc = _complexes.random_one_vertex_doc(random.Random(seed), n_h, n_v)
     _, a = analyze_document(doc)
     stacked = stacked_matrix(a.tiling)
-    dim = structured_kernel_dim(a.tiling.factors)
+    dim = structured_kernel_dim(a.tiling)
     assert dim == len(kernel_basis(stacked)) == stacked.cols - rank_mod_prime(stacked)
 
 
@@ -569,8 +600,10 @@ def test_structured_count_ignores_labels_no_tile_carries(mozes513):
     # tile and are unknowns in no row, so the count does not change.
     b, a = mozes513.tiling.factors
     spread = (tuple(2 * x + 1 for x in b), tuple(2 * x + 1 for x in a))
-    assert structured_kernel_dim(spread) == structured_kernel_dim((b, a)) == 11
-    assert structured_kernel_dim((b, a), mozes513.tiling.components) == 11
+    assert structured_kernel_dim(factor_tiling(spread)) == structured_kernel_dim(
+        factor_tiling((b, a))
+    ) == 11
+    assert structured_kernel_dim(mozes513.tiling) == 11
 
 
 def _pair_both_label_rows(rows):
@@ -601,11 +634,11 @@ def test_label_rows_are_paired_by_one_row_operation(monkeypatch, p, l):
         return original(c)
 
     monkeypatch.setattr(homology, "rank", spy)
-    assert structured_kernel_dim(a.tiling.factors) == dense == len(kernel_basis(stacked))
+    assert structured_kernel_dim(a.tiling) == dense == len(kernel_basis(stacked))
     (c,) = systems
     b, lab = a.tiling.factors
     orbit0 = c.cols - len(b) // 4
     meets_orbits = sum(any(j >= orbit0 for j, _ in row) for row in c.row_pairs)
     assert meets_orbits == (len(set(b)) + len(set(lab))) // 2
     monkeypatch.setattr(homology, "_pair_label_rows", _pair_both_label_rows)
-    assert structured_kernel_dim(a.tiling.factors) != dense
+    assert structured_kernel_dim(a.tiling) != dense

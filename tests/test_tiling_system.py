@@ -319,8 +319,7 @@ def test_label_components_number_every_label_up_to_the_last():
 
 def test_label_components_are_found_once_per_analysis(monkeypatch, mozes513_doc):
     # One union-find per label graph, shared by connectivity and the count
-    # of the stacked kernel.
-    from treelat import homology
+    # of the stacked kernel, which reads TilingSystem.components.
     from treelat.cli import analyze_document
 
     calls = []
@@ -331,7 +330,6 @@ def test_label_components_are_found_once_per_analysis(monkeypatch, mozes513_doc)
         return original(labels, primed)
 
     monkeypatch.setattr(tiling_system, "label_components", counted)
-    monkeypatch.setattr(homology, "label_components", counted)
     _, a = analyze_document(mozes513_doc)
     assert calls == [a.tiling.b, a.tiling.a]
     assert a.k0.kernel_rank == 11
