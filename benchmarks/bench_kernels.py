@@ -10,15 +10,14 @@ the (5,13) and (13,17) quaternion complexes.  At (29,37) and (53,61), the
 unimodular elimination of d2 (kernel_and_image: the basis H of ker d2 and
 the image block B^T), then that with the Smith form of B^T, which is what
 an analysis runs for H and the torsion of d2, beside the Smith form of d2
-itself, which it replaced.  At (13,17) and (29,37) the
-label check is timed (label_tiling, which numbers the sides of the tiles,
-then TilingSystem.factors, which checks b'(t) = b(t^h) and a'(t) = a(t^v)
-and so gives the factors of the stacked operator; once per analysis), then
-the dimension of the kernel over Q counted from those factors
-(structured_kernel_dim, which certifies the stacked kernel: it builds the
-small system C and takes its rank with the elimination; on a fresh copy
-of the tiling system, so the label check and the label components it
-reads are found inside the clock), beside the rank
+itself, which it replaced.  At (13,17) and (29,37) the label check is
+timed (label_tiling, which numbers the sides of the tiles and checks
+b'(t) = b(t^h) and a'(t) = a(t^v), so that the labels give the factors of
+the stacked operator; once per analysis), then the dimension of the kernel
+over Q counted from those factors (structured_kernel_dim, which
+certifies the stacked kernel: it builds the small system C and takes its
+rank with the elimination; on a fresh copy of the tiling system, so the
+label components it reads are found inside the clock), beside the rank
 of the same C alone, by the elimination (zlinalg.rank) and by the sparse
 rank mod 2^61 - 1 that counted it before (tests/_oracles.py; C is caught
 at the call of rank before the clock starts).  On the same two pairs,
@@ -26,14 +25,13 @@ with H the basis of ker d2 as columns, commuting_square, which takes
 checks (1) and (3) once for the certificate and the verifier and reads
 S.phi2 off the factors, is timed beside the product stacked.phi2 that it
 no longer forms.  Last, at (29,37) and (53,61), the connectivity of the
-tile graphs of both axes three ways: connectivity itself, which reads it
+tile graphs of both axes two ways: connectivity itself, which reads it
 off the label multigraph (label degrees and label components, on a fresh
 copy of the tiling system, so the components are found inside the clock
-as in an analysis; the edge-graph inventory is included); the tile Tarjan
-it leaves for the fallback, _axis_connectivity, which walks one shared
-follower list per label; and Tarjan over the successor lists of the built
-M1 and M2 (tests/_oracles.py; the matrices are built before the clock
-starts).  Prints the best of N runs of each.
+as in an analysis; the edge-graph inventory is included), and Tarjan over
+the successor lists of the built M1 and M2 (tests/_oracles.py; the
+matrices are built before the clock starts).  Prints the best of N runs
+of each.
 """
 
 import argparse
@@ -44,7 +42,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from treelat import _kernels_py as kernels
-from treelat import homology, tiling_system
+from treelat import homology
 from treelat.complex_model import load_complex
 from treelat.homology import chain_maps, commuting_square, structured_kernel_dim
 from treelat.mozes import generate_mozes_complex
@@ -100,13 +98,6 @@ def fresh_connectivity(ts, c):
     return connectivity(replace(ts), c)
 
 
-def tile_tarjan(ts):
-    return (
-        tiling_system._axis_connectivity(ts.b, ts.b_prime, 2),
-        tiling_system._axis_connectivity(ts.a, ts.a_prime, 1),
-    )
-
-
 def matrix_tarjan(ts):
     return axis_connectivity_by_matrix(ts.m1), axis_connectivity_by_matrix(ts.m2)
 
@@ -135,11 +126,11 @@ def make_workloads():
         ("elimination + snf B^T (53,61)", lambda: h_and_torsion(d2_5361)),
         ("snf d2 (53,61)", lambda: smith_normal_form(d2_5361)),
         ("hermite stacked 168x84", lambda: kernels.hermite_rows(d513)),
-        ("label check (13,17)", lambda: label_tiling(*rc1317).factors),
+        ("label check (13,17)", lambda: label_tiling(*rc1317)),
         ("structured count 504x252", lambda: structured_kernel_dim(replace(ts1317))),
         ("rank of C (13,17)", lambda: rank(sys1317)),
         ("oracle rank mod p of C (13,17)", lambda: rank_mod_prime(sys1317)),
-        ("label check (29,37)", lambda: label_tiling(*rc2937).factors),
+        ("label check (29,37)", lambda: label_tiling(*rc2937)),
         ("structured count 2280x1140", lambda: structured_kernel_dim(replace(ts2937))),
         ("rank of C (29,37)", lambda: rank(sys2937)),
         ("oracle rank mod p of C (29,37)", lambda: rank_mod_prime(sys2937)),
@@ -148,10 +139,8 @@ def make_workloads():
         ("stacked.mul(phi2) 2280x1140", lambda: s2937.mul(maps2937.phi2)),
         ("commuting_square 2280x1140", lambda: commuting_square(ts2937, maps2937, h2937)),
         ("connectivity (29,37)", lambda: fresh_connectivity(ts2937, c2937)),
-        ("tile Tarjan (29,37)", lambda: tile_tarjan(ts2937)),
         ("matrix Tarjan (29,37)", lambda: matrix_tarjan(ts2937)),
         ("connectivity (53,61)", lambda: fresh_connectivity(ts5361, c5361)),
-        ("tile Tarjan (53,61)", lambda: tile_tarjan(ts5361)),
         ("matrix Tarjan (53,61)", lambda: matrix_tarjan(ts5361)),
     ]
 

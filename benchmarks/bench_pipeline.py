@@ -23,13 +23,14 @@ never shorten the next.  The pairs are the Mozes ladder (5,13) (5,17)
 40-cycles (1600 vertices, 3200 edges, 1600 squares) only load_complex and
 validate_vht are timed.  The small pairs repeat more, since a run of
 theirs takes a few milliseconds and one slow run moves a best of five.
-(89,97) runs longest, and the machine's speed drifts by up to a third
-over the minutes both sides take, more than a best of two in one
-interpreter per side can resolve (a stage neither side changed read
-10-15 % apart).  So it runs in rounds (its entry in ROUNDS; one for the
-others), each an interpreter per side with the sides in alternating
-order, and each time in the table is the best over all rounds
-(best_table), so that a drift reaches both sides alike.  The generation
+The machine's speed drifts by up to a third over the minutes both sides
+take, and one interpreter can run slow as a whole: with one round, a
+stage neither side changed read 10-15 % apart at (89,97), and (5,29)
+1.6x apart in every stage.  So every pair runs in ROUNDS rounds, each an
+interpreter per side with the sides in alternating order, and each time
+in the table is the best over all rounds (best_table), so that a drift
+reaches both sides alike, and a slow interpreter shows only when every
+round of its side is slow.  The generation
 of each Mozes pair, generate_mozes_complex, is timed apart as
 "generate_s" (best of "repeat", checked against the document handed in),
 and so is the export of its stacked matrix, expand_directed_squares ->
@@ -61,7 +62,7 @@ LADDER = ((5, 13), (5, 17), (5, 29), (13, 17), (17, 29), (29, 37), (89, 97))
 CYCLE = 40
 REPEAT = 5
 REPEATS = {"5,13": 15, "5,17": 15, "5,29": 15, "13,17": 15, "89,97": 3}
-ROUNDS = {"89,97": 4}
+ROUNDS = 4
 
 
 def documents() -> dict[str, str]:
@@ -208,7 +209,7 @@ def main(argv=None) -> int:
     # shifts both sides alike.
     for name, text in documents().items():
         order = list(trees)
-        for k in range(ROUNDS.get(name, 1)):
+        for k in range(ROUNDS):
             for label in order[::-1] if k % 2 else order:
                 table = run_pair(trees[label], name, text)
                 runs[label][name] = best_table(runs[label].get(name), table)

@@ -23,7 +23,11 @@ d1 . d2 = 0 follows from the corner incidences, and the square
     stacked . phi2 = phi1 . d2
 
 commutes exactly, which is what ties ker d2 (the second homology lattice)
-to the kernel of the stacked transition operator.
+to the kernel of the stacked transition operator.  The tiles are
+orbit-major, as tiling_system.label_tiling checks, so the tile labels give
+the factors of that operator: the square and the count of its kernel read
+them, and the operator is built only when phi1 or phi2 is not of the form
+chain_maps builds, or when the certificate of the kernel fails.
 """
 
 from __future__ import annotations
@@ -197,14 +201,13 @@ def _row(acc: dict[int, int]) -> Row:
     return tuple(sorted([(j, x) for j, x in acc.items() if x]))
 
 
-def structured_kernel_dim(ts: TilingSystem) -> int | None:
+def structured_kernel_dim(ts: TilingSystem) -> int:
     """dim ker S over Q, from the factors of S.
 
-    S is the 2n x n stacked operator of ts, and its factors are
-    ts.factors: the tile labels b, a, once b'(t) = b(t^h) and
-    a'(t) = a(t^v) have been checked, or None, and then the count is None
-    too.  With bb(t) = b(t^v) and aa(t) = a(t^h), the definition of the
-    transition matrices then reads M1 = E.F^T - P_h and M2 = E'.G^T - P_v.
+    S is the 2n x n stacked operator of ts, and its factors are the tile
+    labels b, a (TilingSystem), with b'(t) = b(t^h) and a'(t) = a(t^v).
+    With bb(t) = b(t^v) and aa(t) = a(t^h), the definition of the
+    transition matrices reads M1 = E.F^T - P_h and M2 = E'.G^T - P_v.
 
     The split below needs only that 2 be invertible, as it is over Q.
     P_h and P_v are commuting involutions, so Q^n is the sum of their four
@@ -246,10 +249,7 @@ def structured_kernel_dim(ts: TilingSystem) -> int | None:
     connectivity reads too.  The rows of C are built in one pass over the
     tiles.
     """
-    factors = ts.factors
-    if factors is None:
-        return None
-    b, a = factors
+    b, a = ts.b, ts.a
     n = len(b)
     comp_b, comp_a = ts.components
     # One unknown y per b component, then one z per a component, then w_k
@@ -341,7 +341,7 @@ def _label_sums(rows, labels, flip: int) -> dict[int, Row]:
     """Row x of F^T.X, for the matrix X with these rows and F[t][x] =
     [labels[t ^ flip] = x]: the sum of the rows t of X whose primed label
     labels[t ^ flip] is x.  With (b, 2) that is b'(t) = b(t^h), and F^T.X;
-    with (a, 1) it is a'(t) = a(t^v), and G^T.X (TilingSystem.factors).
+    with (a, 1) it is a'(t) = a(t^v), and G^T.X (TilingSystem).
     O(nnz(X)) steps."""
     sums: dict[int, dict[int, int]] = {}
     for t, pairs in enumerate(rows):
@@ -365,13 +365,13 @@ def _rows_by_label(rows, labels) -> dict[int, Row] | None:
 
 def _square_by_labels(ts: TilingSystem, maps: ChainMaps) -> tuple[IntMatrix, IntMatrix] | None:
     """(L, Phi): S.phi2 and phi1 with one row per label, or None when the
-    tiles and maps are not of the form that allows it.
+    maps are not of the form that allows it.
 
-    The form: the labels give the factors of S (ts.factors), phi2
-    alternates, and row s of phi1 depends on b(s) alone in the top block
-    and on a(s) alone in the bottom one.  Then phi1 = (E.Phi_b over
-    E'.Phi_a), row x of Phi_b being the phi1 row of any tile with b(s) = x,
-    and S.phi2 = (E.F^T.phi2 over E'.G^T.phi2) (_label_sums), since
+    The form: phi2 alternates, and row s of phi1 depends on b(s) alone in
+    the top block and on a(s) alone in the bottom one.  Then phi1 =
+    (E.Phi_b over E'.Phi_a), row x of Phi_b being the phi1 row of any tile
+    with b(s) = x, and S.phi2 = (E.F^T.phi2 over E'.G^T.phi2), the factors
+    of S being those of TilingSystem (_label_sums), since
     (I + P_h).phi2 = (I + P_v).phi2 = 0.  Write E^ for the block diagonal
     (E, E'), L for F^T.phi2 over G^T.phi2 and Phi for Phi_b over Phi_a,
     each on the labels that occur, b's then a's.  So S.phi2 = E^.L and
@@ -382,11 +382,8 @@ def _square_by_labels(ts: TilingSystem, maps: ChainMaps) -> tuple[IntMatrix, Int
     Phi.(d2.H) = 0: each check reads the same with (L, Phi) in place of
     (S.phi2, phi1), on 2|E| rows instead of 2n.
     """
-    factors = ts.factors
-    phi1, phi2, d2 = maps.phi1, maps.phi2, maps.d2
-    if factors is None:
-        return None
-    b, a = factors
+    phi1, phi2 = maps.phi1, maps.phi2
+    b, a = ts.b, ts.a
     n = len(b)
     if (phi2.rows, phi1.rows) != (n, 2 * n) or not _alternates(phi2.row_pairs):
         return None
@@ -415,12 +412,12 @@ def commuting_square(ts: TilingSystem, maps: ChainMaps, h: IntMatrix) -> tuple[b
     one matrix) and as (S.phi2).H = 0 otherwise.  Neither reads a stacked
     kernel basis.
 
-    When the tiles and maps have the form of _square_by_labels, both checks
+    When the maps have the form of _square_by_labels, both checks
     run on its matrices, with one row per label, and neither S nor
     phi1.d2 is formed; that docstring gives the argument that each check
-    keeps its value.  Otherwise (tampered tiles or maps, labels that do not
-    give the factors of S) they run on S.phi2 and phi1 themselves, with S
-    built from the tiles.
+    keeps its value.  Otherwise (phi1 or phi2 not of the form chain_maps
+    builds) they run on S.phi2 and phi1 themselves, with S built from the
+    labels.
     """
     square = _square_by_labels(ts, maps)
     left, phi1 = square if square is not None else (ts.stacked.mul(maps.phi2), maps.phi1)
@@ -460,8 +457,8 @@ def stacked_kernel_basis(
     L, and saturation puts x in L.
 
     Otherwise (the torus, the Klein bottle, any instance where the rank
-    identity fails, or the labels do not give the factors of S) the basis is the one of the
-    elimination of S = ts.stacked, zlinalg.kernel_and_image.
+    identity fails) the basis is the one of the elimination of
+    S = ts.stacked, zlinalg.kernel_and_image.
     """
     if square[1] and structured_kernel_dim(ts) == h.cols:
         return maps.phi2.mul(h)

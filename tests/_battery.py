@@ -103,10 +103,8 @@ def assert_instance_properties(analysis):
 
     # the labels give the factors of S, as the built S checked against the
     # labels read off psi says, and S.phi2 read off them is the product
-    table = ts.factors
-    assert table is not None
     assert matches_factors(stacked, *tile_labels(maps.psi))
-    assert stacked_phi2_from_factors(maps.phi2, table) == stacked.mul(maps.phi2)
+    assert stacked_phi2_from_factors(maps.phi2, (ts.b, ts.a)) == stacked.mul(maps.phi2)
 
     # injectivity of the comparison maps
     assert smith_normal_form(maps.phi2).rank == maps.phi2.cols
@@ -308,15 +306,23 @@ def assert_rank_identity(analysis):
     assert hermite_row_basis(image) == hermite_row_basis(stacked_basis)
 
 
-def retarget(analysis, slot):
+def retarget(analysis, slot, orbit_major=False):
     """The tiles of the analysis, as codes, with side slot ("b_prime" or
-    "a_prime") of tile 0 moved to another directed edge of its axis."""
+    "a_prime") of tile 0 moved to another directed edge of its axis.
+
+    With orbit_major, the unprimed side of the tile that slot reads, b of
+    tile 2 or a of tile 1, moves to that edge too: the tiles keep
+    b'(t) = b(t ^ 2) and a'(t) = a(t ^ 1), so label_tiling takes them,
+    but they are no longer the directed squares of the complex."""
     table = analysis.complex.edge_table
     tiles = list(table.tiles)
-    i = 3 if slot == "b_prime" else 2
+    i, j, flip = (3, 1, 2) if slot == "b_prime" else (2, 0, 1)
     axis = range(table.vertical, len(table.origin)) if i == 3 else range(table.vertical)
     old = tiles[0][i]
-    tiles[0] = tiles[0][:i] + (next(x for x in axis if x != old),) + tiles[0][i + 1 :]
+    new = next(x for x in axis if x != old)
+    tiles[0] = tiles[0][:i] + (new,) + tiles[0][i + 1 :]
+    if orbit_major:
+        tiles[flip] = tiles[flip][:j] + (new,) + tiles[flip][j + 1 :]
     return tuple(tiles)
 
 
@@ -331,17 +337,19 @@ def tile_squares(c, tiles):
 
 
 def assert_tampered_tiles_build_the_operator_once(monkeypatch, analysis, slot):
-    """Retarget one side of a tile: the label check refuses the tiles, as
-    the built S checked against the labels read off psi does; S is built
-    once, from the tampered tiles, for the square and the kernel both.
+    """Retarget one side of a tile and its orbit-major partner: the labels
+    of the tampered tiles give the factors of their S, as the built S
+    checked against the labels read off psi says, but S is not the
+    operator of the complex; S is built once, from the tampered tiles, for
+    the square and the kernel both.
     Returns (tiles, chain maps, H2 basis, kernel, verdict, S)."""
     c = analysis.complex
-    tiles = retarget(analysis, slot)
+    tiles = retarget(analysis, slot, orbit_major=True)
     maps = chain_maps(c, tiles)
     ts = label_tiling(tiles, c)
     stacked = stacked_matrix(build_tiling(tile_squares(c, tiles), c))
-    assert ts.factors is None
-    assert not matches_factors(stacked, *tile_labels(maps.psi))
+    assert ts != analysis.tiling
+    assert matches_factors(stacked, *tile_labels(maps.psi))
 
     original = tiling_system.stacked_matrix
     built = []

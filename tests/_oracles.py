@@ -485,9 +485,9 @@ def scc_count_by_index(adj):
 
 
 def axis_connectivity_by_matrix(m):
-    """The AxisConnectivity of tiling_system._axis_connectivity, from the
-    built transition matrix m: Tarjan over its successor lists, then a
-    union-find over its edges when it is not strongly connected."""
+    """The AxisConnectivity of tiling_system._label_axis_connectivity,
+    from the built transition matrix m: Tarjan over its successor lists,
+    then a union-find over its edges when it is not strongly connected."""
     from treelat import tiling_system
 
     adj = successors(m)
@@ -532,7 +532,7 @@ def edge_graph_components_by_pairs(n_vertices, endpoint_pairs, oriented):
 
 
 def stacked_phi2_from_factors(phi2, factors):
-    """S.phi2 read off the factors of S (TilingSystem.factors), or None
+    """S.phi2 read off the factors (b, a) of S (TilingSystem), or None
     when phi2 does not alternate: the E-expansion of the per-label sums of
     homology._label_sums, row s of the top block being the sum for b(s)
     and of the bottom block the sum for a(s).
@@ -612,8 +612,7 @@ def matches_factors(stacked, b, a):
     rows = stacked.row_pairs
     for top, labels, flip in ((0, b, 2), (n, a, 1)):
         # tile t ^ 2 is t^h and tile t ^ 1 is t^v
-        primed = [labels[t ^ flip] for t in range(n)]
-        expected = _follower_rows(labels, primed, flip)
+        expected = _follower_rows(labels, flip)
         for s in range(n):
             if rows[top + s] != minus_diagonal(expected[s], s):
                 return False
@@ -653,15 +652,12 @@ def stacked_factors(stacked, psi):
 
 
 def factor_tiling(labels):
-    """The TilingSystem whose tiles carry the labels (b, a), with
-    b'(t) = b(t^h) and a'(t) = a(t^v): the one whose factors are (b, a)."""
+    """The TilingSystem whose tiles carry the labels (b, a): the one whose
+    factors are (b, a)."""
     from treelat.tiling_system import TilingSystem
 
     b, a = labels
-    n = len(b)
-    b_prime = tuple([b[t ^ 2] for t in range(n)])
-    a_prime = tuple([a[t ^ 1] for t in range(n)])
-    return TilingSystem(tuple(b), b_prime, tuple(a), a_prime, n_vertices=1)
+    return TilingSystem(tuple(b), tuple(a), n_vertices=1)
 
 
 def dense_equal(a, a_cols, b, b_cols):

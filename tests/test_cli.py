@@ -15,7 +15,7 @@ from treelat.cli import analyze_document, main
 
 import _complexes
 from _oracles import dense_verify
-from _battery import assert_tampered_tiles_build_the_operator_once, retarget, tile_squares
+from _battery import assert_tampered_tiles_build_the_operator_once, tile_squares
 
 
 @pytest.fixture()
@@ -354,14 +354,41 @@ def seeded_product_doc():
     return _complexes.product_doc(g1, g2)
 
 
+# sha256 of `treelat analyze --json` for two products whose label
+# multigraphs have a leaf, a label carried by one tile only, recorded while
+# a tile graph with a leaf was still read by Tarjan over the tiles: the
+# first has a leaf on the horizontal axis, the second on both axes.
+PINNED_LEAF_REPORTS = {
+    "leaf_one_axis": "4ddabca704b60c7cedfb625d8e14d453c94902838e99a5616ebce9b12713e801",
+    "leaf_both_axes": "7c55b7fec267c802e7cfa0d56097523dbb311422d3c8b7abb5a039e00bb80fbe",
+}
+
+
+def leaf_product_docs():
+    rng = random.Random(2031)
+    g1 = _complexes.random_multigraph(rng, 3, 2, 1)
+    g2 = _complexes.random_multigraph(rng, 3, 2, 1)
+    return {
+        "leaf_one_axis": _complexes.product_doc(
+            (3, [(0, 1), (1, 2), (1, 2), (2, 2)]), (1, [(0, 0), (0, 0)])
+        ),
+        "leaf_both_axes": _complexes.product_doc(g1, g2),
+    }
+
+
 def test_analyze_json_matches_pinned_digests_with_several_vertices(runner, tmp_path):
-    docs = {"two_vertex_klein": _complexes.two_vertex_klein_doc(), "product": seeded_product_doc()}
+    docs = {
+        "two_vertex_klein": _complexes.two_vertex_klein_doc(),
+        "product": seeded_product_doc(),
+        **leaf_product_docs(),
+    }
+    pinned = {**PINNED_MULTI_VERTEX_REPORTS, **PINNED_LEAF_REPORTS}
     for name, doc in docs.items():
         path = tmp_path / f"{name}.json"
         path.write_text(doc)
         code, out, err = runner("analyze", str(path), "--json")
         assert code == 0
-        assert hashlib.sha256(out.encode()).hexdigest() == PINNED_MULTI_VERTEX_REPORTS[name], name
+        assert hashlib.sha256(out.encode()).hexdigest() == pinned[name], name
 
 
 # --- work done by one analysis -------------------------------------------------
@@ -399,24 +426,16 @@ def test_analysis_reads_the_tiles_as_edge_codes(runner, tmp_path, monkeypatch):
 
 
 def test_connectivity_walks_no_tile_edge(runner, tmp_path, monkeypatch):
-    # The labels give the factors on the ladder and the seeded product, and
-    # no label is carried by one tile only: connectivity is read off the
-    # label multigraph, so with the tile Tarjan and the union-find over the
-    # tiles made to raise, the reports are still the pinned ones.  The
-    # union-find over the labels (label_components) still runs.
+    # On the ladder and the seeded product no label is carried by one tile
+    # only: connectivity is read off the label degrees and components, so
+    # with the peel to the 2-core, the one pass over the darts, made to
+    # raise, the reports are still the pinned ones.
     from treelat.mozes import generate_mozes_complex
 
     def refuse(*args):
-        raise AssertionError("tile Tarjan run by the analysis")
+        raise AssertionError("label multigraph peeled by the analysis")
 
-    class LabelUnionFind(tiling_system._UnionFind):
-        def __init__(self, n):
-            if sys._getframe(1).f_code is tiling_system._axis_connectivity.__code__:
-                raise AssertionError("union-find over the tiles run by the analysis")
-            super().__init__(n)
-
-    monkeypatch.setattr(tiling_system, "_scc_count", refuse)
-    monkeypatch.setattr(tiling_system, "_UnionFind", LabelUnionFind)
+    monkeypatch.setattr(tiling_system, "_two_core", refuse)
     docs = {
         "mozes513": (generate_mozes_complex(5, 13), PINNED_REPORTS["mozes513"]),
         "mozes517": (generate_mozes_complex(5, 17), PINNED_REPORTS["mozes517"]),
@@ -429,12 +448,6 @@ def test_connectivity_walks_no_tile_edge(runner, tmp_path, monkeypatch):
         code, out, err = runner("analyze", str(path), "--json")
         assert code == 0, err
         assert hashlib.sha256(out.encode()).hexdigest() == digest, name
-    # tiles whose labels do not give the factors still reach the tile Tarjan
-    _, analysis = analyze_document(docs["mozes513"][0])
-    c = analysis.complex
-    tampered = tiling_system.label_tiling(retarget(analysis, "b_prime"), c)
-    with pytest.raises(AssertionError, match="tile Tarjan"):
-        tiling_system.connectivity(tampered, c)
 
 
 def count_calls(monkeypatch, module, name):
@@ -537,8 +550,8 @@ def test_certified_kernel_stays_sparse_and_meets_the_operator_once(
 ):
     # The certified kernel phi2.H goes from the certificate to the verdict
     # as one sparse matrix: no dense view of a matrix is taken, and the
-    # stacked operator S enters no product.  Its factors are checked once,
-    # and check (1) reads S.phi2 off them.  The certificate reads check
+    # stacked operator S enters no product.  Its factors, the tile labels,
+    # are checked once, and check (1) reads S.phi2 off them.  The certificate reads check
     # (3), which once the square commutes is phi1.(d2.H), so neither
     # S.(phi2.H) nor (S.phi2).H is formed.
     def dense(self, *args):
@@ -553,7 +566,7 @@ def test_certified_kernel_stays_sparse_and_meets_the_operator_once(
 
     monkeypatch.setattr(zlinalg.IntMatrix, "entries", property(dense))
     monkeypatch.setattr(zlinalg.IntMatrix, "mul", mul)
-    factor_checks = count_reads(monkeypatch, tiling_system.TilingSystem, "factors")
+    factor_checks = count_calls(monkeypatch, tiling_system, "label_tiling")
     built = count_calls(monkeypatch, tiling_system, "stacked_matrix")
     path = tmp_path / "mozes513.json"
     path.write_text(mozes513_doc)
@@ -664,24 +677,24 @@ def test_certificate_rests_on_the_commuting_square(monkeypatch, mozes513):
 
 
 def test_broken_factor_identity_falls_back_to_the_dense_kernel(monkeypatch, mozes513):
-    # Move b'(t) of tile 0 to another vertical edge: the labels no longer
-    # satisfy b'(t) = b(t^h), so they do not give the factors
-    # (E.F^T - P_h - I over E'.G^T - P_v - I) of the stacked matrix of
-    # those tiles, the count from the factors refuses them, S is built
-    # once, and the kernel comes from one elimination of it; the verdict
-    # is the dense verifier's.
+    # Move b'(t) of tile 0, and with it b(t^h), to another vertical edge:
+    # the labels still give the factors of the stacked matrix of those
+    # tiles, and the count from the factors is its kernel dimension, but
+    # S.phi2 = phi1.d2 breaks, so phi2(ker d2) is not in ker S and the
+    # certificate is refused.  S is built once, and the kernel comes from
+    # one elimination of it; the verdict is the dense verifier's.
     snf = count_calls(monkeypatch, zlinalg, "smith_normal_form")
     eliminations = count_calls(monkeypatch, zlinalg, "kernel_and_image")
     tiles, maps, h2_basis, kernel, verdict, broken = (
         assert_tampered_tiles_build_the_operator_once(monkeypatch, mozes513, "b_prime")
     )
-    refused = tiling_system.label_tiling(tiles, mozes513.complex)
-    assert refused.factors is None
-    assert homology.structured_kernel_dim(refused) is None
+    assert not verdict.diagram_commutes and not verdict.phi2_image_in_kernel
     # the basis of ker d2, then the fallback kernel, and no Smith form
     assert eliminations == [maps.d2, broken] and snf == []
-    basis = kernel.transpose().entries
+    ts = tiling_system.label_tiling(tiles, mozes513.complex)
     dense = zlinalg.kernel_basis(broken)
+    assert homology.structured_kernel_dim(ts) == len(dense)
+    basis = kernel.transpose().entries
     assert zlinalg.hermite_row_basis(basis) == zlinalg.hermite_row_basis(dense)
     r = tile_squares(mozes513.complex, tiles)
     assert verdict == dense_verify(mozes513.complex, r, maps, broken, basis, h2_basis)

@@ -270,10 +270,10 @@ def test_verifier_rejects_a_unit_vector(mozes513):
 
 
 def test_verifier_flags_a_tampered_operator(monkeypatch, mozes513):
-    # Move a'(t) of tile 0 to another horizontal edge: the stacked operator
-    # of those tiles, built once, gains and loses nonzeros in column 0 of
-    # its M2 block, so S.phi2 no longer equals phi1.d2 and the square no
-    # longer commutes.
+    # Move a'(t) of tile 0, and with it a(t^v), to another horizontal edge:
+    # the stacked operator of those tiles, built once, gains and loses
+    # nonzeros in columns 0 and 1 of its M2 block, so S.phi2 no longer
+    # equals phi1.d2 and the square no longer commutes.
     tiles, maps, h2_basis, kernel, verdict, stacked = (
         assert_tampered_tiles_build_the_operator_once(monkeypatch, mozes513, "a_prime")
     )
@@ -289,8 +289,8 @@ def test_factored_square_equals_the_product_on_the_ladder(p, l):
     r = expand_directed_squares(c)
     maps = chain_maps(c, c.edge_table.tiles)
     stacked = stacked_matrix(build_tiling(r, c))
-    factors = label_tiling(c.edge_table.tiles, c).factors
-    assert factors is not None
+    ts = label_tiling(c.edge_table.tiles, c)
+    factors = (ts.b, ts.a)
     assert stacked_factors(stacked, maps.psi) is not None
     assert stacked_phi2_from_factors(maps.phi2, factors) == stacked.mul(maps.phi2)
 
@@ -303,7 +303,7 @@ def test_non_alternating_phi2_takes_the_product(monkeypatch, mozes513):
     a = mozes513
     stacked = stacked_matrix(a.tiling)
     ts = label_tiling(a.complex.edge_table.tiles, a.complex)
-    factors = ts.factors
+    factors = (ts.b, ts.a)
     rows = list(a.maps.phi2.row_pairs)
     rows[0] = tuple([(j, -x) for j, x in rows[0]])
     phi2 = IntMatrix(a.maps.phi2.rows, a.maps.phi2.cols, tuple(rows))
@@ -598,7 +598,7 @@ def test_tampered_kernel_flips_both_fourth_checks_together(mozes513):
 def test_structured_count_ignores_labels_no_tile_carries(mozes513):
     # Spread the labels out (x -> 2x + 1): the labels in between carry no
     # tile and are unknowns in no row, so the count does not change.
-    b, a = mozes513.tiling.factors
+    b, a = mozes513.tiling.b, mozes513.tiling.a
     spread = (tuple(2 * x + 1 for x in b), tuple(2 * x + 1 for x in a))
     assert structured_kernel_dim(factor_tiling(spread)) == structured_kernel_dim(
         factor_tiling((b, a))
@@ -636,7 +636,7 @@ def test_label_rows_are_paired_by_one_row_operation(monkeypatch, p, l):
     monkeypatch.setattr(homology, "rank", spy)
     assert structured_kernel_dim(a.tiling) == dense == len(kernel_basis(stacked))
     (c,) = systems
-    b, lab = a.tiling.factors
+    b, lab = a.tiling.b, a.tiling.a
     orbit0 = c.cols - len(b) // 4
     meets_orbits = sum(any(j >= orbit0 for j, _ in row) for row in c.row_pairs)
     assert meets_orbits == (len(set(b)) + len(set(lab))) // 2

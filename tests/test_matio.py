@@ -134,11 +134,12 @@ def test_export_matches_the_oracles_on_the_ladder(p, l):
 
 @pytest.mark.parametrize("slot", ["b_prime", "a_prime"])
 def test_stacked_matches_the_oracle_on_tampered_tiles(mozes513, slot):
-    # One side of a tile retargeted: the labels give no factors of S, and
-    # S is still cut from them row by row as the oracle re-slices m1, m2.
+    # One side of a tile retargeted with its orbit-major partner: the
+    # labels are not those of the complex, and S is still cut from them
+    # row by row as the oracle re-slices m1, m2.
     c = mozes513.complex
-    ts = label_tiling(retarget(mozes513, slot), c)
-    assert ts.factors is None
+    ts = label_tiling(retarget(mozes513, slot, orbit_major=True), c)
+    assert ts != mozes513.tiling
     stacked = stacked_matrix(ts)
     assert stacked == stacked_matrix_by_minus_diagonal(ts)
     assert_writers_match_the_oracles(stacked)

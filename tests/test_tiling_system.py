@@ -217,8 +217,8 @@ def test_label_lists_match_the_per_pair_builder_on_the_ladder(p, l):
     # Rows cut from one shared list per primed label against one append
     # per nonzero; connectivity and column sums read off the labels against
     # Tarjan over the built matrices, edge graphs indexed by
-    # DirectedEdgeRef and the built column sums; the label check against
-    # the built S checked against the labels read off psi.
+    # DirectedEdgeRef and the built column sums; the labels against the
+    # built S checked against the labels read off psi.
     c = load_complex(generate_mozes_complex(p, l))
     r = expand_directed_squares(c)
     ts = label_tiling(c.edge_table.tiles, c)
@@ -226,7 +226,6 @@ def test_label_lists_match_the_per_pair_builder_on_the_ladder(p, l):
     assert (ts.m1, ts.m2) == build_tiling_by_pairs(r, c)
     assert ts.column_sums() == (ts.m1.column_sums(), ts.m2.column_sums())
     built = stacked_matrix(build_tiling(r, c))
-    assert ts.factors is not None
     assert matches_factors(built, *tile_labels(chain_maps(c, c.edge_table.tiles).psi))
 
 
@@ -268,53 +267,65 @@ def test_axis_connectivity_strong_skips_the_union_find(monkeypatch):
         axis_connectivity_by_matrix(digraph(2, [(0, 1)]))
 
 
-# The same digraphs on label input: an edge t -> s whenever
-# labels[s] = primed[t] and s != t ^ flip.
+# The same kinds of digraph as tile graphs of label multigraphs (see
+# label_lists below), against the matrix oracle.
+
+
+def label_axis_connectivity(edges, flip):
+    """_label_axis_connectivity of the labels label_lists makes of edges,
+    checked against the matrix oracle."""
+    labels = label_lists(edges, 2 * len(edges), flip)
+    component = tiling_system.label_components(labels, flip)
+    conn = tiling_system._label_axis_connectivity(labels, flip, component)
+    assert conn == axis_connectivity_by_matrix(tile_graph_by_definition(labels, flip))
+    return conn
 
 
 def test_label_axis_connectivity_weak_but_not_strong():
-    # 0 -> 1 -> 2; no tile has label 6, the primed label of tile 2
-    conn = tiling_system._axis_connectivity([7, 8, 9], [8, 9, 6], 2)
-    assert (conn.weakly_connected, conn.strongly_connected, conn.scc_count) == (True, False, 3)
+    # A loop at 0 and an edge 0 - 1 to the leaf 1: the loop's two darts
+    # are cycles of their own, and the two darts of the edge are peeled.
+    conn = label_axis_connectivity([(0, 0), (0, 1)], 2)
+    assert (conn.weakly_connected, conn.strongly_connected, conn.scc_count) == (True, False, 4)
 
 
 def test_label_axis_connectivity_not_even_weak():
-    # 0 <-> 1 and 2 <-> 3, with loops
-    conn = tiling_system._axis_connectivity([0, 0, 1, 1], [0, 0, 1, 1], 2)
-    assert (conn.weakly_connected, conn.strongly_connected, conn.scc_count) == (False, False, 2)
-    # tiles 0 and 1 both have label 0 and primed label 0, but each skips
-    # t ^ 1, the other one: only the loops are left
-    conn = tiling_system._axis_connectivity([0, 0], [0, 0], 1)
-    assert (conn.weakly_connected, conn.strongly_connected, conn.scc_count) == (False, False, 2)
-    # with a skip that names no tile, 0 <-> 1
-    conn = tiling_system._axis_connectivity([0, 0], [0, 0], 4)
-    assert (conn.weakly_connected, conn.strongly_connected, conn.scc_count) == (True, True, 1)
+    # Two loops at two labels: two cycles, each two directions.
+    conn = label_axis_connectivity([(0, 0), (1, 1)], 2)
+    assert (conn.weakly_connected, conn.strongly_connected, conn.scc_count) == (False, False, 4)
+    # The path 0 - 1 - 2: two directions weakly, and all four darts peeled.
+    conn = label_axis_connectivity([(0, 1), (1, 2)], 1)
+    assert (conn.weakly_connected, conn.strongly_connected, conn.scc_count) == (False, False, 4)
 
 
 def test_label_axis_connectivity_strong_skips_the_union_find(monkeypatch):
-    class NoUnionFind:
-        def __init__(self, n):
-            raise AssertionError("union-find run on a strongly connected graph")
+    # Two loops at one label, of degree 4: strongly connected, read off the
+    # degrees with no union-find and no peel.
+    def refuse(*args):
+        raise AssertionError("union-find or peel run on a strongly connected graph")
 
-    monkeypatch.setattr(tiling_system, "_UnionFind", NoUnionFind)
-    # 0 -> 1 -> 2 -> 3 -> 0
-    conn = tiling_system._axis_connectivity([0, 1, 2, 3], [1, 2, 3, 0], 2)
+    labels = label_lists([(0, 0), (0, 0)], 4, 2)
+    leafy = label_lists([(0, 0), (0, 1)], 4, 2)
+    components = [tiling_system.label_components(x, 2) for x in (labels, leafy)]
+    monkeypatch.setattr(tiling_system, "_UnionFind", refuse)
+    monkeypatch.setattr(tiling_system, "_two_core", refuse)
+    conn = tiling_system._label_axis_connectivity(labels, 2, components[0])
     assert (conn.weakly_connected, conn.strongly_connected, conn.scc_count) == (True, True, 1)
     with pytest.raises(AssertionError):
-        # 0 -> 1 only
-        tiling_system._axis_connectivity([0, 1], [1, 5], 2)
+        # 0 - 0 and 0 - 1: the leaf 1 takes the peel
+        tiling_system._label_axis_connectivity(leafy, 2, components[1])
 
 
 def test_label_components_number_every_label_up_to_the_last():
     # Labels 1 and 2 meet no tile and label 5 lies past the last one: each
     # is an edge-graph vertex of its own, as the union-find oracle says.
-    labels, primed = (0, 3, 4), (3, 0, 4)
-    component = tiling_system.label_components(labels, primed)
+    labels = (0, 4, 3, 4)
+    component = tiling_system.label_components(labels, 2)
     assert component == (0, 1, 2, 0, 3)
-    oriented = (True, False, True)
+    oriented = (True, True, False, False)
+    pairs = [(x, labels[t ^ 2]) for t, x in enumerate(labels)]
     assert tiling_system._edge_graph_components(
         6, component, labels, oriented
-    ) == edge_graph_components_by_pairs(6, list(zip(labels, primed)), oriented)
+    ) == edge_graph_components_by_pairs(6, pairs, oriented)
 
 
 def test_label_components_are_found_once_per_analysis(monkeypatch, mozes513_doc):
@@ -325,9 +336,9 @@ def test_label_components_are_found_once_per_analysis(monkeypatch, mozes513_doc)
     calls = []
     original = tiling_system.label_components
 
-    def counted(labels, primed):
+    def counted(labels, flip):
         calls.append(labels)
-        return original(labels, primed)
+        return original(labels, flip)
 
     monkeypatch.setattr(tiling_system, "label_components", counted)
     _, a = analyze_document(mozes513_doc)
@@ -404,42 +415,34 @@ def label_multigraphs(draw):
 def test_label_path_agrees_with_tile_tarjan_and_matrix_oracle(edges):
     # Both axes carry the same multigraph, the horizontal one on the pairs
     # {t, t ^ 2} and the vertical one on the pairs {t, t ^ 1}.
+    # With a leaf, the peel to the 2-core runs, once per axis.
     n = 2 * len(edges)
     b, a = label_lists(edges, n, 2), label_lists(edges, n, 1)
-    ts = tiling_system.TilingSystem(
-        b=tuple(b), b_prime=tuple(b[t ^ 2] for t in range(n)),
-        a=tuple(a), a_prime=tuple(a[t ^ 1] for t in range(n)), n_vertices=1,
-    )
-    assert ts.factors is not None
+    ts = tiling_system.TilingSystem(b=tuple(b), a=tuple(a), n_vertices=1)
     n_labels = 1 + max(max(e) for e in edges)
     c = SimpleNamespace(v_edges=range(n_labels), h_edges=range(n_labels))
-    conn = connectivity(ts, c)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        peeled = peel_calls(monkeypatch)
+        conn = connectivity(ts, c)
     leaf = 1 in Counter(b).values()
-    for labels, primed, flip, component, got in (
-        (ts.b, ts.b_prime, 2, ts.components[0], conn.horizontal),
-        (ts.a, ts.a_prime, 1, ts.components[1], conn.vertical),
-    ):
+    assert peeled == ([2, 1] if leaf else [])
+    for labels, flip, got in ((ts.b, 2, conn.horizontal), (ts.a, 1, conn.vertical)):
         expected = axis_connectivity_by_matrix(tile_graph_by_definition(labels, flip))
-        assert tiling_system._axis_connectivity(labels, primed, flip) == expected
         assert got == expected
-        label_path = tiling_system._label_axis_connectivity(labels, component)
-        # the label path declines exactly when U has a leaf
-        assert (label_path is None) == leaf
         if not leaf:
-            assert label_path == expected
             assert expected.weakly_connected == expected.strongly_connected
 
 
-def tile_tarjan_calls(monkeypatch):
-    """Record every call of the tile Tarjan (_scc_count)."""
+def peel_calls(monkeypatch):
+    """Record the flip of every peel of a label multigraph (_two_core)."""
     seen = []
-    original = tiling_system._scc_count
+    original = tiling_system._two_core
 
-    def counted(succ, flip):
+    def counted(labels, flip, degree):
         seen.append(flip)
-        return original(succ, flip)
+        return original(labels, flip, degree)
 
-    monkeypatch.setattr(tiling_system, "_scc_count", counted)
+    monkeypatch.setattr(tiling_system, "_two_core", counted)
     return seen
 
 
@@ -450,11 +453,10 @@ def tile_tarjan_calls(monkeypatch):
 def test_cycle_components_count_twice_on_the_label_path(monkeypatch, doc, cycles):
     # Each label of the torus carries one loop of U: a cycle, whose two
     # directions are two strong and two weak components of the tile graph.
-    calls = tile_tarjan_calls(monkeypatch)
+    calls = peel_calls(monkeypatch)
     c = load_complex(doc)
     r = expand_directed_squares(c)
     ts = label_tiling(c.edge_table.tiles, c)
-    assert ts.factors is not None
     conn = connectivity(ts, c)
     assert calls == []
     for axis in (conn.horizontal, conn.vertical):
@@ -464,19 +466,17 @@ def test_cycle_components_count_twice_on_the_label_path(monkeypatch, doc, cycles
     assert conn == connectivity_by_refs(build_tiling(r, c), c, r)
 
 
-def test_a_leaf_of_the_label_multigraph_takes_the_tile_tarjan(monkeypatch):
+def test_a_leaf_of_the_label_multigraph_takes_the_peel(monkeypatch):
     # Vertex 0 of the first factor has degree 1, so the b labels of the
     # product's vertical edges over it are carried by one tile each: the
-    # horizontal axis falls back to the tile Tarjan, the vertical one does
-    # not.
-    calls = tile_tarjan_calls(monkeypatch)
+    # horizontal axis is peeled to its 2-core, the vertical one is not.
+    calls = peel_calls(monkeypatch)
     g1 = (3, [(0, 1), (1, 2), (1, 2), (2, 2)])
     g2 = (1, [(0, 0), (0, 0)])
     c = load_complex(_complexes.product_doc(g1, g2))
     assert validate_vht(c).ok
     r = expand_directed_squares(c)
     ts = label_tiling(c.edge_table.tiles, c)
-    assert ts.factors is not None
     assert 1 in Counter(ts.b).values() and 1 not in Counter(ts.a).values()
     conn = connectivity(ts, c)
     assert calls == [2]
@@ -484,18 +484,30 @@ def test_a_leaf_of_the_label_multigraph_takes_the_tile_tarjan(monkeypatch):
 
 
 def test_tampered_tiles_take_the_tile_tarjan(monkeypatch, mozes513):
-    # A retargeted side breaks the factors: both axes run the tile
-    # Tarjan, against the built matrices of the tampered tiles.
-    def refuse(*args):
-        raise AssertionError("label path run on tiles without factors")
-
-    calls = tile_tarjan_calls(monkeypatch)
-    monkeypatch.setattr(tiling_system, "_label_axis_connectivity", refuse)
+    # Tiles with a side retargeted, orbit-major still, once took Tarjan
+    # over the tiles; there is no such path now.  Their labels are read
+    # like any others: no label is carried by one tile, so neither axis is
+    # peeled, and the report is the one of the built matrices.
+    calls = peel_calls(monkeypatch)
     c = mozes513.complex
     for slot in ("b_prime", "a_prime"):
-        tiles = retarget(mozes513, slot)
+        tiles = retarget(mozes513, slot, orbit_major=True)
         ts = label_tiling(tiles, c)
-        assert ts.factors is None
+        assert ts != mozes513.tiling
         r = tile_squares(c, tiles)
         assert connectivity(ts, c) == connectivity_by_refs(build_tiling(r, c), c, r)
-    assert calls == [2, 1, 2, 1]
+    assert calls == []
+
+
+@pytest.mark.parametrize("case", ["b_prime", "a_prime", "count"])
+def test_label_tiling_rejects_tiles_that_are_not_orbit_major(mozes513, case):
+    # The directed squares of a complex are orbit-major: b'(t) = b(t ^ 2),
+    # a'(t) = a(t ^ 1), four tiles per orbit.  A side of tile 0 moved to
+    # another edge of its axis, or a tile dropped, is refused by both
+    # entries.
+    c = mozes513.complex
+    tiles = c.edge_table.tiles[:-1] if case == "count" else retarget(mozes513, case)
+    with pytest.raises(ValueError, match="orbit-major"):
+        label_tiling(tiles, c)
+    with pytest.raises(ValueError, match="orbit-major"):
+        build_tiling(tile_squares(c, tiles), c)
