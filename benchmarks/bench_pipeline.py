@@ -30,8 +30,10 @@ stage neither side changed read 10-15 % apart at (89,97), and (5,29)
 interpreter per side with the sides in alternating order, and each time
 in the table is the best over all rounds (best_table), so that a drift
 reaches both sides alike, and a slow interpreter shows only when every
-round of its side is slow.  The generation
-of each Mozes pair, generate_mozes_complex, is timed apart as
+round of its side is slow.  Each round runs every pair once, so two
+rounds of one pair lie a whole round apart, and a slow window of the
+machine is spread over pairs and over both sides.  The generation of
+each Mozes pair, generate_mozes_complex, is timed apart as
 "generate_s" (best of "repeat", checked against the document handed in),
 and so is the export of its stacked matrix, expand_directed_squares ->
 build_tiling -> stacked_matrix -> write_triplets on a fresh load (not
@@ -204,12 +206,14 @@ def main(argv=None) -> int:
     if args.src is not None:
         trees = {"before": args.src.resolve() / "src", **trees}
     runs: dict[str, dict] = {label: {} for label in trees}
-    # Both checkouts run each document back to back, round by round in
-    # alternating order, so a drift in the machine's speed during the run
-    # shifts both sides alike.
-    for name, text in documents().items():
-        order = list(trees)
-        for k in range(ROUNDS):
+    # Both checkouts run each document back to back, in alternating order
+    # from round to round, and each round runs every document, so a drift
+    # in the machine's speed during the run, or a slow window, shifts both
+    # sides and many pairs alike.
+    docs = documents()
+    order = list(trees)
+    for k in range(ROUNDS):
+        for name, text in docs.items():
             for label in order[::-1] if k % 2 else order:
                 table = run_pair(trees[label], name, text)
                 runs[label][name] = best_table(runs[label].get(name), table)

@@ -15,10 +15,16 @@ reversal, produces a one-vertex VH-T complex with (p+1)/2 horizontal and
 to all (p+1)(l+1) pairs.  The sign only reflects the unit ambiguity of the
 quaternions and is discarded when building the complex.
 
-The squares are built as integer edge codes, 2k + reversed per axis as in
-complex_model.EdgeTable, and reflected by complex_model.orbit_codes, the
-formula the expansion uses; refs and DirectedSquares are made only for the
-emitted orbit representatives.
+The generator does its arithmetic on plain int 4-tuples (a0, a1, a2, a3),
+with one product, _product, which Quaternion.__mul__ calls too.  The
+(l+1)(p+1) products y~ * x~ stream into one relation table keyed up to
+sign (_relation_table), and the (p+1)(l+1) products x * y stream through
+it, one lookup per pair (_solve_pair); neither product list is held.
+solve_square_relation runs on the same table.  The squares are built as
+integer edge codes, 2k + reversed per axis as in complex_model.EdgeTable,
+and reflected by complex_model.orbit_codes, the formula the expansion
+uses; refs and DirectedSquares are made only for the emitted orbit
+representatives.
 """
 
 from __future__ import annotations
@@ -52,14 +58,7 @@ class Quaternion:
     a3: int
 
     def __mul__(self, other: "Quaternion") -> "Quaternion":
-        a0, a1, a2, a3 = self.a0, self.a1, self.a2, self.a3
-        b0, b1, b2, b3 = other.a0, other.a1, other.a2, other.a3
-        return Quaternion(
-            a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3,
-            a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2,
-            a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1,
-            a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0,
-        )
+        return Quaternion(*_product(_coords(self), _coords(other)))
 
     def __neg__(self) -> "Quaternion":
         return Quaternion(-self.a0, -self.a1, -self.a2, -self.a3)
@@ -69,6 +68,23 @@ class Quaternion:
 
     def norm(self) -> int:
         return self.a0**2 + self.a1**2 + self.a2**2 + self.a3**2
+
+
+def _coords(q: Quaternion) -> tuple[int, int, int, int]:
+    """q as the int 4-tuple (a0, a1, a2, a3), which orders as q does."""
+    return (q.a0, q.a1, q.a2, q.a3)
+
+
+def _product(x: tuple, y: tuple) -> tuple[int, int, int, int]:
+    """The quaternion product x * y of two int 4-tuples."""
+    a0, a1, a2, a3 = x
+    b0, b1, b2, b3 = y
+    return (
+        a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3,
+        a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2,
+        a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1,
+        a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0,
+    )
 
 
 @dataclass(frozen=True)
@@ -125,36 +141,40 @@ def norm_quaternions(p: int) -> GeneratorSet:
     return GeneratorSet(prime=p, quats=tuple(found))
 
 
-def _up_to_sign(q: Quaternion) -> tuple[Quaternion, int]:
-    """(key, sign) with key = max(q, -q) and q = sign * key."""
-    neg = -q
+def _up_to_sign(q: tuple) -> tuple[tuple, int]:
+    """(key, sign) of an int 4-tuple q: key = max(q, -q), compared as
+    tuples, and q = sign * key."""
+    neg = (-q[0], -q[1], -q[2], -q[3])
     return (q, 1) if q > neg else (neg, -1)
 
 
-def _relation_table(ql: GeneratorSet, qp: GeneratorSet) -> dict:
-    """Every product y~ * x~ over ql x qp, keyed up to sign.
+def _relation_table(ys: list[tuple], xs: list[tuple]) -> dict:
+    """Every product y~ * x~ over ys x xs, int 4-tuples, keyed up to sign.
 
-    The entry of a key lists each (j, i, sign) with
-    ql.quats[j] * qp.quats[i] = sign * key, in the order of ql x qp.  A
-    nonzero quaternion never equals its negative, so the solutions of
+    The products stream into the table one at a time; no list of them is
+    held.  The entry of a key lists each (j, i, sign) with
+    ys[j] * xs[i] = sign * key, in the order of ys x xs.  A nonzero
+    quaternion never equals its negative, so the solutions of
     s * key = s' * y~ * x~ are exactly the entries of that key, with
     s' = s * sign.
     """
     table: dict = {}
-    for j, yt in enumerate(ql.quats):
-        for i, xt in enumerate(qp.quats):
-            key, sign = _up_to_sign(yt * xt)
+    for j, yt in enumerate(ys):
+        for i, xt in enumerate(xs):
+            key, sign = _up_to_sign(_product(yt, xt))
             table.setdefault(key, []).append((j, i, sign))
     return table
 
 
-def _solve_from_table(table: dict, x: Quaternion, y: Quaternion) -> tuple[int, int, int]:
-    """The indices (j, i, sign) of the unique solution for (x, y)."""
-    key, s = _up_to_sign(x * y)
+def _solve_pair(table: dict, x: tuple, y: tuple) -> tuple[int, int, int]:
+    """The indices (j, i, sign) of the unique solution for the int 4-tuples
+    (x, y), looked up in _relation_table: one product per pair."""
+    key, s = _up_to_sign(_product(x, y))
     hits = table.get(key, ())
     if len(hits) != 1:
         raise RelationSolveError(
-            f"relation for ({x}, {y}) has {len(hits)} solutions, expected 1"
+            f"relation for ({Quaternion(*x)}, {Quaternion(*y)}) has {len(hits)} solutions,"
+            " expected 1"
         )
     j, i, sign = hits[0]
     return j, i, s * sign
@@ -167,18 +187,20 @@ def solve_square_relation(
 
     Looks x*y up among all products of ql x qp x {+1, -1}; anything other
     than exactly one hit means the inputs are not a generator pair of this
-    construction.  build_mozes_complex builds the product table once and
-    looks every pair up in it.
+    construction.  build_mozes_complex builds the same table once and looks
+    every pair up in it.
     """
-    j, i, sign = _solve_from_table(_relation_table(ql, qp), x, y)
+    table = _relation_table(list(map(_coords, ql.quats)), list(map(_coords, qp.quats)))
+    j, i, sign = _solve_pair(table, _coords(x), _coords(y))
     return ql.quats[j], qp.quats[i], sign
 
 
-def _edge_codes(quats: tuple[Quaternion, ...]) -> tuple[list[int], list[int]]:
-    """The code 2k + (q != rep) of each quaternion q, where rep = min(q, q~)
-    is the k-th representative in sorted order, and the index in quats of
-    the quaternion of each code.  Conjugation is reversal, code ^ 1."""
-    reps = [min(q, q.conjugate()) for q in quats]
+def _edge_codes(quats: list[tuple]) -> tuple[list[int], list[int]]:
+    """The code 2k + (q != rep) of each quaternion q, an int 4-tuple, where
+    rep = min(q, q~) is the k-th representative in sorted order, and the
+    index in quats of the quaternion of each code.  Conjugation is
+    reversal, code ^ 1."""
+    reps = [min(q, (q[0], -q[1], -q[2], -q[3])) for q in quats]
     rank = {rep: k for k, rep in enumerate(sorted(set(reps)))}
     codes = [2 * rank[rep] + (q != rep) for q, rep in zip(quats, reps)]
     return codes, sorted(range(len(codes)), key=codes.__getitem__)
@@ -187,24 +209,25 @@ def _edge_codes(quats: tuple[Quaternion, ...]) -> tuple[list[int], list[int]]:
 def build_mozes_complex(p: int, l: int) -> SquareComplex:
     """The one-vertex complex itself; see generate_mozes_complex for the document.
 
-    Pair k = i * (l+1) + j, of x = qp.quats[i] and y = ql.quats[j], has the
-    square of edge codes (x, y~, x~, y), numbered per axis (_edge_codes).
+    Pair k = i * (l+1) + j, of x = xs[i] and y = ys[j], the norm-p and
+    norm-l generators as int 4-tuples, has the square of edge codes
+    (x, y~, x~, y), numbered per axis (_edge_codes).
     Each orbit's reflections (orbit_codes) must be the squares of three
     more pairs, read off their a and b' codes, and none seen before.
     """
     if p == l:
         raise MozesParameterError("the two primes must be distinct")
-    qp = norm_quaternions(p)
-    ql = norm_quaternions(l)
-    h_code, h_index = _edge_codes(qp.quats)
-    v_code, v_index = _edge_codes(ql.quats)
-    width = len(ql.quats)
+    xs = list(map(_coords, norm_quaternions(p).quats))
+    ys = list(map(_coords, norm_quaternions(l).quats))
+    h_code, h_index = _edge_codes(xs)
+    v_code, v_index = _edge_codes(ys)
+    width = len(ys)
 
-    table = _relation_table(ql, qp)
+    table = _relation_table(ys, xs)
     squares = []
-    for i, x in enumerate(qp.quats):
-        for j, y in enumerate(ql.quats):
-            jt, it, _ = _solve_from_table(table, x, y)
+    for i, x in enumerate(xs):
+        for j, y in enumerate(ys):
+            jt, it, _ = _solve_pair(table, x, y)
             squares.append((h_code[i], v_code[jt], h_code[it], v_code[j]))
 
     emitted: list[tuple[int, int, int, int]] = []

@@ -147,12 +147,16 @@ def _primed(labels, flip: int) -> list[int]:
     return primed
 
 
-def _shared_followers(labels, flip: int) -> dict[int, tuple]:
-    """The sorted pairs (t, 1) of the tiles t with each primed label."""
+def _shared_followers(labels, flip: int) -> tuple[dict[int, tuple], list[int]]:
+    """The sorted pairs (t, 1) of the tiles t with each primed label, and
+    the position of each tile t in the tuple of its own primed label."""
     followers: dict[int, list[tuple[int, int]]] = {}
+    position = []
     for t, x in enumerate(_primed(labels, flip)):
-        followers.setdefault(x, []).append((t, 1))
-    return {x: tuple(pairs) for x, pairs in followers.items()}
+        pairs = followers.setdefault(x, [])
+        position.append(len(pairs))
+        pairs.append((t, 1))
+    return {x: tuple(pairs) for x, pairs in followers.items()}, position
 
 
 def _follower_rows(labels, flip: int) -> list[tuple]:
@@ -162,38 +166,43 @@ def _follower_rows(labels, flip: int) -> list[tuple]:
     The pairs of each primed label form one sorted tuple, shared by every
     row with that label; row s is that tuple with (s ^ flip, 1) cut out.
     It always holds that pair, since the primed label of s ^ flip is
-    labels[s].
+    labels[s], at the position of s ^ flip.
     """
-    shared = _shared_followers(labels, flip)
+    shared, position = _shared_followers(labels, flip)
     rows = []
     for s, x in enumerate(labels):
         base = shared[x]
-        k = bisect_left(base, (s ^ flip,))  # (t,) sorts before every pair (t, 1)
+        k = position[s ^ flip]
         rows.append(base[:k] + base[k + 1 :])
     return rows
 
 
 def _minus_identity_rows(labels, flip: int) -> list[tuple]:
     """The rows s of a transition matrix less the identity, cut from the
-    same shared tuples as _follower_rows in one slice pass.
+    same shared tuples as _follower_rows.
 
     Both columns s ^ flip and s leave the tuple when it holds them: the
     first is cut from the transition matrix, and at the second 1 - 1 = 0.
-    When the tuple does not hold s, (s, -1) goes in its place.
+    The tuple always holds s ^ flip, at its position, and holds s iff the
+    primed label labels[s ^ flip] of s is labels[s], then at the position
+    of s.  When it does not hold s, one bisect places (s, -1).
     """
-    shared = _shared_followers(labels, flip)
+    shared, position = _shared_followers(labels, flip)
     rows = []
     for s, x in enumerate(labels):
         base = shared[x]
         cut = s ^ flip
-        lo, hi = (s, cut) if s < cut else (cut, s)
-        i = bisect_left(base, (lo,))
-        i_end = i + (i < len(base) and base[i][0] == lo)
-        j = bisect_left(base, (hi,), i_end)
-        j_end = j + (j < len(base) and base[j][0] == hi)
-        at_lo = ((s, -1),) if lo == s and i == i_end else ()
-        at_hi = ((s, -1),) if hi == s and j == j_end else ()
-        rows.append(base[:i] + at_lo + base[i_end:j] + at_hi + base[j_end:])
+        k = position[cut]
+        if labels[cut] == x:
+            i, j = sorted((k, position[s]))
+            row = base[:i] + base[i + 1 : j] + base[j + 1 :]
+        else:
+            i = bisect_left(base, (s,))  # (s,) sorts before every pair (s, 1)
+            if i <= k:
+                row = base[:i] + ((s, -1),) + base[i:k] + base[k + 1 :]
+            else:
+                row = base[:k] + base[k + 1 : i] + ((s, -1),) + base[i:]
+        rows.append(row)
     return rows
 
 

@@ -24,9 +24,10 @@ all directed-edge pairs, and every vertex read through
 SquareComplex.origin, where the pipeline reads integer edge codes.
 The export path keeps its earlier writers here: triplets with one
 formatted line per nonzero, the dense form and the canonical document
-written by json.dumps, and the stacked matrix re-sliced row by row from
-the built m1 and m2, where the pipeline joins strings and cuts each row
-of S from the tile labels.  The sparse rank over F_p (rank_mod_p, with
+written by json.dumps, the stacked matrix re-sliced row by row from the
+built m1 and m2, where the pipeline joins strings and cuts each row of S
+from the tile labels, and the rows of S cut by two bisects each, where
+the pipeline reads the position of each tile off a table.  The sparse rank over F_p (rank_mod_p, with
 p a parameter, 2^61 - 1 by default, and rank_mod_prime on an IntMatrix)
 moved here from treelat._kernels_py: the package counts the stacked
 kernel over Q, with the pivots of its one integer elimination, and the
@@ -637,6 +638,39 @@ def stacked_matrix_by_minus_diagonal(ts):
     rows = []
     for m in (ts.m1, ts.m2):
         rows.extend(map(minus_diagonal, m.row_pairs, range(n)))
+    return IntMatrix(2 * n, n, tuple(rows))
+
+
+def minus_identity_rows_by_bisect(labels, flip):
+    """The rows s of a transition matrix less the identity, each cut from
+    the sorted tuple of the tiles with primed label labels[s] by two
+    bisects, one per column s ^ flip and s (the cut before the pipeline
+    read the position of each tile off a table)."""
+    shared = {}
+    for t in range(len(labels)):
+        shared.setdefault(labels[t ^ flip], []).append((t, 1))
+    rows = []
+    for s, x in enumerate(labels):
+        base = tuple(shared[x])
+        cut = s ^ flip
+        lo, hi = (s, cut) if s < cut else (cut, s)
+        i = bisect_left(base, (lo,))
+        i_end = i + (i < len(base) and base[i][0] == lo)
+        j = bisect_left(base, (hi,), i_end)
+        j_end = j + (j < len(base) and base[j][0] == hi)
+        at_lo = ((s, -1),) if lo == s and i == i_end else ()
+        at_hi = ((s, -1),) if hi == s and j == j_end else ()
+        rows.append(base[:i] + at_lo + base[i_end:j] + at_hi + base[j_end:])
+    return rows
+
+
+def stacked_matrix_by_bisect(ts):
+    """(m1 - I) stacked over (m2 - I), each row cut from the tile labels
+    of ts by minus_identity_rows_by_bisect."""
+    from treelat.zlinalg import IntMatrix
+
+    n = len(ts.b)
+    rows = minus_identity_rows_by_bisect(ts.b, 2) + minus_identity_rows_by_bisect(ts.a, 1)
     return IntMatrix(2 * n, n, tuple(rows))
 
 

@@ -120,18 +120,19 @@ def test_solve_relation_rejects_bad_input():
 
 def test_generation_multiplies_each_pair_twice(monkeypatch):
     # one product table of (p+1)(l+1) entries plus one x*y per pair; a
-    # search per pair would make (p+1)(l+1) products for every pair
+    # search per pair would make (p+1)(l+1) products for every pair.  The
+    # generator multiplies int 4-tuples, with the one product _product.
     calls = 0
-    mul = Quaternion.__mul__
+    product = mozes._product
 
-    def counting_mul(self, other):
+    def counting_product(x, y):
         nonlocal calls
         calls += 1
-        return mul(self, other)
+        return product(x, y)
 
-    monkeypatch.setattr(Quaternion, "__mul__", counting_mul)
+    monkeypatch.setattr(mozes, "_product", counting_product)
     build_mozes_complex(5, 13)
-    assert calls <= 2 * (5 + 1) * (13 + 1)
+    assert 0 < calls <= 2 * (5 + 1) * (13 + 1)
 
 
 # sha256 of the generated documents, as the per-pair search produced them
@@ -140,6 +141,9 @@ GENERATED_SHA256 = {
     (13, 17): "ea660ac88044ef86516c23ce9cc9418ffbc1d1b7f9c6786eb08878b7f1f2c823",
     (17, 29): "7663916f8bb4812b9958af76f55630e3e58dd3fe6277c17099a51c0c94820424",
     (29, 37): "b29ce497581e470f6095d3ef4d0a8268ad178db3b6f73122b29dd4acffba0d80",
+    (5, 17): "72082618c08cfbc7256fd7f3f7b61b4f997c4c48284f9ee4586acf5b6dfc40f4",
+    (5, 29): "76c0d8e9409ced4fd1bf09d2052eff81cd10906a2f2f24463967b6cd0f8cce4f",
+    (89, 97): "05b2e897f8a298fa2f09ddbb531b8d093666c9153b3c61390ce1bc42ab714f25",
 }
 
 
@@ -162,15 +166,20 @@ def test_generation_reflects_codes_without_hashing_refs(monkeypatch):
     assert hashlib.sha256(doc.encode()).hexdigest() == GENERATED_SHA256[(13, 17)]
 
 
+def coords(quats):
+    """The generators as the int 4-tuples the generator works on."""
+    return [(x.a0, x.a1, x.a2, x.a3) for x in quats]
+
+
 def test_generation_rejects_squares_fixed_by_vh(monkeypatch):
     # (y~, x~) = (conj y, conj x) makes every square its own vh-image, so
     # each orbit holds two pairs
-    q5, q13 = norm_quaternions(5), norm_quaternions(13)
+    xs, ys = coords(norm_quaternions(5).quats), coords(norm_quaternions(13).quats)
 
     def conjugates(table, x, y):
-        return q13.quats.index(y.conjugate()), q5.quats.index(x.conjugate()), 1
+        return ys.index((y[0], -y[1], -y[2], -y[3])), xs.index((x[0], -x[1], -x[2], -x[3])), 1
 
-    monkeypatch.setattr(mozes, "_solve_from_table", conjugates)
+    monkeypatch.setattr(mozes, "_solve_pair", conjugates)
     with pytest.raises(RelationSolveError, match=r"^reflection orbit of pair \(0, 0\) is not free$"):
         build_mozes_complex(5, 13)
 
@@ -178,14 +187,14 @@ def test_generation_rejects_squares_fixed_by_vh(monkeypatch):
 def test_generation_rejects_a_wrong_solution(monkeypatch):
     # a wrong x~ at the first pair: its reflections are the squares of
     # other pairs, solved correctly, and differ from them
-    solve = mozes._solve_from_table
-    first = norm_quaternions(5).quats[0], norm_quaternions(13).quats[0]
+    solve = mozes._solve_pair
+    first = coords(norm_quaternions(5).quats)[0], coords(norm_quaternions(13).quats)[0]
 
     def wrong_at_first(table, x, y):
         jt, it, sign = solve(table, x, y)
         return (jt, (it + 1) % 6, sign) if (x, y) == first else (jt, it, sign)
 
-    monkeypatch.setattr(mozes, "_solve_from_table", wrong_at_first)
+    monkeypatch.setattr(mozes, "_solve_pair", wrong_at_first)
     with pytest.raises(
         RelationSolveError,
         match=r"^reflection image of pair \(0, 0\) disagrees with the solved square at \(\d+, \d+\)$",

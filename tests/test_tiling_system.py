@@ -22,6 +22,7 @@ from _oracles import (
     edge_graph_components_by_pairs,
     h_image_index,
     matches_factors,
+    stacked_matrix_by_bisect,
     strongly_connected_by_closure,
     sub,
     tile_labels,
@@ -227,6 +228,37 @@ def test_label_lists_match_the_per_pair_builder_on_the_ladder(p, l):
     assert ts.column_sums() == (ts.m1.column_sums(), ts.m2.column_sums())
     built = stacked_matrix(build_tiling(r, c))
     assert matches_factors(built, *tile_labels(chain_maps(c, c.edge_table.tiles).psi))
+
+
+def stacked_oracle_documents():
+    """The ladder, (29,37), the battery and random one-vertex and product
+    documents, by name."""
+    pairs = ((5, 13), (5, 17), (5, 29), (13, 17), (29, 37))
+    docs = {f"mozes{p},{l}": generate_mozes_complex(p, l) for p, l in pairs}
+    for name in ("torus", "f2xf2", "klein", "two_vertex_klein"):
+        docs[name] = getattr(_complexes, f"{name}_doc")()
+    rng = random.Random(24)
+    for k in range(12):
+        n_h, n_v = rng.randint(1, 4), rng.randint(1, 4)
+        docs[f"one_vertex{k}"] = _complexes.random_one_vertex_doc(rng, n_h, n_v)
+    for k in range(12):
+        # min degree 1 gives leaves, and loops give tiles with b(t) = b'(t)
+        g1 = _complexes.random_multigraph(rng, rng.randint(1, 3), rng.randint(0, 3), 1 + k % 3)
+        g2 = _complexes.random_multigraph(rng, rng.randint(1, 3), rng.randint(0, 3), 1 + k % 3)
+        docs[f"product{k}"] = _complexes.product_doc(g1, g2)
+    return docs
+
+
+STACKED_ORACLE_DOCUMENTS = stacked_oracle_documents()
+
+
+@pytest.mark.parametrize("name", sorted(STACKED_ORACLE_DOCUMENTS))
+def test_stacked_rows_cut_by_position_match_the_bisect_oracle(name):
+    # Each row of S is cut at the positions of s ^ flip and s in the shared
+    # tuple of its label, read off one table, against two bisects per row.
+    c = load_complex(STACKED_ORACLE_DOCUMENTS[name])
+    ts = build_tiling(expand_directed_squares(c), c)
+    assert stacked_matrix(ts) == stacked_matrix_by_bisect(ts)
 
 
 def test_transition_matrices_store_only_their_nonzeros(mozes513):
