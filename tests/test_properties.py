@@ -14,11 +14,6 @@ def analyze(doc):
     return analysis
 
 
-def test_corpus_properties(corpus):
-    for analysis in corpus.values():
-        assert_instance_properties(analysis)
-
-
 def test_random_one_vertex_complexes():
     rng = random.Random(20260810)
     for _ in range(10):
