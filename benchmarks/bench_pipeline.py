@@ -10,11 +10,14 @@ timed under its own name: each is wrapped there, the way
 perfbench/tracer.py patches module attributes, while
 cli.analyze_document and cli.build_report run on the document.  So the
 stages and their order are read off the checkout's own pipeline, and no
-call sequence is copied here: on this checkout load_complex,
-validate_vht, label_tiling, chain_maps, connectivity, kernel_and_image
-(the elimination of d2), commuting_square, stacked_kernel_basis,
-smith_normal_form (of the image block of d2), homology_report, k0_rank,
-verify_main_theorem and build_report.  A function called inside a stage
+call sequence is copied here: on this checkout, for a complex whose
+theorem block is certified (every Mozes pair), load_complex,
+validate_vht, label_tiling, chain_maps, connectivity, image_block (the
+elimination of d2 without its I part), certified_theorem,
+smith_normal_form (of the image block of d2), homology_report, k0_rank
+and build_report; where the certificate fails, kernel_and_image,
+commuting_square, stacked_kernel_basis and verify_main_theorem follow
+certified_theorem.  A function called inside a stage
 counts in that stage, and a stage called twice counts both calls.  Each
 time is the best of "repeat" full pipelines (REPEAT, or the pair's entry
 in REPEATS), each on a fresh load, so cached properties built by one run
@@ -24,15 +27,16 @@ never shorten the next.  The pairs are the Mozes ladder (5,13) (5,17)
 validate_vht are timed.  The small pairs repeat more, since a run of
 theirs takes a few milliseconds and one slow run moves a best of five.
 The machine's speed drifts by up to a third over the minutes both sides
-take, and one interpreter can run slow as a whole: with one round, a
-stage neither side changed read 10-15 % apart at (89,97), and (5,29)
-1.6x apart in every stage.  So every pair runs in ROUNDS rounds, each an
-interpreter per side with the sides in alternating order, and each time
-in the table is the best over all rounds (best_table), so that a drift
-reaches both sides alike, and a slow interpreter shows only when every
-round of its side is slow.  Each round runs every pair once, so two
-rounds of one pair lie a whole round apart, and a slow window of the
-machine is spread over pairs and over both sides.  (89,97) repeats 12
+take, and one interpreter can run slow, or fast, as a whole: with one
+round, a stage neither side changed read 10-15 % apart at (89,97), and
+(5,29) 1.6x apart in every stage.  So every pair runs in ROUNDS rounds,
+each an interpreter per side with the sides in alternating order, and
+each time in the table is the median over the rounds of each round's
+best (median_table), so that a drift reaches both sides alike, and one
+round that caught a slow or a fast window does not set a side's figure.
+Each round runs every pair once, so two rounds of one pair lie a whole
+round apart, and a slow window of the machine is spread over pairs and
+over both sides.  (89,97) repeats 12
 times: the machine (2 shared cores) slows for seconds at a time, and
 with both sides on the same code its total_s read up to 9 % apart at 3
 repeats, 30 % at 6 and 8 % at 12.  The generation of each Mozes pair,
@@ -41,7 +45,7 @@ generate_mozes_complex, is timed apart as
 and so is the export of its stacked matrix, expand_directed_squares ->
 build_tiling -> stacked_matrix -> write_triplets on a fresh load (not
 timed), as "export_s" (best of "repeat"); neither is part of "total_s",
-which sums the analysis stages only.
+which sums the analysis stages of a round only.
 
 Every pair runs in its own interpreter, which reports its peak RSS.  The
 documents are made once, by this checkout, and handed to each run on
@@ -61,6 +65,7 @@ import platform
 import subprocess
 import sys
 from pathlib import Path
+from statistics import median
 
 ROOT = Path(__file__).resolve().parent.parent
 LADDER = ((5, 13), (5, 17), (5, 29), (13, 17), (17, 29), (29, 37), (89, 97))
@@ -172,20 +177,21 @@ def run_pair(src: Path, name: str, text: str) -> dict:
     return table
 
 
-def best_table(kept: dict | None, table: dict) -> dict:
-    """The stage table of two rounds of one document: each time the best of
-    the two, repeats added up, the larger peak RSS."""
-    if kept is None:
-        return table
-    merged = dict(table)
-    stages = {k: min(x, kept["stages_s"][k]) for k, x in table["stages_s"].items()}
-    merged["stages_s"] = stages
-    merged["total_s"] = round(sum(stages.values()), 6)
-    merged["repeat"] = kept["repeat"] + table["repeat"]
-    merged["peak_rss_mb"] = max(kept["peak_rss_mb"], table["peak_rss_mb"])
-    for key in ("generate_s", "export_s"):
-        if key in table:
-            merged[key] = min(kept[key], table[key])
+def median_table(tables: list[dict]) -> dict:
+    """The stage table of the rounds of one document: each time the median
+    over the rounds of each round's best, total_s the median of the
+    rounds' totals, repeats added up, the largest peak RSS.  A median
+    drops the one round whose interpreter caught a fast or a slow window
+    of the machine, which a best over all rounds would keep."""
+    merged = dict(tables[-1])
+    merged["stages_s"] = {
+        k: round(median([t["stages_s"][k] for t in tables]), 6) for k in merged["stages_s"]
+    }
+    for key in ("total_s", "generate_s", "export_s"):
+        if key in merged:
+            merged[key] = round(median([t[key] for t in tables]), 6)
+    merged["repeat"] = sum(t["repeat"] for t in tables)
+    merged["peak_rss_mb"] = max(t["peak_rss_mb"] for t in tables)
     return merged
 
 
@@ -208,7 +214,7 @@ def main(argv=None) -> int:
     trees = {"after": ROOT / "src"}
     if args.src is not None:
         trees = {"before": args.src.resolve() / "src", **trees}
-    runs: dict[str, dict] = {label: {} for label in trees}
+    rounds: dict[str, dict[str, list[dict]]] = {label: {} for label in trees}
     # Both checkouts run each document back to back, in alternating order
     # from round to round, and each round runs every document, so a drift
     # in the machine's speed during the run, or a slow window, shifts both
@@ -219,13 +225,17 @@ def main(argv=None) -> int:
         for name, text in docs.items():
             for label in order[::-1] if k % 2 else order:
                 table = run_pair(trees[label], name, text)
-                runs[label][name] = best_table(runs[label].get(name), table)
+                rounds[label].setdefault(name, []).append(table)
+    runs = {
+        label: {name: median_table(tables) for name, tables in by_name.items()}
+        for label, by_name in rounds.items()
+    }
     table = {
         "machine": {
             "python": platform.python_version(),
             "platform": platform.platform(),
             "nproc": len(os.sched_getaffinity(0)),
-            "clock": "time.perf_counter, best of each table's repeat",
+            "clock": "time.perf_counter, median over rounds of the best of each repeat",
         },
         "runs": runs,
     }

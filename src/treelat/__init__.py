@@ -30,6 +30,7 @@ from treelat.homology import (
     ChainMaps,
     HomologyReport,
     TheoremVerdict,
+    certified_theorem,
     chain_maps,
     commuting_square,
     homology_report,
@@ -58,6 +59,7 @@ from treelat.zlinalg import (
     IntMatrix,
     SmithDecomposition,
     cokernel_invariants,
+    image_block,
     kernel_and_image,
     kernel_basis,
     rank,
@@ -85,6 +87,7 @@ __all__ = [
     "TilingSystem",
     "ValidationReport",
     "build_tiling",
+    "certified_theorem",
     "chain_maps",
     "cokernel_invariants",
     "commuting_square",
@@ -92,6 +95,7 @@ __all__ = [
     "expand_directed_squares",
     "generate_mozes_complex",
     "homology_report",
+    "image_block",
     "k0_rank",
     "kernel_and_image",
     "kernel_basis",

@@ -25,7 +25,7 @@ def _nonzeros(row):
     return [(j, x) for j, x in enumerate(row) if x]
 
 
-def unimodular_elimination(rows):
+def unimodular_elimination(rows, with_transform=True):
     """Row-reduce [a^T | I] by unimodular integer row operations.
 
     rows are the rows of a^T, that is the n columns of an m x n matrix a,
@@ -36,6 +36,14 @@ def unimodular_elimination(rows):
     transform) for each pivot row in the order taken, c its pivot column
     and image and transform its two parts.  The images, the rows of a
     matrix B, span the column lattice of a.
+
+    With with_transform false the I part is left out: every I part starts,
+    and stays, empty.  The loop is the same, so the pivots and their images
+    still give the rank and the column lattice of a, and the kernel still
+    has one (empty) row per dimension of ker a; but no basis of it is kept,
+    and the work and memory the I parts take are saved.  The pivot order
+    then breaks ties without them, so B may differ from the one with the
+    I part, with the same row lattice.
 
     Pivots, Markowitz-style: the column of a^T with the fewest live rows,
     the smaller index on ties; in it, the entry of least magnitude, ties to
@@ -63,12 +71,13 @@ def unimodular_elimination(rows):
     cols = {}  # column of a^T -> the live rows with a nonzero there
     kernel = []
     for i, pairs in enumerate(rows):
+        unit = {i: 1} if with_transform else {}
         if pairs:
-            live[i] = (dict(pairs), {i: 1})
+            live[i] = (dict(pairs), unit)
             for c, _ in pairs:
                 cols.setdefault(c, set()).add(i)
         else:
-            kernel.append({i: 1})
+            kernel.append(unit)
 
     def weight(i):
         image, transform = live[i]

@@ -35,6 +35,7 @@ from treelat.homology import (
     ChainMaps,
     HomologyReport,
     TheoremVerdict,
+    certified_theorem,
     chain_maps,
     commuting_square,
     homology_report,
@@ -50,7 +51,7 @@ from treelat.tiling_system import (
     k0_rank,
     label_tiling,
 )
-from treelat.zlinalg import kernel_and_image, smith_normal_form
+from treelat.zlinalg import image_block, kernel_and_image, smith_normal_form
 
 EXPORTABLE = ("m1", "m2", "stacked", "d1", "d2", "phi1", "phi2")
 
@@ -76,26 +77,37 @@ def analyze_document(text: str) -> tuple[ValidationReport, Analysis | None]:
     return validation, _analyze(c, validation)
 
 
-def _analyze(c: SquareComplex, validation: ValidationReport) -> Analysis:
+def _analyze(c: SquareComplex, validation: ValidationReport, explicit: bool = False) -> Analysis:
     """The analysis of a loaded complex that passed validation, in the one
-    order of its stages."""
+    order of its stages.
+
+    The theorem block is certified when it can be (homology.
+    certified_theorem): the elimination of d2 then keeps only its image
+    block, whose small Smith form gives the torsion of H1 and whose
+    columns give rank d2; check (1) and the count of the stacked kernel on
+    the component unknowns, both read off the tile labels, give every
+    check, and no basis of ker d2 or of ker S is formed.  With explicit,
+    or when the certificate fails, the verdict comes from the explicit
+    checks instead: the elimination of d2 with its I part, for a basis H
+    of ker d2; the commuting square; the stacked kernel K, phi2.H when the
+    square and the count certify that and otherwise the elimination of S;
+    and the checks of verify_main_theorem on K and H.
+    """
     # Validation has ruled out degenerate orbits, so the tiles are the 4n
     # codes of the edge table, and no DirectedSquare is expanded.
     tiles = c.edge_table.tiles
     ts = label_tiling(tiles, c)
     maps = chain_maps(c, tiles)
     conn = connectivity(ts, c)
-    # The elimination of d2, the commuting square and the stacked kernel are
-    # each computed once and shared.  Both kernels are sparse, one basis
-    # vector per column.  The elimination gives ker d2 and a block with the
-    # column lattice of d2, whose small Smith form gives its torsion.  The
-    # stacked kernel is phi2(ker d2) whenever the square and its dimension
-    # over Q, counted from the factors of the stacked operator S that the
-    # tile labels give, certify that; the square then reads S.phi2 off
-    # those factors too, and S is never built.
-    h, image = kernel_and_image(maps.d2)
-    square = commuting_square(ts, maps, h)
-    kernel = stacked_kernel_basis(ts, maps, h, square)
+    theorem = None
+    if not explicit:
+        image = image_block(maps.d2)
+        theorem = certified_theorem(c, ts, maps, image)
+    if theorem is None:
+        h, image = kernel_and_image(maps.d2)
+        square = commuting_square(ts, maps, h)
+        kernel = stacked_kernel_basis(ts, maps, h, square)
+        theorem = verify_main_theorem(c, tiles, maps, kernel, h, square)
     return Analysis(
         complex=c,
         validation=validation,
@@ -103,8 +115,8 @@ def _analyze(c: SquareComplex, validation: ValidationReport) -> Analysis:
         maps=maps,
         homology=homology_report(c, maps, smith_normal_form(image)),
         connectivity=conn,
-        k0=k0_rank(ts, conn, kernel),
-        theorem=verify_main_theorem(c, tiles, maps, kernel, h, square),
+        k0=k0_rank(ts, conn, theorem.rank_ker_stacked),
+        theorem=theorem,
     )
 
 
@@ -323,7 +335,7 @@ def cmd_verify(args) -> int:
     data, c, v = _load(args.path)
     if v.errors:
         return _validation_failure(data, c, v, args)
-    theorem = _theorem_dict(_analyze(c, v).theorem)
+    theorem = _theorem_dict(_analyze(c, v, explicit=True).theorem)
     if args.json:
         _emit(_to_json({"theorem": theorem, "provenance": _provenance(data)}), args.out)
     else:

@@ -28,14 +28,21 @@ orbit-major, as tiling_system.label_tiling checks, so the tile labels give
 the factors of that operator: the square and the count of its kernel read
 them, and the operator is built only when phi1 or phi2 is not of the form
 chain_maps builds, or when the certificate of the kernel fails.
+
+Two routes give the verdict on the rank identity.  certified_theorem
+reads it off the square and the count, with no basis of ker d2 or of the
+stacked kernel, and returns None where they do not certify it;
+verify_main_theorem checks every step on explicit bases of both kernels.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
+from treelat import _kernels_py
 from treelat.complex_model import SquareComplex
-from treelat.tiling_system import TilingSystem
+from treelat.tiling_system import TilingSystem, _primed
 from treelat.zlinalg import (
     AbelianInvariants,
     IntMatrix,
@@ -201,7 +208,10 @@ def _row(acc: dict[int, int]) -> Row:
     return tuple(sorted([(j, x) for j, x in acc.items() if x]))
 
 
-def structured_kernel_dim(ts: TilingSystem) -> int:
+LabelImage = tuple[dict[int, Row], dict[int, Row]]
+
+
+def structured_kernel_dim(ts: TilingSystem, label_image: LabelImage | None = None) -> int:
     """dim ker S over Q, from the factors of S.
 
     S is the 2n x n stacked operator of ts, and its factors are the tile
@@ -239,15 +249,38 @@ def structured_kernel_dim(ts: TilingSystem) -> int:
     bijection from the solutions of C onto ker_Q S: onto by the split
     above, and one to one because y and z are read back as F^T x and
     G^T x, and w from the h-odd, v-odd part of x, phi2 being injective.
-    So dim ker_Q S = (#unknowns) - rank_Q(C), and C has a few dozen rows
-    (69 x 287 at the Mozes pair (29,37), where S is 2280 x 1140).
-    rank_Q(C) is zlinalg.rank(C), the number of pivots of the elimination
-    of C's rows.  Before it is taken, the label rows of each edge are
-    paired (_pair_label_rows), which keeps rank_Q(C) and so the count.
+    So dim ker_Q S = (#unknowns) - rank_Q(C).
 
-    The components of the two label graphs are ts.components, which
-    connectivity reads too.  The rows of C are built in one pass over the
-    tiles.
+    The rows of C.  The tile rows, y[b(t)] + y[bb(t)] - z[a(t)] - z[aa(t)],
+    and the component part Y of each label row are counted over the tiles,
+    a few dozen component columns.  The orbit part of the row of label x is 4 L[x], for L the
+    label matrix F^T.phi2 over G^T.phi2 (_square_by_labels), with phi2 the
+    one chain_maps builds (_phi2_rows).  So C = [[Y, 4 L], [Z, 0]], Z the
+    tile rows, with |F| orbit columns.
+
+    With label_image None, L is formed from phi2 (_label_sums) and
+    rank_Q(C) is zlinalg.rank(C): the general path, for any labels.
+
+    label_image is given when check (1) holds at label resolution for the
+    chain maps of a complex (certified_theorem): L = Phi.d2, Phi the phi1
+    row of each label.  It then holds the rows of Phi.B^T by label, a dict
+    for the b labels and one for the a labels, B^T the image block of d2
+    (zlinalg.image_block).  The columns of B^T are a basis over Q of the
+    column space of d2, so d2 = B^T.X for a rational X of full row rank,
+    and 4 L = 4 (Phi.B^T).X: a vector u has u.L = 0 iff u.(Phi.B^T) = 0,
+    and rank L = rank Phi.B^T.  Let r be that rank and N a basis of the
+    left kernel of L.  Then
+
+        rank_Q(C) = r + rank_Q [Z; N.Y]:
+
+    take a complement U of the left kernel of L in the label rows, of
+    dimension r; every row of C is a combination of rows u.[Y, 4 L] with
+    u in U, of rows [N.Y, 0] and of rows [Z, 0], and in a combination of
+    them that vanishes the orbit part 4 u.L vanishes, which puts u in the
+    left kernel, so u = 0.  r and N come from one elimination of the rows
+    of Phi.B^T, one per label with rank d2 columns
+    (_kernels_py.unimodular_elimination, with the I part that gives N);
+    [Z; N.Y] has only the component columns.  No orbit column is formed.
     """
     b, a = ts.b, ts.a
     n = len(b)
@@ -261,64 +294,57 @@ def structured_kernel_dim(ts: TilingSystem) -> int:
     za = [z0 + comp_a[x] for x in a]
     unknowns = len(set(yb)) + len(set(za)) + n // 4
 
-    # One pass over the tiles.  Tile rows: t, t^v, t^h and t^vh give the
-    # same one (b(t^h) = b'(t) and a(t^v) = a'(t) are in the components of
-    # b(t) and a(t)), so one per orbit, and only the distinct ones.  Label
-    # rows: 4 x[t] = 2 y[b(t)] + z[a(t)] - z[aa(t)] + 4 (+-w_k) is summed
-    # into the row of label b'(t) and the row of label a'(t); each row
-    # starts at -4 y (-4 z) of its own label.
-    tile_keys = set()
-    b_rows: dict[int, dict[int, int]] = {}
-    a_rows: dict[int, dict[int, int]] = {}
-    signs = (4, -4, -4, 4)
-    for t in range(n):
-        y, z1, z2 = yb[t], za[t], za[t ^ 2]
-        if not t & 3:
-            tile_keys.add((y, yb[t ^ 1], z1, z2))
-        w, sign = w0 + (t >> 2), signs[t & 3]
-        acc_b = b_rows.get(b[t ^ 2])
-        if acc_b is None:
-            acc_b = b_rows[b[t ^ 2]] = {y: -4}
-        acc_a = a_rows.get(a[t ^ 1])
-        if acc_a is None:
-            acc_a = a_rows[a[t ^ 1]] = {z1: -4}
-        for acc in (acc_b, acc_a):
-            acc[y] = acc.get(y, 0) + 2
-            acc[z1] = acc.get(z1, 0) + 1
-            acc[z2] = acc.get(z2, 0) - 1
-            acc[w] = acc.get(w, 0) + sign
-
-    tile_rows = []
-    for y1, y2, z1, z2 in tile_keys:
+    # Tile rows: t, t^v, t^h and t^vh give the same one (b(t^h) = b'(t)
+    # and a(t^v) = a'(t) are in the components of b(t) and a(t)), so one
+    # per orbit, and only the distinct ones.
+    rows = []
+    for y1, y2, z1, z2 in set(zip(yb[::4], yb[1::4], za[::4], za[2::4])):
         acc = {}
         for j, x in ((y1, 1), (y2, 1), (z1, -1), (z2, -1)):
             acc[j] = acc.get(j, 0) + x
-        tile_rows.append(acc)
-    _pair_label_rows(b_rows)
-    _pair_label_rows(a_rows)
-    rows = [_row(acc) for acc in (*tile_rows, *b_rows.values(), *a_rows.values())]
-    c = IntMatrix(len(rows), w0 + n // 4, tuple(rows))
-    return unknowns - rank(c)
+        rows.append(acc)
+    # Label rows, component part: 4 x[t] less its orbit part,
+    # 2 y[b(t)] + z[a(t)] - z[aa(t)], summed into the row of label b'(t)
+    # and the row of label a'(t), each row starting at -4 y (-4 z) of its
+    # own label.  b(t) is in the component of b'(t), so the row of label x
+    # holds 2 y[x] once per tile with b'(t) = x; and a(t) is in the
+    # component of a'(t), so the row of label x holds z[x] once per tile
+    # with a'(t) = x.  The other terms are counted per (label, unknown).
+    b_primed, a_primed, za_h = _primed(b, 2), _primed(a, 1), _primed(za, 2)
+    b_rows = {x: {comp_b[x]: 2 * k - 4} for x, k in Counter(b).items()}
+    a_rows = {x: {z0 + comp_a[x]: k - 4} for x, k in Counter(a).items()}
+    for by_label, pairs, coeff in (
+        (b_rows, zip(b_primed, za), 1),
+        (b_rows, zip(b_primed, za_h), -1),
+        (a_rows, zip(a_primed, yb), 2),
+        (a_rows, zip(a_primed, za_h), -1),
+    ):
+        for (x, j), k in Counter(pairs).items():
+            acc = by_label[x]
+            acc[j] = acc.get(j, 0) + coeff * k
 
+    if label_image is None:
+        phi2 = _phi2_rows(n)
+        for by_label, labels, flip in ((b_rows, b, 2), (a_rows, a, 1)):
+            for x, pairs in _label_sums(phi2, labels, flip).items():
+                acc = by_label[x]
+                for k, v in pairs:
+                    acc[w0 + k] = 4 * v
+        c = [_row(acc) for acc in (*rows, *b_rows.values(), *a_rows.values())]
+        return unknowns - rank(IntMatrix(len(c), w0 + n // 4, tuple(c)))
 
-def _pair_label_rows(rows: dict[int, dict[int, int]]) -> None:
-    """Add the row of label x ^ 1 to the row of each odd label x, in
-    place, where both labels have a row.
-
-    A label is a directed edge code, 2i + reversed, so x and x ^ 1 are the
-    two directions of one edge.  Each pair is one elementary row
-    operation, row x += row x ^ 1 with the even row left as it is, and
-    the pairs are disjoint, so the rows span the same space over Q and
-    rank_Q(C) is unchanged on every input.  The orbit columns w of the two
-    rows of an edge cancel in their sum when its two directions meet each
-    orbit with opposite signs, as on the Mozes complexes, so the
-    elimination in zlinalg.rank has fewer rows that reach the orbit block,
-    and fills less.
-    """
-    for x, acc in rows.items():
-        if x & 1 and x ^ 1 in rows:
-            for j, v in rows[x ^ 1].items():
-                acc[j] = acc.get(j, 0) + v
+    b_image, a_image = label_image
+    images = [b_image[x] for x in b_rows] + [a_image[x] for x in a_rows]
+    null, pivots = _kernels_py.unimodular_elimination(images)
+    label_rows = [*b_rows.values(), *a_rows.values()]
+    for u in null:
+        acc = {}
+        for i, coeff in u.items():
+            for j, x in label_rows[i].items():
+                acc[j] = acc.get(j, 0) + coeff * x
+        rows.append(acc)
+    c = [_row(acc) for acc in rows]
+    return unknowns - len(pivots) - rank(IntMatrix(len(c), w0, tuple(c)))
 
 
 def _alternates(rows) -> bool:
@@ -363,9 +389,12 @@ def _rows_by_label(rows, labels) -> dict[int, Row] | None:
     return by_label
 
 
-def _square_by_labels(ts: TilingSystem, maps: ChainMaps) -> tuple[IntMatrix, IntMatrix] | None:
-    """(L, Phi): S.phi2 and phi1 with one row per label, or None when the
-    maps are not of the form that allows it.
+def _square_by_labels(
+    ts: TilingSystem, maps: ChainMaps
+) -> tuple[IntMatrix, IntMatrix, tuple[list[int], list[int]]] | None:
+    """(L, Phi, labels): S.phi2 and phi1 with one row per label, and the
+    labels of their rows, b's then a's, or None when the maps are not of
+    the form that allows it.
 
     The form: phi2 alternates, and row s of phi1 depends on b(s) alone in
     the top block and on a(s) alone in the bottom one.  Then phi1 =
@@ -389,6 +418,7 @@ def _square_by_labels(ts: TilingSystem, maps: ChainMaps) -> tuple[IntMatrix, Int
         return None
     left: list[Row] = []
     right: list[Row] = []
+    keys = []
     for labels, flip, rows in ((b, 2, phi1.row_pairs[:n]), (a, 1, phi1.row_pairs[n:])):
         phi = _rows_by_label(rows, labels)
         if phi is None:
@@ -396,9 +426,11 @@ def _square_by_labels(ts: TilingSystem, maps: ChainMaps) -> tuple[IntMatrix, Int
         sums = _label_sums(phi2.row_pairs, labels, flip)
         left += [sums[x] for x in phi]
         right += phi.values()
+        keys.append(list(phi))
     return (
         IntMatrix(len(left), phi2.cols, tuple(left)),
         IntMatrix(len(right), phi1.cols, tuple(right)),
+        (keys[0], keys[1]),
     )
 
 
@@ -420,7 +452,7 @@ def commuting_square(ts: TilingSystem, maps: ChainMaps, h: IntMatrix) -> tuple[b
     labels.
     """
     square = _square_by_labels(ts, maps)
-    left, phi1 = square if square is not None else (ts.stacked.mul(maps.phi2), maps.phi1)
+    left, phi1 = square[:2] if square is not None else (ts.stacked.mul(maps.phi2), maps.phi1)
     if left == phi1.mul(maps.d2):
         return True, phi1.mul(maps.d2.mul(h)).is_zero()
     return False, left.mul(h).is_zero()
@@ -463,6 +495,79 @@ def stacked_kernel_basis(
     if square[1] and structured_kernel_dim(ts) == h.cols:
         return maps.phi2.mul(h)
     return kernel_and_image(ts.stacked)[0]
+
+
+def certified_theorem(
+    c: SquareComplex, ts: TilingSystem, maps: ChainMaps, image: IntMatrix
+) -> TheoremVerdict | None:
+    """The TheoremVerdict of verify_main_theorem, read off check (1) and the
+    count of the stacked kernel alone, or None when they do not certify it.
+
+    image is the image block B^T of d2 (zlinalg.image_block), ts the tiles
+    of c (tiling_system.label_tiling) and maps their chain maps.  The
+    certificate: phi2 is the one chain_maps builds (_phi2_rows), check (1)
+    S.phi2 = phi1.d2 holds at label resolution (_square_by_labels), and
+    the count dim ker_Q S (structured_kernel_dim, on its image path) equals
+    rank ker d2 = |F| - rank d2, with rank d2 the columns of B^T.  No basis
+    of ker d2 or of ker S is formed.  When it holds, every check of
+    verify_main_theorem holds, by the proof rather than on a basis:
+
+    (1) holds, checked as above;
+    (2) is the count: rank ker S = dim ker_Q S = rank ker d2;
+    (3) S.phi2.x = phi1.d2.x = 0 for x in ker d2, by (1);
+    (4a), (4b) K = phi2(ker d2) for the kernel lattice K of S, by (3), the
+        count and the saturation argument of stacked_kernel_basis.  The
+        columns t - t^v - t^h + t^vh of phi2 are negated by v and by h and
+        fixed by vh, so every vector of K is; and phi2 applied to rows 4k
+        of phi2.x, which are x, gives phi2.x back;
+    (5) M1 = E.F^T - P_h (TilingSystem), so by (4a) (M1 - I).K =
+        E.F^T.K - (I + P_h).K = E.F^T.K; E has one 1 per row and a 1 in
+        every column, so E.Y = 0 iff Y = 0, and F^T.K = 0 iff
+        (M1 - I).K = 0; the same holds for G and M2.  F^T and G^T group
+        the tiles by b'(t) and by a'(t), so (5) is S.K = 0, true of K.
+
+    When the certificate fails, None, and the caller takes the explicit
+    path: kernel_and_image, commuting_square, stacked_kernel_basis and
+    verify_main_theorem.
+    """
+    label_image = _label_image(ts, maps, image)
+    if label_image is None:
+        return None
+    rank_h2 = maps.d2.cols - image.cols
+    if structured_kernel_dim(ts, label_image) != rank_h2:
+        return None
+    return TheoremVerdict(
+        within_hypotheses=_within_hypotheses(c),
+        diagram_commutes=True,
+        rank_ker_d2=rank_h2,
+        rank_ker_stacked=rank_h2,
+        phi2_image_in_kernel=True,
+        kernel_in_phi2_image=True,
+        kernel_symmetries_hold=True,
+        mu_vanishes=True,
+    )
+
+
+def _label_image(ts: TilingSystem, maps: ChainMaps, image: IntMatrix) -> LabelImage | None:
+    """The label_image argument of structured_kernel_dim, the rows of
+    Phi.B^T by label, a dict for the b labels and one for the a labels,
+    when phi2 is the one chain_maps builds and check (1) holds at label
+    resolution (_square_by_labels); else None."""
+    if maps.phi2.row_pairs != _phi2_rows(len(ts.b)):
+        return None
+    square = _square_by_labels(ts, maps)
+    if square is None:
+        return None
+    left, phi, (b_labels, a_labels) = square
+    if left != phi.mul(maps.d2):
+        return None
+    rows = phi.mul(image).row_pairs
+    return dict(zip(b_labels, rows)), dict(zip(a_labels, rows[len(b_labels) :]))
+
+
+def _within_hypotheses(c: SquareComplex) -> bool:
+    """Every vertex has horizontal and vertical degree at least three."""
+    return all(hd >= 3 and vd >= 3 for hd, vd in c.degrees.values())
 
 
 def verify_main_theorem(
@@ -520,9 +625,8 @@ def verify_main_theorem(
         and grouping(t[2] for t in tiles).mul(kernel).is_zero()
     )
 
-    within = all(hd >= 3 and vd >= 3 for hd, vd in c.degrees.values())
     return TheoremVerdict(
-        within_hypotheses=within,
+        within_hypotheses=_within_hypotheses(c),
         diagram_commutes=square[0],
         rank_ker_d2=h.cols,
         rank_ker_stacked=kernel.cols,

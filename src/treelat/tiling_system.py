@@ -430,21 +430,20 @@ def connectivity(ts: TilingSystem, c: SquareComplex) -> ConnectivityReport:
 def k0_rank(
     ts: TilingSystem,
     conn: ConnectivityReport,
-    stacked_kernel: IntMatrix,
+    kernel_rank: int,
     irreducible_lattice_asserted: bool = False,
 ) -> K0Result:
     """Kernel rank of the stacked operator and the derived K-group ranks.
 
-    conn is connectivity(ts, ...) and stacked_kernel a basis of the kernel
-    lattice of stacked_matrix(ts), one vector per column; both are computed
-    once by the caller.
+    conn is connectivity(ts, ...) and kernel_rank the rank of the kernel
+    lattice of stacked_matrix(ts) (the rank_ker_stacked of the theorem
+    verdict); both are computed once by the caller.
     The ranks are always computed; the hypothesis flags record whether the
     operator-algebra reading of them (K_0 = K_1 of the boundary crossed
     product, each of rank twice the kernel rank) is supported on this
     instance: a one-vertex complex or an asserted irreducible-lattice
     provenance, plus strong connectivity of both tile graphs.
     """
-    kernel_rank = stacked_kernel.cols
     gh = conn.horizontal.strongly_connected
     gv = conn.vertical.strongly_connected
     one_vertex = ts.n_vertices == 1

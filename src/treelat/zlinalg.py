@@ -9,7 +9,8 @@ implementation; it is plain Python, so BACKEND is always "pure".  IntMatrix
 stores only the nonzeros of each row: the pipeline's operators are sparse
 0/+-1 matrices.  Every kernel basis and every solve comes from one sparse
 unimodular elimination (kernel_and_image), which reads the stored pairs; so
-does the rank over Q (rank), its number of pivots.  The Smith and Hermite
+do the column lattice alone (image_block) and the rank over Q (rank), its
+number of pivots, which leave its I part out.  The Smith and Hermite
 kernels reduce the dense view; the Smith form keeps only its diagonal.
 """
 
@@ -240,6 +241,16 @@ def kernel_and_image(a: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     return _columns(kernel, a.cols), _columns(images, a.rows)
 
 
+def image_block(a: IntMatrix) -> IntMatrix:
+    """B^T of kernel_and_image(a) up to the choice of pivots, without H: the
+    elimination of [a^T | I] with its I part left out
+    (_kernels_py.unimodular_elimination).  B^T is m x rank a and has the
+    column lattice of a, so it gives rank a (its number of columns) and the
+    cokernel of a; no basis of ker a is formed."""
+    _, pivots = _impl.unimodular_elimination(a.transpose().row_pairs, with_transform=False)
+    return _columns([image for _, image, _ in pivots], a.rows)
+
+
 def kernel_basis(a: IntMatrix) -> tuple[tuple[int, ...], ...]:
     """Saturated basis of the full kernel lattice {x : a.x = 0}, one
     vector per tuple: the columns of H of kernel_and_image."""
@@ -251,8 +262,8 @@ def rank(a: IntMatrix) -> int:
     [a | I] (_kernels_py.unimodular_elimination), which leaves U.a = (R; 0)
     with U unimodular and R of full row rank.  It reduces the stored rows
     of a as the rows of b^T for b = a^T, and rank b = rank a, so nothing is
-    transposed."""
-    return len(_impl.unimodular_elimination(a.row_pairs)[1])
+    transposed, and the I part is left out."""
+    return len(_impl.unimodular_elimination(a.row_pairs, with_transform=False)[1])
 
 
 def cokernel_invariants(a: IntMatrix) -> AbelianInvariants:

@@ -13,7 +13,7 @@ of the elimination against the transforms of the dense Smith schedule).
 
 import random
 
-from treelat import tiling_system
+from treelat import _kernels_py, tiling_system
 from treelat.complex_model import SIGMA_TAGS, DirectedSquare, expand_directed_squares, sigma_act
 from treelat.homology import (
     chain_maps,
@@ -27,12 +27,14 @@ from treelat.zlinalg import (
     AbelianInvariants,
     IntMatrix,
     hermite_row_basis,
+    image_block,
     kernel_and_image,
     kernel_basis,
     lattice_membership,
     smith_normal_form,
     solve_exact,
 )
+from treelat.zlinalg import rank as zlinalg_rank
 
 from _oracles import (
     build_tiling_by_pairs,
@@ -222,7 +224,8 @@ def assert_elimination_matches_dense_snf(a, rng):
     - a.H = 0, and H has cols - rank columns;
     - the columns of H span the lattice of the last cols - rank columns
       of dense_snf's v (equal Hermite bases);
-    - B^T has dense_snf's invariant factors;
+    - B^T has dense_snf's invariant factors, and image_block(a), from
+      the elimination without its I part, the column lattice of B^T;
     - solve_exact(a, b) is solvable exactly when lattice_membership puts
       b in the span of the columns of a, and then a.x = b.  The targets
       are a random integer combination of the columns, that plus a unit
@@ -240,6 +243,16 @@ def assert_elimination_matches_dense_snf(a, rng):
     tail = [[row[j] for row in v] for j in range(rank, a.cols)]
     assert hermite_row_basis(h.transpose().to_lists()) == hermite_row_basis(tail)
     assert smith_normal_form(image).invariant_factors == factors
+
+    # Without its I part the elimination keeps the column lattice and the
+    # rank, and its kernel rows come back empty, one per dimension.
+    block = image_block(a)
+    assert (block.rows, block.cols) == (a.rows, rank) == (a.rows, zlinalg_rank(a))
+    assert hermite_row_basis(block.transpose().to_lists()) == hermite_row_basis(
+        image.transpose().to_lists()
+    )
+    kernel, _ = _kernels_py.unimodular_elimination(a.transpose().row_pairs, with_transform=False)
+    assert kernel == [{}] * (a.cols - rank)
 
     columns = a.transpose().to_lists()
     combo = [0] * a.rows

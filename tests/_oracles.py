@@ -882,6 +882,102 @@ def dense_verify(c, r, maps, stacked, stacked_kernel, h2_basis):
     )
 
 
+def structured_kernel_dim_by_orbits(ts):
+    """dim ker S over Q, from the factors of S, with one column per orbit:
+    the count of homology.structured_kernel_dim as it was before its orbit
+    block left the pass over the tiles.  Its system C carries the orbit
+    columns w in every label row and is eliminated whole.
+
+    C, its unknowns y, z (one per label component) and w (one per orbit)
+    and its rows (one per distinct tile row, one per label) are those of
+    homology.structured_kernel_dim, whose docstring derives them.
+    So dim ker_Q S = (#unknowns) - rank_Q(C), and C has a few dozen rows
+    (69 x 287 at the Mozes pair (29,37), where S is 2280 x 1140).
+    rank_Q(C) is zlinalg.rank(C), the number of pivots of the elimination
+    of C's rows.  Before it is taken, the label rows of each edge are
+    paired (pair_label_rows), which keeps rank_Q(C) and so the count.
+
+    The components of the two label graphs are ts.components, which
+    connectivity reads too.  The rows of C are built in one pass over the
+    tiles.
+    """
+    from treelat.zlinalg import IntMatrix, rank
+
+    b, a = ts.b, ts.a
+    n = len(b)
+    comp_b, comp_a = ts.components
+    # One unknown y per b component, then one z per a component, then w_k
+    # per orbit.  A component that holds no label of a tile is an unknown
+    # in no row.
+    z0 = 1 + max(comp_b, default=-1)
+    w0 = z0 + 1 + max(comp_a, default=-1)
+    yb = [comp_b[x] for x in b]
+    za = [z0 + comp_a[x] for x in a]
+    unknowns = len(set(yb)) + len(set(za)) + n // 4
+
+    # One pass over the tiles.  Tile rows: t, t^v, t^h and t^vh give the
+    # same one (b(t^h) = b'(t) and a(t^v) = a'(t) are in the components of
+    # b(t) and a(t)), so one per orbit, and only the distinct ones.  Label
+    # rows: 4 x[t] = 2 y[b(t)] + z[a(t)] - z[aa(t)] + 4 (+-w_k) is summed
+    # into the row of label b'(t) and the row of label a'(t); each row
+    # starts at -4 y (-4 z) of its own label.
+    tile_keys = set()
+    b_rows: dict[int, dict[int, int]] = {}
+    a_rows: dict[int, dict[int, int]] = {}
+    signs = (4, -4, -4, 4)
+    for t in range(n):
+        y, z1, z2 = yb[t], za[t], za[t ^ 2]
+        if not t & 3:
+            tile_keys.add((y, yb[t ^ 1], z1, z2))
+        w, sign = w0 + (t >> 2), signs[t & 3]
+        acc_b = b_rows.get(b[t ^ 2])
+        if acc_b is None:
+            acc_b = b_rows[b[t ^ 2]] = {y: -4}
+        acc_a = a_rows.get(a[t ^ 1])
+        if acc_a is None:
+            acc_a = a_rows[a[t ^ 1]] = {z1: -4}
+        for acc in (acc_b, acc_a):
+            acc[y] = acc.get(y, 0) + 2
+            acc[z1] = acc.get(z1, 0) + 1
+            acc[z2] = acc.get(z2, 0) - 1
+            acc[w] = acc.get(w, 0) + sign
+
+    tile_rows = []
+    for y1, y2, z1, z2 in tile_keys:
+        acc = {}
+        for j, x in ((y1, 1), (y2, 1), (z1, -1), (z2, -1)):
+            acc[j] = acc.get(j, 0) + x
+        tile_rows.append(acc)
+    pair_label_rows(b_rows)
+    pair_label_rows(a_rows)
+    rows = [
+        tuple(sorted([(j, x) for j, x in acc.items() if x]))
+        for acc in (*tile_rows, *b_rows.values(), *a_rows.values())
+    ]
+    c = IntMatrix(len(rows), w0 + n // 4, tuple(rows))
+    return unknowns - rank(c)
+
+
+def pair_label_rows(rows: dict[int, dict[int, int]]) -> None:
+    """Add the row of label x ^ 1 to the row of each odd label x, in
+    place, where both labels have a row.
+
+    A label is a directed edge code, 2i + reversed, so x and x ^ 1 are the
+    two directions of one edge.  Each pair is one elementary row
+    operation, row x += row x ^ 1 with the even row left as it is, and
+    the pairs are disjoint, so the rows span the same space over Q and
+    rank_Q(C) is unchanged on every input.  The orbit columns w of the two
+    rows of an edge cancel in their sum when its two directions meet each
+    orbit with opposite signs, as on the Mozes complexes, so the
+    elimination in zlinalg.rank has fewer rows that reach the orbit block,
+    and fills less.
+    """
+    for x, acc in rows.items():
+        if x & 1 and x ^ 1 in rows:
+            for j, v in rows[x ^ 1].items():
+                acc[j] = acc.get(j, 0) + v
+
+
 # --- validation by DirectedEdgeRef --------------------------------------------
 
 

@@ -1,0 +1,258 @@
+"""analyze's certified theorem block against the explicit checks.
+
+analyze reads the theorem block off check (1) at label resolution and the
+count of the stacked kernel on the component unknowns
+(homology.certified_theorem), with no basis of ker d2 or of ker S; verify
+forms both bases and checks them (homology.verify_main_theorem).  Here the
+count is held to the orbit-column count it replaced
+(_oracles.structured_kernel_dim_by_orbits), and the theorem block of
+analyze to that of verify and of the dense verifier, on the ladder, the
+small complexes, the presentation battery, random one-vertex complexes and
+products, and tampered tiles and chain maps.
+"""
+
+import dataclasses
+import json
+import random
+
+import pytest
+
+from treelat import cli, homology
+from treelat.complex_model import load_complex, validate_vht
+from treelat.homology import structured_kernel_dim
+from treelat.mozes import generate_mozes_complex
+from treelat.tiling_system import label_tiling, stacked_matrix
+from treelat.zlinalg import IntMatrix, image_block, kernel_basis
+
+import _complexes
+from _battery import retarget, tile_squares
+from _oracles import dense_verify, structured_kernel_dim_by_orbits
+from test_presentation import FIXED, TRANSFORMS, document
+
+
+@pytest.fixture()
+def runner(capsys):
+    def run(*argv):
+        code = cli.main(list(argv))
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    return run
+
+
+LADDER = ((5, 13), (5, 17), (5, 29), (13, 17), (17, 29), (29, 37))
+
+
+def cycle(n):
+    return n, [(i, (i + 1) % n) for i in range(n)]
+
+
+def small_documents() -> dict[str, str]:
+    """The small complexes, both Klein bottles and the products of two
+    cycles, where d2 has a left kernel and the count has N.Y rows."""
+    docs = {
+        name: getattr(_complexes, f"{name}_doc")()
+        for name in ("torus", "f2xf2", "klein", "two_vertex_klein")
+    }
+    docs["C3xC4"] = _complexes.product_doc(cycle(3), cycle(4))
+    docs["C5xC5"] = _complexes.product_doc(cycle(5), cycle(5))
+    return docs
+
+
+def random_documents(seed: int) -> dict[str, str]:
+    """One-vertex complexes with 2-5 edges per axis and products of two
+    multigraphs of minimum degree 3, as the random batch draws them."""
+    rng = random.Random(seed)
+    docs = {}
+    for n_h in range(2, 6):
+        for n_v in range(2, 6):
+            docs[f"ov{seed}-{n_h}x{n_v}"] = _complexes.random_one_vertex_doc(rng, n_h, n_v)
+    for k in range(8):
+        g1 = _complexes.random_multigraph(rng, rng.randint(1, 3), rng.randint(1, 3), 3)
+        g2 = _complexes.random_multigraph(rng, rng.randint(1, 3), rng.randint(1, 3), 3)
+        docs[f"pr{seed}-{k}"] = _complexes.product_doc(g1, g2)
+    return docs
+
+
+def presentation_documents() -> dict[str, str]:
+    """The fixed documents of the presentation battery and their random
+    families, each also under every change of presentation at once."""
+    docs = {}
+    keys = [*FIXED, *[(family, s) for family in ("one_vertex", "product") for s in range(4)]]
+    for key in keys:
+        text = document(key)
+        doc = json.loads(text)
+        rng = random.Random(7)
+        for name in sorted(TRANSFORMS):
+            TRANSFORMS[name](doc, rng)
+        docs[str(key)] = text
+        docs[f"{key} moved"] = json.dumps(doc)
+    return docs
+
+
+def corpus(group: str) -> dict[str, str]:
+    if group == "ladder":
+        return {f"{p},{l}": generate_mozes_complex(p, l) for p, l in LADDER}
+    if group == "small":
+        return small_documents()
+    if group == "presentation":
+        return presentation_documents()
+    return random_documents(int(group[-1]))
+
+
+GROUPS = ("ladder", "small", "presentation", "random1", "random2", "random3")
+
+
+def valid(text):
+    c = load_complex(text)
+    v = validate_vht(c)
+    return (c, v) if not v.errors else None
+
+
+def assert_counts_agree(ts, maps):
+    """The count on both of its paths equals the orbit-column oracle;
+    returns the label image, None when check (1) fails."""
+    oracle = structured_kernel_dim_by_orbits(ts)
+    assert structured_kernel_dim(ts) == oracle
+    label_image = homology._label_image(ts, maps, image_block(maps.d2))
+    if label_image is not None:
+        assert structured_kernel_dim(ts, label_image) == oracle
+    return label_image
+
+
+@pytest.mark.parametrize("group", GROUPS)
+def test_count_on_component_unknowns_matches_the_orbit_oracle(group):
+    certified = 0
+    for name, text in corpus(group).items():
+        loaded = valid(text)
+        if loaded is None:
+            continue
+        c, _ = loaded
+        tiles = c.edge_table.tiles
+        ts = label_tiling(tiles, c)
+        if assert_counts_agree(ts, homology.chain_maps(c, tiles)) is not None:
+            certified += 1
+    assert certified > 0
+
+
+@pytest.mark.parametrize("name", ["torus", "klein", "two_vertex_klein", "C3xC4", "C5xC5"])
+def test_count_reads_the_left_kernel_of_d2(name):
+    # d2 has a left kernel here, so N.Y holds rows beyond the pairs of the
+    # two directions of an edge, and check (1) still holds.
+    c, _ = valid(small_documents()[name])
+    tiles = c.edge_table.tiles
+    maps = homology.chain_maps(c, tiles)
+    image = image_block(maps.d2)
+    assert image.rows > image.cols
+    assert assert_counts_agree(label_tiling(tiles, c), maps) is not None
+
+
+@pytest.mark.parametrize("slot", ["b_prime", "a_prime"])
+def test_count_on_tampered_tiles_takes_the_orbit_block(mozes513, slot):
+    # Check (1) fails on the tampered tiles, so there is no label image and
+    # the count keeps the orbit block; it is still the kernel rank of S.
+    c = mozes513.complex
+    tiles = retarget(mozes513, slot, orbit_major=True)
+    ts = label_tiling(tiles, c)
+    maps = homology.chain_maps(c, tiles)
+    assert homology._label_image(ts, maps, image_block(maps.d2)) is None
+    assert assert_counts_agree(ts, maps) is None
+    assert structured_kernel_dim(ts) == len(kernel_basis(stacked_matrix(ts)))
+
+
+def dense_theorem(c, tiles, maps):
+    stacked = stacked_matrix(label_tiling(tiles, c))
+    verdict = dense_verify(
+        c, tile_squares(c, tiles), maps, stacked, kernel_basis(stacked), kernel_basis(maps.d2)
+    )
+    return cli._theorem_dict(verdict)
+
+
+@pytest.mark.parametrize("group", GROUPS)
+def test_analyze_theorem_block_is_verify_and_dense_verify(runner, tmp_path, group):
+    for name, text in corpus(group).items():
+        path = tmp_path / "doc.json"
+        path.write_text(text)
+        code, analyzed, _ = runner("analyze", str(path), "--json")
+        verify_code, verified, _ = runner("verify", str(path), "--json")
+        assert code == verify_code, name
+        if code != 0:
+            continue
+        theorem = json.loads(analyzed)["theorem"]
+        assert theorem == json.loads(verified)["theorem"], name
+        c, _ = valid(text)
+        tiles = c.edge_table.tiles
+        assert theorem == dense_theorem(c, tiles, homology.chain_maps(c, tiles)), name
+
+
+def negated(m: IntMatrix) -> IntMatrix:
+    return IntMatrix(m.rows, m.cols, tuple(tuple((j, -x) for j, x in row) for row in m.row_pairs))
+
+
+def tampered_maps(maps):
+    """Chain maps changed one way each: phi1 not a function of the label,
+    phi2 not alternating, phi2 negated, 1 added to entry (0, 0) of d2, and
+    phi1 with d2 both negated, which keeps check (1)."""
+    phi1 = list(maps.phi1.row_pairs)
+    phi1[0] = next(row for row in phi1 if row != phi1[0])
+    phi2 = list(maps.phi2.row_pairs)
+    phi2[1] = phi2[0]
+    d2 = list(maps.d2.row_pairs)
+    entry = dict(d2[0])
+    entry[0] = entry.get(0, 0) + 1
+    d2[0] = tuple(sorted((j, x) for j, x in entry.items() if x))
+
+    def with_rows(m, rows):
+        return IntMatrix(m.rows, m.cols, tuple(rows))
+
+    return {
+        "phi1_row": dataclasses.replace(maps, phi1=with_rows(maps.phi1, phi1)),
+        "phi2_row": dataclasses.replace(maps, phi2=with_rows(maps.phi2, phi2)),
+        "phi2_negated": dataclasses.replace(maps, phi2=negated(maps.phi2)),
+        "d2_entry": dataclasses.replace(maps, d2=with_rows(maps.d2, d2)),
+        "phi1_d2_negated": dataclasses.replace(maps, phi1=negated(maps.phi1), d2=negated(maps.d2)),
+    }
+
+
+@pytest.mark.parametrize("doc", ["mozes513", "f2xf2", "klein"])
+def test_tampered_maps_give_analyze_the_verdict_of_verify(monkeypatch, doc):
+    text = {
+        "mozes513": generate_mozes_complex(5, 13),
+        "f2xf2": _complexes.f2xf2_doc(),
+        "klein": _complexes.klein_doc(),
+    }[doc]
+    c, v = valid(text)
+    tiles = c.edge_table.tiles
+    certified = []
+    for name, maps in tampered_maps(homology.chain_maps(c, tiles)).items():
+        monkeypatch.setattr(cli, "chain_maps", lambda c, tiles, maps=maps: maps)
+        analyzed = cli._analyze(c, v)
+        verified = cli._analyze(c, v, explicit=True)
+        assert analyzed.theorem == verified.theorem, name
+        assert cli._theorem_dict(analyzed.theorem) == dense_theorem(c, tiles, maps), name
+        assert analyzed.homology == verified.homology and analyzed.k0 == verified.k0, name
+        if homology.certified_theorem(c, label_tiling(tiles, c), maps, image_block(maps.d2)):
+            certified.append(name)
+    # Only the change that keeps check (1) is certified, and only where
+    # the count agrees.
+    assert certified == (["phi1_d2_negated"] if doc != "klein" else [])
+
+
+@pytest.mark.parametrize("slot", ["b_prime", "a_prime"])
+@pytest.mark.parametrize("orbit_major", [True, False])
+def test_tampered_tiles_give_analyze_the_verdict_of_verify(mozes513, slot, orbit_major):
+    c, v = valid(generate_mozes_complex(5, 13))
+    tiles = retarget(mozes513, slot, orbit_major=orbit_major)
+    c.edge_table.tiles = tiles
+    if not orbit_major:
+        # label_tiling refuses tiles that are not orbit-major, on both paths
+        with pytest.raises(ValueError):
+            cli._analyze(c, v)
+        with pytest.raises(ValueError):
+            cli._analyze(c, v, explicit=True)
+        return
+    analyzed = cli._analyze(c, v)
+    assert analyzed.theorem == cli._analyze(c, v, explicit=True).theorem
+    maps = homology.chain_maps(c, tiles)
+    assert cli._theorem_dict(analyzed.theorem) == dense_theorem(c, tiles, maps)
+    assert not analyzed.theorem.diagram_commutes

@@ -486,6 +486,7 @@ def test_analysis_computes_each_kernel_once(monkeypatch, mozes513, mozes513_doc)
     stacked = tiling_system.stacked_matrix(mozes513.tiling)
     snf = count_calls(monkeypatch, zlinalg, "smith_normal_form")
     eliminations = count_calls(monkeypatch, zlinalg, "kernel_and_image")
+    images = count_calls(monkeypatch, zlinalg, "image_block")
     hermite = count_calls(monkeypatch, zlinalg, "hermite_row_basis")
     built = count_calls(monkeypatch, tiling_system, "stacked_matrix")
     tilings = count_calls(monkeypatch, tiling_system, "build_tiling")
@@ -496,33 +497,89 @@ def test_analysis_computes_each_kernel_once(monkeypatch, mozes513, mozes513_doc)
     # M1, M2 nor the stacked operator is built.
     assert len(built) == 0 and len(tilings) == 0
     assert matrices == [[], []]
-    # The stacked kernel is certified as phi2(ker d2), so S is neither
-    # eliminated nor put in a Smith form; d2 is eliminated once, and H1 is
+    # The theorem block is certified, so S is neither eliminated nor put in
+    # a Smith form; d2 is eliminated once, without its I part, and H1 is
     # read off the Smith form of its image block.
-    assert eliminations == [analysis.maps.d2]
+    assert eliminations == [] and images == [analysis.maps.d2]
     assert sum(a == stacked for a in snf) == 0
     assert len(snf) <= 2
     assert len(hermite) == 0
 
 
+EXPLICIT_PATH = (
+    (zlinalg, "kernel_and_image"),
+    (homology, "commuting_square"),
+    (homology, "stacked_kernel_basis"),
+    (homology, "verify_main_theorem"),
+)
+
+
+def count_paths(monkeypatch):
+    """The calls of the certified path (image_block, certified_theorem) and
+    of the explicit path, by name."""
+    stages = ((zlinalg, "image_block"), (homology, "certified_theorem"), *EXPLICIT_PATH)
+    return {name: count_calls(monkeypatch, module, name) for module, name in stages}
+
+
+def test_certified_path_forms_no_kernel_basis(monkeypatch, mozes513_doc):
+    # On (5,13) the certificate holds, so analyze eliminates d2 once
+    # without its I part and takes no step of the explicit path.
+    calls = count_paths(monkeypatch)
+    _, analysis = analyze_document(mozes513_doc)
+    assert analysis.theorem.holds
+    assert calls.pop("image_block") == [analysis.maps.d2]
+    assert len(calls.pop("certified_theorem")) == 1
+    assert calls == {name: [] for _, name in EXPLICIT_PATH}
+
+
+@pytest.mark.parametrize("doc", ["torus_doc", "klein_doc"])
+def test_failed_certificate_takes_the_explicit_path_once(monkeypatch, doc):
+    # The count exceeds rank ker d2, so the certificate fails, and analyze
+    # takes every step of the explicit path once: the elimination of d2,
+    # with its I part, and then that of S for the fallback kernel.
+    calls = count_paths(monkeypatch)
+    _, analysis = analyze_document(getattr(_complexes, doc)())
+    assert not analysis.theorem.holds
+    assert calls.pop("image_block") == [analysis.maps.d2]
+    assert len(calls.pop("certified_theorem")) == 1
+    assert calls.pop("kernel_and_image") == [analysis.maps.d2, analysis.tiling.stacked]
+    assert [len(seen) for seen in calls.values()] == [1, 1, 1]
+
+
+def test_verify_takes_the_explicit_path(monkeypatch, runner, g513_file):
+    # verify checks explicit bases even where analyze would certify; the
+    # certified kernel phi2.H spares it the elimination of S.
+    calls = count_paths(monkeypatch)
+    code, out, err = runner("verify", g513_file, "--json")
+    assert code == 0, err
+    assert json.loads(out)["theorem"]["holds"]
+    assert calls.pop("image_block") == [] and calls.pop("certified_theorem") == []
+    assert [len(seen) for seen in calls.values()] == [1, 1, 1, 1]
+
+
 def test_one_elimination_counts_the_stacked_kernel(monkeypatch):
     # The integer elimination is the one reduction behind H2 and the count
-    # of the stacked kernel: at (13,17) it reduces the rows of d2^T, for
-    # the basis of ker d2 and the image block, then the rows of the
-    # structured system C, whose pivots are its rank over Q.
+    # of the stacked kernel: at (13,17) it reduces the rows of d2^T without
+    # the I part, for the image block; then, with it, the rows of Phi.B^T,
+    # one per label, for the left kernel of the orbit block; then the rows
+    # of the component system [Z; N.Y], whose pivots are its rank over Q.
     original = _kernels_py.unimodular_elimination
     inputs = []
 
-    def spy(rows):
-        inputs.append(rows)
-        return original(rows)
+    def spy(rows, with_transform=True):
+        inputs.append((rows, with_transform))
+        return original(rows, with_transform)
 
     systems = count_calls(monkeypatch, zlinalg, "rank")
     monkeypatch.setattr(_kernels_py, "unimodular_elimination", spy)
     _, analysis = analyze_document(treelat.generate_mozes_complex(13, 17))
     assert analysis.theorem.holds
     (c,) = systems
-    assert inputs == [analysis.maps.d2.transpose().row_pairs, c.row_pairs]
+    ts = analysis.tiling
+    d2, (labels, with_transform), count = inputs
+    assert d2 == (analysis.maps.d2.transpose().row_pairs, False)
+    assert with_transform and len(labels) == len(set(ts.b)) + len(set(ts.a))
+    assert count == (c.row_pairs, False)
 
 
 def test_export_of_the_stacked_matrix_builds_neither_transition_matrix(

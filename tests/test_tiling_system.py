@@ -187,8 +187,10 @@ def test_k0_rank_values(mozes513, mozes517, f2xf2):
 
 def test_k0_rank_user_assertion_flag(f2xf2):
     stacked = stacked_matrix(f2xf2.tiling)
-    kernel = IntMatrix.from_columns(kernel_basis(stacked), rows=stacked.cols)
-    result = k0_rank(f2xf2.tiling, f2xf2.connectivity, kernel, irreducible_lattice_asserted=True)
+    kernel_rank = len(kernel_basis(stacked))
+    result = k0_rank(
+        f2xf2.tiling, f2xf2.connectivity, kernel_rank, irreducible_lattice_asserted=True
+    )
     assert result.hypotheses.irreducible_lattice_asserted
     # the tile graphs are still reducible, so the interpretation stays off
     assert not result.hypotheses.interpretation_supported
