@@ -15,15 +15,12 @@ __version__ = "0.1.0"
 from treelat.complex_model import (
     ComplexFormatError,
     DegenerateOrbitError,
-    DirectedEdgeRef,
-    DirectedSquare,
     GeometricEdge,
     SquareComplex,
     ValidationReport,
     expand_directed_squares,
     load_complex,
     serialize_complex,
-    sigma_act,
     validate_vht,
 )
 from treelat.homology import (
@@ -51,7 +48,6 @@ from treelat.tiling_system import (
     build_tiling,
     connectivity,
     k0_rank,
-    label_tiling,
     stacked_matrix,
 )
 from treelat.zlinalg import (
@@ -73,8 +69,6 @@ __all__ = [
     "ComplexFormatError",
     "ConnectivityReport",
     "DegenerateOrbitError",
-    "DirectedEdgeRef",
-    "DirectedSquare",
     "GeneratorSet",
     "GeometricEdge",
     "HomologyReport",
@@ -99,12 +93,10 @@ __all__ = [
     "k0_rank",
     "kernel_and_image",
     "kernel_basis",
-    "label_tiling",
     "load_complex",
     "norm_quaternions",
     "rank",
     "serialize_complex",
-    "sigma_act",
     "smith_normal_form",
     "solve_square_relation",
     "stacked_kernel_basis",

@@ -28,6 +28,7 @@ from treelat.complex_model import (
     ComplexFormatError,
     SquareComplex,
     ValidationReport,
+    expand_directed_squares,
     load_complex,
     validate_vht,
 )
@@ -47,9 +48,9 @@ from treelat.tiling_system import (
     ConnectivityReport,
     K0Result,
     TilingSystem,
+    build_tiling,
     connectivity,
     k0_rank,
-    label_tiling,
 )
 from treelat.zlinalg import image_block, kernel_and_image, smith_normal_form
 
@@ -93,10 +94,8 @@ def _analyze(c: SquareComplex, validation: ValidationReport, explicit: bool = Fa
     square and the count certify that and otherwise the elimination of S;
     and the checks of verify_main_theorem on K and H.
     """
-    # Validation has ruled out degenerate orbits, so the tiles are the 4n
-    # codes of the edge table, and no DirectedSquare is expanded.
-    tiles = c.edge_table.tiles
-    ts = label_tiling(tiles, c)
+    tiles = expand_directed_squares(c)
+    ts = build_tiling(tiles, c)
     maps = chain_maps(c, tiles)
     conn = connectivity(ts, c)
     theorem = None
@@ -357,9 +356,9 @@ def cmd_export(args) -> int:
     data, c, v = _load(args.path)
     if v.errors:
         return _validation_failure(data, c, v, args)
-    tiles = c.edge_table.tiles
+    tiles = expand_directed_squares(c)
     if args.what in ("m1", "m2", "stacked"):
-        matrix = getattr(label_tiling(tiles, c), args.what)
+        matrix = getattr(build_tiling(tiles, c), args.what)
     else:
         matrix = getattr(chain_maps(c, tiles), args.what)
     _emit(matio.write_dense_json(matrix) if args.json else matio.write_triplets(matrix), args.out)

@@ -1,22 +1,25 @@
 """Finite VH-T square complexes: data model, parser, validator, reflections.
 
-Conventions.  A directed square carries four directed edge references
-(a, b, a_prime, b_prime): a runs along the bottom, b up the left side,
-a_prime along the top and b_prime up the right side, so the corner
-incidences are
+Conventions.  A directed square has four directed edges (a, b, a', b'): a
+runs along the bottom, b up the left side, a' along the top and b' up the
+right side, so the corner incidences are
 
-    o(a) = o(b),  t(a) = o(b_prime),  t(b) = o(a_prime),  t(a_prime) = t(b_prime).
+    o(a) = o(b),  t(a) = o(b'),  t(b) = o(a'),  t(a') = t(b').
 
 Each geometric edge of the input determines two directed edges, the forward
 one (origin -> terminus, the chosen orientation class) and its reversal.
-The Klein four-group of reflections acts on directed squares by
+A directed edge is an integer code (EdgeTable): 2i + reversed for the i-th
+geometric edge, horizontal edges first, so ~x, the reversal, is x ^ 1, and
+a directed square is the tuple of its four codes.  The Klein four-group of
+reflections acts on directed squares by
 
     t^v  = (a', ~b, a, ~b'),   t^h  = (~a, b', ~a', b),   t^vh = (~a', ~b', ~a, ~b)
 
-where ~x toggles the reversed flag.  The squares listed in a document are
-the orbit representatives; expansion appends the v-, h- and vh-images, so a
+(orbit_codes).  The squares listed in a document are the orbit
+representatives; expansion appends the v-, h- and vh-images, so a
 structurally sound complex with n squares always expands to 4n directed
-squares, indexed orbit-major in the order (1, v, h, vh).
+squares, indexed orbit-major in the order (1, v, h, vh): tile t is the
+reflection SIGMA_TAGS[t & 3] of square t >> 2.
 """
 
 from __future__ import annotations
@@ -28,9 +31,6 @@ from json.encoder import encode_basestring_ascii
 from typing import Iterable
 
 SIGMA_TAGS = ("1", "v", "h", "vh")
-
-# Klein four-group composition as xor on tag offsets (1, v, h, vh) = (0..3).
-_TAG_INDEX = {tag: i for i, tag in enumerate(SIGMA_TAGS)}
 
 
 class ComplexFormatError(ValueError):
@@ -52,33 +52,6 @@ class GeometricEdge:
     terminus: str
 
 
-@dataclass(frozen=True)
-class DirectedEdgeRef:
-    """A directed edge: a geometric edge plus a direction flag."""
-
-    edge: str
-    reversed: bool
-
-    def bar(self) -> "DirectedEdgeRef":
-        return DirectedEdgeRef(self.edge, not self.reversed)
-
-    def display(self) -> str:
-        return f"~{self.edge}" if self.reversed else self.edge
-
-
-@dataclass(frozen=True)
-class DirectedSquare:
-    a: DirectedEdgeRef
-    b: DirectedEdgeRef
-    a_prime: DirectedEdgeRef
-    b_prime: DirectedEdgeRef
-    orbit_id: int
-    sigma_tag: str
-
-    def labels(self) -> tuple[DirectedEdgeRef, DirectedEdgeRef, DirectedEdgeRef, DirectedEdgeRef]:
-        return (self.a, self.b, self.a_prime, self.b_prime)
-
-
 def orbit_codes(a: int, b: int, ap: int, bp: int) -> tuple[tuple[int, int, int, int], ...]:
     """The codes of t, t^v, t^h and t^vh for the square t with codes
     (a, b, a', b'): the reflections of the module docstring, with ~x = x ^ 1.
@@ -92,16 +65,15 @@ def orbit_codes(a: int, b: int, ap: int, bp: int) -> tuple[tuple[int, int, int, 
 
 
 class EdgeTable:
-    """Every directed edge of a complex numbered once, and the squares in
-    those numbers; SquareComplex.edge_table builds it once per complex.
+    """Every directed edge of a complex numbered once; SquareComplex.edge_table
+    builds it once per complex.
 
     Directed edge (e, reversed) has code 2i + reversed, where e is the i-th
     geometric edge, horizontal edges first and then vertical ones: the row
-    order of d2 and psi, so code >> 1 is the row of the edge and code & 1
-    its sign, and code ^ 1 is the reversal.  Codes below `vertical` are
-    horizontal.  position maps an edge id to 2i, origin[code] and
-    terminus[code] are vertex indices into SquareComplex.vertices, and
-    squares holds the codes (a, b, a', b') of each orbit representative.
+    order of d2, so code >> 1 is the row of the edge and code & 1 its sign,
+    and code ^ 1 is the reversal.  Codes below `vertical` are horizontal.
+    position maps an edge id to 2i, and origin[code] and terminus[code] are
+    vertex indices into SquareComplex.vertices.
     """
 
     def __init__(self, c: SquareComplex):
@@ -118,89 +90,29 @@ class EdgeTable:
         self.origin = tuple(origin)
         self.terminus = tuple(terminus)
         self.vertical = 2 * len(c.h_edges)
-        self.squares = self.square_codes(c.squares)
-
-    @cached_property
-    def refs(self) -> tuple[DirectedEdgeRef, ...]:
-        """The one DirectedEdgeRef of each code, built on first use."""
-        return tuple(
-            [DirectedEdgeRef(e, rev) for e in self.position for rev in (False, True)]
-        )
-
-    def square_codes(self, squares: Iterable[DirectedSquare]) -> tuple[tuple[int, ...], ...]:
-        """The codes (a, b, a', b') of each directed square, in one pass:
-        the one place where squares of DirectedEdgeRefs become codes."""
-        p = self.position
-        codes = [
-            (
-                p[t.a.edge] + t.a.reversed,
-                p[t.b.edge] + t.b.reversed,
-                p[t.a_prime.edge] + t.a_prime.reversed,
-                p[t.b_prime.edge] + t.b_prime.reversed,
-            )
-            for t in squares
-        ]
-        return tuple(codes)
+        self._squares = c.squares
 
     @cached_property
     def tiles(self) -> tuple[tuple[int, int, int, int], ...]:
         """The codes (a, b, a', b') of all 4n directed squares, orbit-major
         in the order (1, v, h, vh) (orbit_codes)."""
-        return tuple(t for square in self.squares for t in orbit_codes(*square))
+        return tuple(t for square in self._squares for t in orbit_codes(*square))
 
 
 @dataclass(frozen=True)
 class SquareComplex:
+    """squares holds the codes (a, b, a', b') of each orbit representative,
+    in document order (EdgeTable numbers the codes)."""
+
     vertices: tuple[str, ...]
     h_edges: tuple[GeometricEdge, ...]
     v_edges: tuple[GeometricEdge, ...]
-    squares: tuple[DirectedSquare, ...]
-
-    @cached_property
-    def _edge_index(self) -> dict[str, GeometricEdge]:
-        return {e.id: e for e in self.h_edges + self.v_edges}
-
-    def edge(self, edge_id: str) -> GeometricEdge:
-        return self._edge_index[edge_id]
-
-    def origin(self, ref: DirectedEdgeRef) -> str:
-        e = self.edge(ref.edge)
-        return e.terminus if ref.reversed else e.origin
-
-    def terminus(self, ref: DirectedEdgeRef) -> str:
-        e = self.edge(ref.edge)
-        return e.origin if ref.reversed else e.terminus
+    squares: tuple[tuple[int, int, int, int], ...]
 
     @cached_property
     def edge_table(self) -> EdgeTable:
         """The numbering of the directed edges, built once (EdgeTable)."""
         return EdgeTable(self)
-
-    def directed_h(self) -> tuple[DirectedEdgeRef, ...]:
-        table = self.edge_table
-        return table.refs[: table.vertical]
-
-    def directed_v(self) -> tuple[DirectedEdgeRef, ...]:
-        table = self.edge_table
-        return table.refs[table.vertical :]
-
-    @cached_property
-    def _expanded(self) -> tuple[DirectedSquare, ...]:
-        # every orbit expanded once, from the interned refs of the codes
-        refs = self.edge_table.refs
-        tiles = self.edge_table.tiles
-        expanded: list[DirectedSquare] = []
-        for k, t in enumerate(self.squares):
-            expanded.append(t)
-            for g in (1, 2, 3):
-                a, b, ap, bp = tiles[4 * k + g]
-                expanded.append(
-                    DirectedSquare(
-                        refs[a], refs[b], refs[ap], refs[bp],
-                        orbit_id=t.orbit_id, sigma_tag=SIGMA_TAGS[g],
-                    )
-                )
-        return tuple(expanded)
 
     @cached_property
     def component_count(self) -> int:
@@ -251,43 +163,23 @@ class ValidationReport:
         return not self.errors
 
 
-def sigma_act(t: DirectedSquare, g: str) -> DirectedSquare:
-    """Apply a reflection (one of "1", "v", "h", "vh") to a directed square."""
-    if g not in _TAG_INDEX:
-        raise ValueError(f"unknown reflection {g!r}")
-    if g == "1":
-        return t
-    a, b, ap, bp = t.a, t.b, t.a_prime, t.b_prime
-    if g == "v":
-        labels = (ap, b.bar(), a, bp.bar())
-    elif g == "h":
-        labels = (a.bar(), bp, ap.bar(), b)
-    else:  # "vh"
-        labels = (ap.bar(), bp.bar(), a.bar(), b.bar())
-    tag = SIGMA_TAGS[_TAG_INDEX[t.sigma_tag] ^ _TAG_INDEX[g]]
-    return DirectedSquare(*labels, orbit_id=t.orbit_id, sigma_tag=tag)
-
-
 def _degenerate_orbits(c: SquareComplex) -> list[int]:
     # t equals its vh-image exactly when both opposite sides are the same
     # edge traversed backwards; the v- and h-degeneracies cannot even be
     # written down in this representation (they would need an edge equal to
     # its own reversal).
-    return [
-        t.orbit_id
-        for t, (a, b, ap, bp) in zip(c.squares, c.edge_table.squares)
-        if ap == a ^ 1 and bp == b ^ 1
-    ]
+    return [k for k, (a, b, ap, bp) in enumerate(c.squares) if ap == a ^ 1 and bp == b ^ 1]
 
 
-def expand_directed_squares(c: SquareComplex) -> tuple[DirectedSquare, ...]:
-    """All 4n directed squares, orbit-major, each orbit ordered (1, v, h, vh)."""
+def expand_directed_squares(c: SquareComplex) -> tuple[tuple[int, int, int, int], ...]:
+    """The codes of all 4n directed squares, orbit-major, each orbit ordered
+    (1, v, h, vh): EdgeTable.tiles, once no orbit is degenerate."""
     bad = _degenerate_orbits(c)
     if bad:
         raise DegenerateOrbitError(
             f"squares {bad} coincide with their vh-images; orbits are not free"
         )
-    return c._expanded
+    return c.edge_table.tiles
 
 
 # --- parsing ---------------------------------------------------------------
@@ -328,10 +220,9 @@ def _parse_edges(raw, key, vertex_set, problems) -> list[GeometricEdge]:
     return edges
 
 
-def _parse_ref(raw, k, slot, problems, interned) -> DirectedEdgeRef | None:
-    """The reference in slot of squares[k], the one object interned holds
-    for its (edge, reversed); its problems name the slot, and the name is
-    built only then."""
+def _parse_ref(raw, k, slot, problems) -> tuple[str, bool] | None:
+    """The (edge, reversed) in slot of squares[k]; its problems name the
+    slot, and the name is built only then."""
     if not isinstance(raw, dict):
         problems.append(f"squares[{k}].{slot} must be an object")
         return None
@@ -342,10 +233,7 @@ def _parse_ref(raw, k, slot, problems, interned) -> DirectedEdgeRef | None:
     if not isinstance(key[0], str) or not isinstance(key[1], bool):
         problems.append(f"squares[{k}].{slot}: need edge (string) and reversed (boolean)")
         return None
-    ref = interned.get(key)
-    if ref is None:
-        ref = interned[key] = DirectedEdgeRef(*key)
-    return ref
+    return key
 
 
 def load_complex(text: str) -> SquareComplex:
@@ -399,9 +287,10 @@ def load_complex(text: str) -> SquareComplex:
             if e.id in axes:
                 problems.append(f"duplicate edge id '{e.id}'")
             axes[e.id] = axes.get(e.id, ()) + (axis,)
+    # the code 2i of each edge, as EdgeTable numbers it
+    position = {e.id: 2 * i for i, e in enumerate(h_edges + v_edges)}
 
-    squares: list[DirectedSquare] = []
-    interned: dict[tuple[str, bool], DirectedEdgeRef] = {}
+    squares: list[tuple[int, ...]] = []
     raw_squares = doc["squares"]
     if not isinstance(raw_squares, list):
         problems.append("squares must be an array")
@@ -418,30 +307,23 @@ def load_complex(text: str) -> SquareComplex:
         if missing:
             problems.append(f"squares[{k}]: missing keys {missing}")
             continue
-        refs = {}
-        ok = True
+        codes = []
         for slot, axis in _SLOT_AXIS.items():
-            ref = _parse_ref(item[slot], k, slot, problems, interned)
-            if ref is None:
-                ok = False
+            key = _parse_ref(item[slot], k, slot, problems)
+            if key is None:
                 continue
-            listed = axes.get(ref.edge)
+            edge, reversed_ = key
+            listed = axes.get(edge)
             if listed is None:
-                problems.append(f"squares[{k}].{slot}: unknown edge '{ref.edge}'")
-                ok = False
+                problems.append(f"squares[{k}].{slot}: unknown edge '{edge}'")
             elif axis not in listed:
                 problems.append(
-                    f"squares[{k}].{slot}: edge '{ref.edge}' is {listed[0]} but the slot is {axis}"
+                    f"squares[{k}].{slot}: edge '{edge}' is {listed[0]} but the slot is {axis}"
                 )
-                ok = False
-            refs[slot] = ref
-        if ok:
-            squares.append(
-                DirectedSquare(
-                    refs["a"], refs["b"], refs["a_prime"], refs["b_prime"],
-                    orbit_id=k, sigma_tag="1",
-                )
-            )
+            else:
+                codes.append(position[edge] + reversed_)
+        if len(codes) == 4:
+            squares.append(tuple(codes))
 
     if problems:
         raise ComplexFormatError(problems)
@@ -450,7 +332,7 @@ def load_complex(text: str) -> SquareComplex:
 
     table = c.edge_table
     o, t = table.origin, table.terminus
-    for sq, (a, b, ap, bp) in zip(c.squares, table.squares):
+    for k, (a, b, ap, bp) in enumerate(c.squares):
         for left, right, x, y in (
             ("o(a)", "o(b)", o[a], o[b]),
             ("t(a)", "o(b_prime)", t[a], o[bp]),
@@ -459,7 +341,7 @@ def load_complex(text: str) -> SquareComplex:
         ):
             if x != y:
                 problems.append(
-                    f"squares[{sq.orbit_id}]: corner incidence {left} = {right} fails"
+                    f"squares[{k}]: corner incidence {left} = {right} fails"
                     f" ('{c.vertices[x]}' != '{c.vertices[y]}')"
                 )
     if problems:
@@ -488,14 +370,16 @@ def serialize_complex(c: SquareComplex, metadata: dict | None = None) -> str:
             f'\n      "terminus": {q(e.terminus)}\n    }}'
         )
 
-    def ref(r: DirectedEdgeRef) -> str:
-        flag = "true" if r.reversed else "false"
-        return f'{{\n        "edge": {q(r.edge)},\n        "reversed": {flag}\n      }}'
-
+    # the text of each directed edge, by code (EdgeTable)
+    refs = [
+        f'{{\n        "edge": {q(e.id)},\n        "reversed": {flag}\n      }}'
+        for e in c.h_edges + c.v_edges
+        for flag in ("false", "true")
+    ]
     squares = [
-        f'{{\n      "a": {ref(t.a)},\n      "b": {ref(t.b)},'
-        f'\n      "a_prime": {ref(t.a_prime)},\n      "b_prime": {ref(t.b_prime)}\n    }}'
-        for t in c.squares
+        f'{{\n      "a": {refs[a]},\n      "b": {refs[b]},'
+        f'\n      "a_prime": {refs[ap]},\n      "b_prime": {refs[bp]}\n    }}'
+        for a, b, ap, bp in c.squares
     ]
     fields = [
         f'"vertices": {_json_array([q(v) for v in c.vertices])}',
@@ -595,15 +479,19 @@ def validate_vht(c: SquareComplex) -> ValidationReport:
             repeated.setdefault(key, []).append(t)
         repeated = {key: hits for key, hits in repeated.items() if len(hits) > 1}
 
+    ids = [e.id for e in c.h_edges + c.v_edges]
+
     def name(t: int) -> str:
-        return f"{c.squares[t >> 2].orbit_id}^{SIGMA_TAGS[t & 3]}"
+        return f"{t >> 2}^{SIGMA_TAGS[t & 3]}"
+
+    def display(code: int) -> str:
+        return f"~{ids[code >> 1]}" if code & 1 else ids[code >> 1]
 
     def pair(alpha: int, beta: int) -> str:
-        refs = table.refs
-        return f"({refs[alpha].display()}, {refs[beta].display()})"
+        return f"({display(alpha)}, {display(beta)})"
 
-    # The incident pairs, alpha-major over directed_h() and then beta over
-    # directed_v(): the vertical codes based at each vertex, ascending.
+    # The incident pairs, alpha-major over the horizontal codes and then
+    # beta over the vertical codes based at each vertex, ascending.
     v_at: list[list[int]] = [[] for _ in c.vertices]
     for beta in range(vertical, width):
         v_at[origin[beta]].append(beta)
@@ -639,7 +527,7 @@ def validate_vht(c: SquareComplex) -> ValidationReport:
                 for y in range(x + 1, len(hits)):
                     s1, s2 = tiles[hits[x]], tiles[hits[y]]
                     same_edges = s1[2] >> 1 == s2[2] >> 1 and s1[3] >> 1 == s2[3] >> 1
-                    forced = [table.refs[s1[i]].edge for i in (2, 3) if s1[i] ^ s2[i] == 1]
+                    forced = [ids[s1[i] >> 1] for i in (2, 3) if s1[i] ^ s2[i] == 1]
                     if forced and same_edges:
                         errors.append(
                             ValidationIssue(

@@ -16,7 +16,6 @@ Maps:
     phi2 (|R|  x |R+|):  column t  =  t - t^v - t^h + t^vh
     phi1 (2|R| x |E+|):  forward vertical b   -> (sum_{b(s)=b} s - sum_{b(s)=~b} s, 0)
                          forward horizontal a -> (0, sum_{a(s)=~a} s - sum_{a(s)=a} s)
-    psi  (|E+| x 2|R|):  (s, t) -> eps(b(s)) - eps(a(t))
 
 d1 . d2 = 0 follows from the corner incidences, and the square
 
@@ -24,7 +23,7 @@ d1 . d2 = 0 follows from the corner incidences, and the square
 
 commutes exactly, which is what ties ker d2 (the second homology lattice)
 to the kernel of the stacked transition operator.  The tiles are
-orbit-major, as tiling_system.label_tiling checks, so the tile labels give
+orbit-major, as tiling_system.build_tiling checks, so the tile labels give
 the factors of that operator: the square and the count of its kernel read
 them, and the operator is built only when phi1 or phi2 is not of the form
 chain_maps builds, or when the certificate of the kernel fails.
@@ -59,7 +58,6 @@ class ChainMaps:
     d1: IntMatrix
     phi2: IntMatrix
     phi1: IntMatrix
-    psi: IntMatrix
 
 
 @dataclass(frozen=True)
@@ -117,16 +115,16 @@ def _phi2_rows(n_tiles: int) -> tuple[Row, ...]:
 def chain_maps(c: SquareComplex, tiles: tuple[tuple[int, ...], ...]) -> ChainMaps:
     # Every map is built as canonical sparse rows: each row collects its
     # (column, value) pairs while the columns are visited in increasing
-    # order, so it comes out sorted.  d2 reads the codes of c.edge_table's
-    # squares and the tiling side the codes of tiles: row code >> 1, sign
-    # -1 when code & 1.
+    # order, so it comes out sorted.  d2 reads the codes of c.squares and
+    # the tiling side the codes of tiles: row code >> 1, sign -1 when
+    # code & 1.
     table = c.edge_table
     n_edges = len(table.position)
-    n_cells = len(table.squares)
+    n_cells = len(c.squares)
     n_tiles = len(tiles)
 
     d2: list[list[tuple[int, int]]] = [[] for _ in range(n_edges)]
-    for k, (a, b, ap, bp) in enumerate(table.squares):
+    for k, (a, b, ap, bp) in enumerate(c.squares):
         column: dict[int, int] = {}
         for code, sign in ((a, 1), (bp, 1), (ap, -1), (b, -1)):
             column[code >> 1] = column.get(code >> 1, 0) + (-sign if code & 1 else sign)
@@ -148,18 +146,11 @@ def chain_maps(c: SquareComplex, tiles: tuple[tuple[int, ...], ...]) -> ChainMap
     phi1 = [((b >> 1, -1 if b & 1 else 1),) if b >= vertical else () for _, b, _, _ in tiles]
     phi1 += [((a >> 1, 1 if a & 1 else -1),) if a < vertical else () for a, _, _, _ in tiles]
 
-    psi: list[list[tuple[int, int]]] = [[] for _ in range(n_edges)]
-    for i, (_, b, _, _) in enumerate(tiles):
-        psi[b >> 1].append((i, -1 if b & 1 else 1))
-    for i, (a, _, _, _) in enumerate(tiles, n_tiles):
-        psi[a >> 1].append((i, 1 if a & 1 else -1))
-
     return ChainMaps(
         d2=IntMatrix(n_edges, n_cells, tuple(map(tuple, d2))),
         d1=IntMatrix(len(c.vertices), n_edges, tuple(map(tuple, d1))),
         phi2=IntMatrix(n_tiles, n_cells, phi2),
         phi1=IntMatrix(2 * n_tiles, n_edges, tuple(phi1)),
-        psi=IntMatrix(n_edges, 2 * n_tiles, tuple(map(tuple, psi))),
     )
 
 
@@ -504,7 +495,7 @@ def certified_theorem(
     count of the stacked kernel alone, or None when they do not certify it.
 
     image is the image block B^T of d2 (zlinalg.image_block), ts the tiles
-    of c (tiling_system.label_tiling) and maps their chain maps.  The
+    of c (tiling_system.build_tiling) and maps their chain maps.  The
     certificate: phi2 is the one chain_maps builds (_phi2_rows), check (1)
     S.phi2 = phi1.d2 holds at label resolution (_square_by_labels), and
     the count dim ker_Q S (structured_kernel_dim, on its image path) equals

@@ -21,10 +21,10 @@ with one product, _product, which Quaternion.__mul__ calls too.  The
 sign (_relation_table), and the (p+1)(l+1) products x * y stream through
 it, one lookup per pair (_solve_pair); neither product list is held.
 solve_square_relation runs on the same table.  The squares are built as
-integer edge codes, 2k + reversed per axis as in complex_model.EdgeTable,
-and reflected by complex_model.orbit_codes, the formula the expansion
-uses; refs and DirectedSquares are made only for the emitted orbit
-representatives.
+integer edge codes, 2k + reversed per axis, and reflected by
+complex_model.orbit_codes, the formula the expansion uses; the emitted
+orbit representatives are those codes, the vertical ones shifted past the
+horizontal ones, as complex_model.EdgeTable numbers them.
 """
 
 from __future__ import annotations
@@ -32,14 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import isqrt
 
-from treelat.complex_model import (
-    DirectedEdgeRef,
-    DirectedSquare,
-    GeometricEdge,
-    SquareComplex,
-    orbit_codes,
-    serialize_complex,
-)
+from treelat.complex_model import GeometricEdge, SquareComplex, orbit_codes, serialize_complex
 
 
 class MozesParameterError(ValueError):
@@ -249,16 +242,12 @@ def build_mozes_complex(p: int, l: int) -> SquareComplex:
         seen |= orbit
         emitted.append(square)
 
-    h_refs = [DirectedEdgeRef(f"a{k // 2 + 1}", bool(k & 1)) for k in range(len(h_code))]
-    v_refs = [DirectedEdgeRef(f"b{k // 2 + 1}", bool(k & 1)) for k in range(width)]
+    first = len(h_code)  # the first vertical code of the complex
     return SquareComplex(
         vertices=("v0",),
-        h_edges=tuple(GeometricEdge(r.edge, "v0", "v0") for r in h_refs[::2]),
-        v_edges=tuple(GeometricEdge(r.edge, "v0", "v0") for r in v_refs[::2]),
-        squares=tuple(
-            DirectedSquare(h_refs[a], v_refs[b], h_refs[ap], v_refs[bp], orbit_id=n, sigma_tag="1")
-            for n, (a, b, ap, bp) in enumerate(emitted)
-        ),
+        h_edges=tuple(GeometricEdge(f"a{k + 1}", "v0", "v0") for k in range(first // 2)),
+        v_edges=tuple(GeometricEdge(f"b{k + 1}", "v0", "v0") for k in range(width // 2)),
+        squares=tuple([(a, first + b, ap, first + bp) for a, b, ap, bp in emitted]),
     )
 
 

@@ -16,12 +16,12 @@ matrix (m1 - I over m2 - I) is the operator whose kernel lattice carries
 the degree-2 homology; twice its rank is the boundary-algebra K_0 rank.
 
 The tiles of an orbit are the four reflections of one geometric square, so
-b'(t) = b(t^h) and a'(t) = a(t^v) for every tile: label_tiling checks that
-once, and a TilingSystem keeps b and a alone.  An analysis reads the tile
-and edge graphs, the column sums and the factors of the stacked operator
-off those labels; m1, m2 and the stacked matrix are built only on demand,
-each from the labels on its own: for export and on fallback.  build_tiling
-is the entry for tiles given as DirectedSquares, through label_tiling.
+b'(t) = b(t^h) and a'(t) = a(t^v) for every tile: build_tiling, the one
+entry from tiles to a TilingSystem, checks that once, and a TilingSystem
+keeps b and a alone.  An analysis reads the tile and edge graphs, the
+column sums and the factors of the stacked operator off those labels; m1,
+m2 and the stacked matrix are built only on demand, each from the labels on
+its own: for export and on fallback.
 
 The tiles of an axis are the darts of a multigraph on its labels, one edge
 b(t) - b(t^h) per pair {t, t^h} (resp. a(t) - a(t^v)), and the tile graph
@@ -38,7 +38,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
-from treelat.complex_model import DirectedSquare, SquareComplex, _UnionFind
+from treelat.complex_model import SquareComplex, _UnionFind
 from treelat.zlinalg import IntMatrix
 
 
@@ -51,7 +51,7 @@ class TilingSystem:
     2i + reversed for e the i-th vertical edge, which is also its vertex in
     the edge graph of connectivity; a numbers the directed horizontal edges
     the same way.  The primed labels are b'(t) = b[t ^ 2] and
-    a'(t) = a[t ^ 1] (label_tiling checks that the tiles have them), and
+    a'(t) = a[t ^ 1] (build_tiling checks that the tiles have them), and
     the number of tiles is a multiple of 4.  m1, m2, stacked and components
     are derived from the labels on first access, then kept.
 
@@ -214,7 +214,7 @@ def _column_sums(labels, flip: int) -> tuple[int, ...]:
     return tuple([count[x] - 1 for x in _primed(labels, flip)])
 
 
-def label_tiling(tiles: tuple[tuple[int, ...], ...], c: SquareComplex) -> TilingSystem:
+def build_tiling(tiles: tuple[tuple[int, ...], ...], c: SquareComplex) -> TilingSystem:
     """The tiling system of tiles, the codes (a, b, a', b') of each tile
     (complex_model.EdgeTable), as the integer labels of their sides; O(n),
     and no matrix is built.
@@ -224,6 +224,9 @@ def label_tiling(tiles: tuple[tuple[int, ...], ...], c: SquareComplex) -> Tiling
     a'(t) = a(t ^ 1).  Otherwise ValueError.  The horizontal labels are
     the codes themselves and the vertical ones the codes less the first
     vertical code, so both axes number their directed edges from 0.
+    m1, m2 and stacked are cached properties, each built from the labels
+    on its first read, so exporting one of them builds neither of the
+    others.
     """
     first = c.edge_table.vertical
     a, b, a_prime, b_prime = zip(*tiles) if tiles else ((), (), (), ())
@@ -233,18 +236,6 @@ def label_tiling(tiles: tuple[tuple[int, ...], ...], c: SquareComplex) -> Tiling
             "must hold for every tile t, and the tiles be a multiple of 4"
         )
     return TilingSystem(b=tuple([x - first for x in b]), a=a, n_vertices=len(c.vertices))
-
-
-def build_tiling(r: tuple[DirectedSquare, ...], c: SquareComplex) -> TilingSystem:
-    """The tiling system of the expanded directed squares r: label_tiling
-    of their codes (EdgeTable.square_codes), the one entry for tiles given
-    as DirectedSquares.
-
-    Nothing is built beyond the labels; m1, m2 and stacked are cached
-    properties, each built from the labels on its first read, so exporting
-    one of them builds neither of the others.  ValueError as label_tiling.
-    """
-    return label_tiling(c.edge_table.square_codes(r), c)
 
 
 def stacked_matrix(ts: TilingSystem) -> IntMatrix:

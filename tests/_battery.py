@@ -9,12 +9,14 @@ transition matrices one pair at a time, S.phi2 as a product, Tarjan and
 the column sums of the built transition matrices, the built S checked
 against the labels read off psi, the kernels, invariant factors and solves
 of the elimination against the transforms of the dense Smith schedule).
+The directed squares are also read as Squares of (edge, reversed) Refs and
+reflected by sigma_act, against the codes the pipeline reads.
 """
 
 import random
 
 from treelat import _kernels_py, tiling_system
-from treelat.complex_model import SIGMA_TAGS, DirectedSquare, expand_directed_squares, sigma_act
+from treelat.complex_model import expand_directed_squares
 from treelat.homology import (
     chain_maps,
     commuting_square,
@@ -22,7 +24,7 @@ from treelat.homology import (
     structured_kernel_dim,
     verify_main_theorem,
 )
-from treelat.tiling_system import build_tiling, label_tiling, stacked_matrix
+from treelat.tiling_system import build_tiling, stacked_matrix
 from treelat.zlinalg import (
     AbelianInvariants,
     IntMatrix,
@@ -43,11 +45,16 @@ from _oracles import (
     dense_chain_maps,
     dense_snf,
     dense_verify,
+    expand_by_sigma,
     h1_by_cycle_basis,
     h_image_index,
     matches_factors,
+    psi_matrix,
     rank_by_fraction_elimination,
     rank_mod_prime,
+    ref_ends,
+    sigma_act,
+    square_codes,
     stacked_phi2_from_factors,
     strongly_connected_by_closure,
     tile_labels,
@@ -58,15 +65,16 @@ from _oracles import (
 
 def assert_instance_properties(analysis):
     c = analysis.complex
-    r = expand_directed_squares(c)
-    tiles = c.edge_table.tiles
+    r = expand_by_sigma(c)
+    tiles = expand_directed_squares(c)
     ts = analysis.tiling
     maps = analysis.maps
+    psi = psi_matrix(c, tiles)
 
     # four directed squares per geometric square, and the tiles the
     # analysis reads are the codes of their sides
     assert len(r) == len(tiles) == 4 * len(c.squares)
-    assert c.edge_table.square_codes(r) == tiles
+    assert square_codes(c, r) == tiles
 
     # reflection formulas: flip identities and group laws on every square
     for t in r:
@@ -89,14 +97,16 @@ def assert_instance_properties(analysis):
     assert (ts.m1, ts.m2) == build_tiling_by_pairs(r, c)
 
     # column sums against transverse degrees, and read off the labels
+    origin, _ = ref_ends(c)
     for t_idx, t in enumerate(r):
-        assert sum(ts.m1.column(t_idx)) == c.h_degree(c.origin(t.b_prime)) - 1
-        assert sum(ts.m2.column(t_idx)) == c.v_degree(c.origin(t.a_prime)) - 1
+        assert sum(ts.m1.column(t_idx)) == c.h_degree(origin(t.b_prime)) - 1
+        assert sum(ts.m2.column(t_idx)) == c.v_degree(origin(t.a_prime)) - 1
     assert ts.column_sums() == (ts.m1.column_sums(), ts.m2.column_sums())
 
     # the sparse chain maps equal the dense builder's, map by map
     for name, (rows, cols) in dense_chain_maps(c, r).items():
-        assert getattr(maps, name) == IntMatrix.from_rows(rows, cols=cols), name
+        built = psi if name == "psi" else getattr(maps, name)
+        assert built == IntMatrix.from_rows(rows, cols=cols), name
 
     # chain complex and commuting square, exactly
     assert maps.d1.mul(maps.d2).is_zero()
@@ -105,7 +115,7 @@ def assert_instance_properties(analysis):
 
     # the labels give the factors of S, as the built S checked against the
     # labels read off psi says, and S.phi2 read off them is the product
-    assert matches_factors(stacked, *tile_labels(maps.psi))
+    assert matches_factors(stacked, *tile_labels(psi))
     assert stacked_phi2_from_factors(maps.phi2, (ts.b, ts.a)) == stacked.mul(maps.phi2)
 
     # injectivity of the comparison maps
@@ -113,7 +123,7 @@ def assert_instance_properties(analysis):
     assert smith_normal_form(maps.phi1).rank == maps.phi1.cols
 
     # the retraction is diagonal with positive entries
-    prod = maps.psi.mul(maps.phi1)
+    prod = psi.mul(maps.phi1)
     for i in range(prod.rows):
         for j in range(prod.cols):
             if i == j:
@@ -131,7 +141,7 @@ def assert_instance_properties(analysis):
     )
 
     # connectivity read off the labels is the one of Tarjan over the built
-    # matrices and of the DirectedEdgeRef-indexed edge graphs
+    # matrices and of the Ref-indexed edge graphs
     assert conn == connectivity_by_refs(ts, c, r)
 
     # orientation halves every edge-graph component
@@ -294,7 +304,7 @@ def assert_rank_identity(analysis):
     assert verdict.mu_vanishes
     assert verdict.holds
 
-    r = expand_directed_squares(analysis.complex)
+    r = expand_by_sigma(analysis.complex)
     n = len(r)
     for lam in stacked_basis:
         for i in range(n):
@@ -325,7 +335,7 @@ def retarget(analysis, slot, orbit_major=False):
 
     With orbit_major, the unprimed side of the tile that slot reads, b of
     tile 2 or a of tile 1, moves to that edge too: the tiles keep
-    b'(t) = b(t ^ 2) and a'(t) = a(t ^ 1), so label_tiling takes them,
+    b'(t) = b(t ^ 2) and a'(t) = a(t ^ 1), so build_tiling takes them,
     but they are no longer the directed squares of the complex."""
     table = analysis.complex.edge_table
     tiles = list(table.tiles)
@@ -339,16 +349,6 @@ def retarget(analysis, slot, orbit_major=False):
     return tuple(tiles)
 
 
-def tile_squares(c, tiles):
-    """The directed squares of tiles, codes read back as the DirectedEdgeRefs
-    of c.edge_table, with the orbit and tag of each index."""
-    refs = c.edge_table.refs
-    return tuple(
-        DirectedSquare(*[refs[x] for x in t], c.squares[i >> 2].orbit_id, SIGMA_TAGS[i & 3])
-        for i, t in enumerate(tiles)
-    )
-
-
 def assert_tampered_tiles_build_the_operator_once(monkeypatch, analysis, slot):
     """Retarget one side of a tile and its orbit-major partner: the labels
     of the tampered tiles give the factors of their S, as the built S
@@ -359,10 +359,10 @@ def assert_tampered_tiles_build_the_operator_once(monkeypatch, analysis, slot):
     c = analysis.complex
     tiles = retarget(analysis, slot, orbit_major=True)
     maps = chain_maps(c, tiles)
-    ts = label_tiling(tiles, c)
-    stacked = stacked_matrix(build_tiling(tile_squares(c, tiles), c))
+    ts = build_tiling(tiles, c)
+    stacked = stacked_matrix(ts)
     assert ts != analysis.tiling
-    assert matches_factors(stacked, *tile_labels(maps.psi))
+    assert matches_factors(stacked, *tile_labels(psi_matrix(c, tiles)))
 
     original = tiling_system.stacked_matrix
     built = []

@@ -12,16 +12,20 @@ dense Smith schedule.  Helpers that only tests call (the Bareiss
 determinant, lattice inclusion, the difference and vertical stack of two
 IntMatrix, the reflections of a tile index by their positional formula)
 live here too, as do the transition matrices built one pair at a time
-and the edge graphs indexed by DirectedEdgeRef, which the pipeline
+and the edge graphs indexed by directed edge, which the pipeline
 replaced with shared label lists and integer indices.  So are the routes
-the pipeline left for the tile labels: the labels read off psi, the check
-of a built stacked matrix against their factors, the tiling system whose
-factors are a given pair of labels (factor_tiling), and Tarjan over the
-successor lists of a built transition matrix.  The validator and the
-corner checks of the parser keep their DirectedEdgeRef route here too:
-coverage keyed by pairs of refs, the incident pairs found by a scan of
-all directed-edge pairs, and every vertex read through
-SquareComplex.origin, where the pipeline reads integer edge codes.
+the pipeline left for the tile labels: the retraction psi, which the
+chain maps no longer carry, the labels read off it, the check of a built
+stacked matrix against their factors, the tiling system whose factors
+are a given pair of labels (factor_tiling), and Tarjan over the
+successor lists of a built transition matrix.  A directed square is read
+here as a Square of four Refs, named (edge id, reversed) pairs, and
+reflected by sigma_act, the formulas of the paper, where the package
+keeps four integer edge codes and reflects them with orbit_codes.  The
+validator and the corner checks of the parser keep their Ref route here
+too: coverage keyed by pairs of Refs, the incident pairs found by a scan
+of all directed-edge pairs, and every vertex read through the edge of
+each Ref, where the pipeline reads integer edge codes.
 The export path keeps its earlier writers here: triplets with one
 formatted line per nonzero, the dense form and the canonical document
 written by json.dumps, the stacked matrix re-sliced row by row from the
@@ -35,6 +39,7 @@ rank mod p stays as an independent route to that count.
 """
 
 from bisect import bisect_left
+from collections import namedtuple
 from fractions import Fraction
 
 
@@ -313,6 +318,8 @@ def serialize_complex_by_dumps(c, metadata=None):
     def ref(r):
         return {"edge": r.edge, "reversed": r.reversed}
 
+    squares = square_refs(c)
+
     doc = {
         "vertices": list(c.vertices),
         "horizontal_edges": [
@@ -323,12 +330,128 @@ def serialize_complex_by_dumps(c, metadata=None):
         ],
         "squares": [
             {"a": ref(t.a), "b": ref(t.b), "a_prime": ref(t.a_prime), "b_prime": ref(t.b_prime)}
-            for t in c.squares
+            for t in squares
         ],
     }
     if metadata is not None:
         doc["metadata"] = metadata
     return json.dumps(doc, indent=2) + "\n"
+
+
+# --- directed squares by (edge, reversed) ---------------------------------------
+# The package keeps a directed edge as an integer code and a directed square
+# as the tuple of its four codes (complex_model.EdgeTable).  The oracles
+# read them back as named (edge id, reversed) pairs and reflect them by
+# the formulas of the paper, with no code arithmetic: sigma_act is the
+# reference for complex_model.orbit_codes.
+
+SIGMA_TAGS = ("1", "v", "h", "vh")
+_TAG_INDEX = {tag: i for i, tag in enumerate(SIGMA_TAGS)}
+
+
+class Ref(namedtuple("Ref", "edge reversed")):
+    """A directed edge: a geometric edge id plus a direction flag."""
+
+    __slots__ = ()
+
+    def bar(self):
+        return Ref(self.edge, not self.reversed)
+
+    def display(self):
+        return f"~{self.edge}" if self.reversed else self.edge
+
+
+class Square(namedtuple("Square", "a b a_prime b_prime orbit_id sigma_tag")):
+    """A directed square: four Refs, its orbit and its reflection tag."""
+
+    __slots__ = ()
+
+    def labels(self):
+        return (self.a, self.b, self.a_prime, self.b_prime)
+
+
+def sigma_act(t, g):
+    """Apply a reflection (one of "1", "v", "h", "vh") to a Square."""
+    if g not in _TAG_INDEX:
+        raise ValueError(f"unknown reflection {g!r}")
+    if g == "1":
+        return t
+    a, b, ap, bp = t.a, t.b, t.a_prime, t.b_prime
+    if g == "v":
+        labels = (ap, b.bar(), a, bp.bar())
+    elif g == "h":
+        labels = (a.bar(), bp, ap.bar(), b)
+    else:  # "vh"
+        labels = (ap.bar(), bp.bar(), a.bar(), b.bar())
+    tag = SIGMA_TAGS[_TAG_INDEX[t.sigma_tag] ^ _TAG_INDEX[g]]
+    return Square(*labels, orbit_id=t.orbit_id, sigma_tag=tag)
+
+
+def directed_edges(c):
+    """The Ref of every edge code of c, by code: the edge
+    (h_edges + v_edges)[code >> 1], reversed when code & 1."""
+    return tuple(Ref(e.id, rev) for e in c.h_edges + c.v_edges for rev in (False, True))
+
+
+def tile_squares(c, tiles):
+    """The Squares of tiles, codes read as Refs, with orbit i >> 2 and
+    tag SIGMA_TAGS[i & 3] for the tile at index i."""
+    refs = directed_edges(c)
+    return tuple(
+        Square(*[refs[x] for x in t], i >> 2, SIGMA_TAGS[i & 3]) for i, t in enumerate(tiles)
+    )
+
+
+def square_refs(c):
+    """The orbit representatives of c as Squares, square k of orbit k
+    with tag 1."""
+    refs = directed_edges(c)
+    return tuple(Square(*[refs[x] for x in t], k, "1") for k, t in enumerate(c.squares))
+
+
+def expand_by_sigma(c):
+    """Every directed square of c: each orbit representative expanded by
+    sigma_act, orbit-major in the order (1, v, h, vh)."""
+    return tuple(sigma_act(t, g) for t in square_refs(c) for g in SIGMA_TAGS)
+
+
+def square_codes(c, squares):
+    """The codes (a, b, a', b') of Squares, each Ref at the place of its
+    edge id in c.h_edges + c.v_edges."""
+    position = {e.id: 2 * i for i, e in enumerate(c.h_edges + c.v_edges)}
+    return tuple(tuple(position[r.edge] + r.reversed for r in t.labels()) for t in squares)
+
+
+def ref_ends(c):
+    """The functions origin and terminus of a Ref of c, read through the
+    geometric edge of its id."""
+    edges = {e.id: e for e in c.h_edges + c.v_edges}
+
+    def origin(r):
+        e = edges[r.edge]
+        return e.terminus if r.reversed else e.origin
+
+    def terminus(r):
+        e = edges[r.edge]
+        return e.origin if r.reversed else e.terminus
+
+    return origin, terminus
+
+
+def psi_matrix(c, tiles):
+    """The retraction psi (|E+| x 2|R|): (s, t) -> eps(b(s)) - eps(a(t)),
+    as sparse rows over the edge codes of tiles: row code >> 1, sign -1
+    when code & 1."""
+    from treelat.zlinalg import IntMatrix
+
+    n_edges = len(c.h_edges) + len(c.v_edges)
+    n_tiles = len(tiles)
+    psi = [[] for _ in range(n_edges)]
+    for i, (_, b, _, _) in enumerate(tiles):
+        psi[b >> 1].append((i, -1 if b & 1 else 1))
+    for i, (a, _, _, _) in enumerate(tiles, n_tiles):
+        psi[a >> 1].append((i, 1 if a & 1 else -1))
+    return IntMatrix(n_edges, 2 * n_tiles, tuple(map(tuple, psi)))
 
 
 # Dense references for the sparse-row IntMatrix: each takes lists of row
@@ -401,8 +524,8 @@ def vh_image_index(idx):
 
 
 def build_tiling_by_pairs(r, c):
-    """m1 and m2 of tiling_system.build_tiling, by one append per nonzero:
-    tiles grouped by their DirectedEdgeRef labels, then every column t
+    """m1 and m2 of tiling_system.build_tiling for the Squares r, by one
+    append per nonzero: tiles grouped by their Ref labels, then every column t
     visited and (t, 1) appended to each row it follows."""
     from treelat.zlinalg import IntMatrix
 
@@ -559,12 +682,13 @@ def stacked_phi2_from_factors(phi2, factors):
 def connectivity_by_refs(ts, c, r):
     """The ConnectivityReport of tiling_system.connectivity, from the
     built m1 and m2 of ts and with the vertices of the edge graphs found
-    by DirectedEdgeRef in c.directed_v() and c.directed_h(), for the sides
-    and sigma tags of the directed squares r."""
+    by Ref among the directed vertical and horizontal edges of c, for the
+    sides and sigma tags of the Squares r."""
     from treelat.tiling_system import ConnectivityReport
 
-    v_index = {ref: i for i, ref in enumerate(c.directed_v())}
-    h_index = {ref: i for i, ref in enumerate(c.directed_h())}
+    refs = directed_edges(c)
+    v_index = {ref: i for i, ref in enumerate(refs[2 * len(c.h_edges) :])}
+    h_index = {ref: i for i, ref in enumerate(refs[: 2 * len(c.h_edges)])}
     b_pairs = [(v_index[t.b], v_index[t.b_prime]) for t in r]
     b_plus = [t.sigma_tag in ("1", "v") for t in r]
     a_pairs = [(h_index[t.a], h_index[t.a_prime]) for t in r]
@@ -703,9 +827,9 @@ def dense_equal(a, a_cols, b, b_cols):
 
 def dense_chain_maps(c, r):
     """d2, d1, phi2, phi1 and psi as dense row lists, by name, each with
-    its column count: every entry accumulated into a full matrix, phi1 by
-    a scan of all tiles for each edge.  The row of an edge is its place in
-    c.h_edges + c.v_edges."""
+    its column count, for the Squares r of c: every entry accumulated into
+    a full matrix, phi1 by a scan of all tiles for each edge.  The row of
+    an edge is its place in c.h_edges + c.v_edges."""
     eidx = {e.id: i for i, e in enumerate(c.h_edges + c.v_edges)}
     n_edges = len(eidx)
     n_cells = len(c.squares)
@@ -716,7 +840,7 @@ def dense_chain_maps(c, r):
         return eidx[ref.edge], (-1 if ref.reversed else 1)
 
     d2 = [[0] * n_cells for _ in range(n_edges)]
-    for k, t in enumerate(c.squares):
+    for k, t in enumerate(square_refs(c)):
         for ref, sign in ((t.a, 1), (t.b_prime, 1), (t.a_prime, -1), (t.b, -1)):
             row, s = eps(ref)
             d2[row][k] += sign * s
@@ -978,45 +1102,37 @@ def pair_label_rows(rows: dict[int, dict[int, int]]) -> None:
                 acc[j] = acc.get(j, 0) + v
 
 
-# --- validation by DirectedEdgeRef --------------------------------------------
+# --- validation by Ref ----------------------------------------------------------
 
 
 def corner_problems_by_refs(text):
     """The corner-incidence messages of complex_model.load_complex for a
     document that passes every structural check: each square's four
-    incidences compared through SquareComplex.origin and .terminus."""
+    incidences compared through the edge of each Ref, by id."""
     import json
 
-    from treelat.complex_model import DirectedEdgeRef, DirectedSquare, GeometricEdge, SquareComplex
-
     doc = json.loads(text)
+    edges = {e["id"]: e for key in ("horizontal_edges", "vertical_edges") for e in doc[key]}
 
-    def edges(key):
-        return tuple(GeometricEdge(e["id"], e["origin"], e["terminus"]) for e in doc[key])
+    def origin(raw):
+        return edges[raw["edge"]]["terminus" if raw["reversed"] else "origin"]
 
-    def ref(raw):
-        return DirectedEdgeRef(raw["edge"], raw["reversed"])
+    def terminus(raw):
+        return edges[raw["edge"]]["origin" if raw["reversed"] else "terminus"]
 
-    squares = tuple(
-        DirectedSquare(ref(s["a"]), ref(s["b"]), ref(s["a_prime"]), ref(s["b_prime"]), k, "1")
-        for k, s in enumerate(doc["squares"])
-    )
-    c = SquareComplex(
-        tuple(doc["vertices"]), edges("horizontal_edges"), edges("vertical_edges"), squares
-    )
     corner_checks = (
-        ("o(a)", "o(b)", lambda t: (c.origin(t.a), c.origin(t.b))),
-        ("t(a)", "o(b_prime)", lambda t: (c.terminus(t.a), c.origin(t.b_prime))),
-        ("t(b)", "o(a_prime)", lambda t: (c.terminus(t.b), c.origin(t.a_prime))),
-        ("t(a_prime)", "t(b_prime)", lambda t: (c.terminus(t.a_prime), c.terminus(t.b_prime))),
+        ("o(a)", "o(b)", lambda t: (origin(t["a"]), origin(t["b"]))),
+        ("t(a)", "o(b_prime)", lambda t: (terminus(t["a"]), origin(t["b_prime"]))),
+        ("t(b)", "o(a_prime)", lambda t: (terminus(t["b"]), origin(t["a_prime"]))),
+        ("t(a_prime)", "t(b_prime)", lambda t: (terminus(t["a_prime"]), terminus(t["b_prime"]))),
     )
     problems = []
-    for t in c.squares:
+    for k, t in enumerate(doc["squares"]):
         for left, right, get in corner_checks:
             x, y = get(t)
             if x != y:
                 problems.append(
-                    f"squares[{t.orbit_id}]: corner incidence {left} = {right} fails"
+                    f"squares[{k}]: corner incidence {left} = {right} fails"
                     f" ('{x}' != '{y}')"
                 )
     return problems
@@ -1025,17 +1141,13 @@ def corner_problems_by_refs(text):
 def validate_vht_by_refs(c):
     """The ValidationReport of complex_model.validate_vht, by the route it
     replaced: every orbit expanded with sigma_act, coverage counted in a
-    dict keyed by pairs of DirectedEdgeRef, the incident pairs found by a
-    scan of all |H+| x |V+| directed-edge pairs through SquareComplex.origin,
-    and the components by a union-find over vertex names."""
-    from treelat.complex_model import (
-        SIGMA_TAGS,
-        DirectedEdgeRef,
-        ValidationIssue,
-        ValidationReport,
-        _UnionFind,
-        sigma_act,
-    )
+    dict keyed by pairs of Refs, the incident pairs found by a scan of all
+    |H+| x |V+| directed-edge pairs through the edge of each Ref, and the
+    components by a union-find over vertex names."""
+    from treelat.complex_model import ValidationIssue, ValidationReport, _UnionFind
+
+    origin, _ = ref_ends(c)
+    squares = square_refs(c)
 
     errors = []
     warnings = []
@@ -1066,7 +1178,7 @@ def validate_vht_by_refs(c):
                 ValidationIssue("disconnected", f"complex has {n_comp} connected components")
             )
 
-    for t in c.squares:
+    for t in squares:
         if t.a_prime == t.a.bar() and t.b_prime == t.b.bar():
             errors.append(
                 ValidationIssue(
@@ -1076,18 +1188,18 @@ def validate_vht_by_refs(c):
             )
 
     coverage = {}
-    for t in c.squares:
+    for t in squares:
         for g in SIGMA_TAGS:
             s = sigma_act(t, g)
             coverage.setdefault((s.a, s.b), []).append(s)
 
-    directed_h = [DirectedEdgeRef(e.id, rev) for e in c.h_edges for rev in (False, True)]
-    directed_v = [DirectedEdgeRef(e.id, rev) for e in c.v_edges for rev in (False, True)]
+    directed_h = [Ref(e.id, rev) for e in c.h_edges for rev in (False, True)]
+    directed_v = [Ref(e.id, rev) for e in c.v_edges for rev in (False, True)]
     incident = [
         (alpha, beta)
         for alpha in directed_h
         for beta in directed_v
-        if c.origin(alpha) == c.origin(beta)
+        if origin(alpha) == origin(beta)
     ]
     incident_set = set(incident)
 
@@ -1098,7 +1210,7 @@ def validate_vht_by_refs(c):
             errors.append(
                 ValidationIssue(
                     "link_uncovered",
-                    f"link failure at vertex {c.origin(alpha)}: corner pair "
+                    f"link failure at vertex {origin(alpha)}: corner pair "
                     f"({alpha.display()}, {beta.display()}) not covered by any square",
                 )
             )

@@ -21,12 +21,12 @@ from treelat import cli, homology
 from treelat.complex_model import load_complex, validate_vht
 from treelat.homology import structured_kernel_dim
 from treelat.mozes import generate_mozes_complex
-from treelat.tiling_system import label_tiling, stacked_matrix
+from treelat.tiling_system import build_tiling, stacked_matrix
 from treelat.zlinalg import IntMatrix, image_block, kernel_basis
 
 import _complexes
-from _battery import retarget, tile_squares
-from _oracles import dense_verify, structured_kernel_dim_by_orbits
+from _battery import retarget
+from _oracles import dense_verify, structured_kernel_dim_by_orbits, tile_squares
 from test_presentation import FIXED, TRANSFORMS, document
 
 
@@ -129,7 +129,7 @@ def test_count_on_component_unknowns_matches_the_orbit_oracle(group):
             continue
         c, _ = loaded
         tiles = c.edge_table.tiles
-        ts = label_tiling(tiles, c)
+        ts = build_tiling(tiles, c)
         if assert_counts_agree(ts, homology.chain_maps(c, tiles)) is not None:
             certified += 1
     assert certified > 0
@@ -144,7 +144,7 @@ def test_count_reads_the_left_kernel_of_d2(name):
     maps = homology.chain_maps(c, tiles)
     image = image_block(maps.d2)
     assert image.rows > image.cols
-    assert assert_counts_agree(label_tiling(tiles, c), maps) is not None
+    assert assert_counts_agree(build_tiling(tiles, c), maps) is not None
 
 
 @pytest.mark.parametrize("slot", ["b_prime", "a_prime"])
@@ -153,7 +153,7 @@ def test_count_on_tampered_tiles_takes_the_orbit_block(mozes513, slot):
     # the count keeps the orbit block; it is still the kernel rank of S.
     c = mozes513.complex
     tiles = retarget(mozes513, slot, orbit_major=True)
-    ts = label_tiling(tiles, c)
+    ts = build_tiling(tiles, c)
     maps = homology.chain_maps(c, tiles)
     assert homology._label_image(ts, maps, image_block(maps.d2)) is None
     assert assert_counts_agree(ts, maps) is None
@@ -161,7 +161,7 @@ def test_count_on_tampered_tiles_takes_the_orbit_block(mozes513, slot):
 
 
 def dense_theorem(c, tiles, maps):
-    stacked = stacked_matrix(label_tiling(tiles, c))
+    stacked = stacked_matrix(build_tiling(tiles, c))
     verdict = dense_verify(
         c, tile_squares(c, tiles), maps, stacked, kernel_basis(stacked), kernel_basis(maps.d2)
     )
@@ -231,7 +231,7 @@ def test_tampered_maps_give_analyze_the_verdict_of_verify(monkeypatch, doc):
         assert analyzed.theorem == verified.theorem, name
         assert cli._theorem_dict(analyzed.theorem) == dense_theorem(c, tiles, maps), name
         assert analyzed.homology == verified.homology and analyzed.k0 == verified.k0, name
-        if homology.certified_theorem(c, label_tiling(tiles, c), maps, image_block(maps.d2)):
+        if homology.certified_theorem(c, build_tiling(tiles, c), maps, image_block(maps.d2)):
             certified.append(name)
     # Only the change that keeps check (1) is certified, and only where
     # the count agrees.
@@ -245,7 +245,7 @@ def test_tampered_tiles_give_analyze_the_verdict_of_verify(mozes513, slot, orbit
     tiles = retarget(mozes513, slot, orbit_major=orbit_major)
     c.edge_table.tiles = tiles
     if not orbit_major:
-        # label_tiling refuses tiles that are not orbit-major, on both paths
+        # build_tiling refuses tiles that are not orbit-major, on both paths
         with pytest.raises(ValueError):
             cli._analyze(c, v)
         with pytest.raises(ValueError):

@@ -14,8 +14,8 @@ from treelat import _kernels_py, cli, complex_model, homology, matio, tiling_sys
 from treelat.cli import analyze_document, main
 
 import _complexes
-from _oracles import dense_verify
-from _battery import assert_tampered_tiles_build_the_operator_once, tile_squares
+from _oracles import dense_verify, tile_squares
+from _battery import assert_tampered_tiles_build_the_operator_once
 
 
 @pytest.fixture()
@@ -394,24 +394,27 @@ def test_analyze_json_matches_pinned_digests_with_several_vertices(runner, tmp_p
 # --- work done by one analysis -------------------------------------------------
 
 # sha256 of `treelat analyze --json` for the (13,17) complex, recorded while
-# the analysis still expanded the tiles into DirectedSquares.
+# the analysis still expanded the tiles into objects of four edge references.
 PINNED_REPORT_1317 = "8ed72926d99b4900bd67c11f455fc2817f79a88cc8139a65a1b8d4f9250ece75"
 
 
 def test_analysis_reads_the_tiles_as_edge_codes(runner, tmp_path, monkeypatch):
-    # The analysis reads the tiles as the edge codes of the edge table:
-    # with the expansion into DirectedSquares and the DirectedEdgeRef of
-    # each code made to raise, the reports are still the pinned ones.
+    # The analysis takes its tiles from expand_directed_squares, once, as
+    # tuples of four integer edge codes, and the reports are still the
+    # pinned ones.
     from treelat.mozes import generate_mozes_complex
 
-    def refuse(*args):
-        raise AssertionError("DirectedSquare or DirectedEdgeRef built by the analysis")
-
     expand = complex_model.expand_directed_squares
+    expanded = []
+
+    def recorded(c):
+        tiles = expand(c)
+        expanded.append(tiles)
+        return tiles
+
     for mod in (complex_model, cli):
         if getattr(mod, "expand_directed_squares", None) is expand:
-            monkeypatch.setattr(mod, "expand_directed_squares", refuse)
-    monkeypatch.setattr(complex_model.EdgeTable, "refs", property(refuse))
+            monkeypatch.setattr(mod, "expand_directed_squares", recorded)
     docs = {
         "torus": (_complexes.torus_doc(), PINNED_REPORTS["torus"]),
         "product": (seeded_product_doc(), PINNED_MULTI_VERTEX_REPORTS["product"]),
@@ -423,6 +426,9 @@ def test_analysis_reads_the_tiles_as_edge_codes(runner, tmp_path, monkeypatch):
         code, out, err = runner("analyze", str(path), "--json")
         assert code == 0, err
         assert hashlib.sha256(out.encode()).hexdigest() == digest, name
+        (tiles,) = expanded
+        assert all(len(t) == 4 and all(type(x) is int for x in t) for t in tiles), name
+        expanded.clear()
 
 
 def test_connectivity_walks_no_tile_edge(runner, tmp_path, monkeypatch):
@@ -493,9 +499,10 @@ def test_analysis_computes_each_kernel_once(monkeypatch, mozes513, mozes513_doc)
     matrices = [count_reads(monkeypatch, tiling_system.TilingSystem, m) for m in ("m1", "m2")]
     _, analysis = analyze_document(mozes513_doc)
     assert analysis.theorem.holds
-    # Everything on the tiling side is read off the tile labels: neither
-    # M1, M2 nor the stacked operator is built.
-    assert len(built) == 0 and len(tilings) == 0
+    # Everything on the tiling side is read off the tile labels, which
+    # build_tiling reads once: neither M1, M2 nor the stacked operator is
+    # built.
+    assert len(built) == 0 and len(tilings) == 1
     assert matrices == [[], []]
     # The theorem block is certified, so S is neither eliminated nor put in
     # a Smith form; d2 is eliminated once, without its I part, and H1 is
@@ -589,9 +596,9 @@ def test_export_of_the_stacked_matrix_builds_neither_transition_matrix(
     # stacked_matrix reads m1 or m2, in the library or through the CLI.
     matrices = [count_reads(monkeypatch, tiling_system.TilingSystem, m) for m in ("m1", "m2")]
     c = mozes513.complex
-    r = complex_model.expand_directed_squares(c)
-    stacked = tiling_system.stacked_matrix(tiling_system.build_tiling(r, c))
-    assert stacked == tiling_system.label_tiling(c.edge_table.tiles, c).stacked
+    tiles = complex_model.expand_directed_squares(c)
+    stacked = tiling_system.stacked_matrix(tiling_system.build_tiling(tiles, c))
+    assert stacked == tiling_system.stacked_matrix(mozes513.tiling)
     code, out, err = runner("export", g513_file, "--what", "stacked")
     assert code == 0, err
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_STACKED_513
@@ -623,7 +630,7 @@ def test_certified_kernel_stays_sparse_and_meets_the_operator_once(
 
     monkeypatch.setattr(zlinalg.IntMatrix, "entries", property(dense))
     monkeypatch.setattr(zlinalg.IntMatrix, "mul", mul)
-    factor_checks = count_calls(monkeypatch, tiling_system, "label_tiling")
+    factor_checks = count_calls(monkeypatch, tiling_system, "build_tiling")
     built = count_calls(monkeypatch, tiling_system, "stacked_matrix")
     path = tmp_path / "mozes513.json"
     path.write_text(mozes513_doc)
@@ -705,7 +712,7 @@ def test_certificate_rests_on_the_commuting_square(monkeypatch, mozes513):
     # back to one elimination of S.  With the true H both checks hold and
     # the basis is phi2.H itself, with no elimination of S.
     maps = mozes513.maps
-    ts = tiling_system.label_tiling(mozes513.complex.edge_table.tiles, mozes513.complex)
+    ts = tiling_system.build_tiling(mozes513.complex.edge_table.tiles, mozes513.complex)
     stacked = tiling_system.stacked_matrix(mozes513.tiling)
     h2_basis = zlinalg.kernel_basis(maps.d2)
     cells = maps.d2.cols
@@ -748,7 +755,7 @@ def test_broken_factor_identity_falls_back_to_the_dense_kernel(monkeypatch, moze
     assert not verdict.diagram_commutes and not verdict.phi2_image_in_kernel
     # the basis of ker d2, then the fallback kernel, and no Smith form
     assert eliminations == [maps.d2, broken] and snf == []
-    ts = tiling_system.label_tiling(tiles, mozes513.complex)
+    ts = tiling_system.build_tiling(tiles, mozes513.complex)
     dense = zlinalg.kernel_basis(broken)
     assert homology.structured_kernel_dim(ts) == len(dense)
     basis = kernel.transpose().entries

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import random
 import time
@@ -9,21 +8,31 @@ from hypothesis import given, settings
 from treelat.complex_model import (
     ComplexFormatError,
     DegenerateOrbitError,
-    DirectedEdgeRef,
-    DirectedSquare,
     SquareComplex,
     expand_directed_squares,
     load_complex,
     orbit_codes,
     serialize_complex,
-    sigma_act,
     validate_vht,
 )
 from treelat.mozes import generate_mozes_complex
 
 import _complexes
 from _complexes import one_vertex_doc, ref, square
-from _oracles import corner_problems_by_refs, serialize_complex_by_dumps, validate_vht_by_refs
+from _oracles import (
+    SIGMA_TAGS,
+    Ref,
+    corner_problems_by_refs,
+    directed_edges,
+    expand_by_sigma,
+    ref_ends,
+    serialize_complex_by_dumps,
+    sigma_act,
+    square_codes,
+    square_refs,
+    tile_squares,
+    validate_vht_by_refs,
+)
 from test_fuzz_cli import mutated_documents
 
 
@@ -36,7 +45,7 @@ def test_torus_counts():
     assert len(c.vertices) == 1
     assert len(c.h_edges) == 1 and len(c.v_edges) == 1
     assert len(c.squares) == 1
-    assert len(c.directed_h()) + len(c.directed_v()) == 4
+    assert len(c.edge_table.origin) == 4  # two directed edges per edge
 
 
 def test_unknown_edge_reference():
@@ -180,13 +189,27 @@ def test_serialize_matches_the_dumps_oracle():
     assert "\\u2603" in serialize_complex(load(odd))
 
 
-def test_load_interns_one_ref_per_directed_edge():
-    c = load(generate_mozes_complex(5, 13))
-    refs = {}
-    for t in c.squares:
-        for r in t.labels():
-            assert refs.setdefault((r.edge, r.reversed), r) is r
-    assert len(refs) == 2 * (len(c.h_edges) + len(c.v_edges))
+def test_squares_are_the_codes_of_the_raw_document(mozes513_doc):
+    # Each square holds the codes (a, b, a', b') read straight off the JSON:
+    # {id: 2i} over the horizontal edges and then the vertical ones, plus
+    # reversed; and the document written back from them loads to the same
+    # complex and text.
+    docs = dict(_corpus_documents(), mozes513=mozes513_doc)
+    docs.update({name: doc for name, kind, doc in CRAFTED})
+    for name, doc in docs.items():
+        raw = json.loads(doc)
+        edges = raw["horizontal_edges"] + raw["vertical_edges"]
+        position = {e["id"]: 2 * i for i, e in enumerate(edges)}
+        slots = ("a", "b", "a_prime", "b_prime")
+        codes = tuple(
+            tuple(position[sq[k]["edge"]] + sq[k]["reversed"] for k in slots)
+            for sq in raw["squares"]
+        )
+        c = load(doc)
+        assert c.squares == codes, name
+        text = serialize_complex(c)
+        assert load(text) == c, name
+        assert serialize_complex(load(text)) == text, name
 
 
 def test_bad_references_keep_their_messages_and_order():
@@ -212,10 +235,11 @@ def test_bad_references_keep_their_messages_and_order():
 
 def test_torus_expansion_matches_reflection_formulas():
     c = load(_complexes.torus_doc())
-    r = expand_directed_squares(c)
-    assert len(r) == 4
-    a = DirectedEdgeRef("a", False)
-    b = DirectedEdgeRef("b", False)
+    tiles = expand_directed_squares(c)
+    assert tiles == ((0, 2, 0, 2), (0, 3, 0, 3), (1, 2, 1, 2), (1, 3, 1, 3))
+    r = tile_squares(c, tiles)
+    a = Ref("a", False)
+    b = Ref("b", False)
     assert r[0].labels() == (a, b, a, b)
     assert r[1].labels() == (a, b.bar(), a, b.bar())
     assert r[2].labels() == (a.bar(), b, a.bar(), b)
@@ -235,7 +259,7 @@ def test_sigma_group_laws(corpus):
     # all sixteen composition identities of the Klein four-group, on every
     # directed square of every corpus complex
     for analysis in corpus.values():
-        for t in expand_directed_squares(analysis.complex):
+        for t in expand_by_sigma(analysis.complex):
             assert sigma_act(t, "1") == t
             for (g, h), gh in KLEIN_TABLE.items():
                 lhs = sigma_act(sigma_act(t, h), g)
@@ -247,7 +271,8 @@ def test_sigma_group_laws(corpus):
 
 def test_expanded_orbits_have_four_distinct_tags(corpus):
     for analysis in corpus.values():
-        r = expand_directed_squares(analysis.complex)
+        c = analysis.complex
+        r = tile_squares(c, expand_directed_squares(c))
         for base in range(0, len(r), 4):
             orbit = r[base : base + 4]
             assert [t.sigma_tag for t in orbit] == ["1", "v", "h", "vh"]
@@ -261,7 +286,8 @@ def test_expanded_orbits_have_four_distinct_tags(corpus):
 def test_flip_identities(corpus):
     # a'(t) = a(t^v) and b'(t) = b(t^h) for every directed square
     for analysis in corpus.values():
-        for t in expand_directed_squares(analysis.complex):
+        c = analysis.complex
+        for t in tile_squares(c, expand_directed_squares(c)):
             assert t.a_prime == sigma_act(t, "v").a
             assert t.b_prime == sigma_act(t, "h").b
 
@@ -283,9 +309,13 @@ def test_expansion_rejects_degenerate_orbit():
 def test_reversal_is_fixed_point_free(corpus):
     for analysis in corpus.values():
         c = analysis.complex
-        for d in c.directed_h() + c.directed_v():
+        table = c.edge_table
+        refs = directed_edges(c)
+        for code, d in enumerate(refs):
             assert d.bar() != d
             assert d.bar().bar() == d
+            assert refs[code ^ 1] == d.bar()
+            assert table.origin[code ^ 1] == table.terminus[code]
 
 
 # --- validation ----------------------------------------------------------------
@@ -361,8 +391,10 @@ def test_link_count_identity(corpus):
 
 def test_one_vertex_corner_map_is_onto_all_pairs(f2xf2):
     c = f2xf2.complex
-    pairs = {(t.a, t.b) for t in expand_directed_squares(c)}
-    assert pairs == {(al, be) for al in c.directed_h() for be in c.directed_v()}
+    pairs = {(t.a, t.b) for t in tile_squares(c, expand_directed_squares(c))}
+    refs = directed_edges(c)
+    vertical = c.edge_table.vertical
+    assert pairs == {(al, be) for al in refs[:vertical] for be in refs[vertical:]}
 
 
 def test_random_one_vertex_complexes_validate():
@@ -390,30 +422,24 @@ def test_edge_table_numbers_each_directed_edge_once(corpus):
     for analysis in corpus.values():
         c = analysis.complex
         table = c.edge_table
-        refs = [DirectedEdgeRef(e.id, rev) for e in c.h_edges + c.v_edges for rev in (False, True)]
-        assert list(table.refs) == refs
-        assert c.directed_h() + c.directed_v() == table.refs
+        origin, terminus = ref_ends(c)
+        refs = [Ref(e.id, rev) for e in c.h_edges + c.v_edges for rev in (False, True)]
         assert table.vertical == 2 * len(c.h_edges)
+        assert len(table.origin) == len(table.terminus) == len(refs)
         for code, ref_ in enumerate(refs):
             assert table.position[ref_.edge] + ref_.reversed == code
-            assert c.vertices[table.origin[code]] == c.origin(ref_)
-            assert c.vertices[table.terminus[code]] == c.terminus(ref_)
-            assert table.refs[code ^ 1] == ref_.bar()
-        # the codes of every tile are those of its sides, in expanded order
-        assert table.tiles == tuple(
-            tuple(table.position[x.edge] + x.reversed for x in t.labels())
-            for t in expand_directed_squares(c)
-        )
+            assert c.vertices[table.origin[code]] == origin(ref_)
+            assert c.vertices[table.terminus[code]] == terminus(ref_)
+        # the codes of every tile are those of its sides, each orbit
+        # expanded by sigma_act
+        assert table.tiles == square_codes(c, expand_by_sigma(c))
 
 
 def test_orbit_codes_are_the_codes_of_sigma_act(corpus):
     for analysis in corpus.values():
         c = analysis.complex
-        table = c.edge_table
-        for t, codes in zip(c.squares, table.squares):
-            assert orbit_codes(*codes) == tuple(
-                table.square_codes(sigma_act(t, g) for g in ("1", "v", "h", "vh"))
-            )
+        for t, codes in zip(square_refs(c), c.squares):
+            assert orbit_codes(*codes) == square_codes(c, [sigma_act(t, g) for g in SIGMA_TAGS])
 
 
 def _corpus_documents():
@@ -534,7 +560,8 @@ def test_pair_that_is_not_incident_is_reported_as_the_oracle_does():
     # Built directly, past load_complex's corner checks: square 1 pairs the
     # horizontal loop c at w with the vertical loop b at v.
     c = load(_complexes.two_torus_components_doc())
-    crossed = dataclasses.replace(c.squares[1], b=DirectedEdgeRef("b", False))
+    a, _, ap, bp = c.squares[1]
+    crossed = (a, c.edge_table.position["b"], ap, bp)
     c = SquareComplex(c.vertices, c.h_edges, c.v_edges, (c.squares[0], crossed))
     report = validate_vht(c)
     assert any(e.message.endswith("is not incident") for e in report.errors)
@@ -579,22 +606,21 @@ def test_corner_incidence_messages_match_the_ref_oracle():
     assert list(info.value.problems) == corner_problems_by_refs(doc)
 
 
-def test_valid_documents_load_and_validate_on_edge_codes(monkeypatch, mozes513_doc):
-    # The valid-document path hashes no DirectedEdgeRef and looks up no
-    # vertex through SquareComplex.origin or .terminus.
-    def refuse(*args):
-        raise AssertionError("read through DirectedEdgeRef")
-
+def test_valid_documents_load_and_validate_on_edge_codes(mozes513_doc):
+    # A loaded complex holds its squares as four integer edge codes each,
+    # a and a' horizontal and b and b' vertical, and validates on them.
     docs = [mozes513_doc, _complexes.two_vertex_klein_doc()]
     rng = random.Random(5)
     g1 = _complexes.random_multigraph(rng, 3, 2, 3)
     docs.append(_complexes.product_doc(g1, g1))
-    monkeypatch.setattr(DirectedEdgeRef, "__hash__", refuse)
-    monkeypatch.setattr(DirectedSquare, "__hash__", refuse)
-    monkeypatch.setattr(SquareComplex, "origin", refuse)
-    monkeypatch.setattr(SquareComplex, "terminus", refuse)
     for doc in docs:
-        assert validate_vht(load(doc)).ok
+        c = load(doc)
+        width, vertical = len(c.edge_table.origin), c.edge_table.vertical
+        for a, b, ap, bp in c.squares:
+            assert all(type(x) is int for x in (a, b, ap, bp))
+            assert a < vertical and ap < vertical
+            assert vertical <= b < width and vertical <= bp < width
+        assert validate_vht(c).ok
 
 
 def test_validation_is_linear_on_a_product_of_two_long_cycles():

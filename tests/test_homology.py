@@ -17,7 +17,7 @@ from treelat.homology import (
     verify_main_theorem,
 )
 from treelat.mozes import generate_mozes_complex
-from treelat.tiling_system import build_tiling, label_tiling, stacked_matrix
+from treelat.tiling_system import build_tiling, stacked_matrix
 from treelat.zlinalg import (
     IntMatrix,
     hermite_row_basis,
@@ -32,17 +32,19 @@ from _battery import (
     assert_h0_is_the_smith_form_of_d1,
     assert_instance_properties,
     assert_tampered_tiles_build_the_operator_once,
-    tile_squares,
 )
 from _oracles import (
     dense_chain_maps,
     dense_verify,
+    expand_by_sigma,
     factor_tiling,
     h1_by_cycle_basis,
+    psi_matrix,
     rank_mod_prime,
     stacked_factors,
     stacked_phi2_from_factors,
     structured_kernel_dim_by_orbits,
+    tile_squares,
 )
 
 
@@ -165,7 +167,8 @@ def test_phi_maps_injective(corpus):
 
 def test_psi_phi1_diagonal_positive(corpus):
     for analysis in corpus.values():
-        prod = analysis.maps.psi.mul(analysis.maps.phi1)
+        psi = psi_matrix(analysis.complex, analysis.complex.edge_table.tiles)
+        prod = psi.mul(analysis.maps.phi1)
         assert prod.rows == prod.cols
         for i in range(prod.rows):
             for j in range(prod.cols):
@@ -179,7 +182,7 @@ def test_psi_phi1_entries_are_twice_transverse_degrees(mozes513):
     # one-vertex (p+1, l+1)-regular complex: 2(l+1) on horizontal rows,
     # 2(p+1) on vertical rows
     c = mozes513.complex
-    prod = mozes513.maps.psi.mul(mozes513.maps.phi1)
+    prod = psi_matrix(c, c.edge_table.tiles).mul(mozes513.maps.phi1)
     eidx = {e.id: i for i, e in enumerate(c.h_edges + c.v_edges)}
     for e in c.h_edges:
         assert prod.entry(eidx[e.id], eidx[e.id]) == 2 * (13 + 1)
@@ -219,7 +222,7 @@ def test_verifier_flags_each_failed_edge_sum(mozes513):
     # e_s - e_t built for the purpose must fail the mu check exactly when
     # one of its two per-edge sums does not vanish.
     a = mozes513
-    r = expand_directed_squares(a.complex)
+    r = expand_by_sigma(a.complex)
     tiles = a.complex.edge_table.tiles
     n = len(r)
     stacked = stacked_matrix(a.tiling)
@@ -267,7 +270,7 @@ def test_verifier_rejects_a_unit_vector(mozes513):
     assert not verdict.kernel_symmetries_hold
     assert not verdict.kernel_in_phi2_image
     assert not verdict.mu_vanishes
-    r = expand_directed_squares(a.complex)
+    r = expand_by_sigma(a.complex)
     assert verdict == dense_verify(a.complex, r, a.maps, stacked, unit, h2_basis)
 
 
@@ -288,12 +291,12 @@ def test_verifier_flags_a_tampered_operator(monkeypatch, mozes513):
 @pytest.mark.parametrize("p,l", [(5, 13), (5, 17), (5, 29), (13, 17), (17, 29)])
 def test_factored_square_equals_the_product_on_the_ladder(p, l):
     c = load_complex(generate_mozes_complex(p, l))
-    r = expand_directed_squares(c)
-    maps = chain_maps(c, c.edge_table.tiles)
-    stacked = stacked_matrix(build_tiling(r, c))
-    ts = label_tiling(c.edge_table.tiles, c)
+    tiles = expand_directed_squares(c)
+    maps = chain_maps(c, tiles)
+    ts = build_tiling(tiles, c)
+    stacked = stacked_matrix(ts)
     factors = (ts.b, ts.a)
-    assert stacked_factors(stacked, maps.psi) is not None
+    assert stacked_factors(stacked, psi_matrix(c, tiles)) is not None
     assert stacked_phi2_from_factors(maps.phi2, factors) == stacked.mul(maps.phi2)
 
 
@@ -304,7 +307,7 @@ def test_non_alternating_phi2_takes_the_product(monkeypatch, mozes513):
     # dense verifier's.
     a = mozes513
     stacked = stacked_matrix(a.tiling)
-    ts = label_tiling(a.complex.edge_table.tiles, a.complex)
+    ts = build_tiling(a.complex.edge_table.tiles, a.complex)
     factors = (ts.b, ts.a)
     rows = list(a.maps.phi2.row_pairs)
     rows[0] = tuple([(j, -x) for j, x in rows[0]])
@@ -341,7 +344,7 @@ def test_non_alternating_phi2_takes_the_product(monkeypatch, mozes513):
     k = IntMatrix.from_columns(kernel, rows=stacked.cols)
     verdict = verify_main_theorem(a.complex, a.complex.edge_table.tiles, maps, k, h, square)
     assert not verdict.diagram_commutes
-    r = expand_directed_squares(a.complex)
+    r = expand_by_sigma(a.complex)
     assert verdict == dense_verify(a.complex, r, maps, stacked, kernel, h2_basis)
 
 
@@ -416,8 +419,10 @@ def test_verifier_tests_phi2_image_against_the_operator(mozes513):
 def test_chain_maps_match_the_dense_builder_on_mozes513(mozes513_doc):
     c = load_complex(mozes513_doc)
     maps = chain_maps(c, c.edge_table.tiles)
-    for name, (rows, cols) in dense_chain_maps(c, expand_directed_squares(c)).items():
-        assert getattr(maps, name) == IntMatrix.from_rows(rows, cols=cols), name
+    psi = psi_matrix(c, c.edge_table.tiles)
+    for name, (rows, cols) in dense_chain_maps(c, expand_by_sigma(c)).items():
+        built = psi if name == "psi" else getattr(maps, name)
+        assert built == IntMatrix.from_rows(rows, cols=cols), name
 
 
 @pytest.mark.parametrize("p,l", [(5, 13), (5, 17), (13, 17)])
@@ -425,7 +430,8 @@ def test_structured_count_matches_rank_mod_p_and_dense_kernel(p, l):
     _, a = analyze_document(generate_mozes_complex(p, l))
     stacked = stacked_matrix(a.tiling)
     dim = structured_kernel_dim_by_orbits(a.tiling)
-    factors = factor_tiling(stacked_factors(stacked, a.maps.psi))
+    psi = psi_matrix(a.complex, a.complex.edge_table.tiles)
+    factors = factor_tiling(stacked_factors(stacked, psi))
     assert dim == structured_kernel_dim_by_orbits(factors) == structured_kernel_dim(a.tiling)
     assert dim == stacked.cols - rank_mod_prime(stacked) == len(kernel_basis(stacked))
     assert dim == (p - 1) * (l - 1) // 4 - 1
@@ -435,7 +441,8 @@ def test_structured_count_matches_rank_mod_p_at_17_29():
     _, a = analyze_document(generate_mozes_complex(17, 29))
     stacked = stacked_matrix(a.tiling)
     dim = structured_kernel_dim_by_orbits(a.tiling)
-    factors = factor_tiling(stacked_factors(stacked, a.maps.psi))
+    psi = psi_matrix(a.complex, a.complex.edge_table.tiles)
+    factors = factor_tiling(stacked_factors(stacked, psi))
     assert dim == structured_kernel_dim_by_orbits(factors) == structured_kernel_dim(a.tiling)
     assert dim == stacked.cols - rank_mod_prime(stacked)
     assert a.k0.kernel_rank == a.homology.h2_rank == 16 * 28 // 4 - 1
@@ -511,7 +518,7 @@ def test_phi1_not_a_function_of_its_label_takes_the_product(monkeypatch, mozes51
     # of label b(0) disagree, so the square builds S and forms both
     # products, and the verdict is the dense verifier's.
     a = mozes513
-    ts = label_tiling(a.complex.edge_table.tiles, a.complex)
+    ts = build_tiling(a.complex.edge_table.tiles, a.complex)
     rows = list(a.maps.phi1.row_pairs)
     other = next(s for s in range(len(ts.b)) if rows[s] != rows[0])
     rows[0] = rows[other]
@@ -524,7 +531,7 @@ def test_phi1_not_a_function_of_its_label_takes_the_product(monkeypatch, mozes51
     assert not verdict.diagram_commutes
     stacked = stacked_matrix(a.tiling)
     vectors = kernel.transpose().entries
-    r = expand_directed_squares(a.complex)
+    r = expand_by_sigma(a.complex)
     assert verdict == dense_verify(a.complex, r, maps, stacked, vectors, h2_basis)
 
 
@@ -534,7 +541,7 @@ def test_phi1_of_the_wrong_labels_fails_at_label_resolution(monkeypatch, mozes51
     # label resolution, builds no S, and finds that it does not commute;
     # (3) is then read as L.H = 0.  Both agree with the dense verifier.
     a = mozes513
-    ts = label_tiling(a.complex.edge_table.tiles, a.complex)
+    ts = build_tiling(a.complex.edge_table.tiles, a.complex)
     n = len(ts.b)
     rows = list(a.maps.phi1.row_pairs)
     by_label = {x: rows[s] for s, x in enumerate(ts.b)}
@@ -549,7 +556,7 @@ def test_phi1_of_the_wrong_labels_fails_at_label_resolution(monkeypatch, mozes51
     verdict = verify_main_theorem(a.complex, a.complex.edge_table.tiles, maps, kernel, h, square)
     stacked = stacked_matrix(a.tiling)
     vectors = kernel.transpose().entries
-    r = expand_directed_squares(a.complex)
+    r = expand_by_sigma(a.complex)
     assert verdict == dense_verify(a.complex, r, maps, stacked, vectors, h2_basis)
 
 
@@ -558,7 +565,7 @@ def test_alternating_but_not_canonical_phi2_gets_the_dense_verdict(monkeypatch, 
     # fails: S.(2 phi2) = 2 phi1.d2); it is not the phi2 of chain_maps, so
     # (4b) forms phi2.reps = 2K != K, while (4a) still holds.
     a = mozes513
-    ts = label_tiling(a.complex.edge_table.tiles, a.complex)
+    ts = build_tiling(a.complex.edge_table.tiles, a.complex)
     phi2 = a.maps.phi2
     doubled = IntMatrix(
         phi2.rows, phi2.cols, tuple(tuple((j, 2 * x) for j, x in row) for row in phi2.row_pairs)
@@ -572,7 +579,7 @@ def test_alternating_but_not_canonical_phi2_gets_the_dense_verdict(monkeypatch, 
     assert verdict.kernel_symmetries_hold and not verdict.kernel_in_phi2_image
     stacked = stacked_matrix(a.tiling)
     vectors = kernel.transpose().entries
-    r = expand_directed_squares(a.complex)
+    r = expand_by_sigma(a.complex)
     assert verdict == dense_verify(a.complex, r, maps, stacked, vectors, h2_basis)
 
 
@@ -596,7 +603,7 @@ def test_tampered_kernel_flips_both_fourth_checks_together(mozes513):
         k = IntMatrix.from_columns(basis, rows=n)
         verdict = verify_main_theorem(a.complex, a.complex.edge_table.tiles, a.maps, k, h, square)
         assert verdict.kernel_symmetries_hold == verdict.kernel_in_phi2_image == holds
-        r = expand_directed_squares(a.complex)
+        r = expand_by_sigma(a.complex)
         assert verdict == dense_verify(a.complex, r, a.maps, stacked, basis, h2_basis)
 
 

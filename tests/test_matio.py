@@ -8,7 +8,7 @@ from treelat.cli import EXPORTABLE
 from treelat.complex_model import expand_directed_squares, load_complex
 from treelat.homology import chain_maps
 from treelat.mozes import generate_mozes_complex
-from treelat.tiling_system import build_tiling, label_tiling, stacked_matrix
+from treelat.tiling_system import build_tiling, stacked_matrix
 from treelat.zlinalg import IntMatrix
 
 import _complexes
@@ -100,11 +100,11 @@ def test_writers_match_the_oracles_on_random_matrices():
 def exported_matrices(c):
     """The seven matrices of `treelat export`, by name, with S built by
     the pipeline and by the oracle from the built m1 and m2."""
-    r = expand_directed_squares(c)
-    ts = build_tiling(r, c)
-    maps = chain_maps(c, c.edge_table.tiles)
+    tiles = expand_directed_squares(c)
+    ts = build_tiling(tiles, c)
+    maps = chain_maps(c, tiles)
     out = {w: getattr(ts if w in ("m1", "m2", "stacked") else maps, w) for w in EXPORTABLE}
-    return out, stacked_matrix_by_minus_diagonal(build_tiling(r, c))
+    return out, stacked_matrix_by_minus_diagonal(build_tiling(tiles, c))
 
 
 CORPUS = {
@@ -138,7 +138,7 @@ def test_stacked_matches_the_oracle_on_tampered_tiles(mozes513, slot):
     # labels are not those of the complex, and S is still cut from them
     # row by row as the oracle re-slices m1, m2.
     c = mozes513.complex
-    ts = label_tiling(retarget(mozes513, slot, orbit_major=True), c)
+    ts = build_tiling(retarget(mozes513, slot, orbit_major=True), c)
     assert ts != mozes513.tiling
     stacked = stacked_matrix(ts)
     assert stacked == stacked_matrix_by_minus_diagonal(ts)

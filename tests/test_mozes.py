@@ -3,14 +3,8 @@ import json
 
 import pytest
 
-from treelat import complex_model, mozes
-from treelat.complex_model import (
-    DirectedEdgeRef,
-    DirectedSquare,
-    load_complex,
-    sigma_act,
-    validate_vht,
-)
+from treelat import mozes
+from treelat.complex_model import load_complex, orbit_codes, validate_vht
 from treelat.mozes import (
     GeneratorSet,
     MozesParameterError,
@@ -22,7 +16,7 @@ from treelat.mozes import (
     solve_square_relation,
 )
 
-from _oracles import solve_relation_by_search
+from _oracles import sigma_act, solve_relation_by_search, square_refs
 
 
 def q(a0, a1, a2, a3):
@@ -154,16 +148,22 @@ def test_generated_documents_match_pinned_digests():
 
 
 def test_generation_reflects_codes_without_hashing_refs(monkeypatch):
-    # the squares are solved, reflected and checked as integer edge codes;
-    # refs and DirectedSquares are made only for the emitted squares
-    def refuse(*args):
-        raise AssertionError("generation hashed a ref or called sigma_act")
+    # the squares are solved, reflected by orbit_codes once per emitted
+    # square and checked as integer edge codes, and the complex holds those
+    # codes, each the code of its edge id and direction in the document
+    reflected = []
 
-    monkeypatch.setattr(DirectedEdgeRef, "__hash__", refuse)
-    monkeypatch.setattr(DirectedSquare, "__hash__", refuse)
-    monkeypatch.setattr(complex_model, "sigma_act", refuse)
+    def counted(*square):
+        reflected.append(square)
+        return orbit_codes(*square)
+
+    monkeypatch.setattr(mozes, "orbit_codes", counted)
+    c = build_mozes_complex(13, 17)
+    assert all(type(x) is int for t in c.squares for x in t)
+    assert len(reflected) == len(c.squares) == 14 * 18 // 4
     doc = generate_mozes_complex(13, 17)
     assert hashlib.sha256(doc.encode()).hexdigest() == GENERATED_SHA256[(13, 17)]
+    assert load_complex(doc).squares == c.squares
 
 
 def coords(quats):
@@ -245,7 +245,7 @@ def test_sigma_closure_regenerates_pairs():
     # for the image pair, and the four pairs of each orbit are distinct
     c = build_mozes_complex(5, 13)
     by_corner = {}
-    for t in c.squares:
+    for t in square_refs(c):
         for g in ("1", "v", "h", "vh"):
             image = sigma_act(t, g)
             key = (image.a, image.b)

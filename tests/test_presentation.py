@@ -76,7 +76,7 @@ def reverse(doc, rng):
 
 def reorbit(doc, rng):
     """Replace each square by a random member of its orbit (1, v, h, vh),
-    as complex_model.sigma_act writes them."""
+    as the reflections of complex_model.orbit_codes write them."""
     squares = []
     for sq in doc["squares"]:
         a, b, ap, bp = sq["a"], sq["b"], sq["a_prime"], sq["b_prime"]

@@ -9,23 +9,26 @@ from hypothesis import strategies as st
 from treelat import tiling_system
 from treelat.complex_model import load_complex, expand_directed_squares, validate_vht
 from treelat.mozes import generate_mozes_complex
-from treelat.homology import chain_maps
-from treelat.tiling_system import build_tiling, connectivity, k0_rank, label_tiling, stacked_matrix
+from treelat.tiling_system import build_tiling, connectivity, k0_rank, stacked_matrix
 from treelat.zlinalg import IntMatrix, kernel_basis
 
 import _complexes
-from _battery import retarget, tile_squares
+from _battery import retarget
 from _oracles import (
     axis_connectivity_by_matrix,
     build_tiling_by_pairs,
     connectivity_by_refs,
     edge_graph_components_by_pairs,
+    expand_by_sigma,
     h_image_index,
     matches_factors,
+    psi_matrix,
+    ref_ends,
     stacked_matrix_by_bisect,
     strongly_connected_by_closure,
     sub,
     tile_labels,
+    tile_squares,
     v_image_index,
     vstack,
 )
@@ -34,7 +37,7 @@ from _oracles import (
 def rederive_entries(analysis):
     """The transition-matrix entries straight from the defining conditions,
     by a naive double loop over square labels and positional reflections."""
-    r = expand_directed_squares(analysis.complex)
+    r = expand_by_sigma(analysis.complex)
     n = len(r)
     m1 = [[0] * n for _ in range(n)]
     m2 = [[0] * n for _ in range(n)]
@@ -66,10 +69,11 @@ def test_h_image_never_adjacent(corpus):
 def test_column_sums_match_degrees(corpus):
     for analysis in corpus.values():
         c = analysis.complex
-        r = expand_directed_squares(c)
+        r = expand_by_sigma(c)
+        origin, _ = ref_ends(c)
         for t_idx, t in enumerate(r):
-            expected1 = c.h_degree(c.origin(t.b_prime)) - 1
-            expected2 = c.v_degree(c.origin(t.a_prime)) - 1
+            expected1 = c.h_degree(origin(t.b_prime)) - 1
+            expected2 = c.v_degree(origin(t.a_prime)) - 1
             assert sum(analysis.tiling.m1.column(t_idx)) == expected1
             assert sum(analysis.tiling.m2.column(t_idx)) == expected2
 
@@ -202,8 +206,8 @@ def test_random_complexes_rederive(seed=321):
         doc = _complexes.random_one_vertex_doc(rng, 2, 2)
         c = load_complex(doc)
         assert validate_vht(c).ok
-        r = expand_directed_squares(c)
-        ts = build_tiling(r, c)
+        r = expand_by_sigma(c)
+        ts = build_tiling(expand_directed_squares(c), c)
         n = len(r)
         for t in range(n):
             for s in range(n):
@@ -220,16 +224,17 @@ def test_label_lists_match_the_per_pair_builder_on_the_ladder(p, l):
     # Rows cut from one shared list per primed label against one append
     # per nonzero; connectivity and column sums read off the labels against
     # Tarjan over the built matrices, edge graphs indexed by
-    # DirectedEdgeRef and the built column sums; the labels against the
-    # built S checked against the labels read off psi.
+    # Ref and the built column sums; the labels against the built S
+    # checked against the labels read off psi.
     c = load_complex(generate_mozes_complex(p, l))
-    r = expand_directed_squares(c)
-    ts = label_tiling(c.edge_table.tiles, c)
-    assert connectivity(ts, c) == connectivity_by_refs(build_tiling(r, c), c, r)
+    r = expand_by_sigma(c)
+    tiles = expand_directed_squares(c)
+    ts = build_tiling(tiles, c)
+    assert connectivity(ts, c) == connectivity_by_refs(build_tiling(tiles, c), c, r)
     assert (ts.m1, ts.m2) == build_tiling_by_pairs(r, c)
     assert ts.column_sums() == (ts.m1.column_sums(), ts.m2.column_sums())
-    built = stacked_matrix(build_tiling(r, c))
-    assert matches_factors(built, *tile_labels(chain_maps(c, c.edge_table.tiles).psi))
+    built = stacked_matrix(build_tiling(tiles, c))
+    assert matches_factors(built, *tile_labels(psi_matrix(c, tiles)))
 
 
 def stacked_oracle_documents():
@@ -489,15 +494,15 @@ def test_cycle_components_count_twice_on_the_label_path(monkeypatch, doc, cycles
     # directions are two strong and two weak components of the tile graph.
     calls = peel_calls(monkeypatch)
     c = load_complex(doc)
-    r = expand_directed_squares(c)
-    ts = label_tiling(c.edge_table.tiles, c)
+    r = expand_by_sigma(c)
+    ts = build_tiling(expand_directed_squares(c), c)
     conn = connectivity(ts, c)
     assert calls == []
     for axis in (conn.horizontal, conn.vertical):
         assert (axis.scc_count, axis.weakly_connected, axis.strongly_connected) == (
             2 * cycles, False, False,
         )
-    assert conn == connectivity_by_refs(build_tiling(r, c), c, r)
+    assert conn == connectivity_by_refs(build_tiling(c.edge_table.tiles, c), c, r)
 
 
 def test_a_leaf_of_the_label_multigraph_takes_the_peel(monkeypatch):
@@ -509,12 +514,12 @@ def test_a_leaf_of_the_label_multigraph_takes_the_peel(monkeypatch):
     g2 = (1, [(0, 0), (0, 0)])
     c = load_complex(_complexes.product_doc(g1, g2))
     assert validate_vht(c).ok
-    r = expand_directed_squares(c)
-    ts = label_tiling(c.edge_table.tiles, c)
+    r = expand_by_sigma(c)
+    ts = build_tiling(expand_directed_squares(c), c)
     assert 1 in Counter(ts.b).values() and 1 not in Counter(ts.a).values()
     conn = connectivity(ts, c)
     assert calls == [2]
-    assert conn == connectivity_by_refs(build_tiling(r, c), c, r)
+    assert conn == connectivity_by_refs(build_tiling(c.edge_table.tiles, c), c, r)
 
 
 def test_tampered_tiles_take_the_tile_tarjan(monkeypatch, mozes513):
@@ -526,22 +531,19 @@ def test_tampered_tiles_take_the_tile_tarjan(monkeypatch, mozes513):
     c = mozes513.complex
     for slot in ("b_prime", "a_prime"):
         tiles = retarget(mozes513, slot, orbit_major=True)
-        ts = label_tiling(tiles, c)
+        ts = build_tiling(tiles, c)
         assert ts != mozes513.tiling
         r = tile_squares(c, tiles)
-        assert connectivity(ts, c) == connectivity_by_refs(build_tiling(r, c), c, r)
+        assert connectivity(ts, c) == connectivity_by_refs(build_tiling(tiles, c), c, r)
     assert calls == []
 
 
 @pytest.mark.parametrize("case", ["b_prime", "a_prime", "count"])
-def test_label_tiling_rejects_tiles_that_are_not_orbit_major(mozes513, case):
+def test_build_tiling_rejects_tiles_that_are_not_orbit_major(mozes513, case):
     # The directed squares of a complex are orbit-major: b'(t) = b(t ^ 2),
     # a'(t) = a(t ^ 1), four tiles per orbit.  A side of tile 0 moved to
-    # another edge of its axis, or a tile dropped, is refused by both
-    # entries.
+    # another edge of its axis, or a tile dropped, is refused.
     c = mozes513.complex
     tiles = c.edge_table.tiles[:-1] if case == "count" else retarget(mozes513, case)
     with pytest.raises(ValueError, match="orbit-major"):
-        label_tiling(tiles, c)
-    with pytest.raises(ValueError, match="orbit-major"):
-        build_tiling(tile_squares(c, tiles), c)
+        build_tiling(tiles, c)
