@@ -2,15 +2,9 @@
 
 A sparse unimodular elimination of [a^T | I], which gives a saturated
 kernel basis, a basis of the column lattice and, in its number of pivots,
-the rank over Q; the diagonal of the Smith normal form; and the canonical
-row-style Hermite normal form.  This is the only implementation; it is
-plain Python, so every algorithm change is made in one place.
-
-The matrices the pipeline reduces (transition operators, boundary maps) are
-0/+-1 and sparse, so the Smith kernel does no work on zeros: each
-elementary operation collects the nonzero positions of its source row or
-column once and updates only those.  The schedule of pivots and operations
-is the dense one, so the output does not depend on these shortcuts.
+the rank over Q; a textbook dense Smith diagonal, which finishes the Smith
+form on the pivot rows not split off as units; and the canonical row-style
+Hermite normal form.  This is the only implementation, in plain Python.
 
 The Smith and Hermite kernels read lists of row lists of Python ints
 (arbitrary precision is required: intermediate entries can far exceed
@@ -125,115 +119,52 @@ def unimodular_elimination(rows, with_transform=True):
 
 
 def smith_diagonal(a):
-    """The canonical Smith normal form d of a, with no transforms.
-
-    d = u*a*v is diagonal with positive invariant factors d1 | d2 | ...
-    followed by zeros, for unimodular u and v that are not built.
-    Deterministic: the pivot is always the smallest-magnitude nonzero
-    entry of the working submatrix, first in row-major order on ties.
+    """The canonical Smith normal form of the dense matrix a (row lists):
+    diagonal, positive factors d1 | d2 | ... then zeros; no transforms.
+    The textbook schedule: the least entry, first in row-major order, is
+    the pivot; row and column operations clear its column and row, a
+    surviving remainder becoming the pivot; a pivot that does not divide
+    every remaining entry adds in the first row holding one.
+    smith_normal_form hands it only the pivot rows that are not split off.
     """
-    m = len(a)
-    n = len(a[0]) if m else 0
+    m, n = len(a), (len(a[0]) if a else 0)
     d = [list(row) for row in a]
     k = 0
-    while k < m and k < n:
-        # Invariant at the top of step k: d[k:][:k] and d[:k][k:] are zero
-        # (finished pivots have clean rows and columns), so whole-row tests
-        # on a row i >= k see only the working submatrix.
-        #
-        # Pivot search: the first +-1 in row-major order if there is one,
-        # else the first entry of least magnitude.  Zero rows and rows
-        # holding a unit are settled by C-level scans; only the other rows
-        # are walked entry by entry.
-        pi = pj = -1
-        best = 0
-        for i in range(k, m):
-            di = d[i]
-            has_pos = 1 in di
-            if has_pos or -1 in di:
-                pi = i
-                pj = di.index(1) if has_pos else n
-                if -1 in di:
-                    pj = min(pj, di.index(-1))
-                break
-            if not any(di):
-                continue
-            for j in range(k, n):
-                x = di[j]
-                if x and (pi < 0 or abs(x) < best):
-                    pi, pj, best = i, j, abs(x)
-        if pi < 0:
-            break  # remaining block is zero; d is final
+    while k < min(m, n):
+        entries = [(abs(d[i][j]), i, j) for i in range(k, m) for j in range(k, n) if d[i][j]]
+        if not entries:
+            break
+        _, pi, pj = min(entries)
         d[k], d[pi] = d[pi], d[k]
-        if pj != k:
-            for row in d[k:]:  # rows above k are zero in both columns
-                row[k], row[pj] = row[pj], row[k]
-        if d[k][k] < 0:
-            d[k] = [-x for x in d[k]]
-
+        for row in d:
+            row[k], row[pj] = row[pj], row[k]
+        d[k] = [-x for x in d[k]] if d[k][k] < 0 else d[k]
         while True:
-            # Clear column k below the pivot.  Floor division against the
-            # positive pivot leaves remainders in [0, pivot); if any survive,
-            # the smallest becomes the new (strictly smaller) pivot.  Row k
-            # does not change during one sweep, so its nonzero positions are
-            # collected once.
-            while True:
-                p = d[k][k]
-                rows = [i for i in range(k + 1, m) if d[i][k]]
-                if not rows:
-                    break
-                dk_nz = _nonzeros(d[k])
-                rest = []
-                for i in rows:
-                    di = d[i]
-                    q = di[k] // p
-                    if q:
-                        for j, x in dk_nz:
-                            di[j] -= q * x
-                    if di[k]:
-                        rest.append((di[k], i))
+            while True:  # clear column k below the pivot by row operations
+                for i in range(k + 1, m):
+                    if q := d[i][k] // d[k][k]:
+                        d[i] = [x - q * y for x, y in zip(d[i], d[k])]
+                rest = [(d[i][k], i) for i in range(k + 1, m) if d[i][k]]
                 if not rest:
                     break
-                bi = min(rest)[1]
-                d[k], d[bi] = d[bi], d[k]
-            # Clear row k right of the pivot, by column operations.  Column
-            # k below the pivot is zero on the first sweep, so subtracting
-            # multiples of it touches row k only; but a column *swap* can
-            # re-dirty column k, hence the outer loop.
-            while True:
-                dk = d[k]
-                p = dk[k]
-                cols = [j for j in range(k + 1, n) if dk[j]]
-                if not cols:
-                    break
-                dcol = [(i, d[i][k]) for i in range(k, m) if d[i][k]]
-                rest = []
-                for j in cols:
-                    q = dk[j] // p
-                    if q:
-                        for i, y in dcol:
-                            d[i][j] -= q * y
-                    if dk[j]:
-                        rest.append((dk[j], j))
+                i = min(rest)[1]
+                d[k], d[i] = d[i], d[k]
+            while True:  # clear row k right of the pivot by column operations
+                for j in range(k + 1, n):
+                    if q := d[k][j] // d[k][k]:
+                        for row in d:
+                            row[j] -= q * row[k]
+                rest = [(d[k][j], j) for j in range(k + 1, n) if d[k][j]]
                 if not rest:
                     break
-                bj = min(rest)[1]
-                for row in d[k:]:
-                    row[k], row[bj] = row[bj], row[k]
-            if not any([d[i][k] for i in range(k + 1, m)]):
+                j = min(rest)[1]
+                for row in d:
+                    row[k], row[j] = row[j], row[k]
+            if not any(d[i][k] for i in range(k + 1, m)):
                 break
-
-        # Divisibility: the pivot must divide every remaining entry.  If it
-        # does not, folding the offending row into row k and re-clearing
-        # shrinks the pivot toward the gcd; this terminates because the
-        # pivot strictly decreases.  A unit pivot divides every integer, so
-        # its scan could never find anything and is skipped.  Rows below k
-        # are zero left of k + 1, so the whole row can be tested.
-        p = d[k][k]
-        for i in range(k + 1, m) if p != 1 else ():
-            if any(map(p.__rmod__, d[i])):
-                d[k] = [x + y for x, y in zip(d[k], d[i])]
-                break
+        bad = [row for row in d[k + 1 :] if d[k][k] > 1 and any(x % d[k][k] for x in row)]
+        if bad:
+            d[k] = [x + y for x, y in zip(d[k], bad[0])]
         else:
             k += 1
     return d

@@ -10,8 +10,9 @@ stores only the nonzeros of each row: the pipeline's operators are sparse
 0/+-1 matrices.  Every kernel basis and every solve comes from one sparse
 unimodular elimination (kernel_and_image), which reads the stored pairs; so
 do the column lattice alone (image_block) and the rank over Q (rank), its
-number of pivots, which leave its I part out.  The Smith and Hermite
-kernels reduce the dense view; the Smith form keeps only its diagonal.
+number of pivots, which leave its I part out, and the Smith form, which
+splits off the unit pivots and finishes the rest densely, keeping only its
+diagonal.  The Hermite kernel reduces the dense view.
 """
 
 from __future__ import annotations
@@ -208,11 +209,30 @@ class SmithDecomposition:
 
 
 def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
-    """Canonical Smith normal form; deterministic for a fixed input."""
-    # The kernel returns Python ints already; from_rows would re-convert.
-    d = _impl.smith_diagonal(a.to_lists())
-    factors = tuple(d[i][i] for i in range(min(a.rows, a.cols)) if d[i][i])
-    return SmithDecomposition(IntMatrix(a.rows, a.cols, tuple(map(_pairs, d))), factors)
+    """Canonical Smith normal form; deterministic for a fixed input.
+
+    The elimination of [a^T | I] without its I part
+    (_kernels_py.unimodular_elimination) is column operations on a, which
+    leave B^T and zero columns.  Pivot row k of B is nonzero in column c_k,
+    every later one zero there.  Walking them in order, row k is split off
+    when its pivot is +-1 and no earlier *kept* row touches c_k.  Then
+    column c_k is zero in every other remaining row: later rows by the
+    elimination, kept earlier rows by the test, split earlier rows by
+    construction.  So column operations with column c_k clear the rest of
+    row k and touch no other row: an invariant factor 1.  The kept rows,
+    on the columns they touch, are of full rank; _kernels_py.smith_diagonal
+    gives their factors, which follow the 1s.
+    """
+    _, pivots = _impl.unimodular_elimination(a.transpose().row_pairs, with_transform=False)
+    kept, touched = [], set()  # pivot rows left for the finisher, their columns
+    for c, image, _ in pivots:
+        if image[c] not in (1, -1) or c in touched:
+            kept.append(image)
+            touched.update(image)
+    d = _impl.smith_diagonal([[image.get(j, 0) for j in touched] for image in kept])
+    factors = (1,) * (len(pivots) - len(kept)) + tuple(d[i][i] for i in range(len(kept)))
+    diagonal = tuple(((i, x),) for i, x in enumerate(factors)) + ((),) * (a.rows - len(factors))
+    return SmithDecomposition(IntMatrix(a.rows, a.cols, diagonal), factors)
 
 
 def _columns(vectors: list[dict[int, int]], rows: int) -> IntMatrix:

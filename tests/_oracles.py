@@ -178,15 +178,15 @@ def strongly_connected_by_closure(matrix_rows):
 
 
 def dense_snf(a):
-    """(u, d, v) by the plain dense Smith schedule that the kernel must follow.
+    """(u, d, v) by the plain dense Smith schedule, transforms included.
 
-    Same pivot rule and elementary operations as
-    treelat._kernels_py.smith_diagonal, but every operation sweeps whole
-    rows and columns, the transforms u and v, which the kernel does not
-    build, are carried, and the divisibility scan always runs: the
-    reference the zero-skipping kernel is checked against, entry for
-    entry.  Its v and u are also the independent route to kernel bases and
-    solves, where the package runs its sparse elimination.
+    The pivot rule and elementary operations of the dense finisher
+    treelat._kernels_py.smith_diagonal, which builds no transform, with u
+    and v carried here: the reference that the finisher and
+    zlinalg.smith_normal_form, through its elimination and unit split, are
+    checked against, entry for entry.  Its v and u are also the independent
+    route to kernel bases and solves, where the package runs its sparse
+    elimination.
     """
     m = len(a)
     n = len(a[0]) if m else 0

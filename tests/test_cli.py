@@ -565,11 +565,13 @@ def test_verify_takes_the_explicit_path(monkeypatch, runner, g513_file):
 
 
 def test_one_elimination_counts_the_stacked_kernel(monkeypatch):
-    # The integer elimination is the one reduction behind H2 and the count
-    # of the stacked kernel: at (13,17) it reduces the rows of d2^T without
-    # the I part, for the image block; then, with it, the rows of Phi.B^T,
-    # one per label, for the left kernel of the orbit block; then the rows
-    # of the component system [Z; N.Y], whose pivots are its rank over Q.
+    # The integer elimination is the one reduction behind H2, the count of
+    # the stacked kernel and the Smith form: at (13,17) it reduces the rows
+    # of d2^T without the I part, for the image block; then, with it, the
+    # rows of Phi.B^T, one per label, for the left kernel of the orbit
+    # block; then the rows of the component system [Z; N.Y], whose pivots
+    # are its rank over Q; and last, without the I part, the rows of B, for
+    # the Smith form of the image block.
     original = _kernels_py.unimodular_elimination
     inputs = []
 
@@ -583,10 +585,11 @@ def test_one_elimination_counts_the_stacked_kernel(monkeypatch):
     assert analysis.theorem.holds
     (c,) = systems
     ts = analysis.tiling
-    d2, (labels, with_transform), count = inputs
+    d2, (labels, with_transform), count, image = inputs
     assert d2 == (analysis.maps.d2.transpose().row_pairs, False)
     assert with_transform and len(labels) == len(set(ts.b)) + len(set(ts.a))
     assert count == (c.row_pairs, False)
+    assert image == (zlinalg.image_block(analysis.maps.d2).transpose().row_pairs, False)
 
 
 def test_export_of_the_stacked_matrix_builds_neither_transition_matrix(
@@ -647,7 +650,7 @@ def test_certified_kernel_stays_sparse_and_meets_the_operator_once(
 def test_no_smith_form_takes_a_column_per_cell(monkeypatch):
     # H2 and the torsion of H1 come from the elimination of d2 and the
     # Smith form of its image block, which has rank(d2) columns: at (13,17)
-    # no matrix with a column per geometric square reaches the Smith kernel.
+    # no matrix with a column per geometric square reaches the Smith form.
     doc = treelat.generate_mozes_complex(13, 17)
     snf = count_calls(monkeypatch, zlinalg, "smith_normal_form")
     _, analysis = analyze_document(doc)

@@ -1,4 +1,7 @@
+import importlib.util
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -7,6 +10,7 @@ from treelat.zlinalg import (
     IntMatrix,
     cokernel_invariants,
     hermite_row_basis,
+    image_block,
     kernel_basis,
     lattice_membership,
     rank,
@@ -216,15 +220,17 @@ def sparse_random_matrix(rng, max_dim=9):
 
 
 def test_kernel_follows_the_dense_schedule(mozes513):
-    # Entry for entry: the zero-skipping shortcuts change the work done,
-    # never the operations' outcome.  The kernel keeps no transform; the
+    # Entry for entry, the dense finisher alone and the Smith form through
+    # the elimination and the unit split.  Neither keeps a transform; the
     # oracle's, on the same input, satisfy u a v = d and are unimodular.
     rng = random.Random(1414)
     inputs = [sparse_random_matrix(rng) for _ in range(500)]
     inputs = [a for a in inputs if a.rows and a.cols]
     inputs += [stacked_matrix(mozes513.tiling), mozes513.maps.d2]
     for a in inputs:
-        assert _kernels_py.smith_diagonal(a.to_lists()) == certified_snf_diagonal(a)
+        d = certified_snf_diagonal(a)
+        assert _kernels_py.smith_diagonal(a.to_lists()) == d
+        assert smith_normal_form(a).d.to_lists() == d
 
 
 def test_snf_divisibility_fold_with_zero_rows():
@@ -234,6 +240,71 @@ def test_snf_divisibility_fold_with_zero_rows():
     s = smith_normal_form(a)
     assert s.invariant_factors == (1, 2, 12)
     assert s.d.to_lists() == certified_snf_diagonal(a)
+
+
+def test_unit_pivot_splits_only_where_no_kept_row_touches_its_column():
+    # The elimination takes the pivot -2 in column 0 first, then the unit
+    # -1 in column 1, which the kept row (-2, -1) touches.  Split off all
+    # the same, the unit would leave that row alone, whose Smith form is
+    # (1), and the factors would read (1, 1); but det a = 2.
+    a = M([[-2, 0], [-1, -1]])
+    s = smith_normal_form(a)
+    assert s.invariant_factors == (1, 2)
+    assert s.d.to_lists() == certified_snf_diagonal(a)
+
+
+def random_batch_documents(seed):
+    """The documents of perfbench's random-batch workload for this seed."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # dataclasses look their module up
+    try:
+        spec.loader.exec_module(workloads)
+    finally:
+        del sys.modules[spec.name]
+    return [item.doc for item in workloads.RandomBatch().build(None, random.Random(seed))]
+
+
+LADDER = ((5, 13), (5, 17), (5, 29), (13, 17), (17, 29), (29, 37))
+
+
+def test_smith_form_of_the_image_blocks_matches_the_oracle():
+    docs = [generate_mozes_complex(p, l) for p, l in LADDER] + random_batch_documents(1)
+    assert len(docs) == len(LADDER) + 128
+    for doc in docs:
+        _, a = analyze_document(doc)
+        image = image_block(a.maps.d2)
+        assert smith_normal_form(image).d.to_lists() == certified_snf_diagonal(image)
+
+
+def test_image_blocks_with_only_unit_pivots_skip_the_dense_finisher(monkeypatch):
+    # Where every pivot of the elimination of d2 is a unit, B is triangular
+    # with unit diagonal on its pivot columns, and the split leaves the
+    # dense finisher nothing to do: on 64 of the 128 documents of seed 1.
+    # Every other one leaves it some rows.
+    original = _kernels_py.smith_diagonal
+    seen = []
+
+    def spy(rows):
+        seen.append(rows)
+        return original(rows)
+
+    monkeypatch.setattr(_kernels_py, "smith_diagonal", spy)
+    split = kept = 0
+    for doc in random_batch_documents(1):
+        seen.clear()
+        _, a = analyze_document(doc)
+        (rows,) = seen
+        _, pivots = _kernels_py.unimodular_elimination(
+            a.maps.d2.transpose().row_pairs, with_transform=False
+        )
+        if all(image[c] in (1, -1) for c, image, _ in pivots):
+            assert rows == []
+            split += 1
+        else:
+            kept += len(rows) > 0
+    assert split == 64 and kept == 64
 
 
 def test_elimination_matches_the_dense_schedule_on_random_matrices():
@@ -253,7 +324,7 @@ def test_elimination_matches_the_dense_schedule_on_random_matrices():
     assert sum(a.rows == 0 or a.cols == 0 for a in inputs) >= 7
 
 
-@pytest.mark.parametrize("p,l", [(5, 13), (5, 17), (5, 29), (13, 17), (17, 29), (29, 37)])
+@pytest.mark.parametrize("p,l", LADDER)
 def test_elimination_matches_the_dense_schedule_on_the_ladder(p, l):
     _, a = analyze_document(generate_mozes_complex(p, l))
     assert_elimination_matches_dense_snf(a.maps.d2, random.Random(p * l))
