@@ -522,21 +522,25 @@ def validate_vht(c: SquareComplex) -> ValidationReport:
             )
             # When two colliding squares agree except for direction flags on
             # the opposite sides, the collision forces those edges to equal
-            # their own reversals.
-            for x in range(len(hits)):
-                for y in range(x + 1, len(hits)):
-                    s1, s2 = tiles[hits[x]], tiles[hits[y]]
-                    same_edges = s1[2] >> 1 == s2[2] >> 1 and s1[3] >> 1 == s2[3] >> 1
-                    forced = [ids[s1[i] >> 1] for i in (2, 3) if s1[i] ^ s2[i] == 1]
-                    if forced and same_edges:
-                        errors.append(
-                            ValidationIssue(
-                                "edge_inverted",
-                                f"squares {name(hits[x])} and {name(hits[y])} share corner "
-                                f"{shown} and force "
-                                + " and ".join(f"{e} = ~{e}" for e in forced),
-                            )
+            # their own reversals.  Each square is named once, against the
+            # first earlier one at this corner with the same a' and b' edges
+            # and another direction: first maps (a', b') to its first tile.
+            first: dict[tuple[int, int], int] = {}
+            for y in hits:
+                ap, bp = tiles[y][2:]
+                flips = ((ap ^ 1, bp), (ap, bp ^ 1), (ap ^ 1, bp ^ 1))
+                earlier = [first[k] for k in flips if k in first]
+                first.setdefault((ap, bp), y)
+                if earlier:
+                    x = min(earlier)
+                    forced = [ids[u >> 1] for u, w in zip((ap, bp), tiles[x][2:]) if u != w]
+                    errors.append(
+                        ValidationIssue(
+                            "edge_inverted",
+                            f"squares {name(x)} and {name(y)} share corner {shown} and force "
+                            + " and ".join(f"{e} = ~{e}" for e in forced),
                         )
+                    )
     if found < len(cover):
         # Unreachable for structurally sound complexes (corner incidences
         # guarantee o(a) = o(b)); kept as a safety net.

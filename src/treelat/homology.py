@@ -39,7 +39,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from treelat import _kernels_py
 from treelat.complex_model import SquareComplex
 from treelat.tiling_system import TilingSystem, _primed
 from treelat.zlinalg import (
@@ -244,34 +243,24 @@ def structured_kernel_dim(ts: TilingSystem, label_image: LabelImage | None = Non
 
     The rows of C.  The tile rows, y[b(t)] + y[bb(t)] - z[a(t)] - z[aa(t)],
     and the component part Y of each label row are counted over the tiles,
-    a few dozen component columns.  The orbit part of the row of label x is 4 L[x], for L the
-    label matrix F^T.phi2 over G^T.phi2 (_square_by_labels), with phi2 the
-    one chain_maps builds (_phi2_rows).  So C = [[Y, 4 L], [Z, 0]], Z the
-    tile rows, with |F| orbit columns.
+    a few dozen component columns.  The orbit part of the row of label x
+    is 4 L[x], for L the label matrix F^T.phi2 over G^T.phi2
+    (_square_by_labels), with phi2 the one chain_maps builds (_phi2_rows).
+    So C = [[Y, 4 L], [Z, 0]], Z the tile rows, and rank_Q(C) =
+    rank_Q [[Y, M], [Z, 0]] for any orbit block M with M.X = 4 L for an X
+    of full row rank: multiplying on the right by diag(I, X) keeps rank_Q,
+    X having a right inverse over Q.
 
-    With label_image None, L is formed from phi2 (_label_sums) and
-    rank_Q(C) is zlinalg.rank(C): the general path, for any labels.
-
-    label_image is given when check (1) holds at label resolution for the
-    chain maps of a complex (certified_theorem): L = Phi.d2, Phi the phi1
-    row of each label.  It then holds the rows of Phi.B^T by label, a dict
-    for the b labels and one for the a labels, B^T the image block of d2
-    (zlinalg.image_block).  The columns of B^T are a basis over Q of the
-    column space of d2, so d2 = B^T.X for a rational X of full row rank,
-    and 4 L = 4 (Phi.B^T).X: a vector u has u.L = 0 iff u.(Phi.B^T) = 0,
-    and rank L = rank Phi.B^T.  Let r be that rank and N a basis of the
-    left kernel of L.  Then
-
-        rank_Q(C) = r + rank_Q [Z; N.Y]:
-
-    take a complement U of the left kernel of L in the label rows, of
-    dimension r; every row of C is a combination of rows u.[Y, 4 L] with
-    u in U, of rows [N.Y, 0] and of rows [Z, 0], and in a combination of
-    them that vanishes the orbit part 4 u.L vanishes, which puts u in the
-    left kernel, so u = 0.  r and N come from one elimination of the rows
-    of Phi.B^T, one per label with rank d2 columns
-    (_kernels_py.unimodular_elimination, with the I part that gives N);
-    [Z; N.Y] has only the component columns.  No orbit column is formed.
+    With label_image None, M is L itself, formed from phi2 (_label_sums):
+    the general path, for any labels.  label_image is given when check (1)
+    holds at label resolution for the chain maps of a complex
+    (certified_theorem): L = Phi.d2, Phi the phi1 row of each label.  It
+    then holds the rows of Phi.B^T by label, a dict for the b labels and
+    one for the a labels, B^T the image block of d2 (zlinalg.image_block),
+    and M is Phi.B^T.  The columns of B^T are a basis over Q of the column
+    space of d2, so d2 = B^T.X' for a rational X' of full row rank
+    r = rank d2, and 4 L = (Phi.B^T).(4 X').  r <= |F|, so one width of
+    orbit columns serves both paths.
     """
     b, a = ts.b, ts.a
     n = len(b)
@@ -316,26 +305,13 @@ def structured_kernel_dim(ts: TilingSystem, label_image: LabelImage | None = Non
 
     if label_image is None:
         phi2 = _phi2_rows(n)
-        for by_label, labels, flip in ((b_rows, b, 2), (a_rows, a, 1)):
-            for x, pairs in _label_sums(phi2, labels, flip).items():
-                acc = by_label[x]
-                for k, v in pairs:
-                    acc[w0 + k] = 4 * v
-        c = [_row(acc) for acc in (*rows, *b_rows.values(), *a_rows.values())]
-        return unknowns - rank(IntMatrix(len(c), w0 + n // 4, tuple(c)))
-
-    b_image, a_image = label_image
-    images = [b_image[x] for x in b_rows] + [a_image[x] for x in a_rows]
-    null, pivots = _kernels_py.unimodular_elimination(images)
-    label_rows = [*b_rows.values(), *a_rows.values()]
-    for u in null:
-        acc = {}
-        for i, coeff in u.items():
-            for j, x in label_rows[i].items():
-                acc[j] = acc.get(j, 0) + coeff * x
-        rows.append(acc)
-    c = [_row(acc) for acc in rows]
-    return unknowns - len(pivots) - rank(IntMatrix(len(c), w0, tuple(c)))
+        label_image = _label_sums(phi2, b, 2), _label_sums(phi2, a, 1)
+    for by_label, image in zip((b_rows, a_rows), label_image):
+        for x, acc in by_label.items():
+            for k, v in image[x]:
+                acc[w0 + k] = v
+    c = [_row(acc) for acc in (*rows, *b_rows.values(), *a_rows.values())]
+    return unknowns - rank(IntMatrix(len(c), w0 + n // 4, tuple(c)))
 
 
 def _alternates(rows) -> bool:
@@ -498,10 +474,11 @@ def certified_theorem(
     of c (tiling_system.build_tiling) and maps their chain maps.  The
     certificate: phi2 is the one chain_maps builds (_phi2_rows), check (1)
     S.phi2 = phi1.d2 holds at label resolution (_square_by_labels), and
-    the count dim ker_Q S (structured_kernel_dim, on its image path) equals
-    rank ker d2 = |F| - rank d2, with rank d2 the columns of B^T.  No basis
-    of ker d2 or of ker S is formed.  When it holds, every check of
-    verify_main_theorem holds, by the proof rather than on a basis:
+    the count dim ker_Q S (structured_kernel_dim, with Phi.B^T as its
+    orbit block) equals rank ker d2 = |F| - rank d2, with rank d2 the
+    columns of B^T.  No basis of ker d2 or of ker S is formed.  When it
+    holds, every check of verify_main_theorem holds, by the proof rather
+    than on a basis:
 
     (1) holds, checked as above;
     (2) is the count: rank ker S = dim ker_Q S = rank ker d2;

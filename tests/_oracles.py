@@ -1223,8 +1223,10 @@ def validate_vht_by_refs(c):
                     f"covered {len(hits)} times (squares {names})",
                 )
             )
-            for x in range(len(hits)):
-                for y in range(x + 1, len(hits)):
+            # Each hit is named once, against the first earlier hit that it
+            # forces an inversion with.
+            for y in range(len(hits)):
+                for x in range(y):
                     s1, s2 = hits[x], hits[y]
                     forced = []
                     for r1, r2 in ((s1.a_prime, s2.a_prime), (s1.b_prime, s2.b_prime)):
@@ -1244,6 +1246,7 @@ def validate_vht_by_refs(c):
                                 + " and ".join(f"{e} = ~{e}" for e in forced),
                             )
                         )
+                        break
     for pair in coverage:
         if pair not in incident_set:
             alpha, beta = pair

@@ -49,7 +49,8 @@ def cycle(n):
 
 def small_documents() -> dict[str, str]:
     """The small complexes, both Klein bottles and the products of two
-    cycles, where d2 has a left kernel and the count has N.Y rows."""
+    cycles, where d2 has a left kernel, so the rows of the orbit block
+    Phi.B^T that the count takes with check (1) have relations."""
     docs = {
         name: getattr(_complexes, f"{name}_doc")()
         for name in ("torus", "f2xf2", "klein", "two_vertex_klein")
@@ -110,8 +111,9 @@ def valid(text):
 
 
 def assert_counts_agree(ts, maps):
-    """The count on both of its paths equals the orbit-column oracle;
-    returns the label image, None when check (1) fails."""
+    """The count with either orbit block, L from phi2 and, when check (1)
+    holds, Phi.B^T, equals the orbit-column oracle; returns the label
+    image, None when check (1) fails."""
     oracle = structured_kernel_dim_by_orbits(ts)
     assert structured_kernel_dim(ts) == oracle
     label_image = homology._label_image(ts, maps, image_block(maps.d2))
@@ -137,8 +139,9 @@ def test_count_on_component_unknowns_matches_the_orbit_oracle(group):
 
 @pytest.mark.parametrize("name", ["torus", "klein", "two_vertex_klein", "C3xC4", "C5xC5"])
 def test_count_reads_the_left_kernel_of_d2(name):
-    # d2 has a left kernel here, so N.Y holds rows beyond the pairs of the
-    # two directions of an edge, and check (1) still holds.
+    # d2 has a left kernel here, so the label rows of the orbit block
+    # Phi.B^T have relations beyond the pairs of the two directions of an
+    # edge, and check (1) still holds.
     c, _ = valid(small_documents()[name])
     tiles = c.edge_table.tiles
     maps = homology.chain_maps(c, tiles)

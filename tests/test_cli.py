@@ -567,11 +567,10 @@ def test_verify_takes_the_explicit_path(monkeypatch, runner, g513_file):
 def test_one_elimination_counts_the_stacked_kernel(monkeypatch):
     # The integer elimination is the one reduction behind H2, the count of
     # the stacked kernel and the Smith form: at (13,17) it reduces the rows
-    # of d2^T without the I part, for the image block; then, with it, the
-    # rows of Phi.B^T, one per label, for the left kernel of the orbit
-    # block; then the rows of the component system [Z; N.Y], whose pivots
-    # are its rank over Q; and last, without the I part, the rows of B, for
-    # the Smith form of the image block.
+    # of d2^T, for the image block; then the rows of the system C of the
+    # count, with Phi.B^T as its orbit block, whose pivots are its rank
+    # over Q; and last the rows of B, for the Smith form of the image
+    # block.  None of the three carries the I part.
     original = _kernels_py.unimodular_elimination
     inputs = []
 
@@ -584,12 +583,18 @@ def test_one_elimination_counts_the_stacked_kernel(monkeypatch):
     _, analysis = analyze_document(treelat.generate_mozes_complex(13, 17))
     assert analysis.theorem.holds
     (c,) = systems
-    ts = analysis.tiling
-    d2, (labels, with_transform), count, image = inputs
+    d2, count, image = inputs
     assert d2 == (analysis.maps.d2.transpose().row_pairs, False)
-    assert with_transform and len(labels) == len(set(ts.b)) + len(set(ts.a))
     assert count == (c.row_pairs, False)
     assert image == (zlinalg.image_block(analysis.maps.d2).transpose().row_pairs, False)
+    # C's orbit columns, the last |F| of them, hold the rows of Phi.B^T,
+    # one per label, and nothing in the tile rows.
+    ts, maps = analysis.tiling, analysis.maps
+    label_image = homology._label_image(ts, maps, zlinalg.image_block(maps.d2))
+    images = [row for by_label in label_image for row in by_label.values()]
+    w0 = c.cols - len(ts.b) // 4
+    orbit = [tuple((j - w0, x) for j, x in row if j >= w0) for row in c.row_pairs]
+    assert sorted(orbit) == sorted([()] * (c.rows - len(images)) + images)
 
 
 def test_export_of_the_stacked_matrix_builds_neither_transition_matrix(

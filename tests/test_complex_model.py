@@ -637,3 +637,25 @@ def test_validation_is_linear_on_a_product_of_two_long_cycles():
     assert len(report.warnings) == 3200
     assert {w.kind for w in report.warnings} == {"low_h_degree", "low_v_degree"}
     assert elapsed < 2.0, elapsed
+
+
+def test_colliding_squares_are_each_named_once():
+    # 2000 squares on the one-vertex edges a, b, whose a' and b' turn
+    # around together from one square to the next: every corner is covered
+    # 2000 times, by squares that force a = ~a and b = ~b pairwise.  Naming
+    # each pair would be four million errors; each tile is named at most
+    # once, against the first earlier square it collides with.
+    squares = [
+        square(ref("a"), ref("b"), ref("a", k % 2 == 1), ref("b", k % 2 == 1))
+        for k in range(2000)
+    ]
+    c = load(one_vertex_doc(["a"], ["b"], squares))
+    start = time.perf_counter()
+    report = validate_vht(c)
+    elapsed = time.perf_counter() - start
+    inverted = [e.message for e in report.errors if e.kind == "edge_inverted"]
+    named = [m.split(" share ")[0].split(" and ")[1] for m in inverted]
+    assert inverted and all(m.endswith("force a = ~a and b = ~b") for m in inverted)
+    assert len(named) == len(set(named))
+    assert "squares 0^1 and 1^1 share corner (a, b) and force a = ~a and b = ~b" in inverted
+    assert elapsed < 1.0, elapsed
