@@ -13,12 +13,14 @@ stages and their order are read off the checkout's own pipeline, and no
 call sequence is copied here: on this checkout, for a complex whose
 theorem block is certified (every Mozes pair), load_complex,
 validate_vht, expand_directed_squares, build_tiling, chain_maps,
-connectivity, image_block (the elimination of d2 without its I part),
-certified_theorem, smith_normal_form (of the image block of d2),
-homology_report, k0_rank and build_report; where the certificate fails,
-kernel_and_image, commuting_square, stacked_kernel_basis and
-verify_main_theorem follow certified_theorem.  A function called inside a stage
-counts in that stage, and a stage called twice counts both calls.  Each
+connectivity, image_and_smith_form (the elimination of d2 without its
+I part, and the Smith form of its image block off the same pivots),
+certified_theorem, homology_report, k0_rank and build_report; where the
+certificate fails, kernel_and_image, commuting_square,
+stacked_kernel_basis, verify_main_theorem and smith_normal_form (of the
+explicit path's image block) follow certified_theorem.  A function called
+inside a stage counts in that stage, and a stage called twice counts both
+calls.  Each
 time is the best of "repeat" full pipelines (REPEAT, or the pair's entry
 in REPEATS), each on a fresh load, so cached properties built by one run
 never shorten the next.  The pairs are the Mozes ladder (5,13) (5,17)

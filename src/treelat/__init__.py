@@ -55,6 +55,7 @@ from treelat.zlinalg import (
     IntMatrix,
     SmithDecomposition,
     cokernel_invariants,
+    image_and_smith_form,
     image_block,
     kernel_and_image,
     kernel_basis,
@@ -89,6 +90,7 @@ __all__ = [
     "expand_directed_squares",
     "generate_mozes_complex",
     "homology_report",
+    "image_and_smith_form",
     "image_block",
     "k0_rank",
     "kernel_and_image",

@@ -73,46 +73,59 @@ def unimodular_elimination(rows, with_transform=True):
         else:
             kernel.append(unit)
 
-    def weight(i):
-        image, transform = live[i]
-        return (abs(image[c]), len(image) + len(transform), i)
-
     pivots = []
     while cols:
-        fewest = min(map(len, cols.values()))
-        c = min([j for j, rows_j in cols.items() if len(rows_j) == fewest])
+        # The column with the fewest live rows, the smaller index on ties,
+        # in one pass at C speed.
+        fewest, c = min(zip(map(len, cols.values()), cols))
         column = cols[c]
-        while True:
-            p = min(column, key=weight) if fewest > 1 else next(iter(column))
-            image_p, transform_p = live[p]
-            v = image_p[c]
-            for i in column - {p}:
-                image, transform = live[i]
-                q = image[c] // v
-                for j, x in image_p.items():
-                    y = image.get(j, 0) - q * x
-                    if y:
-                        if j not in image:
+        if fewest == 1:  # the one live row is the pivot; nothing to reduce
+            (p,) = column
+            image_p, transform_p = live.pop(p)
+        else:
+            while True:
+                p = min(
+                    [
+                        (abs(image[c]), len(image) + len(transform), i)
+                        for i in column
+                        for image, transform in (live[i],)
+                    ]
+                )[2]
+                image_p, transform_p = live[p]
+                v = image_p[c]
+                for i in column - {p}:
+                    image, transform = live[i]
+                    # |image[c]| >= |v|, so q is not zero: an entry the
+                    # pivot row brings into this row is nonzero.
+                    q = image[c] // v
+                    for j, x in image_p.items():
+                        y = image.get(j)
+                        if y is None:
+                            image[j] = -q * x
                             cols[j].add(i)
-                        image[j] = y
-                    elif j in image:
-                        del image[j]
-                        cols[j].discard(i)
-                for j, x in transform_p.items():
-                    y = transform.get(j, 0) - q * x
-                    if y:
-                        transform[j] = y
-                    else:
-                        del transform[j]
-                if not image:
-                    del live[i]
-                    kernel.append(transform)
-            if len(column) == 1:
-                break
-        del live[p]
+                        elif y := y - q * x:
+                            image[j] = y
+                        else:
+                            del image[j]
+                            cols[j].discard(i)
+                    for j, x in transform_p.items():
+                        y = transform.get(j)
+                        if y is None:
+                            transform[j] = -q * x
+                        elif y := y - q * x:
+                            transform[j] = y
+                        else:
+                            del transform[j]
+                    if not image:
+                        del live[i]
+                        kernel.append(transform)
+                if len(column) == 1:
+                    break
+            del live[p]
         for j in image_p:
-            cols[j].discard(p)
-            if not cols[j]:
+            live_j = cols[j]
+            live_j.discard(p)
+            if not live_j:
                 del cols[j]
         pivots.append((c, image_p, transform_p))
     return kernel, pivots

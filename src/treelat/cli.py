@@ -52,7 +52,7 @@ from treelat.tiling_system import (
     connectivity,
     k0_rank,
 )
-from treelat.zlinalg import image_block, kernel_and_image, smith_normal_form
+from treelat.zlinalg import image_and_smith_form, kernel_and_image, smith_normal_form
 
 EXPORTABLE = ("m1", "m2", "stacked", "d1", "d2", "phi1", "phi2")
 
@@ -84,35 +84,39 @@ def _analyze(c: SquareComplex, validation: ValidationReport, explicit: bool = Fa
 
     The theorem block is certified when it can be (homology.
     certified_theorem): the elimination of d2 then keeps only its image
-    block, whose small Smith form gives the torsion of H1 and whose
-    columns give rank d2; check (1) and the count of the stacked kernel on
-    the component unknowns, both read off the tile labels, give every
-    check, and no basis of ker d2 or of ker S is formed.  With explicit,
-    or when the certificate fails, the verdict comes from the explicit
-    checks instead: the elimination of d2 with its I part, for a basis H
-    of ker d2; the commuting square; the stacked kernel K, phi2.H when the
-    square and the count certify that and otherwise the elimination of S;
-    and the checks of verify_main_theorem on K and H.
+    block, whose columns give rank d2, and the Smith form of that block,
+    read off the same pivots, gives the torsion of H1; check (1) and the
+    count of the stacked kernel on the component unknowns, both read off
+    the tile labels, give every check, and no basis of ker d2 or of ker S
+    is formed.  With explicit, or when the certificate fails, the verdict
+    comes from the explicit checks instead: the elimination of d2 with its
+    I part, for a basis H of ker d2; the commuting square; the stacked
+    kernel K, phi2.H when the square and the count certify that and
+    otherwise the elimination of S; and the checks of verify_main_theorem
+    on K and H.  The explicit path takes the Smith form of its own image
+    block, where the certified path has not already given one.
     """
     tiles = expand_directed_squares(c)
     ts = build_tiling(tiles, c)
     maps = chain_maps(c, tiles)
     conn = connectivity(ts, c)
-    theorem = None
+    theorem = s2 = None
     if not explicit:
-        image = image_block(maps.d2)
+        image, s2 = image_and_smith_form(maps.d2)
         theorem = certified_theorem(c, ts, maps, image)
     if theorem is None:
         h, image = kernel_and_image(maps.d2)
         square = commuting_square(ts, maps, h)
         kernel = stacked_kernel_basis(ts, maps, h, square)
         theorem = verify_main_theorem(c, tiles, maps, kernel, h, square)
+    if s2 is None:
+        s2 = smith_normal_form(image)
     return Analysis(
         complex=c,
         validation=validation,
         tiling=ts,
         maps=maps,
-        homology=homology_report(c, maps, smith_normal_form(image)),
+        homology=homology_report(c, maps, s2),
         connectivity=conn,
         k0=k0_rank(ts, conn, theorem.rank_ker_stacked),
         theorem=theorem,

@@ -157,9 +157,10 @@ def homology_report(c: SquareComplex, maps: ChainMaps, s2: SmithDecomposition) -
     """Integral homology in degrees 0, 1, 2.
 
     s2 is a Smith form with the rank and cokernel of d2, computed once by
-    the caller: that of the block B^T of zlinalg.kernel_and_image(d2),
-    which has the column lattice of d2 in rank(d2) columns instead of |F|.
-    It is the one Smith form of an analysis.  H2 is the kernel of d2,
+    the caller: that of the image block B^T of d2, which has the column
+    lattice of d2 in rank(d2) columns instead of |F|, read off the pivots
+    of the elimination that gives B^T (zlinalg.image_and_smith_form).  It
+    is the one Smith form of an analysis.  H2 is the kernel of d2,
     hence free: only its rank is reported.
 
     d1 takes none.  It is the incidence matrix of the 1-skeleton: column e
@@ -261,6 +262,15 @@ def structured_kernel_dim(ts: TilingSystem, label_image: LabelImage | None = Non
     space of d2, so d2 = B^T.X' for a rational X' of full row rank
     r = rank d2, and 4 L = (Phi.B^T).(4 X').  r <= |F|, so one width of
     orbit columns serves both paths.
+
+    Before the rank, the row of each reversed label x (x & 1) gets the row
+    of its reversal x ^ 1 added, where x ^ 1 is a label too, and each
+    repeated row is kept once.  The first is a unimodular row operation and
+    the second drops rows that add nothing, so neither changes rank_Q(C).
+    With M = Phi.B^T the orbit parts of the sums cancel: the phi1 row of
+    the reversed edge x is minus that of x ^ 1, so Phi[x] = -Phi[x ^ 1],
+    and so are their rows of Phi.B^T.  A sum row keeps only its component
+    part, and C about halves its nonzeros.
     """
     b, a = ts.b, ts.a
     n = len(b)
@@ -310,7 +320,13 @@ def structured_kernel_dim(ts: TilingSystem, label_image: LabelImage | None = Non
         for x, acc in by_label.items():
             for k, v in image[x]:
                 acc[w0 + k] = v
-    c = [_row(acc) for acc in (*rows, *b_rows.values(), *a_rows.values())]
+        # Reversal sums (see above).
+        for x, acc in by_label.items():
+            if x & 1 and (other := by_label.get(x ^ 1)) is not None:
+                for j, v in other.items():
+                    acc[j] = acc.get(j, 0) + v
+    # A repeated row adds nothing to the rank: each is kept once.
+    c = list(dict.fromkeys(map(_row, (*rows, *b_rows.values(), *a_rows.values()))))
     return unknowns - rank(IntMatrix(len(c), w0 + n // 4, tuple(c)))
 
 

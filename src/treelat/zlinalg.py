@@ -12,7 +12,10 @@ unimodular elimination (kernel_and_image), which reads the stored pairs; so
 do the column lattice alone (image_block) and the rank over Q (rank), its
 number of pivots, which leave its I part out, and the Smith form, which
 splits off the unit pivots and finishes the rest densely, keeping only its
-diagonal.  The Hermite kernel reduces the dense view.
+diagonal.  The pivot rows of one elimination give both the column lattice
+and the Smith form of a (image_and_smith_form), so an analysis eliminates
+d2 once for its image block and H1.  The Hermite kernel reduces the dense
+view.
 """
 
 from __future__ import annotations
@@ -213,17 +216,29 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
 
     The elimination of [a^T | I] without its I part
     (_kernels_py.unimodular_elimination) is column operations on a, which
-    leave B^T and zero columns.  Pivot row k of B is nonzero in column c_k,
-    every later one zero there.  Walking them in order, row k is split off
-    when its pivot is +-1 and no earlier *kept* row touches c_k.  Then
-    column c_k is zero in every other remaining row: later rows by the
-    elimination, kept earlier rows by the test, split earlier rows by
-    construction.  So column operations with column c_k clear the rest of
-    row k and touch no other row: an invariant factor 1.  The kept rows,
-    on the columns they touch, are of full rank; _kernels_py.smith_diagonal
-    gives their factors, which follow the 1s.
+    leave B^T and zero columns; _smith_of_pivots reads the factors off the
+    pivot rows of B.  image_and_smith_form reads the same pivot rows for
+    the Smith form of B^T itself, whose invariant factors are those of a,
+    from the one elimination that gives B^T.
     """
     _, pivots = _impl.unimodular_elimination(a.transpose().row_pairs, with_transform=False)
+    return _smith_of_pivots(pivots, a.rows, a.cols)
+
+
+def _smith_of_pivots(pivots, rows: int, cols: int) -> SmithDecomposition:
+    """The Smith form of a rows x cols matrix a, from the pivots (c_k,
+    image_k, _) of the elimination of the rows of a^T: the rows image_k of
+    B, with B^T and zero columns what column operations leave of a.
+
+    Pivot row k of B is nonzero in column c_k, every later one zero there.
+    Walking them in order, row k is split off when its pivot is +-1 and no
+    earlier *kept* row touches c_k.  Then column c_k is zero in every other
+    remaining row: later rows by the elimination, kept earlier rows by the
+    test, split earlier rows by construction.  So column operations with
+    column c_k clear the rest of row k and touch no other row: an invariant
+    factor 1.  The kept rows, on the columns they touch, are of full rank;
+    _kernels_py.smith_diagonal gives their factors, which follow the 1s.
+    """
     kept, touched = [], set()  # pivot rows left for the finisher, their columns
     for c, image, _ in pivots:
         if image[c] not in (1, -1) or c in touched:
@@ -231,8 +246,8 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
             touched.update(image)
     d = _impl.smith_diagonal([[image.get(j, 0) for j in touched] for image in kept])
     factors = (1,) * (len(pivots) - len(kept)) + tuple(d[i][i] for i in range(len(kept)))
-    diagonal = tuple(((i, x),) for i, x in enumerate(factors)) + ((),) * (a.rows - len(factors))
-    return SmithDecomposition(IntMatrix(a.rows, a.cols, diagonal), factors)
+    diagonal = tuple(((i, x),) for i, x in enumerate(factors)) + ((),) * (rows - len(factors))
+    return SmithDecomposition(IntMatrix(rows, cols, diagonal), factors)
 
 
 def _columns(vectors: list[dict[int, int]], rows: int) -> IntMatrix:
@@ -269,6 +284,20 @@ def image_block(a: IntMatrix) -> IntMatrix:
     cokernel of a; no basis of ker a is formed."""
     _, pivots = _impl.unimodular_elimination(a.transpose().row_pairs, with_transform=False)
     return _columns([image for _, image, _ in pivots], a.rows)
+
+
+def image_and_smith_form(a: IntMatrix) -> tuple[IntMatrix, SmithDecomposition]:
+    """(image_block(a), smith_normal_form(image_block(a))) from one
+    elimination, that of the rows of a^T without the I part.
+
+    Its pivot rows are the rows of B, already echelon, so the Smith form of
+    B^T is read off them (_smith_of_pivots) and B is neither transposed
+    back nor eliminated again.  The finisher sees only columns of B, at
+    most a.rows of them.
+    """
+    _, pivots = _impl.unimodular_elimination(a.transpose().row_pairs, with_transform=False)
+    images = [image for _, image, _ in pivots]
+    return _columns(images, a.rows), _smith_of_pivots(pivots, a.rows, len(images))
 
 
 def kernel_basis(a: IntMatrix) -> tuple[tuple[int, ...], ...]:

@@ -29,9 +29,8 @@ def test_bench_pipeline_times_the_stages_of_one_pair(mozes513_doc):
     for stage in (
         "expand_directed_squares",
         "build_tiling",
-        "image_block",
+        "image_and_smith_form",
         "certified_theorem",
-        "smith_normal_form",
         "homology_report",
         "k0_rank",
     ):

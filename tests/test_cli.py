@@ -488,11 +488,11 @@ def count_reads(monkeypatch, cls, name):
     return seen
 
 
-def test_analysis_computes_each_kernel_once(monkeypatch, mozes513, mozes513_doc):
-    stacked = tiling_system.stacked_matrix(mozes513.tiling)
+def test_analysis_computes_each_kernel_once(monkeypatch, mozes513_doc):
     snf = count_calls(monkeypatch, zlinalg, "smith_normal_form")
     eliminations = count_calls(monkeypatch, zlinalg, "kernel_and_image")
-    images = count_calls(monkeypatch, zlinalg, "image_block")
+    images = count_calls(monkeypatch, zlinalg, "image_and_smith_form")
+    reduced = spy_eliminations(monkeypatch)
     hermite = count_calls(monkeypatch, zlinalg, "hermite_row_basis")
     built = count_calls(monkeypatch, tiling_system, "stacked_matrix")
     tilings = count_calls(monkeypatch, tiling_system, "build_tiling")
@@ -506,10 +506,12 @@ def test_analysis_computes_each_kernel_once(monkeypatch, mozes513, mozes513_doc)
     assert matrices == [[], []]
     # The theorem block is certified, so S is neither eliminated nor put in
     # a Smith form; d2 is eliminated once, without its I part, and H1 is
-    # read off the Smith form of its image block.
+    # read off the Smith form of its image block, from the pivots of that
+    # one elimination: no Smith form is taken apart from it.
     assert eliminations == [] and images == [analysis.maps.d2]
-    assert sum(a == stacked for a in snf) == 0
-    assert len(snf) <= 2
+    assert reduced[0] == (analysis.maps.d2.transpose().row_pairs, False)
+    assert [rows for rows, _ in reduced].count(reduced[0][0]) == 1
+    assert snf == []
     assert len(hermite) == 0
 
 
@@ -522,9 +524,9 @@ EXPLICIT_PATH = (
 
 
 def count_paths(monkeypatch):
-    """The calls of the certified path (image_block, certified_theorem) and
-    of the explicit path, by name."""
-    stages = ((zlinalg, "image_block"), (homology, "certified_theorem"), *EXPLICIT_PATH)
+    """The calls of the certified path (image_and_smith_form,
+    certified_theorem) and of the explicit path, by name."""
+    stages = ((zlinalg, "image_and_smith_form"), (homology, "certified_theorem"), *EXPLICIT_PATH)
     return {name: count_calls(monkeypatch, module, name) for module, name in stages}
 
 
@@ -534,7 +536,7 @@ def test_certified_path_forms_no_kernel_basis(monkeypatch, mozes513_doc):
     calls = count_paths(monkeypatch)
     _, analysis = analyze_document(mozes513_doc)
     assert analysis.theorem.holds
-    assert calls.pop("image_block") == [analysis.maps.d2]
+    assert calls.pop("image_and_smith_form") == [analysis.maps.d2]
     assert len(calls.pop("certified_theorem")) == 1
     assert calls == {name: [] for _, name in EXPLICIT_PATH}
 
@@ -547,7 +549,7 @@ def test_failed_certificate_takes_the_explicit_path_once(monkeypatch, doc):
     calls = count_paths(monkeypatch)
     _, analysis = analyze_document(getattr(_complexes, doc)())
     assert not analysis.theorem.holds
-    assert calls.pop("image_block") == [analysis.maps.d2]
+    assert calls.pop("image_and_smith_form") == [analysis.maps.d2]
     assert len(calls.pop("certified_theorem")) == 1
     assert calls.pop("kernel_and_image") == [analysis.maps.d2, analysis.tiling.stacked]
     assert [len(seen) for seen in calls.values()] == [1, 1, 1]
@@ -560,17 +562,13 @@ def test_verify_takes_the_explicit_path(monkeypatch, runner, g513_file):
     code, out, err = runner("verify", g513_file, "--json")
     assert code == 0, err
     assert json.loads(out)["theorem"]["holds"]
-    assert calls.pop("image_block") == [] and calls.pop("certified_theorem") == []
+    assert calls.pop("image_and_smith_form") == [] and calls.pop("certified_theorem") == []
     assert [len(seen) for seen in calls.values()] == [1, 1, 1, 1]
 
 
-def test_one_elimination_counts_the_stacked_kernel(monkeypatch):
-    # The integer elimination is the one reduction behind H2, the count of
-    # the stacked kernel and the Smith form: at (13,17) it reduces the rows
-    # of d2^T, for the image block; then the rows of the system C of the
-    # count, with Phi.B^T as its orbit block, whose pivots are its rank
-    # over Q; and last the rows of B, for the Smith form of the image
-    # block.  None of the three carries the I part.
+def spy_eliminations(monkeypatch):
+    """Record the input of every unimodular elimination, as (rows,
+    with_transform)."""
     original = _kernels_py.unimodular_elimination
     inputs = []
 
@@ -578,20 +576,45 @@ def test_one_elimination_counts_the_stacked_kernel(monkeypatch):
         inputs.append((rows, with_transform))
         return original(rows, with_transform)
 
-    systems = count_calls(monkeypatch, zlinalg, "rank")
     monkeypatch.setattr(_kernels_py, "unimodular_elimination", spy)
+    return inputs
+
+
+def test_one_elimination_counts_the_stacked_kernel(monkeypatch):
+    # The integer elimination is the one reduction behind H2, the Smith
+    # form and the count of the stacked kernel: at (13,17) it reduces the
+    # rows of d2^T, for the image block and, off the same pivots, its Smith
+    # form; then the rows of the system C of the count, with Phi.B^T as its
+    # orbit block, whose pivots are its rank over Q.  Neither carries the
+    # I part, and nothing else is eliminated.
+    systems = count_calls(monkeypatch, zlinalg, "rank")
+    inputs = spy_eliminations(monkeypatch)
     _, analysis = analyze_document(treelat.generate_mozes_complex(13, 17))
     assert analysis.theorem.holds
     (c,) = systems
-    d2, count, image = inputs
+    d2, count = inputs
     assert d2 == (analysis.maps.d2.transpose().row_pairs, False)
     assert count == (c.row_pairs, False)
-    assert image == (zlinalg.image_block(analysis.maps.d2).transpose().row_pairs, False)
-    # C's orbit columns, the last |F| of them, hold the rows of Phi.B^T,
-    # one per label, and nothing in the tile rows.
+    # The phi1 row of a reversed label is minus that of the label, and so
+    # is its row of Phi.B^T.
     ts, maps = analysis.tiling, analysis.maps
     label_image = homology._label_image(ts, maps, zlinalg.image_block(maps.d2))
-    images = [row for by_label in label_image for row in by_label.values()]
+    pairs = 0
+    for by_label in label_image:
+        for x, row in by_label.items():
+            if x & 1 and x ^ 1 in by_label:
+                assert row == tuple((j, -v) for j, v in by_label[x ^ 1])
+                pairs += 1
+    assert pairs == 16
+    # C's orbit columns, the last |F| of them, hold the rows of Phi.B^T of
+    # one label of each pair, and nothing in the reversal-sum rows and the
+    # tile rows, where the orbit parts cancel.
+    images = [
+        row
+        for by_label in label_image
+        for x, row in by_label.items()
+        if not (x & 1 and x ^ 1 in by_label)
+    ]
     w0 = c.cols - len(ts.b) // 4
     orbit = [tuple((j - w0, x) for j, x in row if j >= w0) for row in c.row_pairs]
     assert sorted(orbit) == sorted([()] * (c.rows - len(images)) + images)
@@ -653,32 +676,47 @@ def test_certified_kernel_stays_sparse_and_meets_the_operator_once(
 
 
 def test_no_smith_form_takes_a_column_per_cell(monkeypatch):
-    # H2 and the torsion of H1 come from the elimination of d2 and the
-    # Smith form of its image block, which has rank(d2) columns: at (13,17)
-    # no matrix with a column per geometric square reaches the Smith form.
+    # H2 and the torsion of H1 come from the elimination of d2^T, whose
+    # pivot rows are the rows of the image block's transpose B, with a
+    # column per edge: at (13,17) the finisher of the Smith form gets no
+    # row with a column per geometric square.
     doc = treelat.generate_mozes_complex(13, 17)
-    snf = count_calls(monkeypatch, zlinalg, "smith_normal_form")
+    original = _kernels_py.smith_diagonal
+    seen = []
+
+    def spy(rows):
+        seen.append(rows)
+        return original(rows)
+
+    monkeypatch.setattr(_kernels_py, "smith_diagonal", spy)
     _, analysis = analyze_document(doc)
-    cells = len(analysis.complex.squares)
+    cells, edges = len(analysis.complex.squares), analysis.maps.d2.rows
     assert analysis.maps.d2.cols == cells == 63
-    assert snf and all(a.cols != cells for a in snf)
+    (rows,) = seen
+    assert rows and all(len(row) != cells and len(row) <= edges for row in rows)
 
 
 def test_product_analysis_takes_one_smith_form_of_the_image_block(monkeypatch):
     # H1 is read off the Smith form of the image block of d2, which has the
     # column lattice of d2, and the rank of d1; H0 and the rank of d1 are
     # read off the component count, so d1 takes no Smith form even where it
-    # is not zero.  No basis of ker d1, no exact solve and no further
-    # cokernel; d2 itself never enters a Smith form.
+    # is not zero.  The factors come from the one elimination of d2^T, so
+    # no matrix enters smith_normal_form, d2 itself least of all.  No basis
+    # of ker d1, no exact solve and no further cokernel.
     snf = count_calls(monkeypatch, zlinalg, "smith_normal_form")
+    smith_forms = count_calls(monkeypatch, zlinalg, "image_and_smith_form")
     solves = count_calls(monkeypatch, zlinalg, "solve_exact")
     cokernels = count_calls(monkeypatch, zlinalg, "cokernel_invariants")
+    reduced = spy_eliminations(monkeypatch)
     _, analysis = analyze_document(seeded_product_doc())
     assert analysis.theorem.holds
     assert not analysis.maps.d1.is_zero()
-    image = zlinalg.kernel_and_image(analysis.maps.d2)[1]
-    assert snf == [image]
-    assert analysis.maps.d2 not in snf
+    d2 = analysis.maps.d2
+    assert snf == [] and smith_forms == [d2]
+    assert [rows for rows, _ in reduced].count(d2.transpose().row_pairs) == 1
+    s2 = zlinalg.smith_normal_form(zlinalg.kernel_and_image(d2)[1])
+    assert analysis.homology.h1.torsion == s2.cokernel().torsion
+    assert analysis.homology.h2_rank == d2.cols - s2.rank
     assert solves == [] and cokernels == []
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import random
 import sys
@@ -10,6 +11,7 @@ from treelat.zlinalg import (
     IntMatrix,
     cokernel_invariants,
     hermite_row_basis,
+    image_and_smith_form,
     image_block,
     kernel_basis,
     lattice_membership,
@@ -251,6 +253,11 @@ def test_unit_pivot_splits_only_where_no_kept_row_touches_its_column():
     s = smith_normal_form(a)
     assert s.invariant_factors == (1, 2)
     assert s.d.to_lists() == certified_snf_diagonal(a)
+    # The same pivots, read by image_and_smith_form, give the Smith form
+    # of the image block.
+    image, s = image_and_smith_form(a)
+    assert s.invariant_factors == (1, 2)
+    assert s.d.to_lists() == certified_snf_diagonal(image)
 
 
 def random_batch_documents(seed):
@@ -270,12 +277,49 @@ LADDER = ((5, 13), (5, 17), (5, 29), (13, 17), (17, 29), (29, 37))
 
 
 def test_smith_form_of_the_image_blocks_matches_the_oracle():
-    docs = [generate_mozes_complex(p, l) for p, l in LADDER] + random_batch_documents(1)
-    assert len(docs) == len(LADDER) + 128
+    # image_and_smith_form reads the Smith form of the image block B^T off
+    # the pivot rows of the one elimination of d2^T, which are B's rows;
+    # smith_normal_form eliminates B's rows again.  Both give the oracle's
+    # diagonal, and the block is image_block's.
+    batch = random_batch_documents(1)
+    assert len(batch) == 128
+    docs = [generate_mozes_complex(p, l) for p, l in LADDER] + batch
+    docs += [
+        _complexes.torus_doc(),
+        _complexes.f2xf2_doc(),
+        _complexes.klein_doc(),
+        _complexes.two_vertex_klein_doc(),
+    ]
     for doc in docs:
         _, a = analyze_document(doc)
-        image = image_block(a.maps.d2)
-        assert smith_normal_form(image).d.to_lists() == certified_snf_diagonal(image)
+        image, s = image_and_smith_form(a.maps.d2)
+        assert image == image_block(a.maps.d2)
+        d = certified_snf_diagonal(image)
+        assert s.d.to_lists() == smith_normal_form(image).d.to_lists() == d
+
+
+# sha256 of repr(unimodular_elimination(rows, with_transform)): the kernel
+# rows and the pivots (column, image, transform), every dict in its
+# insertion order.  A change of the pivot rule, or of the order in which
+# rows are reduced and their entries set, changes the digest.
+PINNED_ELIMINATIONS = {
+    ("d2^T (13,17)", True): "64cea77f68976f9e5b587ac95be212c58cab6a31f3c193ff18d2c405e78d8a4a",
+    ("d2^T (13,17)", False): "94e89c05ce9dd2bdeb7593df880bcfb3faca62e85e0534f2e8fab874a2048ff9",
+    ("S^T torus", True): "2ecd2dfe16f597c7c94bd5924d03514a6a21a25edecb55d7726ab4f75d53fd57",
+}
+
+
+def test_elimination_output_is_pinned(torus):
+    # Pivots, images, transforms and kernel rows, all in order: the pivot
+    # rule and the order of the row operations decide each of them.
+    _, a = analyze_document(generate_mozes_complex(13, 17))
+    rows = {
+        "d2^T (13,17)": a.maps.d2.transpose().row_pairs,
+        "S^T torus": stacked_matrix(torus.tiling).transpose().row_pairs,
+    }
+    for (name, with_transform), digest in PINNED_ELIMINATIONS.items():
+        out = _kernels_py.unimodular_elimination(rows[name], with_transform)
+        assert hashlib.sha256(repr(out).encode()).hexdigest() == digest, name
 
 
 def test_image_blocks_with_only_unit_pivots_skip_the_dense_finisher(monkeypatch):
