@@ -121,8 +121,7 @@ class SquareComplex:
         homology.homology_report."""
         table = self.edge_table
         uf = _UnionFind(len(self.vertices))
-        for x, y in zip(table.origin[::2], table.terminus[::2]):
-            uf.union(x, y)
+        uf.union_all(zip(table.origin[::2], table.terminus[::2]))
         return uf.component_count()
 
     @cached_property
@@ -236,6 +235,24 @@ def _parse_ref(raw, k, slot, problems) -> tuple[str, bool] | None:
     return key
 
 
+def _corners_agree(squares, origin, terminus) -> bool:
+    """Every corner incidence of the module docstring holds for the codes
+    (a, b, a', b') of these squares, compared a column at a time."""
+    if not squares:
+        return True
+    a, b, ap, bp = zip(*squares)
+
+    def ends(side, codes) -> list[int]:
+        return list(map(side.__getitem__, codes))
+
+    return (
+        ends(origin, a) == ends(origin, b)
+        and ends(terminus, a) == ends(origin, bp)
+        and ends(terminus, b) == ends(origin, ap)
+        and ends(terminus, ap) == ends(terminus, bp)
+    )
+
+
 def load_complex(text: str) -> SquareComplex:
     """Parse a complex document; total and deterministic.
 
@@ -287,8 +304,14 @@ def load_complex(text: str) -> SquareComplex:
             if e.id in axes:
                 problems.append(f"duplicate edge id '{e.id}'")
             axes[e.id] = axes.get(e.id, ()) + (axis,)
-    # the code 2i of each edge, as EdgeTable numbers it
+    # The code of each (id, reversed) on each axis, 2i + reversed as
+    # EdgeTable numbers it: a well-formed slot takes its code in one hit.
     position = {e.id: 2 * i for i, e in enumerate(h_edges + v_edges)}
+    code_on = {
+        axis: {(e.id, r): position[e.id] + r for e in edges for r in (False, True)}
+        for axis, edges in (("horizontal", h_edges), ("vertical", v_edges))
+    }
+    slots = [(slot, axis, code_on[axis]) for slot, axis in _SLOT_AXIS.items()]
 
     squares: list[tuple[int, ...]] = []
     raw_squares = doc["squares"]
@@ -299,17 +322,29 @@ def load_complex(text: str) -> SquareComplex:
         if not isinstance(item, dict):
             problems.append(f"squares[{k}] must be an object")
             continue
-        unknown = item.keys() - _SLOT_AXIS.keys()
-        if unknown:
-            problems.append(f"squares[{k}]: unknown keys {sorted(unknown)}")
-            continue
-        missing = [x for x in _SLOT_AXIS if x not in item]
-        if missing:
+        if item.keys() != _SLOT_AXIS.keys():
+            unknown = item.keys() - _SLOT_AXIS.keys()
+            if unknown:
+                problems.append(f"squares[{k}]: unknown keys {sorted(unknown)}")
+                continue
+            missing = [x for x in _SLOT_AXIS if x not in item]
             problems.append(f"squares[{k}]: missing keys {missing}")
             continue
         codes = []
-        for slot, axis in _SLOT_AXIS.items():
-            key = _parse_ref(item[slot], k, slot, problems)
+        for slot, axis, code_of in slots:
+            ref = item[slot]
+            # The hit needs exactly the two keys and their exact types
+            # first: (id, 0) and (id, 1.0) hash and compare as (id, False)
+            # and (id, True), and a list cannot be hashed.  A miss takes
+            # the diagnosis below.
+            if type(ref) is dict and len(ref) == 2:
+                edge, reversed_ = ref.get("edge"), ref.get("reversed")
+                if type(edge) is str and type(reversed_) is bool:
+                    code = code_of.get((edge, reversed_))
+                    if code is not None:
+                        codes.append(code)
+                        continue
+            key = _parse_ref(ref, k, slot, problems)
             if key is None:
                 continue
             edge, reversed_ = key
@@ -330,20 +365,23 @@ def load_complex(text: str) -> SquareComplex:
 
     c = SquareComplex(tuple(vertices), tuple(h_edges), tuple(v_edges), tuple(squares))
 
+    # With one vertex every incidence holds; the message loop runs only
+    # when one fails somewhere.
     table = c.edge_table
     o, t = table.origin, table.terminus
-    for k, (a, b, ap, bp) in enumerate(c.squares):
-        for left, right, x, y in (
-            ("o(a)", "o(b)", o[a], o[b]),
-            ("t(a)", "o(b_prime)", t[a], o[bp]),
-            ("t(b)", "o(a_prime)", t[b], o[ap]),
-            ("t(a_prime)", "t(b_prime)", t[ap], t[bp]),
-        ):
-            if x != y:
-                problems.append(
-                    f"squares[{k}]: corner incidence {left} = {right} fails"
-                    f" ('{c.vertices[x]}' != '{c.vertices[y]}')"
-                )
+    if len(c.vertices) > 1 and not _corners_agree(c.squares, o, t):
+        for k, (a, b, ap, bp) in enumerate(c.squares):
+            for left, right, x, y in (
+                ("o(a)", "o(b)", o[a], o[b]),
+                ("t(a)", "o(b_prime)", t[a], o[bp]),
+                ("t(b)", "o(a_prime)", t[b], o[ap]),
+                ("t(a_prime)", "t(b_prime)", t[ap], t[bp]),
+            ):
+                if x != y:
+                    problems.append(
+                        f"squares[{k}]: corner incidence {left} = {right} fails"
+                        f" ('{c.vertices[x]}' != '{c.vertices[y]}')"
+                    )
     if problems:
         raise ComplexFormatError(problems)
     return c
@@ -410,6 +448,17 @@ class _UnionFind:
         rx, ry = self.find(x), self.find(y)
         if rx != ry:
             self.parent[rx] = ry
+
+    def union_all(self, pairs) -> None:
+        """union(x, y) for every pair (x, y), in one loop with the finds
+        written out."""
+        parent = self.parent
+        for x, y in pairs:
+            while parent[x] != x:
+                parent[x] = x = parent[parent[x]]
+            while parent[y] != y:
+                parent[y] = y = parent[parent[y]]
+            parent[x] = y
 
     def component_count(self) -> int:
         return len({self.find(i) for i in range(len(self.parent))})

@@ -47,6 +47,7 @@ from treelat.zlinalg import (
     Row,
     SmithDecomposition,
     kernel_and_image,
+    mul_rows,
     rank,
 )
 
@@ -332,17 +333,17 @@ def structured_kernel_dim(ts: TilingSystem, label_image: LabelImage | None = Non
 
 def _alternates(rows) -> bool:
     """True iff (I + P_h).X = 0 and (I + P_v).X = 0 for the matrix X with
-    these rows, tiles indexed orbit-major.
+    these rows, a tuple, tiles indexed orbit-major.
 
     The reflections act on tile indices by xor on the offset in the orbit
     (t^v = t ^ 1, t^h = t ^ 2), so the rows of each orbit decide it:
     t^v = 4k + 1 and t^h = 4k + 2 are minus the row of t = 4k, and
-    t^vh = 4k + 3 is the row of t.
+    t^vh = 4k + 3 is the row of t.  Each offset is one slice.
     """
-    return all(
-        rows[t + 3] == rows[t]
-        and rows[t + 1] == rows[t + 2] == tuple([(j, -x) for j, x in rows[t]])
-        for t in range(0, len(rows), 4)
+    first = rows[::4]
+    return (
+        rows[3::4] == first
+        and rows[1::4] == rows[2::4] == tuple([tuple([(j, -x) for j, x in row]) for row in first])
     )
 
 
@@ -364,23 +365,26 @@ def _label_sums(rows, labels, flip: int) -> dict[int, Row]:
 
 def _rows_by_label(rows, labels) -> dict[int, Row] | None:
     """The row of each label, in the order the labels first occur, when
-    rows[s] depends on labels[s] alone; else None.  O(n)."""
-    by_label: dict[int, Row] = {}
-    for row, x in zip(rows, labels):
-        if by_label.setdefault(x, row) != row:
-            return None
+    rows[s], a tuple, depends on labels[s] alone; else None.  O(n): the
+    last row of each label is kept, and every row compared with it."""
+    by_label = dict(zip(labels, rows))
+    if tuple(map(by_label.__getitem__, labels)) != rows:
+        return None
     return by_label
 
 
 def _square_by_labels(
     ts: TilingSystem, maps: ChainMaps
-) -> tuple[IntMatrix, IntMatrix, tuple[list[int], list[int]]] | None:
-    """(L, Phi, labels): S.phi2 and phi1 with one row per label, and the
-    labels of their rows, b's then a's, or None when the maps are not of
-    the form that allows it.
+) -> tuple[bool, IntMatrix, IntMatrix, tuple[list[int], list[int]]] | None:
+    """(commutes, L, Phi, labels): whether check (1) holds at label
+    resolution, S.phi2 and phi1 with one row per label, and the labels of
+    their rows, b's then a's; or None when the maps are not of the form
+    that allows it.
 
-    The form: phi2 alternates, and row s of phi1 depends on b(s) alone in
-    the top block and on a(s) alone in the bottom one.  Then phi1 =
+    The form: phi2 alternates, which the caller has checked (_alternates,
+    or phi2 is the one chain_maps builds), and row s of phi1 depends on
+    b(s) alone in the top block and on a(s) alone in the bottom one.
+    Then phi1 =
     (E.Phi_b over E'.Phi_a), row x of Phi_b being the phi1 row of any tile
     with b(s) = x, and S.phi2 = (E.F^T.phi2 over E'.G^T.phi2), the factors
     of S being those of TilingSystem (_label_sums), since
@@ -393,11 +397,16 @@ def _square_by_labels(
     L = Phi.d2; (S.phi2).H = 0 iff L.H = 0; and phi1.(d2.H) = 0 iff
     Phi.(d2.H) = 0: each check reads the same with (L, Phi) in place of
     (S.phi2, phi1), on 2|E| rows instead of 2n.
+
+    commutes is L = Phi.d2, compared row by row, and no matrix product is
+    formed: row x of Phi.d2 is the sum of s.d2[e] over the pairs (e, s)
+    of Phi[x] (zlinalg.mul_rows), which is +-d2[e] itself for the phi1 of
+    chain_maps, one pair per row.
     """
-    phi1, phi2 = maps.phi1, maps.phi2
+    phi1, phi2, d2 = maps.phi1, maps.phi2, maps.d2
     b, a = ts.b, ts.a
     n = len(b)
-    if (phi2.rows, phi1.rows) != (n, 2 * n) or not _alternates(phi2.row_pairs):
+    if (phi2.rows, phi1.rows, phi1.cols) != (n, 2 * n, d2.rows):
         return None
     left: list[Row] = []
     right: list[Row] = []
@@ -407,11 +416,13 @@ def _square_by_labels(
         if phi is None:
             return None
         sums = _label_sums(phi2.row_pairs, labels, flip)
-        left += [sums[x] for x in phi]
+        left += map(sums.__getitem__, phi)
         right += phi.values()
         keys.append(list(phi))
+    l_rows = tuple(left)
     return (
-        IntMatrix(len(left), phi2.cols, tuple(left)),
+        l_rows == mul_rows(right, d2.row_pairs, d2.cols),
+        IntMatrix(len(l_rows), phi2.cols, l_rows),
         IntMatrix(len(right), phi1.cols, tuple(right)),
         (keys[0], keys[1]),
     )
@@ -434,9 +445,13 @@ def commuting_square(ts: TilingSystem, maps: ChainMaps, h: IntMatrix) -> tuple[b
     builds) they run on S.phi2 and phi1 themselves, with S built from the
     labels.
     """
-    square = _square_by_labels(ts, maps)
-    left, phi1 = square[:2] if square is not None else (ts.stacked.mul(maps.phi2), maps.phi1)
-    if left == phi1.mul(maps.d2):
+    square = _square_by_labels(ts, maps) if _alternates(maps.phi2.row_pairs) else None
+    if square is None:
+        left, phi1 = ts.stacked.mul(maps.phi2), maps.phi1
+        commutes = left == phi1.mul(maps.d2)
+    else:
+        commutes, left, phi1, _ = square
+    if commutes:
         return True, phi1.mul(maps.d2.mul(h)).is_zero()
     return False, left.mul(h).is_zero()
 
@@ -540,12 +555,10 @@ def _label_image(ts: TilingSystem, maps: ChainMaps, image: IntMatrix) -> LabelIm
     if maps.phi2.row_pairs != _phi2_rows(len(ts.b)):
         return None
     square = _square_by_labels(ts, maps)
-    if square is None:
+    if square is None or not square[0]:
         return None
-    left, phi, (b_labels, a_labels) = square
-    if left != phi.mul(maps.d2):
-        return None
-    rows = phi.mul(image).row_pairs
+    _, _, phi, (b_labels, a_labels) = square
+    rows = mul_rows(phi.row_pairs, image.row_pairs, image.cols)
     return dict(zip(b_labels, rows)), dict(zip(a_labels, rows[len(b_labels) :]))
 
 

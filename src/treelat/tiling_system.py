@@ -357,11 +357,18 @@ def label_components(labels, flip: int) -> tuple[int, ...]:
     """The component of every label x up to the largest one, in the graph
     with an edge labels[t] - labels[t ^ flip] for every tile t; components
     are numbered 0, 1, ... in the order of their least label.  A label no
-    tile carries is a component of its own."""
+    tile carries is a component of its own.
+
+    Tiles t and t ^ flip carry the same edge, so the tiles with
+    t & flip == 0 carry each edge once: offsets 0 and 3 ^ flip of each
+    orbit, paired with offsets flip and 3.  The union runs once per
+    distinct label pair of those."""
     size = 1 + max(labels, default=-1)
+    other = 3 ^ flip
+    pairs = set(zip(labels[::4], labels[flip::4]))
+    pairs.update(zip(labels[other::4], labels[3::4]))
     uf = _UnionFind(size)
-    for x, y in zip(labels, _primed(labels, flip)):
-        uf.union(x, y)
+    uf.union_all(pairs)
     find = uf.find
     number: dict[int, int] = {}
     return tuple([number.setdefault(find(x), len(number)) for x in range(size)])

@@ -137,46 +137,54 @@ class IntMatrix:
     def mul(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch in matrix product")
-        # Row i of the product is the combination of the rows of other
-        # weighted by row i of self; only stored pairs are visited.  A row
-        # with one nonzero (every row of phi1 and phi2) scales one row of
-        # other, which is already canonical; a weight -1 takes the one
-        # negated copy of that row, shared by every row that asks for it
-        # (rows 4k + 1 and 4k + 2 of phi2 both negate row k).  Other rows
-        # add up in a dense accumulator, whose nonzeros compress finds at C
-        # speed: cheaper than a dict and a sort once a row gathers more than
-        # a few terms.  Unit weights (all of them in the 0/+-1 operators)
-        # skip the multiply.
-        below = other.row_pairs
-        positions = range(other.cols)
-        negated: dict[int, Row] = {}
-        data = []
-        for pairs in self.row_pairs:
-            if len(pairs) == 1:
-                ((j, x),) = pairs
-                if x == 1:
-                    data.append(below[j])
-                elif x == -1:
-                    row = negated.get(j)
-                    if row is None:
-                        row = negated[j] = tuple([(c, -y) for c, y in below[j]])
-                    data.append(row)
-                else:
-                    data.append(tuple([(c, x * y) for c, y in below[j]]))
-                continue
-            acc = [0] * other.cols
-            for j, x in pairs:
-                if x == 1:
-                    for c, y in below[j]:
-                        acc[c] += y
-                elif x == -1:
-                    for c, y in below[j]:
-                        acc[c] -= y
-                else:
-                    for c, y in below[j]:
-                        acc[c] += x * y
-            data.append(tuple([(c, acc[c]) for c in compress(positions, acc)]))
-        return IntMatrix(self.rows, other.cols, tuple(data))
+        rows = mul_rows(self.row_pairs, other.row_pairs, other.cols)
+        return IntMatrix(self.rows, other.cols, rows)
+
+
+def mul_rows(rows: Sequence[Row], below: Sequence[Row], cols: int) -> tuple[Row, ...]:
+    """The rows of A.B, for the rows of A and the rows below of B, a matrix
+    with cols columns; IntMatrix.mul without the shape check and the
+    matrix, for a caller that holds only rows.
+
+    Row i of the product is the combination of the rows of B weighted by
+    row i of A; only stored pairs are visited.  A row with one nonzero
+    (every row of phi1 and phi2) scales one row of B, which is already
+    canonical; a weight -1 takes the one negated copy of that row, shared
+    by every row that asks for it (rows 4k + 1 and 4k + 2 of phi2 both
+    negate row k).  Other rows add up in a dense accumulator, whose
+    nonzeros compress finds at C speed: cheaper than a dict and a sort
+    once a row gathers more than a few terms.  Unit weights (all of them
+    in the 0/+-1 operators) skip the multiply.
+    """
+    positions = range(cols)
+    negated: dict[int, Row] = {}
+    data = []
+    for pairs in rows:
+        if len(pairs) == 1:
+            ((j, x),) = pairs
+            if x == 1:
+                data.append(below[j])
+            elif x == -1:
+                row = negated.get(j)
+                if row is None:
+                    row = negated[j] = tuple([(c, -y) for c, y in below[j]])
+                data.append(row)
+            else:
+                data.append(tuple([(c, x * y) for c, y in below[j]]))
+            continue
+        acc = [0] * cols
+        for j, x in pairs:
+            if x == 1:
+                for c, y in below[j]:
+                    acc[c] += y
+            elif x == -1:
+                for c, y in below[j]:
+                    acc[c] -= y
+            else:
+                for c, y in below[j]:
+                    acc[c] += x * y
+        data.append(tuple([(c, acc[c]) for c in compress(positions, acc)]))
+    return tuple(data)
 
 
 @dataclass(frozen=True)

@@ -632,6 +632,24 @@ def axis_connectivity_by_matrix(m):
     )
 
 
+def label_components_by_tiles(labels, flip):
+    """The numbering of tiling_system.label_components, from a union over
+    the pair (t, t ^ flip) of every tile t, both directions of each edge:
+    the components of the labels 0 up to the largest, numbered in the
+    order of their least label."""
+    from treelat.tiling_system import _UnionFind
+
+    size = 1 + max(labels, default=-1)
+    uf = _UnionFind(size)
+    for t, x in enumerate(labels):
+        uf.union(x, labels[t ^ flip])
+    roots = [uf.find(x) for x in range(size)]
+    number = {}
+    for root in roots:
+        number.setdefault(root, len(number))
+    return tuple(number[root] for root in roots)
+
+
 def edge_graph_components_by_pairs(n_vertices, endpoint_pairs, oriented):
     """The EdgeGraphComponent tuple of tiling_system._edge_graph_components,
     from a union-find over the endpoint pairs: components in the order of

@@ -213,20 +213,42 @@ def test_squares_are_the_codes_of_the_raw_document(mozes513_doc):
 
 
 def test_bad_references_keep_their_messages_and_order():
+    # A well-formed slot takes its code in one lookup of (edge, reversed);
+    # everything else takes the per-slot diagnosis.  Among them: edges
+    # that cannot be hashed, reversed as 0 and 1.0 (which hash and compare
+    # as False and True) and as null, an id listed on both axes, which
+    # either axis accepts, and squares with a fifth key or a missing one.
     doc = json.loads(_complexes.f2xf2_doc())
     doc["squares"][0]["a"] = ["a1", False]
     doc["squares"][0]["b_prime"] = {"edge": "b1", "reversed": False, "sign": 1, "x": 0}
     doc["squares"][1]["b"] = {"edge": "b1", "reversed": 1}
     doc["squares"][1]["a_prime"] = {"edge": "zz", "reversed": True}
     doc["squares"][2]["b"] = {"edge": "a1", "reversed": True}
+    for axis in ("horizontal_edges", "vertical_edges"):
+        doc[axis].append({"id": "x", "origin": "v", "terminus": "v"})
+    doc["squares"] += [
+        square(ref(["a1"]), ref({"id": "b1"}, True), ref("a1", 0), ref("b1", 1.0)),
+        square(ref("x"), ref("x", True), ref("a2", None), {"edge": "b2", "sign": 1}),
+        dict(square(ref("a1"), ref("b1"), ref("a1"), ref("b1")), c=1),
+        {"a": ref("a1"), "b": ref("b1"), "a_prime": ref("a1")},
+    ]
     with pytest.raises(ComplexFormatError) as exc:
         load(json.dumps(doc))
     assert exc.value.problems == (
+        "duplicate edge id 'x'",
         "squares[0].a must be an object",
         "squares[0].b_prime: unknown keys ['sign', 'x']",
         "squares[1].b: need edge (string) and reversed (boolean)",
         "squares[1].a_prime: unknown edge 'zz'",
         "squares[2].b: edge 'a1' is horizontal but the slot is vertical",
+        "squares[4].a: need edge (string) and reversed (boolean)",
+        "squares[4].b: need edge (string) and reversed (boolean)",
+        "squares[4].a_prime: need edge (string) and reversed (boolean)",
+        "squares[4].b_prime: need edge (string) and reversed (boolean)",
+        "squares[5].a_prime: need edge (string) and reversed (boolean)",
+        "squares[5].b_prime: unknown keys ['sign']",
+        "squares[6]: unknown keys ['c']",
+        "squares[7]: missing keys ['b_prime']",
     )
 
 

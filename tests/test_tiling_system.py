@@ -1,5 +1,8 @@
+import importlib.util
 import random
+import sys
 from collections import Counter
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -21,6 +24,7 @@ from _oracles import (
     edge_graph_components_by_pairs,
     expand_by_sigma,
     h_image_index,
+    label_components_by_tiles,
     matches_factors,
     psi_matrix,
     ref_ends,
@@ -367,6 +371,35 @@ def test_label_components_number_every_label_up_to_the_last():
     ) == edge_graph_components_by_pairs(6, pairs, oriented)
 
 
+def random_batch_documents(seed):
+    """The documents of the random-batch benchmark workload at seed."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return [item.doc for item in workloads.RandomBatch().build(None, random.Random(seed))]
+
+
+def test_label_components_match_the_union_over_every_tile(corpus):
+    # One union per distinct label pair of the tiles t with t & flip == 0
+    # gives the components of the union over every tile, on the corpus,
+    # the Mozes ladder and the random-batch documents of seeds 1-3.  The
+    # label lists with loops, parallel edges and labels no tile carries
+    # are in test_label_path_agrees_with_tile_tarjan_and_matrix_oracle.
+    docs = [generate_mozes_complex(p, l) for p, l in ((5, 13), (5, 17), (5, 29), (13, 17))]
+    for seed in (1, 2, 3):
+        docs += random_batch_documents(seed)
+    tilings = [analysis.tiling for analysis in corpus.values()]
+    for doc in docs:
+        c = load_complex(doc)
+        tilings.append(build_tiling(expand_directed_squares(c), c))
+    assert len(tilings) == 5 + 4 + 3 * 128
+    for ts in tilings:
+        for labels, flip in ((ts.b, 2), (ts.a, 1)):
+            expected = label_components_by_tiles(labels, flip)
+            assert tiling_system.label_components(labels, flip) == expected
+
+
 def test_label_components_are_found_once_per_analysis(monkeypatch, mozes513_doc):
     # One union-find per label graph, shared by connectivity and the count
     # of the stacked kernel, which reads TilingSystem.components.
@@ -466,6 +499,8 @@ def test_label_path_agrees_with_tile_tarjan_and_matrix_oracle(edges):
     leaf = 1 in Counter(b).values()
     assert peeled == ([2, 1] if leaf else [])
     for labels, flip, got in ((ts.b, 2, conn.horizontal), (ts.a, 1, conn.vertical)):
+        component = label_components_by_tiles(labels, flip)
+        assert tiling_system.label_components(labels, flip) == component
         expected = axis_connectivity_by_matrix(tile_graph_by_definition(labels, flip))
         assert got == expected
         if not leaf:
