@@ -168,11 +168,20 @@ def _provenance(data: bytes) -> dict:
 
 
 def build_report(a: Analysis, input_bytes: bytes) -> dict:
-    m1_sums, m2_sums = a.tiling.column_sums()
+    """The canonical report of an analysis; input_bytes are the document's
+    bytes, for the provenance digest.
 
-    def span(sums):
-        return [min(sums), max(sums)] if sums else [0, 0]
+    column_sum_range is [min, max] of the column sums of m1 and of m2, read
+    off the label counts (TilingSystem.label_counts) and not off the sums:
+    column t sums to count[labels[t ^ flip]] - 1 (TilingSystem.column_sums),
+    and t -> t ^ flip permutes the tiles, so the sums take exactly the
+    values count[x] - 1 of the labels x.  [0, 0] with no tile.
+    """
 
+    def span(count):
+        return [min(count.values()) - 1, max(count.values()) - 1] if count else [0, 0]
+
+    b_count, a_count = a.tiling.label_counts
     conn = a.connectivity
     return {
         "counts": _counts_dict(a.complex),
@@ -187,7 +196,7 @@ def build_report(a: Analysis, input_bytes: bytes) -> dict:
             "kernel_rank": a.k0.kernel_rank,
             "k0_rank": a.k0.k0_rank,
             "k1_rank": a.k0.k1_rank,
-            "column_sum_range": {"m1": span(m1_sums), "m2": span(m2_sums)},
+            "column_sum_range": {"m1": span(b_count), "m2": span(a_count)},
             "hypotheses": {
                 "one_vertex": a.k0.hypotheses.one_vertex,
                 "gh_strongly_connected": a.k0.hypotheses.gh_strongly_connected,

@@ -196,6 +196,21 @@ def _parse_edges(raw, key, vertex_set, problems) -> list[GeometricEdge]:
         problems.append(f"{key} must be an array")
         return edges
     for k, item in enumerate(raw):
+        # A well-formed edge, exactly the three keys, all strings, with
+        # both ends known, is taken in one hit; the types come first, as
+        # a list cannot be hashed.  Anything else takes the diagnosis
+        # below.
+        if type(item) is dict and len(item) == 3:
+            id_, o, t = item.get("id"), item.get("origin"), item.get("terminus")
+            if (
+                type(id_) is str
+                and type(o) is str
+                and type(t) is str
+                and o in vertex_set
+                and t in vertex_set
+            ):
+                edges.append(GeometricEdge(id_, o, t))
+                continue
         if not isinstance(item, dict):
             problems.append(f"{key}[{k}] must be an object")
             continue

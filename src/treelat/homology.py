@@ -38,6 +38,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from math import gcd
 
 from treelat.complex_model import SquareComplex
 from treelat.tiling_system import TilingSystem, _primed
@@ -272,6 +273,15 @@ def structured_kernel_dim(ts: TilingSystem, label_image: LabelImage | None = Non
     the reversed edge x is minus that of x ^ 1, so Phi[x] = -Phi[x ^ 1],
     and so are their rows of Phi.B^T.  A sum row keeps only its component
     part, and C about halves its nonzeros.
+
+    The general path takes rank_Q(C) as one rank of C.  With M = Phi.B^T
+    the orbit columns need no elimination: _clear_orbit_parts picks
+    r = rank d2 rows of C whose orbit parts are lower triangular with a
+    nonzero diagonal, clears the orbit part of every other row with them,
+    and rank_Q(C) is r plus the rank of what is left on the component
+    columns alone.  Its docstring gives the argument, and shows that a row
+    to pick is never missing there; were one missing, the count would
+    take the one rank of C.
     """
     b, a = ts.b, ts.a
     n = len(b)
@@ -302,8 +312,9 @@ def structured_kernel_dim(ts: TilingSystem, label_image: LabelImage | None = Non
     # component of a'(t), so the row of label x holds z[x] once per tile
     # with a'(t) = x.  The other terms are counted per (label, unknown).
     b_primed, a_primed, za_h = _primed(b, 2), _primed(a, 1), _primed(za, 2)
-    b_rows = {x: {comp_b[x]: 2 * k - 4} for x, k in Counter(b).items()}
-    a_rows = {x: {z0 + comp_a[x]: k - 4} for x, k in Counter(a).items()}
+    b_count, a_count = ts.label_counts
+    b_rows = {x: {comp_b[x]: 2 * k - 4} for x, k in b_count.items()}
+    a_rows = {x: {z0 + comp_a[x]: k - 4} for x, k in a_count.items()}
     for by_label, pairs, coeff in (
         (b_rows, zip(b_primed, za), 1),
         (b_rows, zip(b_primed, za_h), -1),
@@ -314,7 +325,8 @@ def structured_kernel_dim(ts: TilingSystem, label_image: LabelImage | None = Non
             acc = by_label[x]
             acc[j] = acc.get(j, 0) + coeff * k
 
-    if label_image is None:
+    certified = label_image is not None
+    if not certified:
         phi2 = _phi2_rows(n)
         label_image = _label_sums(phi2, b, 2), _label_sums(phi2, a, 1)
     for by_label, image in zip((b_rows, a_rows), label_image):
@@ -328,7 +340,79 @@ def structured_kernel_dim(ts: TilingSystem, label_image: LabelImage | None = Non
                     acc[j] = acc.get(j, 0) + v
     # A repeated row adds nothing to the rank: each is kept once.
     c = list(dict.fromkeys(map(_row, (*rows, *b_rows.values(), *a_rows.values()))))
+    cleared = _clear_orbit_parts(c, w0) if certified else None
+    if cleared is not None:
+        r, rest = cleared
+        return unknowns - r - rank(IntMatrix(len(rest), w0, tuple(rest)))
     return unknowns - rank(IntMatrix(len(c), w0 + n // 4, tuple(c)))
+
+
+def _clear_orbit_parts(rows: list[Row], w0: int) -> tuple[int, list[Row]] | None:
+    """(r, rest) with rank_Q(rows) = r + rank_Q(rest), rest on the columns
+    below w0 alone; or None when the rows do not allow it.
+
+    rows are the distinct rows of the system C of structured_kernel_dim,
+    the columns from w0 on its orbit part.  The orbit part of a row ends
+    at its last nonzero.  For each orbit column k, one row whose orbit
+    part ends at k is picked, one with +-1 there when there is one.  The
+    r picked rows have their orbit parts lower triangular with a nonzero
+    diagonal, hence independent.  Every other row is reduced from its
+    last orbit column down: at column k, with v its entry there and d
+    that of the row picked for k, the row becomes (d / g) row - (v / g)
+    pick, g = gcd(d, v), and a row so scaled is divided by its content.
+    That clears column k and touches only columns below k, the pick
+    ending at k.  Scaling by a nonzero number and adding a multiple of
+    another row keep the rank over Q, so rank_Q(rows) is that of the picks
+    and the rest, whose orbit parts are now zero: r + rank_Q(rest), since
+    a relation among them has no pick in it, the picks' orbit parts being
+    independent.  When a row reaches an orbit column that no row ends at,
+    None.
+
+    With M = Phi.B^T, the certified path, that never happens, and r is the
+    rank of d2.  Column k of B^T is pivot row k of the elimination of d2^T
+    (zlinalg.image_block), nonzero at its pivot edge c_k, where every
+    later pivot row is zero: row c_k of B^T ends at column k.  The edge c_k
+    lies on a square, since an integer combination of the columns of d2 is
+    nonzero there, and every edge on a square is a label of some tile.
+    Its row of C has orbit part Phi[x].B^T = +-(row c_k of B^T), for the
+    label x of c_k that keeps its orbit part through the reversal sums.
+    So every orbit column has a row that ends at it, and a picked row is
+    never missing.
+    """
+    picked: dict[int, Row] = {}
+    for row in rows:
+        if row and row[-1][0] >= w0:
+            k, v = row[-1]
+            if k not in picked or v in (1, -1) and picked[k][-1][1] not in (1, -1):
+                picked[k] = row
+    chosen = set(picked.values())
+    rest = []
+    for row in rows:
+        if row in chosen:
+            continue
+        acc = dict(row)
+        while acc and (k := max(acc)) >= w0:
+            pick = picked.get(k)
+            if pick is None:
+                return None
+            d, v = pick[-1][1], acc[k]
+            g = gcd(d, v)
+            scale, q = (d // g, v // g) if d > 0 else (-d // g, -v // g)
+            if scale != 1:
+                for j in acc:
+                    acc[j] *= scale
+            for j, x in pick:
+                y = acc.get(j, 0) - q * x
+                if y:
+                    acc[j] = y
+                else:
+                    del acc[j]
+            if scale != 1 and acc:
+                content = gcd(*acc.values())
+                for j in acc:
+                    acc[j] //= content
+        rest.append(_row(acc))
+    return len(picked), list(dict.fromkeys(rest))
 
 
 def _alternates(rows) -> bool:

@@ -52,8 +52,9 @@ class TilingSystem:
     the edge graph of connectivity; a numbers the directed horizontal edges
     the same way.  The primed labels are b'(t) = b[t ^ 2] and
     a'(t) = a[t ^ 1] (build_tiling checks that the tiles have them), and
-    the number of tiles is a multiple of 4.  m1, m2, stacked and components
-    are derived from the labels on first access, then kept.
+    the number of tiles is a multiple of 4.  m1, m2, stacked, components
+    and label_counts are derived from the labels on first access, then
+    kept.
 
     Then the stacked operator factors: stacked = (E.F^T - P_h - I over
     E'.G^T - P_v - I), with E[s][x] = [b(s) = x] and F[t][x] = [b'(t) = x],
@@ -91,9 +92,18 @@ class TilingSystem:
         of the stacked kernel (homology.structured_kernel_dim)."""
         return label_components(self.b, 2), label_components(self.a, 1)
 
+    @cached_property
+    def label_counts(self) -> tuple[Counter, Counter]:
+        """The number of tiles that carry each label, for b and for a,
+        counted once: the label degrees of connectivity, the label rows of
+        the count of the stacked kernel (homology.structured_kernel_dim)
+        and the column sums (column_sums, cli.build_report) read them."""
+        return Counter(self.b), Counter(self.a)
+
     def column_sums(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """The column sums of m1 and of m2, read off the labels."""
-        return _column_sums(self.b, 2), _column_sums(self.a, 1)
+        b_count, a_count = self.label_counts
+        return _column_sums(self.b, 2, b_count), _column_sums(self.a, 1, a_count)
 
 
 @dataclass(frozen=True)
@@ -206,11 +216,11 @@ def _minus_identity_rows(labels, flip: int) -> list[tuple]:
     return rows
 
 
-def _column_sums(labels, flip: int) -> tuple[int, ...]:
+def _column_sums(labels, flip: int, count: Counter) -> tuple[int, ...]:
     """Column t of a transition matrix counts the tiles s with labels[s]
     equal to the primed label labels[t ^ flip] of t, less t ^ flip, which
-    is always one of them."""
-    count = Counter(labels)
+    is always one of them; count holds the number of tiles of each
+    label."""
     return tuple([count[x] - 1 for x in _primed(labels, flip)])
 
 
@@ -246,12 +256,16 @@ def stacked_matrix(ts: TilingSystem) -> IntMatrix:
     return IntMatrix(2 * n, n, tuple(rows))
 
 
-def _label_axis_connectivity(labels, flip: int, component: tuple[int, ...]) -> AxisConnectivity:
+def _label_axis_connectivity(
+    labels, flip: int, component: tuple[int, ...], degree: Counter
+) -> AxisConnectivity:
     """Connectivity of one tile graph read off its label multigraph.
 
     labels is b (resp. a) with flip 2 (resp. 1), so the primed label of t
-    is labels[t ^ flip], and component numbers the label components of
-    that axis (TilingSystem.components).  No tile edge is walked.
+    is labels[t ^ flip], component numbers the label components of that
+    axis (TilingSystem.components) and degree counts the tiles of each
+    label (TilingSystem.label_counts), which is its degree below.  No tile
+    edge is walked.
 
     Darts.  Let U be the multigraph on the labels with one edge
     labels[t] - labels[t ^ flip] per pair {t, t ^ flip}, a loop when the
@@ -308,7 +322,6 @@ def _label_axis_connectivity(labels, flip: int, component: tuple[int, ...]) -> A
     C, which is U when no label has degree 1.  Each connectivity holds iff
     there is no tile or its count is 1.
     """
-    degree = Counter(labels)
     weak = scc = _dart_components(degree, component)
     if 1 in degree.values():
         core, peeled = _two_core(labels, flip, degree)
@@ -417,9 +430,10 @@ def connectivity(ts: TilingSystem, c: SquareComplex) -> ConnectivityReport:
     b_plus = [not t & 2 for t in tiles]
     a_plus = [not t & 1 for t in tiles]
     b_components, a_components = ts.components
+    b_count, a_count = ts.label_counts
     return ConnectivityReport(
-        horizontal=_label_axis_connectivity(ts.b, 2, b_components),
-        vertical=_label_axis_connectivity(ts.a, 1, a_components),
+        horizontal=_label_axis_connectivity(ts.b, 2, b_components, b_count),
+        vertical=_label_axis_connectivity(ts.a, 1, a_components, a_count),
         gh_b_components=_edge_graph_components(2 * len(c.v_edges), b_components, ts.b, b_plus),
         gv_a_components=_edge_graph_components(2 * len(c.h_edges), a_components, ts.a, a_plus),
     )

@@ -35,7 +35,12 @@ the pipeline reads the position of each tile off a table.  The sparse rank over 
 p a parameter, 2^61 - 1 by default, and rank_mod_prime on an IntMatrix)
 moved here from treelat._kernels_py: the package counts the stacked
 kernel over Q, with the pivots of its one integer elimination, and the
-rank mod p stays as an independent route to that count.
+rank mod p stays as an independent route to that count.  The count
+itself keeps two earlier routes here: one orbit column per square
+(structured_kernel_dim_by_orbits), and one rank of its whole system,
+orbit columns and all (structured_kernel_dim_by_one_rank), where the
+certified path of the package clears the orbit columns with triangular
+rows first.
 """
 
 from bisect import bisect_left
@@ -1098,6 +1103,70 @@ def structured_kernel_dim_by_orbits(ts):
     ]
     c = IntMatrix(len(rows), w0 + n // 4, tuple(rows))
     return unknowns - rank(c)
+
+
+def structured_kernel_dim_by_one_rank(ts, label_image=None):
+    """dim ker S over Q, from the factors of S, as one rank of the whole
+    system C: the count of homology.structured_kernel_dim before it
+    cleared the orbit columns of its certified route with triangular rows.
+
+    C, its unknowns and its rows are those of structured_kernel_dim, whose
+    docstring derives them: with label_image None the orbit block is L,
+    formed from phi2, and otherwise the label rows of label_image, given
+    as the rows of Phi.B^T by label on the certified path, or any rows at
+    all, since unknowns - rank_Q(C) is the same number however rank_Q(C)
+    is taken.  Here it is zlinalg.rank of C, orbit columns and all.  The
+    label counts are counted here, not read off ts.label_counts.
+    """
+    from collections import Counter
+
+    from treelat.homology import _label_sums, _phi2_rows
+    from treelat.tiling_system import _primed
+    from treelat.zlinalg import IntMatrix, rank
+
+    b, a = ts.b, ts.a
+    n = len(b)
+    comp_b, comp_a = ts.components
+    z0 = 1 + max(comp_b, default=-1)
+    w0 = z0 + 1 + max(comp_a, default=-1)
+    yb = [comp_b[x] for x in b]
+    za = [z0 + comp_a[x] for x in a]
+    unknowns = len(set(yb)) + len(set(za)) + n // 4
+
+    rows = []
+    for y1, y2, z1, z2 in set(zip(yb[::4], yb[1::4], za[::4], za[2::4])):
+        acc = {}
+        for j, x in ((y1, 1), (y2, 1), (z1, -1), (z2, -1)):
+            acc[j] = acc.get(j, 0) + x
+        rows.append(acc)
+    b_primed, a_primed, za_h = _primed(b, 2), _primed(a, 1), _primed(za, 2)
+    b_rows = {x: {comp_b[x]: 2 * k - 4} for x, k in Counter(b).items()}
+    a_rows = {x: {z0 + comp_a[x]: k - 4} for x, k in Counter(a).items()}
+    for by_label, pairs, coeff in (
+        (b_rows, zip(b_primed, za), 1),
+        (b_rows, zip(b_primed, za_h), -1),
+        (a_rows, zip(a_primed, yb), 2),
+        (a_rows, zip(a_primed, za_h), -1),
+    ):
+        for (x, j), k in Counter(pairs).items():
+            acc = by_label[x]
+            acc[j] = acc.get(j, 0) + coeff * k
+
+    if label_image is None:
+        phi2 = _phi2_rows(n)
+        label_image = _label_sums(phi2, b, 2), _label_sums(phi2, a, 1)
+    for by_label, image in zip((b_rows, a_rows), label_image):
+        for x, acc in by_label.items():
+            for k, v in image[x]:
+                acc[w0 + k] = v
+        pair_label_rows(by_label)
+    c = list(
+        dict.fromkeys(
+            tuple(sorted([(j, x) for j, x in acc.items() if x]))
+            for acc in (*rows, *b_rows.values(), *a_rows.values())
+        )
+    )
+    return unknowns - rank(IntMatrix(len(c), w0 + n // 4, tuple(c)))
 
 
 def pair_label_rows(rows: dict[int, dict[int, int]]) -> None:

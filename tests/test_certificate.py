@@ -5,10 +5,13 @@ count of the stacked kernel on the component unknowns
 (homology.certified_theorem), with no basis of ker d2 or of ker S; verify
 forms both bases and checks them (homology.verify_main_theorem).  Here the
 count is held to the orbit-column count it replaced
-(_oracles.structured_kernel_dim_by_orbits), and the theorem block of
-analyze to that of verify and of the dense verifier, on the ladder, the
-small complexes, the presentation battery, random one-vertex complexes and
-products, and tampered tiles and chain maps.
+(_oracles.structured_kernel_dim_by_orbits) and, on the certified route, to
+the one rank of its whole system that the triangular rows replaced
+(_oracles.structured_kernel_dim_by_one_rank), also on crafted orbit blocks;
+and the theorem block of analyze to that of verify and of the dense
+verifier, on the ladder, the small complexes, the presentation battery,
+random one-vertex complexes and products, and tampered tiles and chain
+maps.
 """
 
 import dataclasses
@@ -22,11 +25,17 @@ from treelat.complex_model import load_complex, validate_vht
 from treelat.homology import structured_kernel_dim
 from treelat.mozes import generate_mozes_complex
 from treelat.tiling_system import build_tiling, stacked_matrix
-from treelat.zlinalg import IntMatrix, image_block, kernel_basis
+from treelat.zlinalg import IntMatrix, image_block, kernel_basis, rank
 
 import _complexes
 from _battery import retarget
-from _oracles import dense_verify, structured_kernel_dim_by_orbits, tile_squares
+from _oracles import (
+    dense_verify,
+    factor_tiling,
+    structured_kernel_dim_by_one_rank,
+    structured_kernel_dim_by_orbits,
+    tile_squares,
+)
 from test_presentation import FIXED, TRANSFORMS, document
 
 
@@ -110,20 +119,44 @@ def valid(text):
     return (c, v) if not v.errors else None
 
 
-def assert_counts_agree(ts, maps):
+def spy_clearing(monkeypatch):
+    """Record what every call of homology._clear_orbit_parts returns: (r,
+    rest) when the triangular rows clear the orbit columns, else None."""
+    original = homology._clear_orbit_parts
+    seen = []
+
+    def spy(rows, w0):
+        seen.append(original(rows, w0))
+        return seen[-1]
+
+    monkeypatch.setattr(homology, "_clear_orbit_parts", spy)
+    return seen
+
+
+def assert_counts_agree(ts, maps, cleared):
     """The count with either orbit block, L from phi2 and, when check (1)
-    holds, Phi.B^T, equals the orbit-column oracle; returns the label
-    image, None when check (1) fails."""
+    holds, Phi.B^T, equals the orbit-column oracle; with Phi.B^T it also
+    equals the one rank of its whole system, and the triangular rows clear
+    its orbit columns, rank d2 of them.  cleared is spy_clearing's record.
+    Returns the label image, None when check (1) fails."""
     oracle = structured_kernel_dim_by_orbits(ts)
     assert structured_kernel_dim(ts) == oracle
-    label_image = homology._label_image(ts, maps, image_block(maps.d2))
+    image = image_block(maps.d2)
+    label_image = homology._label_image(ts, maps, image)
     if label_image is not None:
+        del cleared[:]
         assert structured_kernel_dim(ts, label_image) == oracle
+        assert structured_kernel_dim_by_one_rank(ts, label_image) == oracle
+        ((r, rest),) = cleared
+        assert r == image.cols
+        w0 = len(set(ts.components[0])) + len(set(ts.components[1]))
+        assert all(j < w0 for row in rest for j, _ in row)
     return label_image
 
 
 @pytest.mark.parametrize("group", GROUPS)
-def test_count_on_component_unknowns_matches_the_orbit_oracle(group):
+def test_count_on_component_unknowns_matches_the_orbit_oracle(monkeypatch, group):
+    cleared = spy_clearing(monkeypatch)
     certified = 0
     for name, text in corpus(group).items():
         loaded = valid(text)
@@ -132,22 +165,128 @@ def test_count_on_component_unknowns_matches_the_orbit_oracle(group):
         c, _ = loaded
         tiles = c.edge_table.tiles
         ts = build_tiling(tiles, c)
-        if assert_counts_agree(ts, homology.chain_maps(c, tiles)) is not None:
+        if assert_counts_agree(ts, homology.chain_maps(c, tiles), cleared) is not None:
             certified += 1
     assert certified > 0
 
 
 @pytest.mark.parametrize("name", ["torus", "klein", "two_vertex_klein", "C3xC4", "C5xC5"])
-def test_count_reads_the_left_kernel_of_d2(name):
+def test_count_reads_the_left_kernel_of_d2(monkeypatch, name):
     # d2 has a left kernel here, so the label rows of the orbit block
     # Phi.B^T have relations beyond the pairs of the two directions of an
-    # edge, and check (1) still holds.
+    # edge, and check (1) still holds: rank d2 < |E|.
     c, _ = valid(small_documents()[name])
     tiles = c.edge_table.tiles
     maps = homology.chain_maps(c, tiles)
     image = image_block(maps.d2)
     assert image.rows > image.cols
-    assert assert_counts_agree(build_tiling(tiles, c), maps) is not None
+    cleared = spy_clearing(monkeypatch)
+    assert assert_counts_agree(build_tiling(tiles, c), maps, cleared) is not None
+
+
+def scaled(label_image, m):
+    return tuple(
+        {x: tuple((k, m * v) for k, v in row) for x, row in by_label.items()}
+        for by_label in label_image
+    )
+
+
+@pytest.mark.parametrize("name", ["5,13", "13,17", "f2xf2", "C5xC5"])
+def test_count_with_non_unit_diagonals(monkeypatch, name):
+    # M = 2 Phi.B^T and -3 Phi.B^T keep rank_Q(C), and every triangular
+    # row then has a non-unit diagonal: each reduction scales the row, and
+    # the count stays that of Phi.B^T (rank H2 on the ladder, where the
+    # certificate holds).
+    ladder = corpus("ladder")
+    c, _ = valid({**ladder, **small_documents()}[name])
+    tiles = c.edge_table.tiles
+    ts = build_tiling(tiles, c)
+    maps = homology.chain_maps(c, tiles)
+    image = image_block(maps.d2)
+    label_image = homology._label_image(ts, maps, image)
+    cleared = spy_clearing(monkeypatch)
+    count = structured_kernel_dim(ts, label_image)
+    if name in ladder:
+        assert count == maps.d2.cols - image.cols
+    for m in (2, -3):
+        crafted = scaled(label_image, m)
+        assert structured_kernel_dim(ts, crafted) == count
+        assert structured_kernel_dim_by_one_rank(ts, crafted) == count
+    assert [r for r, _ in cleared] == [image.cols] * 3
+
+
+def crafted_image(rng, ts, first, width):
+    """A label image for the labels of ts with random rows: the i-th label
+    of an axis gets a row ending at the i-th orbit column of first, ...,
+    width - 1, round and round, with a diagonal of 1, -1, 2 or -3, and
+    random entries before it.  With first > 0 no row ends at column 0;
+    with a small width most rows are reduced, and what is left of them
+    decides the count."""
+    ends = range(first, width) or range(width)
+    image = []
+    for labels in (ts.b, ts.a):
+        rows = {}
+        for i, x in enumerate(sorted(set(labels))):
+            k = ends[i % len(ends)]
+            row = [(j, rng.randint(-2, 2)) for j in range(k)]
+            row.append((k, rng.choice((1, -1, 2, -3))))
+            rows[x] = tuple((j, v) for j, v in row if v)
+        image.append(rows)
+    return tuple(image)
+
+
+def test_count_on_crafted_orbit_blocks(monkeypatch):
+    # Random labels, among them labels whose reversal is no label, with
+    # random orbit blocks: unknowns - rank(C) is one number however the
+    # rank is taken, so the count is the one-rank oracle's on every block.
+    # The triangular rows clear some blocks; where a reduced row reaches
+    # an orbit column that no row ends at, the count takes the one rank.
+    rng = random.Random(11)
+    cleared = spy_clearing(monkeypatch)
+    lonely = 0
+    for _ in range(300):
+        n = 4 * rng.randint(1, 4)
+        labels = [tuple(rng.randrange(7) for _ in range(n)) for _ in range(2)]
+        ts = factor_tiling(labels)
+        lonely += any(x ^ 1 not in ts.b for x in ts.b)
+        crafted = crafted_image(rng, ts, rng.randint(0, 1), rng.randint(1, n // 4))
+        assert structured_kernel_dim(ts, crafted) == structured_kernel_dim_by_one_rank(ts, crafted)
+    assert lonely > 0
+    assert None in cleared
+    assert sum(x is not None and x[0] > 1 for x in cleared) > 50
+
+
+def test_clearing_keeps_the_rank_of_random_systems():
+    # r + rank(rest) is the rank of the rows, on small random systems of a
+    # few component columns and a few orbit columns, where one row left
+    # unreduced, or reduced by a pick that does not end at its column,
+    # shows in the rank.
+    rng = random.Random(5)
+    cleared = 0
+    for _ in range(400):
+        w0, width = rng.randint(1, 3), rng.randint(1, 3)
+        rows = []
+        for _ in range(rng.randint(1, 6)):
+            row = [(j, rng.choice((0, 0, 1, -1, 2))) for j in range(w0 + width)]
+            rows.append(tuple((j, v) for j, v in row if v))
+        rows = list(dict.fromkeys(rows))
+        result = homology._clear_orbit_parts(rows, w0)
+        if result is None:
+            continue
+        r, rest = result
+        assert all(j < w0 for row in rest for j, _ in row)
+        expected = rank(IntMatrix(len(rows), w0 + width, tuple(rows)))
+        assert r + rank(IntMatrix(len(rest), w0, tuple(rest))) == expected, rows
+        cleared += 1
+    assert cleared > 100
+
+
+def test_count_of_an_empty_tiling(monkeypatch):
+    cleared = spy_clearing(monkeypatch)
+    ts = factor_tiling(((), ()))
+    assert structured_kernel_dim(ts, ({}, {})) == 0 == structured_kernel_dim(ts)
+    assert structured_kernel_dim_by_one_rank(ts, ({}, {})) == 0
+    assert cleared == [(0, [])]
 
 
 @pytest.mark.parametrize("slot", ["b_prime", "a_prime"])
@@ -159,7 +298,7 @@ def test_count_on_tampered_tiles_takes_the_orbit_block(mozes513, slot):
     ts = build_tiling(tiles, c)
     maps = homology.chain_maps(c, tiles)
     assert homology._label_image(ts, maps, image_block(maps.d2)) is None
-    assert assert_counts_agree(ts, maps) is None
+    assert assert_counts_agree(ts, maps, []) is None
     assert structured_kernel_dim(ts) == len(kernel_basis(stacked_matrix(ts)))
 
 

@@ -1,3 +1,5 @@
+import collections
+import dataclasses
 import functools
 import hashlib
 import json
@@ -14,6 +16,8 @@ from treelat import _kernels_py, cli, complex_model, homology, matio, tiling_sys
 from treelat.cli import analyze_document, main
 
 import _complexes
+import _oracles
+import test_certificate
 from _oracles import dense_verify, tile_squares
 from _battery import assert_tampered_tiles_build_the_operator_once
 
@@ -488,6 +492,55 @@ def count_reads(monkeypatch, cls, name):
     return seen
 
 
+@pytest.mark.parametrize("group", ["ladder", "small", "random1", "random2", "random3"])
+def test_column_sum_range_is_read_off_the_label_counts(group):
+    # build_report reads the range off the label counts; it is the least
+    # and the greatest column sum of m1 and of m2.
+    docs = test_certificate.corpus(group)
+    if group == "small":
+        docs["two_torus_components"] = _complexes.two_torus_components_doc()
+    analyzed = []
+    for name, text in docs.items():
+        _, analysis = analyze_document(text)
+        if analysis is None:
+            continue
+        analyzed.append(analysis)
+        report = cli.build_report(analysis, text.encode())
+        m1, m2 = analysis.tiling.column_sums()
+        assert report["tiling"]["column_sum_range"] == {
+            "m1": [min(m1), max(m1)],
+            "m2": [min(m2), max(m2)],
+        }, name
+    assert analyzed
+    # With no tile, both ranges are [0, 0].
+    empty = dataclasses.replace(analyzed[0], tiling=tiling_system.TilingSystem((), (), 1))
+    assert empty.tiling.column_sums() == ((), ())
+    report = cli.build_report(empty, b"")
+    assert report["tiling"]["column_sum_range"] == {"m1": [0, 0], "m2": [0, 0]}
+
+
+def test_one_analysis_counts_each_axis_labels_once(monkeypatch, mozes513_doc):
+    # The label counts of each axis are counted once, on the first read of
+    # TilingSystem.label_counts, and connectivity, the count of the stacked
+    # kernel and the report's column sums all read them.
+    counted = []
+
+    def counter(*args):
+        counted.append(args[0] if args else None)
+        return collections.Counter(*args)
+
+    for module in (tiling_system, homology):
+        monkeypatch.setattr(module, "Counter", counter)
+    reads = count_reads(monkeypatch, tiling_system.TilingSystem, "label_counts")
+    _, analysis = analyze_document(mozes513_doc)
+    cli.build_report(analysis, b"")
+    ts = analysis.tiling
+    assert analysis.theorem.holds
+    assert reads == [ts]
+    labels = [x for x in counted if isinstance(x, (tuple, list)) and list(x) in (list(ts.b), list(ts.a))]
+    assert labels == [ts.b, ts.a]
+
+
 def test_analysis_computes_each_kernel_once(monkeypatch, mozes513_doc):
     snf = count_calls(monkeypatch, zlinalg, "smith_normal_form")
     eliminations = count_calls(monkeypatch, zlinalg, "kernel_and_image")
@@ -584,9 +637,10 @@ def test_one_elimination_counts_the_stacked_kernel(monkeypatch):
     # The integer elimination is the one reduction behind H2, the Smith
     # form and the count of the stacked kernel: at (13,17) it reduces the
     # rows of d2^T, for the image block and, off the same pivots, its Smith
-    # form; then the rows of the system C of the count, with Phi.B^T as its
-    # orbit block, whose pivots are its rank over Q.  Neither carries the
-    # I part, and nothing else is eliminated.
+    # form; then the rows of the system C of the count, whose orbit
+    # columns the triangular rows of Phi.B^T have cleared, so that it has
+    # the component columns alone, and whose pivots are its rank over Q.
+    # Neither carries the I part, and nothing else is eliminated.
     systems = count_calls(monkeypatch, zlinalg, "rank")
     inputs = spy_eliminations(monkeypatch)
     _, analysis = analyze_document(treelat.generate_mozes_complex(13, 17))
@@ -598,7 +652,8 @@ def test_one_elimination_counts_the_stacked_kernel(monkeypatch):
     # The phi1 row of a reversed label is minus that of the label, and so
     # is its row of Phi.B^T.
     ts, maps = analysis.tiling, analysis.maps
-    label_image = homology._label_image(ts, maps, zlinalg.image_block(maps.d2))
+    image = zlinalg.image_block(maps.d2)
+    label_image = homology._label_image(ts, maps, image)
     pairs = 0
     for by_label in label_image:
         for x, row in by_label.items():
@@ -606,18 +661,26 @@ def test_one_elimination_counts_the_stacked_kernel(monkeypatch):
                 assert row == tuple((j, -v) for j, v in by_label[x ^ 1])
                 pairs += 1
     assert pairs == 16
-    # C's orbit columns, the last |F| of them, hold the rows of Phi.B^T of
-    # one label of each pair, and nothing in the reversal-sum rows and the
-    # tile rows, where the orbit parts cancel.
+    # The one-rank oracle takes the rank of the whole system, C with its
+    # |F| orbit columns.  Those hold the rows of Phi.B^T of one label of
+    # each pair, and nothing in the reversal-sum rows and the tile rows,
+    # where the orbit parts cancel.  C here has its component columns
+    # alone, and the r = rank d2 triangular rows make up the difference of
+    # the ranks.
+    assert _oracles.structured_kernel_dim_by_one_rank(ts, label_image) == analysis.k0.kernel_rank
+    whole = systems[1]
     images = [
         row
         for by_label in label_image
         for x, row in by_label.items()
         if not (x & 1 and x ^ 1 in by_label)
     ]
-    w0 = c.cols - len(ts.b) // 4
-    orbit = [tuple((j - w0, x) for j, x in row if j >= w0) for row in c.row_pairs]
-    assert sorted(orbit) == sorted([()] * (c.rows - len(images)) + images)
+    w0 = whole.cols - len(ts.b) // 4
+    orbit = [tuple((j - w0, x) for j, x in row if j >= w0) for row in whole.row_pairs]
+    assert sorted(orbit) == sorted([()] * (whole.rows - len(images)) + images)
+    assert c.cols == w0
+    assert all(j < w0 for row in c.row_pairs for j, _ in row)
+    assert zlinalg.rank(c) + image.cols == zlinalg.rank(whole)
 
 
 def test_export_of_the_stacked_matrix_builds_neither_transition_matrix(

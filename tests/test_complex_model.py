@@ -252,6 +252,84 @@ def test_bad_references_keep_their_messages_and_order():
     )
 
 
+def test_bad_edges_keep_their_messages_and_order():
+    # A well-formed edge, a dict of exactly id, origin and terminus, all
+    # strings, with both ends known, is taken in one hit; everything else
+    # takes the per-edge diagnosis.  Among them: edges that are not
+    # objects, a fourth key, an unknown key in place of a known one,
+    # missing keys, fields that are not strings (or cannot be hashed),
+    # unknown ends, keys in another order, and ids listed twice on one
+    # axis and across the axes.
+    def edge(i, o="v", t="v"):
+        return {"id": i, "origin": o, "terminus": t}
+
+    doc = {
+        "vertices": ["v", "u"],
+        "horizontal_edges": [
+            edge("a1"),
+            ["a2"],
+            "a3",
+            None,
+            dict(edge("a4"), color="red"),
+            {"id": "a5", "origin": "v", "weight": 1},
+            {"id": "a6", "origin": "v"},
+            {},
+            edge(7),
+            edge("a8", None),
+            edge("a9", "w", "x"),
+            edge("a10", "u", ["v"]),
+            edge("a11"),
+            edge("a11", "u", "u"),
+            edge("a12", "v", "u"),
+        ],
+        "vertical_edges": [
+            edge("b1"),
+            edge("a1"),
+            5,
+            {"terminus": "v", "id": "b2", "origin": "z"},
+            {"id": "b3", "terminus": "v", "origin": "v", "id2": "b3"},
+            edge("b4", "v", True),
+            edge("a12", "u", "v"),
+            edge("b1", "u", "u"),
+        ],
+        "squares": [],
+    }
+    with pytest.raises(ComplexFormatError) as exc:
+        load(json.dumps(doc))
+    assert exc.value.problems == (
+        "horizontal_edges[1] must be an object",
+        "horizontal_edges[2] must be an object",
+        "horizontal_edges[3] must be an object",
+        "horizontal_edges[4]: unknown keys ['color']",
+        "horizontal_edges[5]: unknown keys ['weight']",
+        "horizontal_edges[6]: missing keys ['terminus']",
+        "horizontal_edges[7]: missing keys ['id', 'origin', 'terminus']",
+        "horizontal_edges[8]: id, origin and terminus must be strings",
+        "horizontal_edges[9]: id, origin and terminus must be strings",
+        "horizontal_edges[10] ('a9'): unknown vertex 'w'",
+        "horizontal_edges[10] ('a9'): unknown vertex 'x'",
+        "horizontal_edges[11]: id, origin and terminus must be strings",
+        "vertical_edges[2] must be an object",
+        "vertical_edges[3] ('b2'): unknown vertex 'z'",
+        "vertical_edges[4]: unknown keys ['id2']",
+        "vertical_edges[5]: id, origin and terminus must be strings",
+        "duplicate edge id 'a11'",
+        "duplicate edge id 'a1'",
+        "duplicate edge id 'a12'",
+        "duplicate edge id 'b1'",
+    )
+    # With the bad edges gone, the edges keep their ids, ends and order,
+    # keys in any order.
+    doc["horizontal_edges"] = [edge("a1"), edge("a2", "v", "u")]
+    doc["vertical_edges"] = [{"terminus": "u", "id": "b1", "origin": "u"}]
+    c = load(json.dumps(doc))
+    assert [(e.id, e.origin, e.terminus) for e in c.h_edges + c.v_edges] == [
+        ("a1", "v", "v"),
+        ("a2", "v", "u"),
+        ("b1", "u", "u"),
+    ]
+
+
 # --- reflections and expansion ------------------------------------------------
 
 

@@ -319,7 +319,7 @@ def label_axis_connectivity(edges, flip):
     checked against the matrix oracle."""
     labels = label_lists(edges, 2 * len(edges), flip)
     component = tiling_system.label_components(labels, flip)
-    conn = tiling_system._label_axis_connectivity(labels, flip, component)
+    conn = tiling_system._label_axis_connectivity(labels, flip, component, Counter(labels))
     assert conn == axis_connectivity_by_matrix(tile_graph_by_definition(labels, flip))
     return conn
 
@@ -351,11 +351,11 @@ def test_label_axis_connectivity_strong_skips_the_union_find(monkeypatch):
     components = [tiling_system.label_components(x, 2) for x in (labels, leafy)]
     monkeypatch.setattr(tiling_system, "_UnionFind", refuse)
     monkeypatch.setattr(tiling_system, "_two_core", refuse)
-    conn = tiling_system._label_axis_connectivity(labels, 2, components[0])
+    conn = tiling_system._label_axis_connectivity(labels, 2, components[0], Counter(labels))
     assert (conn.weakly_connected, conn.strongly_connected, conn.scc_count) == (True, True, 1)
     with pytest.raises(AssertionError):
         # 0 - 0 and 0 - 1: the leaf 1 takes the peel
-        tiling_system._label_axis_connectivity(leafy, 2, components[1])
+        tiling_system._label_axis_connectivity(leafy, 2, components[1], Counter(leafy))
 
 
 def test_label_components_number_every_label_up_to_the_last():
