@@ -40,7 +40,6 @@ from treelat.mozes import (
     Quaternion,
     generate_mozes_complex,
     norm_quaternions,
-    solve_square_relation,
 )
 from treelat.tiling_system import (
     ConnectivityReport,
@@ -56,7 +55,6 @@ from treelat.zlinalg import (
     SmithDecomposition,
     cokernel_invariants,
     image_and_smith_form,
-    image_block,
     kernel_and_image,
     kernel_basis,
     rank,
@@ -91,7 +89,6 @@ __all__ = [
     "generate_mozes_complex",
     "homology_report",
     "image_and_smith_form",
-    "image_block",
     "k0_rank",
     "kernel_and_image",
     "kernel_basis",
@@ -100,7 +97,6 @@ __all__ = [
     "rank",
     "serialize_complex",
     "smith_normal_form",
-    "solve_square_relation",
     "stacked_kernel_basis",
     "stacked_matrix",
     "validate_vht",

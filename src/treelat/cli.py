@@ -172,10 +172,11 @@ def build_report(a: Analysis, input_bytes: bytes) -> dict:
     bytes, for the provenance digest.
 
     column_sum_range is [min, max] of the column sums of m1 and of m2, read
-    off the label counts (TilingSystem.label_counts) and not off the sums:
-    column t sums to count[labels[t ^ flip]] - 1 (TilingSystem.column_sums),
-    and t -> t ^ flip permutes the tiles, so the sums take exactly the
-    values count[x] - 1 of the labels x.  [0, 0] with no tile.
+    off the label counts (TilingSystem.label_counts): column t counts the
+    tiles with the primed label labels[t ^ flip] of t, less t ^ flip, and
+    t -> t ^ flip permutes the tiles, so the sums take exactly the values
+    count[x] - 1 of the labels x.  [0, 0] with no tile.  No input can assert
+    an irreducible lattice, so irreducible_lattice_asserted is false.
     """
 
     def span(count):
@@ -202,7 +203,7 @@ def build_report(a: Analysis, input_bytes: bytes) -> dict:
                 "gh_strongly_connected": a.k0.hypotheses.gh_strongly_connected,
                 "gv_strongly_connected": a.k0.hypotheses.gv_strongly_connected,
                 "matrices_irreducible": a.k0.hypotheses.matrices_irreducible,
-                "irreducible_lattice_asserted": a.k0.hypotheses.irreducible_lattice_asserted,
+                "irreducible_lattice_asserted": False,
                 "interpretation_supported": a.k0.hypotheses.interpretation_supported,
             },
         },

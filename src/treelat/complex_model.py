@@ -137,12 +137,6 @@ class SquareComplex:
                 deg[e.terminus][slot] += 1
         return {v: (h, w) for v, (h, w) in deg.items()}
 
-    def h_degree(self, vertex: str) -> int:
-        return self.degrees[vertex][0]
-
-    def v_degree(self, vertex: str) -> int:
-        return self.degrees[vertex][1]
-
 
 @dataclass(frozen=True)
 class ValidationIssue:
@@ -156,10 +150,6 @@ class ValidationReport:
     warnings: tuple[ValidationIssue, ...]
     degrees: tuple[tuple[str, int, int], ...]
     connected: bool
-
-    @property
-    def ok(self) -> bool:
-        return not self.errors
 
 
 def _degenerate_orbits(c: SquareComplex) -> list[int]:
@@ -459,14 +449,9 @@ class _UnionFind:
             x = parent[x]
         return x
 
-    def union(self, x: int, y: int) -> None:
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            self.parent[rx] = ry
-
     def union_all(self, pairs) -> None:
-        """union(x, y) for every pair (x, y), in one loop with the finds
-        written out."""
+        """Join the classes of x and y for every pair (x, y), in one loop
+        with the finds written out."""
         parent = self.parent
         for x, y in pairs:
             while parent[x] != x:

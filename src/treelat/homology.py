@@ -259,11 +259,11 @@ def structured_kernel_dim(ts: TilingSystem, label_image: LabelImage | None = Non
     holds at label resolution for the chain maps of a complex
     (certified_theorem): L = Phi.d2, Phi the phi1 row of each label.  It
     then holds the rows of Phi.B^T by label, a dict for the b labels and
-    one for the a labels, B^T the image block of d2 (zlinalg.image_block),
-    and M is Phi.B^T.  The columns of B^T are a basis over Q of the column
-    space of d2, so d2 = B^T.X' for a rational X' of full row rank
-    r = rank d2, and 4 L = (Phi.B^T).(4 X').  r <= |F|, so one width of
-    orbit columns serves both paths.
+    one for the a labels, B^T the image block of d2
+    (zlinalg.image_and_smith_form), and M is Phi.B^T.  The columns of B^T
+    are a basis over Q of the column space of d2, so d2 = B^T.X' for a
+    rational X' of full row rank r = rank d2, and 4 L = (Phi.B^T).(4 X').
+    r <= |F|, so one width of orbit columns serves both paths.
 
     Before the rank, the row of each reversed label x (x & 1) gets the row
     of its reversal x ^ 1 added, where x ^ 1 is a label too, and each
@@ -370,10 +370,11 @@ def _clear_orbit_parts(rows: list[Row], w0: int) -> tuple[int, list[Row]] | None
 
     With M = Phi.B^T, the certified path, that never happens, and r is the
     rank of d2.  Column k of B^T is pivot row k of the elimination of d2^T
-    (zlinalg.image_block), nonzero at its pivot edge c_k, where every
-    later pivot row is zero: row c_k of B^T ends at column k.  The edge c_k
-    lies on a square, since an integer combination of the columns of d2 is
-    nonzero there, and every edge on a square is a label of some tile.
+    (zlinalg.image_and_smith_form), nonzero at its pivot edge c_k, where
+    every later pivot row is zero: row c_k of B^T ends at column k.  The
+    edge c_k lies on a square, since an integer combination of the columns
+    of d2 is nonzero there, and every edge on a square is a label of some
+    tile.
     Its row of C has orbit part Phi[x].B^T = +-(row c_k of B^T), for the
     label x of c_k that keeps its orbit part through the reversal sums.
     So every orbit column has a row that ends at it, and a picked row is
@@ -585,10 +586,10 @@ def certified_theorem(
     """The TheoremVerdict of verify_main_theorem, read off check (1) and the
     count of the stacked kernel alone, or None when they do not certify it.
 
-    image is the image block B^T of d2 (zlinalg.image_block), ts the tiles
-    of c (tiling_system.build_tiling) and maps their chain maps.  The
-    certificate: phi2 is the one chain_maps builds (_phi2_rows), check (1)
-    S.phi2 = phi1.d2 holds at label resolution (_square_by_labels), and
+    image is the image block B^T of d2 (zlinalg.image_and_smith_form), ts
+    the tiles of c (tiling_system.build_tiling) and maps their chain maps.
+    The certificate: phi2 is the one chain_maps builds (_phi2_rows), check
+    (1) S.phi2 = phi1.d2 holds at label resolution (_square_by_labels), and
     the count dim ker_Q S (structured_kernel_dim, with Phi.B^T as its
     orbit block) equals rank ker d2 = |F| - rank d2, with rank d2 the
     columns of B^T.  No basis of ker d2 or of ker S is formed.  When it

@@ -20,11 +20,11 @@ with one product, _product, which Quaternion.__mul__ calls too.  The
 (l+1)(p+1) products y~ * x~ stream into one relation table keyed up to
 sign (_relation_table), and the (p+1)(l+1) products x * y stream through
 it, one lookup per pair (_solve_pair); neither product list is held.
-solve_square_relation runs on the same table.  The squares are built as
-integer edge codes, 2k + reversed per axis, and reflected by
-complex_model.orbit_codes, the formula the expansion uses; the emitted
-orbit representatives are those codes, the vertical ones shifted past the
-horizontal ones, as complex_model.EdgeTable numbers them.
+The squares are built as integer edge codes, 2k + reversed per axis, and
+reflected by complex_model.orbit_codes, the formula the expansion uses;
+the emitted orbit representatives are those codes, the vertical ones
+shifted past the horizontal ones, as complex_model.EdgeTable numbers
+them.
 """
 
 from __future__ import annotations
@@ -171,21 +171,6 @@ def _solve_pair(table: dict, x: tuple, y: tuple) -> tuple[int, int, int]:
         )
     j, i, sign = hits[0]
     return j, i, s * sign
-
-
-def solve_square_relation(
-    x: Quaternion, y: Quaternion, ql: GeneratorSet, qp: GeneratorSet
-) -> tuple[Quaternion, Quaternion, int]:
-    """The unique (y~, x~, sign) with x*y = sign * y~ * x~.
-
-    Looks x*y up among all products of ql x qp x {+1, -1}; anything other
-    than exactly one hit means the inputs are not a generator pair of this
-    construction.  build_mozes_complex builds the same table once and looks
-    every pair up in it.
-    """
-    table = _relation_table(list(map(_coords, ql.quats)), list(map(_coords, qp.quats)))
-    j, i, sign = _solve_pair(table, _coords(x), _coords(y))
-    return ql.quats[j], qp.quats[i], sign
 
 
 def _edge_codes(quats: list[tuple]) -> tuple[list[int], list[int]]:

@@ -19,7 +19,7 @@ The tiles of an orbit are the four reflections of one geometric square, so
 b'(t) = b(t^h) and a'(t) = a(t^v) for every tile: build_tiling, the one
 entry from tiles to a TilingSystem, checks that once, and a TilingSystem
 keeps b and a alone.  An analysis reads the tile and edge graphs, the
-column sums and the factors of the stacked operator off those labels; m1,
+label counts and the factors of the stacked operator off those labels; m1,
 m2 and the stacked matrix are built only on demand, each from the labels on
 its own: for export and on fallback.
 
@@ -95,15 +95,11 @@ class TilingSystem:
     @cached_property
     def label_counts(self) -> tuple[Counter, Counter]:
         """The number of tiles that carry each label, for b and for a,
-        counted once: the label degrees of connectivity, the label rows of
-        the count of the stacked kernel (homology.structured_kernel_dim)
-        and the column sums (column_sums, cli.build_report) read them."""
+        counted once: the label degrees and edge counts of connectivity,
+        the label rows of the count of the stacked kernel
+        (homology.structured_kernel_dim) and the column sum range of the
+        report (cli.build_report) read them."""
         return Counter(self.b), Counter(self.a)
-
-    def column_sums(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """The column sums of m1 and of m2, read off the labels."""
-        b_count, a_count = self.label_counts
-        return _column_sums(self.b, 2, b_count), _column_sums(self.a, 1, a_count)
 
 
 @dataclass(frozen=True)
@@ -136,7 +132,6 @@ class K0Hypotheses:
     gh_strongly_connected: bool
     gv_strongly_connected: bool
     matrices_irreducible: bool
-    irreducible_lattice_asserted: bool
     interpretation_supported: bool
 
 
@@ -214,14 +209,6 @@ def _minus_identity_rows(labels, flip: int) -> list[tuple]:
                 row = base[:k] + base[k + 1 : i] + ((s, -1),) + base[i:]
         rows.append(row)
     return rows
-
-
-def _column_sums(labels, flip: int, count: Counter) -> tuple[int, ...]:
-    """Column t of a transition matrix counts the tiles s with labels[s]
-    equal to the primed label labels[t ^ flip] of t, less t ^ flip, which
-    is always one of them; count holds the number of tiles of each
-    label."""
-    return tuple([count[x] - 1 for x in _primed(labels, flip)])
 
 
 def build_tiling(tiles: tuple[tuple[int, ...], ...], c: SquareComplex) -> TilingSystem:
@@ -388,18 +375,24 @@ def label_components(labels, flip: int) -> tuple[int, ...]:
 
 
 def _edge_graph_components(
-    n_vertices: int, component: tuple[int, ...], labels, oriented
+    n_vertices: int, component: tuple[int, ...], labels, flip: int, count: Counter
 ) -> tuple[EdgeGraphComponent, ...]:
     """The components of the edge graph on range(n_vertices) with an edge
     labels[t] - labels[t ^ flip] for every tile t, in the order of their
     least vertex, read off component = label_components(labels, flip); each
     edge counts in the component of labels[t], and as oriented when
-    oriented[t].  The vertices past the last one component numbers meet no
-    edge: each is a component of its own, after all the others."""
+    t & flip == 0.  count holds the tiles of each label
+    (TilingSystem.label_counts), and the oriented tiles are offsets 0 and
+    3 ^ flip of each orbit, so both counts add up per label, not per tile.
+    The vertices past the last one component numbers meet no edge: each is
+    a component of its own, after all the others."""
     n_comp = 1 + max(component, default=-1) + n_vertices - len(component)
     vert_count = Counter(component)
-    edge_count = Counter([component[x] for x in labels])
-    plus_count = Counter([component[x] for x, is_plus in zip(labels, oriented) if is_plus])
+    plus = Counter(labels[::4]) + Counter(labels[3 ^ flip :: 4])
+    edge_count, plus_count = Counter(), Counter()
+    for by_component, by_label in ((edge_count, count), (plus_count, plus)):
+        for x, d in by_label.items():
+            by_component[component[x]] += d
     return tuple(
         EdgeGraphComponent(
             vertices=vert_count.get(k, 1), edges=edge_count[k], oriented_edges=plus_count[k]
@@ -426,25 +419,17 @@ def connectivity(ts: TilingSystem, c: SquareComplex) -> ConnectivityReport:
     components and, when a label has degree 1, the 2-core of that
     multigraph (_label_axis_connectivity).
     """
-    tiles = range(len(ts.b))
-    b_plus = [not t & 2 for t in tiles]
-    a_plus = [not t & 1 for t in tiles]
     b_components, a_components = ts.components
     b_count, a_count = ts.label_counts
     return ConnectivityReport(
         horizontal=_label_axis_connectivity(ts.b, 2, b_components, b_count),
         vertical=_label_axis_connectivity(ts.a, 1, a_components, a_count),
-        gh_b_components=_edge_graph_components(2 * len(c.v_edges), b_components, ts.b, b_plus),
-        gv_a_components=_edge_graph_components(2 * len(c.h_edges), a_components, ts.a, a_plus),
+        gh_b_components=_edge_graph_components(2 * len(c.v_edges), b_components, ts.b, 2, b_count),
+        gv_a_components=_edge_graph_components(2 * len(c.h_edges), a_components, ts.a, 1, a_count),
     )
 
 
-def k0_rank(
-    ts: TilingSystem,
-    conn: ConnectivityReport,
-    kernel_rank: int,
-    irreducible_lattice_asserted: bool = False,
-) -> K0Result:
+def k0_rank(ts: TilingSystem, conn: ConnectivityReport, kernel_rank: int) -> K0Result:
     """Kernel rank of the stacked operator and the derived K-group ranks.
 
     conn is connectivity(ts, ...) and kernel_rank the rank of the kernel
@@ -453,8 +438,8 @@ def k0_rank(
     The ranks are always computed; the hypothesis flags record whether the
     operator-algebra reading of them (K_0 = K_1 of the boundary crossed
     product, each of rank twice the kernel rank) is supported on this
-    instance: a one-vertex complex or an asserted irreducible-lattice
-    provenance, plus strong connectivity of both tile graphs.
+    instance: a one-vertex complex whose tile graphs are both strongly
+    connected.
     """
     gh = conn.horizontal.strongly_connected
     gv = conn.vertical.strongly_connected
@@ -465,8 +450,7 @@ def k0_rank(
         gh_strongly_connected=gh,
         gv_strongly_connected=gv,
         matrices_irreducible=irreducible,
-        irreducible_lattice_asserted=irreducible_lattice_asserted,
-        interpretation_supported=(one_vertex or irreducible_lattice_asserted) and irreducible,
+        interpretation_supported=one_vertex and irreducible,
     )
     return K0Result(
         kernel_rank=kernel_rank,

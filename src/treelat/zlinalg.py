@@ -9,20 +9,19 @@ implementation; it is plain Python, so BACKEND is always "pure".  IntMatrix
 stores only the nonzeros of each row: the pipeline's operators are sparse
 0/+-1 matrices.  Every kernel basis and every solve comes from one sparse
 unimodular elimination (kernel_and_image), which reads the stored pairs; so
-do the column lattice alone (image_block) and the rank over Q (rank), its
-number of pivots, which leave its I part out, and the Smith form, which
-splits off the unit pivots and finishes the rest densely, keeping only its
-diagonal.  The pivot rows of one elimination give both the column lattice
-and the Smith form of a (image_and_smith_form), so an analysis eliminates
-d2 once for its image block and H1.  The Hermite kernel reduces the dense
-view.
+do the rank over Q (rank), its number of pivots, which leaves its I part
+out, and the Smith form, which splits off the unit pivots and finishes the
+rest densely, keeping only its invariant factors.  The pivot rows of one
+elimination give both the column lattice and the Smith form of a
+(image_and_smith_form), so an analysis eliminates d2 once for its image
+block and H1.  The Hermite kernel reduces dense vectors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from treelat import _kernels_py as _impl
 
@@ -32,11 +31,6 @@ BACKEND = "pure"
 Row = tuple[tuple[int, int], ...]
 
 
-def _pairs(row: Sequence[int]) -> Row:
-    """The (column, value) pairs of the nonzeros of a dense row of ints."""
-    return tuple([(j, row[j]) for j in compress(range(len(row)), row)])
-
-
 @dataclass(frozen=True)
 class IntMatrix:
     """Immutable integer matrix stored as canonical sparse rows.
@@ -44,10 +38,9 @@ class IntMatrix:
     row_pairs[i] holds the (column, value) pairs of the nonzeros of row i,
     sorted by column; entries are Python ints.  The form is canonical, so
     equality and hashing are structural.  The constructor trusts its
-    row_pairs to be canonical; from_rows, from_columns and
-    matio.read_triplets build them from outside input.  entries and
-    to_lists() are the dense views, for small matrices and the dense
-    reduction kernels.
+    row_pairs to be canonical; matio.read_triplets builds them from outside
+    input.  entries is the one dense view, through which kernel_basis
+    returns its vectors.
     """
 
     rows: int
@@ -60,31 +53,6 @@ class IntMatrix:
         if len(self.row_pairs) != self.rows:
             raise ValueError("row count does not match row_pairs")
 
-    @classmethod
-    def from_rows(cls, rows: Iterable[Sequence[int]], cols: int | None = None) -> "IntMatrix":
-        data = [[int(x) for x in row] for row in rows]
-        if cols is None:
-            cols = len(data[0]) if data else 0
-        if not set(map(len, data)) <= {cols}:
-            raise ValueError("ragged matrix rows")
-        return cls(len(data), cols, tuple(map(_pairs, data)))
-
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls(n, n, tuple(((i, 1),) for i in range(n)))
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls(rows, cols, ((),) * rows)
-
-    @classmethod
-    def from_columns(cls, columns: Sequence[Sequence[int]], rows: int | None = None) -> "IntMatrix":
-        if rows is None:
-            rows = len(columns[0]) if columns else 0
-        if not set(map(len, columns)) <= {rows}:
-            raise ValueError("ragged matrix columns")
-        return cls.from_rows(columns, cols=rows).transpose()
-
     def _dense(self, pairs: Row) -> list[int]:
         row = [0] * self.cols
         for j, x in pairs:
@@ -95,32 +63,6 @@ class IntMatrix:
     def entries(self) -> tuple[tuple[int, ...], ...]:
         """Dense rows, built on each access."""
         return tuple(tuple(self._dense(pairs)) for pairs in self.row_pairs)
-
-    def to_lists(self) -> list[list[int]]:
-        return [self._dense(pairs) for pairs in self.row_pairs]
-
-    def entry(self, i: int, j: int) -> int:
-        if not (0 <= i < self.rows and 0 <= j < self.cols):
-            raise IndexError("matrix index out of range")
-        for c, x in self.row_pairs[i]:
-            if c >= j:
-                return x if c == j else 0
-        return 0
-
-    def row(self, i: int) -> tuple[int, ...]:
-        if not 0 <= i < self.rows:
-            raise IndexError("row index out of range")
-        return tuple(self._dense(self.row_pairs[i]))
-
-    def column(self, j: int) -> tuple[int, ...]:
-        return tuple(self.entry(i, j) for i in range(self.rows))
-
-    def column_sums(self) -> tuple[int, ...]:
-        sums = [0] * self.cols
-        for pairs in self.row_pairs:
-            for j, x in pairs:
-                sums[j] += x
-        return tuple(sums)
 
     def transpose(self) -> "IntMatrix":
         # Rows are visited in order, so each column collects its pairs
@@ -197,14 +139,14 @@ class AbelianInvariants:
 
 @dataclass(frozen=True)
 class SmithDecomposition:
-    """Smith normal form d = u*a*v of a matrix a; the unimodular u and v
-    are not built.
+    """Smith normal form d = u*a*v of a matrix a with the given number of
+    rows; neither d nor the unimodular u and v is built.
 
-    d is diagonal; invariant_factors are its nonzero diagonal entries, each
-    dividing the next.
+    invariant_factors are the nonzero diagonal entries of d, each dividing
+    the next.
     """
 
-    d: IntMatrix
+    rows: int
     invariant_factors: tuple[int, ...]
 
     @property
@@ -214,7 +156,7 @@ class SmithDecomposition:
     def cokernel(self) -> AbelianInvariants:
         """Structure of Z^rows / column-span(a)."""
         return AbelianInvariants(
-            free_rank=self.d.rows - self.rank,
+            free_rank=self.rows - self.rank,
             torsion=tuple(x for x in self.invariant_factors if x > 1),
         )
 
@@ -230,11 +172,11 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
     from the one elimination that gives B^T.
     """
     _, pivots = _impl.unimodular_elimination(a.transpose().row_pairs, with_transform=False)
-    return _smith_of_pivots(pivots, a.rows, a.cols)
+    return _smith_of_pivots(pivots, a.rows)
 
 
-def _smith_of_pivots(pivots, rows: int, cols: int) -> SmithDecomposition:
-    """The Smith form of a rows x cols matrix a, from the pivots (c_k,
+def _smith_of_pivots(pivots, rows: int) -> SmithDecomposition:
+    """The Smith form of a matrix a with rows rows, from the pivots (c_k,
     image_k, _) of the elimination of the rows of a^T: the rows image_k of
     B, with B^T and zero columns what column operations leave of a.
 
@@ -254,8 +196,7 @@ def _smith_of_pivots(pivots, rows: int, cols: int) -> SmithDecomposition:
             touched.update(image)
     d = _impl.smith_diagonal([[image.get(j, 0) for j in touched] for image in kept])
     factors = (1,) * (len(pivots) - len(kept)) + tuple(d[i][i] for i in range(len(kept)))
-    diagonal = tuple(((i, x),) for i, x in enumerate(factors)) + ((),) * (rows - len(factors))
-    return SmithDecomposition(IntMatrix(rows, cols, diagonal), factors)
+    return SmithDecomposition(rows, factors)
 
 
 def _columns(vectors: list[dict[int, int]], rows: int) -> IntMatrix:
@@ -284,19 +225,12 @@ def kernel_and_image(a: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     return _columns(kernel, a.cols), _columns(images, a.rows)
 
 
-def image_block(a: IntMatrix) -> IntMatrix:
-    """B^T of kernel_and_image(a) up to the choice of pivots, without H: the
-    elimination of [a^T | I] with its I part left out
-    (_kernels_py.unimodular_elimination).  B^T is m x rank a and has the
-    column lattice of a, so it gives rank a (its number of columns) and the
-    cokernel of a; no basis of ker a is formed."""
-    _, pivots = _impl.unimodular_elimination(a.transpose().row_pairs, with_transform=False)
-    return _columns([image for _, image, _ in pivots], a.rows)
-
-
 def image_and_smith_form(a: IntMatrix) -> tuple[IntMatrix, SmithDecomposition]:
-    """(image_block(a), smith_normal_form(image_block(a))) from one
-    elimination, that of the rows of a^T without the I part.
+    """(B^T, the Smith form of B^T) from one elimination, that of the rows
+    of a^T without the I part: B^T is that of kernel_and_image(a) up to the
+    choice of pivots, m x rank a, and has the column lattice of a, so it
+    gives rank a (its number of columns) and the cokernel of a, and no
+    basis of ker a is formed.
 
     Its pivot rows are the rows of B, already echelon, so the Smith form of
     B^T is read off them (_smith_of_pivots) and B is neither transposed
@@ -305,7 +239,7 @@ def image_and_smith_form(a: IntMatrix) -> tuple[IntMatrix, SmithDecomposition]:
     """
     _, pivots = _impl.unimodular_elimination(a.transpose().row_pairs, with_transform=False)
     images = [image for _, image, _ in pivots]
-    return _columns(images, a.rows), _smith_of_pivots(pivots, a.rows, len(images))
+    return _columns(images, a.rows), _smith_of_pivots(pivots, a.rows)
 
 
 def kernel_basis(a: IntMatrix) -> tuple[tuple[int, ...], ...]:

@@ -27,9 +27,8 @@ from treelat.homology import (
 from treelat.tiling_system import build_tiling, stacked_matrix
 from treelat.zlinalg import (
     AbelianInvariants,
-    IntMatrix,
     hermite_row_basis,
-    image_block,
+    image_and_smith_form,
     kernel_and_image,
     kernel_basis,
     lattice_membership,
@@ -39,10 +38,12 @@ from treelat.zlinalg import (
 from treelat.zlinalg import rank as zlinalg_rank
 
 from _oracles import (
+    M,
     build_tiling_by_pairs,
     certified_snf_diagonal,
     connectivity_by_refs,
     dense_chain_maps,
+    dense_column_sums,
     dense_snf,
     dense_verify,
     expand_by_sigma,
@@ -54,10 +55,12 @@ from _oracles import (
     rank_mod_prime,
     ref_ends,
     sigma_act,
+    snf_diagonal,
     square_codes,
     stacked_phi2_from_factors,
     strongly_connected_by_closure,
     tile_labels,
+    transition_entries_by_definition,
     v_image_index,
     vh_image_index,
 )
@@ -84,29 +87,15 @@ def assert_instance_properties(analysis):
 
     # transition entries re-derived from the defining conditions
     n = len(r)
-    for t_idx in range(n):
-        t = r[t_idx]
-        for s_idx in range(n):
-            s = r[s_idx]
-            expected1 = int(s.b == t.b_prime and s_idx != h_image_index(t_idx))
-            expected2 = int(s.a == t.a_prime and s_idx != v_image_index(t_idx))
-            assert ts.m1.entry(s_idx, t_idx) == expected1
-            assert ts.m2.entry(s_idx, t_idx) == expected2
+    m1, m2 = ts.m1.entries, ts.m2.entries
+    assert (m1, m2) == transition_entries_by_definition(c)
 
     # the rows cut from shared label lists are the per-pair builder's
     assert (ts.m1, ts.m2) == build_tiling_by_pairs(r, c)
 
-    # column sums against transverse degrees, and read off the labels
-    origin, _ = ref_ends(c)
-    for t_idx, t in enumerate(r):
-        assert sum(ts.m1.column(t_idx)) == c.h_degree(origin(t.b_prime)) - 1
-        assert sum(ts.m2.column(t_idx)) == c.v_degree(origin(t.a_prime)) - 1
-    assert ts.column_sums() == (ts.m1.column_sums(), ts.m2.column_sums())
+    assert_column_sums(c, ts)
 
-    # the sparse chain maps equal the dense builder's, map by map
-    for name, (rows, cols) in dense_chain_maps(c, r).items():
-        built = psi if name == "psi" else getattr(maps, name)
-        assert built == IntMatrix.from_rows(rows, cols=cols), name
+    assert_chain_maps_are_the_dense_builders(c, maps, psi)
 
     # chain complex and commuting square, exactly
     assert maps.d1.mul(maps.d2).is_zero()
@@ -123,22 +112,12 @@ def assert_instance_properties(analysis):
     assert smith_normal_form(maps.phi1).rank == maps.phi1.cols
 
     # the retraction is diagonal with positive entries
-    prod = psi.mul(maps.phi1)
-    for i in range(prod.rows):
-        for j in range(prod.cols):
-            if i == j:
-                assert prod.entry(i, j) > 0
-            else:
-                assert prod.entry(i, j) == 0
+    assert_positive_diagonal(psi.mul(maps.phi1))
 
     # strong connectivity agrees with the reachability-closure oracle
     conn = analysis.connectivity
-    assert conn.horizontal.strongly_connected == strongly_connected_by_closure(
-        ts.m1.to_lists()
-    )
-    assert conn.vertical.strongly_connected == strongly_connected_by_closure(
-        ts.m2.to_lists()
-    )
+    assert conn.horizontal.strongly_connected == strongly_connected_by_closure(m1)
+    assert conn.vertical.strongly_connected == strongly_connected_by_closure(m2)
 
     # connectivity read off the labels is the one of Tarjan over the built
     # matrices and of the Ref-indexed edge graphs
@@ -153,13 +132,13 @@ def assert_instance_properties(analysis):
     # of each against that schedule
     for matrix in (maps.d2, stacked):
         s = smith_normal_form(matrix)
-        assert s.d.to_lists() == certified_snf_diagonal(matrix)
+        assert snf_diagonal(s, matrix.cols) == certified_snf_diagonal(matrix)
         assert_elimination_matches_dense_snf(matrix, random.Random(matrix.rows))
         factors = s.invariant_factors
         assert all(
             factors[i + 1] % factors[i] == 0 for i in range(len(factors) - 1)
         )
-        assert s.rank == rank_by_fraction_elimination(matrix.to_lists())
+        assert s.rank == rank_by_fraction_elimination(matrix.entries)
 
     # homology bookkeeping
     hom = analysis.homology
@@ -174,7 +153,7 @@ def assert_instance_properties(analysis):
 
     # the kernel lattice, certified or not, is the dense Smith form's
     h2_basis = kernel_basis(maps.d2)
-    h = IntMatrix.from_columns(h2_basis, rows=maps.d2.cols)
+    h = M(h2_basis, maps.d2.cols).transpose()
     certified = stacked_kernel_basis(
         ts, maps, h, commuting_square(ts, maps, h)
     ).transpose().entries
@@ -205,8 +184,8 @@ def assert_instance_properties(analysis):
     crafted += [((lam, unit), h2_basis) for lam in orbits]
     for kernel, h2 in [(dense, h2_basis), (certified, h2_basis + (chain,)), ((), ())] + crafted:
         expected = dense_verify(c, r, maps, stacked, kernel, h2)
-        k = IntMatrix.from_columns(kernel, rows=n)
-        h = IntMatrix.from_columns(h2, rows=maps.d2.cols)
+        k = M(kernel, n).transpose()
+        h = M(h2, maps.d2.cols).transpose()
         square = commuting_square(ts, maps, h)
         assert verify_main_theorem(c, tiles, maps, k, h, square) == expected
 
@@ -217,10 +196,39 @@ def assert_instance_properties(analysis):
         assert_rank_identity(analysis)
 
 
+def assert_column_sums(c, ts):
+    """The column sums of m1 and m2 against the transverse degrees, and read
+    off the label counts: column t sums to count[labels[t ^ flip]] - 1."""
+    n = len(ts.b)
+    origin, _ = ref_ends(c)
+    sums1 = dense_column_sums(ts.m1.entries, n)
+    sums2 = dense_column_sums(ts.m2.entries, n)
+    for t_idx, t in enumerate(expand_by_sigma(c)):
+        assert sums1[t_idx] == c.degrees[origin(t.b_prime)][0] - 1
+        assert sums2[t_idx] == c.degrees[origin(t.a_prime)][1] - 1
+    b_count, a_count = ts.label_counts
+    assert sums1 == tuple(b_count[ts.b[t ^ 2]] - 1 for t in range(n))
+    assert sums2 == tuple(a_count[ts.a[t ^ 1]] - 1 for t in range(n))
+
+
+def assert_chain_maps_are_the_dense_builders(c, maps, psi):
+    """The sparse chain maps equal the dense builder's, map by map."""
+    for name, (rows, cols) in dense_chain_maps(c, expand_by_sigma(c)).items():
+        built = psi if name == "psi" else getattr(maps, name)
+        assert built == M(rows, cols), name
+
+
+def assert_positive_diagonal(m):
+    """m is square and diagonal, with positive diagonal entries."""
+    assert m.rows == m.cols
+    for i, pairs in enumerate(m.row_pairs):
+        assert len(pairs) == 1 and pairs[0][0] == i and pairs[0][1] > 0
+
+
 def assert_h0_is_the_smith_form_of_d1(c, hom, d1):
     """H0 and rank d1, which homology_report reads off the component count,
     are the cokernel and the rank of the dense Smith form of d1."""
-    _, d, _ = dense_snf(d1.to_lists())
+    _, d, _ = dense_snf([list(row) for row in d1.entries])
     factors = [d[i][i] for i in range(min(d1.rows, d1.cols)) if d[i][i]]
     assert hom.h0 == AbelianInvariants(d1.rows - len(factors), tuple(x for x in factors if x > 1))
     assert len(c.vertices) - c.component_count == len(factors)
@@ -234,37 +242,39 @@ def assert_elimination_matches_dense_snf(a, rng):
     - a.H = 0, and H has cols - rank columns;
     - the columns of H span the lattice of the last cols - rank columns
       of dense_snf's v (equal Hermite bases);
-    - B^T has dense_snf's invariant factors, and image_block(a), from
-      the elimination without its I part, the column lattice of B^T;
+    - B^T has dense_snf's invariant factors, and image_and_smith_form(a),
+      from the elimination without its I part, the column lattice of B^T
+      and those factors;
     - solve_exact(a, b) is solvable exactly when lattice_membership puts
       b in the span of the columns of a, and then a.x = b.  The targets
       are a random integer combination of the columns, that plus a unit
       vector, and twice a random column plus one."""
     h, image = kernel_and_image(a)
     if a.rows and a.cols:
-        _, d, v = dense_snf(a.to_lists())
+        _, d, v = dense_snf([list(row) for row in a.entries])
     else:
-        d, v = a.to_lists(), [[int(i == j) for j in range(a.cols)] for i in range(a.cols)]
+        d, v = a.entries, [[int(i == j) for j in range(a.cols)] for i in range(a.cols)]
     factors = tuple(d[i][i] for i in range(min(a.rows, a.cols)) if d[i][i])
     rank = len(factors)
     assert a.mul(h).is_zero()
     assert (h.rows, h.cols) == (a.cols, a.cols - rank)
     assert (image.rows, image.cols) == (a.rows, rank)
     tail = [[row[j] for row in v] for j in range(rank, a.cols)]
-    assert hermite_row_basis(h.transpose().to_lists()) == hermite_row_basis(tail)
+    assert hermite_row_basis(h.transpose().entries) == hermite_row_basis(tail)
     assert smith_normal_form(image).invariant_factors == factors
 
     # Without its I part the elimination keeps the column lattice and the
     # rank, and its kernel rows come back empty, one per dimension.
-    block = image_block(a)
+    block, s = image_and_smith_form(a)
     assert (block.rows, block.cols) == (a.rows, rank) == (a.rows, zlinalg_rank(a))
-    assert hermite_row_basis(block.transpose().to_lists()) == hermite_row_basis(
-        image.transpose().to_lists()
+    assert hermite_row_basis(block.transpose().entries) == hermite_row_basis(
+        image.transpose().entries
     )
+    assert s.invariant_factors == factors
     kernel, _ = _kernels_py.unimodular_elimination(a.transpose().row_pairs, with_transform=False)
     assert kernel == [{}] * (a.cols - rank)
 
-    columns = a.transpose().to_lists()
+    columns = a.transpose().entries
     combo = [0] * a.rows
     for col in columns:
         k = rng.randint(-2, 2)
@@ -278,11 +288,11 @@ def assert_elimination_matches_dense_snf(a, rng):
             targets.append([2 * x + (i == unit) for i, x in enumerate(col)])
     outcomes = []
     for b in targets:
-        x = solve_exact(a, IntMatrix.from_columns([b], rows=a.rows))
+        x = solve_exact(a, M([b], a.rows).transpose())
         solvable = lattice_membership(b, columns)
         assert (x is not None) == solvable
         if x is not None:
-            assert a.mul(x) == IntMatrix.from_columns([b], rows=a.rows)
+            assert a.mul(x) == M([b], a.rows).transpose()
         outcomes.append(solvable)
     return outcomes
 
@@ -319,9 +329,7 @@ def assert_rank_identity(analysis):
             assert all(total == 0 for total in sums.values())
 
     # the two kernel lattices coincide under phi2, both inclusions
-    image = [
-        maps.phi2.mul(IntMatrix.from_columns([vec])).column(0) for vec in h2_basis
-    ]
+    image = maps.phi2.mul(M(h2_basis, maps.phi2.cols).transpose()).transpose().entries
     for vec in image:
         assert lattice_membership(vec, stacked_basis)
     for lam in stacked_basis:
@@ -373,7 +381,7 @@ def assert_tampered_tiles_build_the_operator_once(monkeypatch, analysis, slot):
 
     monkeypatch.setattr(tiling_system, "stacked_matrix", counted)
     h2_basis = kernel_basis(maps.d2)
-    h = IntMatrix.from_columns(h2_basis, rows=maps.d2.cols)
+    h = M(h2_basis, maps.d2.cols).transpose()
     square = commuting_square(ts, maps, h)
     kernel = stacked_kernel_basis(ts, maps, h, square)
     assert built == [ts]

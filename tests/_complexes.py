@@ -1,6 +1,22 @@
 """Document builders and random valid-complex generators for the tests."""
 
+import importlib.util
 import json
+import random
+import sys
+from pathlib import Path
+
+LADDER = ((5, 13), (5, 17), (5, 29), (13, 17), (17, 29), (29, 37))
+
+
+def random_batch_documents(seed):
+    """The documents of perfbench's random-batch workload for this seed."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)  # its dataclasses look the module up
+    del sys.modules[spec.name]
+    return [item.doc for item in workloads.RandomBatch().build(None, random.Random(seed))]
 
 
 def ref(edge, reversed=False):

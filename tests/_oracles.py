@@ -9,12 +9,13 @@ builds as sparse rows).  The rank-identity verifier and H1 keep their
 earlier routes here: loops over every entry of every kernel vector, and
 the cycle basis of ker d1, read with its solve off the transforms of the
 dense Smith schedule.  Helpers that only tests call (the Bareiss
-determinant, lattice inclusion, the difference and vertical stack of two
-IntMatrix, the reflections of a tile index by their positional formula)
-live here too, as do the transition matrices built one pair at a time
-and the edge graphs indexed by directed edge, which the pipeline
-replaced with shared label lists and integer indices.  So are the routes
-the pipeline left for the tile labels: the retraction psi, which the
+determinant, lattice inclusion, an IntMatrix of dense rows (M), the
+difference and vertical stack of two IntMatrix, the reflections of a
+tile index by their positional formula) live here too, as do the
+transition matrices built one pair at a time or by their definition, and
+the edge graphs indexed by directed edge or counted one tile at a time,
+which the pipeline replaced with shared label lists and integer indices.
+So are the routes the pipeline left for the tile labels: the retraction psi, which the
 chain maps no longer carry, the labels read off it, the check of a built
 stacked matrix against their factors, the tiling system whose factors
 are a given pair of labels (factor_tiling), and Tarjan over the
@@ -255,15 +256,19 @@ def certified_snf_diagonal(a):
     certificate holds: u.a.v = d exactly, with det u and det v = +-1 by
     the Bareiss determinant.  The Smith form keeps no transform, so this is
     where the transforms of a Smith decomposition are checked."""
-    from treelat.zlinalg import IntMatrix
-
     if a.rows == 0 or a.cols == 0:
-        return a.to_lists()
-    u, d, v = (IntMatrix.from_rows(x) for x in dense_snf(a.to_lists()))
-    assert u.mul(a).mul(v) == d
-    assert determinant(u) in (1, -1)
-    assert determinant(v) in (1, -1)
-    return d.to_lists()
+        return dense(a)
+    u, d, v = dense_snf(dense(a))
+    assert M(u).mul(a).mul(M(v)) == M(d)
+    assert determinant(M(u)) in (1, -1)
+    assert determinant(M(v)) in (1, -1)
+    return d
+
+
+def snf_diagonal(s, cols):
+    """The d of the Smith form s of a matrix with cols columns, as lists."""
+    factors = s.invariant_factors + (0,) * s.rows
+    return [[factors[i] if i == j else 0 for j in range(cols)] for i in range(s.rows)]
 
 
 def solve_relation_by_search(x, y, ql, qp):
@@ -311,7 +316,7 @@ def write_dense_json_by_dumps(m):
     """The dense JSON form, written by json.dumps."""
     import json
 
-    doc = {"rows": m.rows, "cols": m.cols, "entries": m.to_lists()}
+    doc = {"rows": m.rows, "cols": m.cols, "entries": dense(m)}
     return json.dumps(doc, indent=2) + "\n"
 
 
@@ -459,6 +464,27 @@ def psi_matrix(c, tiles):
     return IntMatrix(n_edges, 2 * n_tiles, tuple(map(tuple, psi)))
 
 
+def M(rows, cols=None):
+    """The IntMatrix with these dense rows, of cols columns: by default the
+    length of the first row, 0 with no row."""
+    from treelat.zlinalg import IntMatrix
+
+    rows = [list(row) for row in rows]
+    cols = (len(rows[0]) if rows else 0) if cols is None else cols
+    assert all(len(row) == cols for row in rows), "ragged matrix rows"
+    pairs = tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in rows)
+    return IntMatrix(len(rows), cols, pairs)
+
+
+def identity(n):
+    return M([[int(i == j) for j in range(n)] for i in range(n)], n)
+
+
+def dense(m):
+    """The rows of the IntMatrix m as lists, read off m.entries."""
+    return [list(row) for row in m.entries]
+
+
 # Dense references for the sparse-row IntMatrix: each takes lists of row
 # lists and, where a row list cannot carry it, the column count.
 
@@ -471,10 +497,6 @@ def dense_product(a, b, cols):
 
 def dense_transpose(a, cols):
     return [[row[j] for row in a] for j in range(cols)]
-
-
-def dense_column(a, j):
-    return tuple(row[j] for row in a)
 
 
 def dense_column_sums(a, cols):
@@ -526,6 +548,20 @@ def v_image_index(idx):
 def vh_image_index(idx):
     """Index of t^vh for the expanded square at idx."""
     return (idx & ~3) | ((idx & 3) ^ 3)
+
+
+def transition_entries_by_definition(c):
+    """The entries of m1 and m2 of c straight from the defining conditions,
+    by a naive double loop over square labels and positional reflections."""
+    r = expand_by_sigma(c)
+    n = len(r)
+    m1 = [[0] * n for _ in range(n)]
+    m2 = [[0] * n for _ in range(n)]
+    for t in range(n):
+        for s in range(n):
+            m1[s][t] = int(r[s].b == r[t].b_prime and s != h_image_index(t))
+            m2[s][t] = int(r[s].a == r[t].a_prime and s != v_image_index(t))
+    return tuple(map(tuple, m1)), tuple(map(tuple, m2))
 
 
 def build_tiling_by_pairs(r, c):
@@ -627,8 +663,7 @@ def axis_connectivity_by_matrix(m):
     if not strong:
         uf = tiling_system._UnionFind(n)
         for t in range(n):
-            for s in adj[t]:
-                uf.union(t, s)
+            uf.union_all((t, s) for s in adj[t])
         weak = uf.component_count() == 1
     return tiling_system.AxisConnectivity(
         weakly_connected=weak,
@@ -646,8 +681,7 @@ def label_components_by_tiles(labels, flip):
 
     size = 1 + max(labels, default=-1)
     uf = _UnionFind(size)
-    for t, x in enumerate(labels):
-        uf.union(x, labels[t ^ flip])
+    uf.union_all((x, labels[t ^ flip]) for t, x in enumerate(labels))
     roots = [uf.find(x) for x in range(size)]
     number = {}
     for root in roots:
@@ -663,8 +697,7 @@ def edge_graph_components_by_pairs(n_vertices, endpoint_pairs, oriented):
     from treelat.tiling_system import EdgeGraphComponent, _UnionFind
 
     uf = _UnionFind(n_vertices)
-    for x, y in endpoint_pairs:
-        uf.union(x, y)
+    uf.union_all(endpoint_pairs)
     order = {}
     for v in range(n_vertices):
         order.setdefault(uf.find(v), len(order))
@@ -676,6 +709,25 @@ def edge_graph_components_by_pairs(n_vertices, endpoint_pairs, oriented):
         counts[k][1] += 1
         counts[k][2] += is_plus
     return tuple(EdgeGraphComponent(*k) for k in counts)
+
+
+def edge_graph_components_by_tiles(n_vertices, component, labels, oriented):
+    """tiling_system._edge_graph_components with one count per tile t: an
+    edge of the component of labels[t], oriented when oriented[t]."""
+    from collections import Counter
+
+    from treelat.tiling_system import EdgeGraphComponent
+
+    n_comp = 1 + max(component, default=-1) + n_vertices - len(component)
+    vert_count = Counter(component)
+    edge_count = Counter([component[x] for x in labels])
+    plus_count = Counter([component[x] for x, is_plus in zip(labels, oriented) if is_plus])
+    return tuple(
+        EdgeGraphComponent(
+            vertices=vert_count.get(k, 1), edges=edge_count[k], oriented_edges=plus_count[k]
+        )
+        for k in range(n_comp)
+    )
 
 
 def stacked_phi2_from_factors(phi2, factors):
@@ -917,7 +969,7 @@ def determinant(a):
     n = a.rows
     if n == 0:
         return 1
-    m = a.to_lists()
+    m = dense(a)
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -963,13 +1015,13 @@ def h1_by_cycle_basis(maps):
     from treelat.zlinalg import IntMatrix, cokernel_invariants
 
     n = maps.d1.cols
-    _, d, v = dense_snf(maps.d1.to_lists())
+    _, d, v = dense_snf(dense(maps.d1))
     rank = sum(1 for i in range(min(len(d), n)) if d[i][i])
     k = [row[rank:] for row in v]
     if rank == n:
-        return cokernel_invariants(IntMatrix.zeros(0, maps.d2.cols))
+        return cokernel_invariants(M([], maps.d2.cols))
     uk, dk, vk = dense_snf(k)
-    image = IntMatrix.from_rows(uk).mul(maps.d2).row_pairs
+    image = M(uk).mul(maps.d2).row_pairs
     if any(image[n - rank:]):
         raise AssertionError("boundary image escaped the cycle lattice")
     z = []
@@ -977,7 +1029,7 @@ def h1_by_cycle_basis(maps):
         if any(x % dk[i][i] for _, x in pairs):
             raise AssertionError("boundary image escaped the cycle lattice")
         z.append(tuple([(j, x // dk[i][i]) for j, x in pairs]))
-    y = IntMatrix.from_rows(vk).mul(IntMatrix(n - rank, maps.d2.cols, tuple(z)))
+    y = M(vk).mul(IntMatrix(n - rank, maps.d2.cols, tuple(z)))
     return cokernel_invariants(y)
 
 
@@ -987,11 +1039,10 @@ def dense_verify(c, r, maps, stacked, stacked_kernel, h2_basis):
     operator, the reflection symmetries read off the index maps entry by
     entry, and the mu sums accumulated per vector."""
     from treelat.homology import TheoremVerdict
-    from treelat.zlinalg import IntMatrix
 
     n_tiles = len(r)
     n_cells = len(c.squares)
-    h2_image = maps.phi2.mul(IntMatrix.from_columns(h2_basis, rows=n_cells))
+    h2_image = maps.phi2.mul(M(h2_basis, n_cells).transpose())
 
     symmetries = True
     for lam in stacked_kernel:
@@ -1002,9 +1053,8 @@ def dense_verify(c, r, maps, stacked, stacked_kernel, h2_basis):
                 or lam[i] != lam[vh_image_index(i)]
             ):
                 symmetries = False
-    reps = IntMatrix.from_columns(
-        [[lam[4 * k] for k in range(n_cells)] for lam in stacked_kernel], rows=n_cells
-    )
+    reps = M([[lam[4 * k] for k in range(n_cells)] for lam in stacked_kernel], n_cells)
+    reps = reps.transpose()
     in_image = maps.phi2.mul(reps).transpose().entries == tuple(map(tuple, stacked_kernel))
 
     mu_ok = True
@@ -1256,8 +1306,7 @@ def validate_vht_by_refs(c):
     else:
         index = {v: i for i, v in enumerate(c.vertices)}
         uf = _UnionFind(len(c.vertices))
-        for e in c.h_edges + c.v_edges:
-            uf.union(index[e.origin], index[e.terminus])
+        uf.union_all((index[e.origin], index[e.terminus]) for e in c.h_edges + c.v_edges)
         n_comp = uf.component_count()
         connected = n_comp == 1
         if not connected:

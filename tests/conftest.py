@@ -1,9 +1,19 @@
 import pytest
 
-from treelat.cli import analyze_document
+from treelat.cli import analyze_document, main
 from treelat.mozes import generate_mozes_complex
 
 import _complexes
+
+
+@pytest.fixture()
+def runner(capsys):
+    def run(*argv):
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    return run
 
 
 @pytest.fixture(scope="session")

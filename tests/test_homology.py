@@ -29,12 +29,14 @@ from treelat.zlinalg import (
 import _complexes
 import _oracles
 from _battery import (
+    assert_chain_maps_are_the_dense_builders,
     assert_h0_is_the_smith_form_of_d1,
     assert_instance_properties,
+    assert_positive_diagonal,
     assert_tampered_tiles_build_the_operator_once,
 )
 from _oracles import (
-    dense_chain_maps,
+    M,
     dense_verify,
     expand_by_sigma,
     factor_tiling,
@@ -168,26 +170,19 @@ def test_phi_maps_injective(corpus):
 def test_psi_phi1_diagonal_positive(corpus):
     for analysis in corpus.values():
         psi = psi_matrix(analysis.complex, analysis.complex.edge_table.tiles)
-        prod = psi.mul(analysis.maps.phi1)
-        assert prod.rows == prod.cols
-        for i in range(prod.rows):
-            for j in range(prod.cols):
-                if i == j:
-                    assert prod.entry(i, j) > 0
-                else:
-                    assert prod.entry(i, j) == 0
+        assert_positive_diagonal(psi.mul(analysis.maps.phi1))
 
 
 def test_psi_phi1_entries_are_twice_transverse_degrees(mozes513):
     # one-vertex (p+1, l+1)-regular complex: 2(l+1) on horizontal rows,
     # 2(p+1) on vertical rows
     c = mozes513.complex
-    prod = psi_matrix(c, c.edge_table.tiles).mul(mozes513.maps.phi1)
+    prod = psi_matrix(c, c.edge_table.tiles).mul(mozes513.maps.phi1).entries
     eidx = {e.id: i for i, e in enumerate(c.h_edges + c.v_edges)}
     for e in c.h_edges:
-        assert prod.entry(eidx[e.id], eidx[e.id]) == 2 * (13 + 1)
+        assert prod[eidx[e.id]][eidx[e.id]] == 2 * (13 + 1)
     for e in c.v_edges:
-        assert prod.entry(eidx[e.id], eidx[e.id]) == 2 * (5 + 1)
+        assert prod[eidx[e.id]][eidx[e.id]] == 2 * (5 + 1)
 
 
 def test_verdict_on_mozes(mozes513, mozes517):
@@ -227,10 +222,10 @@ def test_verifier_flags_each_failed_edge_sum(mozes513):
     n = len(r)
     stacked = stacked_matrix(a.tiling)
     h2_basis = kernel_basis(a.maps.d2)
-    h = IntMatrix.from_columns(h2_basis, rows=a.maps.d2.cols)
+    h = M(h2_basis, a.maps.d2.cols).transpose()
 
     def mu_vanishes(vectors):
-        k = IntMatrix.from_columns(vectors, rows=n)
+        k = M(vectors, n).transpose()
         return verify_main_theorem(
             a.complex, tiles, a.maps, k, h, commuting_square(a.tiling, a.maps, h)
         ).mu_vanishes
@@ -262,8 +257,8 @@ def test_verifier_rejects_a_unit_vector(mozes513):
     h2_basis = kernel_basis(a.maps.d2)
     tiles = a.complex.edge_table.tiles
     unit = (tuple(int(i == 0) for i in range(len(tiles))),)
-    k = IntMatrix.from_columns(unit, rows=len(tiles))
-    h = IntMatrix.from_columns(h2_basis, rows=a.maps.d2.cols)
+    k = M(unit, len(tiles)).transpose()
+    h = M(h2_basis, a.maps.d2.cols).transpose()
     verdict = verify_main_theorem(
         a.complex, tiles, a.maps, k, h, commuting_square(a.tiling, a.maps, h)
     )
@@ -317,7 +312,7 @@ def test_non_alternating_phi2_takes_the_product(monkeypatch, mozes513):
     assert stacked_phi2_from_factors(phi2, factors) is None
 
     h2_basis = kernel_basis(a.maps.d2)
-    h = IntMatrix.from_columns(h2_basis, rows=a.maps.d2.cols)
+    h = M(h2_basis, a.maps.d2.cols).transpose()
     original = IntMatrix.mul
     left_factors = []
 
@@ -341,7 +336,7 @@ def test_non_alternating_phi2_takes_the_product(monkeypatch, mozes513):
     assert sum(x is ts.stacked for x in left_factors) == 1
 
     kernel = kernel_basis(stacked)
-    k = IntMatrix.from_columns(kernel, rows=stacked.cols)
+    k = M(kernel, stacked.cols).transpose()
     verdict = verify_main_theorem(a.complex, a.complex.edge_table.tiles, maps, k, h, square)
     assert not verdict.diagram_commutes
     r = expand_by_sigma(a.complex)
@@ -357,7 +352,7 @@ def test_stacked_kernel_certificate_steps(corpus):
         stacked = stacked_matrix(a.tiling)
         h2_basis = kernel_basis(maps.d2)
         cells = maps.phi2.cols
-        image = maps.phi2.mul(IntMatrix.from_columns(h2_basis, rows=cells))
+        image = maps.phi2.mul(M(h2_basis, cells).transpose())
         vectors = image.transpose().entries
         # phi2(H) lies in the kernel, and phi2 has an integer left inverse:
         # coordinate 4k of each orbit.
@@ -372,7 +367,7 @@ def test_stacked_kernel_certificate_steps(corpus):
         assert upper >= len(dense) >= len(h2_basis), name
         certified = upper == len(h2_basis)
         assert certified == (name not in ("torus", "klein")), name
-        h = IntMatrix.from_columns(h2_basis, rows=cells)
+        h = M(h2_basis, cells).transpose()
         square = commuting_square(a.tiling, maps, h)
         basis = stacked_kernel_basis(a.tiling, maps, h, square).transpose().entries
         assert (basis == vectors) == certified, name
@@ -383,7 +378,7 @@ def test_stacked_kernel_certificate_steps(corpus):
 def test_stacked_kernel_matches_dense_oracle_on_mozes(p, l):
     _, a = analyze_document(generate_mozes_complex(p, l))
     stacked = stacked_matrix(a.tiling)
-    h = IntMatrix.from_columns(kernel_basis(a.maps.d2), rows=a.maps.d2.cols)
+    h = M(kernel_basis(a.maps.d2), a.maps.d2.cols).transpose()
     square = commuting_square(a.tiling, a.maps, h)
     certified = stacked_kernel_basis(a.tiling, a.maps, h, square).transpose().entries
     assert len(certified) == a.homology.h2_rank == (p - 1) * (l - 1) // 4 - 1
@@ -400,13 +395,13 @@ def test_verifier_tests_phi2_image_against_the_operator(mozes513):
     h2_basis = kernel_basis(a.maps.d2)
     cells = a.maps.d2.cols
     chain = tuple(int(k == 0) for k in range(cells))
-    assert not a.maps.d2.mul(IntMatrix.from_columns([chain], rows=cells)).is_zero()
+    assert not a.maps.d2.mul(M([chain], cells).transpose()).is_zero()
 
-    k = IntMatrix.from_columns(kernel, rows=stacked.cols)
+    k = M(kernel, stacked.cols).transpose()
     tiles = a.complex.edge_table.tiles
 
     def image_in_kernel(basis):
-        h = IntMatrix.from_columns(basis, rows=cells)
+        h = M(basis, cells).transpose()
         return verify_main_theorem(
             a.complex, tiles, a.maps, k, h, commuting_square(a.tiling, a.maps, h)
         ).phi2_image_in_kernel
@@ -419,10 +414,7 @@ def test_verifier_tests_phi2_image_against_the_operator(mozes513):
 def test_chain_maps_match_the_dense_builder_on_mozes513(mozes513_doc):
     c = load_complex(mozes513_doc)
     maps = chain_maps(c, c.edge_table.tiles)
-    psi = psi_matrix(c, c.edge_table.tiles)
-    for name, (rows, cols) in dense_chain_maps(c, expand_by_sigma(c)).items():
-        built = psi if name == "psi" else getattr(maps, name)
-        assert built == IntMatrix.from_rows(rows, cols=cols), name
+    assert_chain_maps_are_the_dense_builders(c, maps, psi_matrix(c, c.edge_table.tiles))
 
 
 @pytest.mark.parametrize("p,l", [(5, 13), (5, 17), (13, 17)])
@@ -474,7 +466,7 @@ def test_structured_count_is_the_kernel_rank_on_random_one_vertex_complexes(seed
 def _certified(a):
     """(H2 basis, h, square, certified kernel) of an analysis, recomputed."""
     h2_basis = kernel_basis(a.maps.d2)
-    h = IntMatrix.from_columns(h2_basis, rows=a.maps.d2.cols)
+    h = M(h2_basis, a.maps.d2.cols).transpose()
     square = commuting_square(a.tiling, a.maps, h)
     return h2_basis, h, square, stacked_kernel_basis(a.tiling, a.maps, h, square)
 
@@ -600,7 +592,7 @@ def test_tampered_kernel_flips_both_fourth_checks_together(mozes513):
     for scale in (2, -1):
         cases.append((tuple(tuple(scale * x for x in lam) for lam in vectors), True))
     for basis, holds in cases:
-        k = IntMatrix.from_columns(basis, rows=n)
+        k = M(basis, n).transpose()
         verdict = verify_main_theorem(a.complex, a.complex.edge_table.tiles, a.maps, k, h, square)
         assert verdict.kernel_symmetries_hold == verdict.kernel_in_phi2_image == holds
         r = expand_by_sigma(a.complex)

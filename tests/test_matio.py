@@ -9,11 +9,11 @@ from treelat.complex_model import expand_directed_squares, load_complex
 from treelat.homology import chain_maps
 from treelat.mozes import generate_mozes_complex
 from treelat.tiling_system import build_tiling, stacked_matrix
-from treelat.zlinalg import IntMatrix
 
 import _complexes
 from _battery import retarget
 from _oracles import (
+    M,
     stacked_matrix_by_minus_diagonal,
     triplets_by_dense_scan,
     write_dense_json_by_dumps,
@@ -28,7 +28,7 @@ def test_triplet_round_trip_random(mozes513):
         m = rng.randint(0, 6)
         n = rng.randint(0, 6)
         inputs.append(
-            IntMatrix.from_rows([[rng.randint(-5, 5) for _ in range(n)] for _ in range(m)], cols=n)
+            M([[rng.randint(-5, 5) for _ in range(n)] for _ in range(m)], n)
         )
     for a in inputs:
         text = matio.write_triplets(a)
@@ -37,17 +37,17 @@ def test_triplet_round_trip_random(mozes513):
 
 
 def test_zero_matrix_is_header_only():
-    text = matio.write_triplets(IntMatrix.zeros(3, 4))
+    text = matio.write_triplets(M([[0] * 4] * 3))
     assert text == "3 4\n"
 
 
 def test_triplets_sorted_one_indexed():
-    a = IntMatrix.from_rows([[0, 2], [-1, 0]])
+    a = M([[0, 2], [-1, 0]])
     assert matio.write_triplets(a) == "2 2\n1 2 2\n2 1 -1\n"
 
 
 def test_dense_json_carries_shape():
-    a = IntMatrix.zeros(0, 5)
+    a = M([], 5)
     doc = json.loads(matio.write_dense_json(a))
     assert doc == {"rows": 0, "cols": 5, "entries": []}
 
@@ -72,7 +72,7 @@ def test_read_rejects_a_repeated_position():
 
 def test_read_drops_explicit_zeros():
     a = matio.read_triplets("2 3\n2 3 -1\n1 2 0\n2 1 0\n1 1 7\n")
-    assert a == IntMatrix.from_rows([[7, 0, 0], [0, 0, -1]])
+    assert a == M([[7, 0, 0], [0, 0, -1]])
     assert a.row_pairs == (((0, 7),), ((2, -1),))
 
 
@@ -92,9 +92,9 @@ def test_writers_match_the_oracles_on_random_matrices():
             [rng.choice((-7, -2, -1, 1, 1, 2, 12)) if rng.random() < density else 0 for _ in range(n)]
             for _ in range(m)
         ]
-        assert_writers_match_the_oracles(IntMatrix.from_rows(rows, cols=n))
+        assert_writers_match_the_oracles(M(rows, n))
     for m, n in ((0, 0), (0, 3), (3, 0), (2, 2)):
-        assert_writers_match_the_oracles(IntMatrix.zeros(m, n))
+        assert_writers_match_the_oracles(M([[0] * n] * m, n))
 
 
 def exported_matrices(c):

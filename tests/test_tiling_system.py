@@ -1,119 +1,97 @@
-import importlib.util
 import random
-import sys
 from collections import Counter
-from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treelat import tiling_system
+from treelat import cli, tiling_system
 from treelat.complex_model import load_complex, expand_directed_squares, validate_vht
 from treelat.mozes import generate_mozes_complex
-from treelat.tiling_system import build_tiling, connectivity, k0_rank, stacked_matrix
-from treelat.zlinalg import IntMatrix, kernel_basis
+from treelat.tiling_system import build_tiling, connectivity, stacked_matrix
+from treelat.zlinalg import IntMatrix
 
 import _complexes
-from _battery import retarget
+from _complexes import LADDER, random_batch_documents
+from _battery import assert_column_sums, retarget
 from _oracles import (
+    M,
+    identity,
     axis_connectivity_by_matrix,
     build_tiling_by_pairs,
     connectivity_by_refs,
+    dense_column_sums,
     edge_graph_components_by_pairs,
+    edge_graph_components_by_tiles,
     expand_by_sigma,
     h_image_index,
     label_components_by_tiles,
     matches_factors,
     psi_matrix,
-    ref_ends,
     stacked_matrix_by_bisect,
     strongly_connected_by_closure,
     sub,
     tile_labels,
     tile_squares,
+    transition_entries_by_definition,
     v_image_index,
     vstack,
 )
 
 
-def rederive_entries(analysis):
-    """The transition-matrix entries straight from the defining conditions,
-    by a naive double loop over square labels and positional reflections."""
-    r = expand_by_sigma(analysis.complex)
-    n = len(r)
-    m1 = [[0] * n for _ in range(n)]
-    m2 = [[0] * n for _ in range(n)]
-    for t in range(n):
-        for s in range(n):
-            if r[s].b == r[t].b_prime and s != h_image_index(t):
-                m1[s][t] = 1
-            if r[s].a == r[t].a_prime and s != v_image_index(t):
-                m2[s][t] = 1
-    return m1, m2
-
-
 def test_entry_definitions_rederived(corpus):
     for name, analysis in corpus.items():
-        m1, m2 = rederive_entries(analysis)
-        assert analysis.tiling.m1.to_lists() == m1, name
-        assert analysis.tiling.m2.to_lists() == m2, name
+        ts = analysis.tiling
+        assert (ts.m1.entries, ts.m2.entries) == transition_entries_by_definition(analysis.complex)
 
 
 def test_h_image_never_adjacent(corpus):
     for analysis in corpus.values():
-        m1 = analysis.tiling.m1
-        m2 = analysis.tiling.m2
+        m1 = analysis.tiling.m1.entries
+        m2 = analysis.tiling.m2.entries
         for t in range(len(analysis.tiling.b)):
-            assert m1.entry(h_image_index(t), t) == 0
-            assert m2.entry(v_image_index(t), t) == 0
+            assert m1[h_image_index(t)][t] == 0
+            assert m2[v_image_index(t)][t] == 0
 
 
 def test_column_sums_match_degrees(corpus):
     for analysis in corpus.values():
-        c = analysis.complex
-        r = expand_by_sigma(c)
-        origin, _ = ref_ends(c)
-        for t_idx, t in enumerate(r):
-            expected1 = c.h_degree(origin(t.b_prime)) - 1
-            expected2 = c.v_degree(origin(t.a_prime)) - 1
-            assert sum(analysis.tiling.m1.column(t_idx)) == expected1
-            assert sum(analysis.tiling.m2.column(t_idx)) == expected2
+        assert_column_sums(analysis.complex, analysis.tiling)
 
 
 def test_horizontal_flip_transposes_adjacency(corpus):
     # m1[s][t] = m1[t^h][s^h]: reflecting both tiles swaps the roles of the
     # two sides of the shared edge.  Same for m2 with the vertical flip.
     for analysis in corpus.values():
-        m1 = analysis.tiling.m1
-        m2 = analysis.tiling.m2
+        m1 = analysis.tiling.m1.entries
+        m2 = analysis.tiling.m2.entries
         n = len(analysis.tiling.b)
         for t in range(n):
             for s in range(n):
-                assert m1.entry(s, t) == m1.entry(h_image_index(t), h_image_index(s))
-                assert m2.entry(s, t) == m2.entry(v_image_index(t), v_image_index(s))
+                assert m1[s][t] == m1[h_image_index(t)][h_image_index(s)]
+                assert m2[s][t] == m2[v_image_index(t)][v_image_index(s)]
 
 
 def test_torus_matrices_are_identity(torus):
-    assert torus.tiling.m1.entries == IntMatrix.identity(4).entries
-    assert torus.tiling.m2.entries == IntMatrix.identity(4).entries
-    for j in range(4):
-        assert sum(torus.tiling.m1.column(j)) == 1
+    assert torus.tiling.m1.entries == identity(4).entries
+    assert torus.tiling.m2.entries == identity(4).entries
+    assert dense_column_sums(torus.tiling.m1.entries, 4) == (1, 1, 1, 1)
 
 
 def test_mozes_column_sums(mozes513):
-    assert set(mozes513.tiling.m1.column_sums()) == {5}
-    assert set(mozes513.tiling.m2.column_sums()) == {13}
+    m1, m2 = mozes513.tiling.m1, mozes513.tiling.m2
+    assert set(dense_column_sums(m1.entries, m1.cols)) == {5}
+    assert set(dense_column_sums(m2.entries, m2.cols)) == {13}
 
 
 def test_stacked_shape_and_column_sums(corpus):
     stacked = stacked_matrix(corpus["mozes513"].tiling)
     assert (stacked.rows, stacked.cols) == (168, 84)
-    assert set(stacked.column_sums()) == {(5 - 1) + (13 - 1)}
+    assert set(dense_column_sums(stacked.entries, 84)) == {(5 - 1) + (13 - 1)}
     for name, analysis in corpus.items():
         ts = analysis.tiling
-        eye = IntMatrix.identity(len(ts.b))
+        eye = identity(len(ts.b))
         expected = vstack(sub(ts.m1, eye), sub(ts.m2, eye))
         assert stacked_matrix(ts) == expected, name
 
@@ -123,26 +101,22 @@ def test_stacked_kernel_annihilated_by_both_blocks(mozes513):
 
     ts = mozes513.tiling
     n = len(ts.b)
-    eye = IntMatrix.identity(n)
+    eye = identity(n)
     top = sub(ts.m1, eye)
     bottom = sub(ts.m2, eye)
     vectors = kernel_basis(stacked_matrix(ts))
     assert len(vectors) == 11
     for vec in vectors:
-        col = IntMatrix.from_columns([vec], rows=n)
+        col = M([vec], n).transpose()
         assert top.mul(col).is_zero()
         assert bottom.mul(col).is_zero()
 
 
 def test_strong_connectivity_equals_matrix_irreducibility(corpus):
-    for name, analysis in corpus.items():
-        conn = analysis.connectivity
-        assert conn.horizontal.strongly_connected == strongly_connected_by_closure(
-            analysis.tiling.m1.to_lists()
-        ), name
-        assert conn.vertical.strongly_connected == strongly_connected_by_closure(
-            analysis.tiling.m2.to_lists()
-        ), name
+    for name, a in corpus.items():
+        conn, ts = a.connectivity, a.tiling
+        for axis, m in ((conn.horizontal, ts.m1), (conn.vertical, ts.m2)):
+            assert axis.strongly_connected == strongly_connected_by_closure(m.entries), name
 
 
 def test_mozes_graphs_strongly_connected(mozes513, mozes517):
@@ -193,15 +167,12 @@ def test_k0_rank_values(mozes513, mozes517, f2xf2):
     assert mozes513.k0.hypotheses.interpretation_supported
 
 
-def test_k0_rank_user_assertion_flag(f2xf2):
-    stacked = stacked_matrix(f2xf2.tiling)
-    kernel_rank = len(kernel_basis(stacked))
-    result = k0_rank(
-        f2xf2.tiling, f2xf2.connectivity, kernel_rank, irreducible_lattice_asserted=True
-    )
-    assert result.hypotheses.irreducible_lattice_asserted
-    # the tile graphs are still reducible, so the interpretation stays off
-    assert not result.hypotheses.interpretation_supported
+def test_interpretation_needs_one_vertex_and_irreducible_matrices(corpus):
+    # No input can assert an irreducible lattice, and the report says so.
+    for a in [*corpus.values(), *(cli.analyze_document(d)[1] for d in random_batch_documents(1))]:
+        h = a.k0.hypotheses
+        assert h.interpretation_supported == (h.one_vertex and h.matrices_irreducible)
+        assert not cli.build_report(a, b"")["tiling"]["hypotheses"]["irreducible_lattice_asserted"]
 
 
 def test_random_complexes_rederive(seed=321):
@@ -209,18 +180,12 @@ def test_random_complexes_rederive(seed=321):
     for _ in range(6):
         doc = _complexes.random_one_vertex_doc(rng, 2, 2)
         c = load_complex(doc)
-        assert validate_vht(c).ok
-        r = expand_by_sigma(c)
+        assert not validate_vht(c).errors
         ts = build_tiling(expand_directed_squares(c), c)
-        n = len(r)
-        for t in range(n):
-            for s in range(n):
-                expected = 1 if (r[s].b == r[t].b_prime and s != h_image_index(t)) else 0
-                assert ts.m1.entry(s, t) == expected
+        m1 = ts.m1.entries
+        assert m1 == transition_entries_by_definition(c)[0]
         conn = connectivity(ts, c)
-        assert conn.horizontal.strongly_connected == strongly_connected_by_closure(
-            ts.m1.to_lists()
-        )
+        assert conn.horizontal.strongly_connected == strongly_connected_by_closure(m1)
 
 
 @pytest.mark.parametrize("p,l", [(5, 13), (5, 17), (5, 29), (13, 17), (17, 29)])
@@ -236,7 +201,10 @@ def test_label_lists_match_the_per_pair_builder_on_the_ladder(p, l):
     ts = build_tiling(tiles, c)
     assert connectivity(ts, c) == connectivity_by_refs(build_tiling(tiles, c), c, r)
     assert (ts.m1, ts.m2) == build_tiling_by_pairs(r, c)
-    assert ts.column_sums() == (ts.m1.column_sums(), ts.m2.column_sums())
+    n = len(tiles)
+    b_count, a_count = ts.label_counts
+    assert dense_column_sums(ts.m1.entries, n) == tuple(b_count[ts.b[t ^ 2]] - 1 for t in range(n))
+    assert dense_column_sums(ts.m2.entries, n) == tuple(a_count[ts.a[t ^ 1]] - 1 for t in range(n))
     built = stacked_matrix(build_tiling(tiles, c))
     assert matches_factors(built, *tile_labels(psi_matrix(c, tiles)))
 
@@ -285,7 +253,7 @@ def digraph(n, edges):
     rows = [[0] * n for _ in range(n)]
     for t, s in edges:
         rows[s][t] = 1
-    return IntMatrix.from_rows(rows, cols=n)
+    return M(rows, n)
 
 
 def test_axis_connectivity_weak_but_not_strong():
@@ -367,37 +335,32 @@ def test_label_components_number_every_label_up_to_the_last():
     oriented = (True, True, False, False)
     pairs = [(x, labels[t ^ 2]) for t, x in enumerate(labels)]
     assert tiling_system._edge_graph_components(
-        6, component, labels, oriented
+        6, component, labels, 2, Counter(labels)
     ) == edge_graph_components_by_pairs(6, pairs, oriented)
-
-
-def random_batch_documents(seed):
-    """The documents of the random-batch benchmark workload at seed."""
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
-    return [item.doc for item in workloads.RandomBatch().build(None, random.Random(seed))]
 
 
 def test_label_components_match_the_union_over_every_tile(corpus):
     # One union per distinct label pair of the tiles t with t & flip == 0
-    # gives the components of the union over every tile, on the corpus,
-    # the Mozes ladder and the random-batch documents of seeds 1-3.  The
-    # label lists with loops, parallel edges and labels no tile carries
-    # are in test_label_path_agrees_with_tile_tarjan_and_matrix_oracle.
-    docs = [generate_mozes_complex(p, l) for p, l in ((5, 13), (5, 17), (5, 29), (13, 17))]
-    for seed in (1, 2, 3):
-        docs += random_batch_documents(seed)
-    tilings = [analysis.tiling for analysis in corpus.values()]
-    for doc in docs:
-        c = load_complex(doc)
-        tilings.append(build_tiling(expand_directed_squares(c), c))
-    assert len(tilings) == 5 + 4 + 3 * 128
-    for ts in tilings:
-        for labels, flip in ((ts.b, 2), (ts.a, 1)):
-            expected = label_components_by_tiles(labels, flip)
-            assert tiling_system.label_components(labels, flip) == expected
+    # gives the components of the union over every tile, and the edge
+    # graphs, read off the label counts and the same tiles, count as one
+    # count per tile does: on the corpus, the other small complexes, the
+    # Mozes ladder and the random-batch documents of seeds 1-3.  The label
+    # lists with loops, parallel edges and labels no tile carries are in
+    # test_label_path_agrees_with_tile_tarjan_and_matrix_oracle.
+    docs = [generate_mozes_complex(p, l) for p, l in LADDER]
+    docs += [_complexes.two_vertex_klein_doc(), _complexes.two_torus_components_doc()]
+    docs += [doc for seed in (1, 2, 3) for doc in random_batch_documents(seed)]
+    complexes = [analysis.complex for analysis in corpus.values()] + list(map(load_complex, docs))
+    assert len(complexes) == 5 + 6 + 2 + 3 * 128
+    for c in complexes:
+        ts = build_tiling(expand_directed_squares(c), c)
+        sizes = (2 * len(c.v_edges), 2 * len(c.h_edges))
+        for labels, flip, count, n in zip((ts.b, ts.a), (2, 1), ts.label_counts, sizes):
+            component = tiling_system.label_components(labels, flip)
+            assert component == label_components_by_tiles(labels, flip)
+            got = tiling_system._edge_graph_components(n, component, labels, flip, count)
+            oriented = [not t & flip for t in range(len(labels))]
+            assert got == edge_graph_components_by_tiles(n, component, labels, oriented)
 
 
 def test_label_components_are_found_once_per_analysis(monkeypatch, mozes513_doc):
@@ -548,7 +511,7 @@ def test_a_leaf_of_the_label_multigraph_takes_the_peel(monkeypatch):
     g1 = (3, [(0, 1), (1, 2), (1, 2), (2, 2)])
     g2 = (1, [(0, 0), (0, 0)])
     c = load_complex(_complexes.product_doc(g1, g2))
-    assert validate_vht(c).ok
+    assert not validate_vht(c).errors
     r = expand_by_sigma(c)
     ts = build_tiling(expand_directed_squares(c), c)
     assert 1 in Counter(ts.b).values() and 1 not in Counter(ts.a).values()
