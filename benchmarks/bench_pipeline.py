@@ -16,13 +16,12 @@ validate_vht, expand_directed_squares, build_tiling, chain_maps,
 connectivity, image_and_smith_form (the elimination of d2 without its
 I part, and the Smith form of its image block off the same pivots),
 certified_theorem, homology_report, k0_rank and build_report; where the
-certificate fails, kernel_and_image, commuting_square,
-stacked_kernel_basis, verify_main_theorem and smith_normal_form (of the
-explicit path's image block) follow certified_theorem.  A function called
-inside a stage counts in that stage, and a stage called twice counts both
-calls.  Each
-time is the best of "repeat" full pipelines (REPEAT, or the pair's entry
-in REPEATS), each on a fresh load, so cached properties built by one run
+certificate fails, the explicit checks of cli._explicit_theorem,
+kernel_and_image, commuting_square, stacked_kernel_basis and
+verify_main_theorem, follow certified_theorem.  A function called inside
+a stage counts in that stage, and a stage called twice counts both
+calls.  Each time is the best of "repeat" full pipelines (REPEAT, or the
+pair's entry in REPEATS), each on a fresh load, so cached properties built by one run
 never shorten the next.  The pairs are the Mozes ladder (5,13) (5,17)
 (5,29) (13,17) with (17,29), (29,37) and (89,97); on the product of two
 40-cycles (1600 vertices, 3200 edges, 1600 squares) only load_complex and
@@ -32,14 +31,13 @@ The machine's speed drifts by up to a third over the minutes both sides
 take, and one interpreter can run slow, or fast, as a whole: with one
 round, a stage neither side changed read 10-15 % apart at (89,97), and
 (5,29) 1.6x apart in every stage.  So every pair runs in ROUNDS rounds,
-each an interpreter per side with the sides in alternating order, and
-each time in the table is the median over the rounds of each round's
-best (median_table), so that a drift reaches both sides alike, and one
-round that caught a slow or a fast window does not set a side's figure.
-Each round runs every pair once, so two rounds of one pair lie a whole
-round apart, and a slow window of the machine is spread over pairs and
-over both sides.  (89,97) repeats 12
-times: the machine (2 shared cores) slows for seconds at a time, and
+each an interpreter per side with the sides in alternating order, so that
+a drift reaches both sides alike, and each time in the table is the best
+over all rounds (best_table): a side's figure is that of its fast
+interpreter as soon as one round caught it.  Each round runs every pair
+once, so two rounds of one pair lie a whole round apart, and a slow
+window of the machine is spread over pairs and over both sides.
+(89,97) repeats 12 times: the machine (2 shared cores) slows for seconds at a time, and
 with both sides on the same code its total_s read up to 9 % apart at 3
 repeats, 30 % at 6 and 8 % at 12.  The generation of each Mozes pair,
 generate_mozes_complex, is timed apart as
@@ -47,7 +45,7 @@ generate_mozes_complex, is timed apart as
 and so is the export of its stacked matrix, expand_directed_squares ->
 build_tiling -> stacked_matrix -> write_triplets on a fresh load (not
 timed), as "export_s" (best of "repeat"); neither is part of "total_s",
-which sums the analysis stages of a round only.
+which sums the analysis stages of one round, the fastest.
 
 Every pair runs in its own interpreter, which reports its peak RSS.  The
 documents are made once, by this checkout, and handed to each run on
@@ -67,7 +65,6 @@ import platform
 import subprocess
 import sys
 from pathlib import Path
-from statistics import median
 
 ROOT = Path(__file__).resolve().parent.parent
 LADDER = ((5, 13), (5, 17), (5, 29), (13, 17), (17, 29), (29, 37), (89, 97))
@@ -179,19 +176,19 @@ def run_pair(src: Path, name: str, text: str) -> dict:
     return table
 
 
-def median_table(tables: list[dict]) -> dict:
-    """The stage table of the rounds of one document: each time the median
-    over the rounds of each round's best, total_s the median of the
-    rounds' totals, repeats added up, the largest peak RSS.  A median
-    drops the one round whose interpreter caught a fast or a slow window
-    of the machine, which a best over all rounds would keep."""
+def best_table(tables: list[dict]) -> dict:
+    """The stage table of the rounds of one document: each time, and
+    total_s, the best over the rounds, repeats added up, the largest peak
+    RSS.  A whole interpreter runs at one of two speeds about 1.6x apart,
+    and a median over a few rounds lands on either.  In A/A runs (both
+    sides on one checkout) the best over the rounds kept most uncontended
+    runs' total_s gaps within 3.3-10.5 %, the median of the rounds' bests
+    within 21-57 %."""
     merged = dict(tables[-1])
-    merged["stages_s"] = {
-        k: round(median([t["stages_s"][k] for t in tables]), 6) for k in merged["stages_s"]
-    }
+    merged["stages_s"] = {k: min(t["stages_s"][k] for t in tables) for k in merged["stages_s"]}
     for key in ("total_s", "generate_s", "export_s"):
         if key in merged:
-            merged[key] = round(median([t[key] for t in tables]), 6)
+            merged[key] = min(t[key] for t in tables)
     merged["repeat"] = sum(t["repeat"] for t in tables)
     merged["peak_rss_mb"] = max(t["peak_rss_mb"] for t in tables)
     return merged
@@ -229,7 +226,7 @@ def main(argv=None) -> int:
                 table = run_pair(trees[label], name, text)
                 rounds[label].setdefault(name, []).append(table)
     runs = {
-        label: {name: median_table(tables) for name, tables in by_name.items()}
+        label: {name: best_table(tables) for name, tables in by_name.items()}
         for label, by_name in rounds.items()
     }
     table = {
@@ -237,7 +234,7 @@ def main(argv=None) -> int:
             "python": platform.python_version(),
             "platform": platform.platform(),
             "nproc": len(os.sched_getaffinity(0)),
-            "clock": "time.perf_counter, median over rounds of the best of each repeat",
+            "clock": "time.perf_counter, best over all rounds and repeats",
         },
         "runs": runs,
     }

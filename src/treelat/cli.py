@@ -6,9 +6,10 @@ the provenance digest is derived from the input bytes alone), so identical
 input files produce byte-identical reports.
 
 Every command that takes a document reads, parses and validates it once,
-in _load; analyze and verify then run _analyze on the loaded complex, the
-one place the order of the analysis stages is written, which
-analyze_document runs too.
+in _load.  analyze runs _analyze on the loaded complex, the one place the
+order of the analysis stages is written, which analyze_document runs too.
+verify runs only the stages its verdict needs: the tiles, the tiling
+system, the chain maps and the explicit checks (_explicit_theorem).
 
 Exit codes: 0 success (warnings allowed), 1 on I/O or parse failures,
 2 on validation errors or bad parameters.
@@ -52,7 +53,7 @@ from treelat.tiling_system import (
     connectivity,
     k0_rank,
 )
-from treelat.zlinalg import image_and_smith_form, kernel_and_image, smith_normal_form
+from treelat.zlinalg import image_and_smith_form, kernel_and_image
 
 EXPORTABLE = ("m1", "m2", "stacked", "d1", "d2", "phi1", "phi2")
 
@@ -78,49 +79,51 @@ def analyze_document(text: str) -> tuple[ValidationReport, Analysis | None]:
     return validation, _analyze(c, validation)
 
 
-def _analyze(c: SquareComplex, validation: ValidationReport, explicit: bool = False) -> Analysis:
+def _analyze(c: SquareComplex, validation: ValidationReport) -> Analysis:
     """The analysis of a loaded complex that passed validation, in the one
     order of its stages.
 
+    The elimination of d2 without its I part gives the image block B^T,
+    whose columns give rank d2, and off the same pivots the one Smith form
+    of the analysis, for the torsion of H1 (zlinalg.image_and_smith_form).
     The theorem block is certified when it can be (homology.
-    certified_theorem): the elimination of d2 then keeps only its image
-    block, whose columns give rank d2, and the Smith form of that block,
-    read off the same pivots, gives the torsion of H1; check (1) and the
-    count of the stacked kernel on the component unknowns, both read off
-    the tile labels, give every check, and no basis of ker d2 or of ker S
-    is formed.  With explicit, or when the certificate fails, the verdict
-    comes from the explicit checks instead: the elimination of d2 with its
-    I part, for a basis H of ker d2; the commuting square; the stacked
-    kernel K, phi2.H when the square and the count certify that and
-    otherwise the elimination of S; and the checks of verify_main_theorem
-    on K and H.  The explicit path takes the Smith form of its own image
-    block, where the certified path has not already given one.
+    certified_theorem): check (1) and the count of the stacked kernel on
+    the component unknowns, both read off the tile labels, give every
+    check, and no basis of ker d2 or of ker S is formed.  When the
+    certificate fails, the verdict comes from the explicit checks instead
+    (_explicit_theorem).
     """
     tiles = expand_directed_squares(c)
     ts = build_tiling(tiles, c)
     maps = chain_maps(c, tiles)
     conn = connectivity(ts, c)
-    theorem = s2 = None
-    if not explicit:
-        image, s2 = image_and_smith_form(maps.d2)
-        theorem = certified_theorem(c, ts, maps, image)
-    if theorem is None:
-        h, image = kernel_and_image(maps.d2)
-        square = commuting_square(ts, maps, h)
-        kernel = stacked_kernel_basis(ts, maps, h, square)
-        theorem = verify_main_theorem(c, tiles, maps, kernel, h, square)
-    if s2 is None:
-        s2 = smith_normal_form(image)
+    image, s2 = image_and_smith_form(maps.d2)
+    theorem = certified_theorem(c, ts, maps, image) or _explicit_theorem(c, tiles, ts, maps)
     return Analysis(
         complex=c,
         validation=validation,
         tiling=ts,
         maps=maps,
-        homology=homology_report(c, maps, s2),
+        homology=homology_report(c, s2),
         connectivity=conn,
         k0=k0_rank(ts, conn, theorem.rank_ker_stacked),
         theorem=theorem,
     )
+
+
+def _explicit_theorem(
+    c: SquareComplex, tiles: tuple[tuple[int, ...], ...], ts: TilingSystem, maps: ChainMaps
+) -> TheoremVerdict:
+    """The verdict of the explicit checks, which read nothing from
+    certified_theorem: the elimination of d2 with its I part, for a basis
+    H of ker d2; the commuting square; the stacked kernel K, phi2.H when
+    the square and the count certify that and otherwise the elimination of
+    S; and the checks of verify_main_theorem on K and H.  verify runs it
+    alone, and analyze where the certificate fails."""
+    h, _ = kernel_and_image(maps.d2)
+    square = commuting_square(ts, maps, h)
+    kernel = stacked_kernel_basis(ts, maps, h, square)
+    return verify_main_theorem(c, tiles, maps, kernel, h, square)
 
 
 def _issues(items) -> list[dict]:
@@ -348,7 +351,9 @@ def cmd_verify(args) -> int:
     data, c, v = _load(args.path)
     if v.errors:
         return _validation_failure(data, c, v, args)
-    theorem = _theorem_dict(_analyze(c, v, explicit=True).theorem)
+    tiles = expand_directed_squares(c)
+    ts = build_tiling(tiles, c)
+    theorem = _theorem_dict(_explicit_theorem(c, tiles, ts, chain_maps(c, tiles)))
     if args.json:
         _emit(_to_json({"theorem": theorem, "provenance": _provenance(data)}), args.out)
     else:

@@ -148,8 +148,6 @@ class ValidationIssue:
 class ValidationReport:
     errors: tuple[ValidationIssue, ...]
     warnings: tuple[ValidationIssue, ...]
-    degrees: tuple[tuple[str, int, int], ...]
-    connected: bool
 
 
 def _degenerate_orbits(c: SquareComplex) -> list[int]:
@@ -480,8 +478,7 @@ def validate_vht(c: SquareComplex) -> ValidationReport:
     errors: list[ValidationIssue] = []
     warnings: list[ValidationIssue] = []
 
-    degrees = tuple((v, *c.degrees[v]) for v in c.vertices)
-    for v, hd, vd in degrees:
+    for v, (hd, vd) in c.degrees.items():
         if hd < 3:
             warnings.append(
                 ValidationIssue("low_h_degree", f"horizontal degree {hd} < 3 at vertex {v}")
@@ -493,16 +490,12 @@ def validate_vht(c: SquareComplex) -> ValidationReport:
 
     if not c.vertices:
         errors.append(ValidationIssue("disconnected", "complex has no vertices"))
-        connected = False
-    else:
-        n_comp = c.component_count
-        connected = n_comp == 1
-        if not connected:
-            errors.append(
-                ValidationIssue(
-                    "disconnected", f"complex has {n_comp} connected components"
-                )
+    elif c.component_count > 1:
+        errors.append(
+            ValidationIssue(
+                "disconnected", f"complex has {c.component_count} connected components"
             )
+        )
 
     for k in _degenerate_orbits(c):
         errors.append(
@@ -603,9 +596,4 @@ def validate_vht(c: SquareComplex) -> ValidationReport:
                     )
                 )
 
-    return ValidationReport(
-        errors=tuple(errors),
-        warnings=tuple(warnings),
-        degrees=degrees,
-        connected=connected,
-    )
+    return ValidationReport(errors=tuple(errors), warnings=tuple(warnings))

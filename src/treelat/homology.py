@@ -155,7 +155,7 @@ def chain_maps(c: SquareComplex, tiles: tuple[tuple[int, ...], ...]) -> ChainMap
     )
 
 
-def homology_report(c: SquareComplex, maps: ChainMaps, s2: SmithDecomposition) -> HomologyReport:
+def homology_report(c: SquareComplex, s2: SmithDecomposition) -> HomologyReport:
     """Integral homology in degrees 0, 1, 2.
 
     s2 is a Smith form with the rank and cokernel of d2, computed once by
@@ -163,7 +163,8 @@ def homology_report(c: SquareComplex, maps: ChainMaps, s2: SmithDecomposition) -
     lattice of d2 in rank(d2) columns instead of |F|, read off the pivots
     of the elimination that gives B^T (zlinalg.image_and_smith_form).  It
     is the one Smith form of an analysis.  H2 is the kernel of d2,
-    hence free: only its rank is reported.
+    hence free: only its rank is reported, |F| less rank d2, with one
+    column of d2 per square.
 
     d1 takes none.  It is the incidence matrix of the 1-skeleton: column e
     is t(e) - o(e), and a loop is a zero column.  Let k be the number of
@@ -187,7 +188,7 @@ def homology_report(c: SquareComplex, maps: ChainMaps, s2: SmithDecomposition) -
     coker = s2.cokernel()
     h1 = AbelianInvariants(free_rank=coker.free_rank - rank_d1, torsion=coker.torsion)
     euler = len(c.vertices) - (len(c.h_edges) + len(c.v_edges)) + len(c.squares)
-    h2_rank = maps.d2.cols - s2.rank
+    h2_rank = len(c.squares) - s2.rank
     return HomologyReport(
         h0=AbelianInvariants(free_rank=k, torsion=()),
         h1=h1,

@@ -1289,8 +1289,8 @@ def validate_vht_by_refs(c):
     errors = []
     warnings = []
 
-    degrees = tuple((v, *c.degrees[v]) for v in c.vertices)
-    for v, hd, vd in degrees:
+    for v in c.vertices:
+        hd, vd = c.degrees[v]
         if hd < 3:
             warnings.append(
                 ValidationIssue("low_h_degree", f"horizontal degree {hd} < 3 at vertex {v}")
@@ -1302,14 +1302,12 @@ def validate_vht_by_refs(c):
 
     if not c.vertices:
         errors.append(ValidationIssue("disconnected", "complex has no vertices"))
-        connected = False
     else:
         index = {v: i for i, v in enumerate(c.vertices)}
         uf = _UnionFind(len(c.vertices))
         uf.union_all((index[e.origin], index[e.terminus]) for e in c.h_edges + c.v_edges)
         n_comp = uf.component_count()
-        connected = n_comp == 1
-        if not connected:
+        if n_comp > 1:
             errors.append(
                 ValidationIssue("disconnected", f"complex has {n_comp} connected components")
             )
@@ -1393,9 +1391,4 @@ def validate_vht_by_refs(c):
                 )
             )
 
-    return ValidationReport(
-        errors=tuple(errors),
-        warnings=tuple(warnings),
-        degrees=degrees,
-        connected=connected,
-    )
+    return ValidationReport(errors=tuple(errors), warnings=tuple(warnings))

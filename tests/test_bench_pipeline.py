@@ -93,27 +93,29 @@ def test_perfbench_tracer_times_the_expansion_and_the_tiling():
     assert result["metrics"]["export"]["matio.export_bytes"] > 0
 
 
-def test_median_table_keeps_one_fast_round_out_of_the_figure():
+def test_best_table_takes_each_figure_from_its_fastest_round():
     spec = importlib.util.spec_from_file_location(
         "bench_pipeline", ROOT / "benchmarks" / "bench_pipeline.py"
     )
     bench = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench)
 
-    def table(stage, rss):
+    def table(stage, k0, rss):
         return {
             "tiles": 84,
             "repeat": 15,
-            "stages_s": {"image_block": stage, "k0_rank": 0.001},
-            "total_s": stage + 0.001,
+            "stages_s": {"image_and_smith_form": stage, "k0_rank": k0},
+            "total_s": round(stage + k0, 6),
             "peak_rss_mb": rss,
             "generate_s": stage,
             "export_s": stage,
         }
 
-    # One round caught a fast window (0.006 s); the other three read 0.010.
-    merged = bench.median_table([table(0.010, 30.0), table(0.006, 31.0)] + [table(0.010, 30.5)] * 2)
-    assert merged["stages_s"] == {"image_block": 0.010, "k0_rank": 0.001}
-    assert merged["total_s"] == 0.011
-    assert merged["generate_s"] == merged["export_s"] == 0.010
+    # One round caught a fast window (0.006 s); another ran k0_rank fastest.
+    tables = [table(0.010, 0.002, 30.0), table(0.006, 0.003, 31.0), table(0.010, 0.001, 30.5)]
+    merged = bench.best_table(tables + [table(0.012, 0.002, 30.5)])
+    assert merged["stages_s"] == {"image_and_smith_form": 0.006, "k0_rank": 0.001}
+    # total_s is the best round's total, not the sum of the stages' bests.
+    assert merged["total_s"] == 0.009
+    assert merged["generate_s"] == merged["export_s"] == 0.006
     assert (merged["repeat"], merged["peak_rss_mb"], merged["tiles"]) == (60, 31.0, 84)

@@ -24,8 +24,15 @@ from treelat import cli, homology
 from treelat.complex_model import load_complex, validate_vht
 from treelat.homology import structured_kernel_dim
 from treelat.mozes import generate_mozes_complex
-from treelat.tiling_system import build_tiling, stacked_matrix
-from treelat.zlinalg import IntMatrix, image_and_smith_form, kernel_basis, rank
+from treelat.tiling_system import build_tiling, connectivity, k0_rank, stacked_matrix
+from treelat.zlinalg import (
+    IntMatrix,
+    image_and_smith_form,
+    kernel_and_image,
+    kernel_basis,
+    rank,
+    smith_normal_form,
+)
 
 import _complexes
 from _complexes import LADDER
@@ -357,12 +364,17 @@ def test_tampered_maps_give_analyze_the_verdict_of_verify(monkeypatch, doc):
     for name, maps in tampered_maps(homology.chain_maps(c, tiles)).items():
         monkeypatch.setattr(cli, "chain_maps", lambda c, tiles, maps=maps: maps)
         analyzed = cli._analyze(c, v)
-        verified = cli._analyze(c, v, explicit=True)
-        assert analyzed.theorem == verified.theorem, name
+        ts = build_tiling(tiles, c)
+        verified = cli._explicit_theorem(c, tiles, ts, maps)
+        assert analyzed.theorem == verified, name
         assert cli._theorem_dict(analyzed.theorem) == dense_theorem(c, tiles, maps), name
-        assert analyzed.homology == verified.homology and analyzed.k0 == verified.k0, name
+        # The homology and K-ranks of an analysis that takes the explicit
+        # path and the Smith form of its own image block.
+        smith = smith_normal_form(kernel_and_image(maps.d2)[1])
+        assert analyzed.homology == homology.homology_report(c, smith), name
+        assert analyzed.k0 == k0_rank(ts, connectivity(ts, c), verified.rank_ker_stacked), name
         image = image_and_smith_form(maps.d2)[0]
-        if homology.certified_theorem(c, build_tiling(tiles, c), maps, image):
+        if homology.certified_theorem(c, ts, maps, image):
             certified.append(name)
     # Only the change that keeps check (1) is certified, and only where
     # the count agrees.
@@ -375,15 +387,15 @@ def test_tampered_tiles_give_analyze_the_verdict_of_verify(mozes513, slot, orbit
     c, v = valid(generate_mozes_complex(5, 13))
     tiles = retarget(mozes513, slot, orbit_major=orbit_major)
     c.edge_table.tiles = tiles
+    maps = homology.chain_maps(c, tiles)
     if not orbit_major:
         # build_tiling refuses tiles that are not orbit-major, on both paths
         with pytest.raises(ValueError):
             cli._analyze(c, v)
         with pytest.raises(ValueError):
-            cli._analyze(c, v, explicit=True)
+            cli._explicit_theorem(c, tiles, build_tiling(tiles, c), maps)
         return
     analyzed = cli._analyze(c, v)
-    assert analyzed.theorem == cli._analyze(c, v, explicit=True).theorem
-    maps = homology.chain_maps(c, tiles)
+    assert analyzed.theorem == cli._explicit_theorem(c, tiles, build_tiling(tiles, c), maps)
     assert cli._theorem_dict(analyzed.theorem) == dense_theorem(c, tiles, maps)
     assert not analyzed.theorem.diagram_commutes

@@ -587,25 +587,42 @@ def test_certified_path_forms_no_kernel_basis(monkeypatch, mozes513_doc):
 def test_failed_certificate_takes_the_explicit_path_once(monkeypatch, doc):
     # The count exceeds rank ker d2, so the certificate fails, and analyze
     # takes every step of the explicit path once: the elimination of d2,
-    # with its I part, and then that of S for the fallback kernel.
+    # with its I part, and then that of S for the fallback kernel.  The
+    # Smith form stays the one of image_and_smith_form.
     calls = count_paths(monkeypatch)
+    smith = count_calls(monkeypatch, zlinalg, "smith_normal_form")
     _, analysis = analyze_document(getattr(_complexes, doc)())
     assert not analysis.theorem.holds
     assert calls.pop("image_and_smith_form") == [analysis.maps.d2]
     assert len(calls.pop("certified_theorem")) == 1
     assert calls.pop("kernel_and_image") == [analysis.maps.d2, analysis.tiling.stacked]
     assert [len(seen) for seen in calls.values()] == [1, 1, 1]
+    assert smith == []
+
+
+# The stages of an analysis that the verdict of verify does not read.
+ANALYSIS_ONLY = (
+    (tiling_system, "connectivity"),
+    (homology, "homology_report"),
+    (tiling_system, "k0_rank"),
+    (zlinalg, "smith_normal_form"),
+    (zlinalg, "image_and_smith_form"),
+    (homology, "certified_theorem"),
+)
 
 
 def test_verify_takes_the_explicit_path(monkeypatch, runner, g513_file):
-    # verify checks explicit bases even where analyze would certify; the
-    # certified kernel phi2.H spares it the elimination of S.
-    calls = count_paths(monkeypatch)
+    # verify checks explicit bases even where analyze would certify, and
+    # runs only the stages its verdict reads: no connectivity, homology,
+    # K-ranks or Smith form.  The certified kernel phi2.H spares it the
+    # elimination of S.
+    explicit = {name: count_calls(monkeypatch, module, name) for module, name in EXPLICIT_PATH}
+    skipped = {name: count_calls(monkeypatch, module, name) for module, name in ANALYSIS_ONLY}
     code, out, err = runner("verify", g513_file, "--json")
     assert code == 0, err
     assert json.loads(out)["theorem"]["holds"]
-    assert calls.pop("image_and_smith_form") == [] and calls.pop("certified_theorem") == []
-    assert [len(seen) for seen in calls.values()] == [1, 1, 1, 1]
+    assert skipped == {name: [] for _, name in ANALYSIS_ONLY}
+    assert [len(seen) for seen in explicit.values()] == [1, 1, 1, 1]
 
 
 def spy_eliminations(monkeypatch):

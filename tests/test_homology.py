@@ -138,7 +138,7 @@ def test_one_vertex_d1_is_zero(mozes513):
 def test_h0_and_rank_d1_are_those_of_the_smith_form_of_d1(doc):
     c = load_complex(doc)
     maps = chain_maps(c, c.edge_table.tiles)
-    hom = homology_report(c, maps, smith_normal_form(kernel_and_image(maps.d2)[1]))
+    hom = homology_report(c, smith_normal_form(kernel_and_image(maps.d2)[1]))
     assert_h0_is_the_smith_form_of_d1(c, hom, maps.d1)
     assert hom.h1 == h1_by_cycle_basis(maps)
 
