@@ -37,9 +37,14 @@ over all rounds (best_table): a side's figure is that of its fast
 interpreter as soon as one round caught it.  Each round runs every pair
 once, so two rounds of one pair lie a whole round apart, and a slow
 window of the machine is spread over pairs and over both sides.
-(89,97) repeats 12 times: the machine (2 shared cores) slows for seconds at a time, and
-with both sides on the same code its total_s read up to 9 % apart at 3
-repeats, 30 % at 6 and 8 % at 12.  The generation of each Mozes pair,
+(29,37) and (89,97) repeat 12 times: the machine (2 shared cores) slows
+for seconds at a time, and with both sides on the same code the total_s
+of (89,97) read up to 9 % apart at 3 repeats, 30 % at 6 and 8 % at 12,
+and that of (29,37), whose run takes about 10 ms, 20-26 % apart at 5
+and within 1.4 % in two runs at 12.  The import of the package, before any stage runs, is timed once per
+interpreter as "import_s": with bytecode caching off
+(PYTHONDONTWRITEBYTECODE) it includes compiling the modules, as a first
+run of a fresh checkout does.  The generation of each Mozes pair,
 generate_mozes_complex, is timed apart as
 "generate_s" (best of "repeat", checked against the document handed in),
 and so is the export of its stacked matrix, expand_directed_squares ->
@@ -70,7 +75,7 @@ ROOT = Path(__file__).resolve().parent.parent
 LADDER = ((5, 13), (5, 17), (5, 29), (13, 17), (17, 29), (29, 37), (89, 97))
 CYCLE = 40
 REPEAT = 5
-REPEATS = {"5,13": 15, "5,17": 15, "5,29": 15, "13,17": 15, "89,97": 12}
+REPEATS = {"5,13": 15, "5,17": 15, "5,29": 15, "13,17": 15, "29,37": 12, "89,97": 12}
 ROUNDS = 4
 
 
@@ -91,16 +96,20 @@ def documents() -> dict[str, str]:
 def measure(text: str, validate_only: bool, pair: str | None, repeat: int) -> dict:
     """Best-of-repeat seconds of each stage on one document, and of the
     generation and the export of the Mozes pair "p,l" when one is given,
-    run in this interpreter against the treelat on sys.path."""
+    run in this interpreter against the treelat on sys.path, with the
+    seconds the first import of the package took."""
     import inspect
     import resource
     from time import perf_counter
 
+    start = perf_counter()
     from treelat import cli
     from treelat.complex_model import expand_directed_squares, load_complex
     from treelat.matio import write_triplets
     from treelat.mozes import generate_mozes_complex
     from treelat.tiling_system import build_tiling, stacked_matrix
+
+    import_s = perf_counter() - start
 
     data = text.encode()
     run: dict[str, float] = {}
@@ -152,6 +161,7 @@ def measure(text: str, validate_only: bool, pair: str | None, repeat: int) -> di
         "repeat": repeat,
         "stages_s": {k: round(x, 6) for k, x in best.items()},
         "total_s": round(sum(best.values()), 6),
+        "import_s": round(import_s, 6),
         "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
     }
     if generate_s is not None:
@@ -177,16 +187,16 @@ def run_pair(src: Path, name: str, text: str) -> dict:
 
 
 def best_table(tables: list[dict]) -> dict:
-    """The stage table of the rounds of one document: each time, and
-    total_s, the best over the rounds, repeats added up, the largest peak
-    RSS.  A whole interpreter runs at one of two speeds about 1.6x apart,
+    """The stage table of the rounds of one document: each time, total_s
+    and import_s, the best over the rounds, repeats added up, the largest
+    peak RSS.  A whole interpreter runs at one of two speeds about 1.6x apart,
     and a median over a few rounds lands on either.  In A/A runs (both
     sides on one checkout) the best over the rounds kept most uncontended
     runs' total_s gaps within 3.3-10.5 %, the median of the rounds' bests
     within 21-57 %."""
     merged = dict(tables[-1])
     merged["stages_s"] = {k: min(t["stages_s"][k] for t in tables) for k in merged["stages_s"]}
-    for key in ("total_s", "generate_s", "export_s"):
+    for key in ("total_s", "import_s", "generate_s", "export_s"):
         if key in merged:
             merged[key] = min(t[key] for t in tables)
     merged["repeat"] = sum(t["repeat"] for t in tables)

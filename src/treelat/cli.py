@@ -21,7 +21,7 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import treelat
 from treelat import matio
@@ -58,8 +58,7 @@ from treelat.zlinalg import image_and_smith_form, kernel_and_image
 EXPORTABLE = ("m1", "m2", "stacked", "d1", "d2", "phi1", "phi2")
 
 
-@dataclass
-class Analysis:
+class Analysis(NamedTuple):
     complex: SquareComplex
     validation: ValidationReport
     tiling: TilingSystem

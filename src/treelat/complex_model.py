@@ -25,10 +25,9 @@ reflection SIGMA_TAGS[t & 3] of square t >> 2.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import cached_property
 from json.encoder import encode_basestring_ascii
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 SIGMA_TAGS = ("1", "v", "h", "vh")
 
@@ -45,8 +44,7 @@ class DegenerateOrbitError(ValueError):
     """Raised when a reflection orbit collapses below its four elements."""
 
 
-@dataclass(frozen=True)
-class GeometricEdge:
+class GeometricEdge(NamedTuple):
     id: str
     origin: str
     terminus: str
@@ -99,15 +97,17 @@ class EdgeTable:
         return tuple(t for square in self._squares for t in orbit_codes(*square))
 
 
-@dataclass(frozen=True)
-class SquareComplex:
-    """squares holds the codes (a, b, a', b') of each orbit representative,
-    in document order (EdgeTable numbers the codes)."""
-
+class _SquareComplexFields(NamedTuple):
     vertices: tuple[str, ...]
     h_edges: tuple[GeometricEdge, ...]
     v_edges: tuple[GeometricEdge, ...]
     squares: tuple[tuple[int, int, int, int], ...]
+
+
+class SquareComplex(_SquareComplexFields):
+    """squares holds the codes (a, b, a', b') of each orbit representative,
+    in document order (EdgeTable numbers the codes).  No __slots__: the
+    cached properties below keep their values in the instance __dict__."""
 
     @cached_property
     def edge_table(self) -> EdgeTable:
@@ -138,14 +138,12 @@ class SquareComplex:
         return {v: (h, w) for v, (h, w) in deg.items()}
 
 
-@dataclass(frozen=True)
-class ValidationIssue:
+class ValidationIssue(NamedTuple):
     kind: str
     message: str
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     errors: tuple[ValidationIssue, ...]
     warnings: tuple[ValidationIssue, ...]
 

@@ -37,8 +37,8 @@ verify_main_theorem checks every step on explicit bases of both kernels.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from math import gcd
+from typing import NamedTuple
 
 from treelat.complex_model import SquareComplex
 from treelat.tiling_system import TilingSystem, _primed
@@ -53,24 +53,21 @@ from treelat.zlinalg import (
 )
 
 
-@dataclass(frozen=True)
-class ChainMaps:
+class ChainMaps(NamedTuple):
     d2: IntMatrix
     d1: IntMatrix
     phi2: IntMatrix
     phi1: IntMatrix
 
 
-@dataclass(frozen=True)
-class HomologyReport:
+class HomologyReport(NamedTuple):
     h0: AbelianInvariants
     h1: AbelianInvariants
     h2_rank: int
     euler_characteristic: int
 
 
-@dataclass(frozen=True)
-class TheoremVerdict:
+class TheoremVerdict(NamedTuple):
     """Instance-level check that phi2 maps ker d2 isomorphically onto
     the stacked-operator kernel lattice.
 

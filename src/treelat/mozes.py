@@ -29,8 +29,8 @@ them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import isqrt
+from typing import NamedTuple
 
 from treelat.complex_model import GeometricEdge, SquareComplex, orbit_codes, serialize_complex
 
@@ -43,15 +43,14 @@ class RelationSolveError(RuntimeError):
     """The defining relation had no, or more than one, solution."""
 
 
-@dataclass(frozen=True, order=True)
-class Quaternion:
+class Quaternion(NamedTuple):
     a0: int
     a1: int
     a2: int
     a3: int
 
     def __mul__(self, other: "Quaternion") -> "Quaternion":
-        return Quaternion(*_product(_coords(self), _coords(other)))
+        return Quaternion(*_product(self, other))
 
     def __neg__(self) -> "Quaternion":
         return Quaternion(-self.a0, -self.a1, -self.a2, -self.a3)
@@ -64,8 +63,8 @@ class Quaternion:
 
 
 def _coords(q: Quaternion) -> tuple[int, int, int, int]:
-    """q as the int 4-tuple (a0, a1, a2, a3), which orders as q does."""
-    return (q.a0, q.a1, q.a2, q.a3)
+    """q as the plain int 4-tuple (a0, a1, a2, a3), which orders as q does."""
+    return tuple(q)
 
 
 def _product(x: tuple, y: tuple) -> tuple[int, int, int, int]:
@@ -80,8 +79,7 @@ def _product(x: tuple, y: tuple) -> tuple[int, int, int, int]:
     )
 
 
-@dataclass(frozen=True)
-class GeneratorSet:
+class GeneratorSet(NamedTuple):
     prime: int
     quats: tuple[Quaternion, ...]
 

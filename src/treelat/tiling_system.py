@@ -35,15 +35,20 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from treelat.complex_model import SquareComplex, _UnionFind
 from treelat.zlinalg import IntMatrix
 
 
-@dataclass(frozen=True)
-class TilingSystem:
+class _TilingSystemFields(NamedTuple):
+    b: tuple[int, ...]
+    a: tuple[int, ...]
+    n_vertices: int
+
+
+class TilingSystem(_TilingSystemFields):
     """The tiles of a complex, orbit-major, by the integer labels of their
     sides.
 
@@ -64,11 +69,10 @@ class TilingSystem:
     s^h: the definition of m1, and likewise of m2 for a.  The stacked
     kernel (homology.structured_kernel_dim) and the commuting square read
     the operator off these factors, and never build it.
-    """
 
-    b: tuple[int, ...]
-    a: tuple[int, ...]
-    n_vertices: int
+    No __slots__: the cached properties keep their values in the instance
+    __dict__.
+    """
 
     @cached_property
     def m1(self) -> IntMatrix:
@@ -102,15 +106,13 @@ class TilingSystem:
         return Counter(self.b), Counter(self.a)
 
 
-@dataclass(frozen=True)
-class AxisConnectivity:
+class AxisConnectivity(NamedTuple):
     weakly_connected: bool
     strongly_connected: bool
     scc_count: int
 
 
-@dataclass(frozen=True)
-class EdgeGraphComponent:
+class EdgeGraphComponent(NamedTuple):
     """One component of an edge graph: |C0| vertices, |C1| edges, |C+| oriented."""
 
     vertices: int
@@ -118,16 +120,14 @@ class EdgeGraphComponent:
     oriented_edges: int
 
 
-@dataclass(frozen=True)
-class ConnectivityReport:
+class ConnectivityReport(NamedTuple):
     horizontal: AxisConnectivity
     vertical: AxisConnectivity
     gh_b_components: tuple[EdgeGraphComponent, ...]
     gv_a_components: tuple[EdgeGraphComponent, ...]
 
 
-@dataclass(frozen=True)
-class K0Hypotheses:
+class K0Hypotheses(NamedTuple):
     one_vertex: bool
     gh_strongly_connected: bool
     gv_strongly_connected: bool
@@ -135,8 +135,7 @@ class K0Hypotheses:
     interpretation_supported: bool
 
 
-@dataclass(frozen=True)
-class K0Result:
+class K0Result(NamedTuple):
     kernel_rank: int
     k0_rank: int
     k1_rank: int

@@ -19,9 +19,8 @@ block and H1.  The Hermite kernel reduces dense vectors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import compress
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from treelat import _kernels_py as _impl
 
@@ -31,8 +30,15 @@ BACKEND = "pure"
 Row = tuple[tuple[int, int], ...]
 
 
-@dataclass(frozen=True)
-class IntMatrix:
+# The fields of IntMatrix; a NamedTuple cannot define the __new__ that
+# checks them.
+class _IntMatrixFields(NamedTuple):
+    rows: int
+    cols: int
+    row_pairs: tuple[Row, ...]
+
+
+class IntMatrix(_IntMatrixFields):
     """Immutable integer matrix stored as canonical sparse rows.
 
     row_pairs[i] holds the (column, value) pairs of the nonzeros of row i,
@@ -43,15 +49,14 @@ class IntMatrix:
     returns its vectors.
     """
 
-    rows: int
-    cols: int
-    row_pairs: tuple[Row, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
+    def __new__(cls, rows: int, cols: int, row_pairs: tuple[Row, ...]):
+        if rows < 0 or cols < 0:
             raise ValueError("negative matrix dimension")
-        if len(self.row_pairs) != self.rows:
+        if len(row_pairs) != rows:
             raise ValueError("row count does not match row_pairs")
+        return tuple.__new__(cls, (rows, cols, row_pairs))
 
     def _dense(self, pairs: Row) -> list[int]:
         row = [0] * self.cols
@@ -129,16 +134,14 @@ def mul_rows(rows: Sequence[Row], below: Sequence[Row], cols: int) -> tuple[Row,
     return tuple(data)
 
 
-@dataclass(frozen=True)
-class AbelianInvariants:
+class AbelianInvariants(NamedTuple):
     """A finitely generated abelian group: Z^free_rank + sum of Z/t."""
 
     free_rank: int
     torsion: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class SmithDecomposition:
+class SmithDecomposition(NamedTuple):
     """Smith normal form d = u*a*v of a matrix a with the given number of
     rows; neither d nor the unimodular u and v is built.
 

@@ -14,7 +14,6 @@ random one-vertex complexes and products, and tampered tiles and chain
 maps.
 """
 
-import dataclasses
 import json
 import random
 
@@ -343,11 +342,11 @@ def tampered_maps(maps):
         return IntMatrix(m.rows, m.cols, tuple(rows))
 
     return {
-        "phi1_row": dataclasses.replace(maps, phi1=with_rows(maps.phi1, phi1)),
-        "phi2_row": dataclasses.replace(maps, phi2=with_rows(maps.phi2, phi2)),
-        "phi2_negated": dataclasses.replace(maps, phi2=negated(maps.phi2)),
-        "d2_entry": dataclasses.replace(maps, d2=with_rows(maps.d2, d2)),
-        "phi1_d2_negated": dataclasses.replace(maps, phi1=negated(maps.phi1), d2=negated(maps.d2)),
+        "phi1_row": maps._replace(phi1=with_rows(maps.phi1, phi1)),
+        "phi2_row": maps._replace(phi2=with_rows(maps.phi2, phi2)),
+        "phi2_negated": maps._replace(phi2=negated(maps.phi2)),
+        "d2_entry": maps._replace(d2=with_rows(maps.d2, d2)),
+        "phi1_d2_negated": maps._replace(phi1=negated(maps.phi1), d2=negated(maps.d2)),
     }
 
 

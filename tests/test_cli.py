@@ -1,5 +1,4 @@
 import collections
-import dataclasses
 import functools
 import hashlib
 import json
@@ -502,7 +501,7 @@ def test_column_sum_range_is_read_off_the_label_counts(group):
         }, name
     assert analyzed
     # With no tile, both ranges are [0, 0].
-    empty = dataclasses.replace(analyzed[0], tiling=tiling_system.TilingSystem((), (), 1))
+    empty = analyzed[0]._replace(tiling=tiling_system.TilingSystem((), (), 1))
     assert (empty.tiling.m1.entries, empty.tiling.m2.entries) == ((), ())
     report = cli.build_report(empty, b"")
     assert report["tiling"]["column_sum_range"] == {"m1": [0, 0], "m2": [0, 0]}

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 
 import pytest
@@ -307,7 +306,7 @@ def test_non_alternating_phi2_takes_the_product(monkeypatch, mozes513):
     rows = list(a.maps.phi2.row_pairs)
     rows[0] = tuple([(j, -x) for j, x in rows[0]])
     phi2 = IntMatrix(a.maps.phi2.rows, a.maps.phi2.cols, tuple(rows))
-    maps = dataclasses.replace(a.maps, phi2=phi2)
+    maps = a.maps._replace(phi2=phi2)
     assert stacked_phi2_from_factors(a.maps.phi2, factors) is not None
     assert stacked_phi2_from_factors(phi2, factors) is None
 
@@ -514,7 +513,7 @@ def test_phi1_not_a_function_of_its_label_takes_the_product(monkeypatch, mozes51
     rows = list(a.maps.phi1.row_pairs)
     other = next(s for s in range(len(ts.b)) if rows[s] != rows[0])
     rows[0] = rows[other]
-    maps = dataclasses.replace(a.maps, phi1=IntMatrix(len(rows), a.maps.phi1.cols, tuple(rows)))
+    maps = a.maps._replace(phi1=IntMatrix(len(rows), a.maps.phi1.cols, tuple(rows)))
     h2_basis, h, _, kernel = _certified(a)
     built = _count_builds(monkeypatch)
     square = commuting_square(ts, maps, h)
@@ -540,7 +539,7 @@ def test_phi1_of_the_wrong_labels_fails_at_label_resolution(monkeypatch, mozes51
     x, y = sorted(by_label)[:2]
     by_label[x], by_label[y] = by_label[y], by_label[x]
     rows[:n] = [by_label[b] for b in ts.b]
-    maps = dataclasses.replace(a.maps, phi1=IntMatrix(len(rows), a.maps.phi1.cols, tuple(rows)))
+    maps = a.maps._replace(phi1=IntMatrix(len(rows), a.maps.phi1.cols, tuple(rows)))
     h2_basis, h, _, kernel = _certified(a)
     built = _count_builds(monkeypatch)
     square = commuting_square(ts, maps, h)
@@ -562,7 +561,7 @@ def test_alternating_but_not_canonical_phi2_gets_the_dense_verdict(monkeypatch, 
     doubled = IntMatrix(
         phi2.rows, phi2.cols, tuple(tuple((j, 2 * x) for j, x in row) for row in phi2.row_pairs)
     )
-    maps = dataclasses.replace(a.maps, phi2=doubled)
+    maps = a.maps._replace(phi2=doubled)
     h2_basis, h, _, kernel = _certified(a)
     built = _count_builds(monkeypatch)
     square = commuting_square(ts, maps, h)
