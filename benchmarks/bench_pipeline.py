@@ -12,13 +12,13 @@ cli.analyze_document and cli.build_report run on the document.  So the
 stages and their order are read off the checkout's own pipeline, and no
 call sequence is copied here: on this checkout, for a complex whose
 theorem block is certified (every Mozes pair), load_complex,
-validate_vht, expand_directed_squares, build_tiling, chain_maps,
+validate_vht, expand_directed_squares, build_tiling, boundary_d2,
 connectivity, image_and_smith_form (the elimination of d2 without its
 I part, and the Smith form of its image block off the same pivots),
 certified_theorem, homology_report, k0_rank and build_report; where the
-certificate fails, the explicit checks of cli._explicit_theorem,
-kernel_and_image, commuting_square, stacked_kernel_basis and
-verify_main_theorem, follow certified_theorem.  A function called inside
+certificate fails, chain_maps and the explicit checks of
+cli._explicit_theorem, kernel_and_image, commuting_square,
+stacked_kernel_basis and verify_main_theorem, follow certified_theorem.  A function called inside
 a stage counts in that stage, and a stage called twice counts both
 calls.  Each time is the best of "repeat" full pipelines (REPEAT, or the
 pair's entry in REPEATS), each on a fresh load, so cached properties built by one run

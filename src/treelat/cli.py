@@ -7,9 +7,12 @@ input files produce byte-identical reports.
 
 Every command that takes a document reads, parses and validates it once,
 in _load.  analyze runs _analyze on the loaded complex, the one place the
-order of the analysis stages is written, which analyze_document runs too.
+order of the analysis stages is written, which analyze_document runs too;
+it builds d2 and no other map of the chain complex, and reads the theorem
+block off the tile labels and d2 where it can (homology.certified_theorem).
 verify runs only the stages its verdict needs: the tiles, the tiling
 system, the chain maps and the explicit checks (_explicit_theorem).
+export builds the one matrix it writes.
 
 Exit codes: 0 success (warnings allowed), 1 on I/O or parse failures,
 2 on validation errors or bad parameters.
@@ -37,6 +40,7 @@ from treelat.homology import (
     ChainMaps,
     HomologyReport,
     TheoremVerdict,
+    boundary_d2,
     certified_theorem,
     chain_maps,
     commuting_square,
@@ -53,7 +57,7 @@ from treelat.tiling_system import (
     connectivity,
     k0_rank,
 )
-from treelat.zlinalg import image_and_smith_form, kernel_and_image
+from treelat.zlinalg import IntMatrix, image_and_smith_form, kernel_and_image
 
 EXPORTABLE = ("m1", "m2", "stacked", "d1", "d2", "phi1", "phi2")
 
@@ -62,7 +66,7 @@ class Analysis(NamedTuple):
     complex: SquareComplex
     validation: ValidationReport
     tiling: TilingSystem
-    maps: ChainMaps
+    d2: IntMatrix
     homology: HomologyReport
     connectivity: ConnectivityReport
     k0: K0Result
@@ -82,27 +86,31 @@ def _analyze(c: SquareComplex, validation: ValidationReport) -> Analysis:
     """The analysis of a loaded complex that passed validation, in the one
     order of its stages.
 
-    The elimination of d2 without its I part gives the image block B^T,
-    whose columns give rank d2, and off the same pivots the one Smith form
-    of the analysis, for the torsion of H1 (zlinalg.image_and_smith_form).
-    The theorem block is certified when it can be (homology.
-    certified_theorem): check (1) and the count of the stacked kernel on
-    the component unknowns, both read off the tile labels, give every
-    check, and no basis of ker d2 or of ker S is formed.  When the
-    certificate fails, the verdict comes from the explicit checks instead
-    (_explicit_theorem).
+    d2 is the one map of the chain complex it builds (homology.
+    boundary_d2).  The elimination of d2 without its I part gives the
+    image block B^T, whose columns give rank d2, and off the same pivots
+    the one Smith form of the analysis, for the torsion of H1
+    (zlinalg.image_and_smith_form).  The theorem block is certified when
+    it can be (homology.certified_theorem): check (1) and the count of the
+    stacked kernel on the component unknowns, both read off the tile
+    labels, B^T and d2, give every check; phi1 and phi2 are not built, and
+    no basis of ker d2 or of ker S is formed.  When the certificate fails,
+    the verdict comes from the explicit checks on the chain maps instead
+    (_explicit_theorem on homology.chain_maps).
     """
     tiles = expand_directed_squares(c)
     ts = build_tiling(tiles, c)
-    maps = chain_maps(c, tiles)
+    d2 = boundary_d2(c)
     conn = connectivity(ts, c)
-    image, s2 = image_and_smith_form(maps.d2)
-    theorem = certified_theorem(c, ts, maps, image) or _explicit_theorem(c, tiles, ts, maps)
+    image, s2 = image_and_smith_form(d2)
+    theorem = certified_theorem(c, ts, d2, image)
+    if theorem is None:
+        theorem = _explicit_theorem(c, tiles, ts, chain_maps(c, tiles))
     return Analysis(
         complex=c,
         validation=validation,
         tiling=ts,
-        maps=maps,
+        d2=d2,
         homology=homology_report(c, s2),
         connectivity=conn,
         k0=k0_rank(ts, conn, theorem.rank_ker_stacked),

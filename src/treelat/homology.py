@@ -24,14 +24,20 @@ d1 . d2 = 0 follows from the corner incidences, and the square
 commutes exactly, which is what ties ker d2 (the second homology lattice)
 to the kernel of the stacked transition operator.  The tiles are
 orbit-major, as tiling_system.build_tiling checks, so the tile labels give
-the factors of that operator: the square and the count of its kernel read
-them, and the operator is built only when phi1 or phi2 is not of the form
-chain_maps builds, or when the certificate of the kernel fails.
+the factors of that operator, and phi1 and phi2 are functions of the
+labels too.  analyze builds d2 alone (boundary_d2): check (1) of the
+square and the count of the kernel are read off the labels and d2, and
+neither phi1, phi2 nor the operator is built.  verify, export and the
+explicit checks build the chain maps (chain_maps); the square reads them
+one row per label where they have the form chain_maps builds, and the
+operator is built only when phi1 or phi2 is not of that form, or when the
+certificate of the kernel fails.
 
 Two routes give the verdict on the rank identity.  certified_theorem
-reads it off the square and the count, with no basis of ker d2 or of the
-stacked kernel, and returns None where they do not certify it;
-verify_main_theorem checks every step on explicit bases of both kernels.
+reads it off check (1) at label resolution and the count, with no basis
+of ker d2 or of the stacked kernel, and returns None where they do not
+certify it; verify_main_theorem checks every step on explicit bases of
+both kernels.
 """
 
 from __future__ import annotations
@@ -110,17 +116,12 @@ def _phi2_rows(n_tiles: int) -> tuple[Row, ...]:
     return tuple([((t >> 2, _PHI2_SIGNS[t & 3]),) for t in range(n_tiles)])
 
 
-def chain_maps(c: SquareComplex, tiles: tuple[tuple[int, ...], ...]) -> ChainMaps:
-    # Every map is built as canonical sparse rows: each row collects its
-    # (column, value) pairs while the columns are visited in increasing
-    # order, so it comes out sorted.  d2 reads the codes of c.squares and
-    # the tiling side the codes of tiles: row code >> 1, sign -1 when
-    # code & 1.
-    table = c.edge_table
-    n_edges = len(table.position)
-    n_cells = len(c.squares)
-    n_tiles = len(tiles)
-
+def boundary_d2(c: SquareComplex) -> IntMatrix:
+    """d2 of c, one column per square, built as canonical sparse rows: each
+    row collects its (column, value) pairs while the columns are visited in
+    increasing order, so it comes out sorted.  It reads the codes of
+    c.squares: row code >> 1, sign -1 when code & 1."""
+    n_edges = len(c.edge_table.position)
     d2: list[list[tuple[int, int]]] = [[] for _ in range(n_edges)]
     for k, (a, b, ap, bp) in enumerate(c.squares):
         column: dict[int, int] = {}
@@ -129,6 +130,18 @@ def chain_maps(c: SquareComplex, tiles: tuple[tuple[int, ...], ...]) -> ChainMap
         for row, x in column.items():
             if x:
                 d2[row].append((k, x))
+    return IntMatrix(n_edges, len(c.squares), tuple(map(tuple, d2)))
+
+
+def chain_maps(c: SquareComplex, tiles: tuple[tuple[int, ...], ...]) -> ChainMaps:
+    """d2 and d1 of c, and phi2 and phi1 on tiles, the codes (a, b, a', b')
+    of each tile, each built as canonical sparse rows.  analyze builds d2
+    alone (boundary_d2) and reads phi1 and phi2 off the tile labels
+    (certified_theorem); verify, export and the explicit checks build
+    them here."""
+    table = c.edge_table
+    n_tiles = len(tiles)
+    d2 = boundary_d2(c)
 
     d1: list[list[tuple[int, int]]] = [[] for _ in c.vertices]
     for j, (o, t) in enumerate(zip(table.origin[::2], table.terminus[::2])):
@@ -136,19 +149,16 @@ def chain_maps(c: SquareComplex, tiles: tuple[tuple[int, ...], ...]) -> ChainMap
             d1[t].append((j, 1))
             d1[o].append((j, -1))
 
-    phi2 = _phi2_rows(n_tiles)
-
     # phi1 has a row for b(s) when it is vertical, and for a(s) when it is
     # horizontal: the codes from table.vertical on, and those below it.
     vertical = table.vertical
     phi1 = [((b >> 1, -1 if b & 1 else 1),) if b >= vertical else () for _, b, _, _ in tiles]
     phi1 += [((a >> 1, 1 if a & 1 else -1),) if a < vertical else () for a, _, _, _ in tiles]
-
     return ChainMaps(
-        d2=IntMatrix(n_edges, n_cells, tuple(map(tuple, d2))),
-        d1=IntMatrix(len(c.vertices), n_edges, tuple(map(tuple, d1))),
-        phi2=IntMatrix(n_tiles, n_cells, phi2),
-        phi1=IntMatrix(2 * n_tiles, n_edges, tuple(phi1)),
+        d2=d2,
+        d1=IntMatrix(len(c.vertices), d2.rows, tuple(map(tuple, d1))),
+        phi2=IntMatrix(n_tiles, d2.cols, _phi2_rows(n_tiles)),
+        phi1=IntMatrix(2 * n_tiles, d2.rows, tuple(phi1)),
     )
 
 
@@ -245,17 +255,18 @@ def structured_kernel_dim(ts: TilingSystem, label_image: LabelImage | None = Non
     The rows of C.  The tile rows, y[b(t)] + y[bb(t)] - z[a(t)] - z[aa(t)],
     and the component part Y of each label row are counted over the tiles,
     a few dozen component columns.  The orbit part of the row of label x
-    is 4 L[x], for L the label matrix F^T.phi2 over G^T.phi2
-    (_square_by_labels), with phi2 the one chain_maps builds (_phi2_rows).
+    is 4 L[x], for L the label matrix F^T.phi2 over G^T.phi2, with phi2
+    the one chain_maps builds (_phi2_rows), read off the labels
+    (_label_phi2).
     So C = [[Y, 4 L], [Z, 0]], Z the tile rows, and rank_Q(C) =
     rank_Q [[Y, M], [Z, 0]] for any orbit block M with M.X = 4 L for an X
     of full row rank: multiplying on the right by diag(I, X) keeps rank_Q,
     X having a right inverse over Q.
 
-    With label_image None, M is L itself, formed from phi2 (_label_sums):
-    the general path, for any labels.  label_image is given when check (1)
-    holds at label resolution for the chain maps of a complex
-    (certified_theorem): L = Phi.d2, Phi the phi1 row of each label.  It
+    With label_image None, M is L itself (_label_phi2): the general path,
+    for any labels.  label_image is given when check (1) holds at label
+    resolution for the chain maps of a complex (certified_theorem, with
+    _phi_image): L = Phi.d2, Phi the phi1 row of each label.  It
     then holds the rows of Phi.B^T by label, a dict for the b labels and
     one for the a labels, B^T the image block of d2
     (zlinalg.image_and_smith_form), and M is Phi.B^T.  The columns of B^T
@@ -325,8 +336,7 @@ def structured_kernel_dim(ts: TilingSystem, label_image: LabelImage | None = Non
 
     certified = label_image is not None
     if not certified:
-        phi2 = _phi2_rows(n)
-        label_image = _label_sums(phi2, b, 2), _label_sums(phi2, a, 1)
+        label_image = _label_phi2(ts)
     for by_label, image in zip((b_rows, a_rows), label_image):
         for x, acc in by_label.items():
             for k, v in image[x]:
@@ -421,12 +431,15 @@ def _alternates(rows) -> bool:
     The reflections act on tile indices by xor on the offset in the orbit
     (t^v = t ^ 1, t^h = t ^ 2), so the rows of each orbit decide it:
     t^v = 4k + 1 and t^h = 4k + 2 are minus the row of t = 4k, and
-    t^vh = 4k + 3 is the row of t.  Each offset is one slice.
+    t^vh = 4k + 3 is the row of t.  Each offset is one slice, and rows
+    4k + 1 are compared with minus rows 4k orbit by orbit: a negated copy
+    of every first row at once would double the pairs of a large kernel.
     """
     first = rows[::4]
     return (
         rows[3::4] == first
-        and rows[1::4] == rows[2::4] == tuple([tuple([(j, -x) for j, x in row]) for row in first])
+        and rows[1::4] == rows[2::4]
+        and all(row == tuple([(j, -x) for j, x in pairs]) for row, pairs in zip(rows[1::4], first))
     )
 
 
@@ -579,20 +592,21 @@ def stacked_kernel_basis(
 
 
 def certified_theorem(
-    c: SquareComplex, ts: TilingSystem, maps: ChainMaps, image: IntMatrix
+    c: SquareComplex, ts: TilingSystem, d2: IntMatrix, image: IntMatrix
 ) -> TheoremVerdict | None:
-    """The TheoremVerdict of verify_main_theorem, read off check (1) and the
-    count of the stacked kernel alone, or None when they do not certify it.
+    """The TheoremVerdict of verify_main_theorem for the chain maps of c,
+    read off check (1) and the count of the stacked kernel alone, or None
+    when they do not certify it.
 
-    image is the image block B^T of d2 (zlinalg.image_and_smith_form), ts
-    the tiles of c (tiling_system.build_tiling) and maps their chain maps.
-    The certificate: phi2 is the one chain_maps builds (_phi2_rows), check
-    (1) S.phi2 = phi1.d2 holds at label resolution (_square_by_labels), and
-    the count dim ker_Q S (structured_kernel_dim, with Phi.B^T as its
-    orbit block) equals rank ker d2 = |F| - rank d2, with rank d2 the
-    columns of B^T.  No basis of ker d2 or of ker S is formed.  When it
-    holds, every check of verify_main_theorem holds, by the proof rather
-    than on a basis:
+    d2 is that of c (boundary_d2), image its image block B^T
+    (zlinalg.image_and_smith_form) and ts the tiles of c
+    (tiling_system.build_tiling).  The certificate: check (1),
+    S.phi2 = phi1.d2, holds at label resolution (_phi_image), and the count
+    dim ker_Q S (structured_kernel_dim, with Phi.B^T as its orbit block)
+    equals rank ker d2 = |F| - rank d2, with rank d2 the columns of B^T.
+    Neither phi1 nor phi2 is built, and no basis of ker d2 or of ker S is
+    formed.  When it holds, every check of verify_main_theorem holds, by
+    the proof rather than on a basis:
 
     (1) holds, checked as above;
     (2) is the count: rank ker S = dim ker_Q S = rank ker d2;
@@ -609,13 +623,13 @@ def certified_theorem(
         the tiles by b'(t) and by a'(t), so (5) is S.K = 0, true of K.
 
     When the certificate fails, None, and the caller takes the explicit
-    path: kernel_and_image, commuting_square, stacked_kernel_basis and
-    verify_main_theorem.
+    path on chain_maps: kernel_and_image, commuting_square,
+    stacked_kernel_basis and verify_main_theorem.
     """
-    label_image = _label_image(ts, maps, image)
+    label_image = _phi_image(ts, c.edge_table.vertical, d2, image)
     if label_image is None:
         return None
-    rank_h2 = maps.d2.cols - image.cols
+    rank_h2 = d2.cols - image.cols
     if structured_kernel_dim(ts, label_image) != rank_h2:
         return None
     return TheoremVerdict(
@@ -630,19 +644,71 @@ def certified_theorem(
     )
 
 
-def _label_image(ts: TilingSystem, maps: ChainMaps, image: IntMatrix) -> LabelImage | None:
+def _label_phi2(ts: TilingSystem) -> LabelImage:
+    """L = F^T.phi2 over G^T.phi2 by label, for the phi2 of chain_maps, a
+    dict for the b labels and one for the a labels, each in the order the
+    labels first occur.
+
+    Row t of phi2 is signs[t & 3].e_{t >> 2} (_phi2_rows), and row x of
+    F^T.phi2 sums the rows t of phi2 with b'(t) = x: so the tiles of orbit
+    k add the signs (1, -1, -1, 1) at column k of the rows of their primed
+    labels, b'(t) for F and a'(t) for G, and the sums of a label that
+    occurs twice in the orbit are merged (_label_sums on phi2, without
+    phi2).  The columns come in increasing order, so each row comes out
+    sorted.
+    """
+    out = []
+    for labels, flip, counts in zip((ts.b, ts.a), (2, 1), ts.label_counts):
+        rows: dict[int, list[tuple[int, int]]] = {x: [] for x in counts}
+        primed = _primed(labels, flip)
+        quads = zip(primed[::4], primed[1::4], primed[2::4], primed[3::4])
+        for k, (x0, x1, x2, x3) in enumerate(quads):
+            # Four distinct labels, the common case: one entry each.
+            if x0 != x1 and x0 != x2 and x0 != x3 and x1 != x2 and x1 != x3 and x2 != x3:
+                rows[x0].append((k, 1))
+                rows[x1].append((k, -1))
+                rows[x2].append((k, -1))
+                rows[x3].append((k, 1))
+                continue
+            acc: dict[int, int] = {}
+            for x, sign in zip((x0, x1, x2, x3), _PHI2_SIGNS):
+                acc[x] = acc.get(x, 0) + sign
+            for x, v in acc.items():
+                if v:
+                    rows[x].append((k, v))
+        out.append({x: tuple(row) for x, row in rows.items()})
+    return out[0], out[1]
+
+
+def _phi_image(
+    ts: TilingSystem, vertical: int, d2: IntMatrix, image: IntMatrix
+) -> LabelImage | None:
     """The label_image argument of structured_kernel_dim, the rows of
     Phi.B^T by label, a dict for the b labels and one for the a labels,
-    when phi2 is the one chain_maps builds and check (1) holds at label
-    resolution (_square_by_labels); else None."""
-    if maps.phi2.row_pairs != _phi2_rows(len(ts.b)):
+    when check (1) holds at label resolution for the chain maps of the
+    tiles of ts; else None.  vertical is the first vertical edge code
+    (complex_model.EdgeTable), and image the image block B^T of d2.
+
+    The argument.  Row s of the phi1 of chain_maps is +-e of b(s) in its
+    top block, and +-e of a(s) in its bottom one, a function of the label
+    alone, and its phi2 is the canonical one, which alternates.  So both
+    are of the form _square_by_labels asks for, and its matrices are read
+    off the labels here, with no per-tile map.  Phi holds the phi1 row of
+    each label: ((x + vertical) >> 1, s) for a b label x, its code less
+    vertical, with s = -1 when x is reversed (x & 1); and (x >> 1, s) for
+    an a label x, its code, with s = -1 when x is forward.  A label of the
+    wrong axis gets an empty row, as in chain_maps.  L = F^T.phi2 over
+    G^T.phi2 (_label_phi2).  By that docstring, S.phi2 = phi1.d2 iff
+    L = Phi.d2, compared row by row: row x of Phi.d2 is +-d2[e] for the
+    pair (e, +-1) of Phi[x] (zlinalg.mul_rows).
+    """
+    left_b, left_a = _label_phi2(ts)
+    phi = [(((x + vertical) >> 1, -1 if x & 1 else 1),) if x >= 0 else () for x in left_b]
+    phi += [((x >> 1, 1 if x & 1 else -1),) if x < vertical else () for x in left_a]
+    if (*left_b.values(), *left_a.values()) != mul_rows(phi, d2.row_pairs, d2.cols):
         return None
-    square = _square_by_labels(ts, maps)
-    if square is None or not square[0]:
-        return None
-    _, _, phi, (b_labels, a_labels) = square
-    rows = mul_rows(phi.row_pairs, image.row_pairs, image.cols)
-    return dict(zip(b_labels, rows)), dict(zip(a_labels, rows[len(b_labels) :]))
+    rows = mul_rows(phi, image.row_pairs, image.cols)
+    return dict(zip(left_b, rows)), dict(zip(left_a, rows[len(left_b) :]))
 
 
 def _within_hypotheses(c: SquareComplex) -> bool:

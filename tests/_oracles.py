@@ -754,6 +754,27 @@ def stacked_phi2_from_factors(phi2, factors):
     return IntMatrix(2 * len(b), phi2.cols, tuple(blocks))
 
 
+def label_image_by_chain_maps(ts, maps, image):
+    """The label image of homology.structured_kernel_dim, the rows of
+    Phi.B^T by label, read off the per-tile chain maps, or None where
+    check (1) does not hold at label resolution: the route certified_theorem
+    took before it read Phi and L off the labels.  phi2 must be the one
+    chain_maps builds, and homology._square_by_labels gives Phi, by label,
+    from the rows of phi1 and check (1) from L, the per-label sums of phi2.
+    image is the image block B^T of maps.d2."""
+    from treelat.homology import _phi2_rows, _square_by_labels
+    from treelat.zlinalg import mul_rows
+
+    if maps.phi2.row_pairs != _phi2_rows(len(ts.b)):
+        return None
+    square = _square_by_labels(ts, maps)
+    if square is None or not square[0]:
+        return None
+    _, _, phi, (b_labels, a_labels) = square
+    rows = mul_rows(phi.row_pairs, image.row_pairs, image.cols)
+    return dict(zip(b_labels, rows)), dict(zip(a_labels, rows[len(b_labels) :]))
+
+
 def connectivity_by_refs(ts, c, r):
     """The ConnectivityReport of tiling_system.connectivity, from the
     built m1 and m2 of ts and with the vertices of the edge graphs found

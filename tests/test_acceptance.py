@@ -14,7 +14,7 @@ from treelat.complex_model import load_complex, validate_vht
 from treelat.zlinalg import smith_normal_form
 
 import _complexes
-from _battery import assert_instance_properties
+from _battery import assert_instance_properties, maps_of
 from _oracles import M, certified_snf_diagonal, rank_by_fraction_elimination, snf_diagonal
 
 
@@ -151,14 +151,15 @@ def test_criterion_6_round_trips(tmp_path, capsys):
         # export -> import is lossless for every exportable matrix
         from treelat.tiling_system import stacked_matrix
 
+        maps = maps_of(analysis1)
         matrices = {
             "m1": analysis1.tiling.m1,
             "m2": analysis1.tiling.m2,
             "stacked": stacked_matrix(analysis1.tiling),
-            "d1": analysis1.maps.d1,
-            "d2": analysis1.maps.d2,
-            "phi1": analysis1.maps.phi1,
-            "phi2": analysis1.maps.phi2,
+            "d1": maps.d1,
+            "d2": analysis1.d2,
+            "phi1": maps.phi1,
+            "phi2": maps.phi2,
         }
         for name, matrix in matrices.items():
             assert main(["export", str(path), "--what", name]) == 0

@@ -10,8 +10,11 @@ the one rank of its whole system that the triangular rows replaced
 (_oracles.structured_kernel_dim_by_one_rank), also on crafted orbit blocks;
 and the theorem block of analyze to that of verify and of the dense
 verifier, on the ladder, the small complexes, the presentation battery,
-random one-vertex complexes and products, and tampered tiles and chain
-maps.
+random one-vertex complexes and products, and tampered tiles, d2 and
+chain maps.  analyze reads phi1 and phi2 off the tile labels
+(homology._phi_image); the label image and the verdict it certifies are
+held to those read off the per-tile chain maps, on the ladder, the small
+complexes and products of two cycles.
 """
 
 import json
@@ -39,6 +42,7 @@ from _battery import retarget
 from _oracles import (
     dense_verify,
     factor_tiling,
+    label_image_by_chain_maps,
     structured_kernel_dim_by_one_rank,
     structured_kernel_dim_by_orbits,
     tile_squares,
@@ -127,16 +131,22 @@ def spy_clearing(monkeypatch):
     return seen
 
 
-def assert_counts_agree(ts, maps, cleared):
-    """The count with either orbit block, L from phi2 and, when check (1)
-    holds, Phi.B^T, equals the orbit-column oracle; with Phi.B^T it also
-    equals the one rank of its whole system, and the triangular rows clear
-    its orbit columns, rank d2 of them.  cleared is spy_clearing's record.
-    Returns the label image, None when check (1) fails."""
+def assert_counts_agree(c, ts, maps, cleared):
+    """The count with either orbit block, L and, when check (1) holds,
+    Phi.B^T, equals the orbit-column oracle; with Phi.B^T it also equals
+    the one rank of its whole system, and the triangular rows clear its
+    orbit columns, rank d2 of them.  L and the label image, Phi.B^T, read
+    off the labels of ts, are those read off the chain maps of c on its
+    tiles, the image None exactly where check (1) fails on them.  cleared is
+    spy_clearing's record.  Returns the label image."""
     oracle = structured_kernel_dim_by_orbits(ts)
     assert structured_kernel_dim(ts) == oracle
+    phi2 = maps.phi2.row_pairs
+    sums = homology._label_sums(phi2, ts.b, 2), homology._label_sums(phi2, ts.a, 1)
+    assert homology._label_phi2(ts) == sums
     image = image_and_smith_form(maps.d2)[0]
-    label_image = homology._label_image(ts, maps, image)
+    label_image = homology._phi_image(ts, c.edge_table.vertical, maps.d2, image)
+    assert label_image == label_image_by_chain_maps(ts, maps, image)
     if label_image is not None:
         del cleared[:]
         assert structured_kernel_dim(ts, label_image) == oracle
@@ -159,7 +169,7 @@ def test_count_on_component_unknowns_matches_the_orbit_oracle(monkeypatch, group
         c, _ = loaded
         tiles = c.edge_table.tiles
         ts = build_tiling(tiles, c)
-        if assert_counts_agree(ts, homology.chain_maps(c, tiles), cleared) is not None:
+        if assert_counts_agree(c, ts, homology.chain_maps(c, tiles), cleared) is not None:
             certified += 1
     assert certified > 0
 
@@ -175,7 +185,7 @@ def test_count_reads_the_left_kernel_of_d2(monkeypatch, name):
     image = image_and_smith_form(maps.d2)[0]
     assert image.rows > image.cols
     cleared = spy_clearing(monkeypatch)
-    assert assert_counts_agree(build_tiling(tiles, c), maps, cleared) is not None
+    assert assert_counts_agree(c, build_tiling(tiles, c), maps, cleared) is not None
 
 
 def scaled(label_image, m):
@@ -197,7 +207,7 @@ def test_count_with_non_unit_diagonals(monkeypatch, name):
     ts = build_tiling(tiles, c)
     maps = homology.chain_maps(c, tiles)
     image = image_and_smith_form(maps.d2)[0]
-    label_image = homology._label_image(ts, maps, image)
+    label_image = homology._phi_image(ts, c.edge_table.vertical, maps.d2, image)
     cleared = spy_clearing(monkeypatch)
     count = structured_kernel_dim(ts, label_image)
     if name in ladder:
@@ -291,8 +301,9 @@ def test_count_on_tampered_tiles_takes_the_orbit_block(mozes513, slot):
     tiles = retarget(mozes513, slot, orbit_major=True)
     ts = build_tiling(tiles, c)
     maps = homology.chain_maps(c, tiles)
-    assert homology._label_image(ts, maps, image_and_smith_form(maps.d2)[0]) is None
-    assert assert_counts_agree(ts, maps, []) is None
+    image = image_and_smith_form(maps.d2)[0]
+    assert homology._phi_image(ts, c.edge_table.vertical, maps.d2, image) is None
+    assert assert_counts_agree(c, ts, maps, []) is None
     assert structured_kernel_dim(ts) == len(kernel_basis(stacked_matrix(ts)))
 
 
@@ -321,8 +332,53 @@ def test_analyze_theorem_block_is_verify_and_dense_verify(runner, tmp_path, grou
         assert theorem == dense_theorem(c, tiles, homology.chain_maps(c, tiles)), name
 
 
+def cycle_products() -> dict[str, str]:
+    """The products Cm x Ck of two cycles, m <= 12 and k <= 5."""
+    return {
+        f"C{m}xC{k}": _complexes.product_doc(cycle(m), cycle(k))
+        for m in range(1, 13)
+        for k in range(1, 6)
+    }
+
+
+@pytest.mark.parametrize("group", ["ladder", "small", "cycles"])
+def test_label_resolution_verdict_is_the_explicit_verdict(group):
+    # The differential oracle of the certified route: Phi and L read off
+    # the labels give the label image that the per-tile chain maps give,
+    # a certified verdict is the one of the explicit checks on chain_maps,
+    # and the certificate fails exactly where that verdict does not hold.
+    docs = cycle_products() if group == "cycles" else corpus(group)
+    certified = 0
+    for name, text in docs.items():
+        c, v = valid(text)
+        tiles = c.edge_table.tiles
+        ts = build_tiling(tiles, c)
+        d2 = homology.boundary_d2(c)
+        maps = homology.chain_maps(c, tiles)
+        assert maps.d2 == d2, name
+        image = image_and_smith_form(d2)[0]
+        label_image = homology._phi_image(ts, c.edge_table.vertical, d2, image)
+        assert label_image == label_image_by_chain_maps(ts, maps, image), name
+        explicit = cli._explicit_theorem(c, tiles, ts, maps)
+        theorem = homology.certified_theorem(c, ts, d2, image)
+        assert (theorem is None) == (not explicit.holds), name
+        assert theorem in (None, explicit), name
+        assert cli._analyze(c, v).theorem == explicit, name
+        certified += theorem is not None
+    assert certified == {"ladder": len(docs), "small": 1, "cycles": 0}[group]
+
+
 def negated(m: IntMatrix) -> IntMatrix:
     return IntMatrix(m.rows, m.cols, tuple(tuple((j, -x) for j, x in row) for row in m.row_pairs))
+
+
+def bumped(m: IntMatrix) -> IntMatrix:
+    """m with 1 added to entry (0, 0)."""
+    rows = list(m.row_pairs)
+    entry = dict(rows[0])
+    entry[0] = entry.get(0, 0) + 1
+    rows[0] = tuple(sorted((j, x) for j, x in entry.items() if x))
+    return IntMatrix(m.rows, m.cols, tuple(rows))
 
 
 def tampered_maps(maps):
@@ -333,10 +389,6 @@ def tampered_maps(maps):
     phi1[0] = next(row for row in phi1 if row != phi1[0])
     phi2 = list(maps.phi2.row_pairs)
     phi2[1] = phi2[0]
-    d2 = list(maps.d2.row_pairs)
-    entry = dict(d2[0])
-    entry[0] = entry.get(0, 0) + 1
-    d2[0] = tuple(sorted((j, x) for j, x in entry.items() if x))
 
     def with_rows(m, rows):
         return IntMatrix(m.rows, m.cols, tuple(rows))
@@ -345,39 +397,103 @@ def tampered_maps(maps):
         "phi1_row": maps._replace(phi1=with_rows(maps.phi1, phi1)),
         "phi2_row": maps._replace(phi2=with_rows(maps.phi2, phi2)),
         "phi2_negated": maps._replace(phi2=negated(maps.phi2)),
-        "d2_entry": maps._replace(d2=with_rows(maps.d2, d2)),
+        "d2_entry": maps._replace(d2=bumped(maps.d2)),
         "phi1_d2_negated": maps._replace(phi1=negated(maps.phi1), d2=negated(maps.d2)),
     }
 
 
-@pytest.mark.parametrize("doc", ["mozes513", "f2xf2", "klein"])
-def test_tampered_maps_give_analyze_the_verdict_of_verify(monkeypatch, doc):
-    text = {
-        "mozes513": generate_mozes_complex(5, 13),
-        "f2xf2": _complexes.f2xf2_doc(),
-        "klein": _complexes.klein_doc(),
-    }[doc]
-    c, v = valid(text)
+TAMPERED_DOCS = {
+    "mozes513": lambda: generate_mozes_complex(5, 13),
+    "f2xf2": _complexes.f2xf2_doc,
+    "klein": _complexes.klein_doc,
+}
+
+
+def tampered_inputs(c):
+    """The tiles and the d2 that analyze reads, (tiles, d2), changed one
+    way each: 1 added to entry (0, 0) of d2; d2 negated; every label of
+    every tile reversed; and both, which keeps check (1) at label
+    resolution, since the phi1 row of a reversed label is minus that of the
+    label, so (L with its rows permuted by the reversal) = Phi.(-d2)."""
     tiles = c.edge_table.tiles
+    d2 = homology.boundary_d2(c)
+    reversed_tiles = tuple(tuple(code ^ 1 for code in tile) for tile in tiles)
+    return {
+        "d2_entry": (tiles, bumped(d2)),
+        "d2_negated": (tiles, negated(d2)),
+        "labels_reversed": (reversed_tiles, d2),
+        "labels_reversed_d2_negated": (reversed_tiles, negated(d2)),
+    }
+
+
+@pytest.mark.parametrize("doc", sorted(TAMPERED_DOCS))
+def test_tampered_maps_give_analyze_the_verdict_of_verify(monkeypatch, doc):
+    # analyze reads phi1 and phi2 off the tile labels, so its inputs are
+    # tampered instead: the tiles and d2 it reads, through the names it
+    # calls.  Its verdict, homology and K-ranks are those of the explicit
+    # checks on the chain maps of those tiles with that d2, and of the
+    # dense verifier.
+    c, v = valid(TAMPERED_DOCS[doc]())
     certified = []
-    for name, maps in tampered_maps(homology.chain_maps(c, tiles)).items():
-        monkeypatch.setattr(cli, "chain_maps", lambda c, tiles, maps=maps: maps)
+    for name, (tiles, d2) in tampered_inputs(c).items():
+        monkeypatch.setattr(cli, "expand_directed_squares", lambda c, tiles=tiles: tiles)
+        # chain_maps, on the explicit path, reads d2 through homology
+        for module in (cli, homology):
+            monkeypatch.setattr(module, "boundary_d2", lambda c, d2=d2: d2)
         analyzed = cli._analyze(c, v)
         ts = build_tiling(tiles, c)
+        maps = homology.chain_maps(c, tiles)
+        assert maps.d2 is d2
         verified = cli._explicit_theorem(c, tiles, ts, maps)
         assert analyzed.theorem == verified, name
         assert cli._theorem_dict(analyzed.theorem) == dense_theorem(c, tiles, maps), name
         # The homology and K-ranks of an analysis that takes the explicit
         # path and the Smith form of its own image block.
-        smith = smith_normal_form(kernel_and_image(maps.d2)[1])
+        smith = smith_normal_form(kernel_and_image(d2)[1])
         assert analyzed.homology == homology.homology_report(c, smith), name
         assert analyzed.k0 == k0_rank(ts, connectivity(ts, c), verified.rank_ker_stacked), name
-        image = image_and_smith_form(maps.d2)[0]
-        if homology.certified_theorem(c, ts, maps, image):
+        if homology.certified_theorem(c, ts, d2, image_and_smith_form(d2)[0]):
             certified.append(name)
-    # Only the change that keeps check (1) is certified, and only where
-    # the count agrees.
-    assert certified == (["phi1_d2_negated"] if doc != "klein" else [])
+    # Only the changes that keep check (1) are certified, and only where
+    # the count agrees: on the Klein bottle it never does.  d2 = 0 on
+    # F2 x F2, so negating it changes nothing, and L = Phi.d2 = 0 there
+    # holds with the labels reversed too.
+    assert certified == {
+        "mozes513": ["labels_reversed_d2_negated"],
+        "f2xf2": ["d2_negated", "labels_reversed", "labels_reversed_d2_negated"],
+        "klein": [],
+    }[doc]
+
+
+@pytest.mark.parametrize("doc", sorted(TAMPERED_DOCS))
+def test_tampered_chain_maps_give_verify_the_dense_verdict(monkeypatch, runner, tmp_path, doc):
+    # Chain maps changed one way each reach verify through chain_maps, and
+    # its verdict is the dense verifier's.  analyze calls chain_maps only
+    # where its certificate fails, so a certified analysis keeps its
+    # verdict, and one that fails takes the explicit checks on them.
+    text = TAMPERED_DOCS[doc]()
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    c, v = valid(text)
+    tiles = c.edge_table.tiles
+    ts = build_tiling(tiles, c)
+    d2 = homology.boundary_d2(c)
+    holds = homology.certified_theorem(c, ts, d2, image_and_smith_form(d2)[0])
+    assert (holds is None) == (doc == "klein")
+    for name, maps in tampered_maps(homology.chain_maps(c, tiles)).items():
+        calls = []
+        monkeypatch.setattr(cli, "chain_maps", lambda c, tiles, maps=maps: calls.append(1) or maps)
+        code, out, err = runner("verify", str(path), "--json")
+        assert code == 0, err
+        assert json.loads(out)["theorem"] == dense_theorem(c, tiles, maps), name
+        assert calls == [1], name
+        del calls[:]
+        analyzed = cli._analyze(c, v)
+        if holds is None:
+            assert analyzed.theorem == cli._explicit_theorem(c, tiles, ts, maps), name
+            assert calls == [1], name
+        else:
+            assert analyzed.theorem == holds and calls == [], name
 
 
 @pytest.mark.parametrize("slot", ["b_prime", "a_prime"])

@@ -18,7 +18,7 @@ import _complexes
 import _oracles
 import test_certificate
 from _oracles import dense_verify, tile_squares
-from _battery import assert_tampered_tiles_build_the_operator_once
+from _battery import assert_tampered_tiles_build_the_operator_once, maps_of
 
 
 @pytest.fixture()
@@ -549,8 +549,8 @@ def test_analysis_computes_each_kernel_once(monkeypatch, mozes513_doc):
     # a Smith form; d2 is eliminated once, without its I part, and H1 is
     # read off the Smith form of its image block, from the pivots of that
     # one elimination: no Smith form is taken apart from it.
-    assert eliminations == [] and images == [analysis.maps.d2]
-    assert reduced[0] == (analysis.maps.d2.transpose().row_pairs, False)
+    assert eliminations == [] and images == [analysis.d2]
+    assert reduced[0] == (analysis.d2.transpose().row_pairs, False)
     assert [rows for rows, _ in reduced].count(reduced[0][0]) == 1
     assert snf == []
     assert len(hermite) == 0
@@ -577,9 +577,35 @@ def test_certified_path_forms_no_kernel_basis(monkeypatch, mozes513_doc):
     calls = count_paths(monkeypatch)
     _, analysis = analyze_document(mozes513_doc)
     assert analysis.theorem.holds
-    assert calls.pop("image_and_smith_form") == [analysis.maps.d2]
+    assert calls.pop("image_and_smith_form") == [analysis.d2]
     assert len(calls.pop("certified_theorem")) == 1
     assert calls == {name: [] for _, name in EXPLICIT_PATH}
+
+
+# The per-tile maps and their reading by label, which verify and export
+# build and a certified analysis does not.
+PER_TILE = (
+    (homology, "chain_maps"),
+    (homology, "_phi2_rows"),
+    (homology, "_rows_by_label"),
+    (homology, "_label_sums"),
+    (homology, "_square_by_labels"),
+    (homology, "commuting_square"),
+)
+
+
+def test_certified_analysis_builds_no_per_tile_map(monkeypatch, mozes513_doc):
+    # On (5,13) the certificate holds: check (1) and the count read Phi and
+    # L off the tile labels and d2, so no phi1 or phi2 is built, phi2 is
+    # compared with nothing, no row is read back by label, and no kernel
+    # basis is formed; d2 is built once.
+    calls = {name: count_calls(monkeypatch, module, name) for module, name in PER_TILE}
+    kernels = count_calls(monkeypatch, zlinalg, "kernel_and_image")
+    built = count_calls(monkeypatch, cli, "boundary_d2")
+    _, analysis = analyze_document(mozes513_doc)
+    assert analysis.theorem.holds
+    assert calls == {name: [] for _, name in PER_TILE} and kernels == []
+    assert built == [analysis.complex]
 
 
 @pytest.mark.parametrize("doc", ["torus_doc", "klein_doc"])
@@ -590,13 +616,16 @@ def test_failed_certificate_takes_the_explicit_path_once(monkeypatch, doc):
     # Smith form stays the one of image_and_smith_form.
     calls = count_paths(monkeypatch)
     smith = count_calls(monkeypatch, zlinalg, "smith_normal_form")
+    maps = count_calls(monkeypatch, cli, "chain_maps")
     _, analysis = analyze_document(getattr(_complexes, doc)())
     assert not analysis.theorem.holds
-    assert calls.pop("image_and_smith_form") == [analysis.maps.d2]
+    assert calls.pop("image_and_smith_form") == [analysis.d2]
     assert len(calls.pop("certified_theorem")) == 1
-    assert calls.pop("kernel_and_image") == [analysis.maps.d2, analysis.tiling.stacked]
+    assert calls.pop("kernel_and_image") == [analysis.d2, analysis.tiling.stacked]
     assert [len(seen) for seen in calls.values()] == [1, 1, 1]
     assert smith == []
+    # The explicit checks read the chain maps of the complex, built once.
+    assert maps == [analysis.complex]
 
 
 # The stages of an analysis that the verdict of verify does not read.
@@ -652,13 +681,13 @@ def test_one_elimination_counts_the_stacked_kernel(monkeypatch):
     assert analysis.theorem.holds
     (c,) = systems
     d2, count = inputs
-    assert d2 == (analysis.maps.d2.transpose().row_pairs, False)
+    assert d2 == (analysis.d2.transpose().row_pairs, False)
     assert count == (c.row_pairs, False)
     # The phi1 row of a reversed label is minus that of the label, and so
     # is its row of Phi.B^T.
-    ts, maps = analysis.tiling, analysis.maps
-    image = zlinalg.image_and_smith_form(maps.d2)[0]
-    label_image = homology._label_image(ts, maps, image)
+    ts, d2 = analysis.tiling, analysis.d2
+    image = zlinalg.image_and_smith_form(d2)[0]
+    label_image = homology._phi_image(ts, analysis.complex.edge_table.vertical, d2, image)
     pairs = 0
     for by_label in label_image:
         for x, row in by_label.items():
@@ -758,8 +787,8 @@ def test_no_smith_form_takes_a_column_per_cell(monkeypatch):
 
     monkeypatch.setattr(_kernels_py, "smith_diagonal", spy)
     _, analysis = analyze_document(doc)
-    cells, edges = len(analysis.complex.squares), analysis.maps.d2.rows
-    assert analysis.maps.d2.cols == cells == 63
+    cells, edges = len(analysis.complex.squares), analysis.d2.rows
+    assert analysis.d2.cols == cells == 63
     (rows,) = seen
     assert rows and all(len(row) != cells and len(row) <= edges for row in rows)
 
@@ -778,8 +807,8 @@ def test_product_analysis_takes_one_smith_form_of_the_image_block(monkeypatch):
     reduced = spy_eliminations(monkeypatch)
     _, analysis = analyze_document(seeded_product_doc())
     assert analysis.theorem.holds
-    assert not analysis.maps.d1.is_zero()
-    d2 = analysis.maps.d2
+    assert not maps_of(analysis).d1.is_zero()
+    d2 = analysis.d2
     assert snf == [] and smith_forms == [d2]
     assert [rows for rows, _ in reduced].count(d2.transpose().row_pairs) == 1
     s2 = zlinalg.smith_normal_form(zlinalg.kernel_and_image(d2)[1])
@@ -825,7 +854,7 @@ def test_certificate_rests_on_the_commuting_square(monkeypatch, mozes513):
     # no longer lies in ker S, so check (3) fails and the certificate falls
     # back to one elimination of S.  With the true H both checks hold and
     # the basis is phi2.H itself, with no elimination of S.
-    maps = mozes513.maps
+    maps = maps_of(mozes513)
     ts = tiling_system.build_tiling(mozes513.complex.edge_table.tiles, mozes513.complex)
     stacked = tiling_system.stacked_matrix(mozes513.tiling)
     h2_basis = zlinalg.kernel_basis(maps.d2)

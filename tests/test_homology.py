@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treelat import homology, tiling_system, zlinalg
+from treelat import cli, homology, tiling_system, zlinalg
 from treelat.cli import analyze_document
 from treelat.complex_model import expand_directed_squares, load_complex
 from treelat.homology import (
@@ -33,6 +33,7 @@ from _battery import (
     assert_instance_properties,
     assert_positive_diagonal,
     assert_tampered_tiles_build_the_operator_once,
+    maps_of,
 )
 from _oracles import (
     M,
@@ -51,7 +52,7 @@ from _oracles import (
 
 def test_d1_composed_with_d2_vanishes(corpus):
     for name, analysis in corpus.items():
-        assert analysis.maps.d1.mul(analysis.maps.d2).is_zero(), name
+        assert maps_of(analysis).d1.mul(analysis.d2).is_zero(), name
 
 
 def test_torus_classical_homology(torus):
@@ -63,7 +64,7 @@ def test_torus_classical_homology(torus):
 
 
 def test_torus_d2_column_is_zero(torus):
-    assert torus.maps.d2.is_zero()
+    assert torus.d2.is_zero()
 
 
 def test_klein_bottle_homology(klein):
@@ -78,13 +79,13 @@ def test_two_vertex_klein_bottle_homology():
     # Two vertices, so d1 is not zero and H1 is Z^E / im d2 less the
     # free rank of im d1; the cycle-basis route gives the same group.
     _, a = analyze_document(_complexes.two_vertex_klein_doc())
-    assert not a.maps.d1.is_zero()
+    assert not maps_of(a).d1.is_zero()
     hom = a.homology
     assert (hom.h0.free_rank, hom.h0.torsion) == (1, ())
     assert (hom.h1.free_rank, hom.h1.torsion) == (1, (2,))
     assert hom.h2_rank == 0
     assert hom.euler_characteristic == 0
-    assert hom.h1 == h1_by_cycle_basis(a.maps)
+    assert hom.h1 == h1_by_cycle_basis(maps_of(a))
     assert_instance_properties(a)
 
 
@@ -111,8 +112,9 @@ def test_mozes517_homology(mozes517):
 
 
 def test_one_vertex_d1_is_zero(mozes513):
-    assert mozes513.maps.d1.is_zero()
-    assert (mozes513.maps.d1.rows, mozes513.maps.d1.cols) == (1, 10)
+    d1 = maps_of(mozes513).d1
+    assert d1.is_zero()
+    assert (d1.rows, d1.cols) == (1, 10)
 
 
 @pytest.mark.parametrize(
@@ -154,14 +156,15 @@ def test_euler_characteristic_consistency(corpus):
 def test_diagram_commutes_exactly(corpus):
     for analysis in corpus.values():
         stacked = stacked_matrix(analysis.tiling)
-        lhs = stacked.mul(analysis.maps.phi2)
-        rhs = analysis.maps.phi1.mul(analysis.maps.d2)
+        maps = maps_of(analysis)
+        lhs = stacked.mul(maps.phi2)
+        rhs = maps.phi1.mul(analysis.d2)
         assert lhs.entries == rhs.entries
 
 
 def test_phi_maps_injective(corpus):
     for analysis in corpus.values():
-        maps = analysis.maps
+        maps = maps_of(analysis)
         assert smith_normal_form(maps.phi2).rank == maps.phi2.cols
         assert smith_normal_form(maps.phi1).rank == maps.phi1.cols
 
@@ -169,14 +172,14 @@ def test_phi_maps_injective(corpus):
 def test_psi_phi1_diagonal_positive(corpus):
     for analysis in corpus.values():
         psi = psi_matrix(analysis.complex, analysis.complex.edge_table.tiles)
-        assert_positive_diagonal(psi.mul(analysis.maps.phi1))
+        assert_positive_diagonal(psi.mul(maps_of(analysis).phi1))
 
 
 def test_psi_phi1_entries_are_twice_transverse_degrees(mozes513):
     # one-vertex (p+1, l+1)-regular complex: 2(l+1) on horizontal rows,
     # 2(p+1) on vertical rows
     c = mozes513.complex
-    prod = psi_matrix(c, c.edge_table.tiles).mul(mozes513.maps.phi1).entries
+    prod = psi_matrix(c, c.edge_table.tiles).mul(maps_of(mozes513).phi1).entries
     eidx = {e.id: i for i, e in enumerate(c.h_edges + c.v_edges)}
     for e in c.h_edges:
         assert prod[eidx[e.id]][eidx[e.id]] == 2 * (13 + 1)
@@ -220,13 +223,14 @@ def test_verifier_flags_each_failed_edge_sum(mozes513):
     tiles = a.complex.edge_table.tiles
     n = len(r)
     stacked = stacked_matrix(a.tiling)
-    h2_basis = kernel_basis(a.maps.d2)
-    h = M(h2_basis, a.maps.d2.cols).transpose()
+    h2_basis = kernel_basis(a.d2)
+    h = M(h2_basis, a.d2.cols).transpose()
+    maps = maps_of(a)
 
     def mu_vanishes(vectors):
         k = M(vectors, n).transpose()
         return verify_main_theorem(
-            a.complex, tiles, a.maps, k, h, commuting_square(a.tiling, a.maps, h)
+            a.complex, tiles, maps, k, h, commuting_square(a.tiling, maps, h)
         ).mu_vanishes
 
     def difference(s, t):
@@ -253,19 +257,18 @@ def test_verifier_rejects_a_unit_vector(mozes513):
     # orbit-representative coordinates, and its mu sums do not vanish.
     a = mozes513
     stacked = stacked_matrix(a.tiling)
-    h2_basis = kernel_basis(a.maps.d2)
+    h2_basis = kernel_basis(a.d2)
     tiles = a.complex.edge_table.tiles
     unit = (tuple(int(i == 0) for i in range(len(tiles))),)
     k = M(unit, len(tiles)).transpose()
-    h = M(h2_basis, a.maps.d2.cols).transpose()
-    verdict = verify_main_theorem(
-        a.complex, tiles, a.maps, k, h, commuting_square(a.tiling, a.maps, h)
-    )
+    h = M(h2_basis, a.d2.cols).transpose()
+    maps = maps_of(a)
+    verdict = verify_main_theorem(a.complex, tiles, maps, k, h, commuting_square(a.tiling, maps, h))
     assert not verdict.kernel_symmetries_hold
     assert not verdict.kernel_in_phi2_image
     assert not verdict.mu_vanishes
     r = expand_by_sigma(a.complex)
-    assert verdict == dense_verify(a.complex, r, a.maps, stacked, unit, h2_basis)
+    assert verdict == dense_verify(a.complex, r, maps, stacked, unit, h2_basis)
 
 
 def test_verifier_flags_a_tampered_operator(monkeypatch, mozes513):
@@ -303,15 +306,16 @@ def test_non_alternating_phi2_takes_the_product(monkeypatch, mozes513):
     stacked = stacked_matrix(a.tiling)
     ts = build_tiling(a.complex.edge_table.tiles, a.complex)
     factors = (ts.b, ts.a)
-    rows = list(a.maps.phi2.row_pairs)
+    chain = maps_of(a)
+    rows = list(chain.phi2.row_pairs)
     rows[0] = tuple([(j, -x) for j, x in rows[0]])
-    phi2 = IntMatrix(a.maps.phi2.rows, a.maps.phi2.cols, tuple(rows))
-    maps = a.maps._replace(phi2=phi2)
-    assert stacked_phi2_from_factors(a.maps.phi2, factors) is not None
+    phi2 = IntMatrix(chain.phi2.rows, chain.phi2.cols, tuple(rows))
+    maps = chain._replace(phi2=phi2)
+    assert stacked_phi2_from_factors(chain.phi2, factors) is not None
     assert stacked_phi2_from_factors(phi2, factors) is None
 
-    h2_basis = kernel_basis(a.maps.d2)
-    h = M(h2_basis, a.maps.d2.cols).transpose()
+    h2_basis = kernel_basis(a.d2)
+    h = M(h2_basis, a.d2.cols).transpose()
     original = IntMatrix.mul
     left_factors = []
 
@@ -328,7 +332,7 @@ def test_non_alternating_phi2_takes_the_product(monkeypatch, mozes513):
         return original_stacked(tiling)
 
     monkeypatch.setattr(tiling_system, "stacked_matrix", stacked_matrix_counted)
-    assert commuting_square(ts, a.maps, h) == (True, True)
+    assert commuting_square(ts, maps_of(a), h) == (True, True)
     assert built == []
     square = commuting_square(ts, maps, h)
     assert built == [ts] and ts.stacked == stacked
@@ -347,7 +351,7 @@ def test_stacked_kernel_certificate_steps(corpus):
     # complex; the torus and the Klein bottle are the ones it does not
     # certify, and they take the elimination of S.
     for name, a in corpus.items():
-        maps = a.maps
+        maps = maps_of(a)
         stacked = stacked_matrix(a.tiling)
         h2_basis = kernel_basis(maps.d2)
         cells = maps.phi2.cols
@@ -377,9 +381,10 @@ def test_stacked_kernel_certificate_steps(corpus):
 def test_stacked_kernel_matches_dense_oracle_on_mozes(p, l):
     _, a = analyze_document(generate_mozes_complex(p, l))
     stacked = stacked_matrix(a.tiling)
-    h = M(kernel_basis(a.maps.d2), a.maps.d2.cols).transpose()
-    square = commuting_square(a.tiling, a.maps, h)
-    certified = stacked_kernel_basis(a.tiling, a.maps, h, square).transpose().entries
+    h = M(kernel_basis(a.d2), a.d2.cols).transpose()
+    maps = maps_of(a)
+    square = commuting_square(a.tiling, maps, h)
+    certified = stacked_kernel_basis(a.tiling, maps, h, square).transpose().entries
     assert len(certified) == a.homology.h2_rank == (p - 1) * (l - 1) // 4 - 1
     assert hermite_row_basis(certified) == hermite_row_basis(kernel_basis(stacked))
 
@@ -391,18 +396,19 @@ def test_verifier_tests_phi2_image_against_the_operator(mozes513):
     a = mozes513
     stacked = stacked_matrix(a.tiling)
     kernel = kernel_basis(stacked)
-    h2_basis = kernel_basis(a.maps.d2)
-    cells = a.maps.d2.cols
+    h2_basis = kernel_basis(a.d2)
+    cells = a.d2.cols
     chain = tuple(int(k == 0) for k in range(cells))
-    assert not a.maps.d2.mul(M([chain], cells).transpose()).is_zero()
+    assert not a.d2.mul(M([chain], cells).transpose()).is_zero()
 
     k = M(kernel, stacked.cols).transpose()
     tiles = a.complex.edge_table.tiles
+    maps = maps_of(a)
 
     def image_in_kernel(basis):
         h = M(basis, cells).transpose()
         return verify_main_theorem(
-            a.complex, tiles, a.maps, k, h, commuting_square(a.tiling, a.maps, h)
+            a.complex, tiles, maps, k, h, commuting_square(a.tiling, maps, h)
         ).phi2_image_in_kernel
 
     assert image_in_kernel(h2_basis)
@@ -464,10 +470,11 @@ def test_structured_count_is_the_kernel_rank_on_random_one_vertex_complexes(seed
 
 def _certified(a):
     """(H2 basis, h, square, certified kernel) of an analysis, recomputed."""
-    h2_basis = kernel_basis(a.maps.d2)
-    h = M(h2_basis, a.maps.d2.cols).transpose()
-    square = commuting_square(a.tiling, a.maps, h)
-    return h2_basis, h, square, stacked_kernel_basis(a.tiling, a.maps, h, square)
+    h2_basis = kernel_basis(a.d2)
+    h = M(h2_basis, a.d2.cols).transpose()
+    maps = maps_of(a)
+    square = commuting_square(a.tiling, maps, h)
+    return h2_basis, h, square, stacked_kernel_basis(a.tiling, maps, h, square)
 
 
 def _count_builds(monkeypatch):
@@ -485,9 +492,10 @@ def _count_builds(monkeypatch):
 @pytest.mark.parametrize("p,l", [(5, 13), (13, 17)])
 def test_certified_path_forms_no_product_over_the_tiles(monkeypatch, p, l):
     # The square is read one row per label and the theorem block is
-    # certified: neither phi1 nor phi2 is ever a left factor, so neither
-    # phi1.d2 nor phi1.(d2.H) is formed, and no kernel phi2.H nor phi2.reps;
-    # S is never built.
+    # certified: chain_maps is never called, so neither phi1 nor phi2
+    # exists, and no product has a left factor with a row per tile: no
+    # phi1.d2 nor phi1.(d2.H), no kernel phi2.H nor phi2.reps; S is never
+    # built.
     doc = generate_mozes_complex(p, l)
     products = []
     original = IntMatrix.mul
@@ -497,11 +505,13 @@ def test_certified_path_forms_no_product_over_the_tiles(monkeypatch, p, l):
         return original(self, other)
 
     monkeypatch.setattr(IntMatrix, "mul", mul)
+    maps = []
+    monkeypatch.setattr(cli, "chain_maps", lambda *args: maps.append(args))
     built = _count_builds(monkeypatch)
     _, a = analyze_document(doc)
-    assert a.theorem.holds and built == []
-    assert not any(left is a.maps.phi1 for left, _ in products)
-    assert not any(left is a.maps.phi2 for left, _ in products)
+    assert a.theorem.holds and built == [] and maps == []
+    n = len(a.tiling.b)
+    assert not any(left.rows in (n, 2 * n) for left, _ in products)
 
 
 def test_phi1_not_a_function_of_its_label_takes_the_product(monkeypatch, mozes513):
@@ -510,10 +520,11 @@ def test_phi1_not_a_function_of_its_label_takes_the_product(monkeypatch, mozes51
     # products, and the verdict is the dense verifier's.
     a = mozes513
     ts = build_tiling(a.complex.edge_table.tiles, a.complex)
-    rows = list(a.maps.phi1.row_pairs)
+    chain = maps_of(a)
+    rows = list(chain.phi1.row_pairs)
     other = next(s for s in range(len(ts.b)) if rows[s] != rows[0])
     rows[0] = rows[other]
-    maps = a.maps._replace(phi1=IntMatrix(len(rows), a.maps.phi1.cols, tuple(rows)))
+    maps = chain._replace(phi1=IntMatrix(len(rows), chain.phi1.cols, tuple(rows)))
     h2_basis, h, _, kernel = _certified(a)
     built = _count_builds(monkeypatch)
     square = commuting_square(ts, maps, h)
@@ -534,12 +545,13 @@ def test_phi1_of_the_wrong_labels_fails_at_label_resolution(monkeypatch, mozes51
     a = mozes513
     ts = build_tiling(a.complex.edge_table.tiles, a.complex)
     n = len(ts.b)
-    rows = list(a.maps.phi1.row_pairs)
+    chain = maps_of(a)
+    rows = list(chain.phi1.row_pairs)
     by_label = {x: rows[s] for s, x in enumerate(ts.b)}
     x, y = sorted(by_label)[:2]
     by_label[x], by_label[y] = by_label[y], by_label[x]
     rows[:n] = [by_label[b] for b in ts.b]
-    maps = a.maps._replace(phi1=IntMatrix(len(rows), a.maps.phi1.cols, tuple(rows)))
+    maps = chain._replace(phi1=IntMatrix(len(rows), chain.phi1.cols, tuple(rows)))
     h2_basis, h, _, kernel = _certified(a)
     built = _count_builds(monkeypatch)
     square = commuting_square(ts, maps, h)
@@ -557,11 +569,12 @@ def test_alternating_but_not_canonical_phi2_gets_the_dense_verdict(monkeypatch, 
     # (4b) forms phi2.reps = 2K != K, while (4a) still holds.
     a = mozes513
     ts = build_tiling(a.complex.edge_table.tiles, a.complex)
-    phi2 = a.maps.phi2
+    chain = maps_of(a)
+    phi2 = chain.phi2
     doubled = IntMatrix(
         phi2.rows, phi2.cols, tuple(tuple((j, 2 * x) for j, x in row) for row in phi2.row_pairs)
     )
-    maps = a.maps._replace(phi2=doubled)
+    maps = chain._replace(phi2=doubled)
     h2_basis, h, _, kernel = _certified(a)
     built = _count_builds(monkeypatch)
     square = commuting_square(ts, maps, h)
@@ -590,12 +603,13 @@ def test_tampered_kernel_flips_both_fourth_checks_together(mozes513):
         cases.append(((tuple(lam),) + vectors[1:], False))
     for scale in (2, -1):
         cases.append((tuple(tuple(scale * x for x in lam) for lam in vectors), True))
+    maps = maps_of(a)
     for basis, holds in cases:
         k = M(basis, n).transpose()
-        verdict = verify_main_theorem(a.complex, a.complex.edge_table.tiles, a.maps, k, h, square)
+        verdict = verify_main_theorem(a.complex, a.complex.edge_table.tiles, maps, k, h, square)
         assert verdict.kernel_symmetries_hold == verdict.kernel_in_phi2_image == holds
         r = expand_by_sigma(a.complex)
-        assert verdict == dense_verify(a.complex, r, a.maps, stacked, basis, h2_basis)
+        assert verdict == dense_verify(a.complex, r, maps, stacked, basis, h2_basis)
 
 
 def test_structured_count_ignores_labels_no_tile_carries(mozes513):

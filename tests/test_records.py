@@ -67,7 +67,7 @@ def records(mozes513):
         a.complex,
         complex_model.ValidationIssue("warning", "a message"),
         a.validation,
-        a.maps,
+        homology.chain_maps(a.complex, a.complex.edge_table.tiles),
         a.homology,
         a.theorem,
         norm_quaternions(5).quats[0],
@@ -78,7 +78,7 @@ def records(mozes513):
         a.connectivity,
         a.k0.hypotheses,
         a.k0,
-        a.maps.d2,
+        a.d2,
         a.homology.h1,
         SmithDecomposition(3, (1, 2)),
     ]

@@ -23,7 +23,7 @@ from treelat.tiling_system import stacked_matrix
 
 import _complexes
 from _complexes import LADDER, random_batch_documents
-from _battery import assert_elimination_matches_dense_snf
+from _battery import assert_elimination_matches_dense_snf, maps_of
 from _oracles import (
     M,
     identity,
@@ -218,7 +218,7 @@ def test_kernel_follows_the_dense_schedule(mozes513):
     rng = random.Random(1414)
     inputs = [sparse_random_matrix(rng) for _ in range(500)]
     inputs = [a for a in inputs if a.rows and a.cols]
-    inputs += [stacked_matrix(mozes513.tiling), mozes513.maps.d2]
+    inputs += [stacked_matrix(mozes513.tiling), mozes513.d2]
     for a in inputs:
         d = certified_snf_diagonal(a)
         assert _kernels_py.smith_diagonal(dense(a)) == d
@@ -267,11 +267,11 @@ def test_smith_form_of_the_image_blocks_matches_the_oracle():
     ]
     for doc in docs:
         _, a = analyze_document(doc)
-        image, s = image_and_smith_form(a.maps.d2)
-        d2t = a.maps.d2.transpose().row_pairs
+        image, s = image_and_smith_form(a.d2)
+        d2t = a.d2.transpose().row_pairs
         _, pivots = _kernels_py.unimodular_elimination(d2t, with_transform=False)
         columns = tuple(tuple(sorted(image_k.items())) for _, image_k, _ in pivots)
-        assert image.rows == a.maps.d2.rows and image.transpose().row_pairs == columns
+        assert image.rows == a.d2.rows and image.transpose().row_pairs == columns
         d = certified_snf_diagonal(image)
         cols = image.cols
         assert snf_diagonal(s, cols) == snf_diagonal(smith_normal_form(image), cols) == d
@@ -293,7 +293,7 @@ def test_elimination_output_is_pinned(torus):
     # rule and the order of the row operations decide each of them.
     _, a = analyze_document(generate_mozes_complex(13, 17))
     rows = {
-        "d2^T (13,17)": a.maps.d2.transpose().row_pairs,
+        "d2^T (13,17)": a.d2.transpose().row_pairs,
         "S^T torus": stacked_matrix(torus.tiling).transpose().row_pairs,
     }
     for (name, with_transform), digest in PINNED_ELIMINATIONS.items():
@@ -320,7 +320,7 @@ def test_image_blocks_with_only_unit_pivots_skip_the_dense_finisher(monkeypatch)
         _, a = analyze_document(doc)
         (rows,) = seen
         _, pivots = _kernels_py.unimodular_elimination(
-            a.maps.d2.transpose().row_pairs, with_transform=False
+            a.d2.transpose().row_pairs, with_transform=False
         )
         if all(image[c] in (1, -1) for c, image, _ in pivots):
             assert rows == []
@@ -350,14 +350,14 @@ def test_elimination_matches_the_dense_schedule_on_random_matrices():
 @pytest.mark.parametrize("p,l", LADDER)
 def test_elimination_matches_the_dense_schedule_on_the_ladder(p, l):
     _, a = analyze_document(generate_mozes_complex(p, l))
-    assert_elimination_matches_dense_snf(a.maps.d2, random.Random(p * l))
+    assert_elimination_matches_dense_snf(a.d2, random.Random(p * l))
 
 
 @pytest.mark.parametrize("doc", ["torus_doc", "klein_doc", "two_vertex_klein_doc"])
 def test_elimination_matches_the_dense_schedule_off_the_certificate(doc):
     # The complexes whose stacked kernel falls back to the elimination of S.
     _, a = analyze_document(getattr(_complexes, doc)())
-    for matrix in (a.maps.d2, a.maps.d1, a.tiling.stacked):
+    for matrix in (a.d2, maps_of(a).d1, a.tiling.stacked):
         assert_elimination_matches_dense_snf(matrix, random.Random(matrix.rows))
 
 
@@ -407,7 +407,7 @@ def test_product_shares_one_negated_row_per_source_row(mozes513):
     # Rows 4k + 1 and 4k + 2 of phi2 both weigh row k of H by -1: the
     # product holds one negated copy of that row for both, row 4k and
     # 4k + 3 are row k itself, and the product is the dense one.
-    maps = mozes513.maps
+    maps = maps_of(mozes513)
     h = M(kernel_basis(maps.d2), maps.d2.cols).transpose()
     rows = maps.phi2.mul(h).row_pairs
     for t in range(0, len(rows), 4):
