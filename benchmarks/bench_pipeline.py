@@ -10,22 +10,25 @@ timed under its own name: each is wrapped there, the way
 perfbench/tracer.py patches module attributes, while
 cli.analyze_document and cli.build_report run on the document.  So the
 stages and their order are read off the checkout's own pipeline, and no
-call sequence is copied here: on this checkout, for a complex whose
-theorem block is certified (every Mozes pair), load_complex,
-validate_vht, expand_directed_squares, build_tiling, boundary_d2,
-connectivity, image_and_smith_form (the elimination of d2 without its
-I part, and the Smith form of its image block off the same pivots),
-certified_theorem, homology_report, k0_rank and build_report; where the
-certificate fails, chain_maps and the explicit checks of
-cli._explicit_theorem, kernel_and_image, commuting_square,
-stacked_kernel_basis and verify_main_theorem, follow certified_theorem.  A function called inside
+call sequence is copied here: on this checkout, for every document,
+load_complex, validate_vht, expand_directed_squares, build_tiling,
+boundary_d2, connectivity, image_and_smith_form (the elimination of d2
+without its I part, and the Smith form of its image block off the same
+pivots), certified_theorem, homology_report, k0_rank and build_report.
+An older checkout whose analysis took the explicit checks where the
+count failed shows chain_maps, kernel_and_image, commuting_square,
+stacked_kernel_basis and verify_main_theorem after certified_theorem on
+C40xC40.  A function called inside
 a stage counts in that stage, and a stage called twice counts both
 calls.  Each time is the best of "repeat" full pipelines (REPEAT, or the
 pair's entry in REPEATS), each on a fresh load, so cached properties built by one run
-never shorten the next.  The pairs are the Mozes ladder (5,13) (5,17)
-(5,29) (13,17) with (17,29), (29,37) and (89,97); on the product of two
-40-cycles (1600 vertices, 3200 edges, 1600 squares) only load_complex and
-validate_vht are timed.  The small pairs repeat more, since a run of
+never shorten the next.  The documents are the Mozes ladder (5,13) (5,17)
+(5,29) (13,17) with (17,29), (29,37) and (89,97), and the product of two
+40-cycles (1600 vertices, 3200 edges, 1600 squares, 6400 tiles), whose
+verdict fails: the count of the stacked kernel exceeds rank H2.  It is
+timed through the whole analysis too, and repeats twice, since an
+analysis that eliminates the stacked operator there takes 5-8 s.  The
+small pairs repeat more, since a run of
 theirs takes a few milliseconds and one slow run moves a best of five.
 The machine's speed drifts by up to a third over the minutes both sides
 take, and one interpreter can run slow, or fast, as a whole: with one
@@ -75,7 +78,15 @@ ROOT = Path(__file__).resolve().parent.parent
 LADDER = ((5, 13), (5, 17), (5, 29), (13, 17), (17, 29), (29, 37), (89, 97))
 CYCLE = 40
 REPEAT = 5
-REPEATS = {"5,13": 15, "5,17": 15, "5,29": 15, "13,17": 15, "29,37": 12, "89,97": 12}
+REPEATS = {
+    "5,13": 15,
+    "5,17": 15,
+    "5,29": 15,
+    "13,17": 15,
+    "29,37": 12,
+    "89,97": 12,
+    f"C{CYCLE}xC{CYCLE}": 2,
+}
 ROUNDS = 4
 
 
@@ -93,7 +104,7 @@ def documents() -> dict[str, str]:
     return docs
 
 
-def measure(text: str, validate_only: bool, pair: str | None, repeat: int) -> dict:
+def measure(text: str, pair: str | None, repeat: int) -> dict:
     """Best-of-repeat seconds of each stage on one document, and of the
     generation and the export of the Mozes pair "p,l" when one is given,
     run in this interpreter against the treelat on sys.path, with the
@@ -143,11 +154,8 @@ def measure(text: str, validate_only: bool, pair: str | None, repeat: int) -> di
         p, l = map(int, pair.split(","))
         if best_of(lambda: timed("generate", generate_mozes_complex)(p, l)) != text:
             raise SystemExit(f"generate_mozes_complex({pair}) differs from the document given")
-    if validate_only:
-        best_of(lambda: cli.validate_vht(cli.load_complex(text)))
-    else:
-        report = timed("build_report", cli.build_report)
-        best_of(lambda: report(cli.analyze_document(text)[1], data))
+    report = timed("build_report", cli.build_report)
+    best_of(lambda: report(cli.analyze_document(text)[1], data))
     if pair is not None:
 
         def export(c):
@@ -174,11 +182,10 @@ def measure(text: str, validate_only: bool, pair: str | None, repeat: int) -> di
 def run_pair(src: Path, name: str, text: str) -> dict:
     """The stage table of one document with the package under src, in its
     own interpreter."""
-    repeat = ["--repeat", str(REPEATS.get(name, REPEAT))]
-    if name.startswith("C"):
-        argv = [sys.executable, __file__, "--measure", "validate", *repeat]
-    else:
-        argv = [sys.executable, __file__, "--measure", "analyze", "--generate", name, *repeat]
+    argv = [sys.executable, __file__, "--measure", "analyze"]
+    if not name.startswith("C"):
+        argv += ["--generate", name]
+    argv += ["--repeat", str(REPEATS.get(name, REPEAT))]
     env = dict(os.environ, PYTHONPATH=str(src))
     done = subprocess.run(argv, input=text, capture_output=True, text=True, env=env, check=True)
     table = json.loads(done.stdout)
@@ -209,13 +216,13 @@ def main(argv=None) -> int:
     parser.add_argument("--out", help="write the table to this file")
     parser.add_argument("--src", type=Path, help="another checkout, timed as 'before'")
     # the interface of run_pair: time the stages of the document on stdin
-    parser.add_argument("--measure", choices=("analyze", "validate"), help=argparse.SUPPRESS)
+    parser.add_argument("--measure", choices=("analyze",), help=argparse.SUPPRESS)
     parser.add_argument("--generate", metavar="P,L", help=argparse.SUPPRESS)
     parser.add_argument("--repeat", type=int, default=REPEAT, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.measure:
         text = sys.stdin.read()
-        print(json.dumps(measure(text, args.measure == "validate", args.generate, args.repeat)))
+        print(json.dumps(measure(text, args.generate, args.repeat)))
         return 0
     if args.out is None:
         parser.error("--out is required")

@@ -9,9 +9,10 @@ Every command that takes a document reads, parses and validates it once,
 in _load.  analyze runs _analyze on the loaded complex, the one place the
 order of the analysis stages is written, which analyze_document runs too;
 it builds d2 and no other map of the chain complex, and reads the theorem
-block off the tile labels and d2 where it can (homology.certified_theorem).
-verify runs only the stages its verdict needs: the tiles, the tiling
-system, the chain maps and the explicit checks (_explicit_theorem).
+block off the tile labels, d2 and ranks on every input
+(homology.certified_theorem).  verify runs only the stages its verdict
+needs: the tiles, the tiling system, the chain maps and the explicit
+checks (_explicit_theorem), which read nothing from certified_theorem.
 export builds the one matrix it writes.
 
 Exit codes: 0 success (warnings allowed), 1 on I/O or parse failures,
@@ -90,22 +91,17 @@ def _analyze(c: SquareComplex, validation: ValidationReport) -> Analysis:
     boundary_d2).  The elimination of d2 without its I part gives the
     image block B^T, whose columns give rank d2, and off the same pivots
     the one Smith form of the analysis, for the torsion of H1
-    (zlinalg.image_and_smith_form).  The theorem block is certified when
-    it can be (homology.certified_theorem): check (1) and the count of the
-    stacked kernel on the component unknowns, both read off the tile
-    labels, B^T and d2, give every check; phi1 and phi2 are not built, and
-    no basis of ker d2 or of ker S is formed.  When the certificate fails,
-    the verdict comes from the explicit checks on the chain maps instead
-    (_explicit_theorem on homology.chain_maps).
+    (zlinalg.image_and_smith_form).  The theorem block is read off the
+    tile labels, B^T and d2 on every input (homology.certified_theorem):
+    check (1) at label resolution and the count of the stacked kernel on
+    the component unknowns give every check; phi1 and phi2 are not built,
+    no basis of ker d2 or of ker S is formed, and S is never eliminated.
     """
-    tiles = expand_directed_squares(c)
-    ts = build_tiling(tiles, c)
+    ts = build_tiling(expand_directed_squares(c), c)
     d2 = boundary_d2(c)
     conn = connectivity(ts, c)
     image, s2 = image_and_smith_form(d2)
     theorem = certified_theorem(c, ts, d2, image)
-    if theorem is None:
-        theorem = _explicit_theorem(c, tiles, ts, chain_maps(c, tiles))
     return Analysis(
         complex=c,
         validation=validation,
@@ -121,12 +117,12 @@ def _analyze(c: SquareComplex, validation: ValidationReport) -> Analysis:
 def _explicit_theorem(
     c: SquareComplex, tiles: tuple[tuple[int, ...], ...], ts: TilingSystem, maps: ChainMaps
 ) -> TheoremVerdict:
-    """The verdict of the explicit checks, which read nothing from
-    certified_theorem: the elimination of d2 with its I part, for a basis
-    H of ker d2; the commuting square; the stacked kernel K, phi2.H when
-    the square and the count certify that and otherwise the elimination of
-    S; and the checks of verify_main_theorem on K and H.  verify runs it
-    alone, and analyze where the certificate fails."""
+    """The verdict of verify, from the explicit checks, which read nothing
+    from certified_theorem: the elimination of d2 with its I part, for a
+    basis H of ker d2; the commuting square; the stacked kernel K, phi2.H
+    when the square and the count certify that and otherwise the
+    elimination of S; and the checks of verify_main_theorem on K and H.
+    analyze never runs it."""
     h, _ = kernel_and_image(maps.d2)
     square = commuting_square(ts, maps, h)
     kernel = stacked_kernel_basis(ts, maps, h, square)

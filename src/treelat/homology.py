@@ -30,14 +30,15 @@ square and the count of the kernel are read off the labels and d2, and
 neither phi1, phi2 nor the operator is built.  verify, export and the
 explicit checks build the chain maps (chain_maps); the square reads them
 one row per label where they have the form chain_maps builds, and the
-operator is built only when phi1 or phi2 is not of that form, or when the
-certificate of the kernel fails.
+operator is built only when phi1 or phi2 is not of that form, or when
+phi2.H is not certified to be the kernel (stacked_kernel_basis).
 
-Two routes give the verdict on the rank identity.  certified_theorem
-reads it off check (1) at label resolution and the count, with no basis
-of ker d2 or of the stacked kernel, and returns None where they do not
-certify it; verify_main_theorem checks every step on explicit bases of
-both kernels.
+analyze and verify each take one route to the verdict on the rank
+identity.  analyze's, certified_theorem, reads it off check (1) at label
+resolution, the count and ranks of d2 and L, on every input, with no
+basis of ker d2 or of the stacked kernel; verify's, verify_main_theorem,
+checks every step on explicit bases of both kernels, and reads nothing
+from the other.
 """
 
 from __future__ import annotations
@@ -593,54 +594,74 @@ def stacked_kernel_basis(
 
 def certified_theorem(
     c: SquareComplex, ts: TilingSystem, d2: IntMatrix, image: IntMatrix
-) -> TheoremVerdict | None:
+) -> TheoremVerdict:
     """The TheoremVerdict of verify_main_theorem for the chain maps of c,
-    read off check (1) and the count of the stacked kernel alone, or None
-    when they do not certify it.
+    read off the tile labels, d2 and ranks alone, on every input.
 
     d2 is that of c (boundary_d2), image its image block B^T
     (zlinalg.image_and_smith_form) and ts the tiles of c
-    (tiling_system.build_tiling).  The certificate: check (1),
-    S.phi2 = phi1.d2, holds at label resolution (_phi_image), and the count
-    dim ker_Q S (structured_kernel_dim, with Phi.B^T as its orbit block)
-    equals rank ker d2 = |F| - rank d2, with rank d2 the columns of B^T.
-    Neither phi1 nor phi2 is built, and no basis of ker d2 or of ker S is
-    formed.  When it holds, every check of verify_main_theorem holds, by
-    the proof rather than on a basis:
+    (tiling_system.build_tiling).  Write r = rank d2, the columns of B^T,
+    F for the squares, L for F^T.phi2 over G^T.phi2 by label (_label_phi2)
+    and V = ker_Q S.  Neither phi1 nor phi2 is built, and no basis of
+    ker d2 or of ker S is formed.  Each check of verify_main_theorem is a
+    property of those alone:
 
-    (1) holds, checked as above;
-    (2) is the count: rank ker S = dim ker_Q S = rank ker d2;
-    (3) S.phi2.x = phi1.d2.x = 0 for x in ker d2, by (1);
-    (4a), (4b) K = phi2(ker d2) for the kernel lattice K of S, by (3), the
-        count and the saturation argument of stacked_kernel_basis.  The
-        columns t - t^v - t^h + t^vh of phi2 are negated by v and by h and
-        fixed by vh, so every vector of K is; and phi2 applied to rows 4k
-        of phi2.x, which are x, gives phi2.x back;
-    (5) M1 = E.F^T - P_h (TilingSystem), so by (4a) (M1 - I).K =
-        E.F^T.K - (I + P_h).K = E.F^T.K; E has one 1 per row and a 1 in
-        every column, so E.Y = 0 iff Y = 0, and F^T.K = 0 iff
-        (M1 - I).K = 0; the same holds for G and M2.  F^T and G^T group
-        the tiles by b'(t) and by a'(t), so (5) is S.K = 0, true of K.
+    - K = ker S in Z^n is saturated, so its basis spans V over Q, and each
+      check on that basis, a linear condition on the vectors of K, holds
+      iff it holds on V.
+    - (1) S.phi2 = phi1.d2 is checked at label resolution (_phi_image).
+    - (2) rank K = dim V, the count (structured_kernel_dim) against
+      rank ker d2 = |F| - r.
+    - (3) S.phi2.H = 0 for a basis H of ker d2.  S.phi2 = E^.L with E^
+      injective (_square_by_labels), so (3) holds iff ker d2 is in ker L,
+      that is iff rank [d2; L] = rank d2: the rows of L lie in the row
+      space of d2.  When (1) holds, L = Phi.d2, and (3) is automatic.
+    - (4a) every vector of V alternates: V lies in im phi2, the joint
+      -1 eigenspace of P_h and P_v.  phi2.w is in V iff E^.L.w = 0 iff
+      L.w = 0, so V meets im phi2 in phi2(ker L), of dimension
+      |F| - rank L, phi2 being injective.  Hence (4a) holds iff
+      dim V = |F| - rank L.
+    - (4b) is (4a) for the phi2 of chain_maps (verify_main_theorem).
+    - (5) F^T.x = 0 and G^T.x = 0 on V.  M1 = E.F^T - P_h (TilingSystem),
+      so S.x = 0 gives E.F^T.x = (I + P_h).x, and likewise
+      E'.G^T.x = (I + P_v).x; E and E' are injective, so (5) holds iff
+      (4a) does.
 
-    When the certificate fails, None, and the caller takes the explicit
-    path on chain_maps: kernel_and_image, commuting_square,
-    stacked_kernel_basis and verify_main_theorem.
+    When (1) holds, rank L = r.  Every edge of a square is a label of its
+    orbit, b(4k) = b, b(4k + 2) = b', a(4k) = a and a(4k + 1) = a', and
+    the row of Phi of a label is +-e of its edge; so every nonzero row of
+    d2, which lives on the edges of squares, is +-a row of L = Phi.d2, and
+    every row of L is +-a row of d2 or zero.  No validation condition is
+    needed for that.  So (4a), (4b) and (5) read count == |F| - r, at no
+    cost beyond the count, which takes Phi.B^T as its orbit block.  When
+    (1) fails, which no valid document reaches (only tampered tiles or
+    d2), the count takes L as its orbit block, and (3) and (4a) take one
+    rank each, of [d2; L] and of L, matrices whose rows are edges and
+    labels.
     """
+    cells, r = d2.cols, image.cols
     label_image = _phi_image(ts, c.edge_table.vertical, d2, image)
-    if label_image is None:
-        return None
-    rank_h2 = d2.cols - image.cols
-    if structured_kernel_dim(ts, label_image) != rank_h2:
-        return None
+    if label_image is not None:
+        commutes = in_kernel = True
+        count = structured_kernel_dim(ts, label_image)
+        rank_l = r
+    else:
+        left_b, left_a = _label_phi2(ts)
+        l_rows = (*left_b.values(), *left_a.values())
+        commutes = False
+        count = structured_kernel_dim(ts)
+        in_kernel = rank(IntMatrix(d2.rows + len(l_rows), cells, d2.row_pairs + l_rows)) == r
+        rank_l = rank(IntMatrix(len(l_rows), cells, l_rows))
+    alternates = count == cells - rank_l
     return TheoremVerdict(
         within_hypotheses=_within_hypotheses(c),
-        diagram_commutes=True,
-        rank_ker_d2=rank_h2,
-        rank_ker_stacked=rank_h2,
-        phi2_image_in_kernel=True,
-        kernel_in_phi2_image=True,
-        kernel_symmetries_hold=True,
-        mu_vanishes=True,
+        diagram_commutes=commutes,
+        rank_ker_d2=cells - r,
+        rank_ker_stacked=count,
+        phi2_image_in_kernel=in_kernel,
+        kernel_in_phi2_image=alternates,
+        kernel_symmetries_hold=alternates,
+        mu_vanishes=alternates,
     )
 
 

@@ -21,7 +21,7 @@ entry from tiles to a TilingSystem, checks that once, and a TilingSystem
 keeps b and a alone.  An analysis reads the tile and edge graphs, the
 label counts and the factors of the stacked operator off those labels; m1,
 m2 and the stacked matrix are built only on demand, each from the labels on
-its own: for export and on fallback.
+its own: for export and for verify's explicit checks, never for analyze.
 
 The tiles of an axis are the darts of a multigraph on its labels, one edge
 b(t) - b(t^h) per pair {t, t^h} (resp. a(t) - a(t^v)), and the tile graph

@@ -68,8 +68,7 @@ from _oracles import (
 
 def maps_of(analysis):
     """The chain maps of an analysed complex, on the tiles the analysis
-    read.  analyze builds d2 alone, and chain_maps only where its
-    certificate fails."""
+    read.  analyze builds d2 alone, and never chain_maps."""
     c = analysis.complex
     return chain_maps(c, expand_directed_squares(c))
 

@@ -341,16 +341,34 @@ def cycle_products() -> dict[str, str]:
     }
 
 
-@pytest.mark.parametrize("group", ["ladder", "small", "cycles"])
+# The valid documents of each group whose verdict holds: every one of the
+# ladder and the random batch, the F2 x F2 of the small complexes, 22 of
+# the 28 valid presentation documents, and no product of two cycles.
+HOLDS = {
+    "ladder": 6,
+    "small": 1,
+    "presentation": 22,
+    "random1": 24,
+    "random2": 24,
+    "random3": 24,
+    "cycles": 0,
+}
+
+
+@pytest.mark.parametrize("group", [*GROUPS, "cycles"])
 def test_label_resolution_verdict_is_the_explicit_verdict(group):
-    # The differential oracle of the certified route: Phi and L read off
+    # The differential oracle of analyze's one route: Phi and L read off
     # the labels give the label image that the per-tile chain maps give,
-    # a certified verdict is the one of the explicit checks on chain_maps,
-    # and the certificate fails exactly where that verdict does not hold.
+    # and the verdict read off the labels, d2 and ranks is the one of the
+    # explicit checks on chain_maps, on every document, whether it holds
+    # or not.
     docs = cycle_products() if group == "cycles" else corpus(group)
-    certified = 0
+    holds = 0
     for name, text in docs.items():
-        c, v = valid(text)
+        loaded = valid(text)
+        if loaded is None:
+            continue
+        c, v = loaded
         tiles = c.edge_table.tiles
         ts = build_tiling(tiles, c)
         d2 = homology.boundary_d2(c)
@@ -361,11 +379,10 @@ def test_label_resolution_verdict_is_the_explicit_verdict(group):
         assert label_image == label_image_by_chain_maps(ts, maps, image), name
         explicit = cli._explicit_theorem(c, tiles, ts, maps)
         theorem = homology.certified_theorem(c, ts, d2, image)
-        assert (theorem is None) == (not explicit.holds), name
-        assert theorem in (None, explicit), name
+        assert theorem == explicit, name
         assert cli._analyze(c, v).theorem == explicit, name
-        certified += theorem is not None
-    assert certified == {"ladder": len(docs), "small": 1, "cycles": 0}[group]
+        holds += explicit.holds
+    assert holds == HOLDS[group]
 
 
 def negated(m: IntMatrix) -> IntMatrix:
@@ -432,9 +449,9 @@ def test_tampered_maps_give_analyze_the_verdict_of_verify(monkeypatch, doc):
     # tampered instead: the tiles and d2 it reads, through the names it
     # calls.  Its verdict, homology and K-ranks are those of the explicit
     # checks on the chain maps of those tiles with that d2, and of the
-    # dense verifier.
+    # dense verifier, whether check (1) holds on them or not.
     c, v = valid(TAMPERED_DOCS[doc]())
-    certified = []
+    commutes = []
     for name, (tiles, d2) in tampered_inputs(c).items():
         monkeypatch.setattr(cli, "expand_directed_squares", lambda c, tiles=tiles: tiles)
         # chain_maps, on the explicit path, reads d2 through homology
@@ -447,30 +464,30 @@ def test_tampered_maps_give_analyze_the_verdict_of_verify(monkeypatch, doc):
         verified = cli._explicit_theorem(c, tiles, ts, maps)
         assert analyzed.theorem == verified, name
         assert cli._theorem_dict(analyzed.theorem) == dense_theorem(c, tiles, maps), name
-        # The homology and K-ranks of an analysis that takes the explicit
-        # path and the Smith form of its own image block.
+        # The homology and K-ranks of an analysis from the explicit
+        # elimination of d2 and the Smith form of its own image block.
         smith = smith_normal_form(kernel_and_image(d2)[1])
         assert analyzed.homology == homology.homology_report(c, smith), name
         assert analyzed.k0 == k0_rank(ts, connectivity(ts, c), verified.rank_ker_stacked), name
-        if homology.certified_theorem(c, ts, d2, image_and_smith_form(d2)[0]):
-            certified.append(name)
-    # Only the changes that keep check (1) are certified, and only where
-    # the count agrees: on the Klein bottle it never does.  d2 = 0 on
-    # F2 x F2, so negating it changes nothing, and L = Phi.d2 = 0 there
-    # holds with the labels reversed too.
-    assert certified == {
+        if analyzed.theorem.diagram_commutes:
+            commutes.append(name)
+    # Check (1) holds only on the changes that keep it, on the Klein bottle
+    # too, where the count fails all the same.  d2 = 0 on F2 x F2, so
+    # negating it changes nothing, and L = Phi.d2 = 0 there holds with the
+    # labels reversed too.
+    assert commutes == {
         "mozes513": ["labels_reversed_d2_negated"],
         "f2xf2": ["d2_negated", "labels_reversed", "labels_reversed_d2_negated"],
-        "klein": [],
+        "klein": ["labels_reversed_d2_negated"],
     }[doc]
 
 
 @pytest.mark.parametrize("doc", sorted(TAMPERED_DOCS))
 def test_tampered_chain_maps_give_verify_the_dense_verdict(monkeypatch, runner, tmp_path, doc):
     # Chain maps changed one way each reach verify through chain_maps, and
-    # its verdict is the dense verifier's.  analyze calls chain_maps only
-    # where its certificate fails, so a certified analysis keeps its
-    # verdict, and one that fails takes the explicit checks on them.
+    # its verdict is the dense verifier's.  analyze never calls
+    # chain_maps, so it keeps the verdict of the untampered maps, whether
+    # that holds or not.
     text = TAMPERED_DOCS[doc]()
     path = tmp_path / "doc.json"
     path.write_text(text)
@@ -478,8 +495,9 @@ def test_tampered_chain_maps_give_verify_the_dense_verdict(monkeypatch, runner, 
     tiles = c.edge_table.tiles
     ts = build_tiling(tiles, c)
     d2 = homology.boundary_d2(c)
-    holds = homology.certified_theorem(c, ts, d2, image_and_smith_form(d2)[0])
-    assert (holds is None) == (doc == "klein")
+    theorem = homology.certified_theorem(c, ts, d2, image_and_smith_form(d2)[0])
+    assert theorem == cli._explicit_theorem(c, tiles, ts, homology.chain_maps(c, tiles))
+    assert theorem.holds == (doc != "klein")
     for name, maps in tampered_maps(homology.chain_maps(c, tiles)).items():
         calls = []
         monkeypatch.setattr(cli, "chain_maps", lambda c, tiles, maps=maps: calls.append(1) or maps)
@@ -489,11 +507,7 @@ def test_tampered_chain_maps_give_verify_the_dense_verdict(monkeypatch, runner, 
         assert calls == [1], name
         del calls[:]
         analyzed = cli._analyze(c, v)
-        if holds is None:
-            assert analyzed.theorem == cli._explicit_theorem(c, tiles, ts, maps), name
-            assert calls == [1], name
-        else:
-            assert analyzed.theorem == holds and calls == [], name
+        assert analyzed.theorem == theorem and calls == [], name
 
 
 @pytest.mark.parametrize("slot", ["b_prime", "a_prime"])

@@ -609,23 +609,22 @@ def test_certified_analysis_builds_no_per_tile_map(monkeypatch, mozes513_doc):
 
 
 @pytest.mark.parametrize("doc", ["torus_doc", "klein_doc"])
-def test_failed_certificate_takes_the_explicit_path_once(monkeypatch, doc):
-    # The count exceeds rank ker d2, so the certificate fails, and analyze
-    # takes every step of the explicit path once: the elimination of d2,
-    # with its I part, and then that of S for the fallback kernel.  The
-    # Smith form stays the one of image_and_smith_form.
+def test_failing_verdict_takes_no_explicit_step(monkeypatch, doc):
+    # The count exceeds rank ker d2, so the verdict fails, and analyze
+    # reads it off the labels, d2 and ranks all the same: one elimination
+    # of d2 without its I part, one certified_theorem, and no step of the
+    # explicit path, no chain maps and no stacked operator.  The Smith
+    # form stays the one of image_and_smith_form.
     calls = count_paths(monkeypatch)
     smith = count_calls(monkeypatch, zlinalg, "smith_normal_form")
-    maps = count_calls(monkeypatch, cli, "chain_maps")
+    maps = count_calls(monkeypatch, homology, "chain_maps")
+    built = count_calls(monkeypatch, tiling_system, "stacked_matrix")
     _, analysis = analyze_document(getattr(_complexes, doc)())
     assert not analysis.theorem.holds
     assert calls.pop("image_and_smith_form") == [analysis.d2]
     assert len(calls.pop("certified_theorem")) == 1
-    assert calls.pop("kernel_and_image") == [analysis.d2, analysis.tiling.stacked]
-    assert [len(seen) for seen in calls.values()] == [1, 1, 1]
-    assert smith == []
-    # The explicit checks read the chain maps of the complex, built once.
-    assert maps == [analysis.complex]
+    assert calls == {name: [] for _, name in EXPLICIT_PATH}
+    assert smith == [] and maps == [] and built == []
 
 
 # The stages of an analysis that the verdict of verify does not read.
@@ -817,35 +816,86 @@ def test_product_analysis_takes_one_smith_form_of_the_image_block(monkeypatch):
     assert solves == [] and cokernels == []
 
 
-def test_torus_falls_back_to_the_dense_kernel(monkeypatch, torus):
-    # rank ker d2 = 1 but the stacked kernel has rank 4: no certificate,
-    # and the stacked operator is built once, for its elimination.
+def verify_counting_the_operator(monkeypatch, runner, tmp_path, text):
+    """verify --json on the document text, with the builds of the stacked
+    operator, its eliminations and its Smith forms recorded: (theorem
+    block, builds, eliminations, Smith forms)."""
+    snf = count_calls(monkeypatch, zlinalg, "smith_normal_form")
+    eliminations = count_calls(monkeypatch, zlinalg, "kernel_and_image")
+    built = count_calls(monkeypatch, tiling_system, "stacked_matrix")
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    code, out, err = runner("verify", str(path), "--json")
+    assert code == 0, err
+    return json.loads(out)["theorem"], built, eliminations, snf
+
+
+def test_torus_falls_back_to_the_dense_kernel(monkeypatch, runner, tmp_path, torus):
+    # rank ker d2 = 1 but the stacked kernel has rank 4: verify finds no
+    # certificate for phi2.H, and builds the stacked operator once, for its
+    # elimination, which is never put in a Smith form.  analyze reads the
+    # same verdict off the labels.
     stacked = tiling_system.stacked_matrix(torus.tiling)
-    snf = count_calls(monkeypatch, zlinalg, "smith_normal_form")
-    eliminations = count_calls(monkeypatch, zlinalg, "kernel_and_image")
-    built = count_calls(monkeypatch, tiling_system, "stacked_matrix")
-    _, analysis = analyze_document(_complexes.torus_doc())
+    theorem, built, eliminations, snf = verify_counting_the_operator(
+        monkeypatch, runner, tmp_path, _complexes.torus_doc()
+    )
     assert len(built) == 1
     assert sum(a == stacked for a in eliminations) == 1
     assert sum(a == stacked for a in snf) == 0
-    assert analysis.theorem == torus.theorem
-    assert (analysis.theorem.rank_ker_d2, analysis.theorem.rank_ker_stacked) == (1, 4)
-    assert not analysis.theorem.holds
+    assert theorem == cli._theorem_dict(torus.theorem)
+    assert (torus.theorem.rank_ker_d2, torus.theorem.rank_ker_stacked) == (1, 4)
+    assert not torus.theorem.holds
 
 
-def test_klein_bottle_builds_the_operator_once(monkeypatch, klein):
-    # No certificate either: one build of the stacked operator, shared by
-    # the fallback kernel, and one elimination of it.
+def test_klein_bottle_builds_the_operator_once(monkeypatch, runner, tmp_path, klein):
+    # No certificate either: verify builds the stacked operator once, for
+    # the fallback kernel, and eliminates it once; analyze reads the same
+    # verdict off the labels.
     stacked = tiling_system.stacked_matrix(klein.tiling)
-    snf = count_calls(monkeypatch, zlinalg, "smith_normal_form")
-    eliminations = count_calls(monkeypatch, zlinalg, "kernel_and_image")
-    built = count_calls(monkeypatch, tiling_system, "stacked_matrix")
-    _, analysis = analyze_document(_complexes.klein_doc())
+    theorem, built, eliminations, snf = verify_counting_the_operator(
+        monkeypatch, runner, tmp_path, _complexes.klein_doc()
+    )
     assert len(built) == 1
     assert sum(a == stacked for a in eliminations) == 1
     assert sum(a == stacked for a in snf) == 0
-    assert analysis.theorem == klein.theorem
-    assert not analysis.theorem.holds
+    assert theorem == cli._theorem_dict(klein.theorem)
+    assert (klein.theorem.rank_ker_d2, klein.theorem.rank_ker_stacked) == (0, 2)
+    assert not klein.theorem.holds
+
+
+# The stages that only verify takes: the explicit checks, the chain maps
+# and the stacked operator.
+VERIFY_ONLY = (
+    *EXPLICIT_PATH,
+    (homology, "chain_maps"),
+    (tiling_system, "stacked_matrix"),
+)
+
+
+@pytest.mark.parametrize("case", ["C20xC20", "mozes513_d2_bumped"])
+def test_analyze_never_takes_the_explicit_path(monkeypatch, case):
+    # Where the count fails (the product of two 20-cycles) and where
+    # check (1) fails (d2 of (5,13) with 1 added to entry (0, 0)), analyze
+    # reads its verdict off the labels, d2 and ranks: no chain maps, no
+    # explicit check and no stacked operator.  The verdict is that of the
+    # explicit checks on the same input.
+    if case == "C20xC20":
+        cycle = (20, [(i, (i + 1) % 20) for i in range(20)])
+        c, v = test_certificate.valid(_complexes.product_doc(cycle, cycle))
+        d2 = homology.boundary_d2(c)
+    else:
+        c, v = test_certificate.valid(treelat.generate_mozes_complex(5, 13))
+        d2 = test_certificate.bumped(homology.boundary_d2(c))
+        monkeypatch.setattr(cli, "boundary_d2", lambda c: d2)
+    calls = {name: count_calls(monkeypatch, module, name) for module, name in VERIFY_ONLY}
+    theorem = cli._analyze(c, v).theorem
+    assert calls == {name: [] for _, name in VERIFY_ONLY}
+    monkeypatch.undo()
+    tiles = c.edge_table.tiles
+    maps = homology.chain_maps(c, tiles)._replace(d2=d2)
+    assert theorem == cli._explicit_theorem(c, tiles, tiling_system.build_tiling(tiles, c), maps)
+    assert not theorem.holds
+    assert theorem.diagram_commutes == (case == "C20xC20")
 
 
 def test_certificate_rests_on_the_commuting_square(monkeypatch, mozes513):

@@ -447,7 +447,7 @@ def test_structured_count_matches_rank_mod_p_at_17_29():
 
 @pytest.mark.parametrize("doc", ["torus_doc", "klein_doc", "two_vertex_klein_doc"])
 def test_structured_count_is_the_kernel_rank_off_the_certificate(doc):
-    # The certificate fails on these, but the labels still give the factors
+    # The verdict fails on these, but the labels still give the factors
     # of S, so the count over Q runs, and it is the rank of the kernel.
     _, a = analyze_document(getattr(_complexes, doc)())
     stacked = stacked_matrix(a.tiling)

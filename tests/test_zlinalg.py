@@ -355,7 +355,8 @@ def test_elimination_matches_the_dense_schedule_on_the_ladder(p, l):
 
 @pytest.mark.parametrize("doc", ["torus_doc", "klein_doc", "two_vertex_klein_doc"])
 def test_elimination_matches_the_dense_schedule_off_the_certificate(doc):
-    # The complexes whose stacked kernel falls back to the elimination of S.
+    # The complexes whose stacked kernel verify takes from the elimination
+    # of S.
     _, a = analyze_document(getattr(_complexes, doc)())
     for matrix in (a.d2, maps_of(a).d1, a.tiling.stacked):
         assert_elimination_matches_dense_snf(matrix, random.Random(matrix.rows))
