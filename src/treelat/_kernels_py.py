@@ -138,7 +138,8 @@ def smith_diagonal(a):
     the pivot; row and column operations clear its column and row, a
     surviving remainder becoming the pivot; a pivot that does not divide
     every remaining entry adds in the first row holding one.
-    smith_normal_form hands it only the pivot rows that are not split off.
+    zlinalg._smith_of_pivots hands it only the pivot rows that are not
+    split off.
     """
     m, n = len(a), (len(a[0]) if a else 0)
     d = [list(row) for row in a]

@@ -124,7 +124,7 @@ def _explicit_theorem(
     elimination of S; and the checks of verify_main_theorem on K and H.
     analyze never runs it."""
     h, _ = kernel_and_image(maps.d2)
-    square = commuting_square(ts, maps, h)
+    square = commuting_square(c, ts, maps, h)
     kernel = stacked_kernel_basis(ts, maps, h, square)
     return verify_main_theorem(c, tiles, maps, kernel, h, square)
 

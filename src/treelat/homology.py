@@ -28,10 +28,12 @@ the factors of that operator, and phi1 and phi2 are functions of the
 labels too.  analyze builds d2 alone (boundary_d2): check (1) of the
 square and the count of the kernel are read off the labels and d2, and
 neither phi1, phi2 nor the operator is built.  verify, export and the
-explicit checks build the chain maps (chain_maps); the square reads them
-one row per label where they have the form chain_maps builds, and the
-operator is built only when phi1 or phi2 is not of that form, or when
-phi2.H is not certified to be the kernel (stacked_kernel_basis).
+explicit checks build the chain maps (chain_maps).  Check (1) at label
+resolution has one implementation, _label_square, which reads Phi and L
+off the labels and d2: analyze's certificate calls it, and so does
+verify's square once an O(n) test finds its phi1 and phi2 equal to the
+ones the labels give.  The operator is built only when they are not, or
+when phi2.H is not certified to be the kernel (stacked_kernel_basis).
 
 analyze and verify each take one route to the verdict on the rank
 identity.  analyze's, certified_theorem, reads it off check (1) at label
@@ -267,9 +269,9 @@ def structured_kernel_dim(ts: TilingSystem, label_image: LabelImage | None = Non
     With label_image None, M is L itself (_label_phi2): the general path,
     for any labels.  label_image is given when check (1) holds at label
     resolution for the chain maps of a complex (certified_theorem, with
-    _phi_image): L = Phi.d2, Phi the phi1 row of each label.  It
-    then holds the rows of Phi.B^T by label, a dict for the b labels and
-    one for the a labels, B^T the image block of d2
+    _label_square and _phi_image): L = Phi.d2, Phi the phi1 row of each
+    label.  It then holds the rows of Phi.B^T by label, a dict for the b
+    labels and one for the a labels, B^T the image block of d2
     (zlinalg.image_and_smith_form), and M is Phi.B^T.  The columns of B^T
     are a basis over Q of the column space of d2, so d2 = B^T.X' for a
     rational X' of full row rank r = rank d2, and 4 L = (Phi.B^T).(4 X').
@@ -444,88 +446,9 @@ def _alternates(rows) -> bool:
     )
 
 
-def _label_sums(rows, labels, flip: int) -> dict[int, Row]:
-    """Row x of F^T.X, for the matrix X with these rows and F[t][x] =
-    [labels[t ^ flip] = x]: the sum of the rows t of X whose primed label
-    labels[t ^ flip] is x.  With (b, 2) that is b'(t) = b(t^h), and F^T.X;
-    with (a, 1) it is a'(t) = a(t^v), and G^T.X (TilingSystem).
-    O(nnz(X)) steps."""
-    sums: dict[int, dict[int, int]] = {}
-    for t, pairs in enumerate(rows):
-        acc = sums.get(labels[t ^ flip])
-        if acc is None:
-            acc = sums[labels[t ^ flip]] = {}
-        for j, x in pairs:
-            acc[j] = acc.get(j, 0) + x
-    return {x: _row(acc) for x, acc in sums.items()}
-
-
-def _rows_by_label(rows, labels) -> dict[int, Row] | None:
-    """The row of each label, in the order the labels first occur, when
-    rows[s], a tuple, depends on labels[s] alone; else None.  O(n): the
-    last row of each label is kept, and every row compared with it."""
-    by_label = dict(zip(labels, rows))
-    if tuple(map(by_label.__getitem__, labels)) != rows:
-        return None
-    return by_label
-
-
-def _square_by_labels(
-    ts: TilingSystem, maps: ChainMaps
-) -> tuple[bool, IntMatrix, IntMatrix, tuple[list[int], list[int]]] | None:
-    """(commutes, L, Phi, labels): whether check (1) holds at label
-    resolution, S.phi2 and phi1 with one row per label, and the labels of
-    their rows, b's then a's; or None when the maps are not of the form
-    that allows it.
-
-    The form: phi2 alternates, which the caller has checked (_alternates,
-    or phi2 is the one chain_maps builds), and row s of phi1 depends on
-    b(s) alone in the top block and on a(s) alone in the bottom one.
-    Then phi1 =
-    (E.Phi_b over E'.Phi_a), row x of Phi_b being the phi1 row of any tile
-    with b(s) = x, and S.phi2 = (E.F^T.phi2 over E'.G^T.phi2), the factors
-    of S being those of TilingSystem (_label_sums), since
-    (I + P_h).phi2 = (I + P_v).phi2 = 0.  Write E^ for the block diagonal
-    (E, E'), L for F^T.phi2 over G^T.phi2 and Phi for Phi_b over Phi_a,
-    each on the labels that occur, b's then a's.  So S.phi2 = E^.L and
-    phi1 = E^.Phi.  E^ has exactly one 1 per row and a 1 in every column,
-    so E^.X = E^.Y iff X = Y; and every label b(s) is a primed label
-    b'(s ^ 2), so L has a row for it.  Hence S.phi2 = phi1.d2 iff
-    L = Phi.d2; (S.phi2).H = 0 iff L.H = 0; and phi1.(d2.H) = 0 iff
-    Phi.(d2.H) = 0: each check reads the same with (L, Phi) in place of
-    (S.phi2, phi1), on 2|E| rows instead of 2n.
-
-    commutes is L = Phi.d2, compared row by row, and no matrix product is
-    formed: row x of Phi.d2 is the sum of s.d2[e] over the pairs (e, s)
-    of Phi[x] (zlinalg.mul_rows), which is +-d2[e] itself for the phi1 of
-    chain_maps, one pair per row.
-    """
-    phi1, phi2, d2 = maps.phi1, maps.phi2, maps.d2
-    b, a = ts.b, ts.a
-    n = len(b)
-    if (phi2.rows, phi1.rows, phi1.cols) != (n, 2 * n, d2.rows):
-        return None
-    left: list[Row] = []
-    right: list[Row] = []
-    keys = []
-    for labels, flip, rows in ((b, 2, phi1.row_pairs[:n]), (a, 1, phi1.row_pairs[n:])):
-        phi = _rows_by_label(rows, labels)
-        if phi is None:
-            return None
-        sums = _label_sums(phi2.row_pairs, labels, flip)
-        left += map(sums.__getitem__, phi)
-        right += phi.values()
-        keys.append(list(phi))
-    l_rows = tuple(left)
-    return (
-        l_rows == mul_rows(right, d2.row_pairs, d2.cols),
-        IntMatrix(len(l_rows), phi2.cols, l_rows),
-        IntMatrix(len(right), phi1.cols, tuple(right)),
-        (keys[0], keys[1]),
-    )
-
-
-def commuting_square(ts: TilingSystem, maps: ChainMaps, h: IntMatrix) -> tuple[bool, bool]:
+def commuting_square(
+    c: SquareComplex, ts: TilingSystem, maps: ChainMaps, h: IntMatrix
+) -> tuple[bool, bool]:
     """Checks (1) and (3) of verify_main_theorem, taken once for it and for
     stacked_kernel_basis: (diagram_commutes, phi2_image_in_kernel).
 
@@ -535,21 +458,31 @@ def commuting_square(ts: TilingSystem, maps: ChainMaps, h: IntMatrix) -> tuple[b
     one matrix) and as (S.phi2).H = 0 otherwise.  Neither reads a stacked
     kernel basis.
 
-    When the maps have the form of _square_by_labels, both checks
-    run on its matrices, with one row per label, and neither S nor
-    phi1.d2 is formed; that docstring gives the argument that each check
-    keeps its value.  Otherwise (phi1 or phi2 not of the form chain_maps
-    builds) they run on S.phi2 and phi1 themselves, with S built from the
-    labels.
+    The form test, O(n): phi2 is the one chain_maps builds (_phi2_rows),
+    and phi1 is Phi expanded per tile, row s of its top block Phi[b(s)]
+    and of its bottom block Phi[a(s)], for the Phi that _label_square
+    reads off the labels of ts and the first vertical code of c.  The
+    chain_maps of c always pass it.  Then both checks run on L and Phi,
+    one row per label, and neither S nor phi1.d2 is formed; the docstring
+    of _label_square gives the argument that each check keeps its value.
+    Any other maps take the dense square: S.phi2 and phi1 themselves,
+    with S built from the labels.  A wrong Phi from _label_square fails
+    the test against the phi1 of chain_maps, and so takes the dense
+    square too.
     """
-    square = _square_by_labels(ts, maps) if _alternates(maps.phi2.row_pairs) else None
-    if square is None:
-        left, phi1 = ts.stacked.mul(maps.phi2), maps.phi1
-        commutes = left == phi1.mul(maps.d2)
-    else:
-        commutes, left, phi1, _ = square
+    d2, phi1, phi2 = maps.d2, maps.phi1, maps.phi2
+    commutes = None
+    if (phi2.cols, phi1.cols) == (d2.cols, d2.rows) and phi2.row_pairs == _phi2_rows(len(ts.b)):
+        at_labels, l_rows, (phi_b, phi_a) = _label_square(ts, c.edge_table.vertical, d2)
+        if phi1.row_pairs == (*map(phi_b.__getitem__, ts.b), *map(phi_a.__getitem__, ts.a)):
+            commutes = at_labels
+            left = IntMatrix(len(l_rows), d2.cols, l_rows)
+            phi1 = IntMatrix(len(l_rows), d2.rows, (*phi_b.values(), *phi_a.values()))
+    if commutes is None:
+        left = ts.stacked.mul(phi2)
+        commutes = left == phi1.mul(d2)
     if commutes:
-        return True, phi1.mul(maps.d2.mul(h)).is_zero()
+        return True, phi1.mul(d2.mul(h)).is_zero()
     return False, left.mul(h).is_zero()
 
 
@@ -563,7 +496,7 @@ def stacked_kernel_basis(
     the stacked operator S of ts, one basis vector per column.
 
     h holds the basis of ker d2 from its elimination, one vector per
-    column, and square is commuting_square(ts, maps, h).  When two checks
+    column, and square is commuting_square(c, ts, maps, h).  When two checks
     pass, the basis is phi2.h, and S is never built:
 
     (a) square[1], which is S.(phi2.h) = 0, so L = phi2(ker d2) lies in K;
@@ -609,13 +542,16 @@ def certified_theorem(
     - K = ker S in Z^n is saturated, so its basis spans V over Q, and each
       check on that basis, a linear condition on the vectors of K, holds
       iff it holds on V.
-    - (1) S.phi2 = phi1.d2 is checked at label resolution (_phi_image).
+    - (1) S.phi2 = phi1.d2 is checked at label resolution by
+      _label_square, which verify's square calls too; its docstring gives
+      the argument, E^ injective, that the checks below rest on, and its
+      L is the one the ranks below read.
     - (2) rank K = dim V, the count (structured_kernel_dim) against
       rank ker d2 = |F| - r.
     - (3) S.phi2.H = 0 for a basis H of ker d2.  S.phi2 = E^.L with E^
-      injective (_square_by_labels), so (3) holds iff ker d2 is in ker L,
-      that is iff rank [d2; L] = rank d2: the rows of L lie in the row
-      space of d2.  When (1) holds, L = Phi.d2, and (3) is automatic.
+      injective, so (3) holds iff ker d2 is in ker L, that is iff
+      rank [d2; L] = rank d2: the rows of L lie in the row space of d2.
+      When (1) holds, L = Phi.d2, and (3) is automatic.
     - (4a) every vector of V alternates: V lies in im phi2, the joint
       -1 eigenspace of P_h and P_v.  phi2.w is in V iff E^.L.w = 0 iff
       L.w = 0, so V meets im phi2 in phi2(ker L), of dimension
@@ -640,15 +576,12 @@ def certified_theorem(
     labels.
     """
     cells, r = d2.cols, image.cols
-    label_image = _phi_image(ts, c.edge_table.vertical, d2, image)
-    if label_image is not None:
-        commutes = in_kernel = True
-        count = structured_kernel_dim(ts, label_image)
+    commutes, l_rows, phi = _label_square(ts, c.edge_table.vertical, d2)
+    if commutes:
+        in_kernel = True
+        count = structured_kernel_dim(ts, _phi_image(phi, image))
         rank_l = r
     else:
-        left_b, left_a = _label_phi2(ts)
-        l_rows = (*left_b.values(), *left_a.values())
-        commutes = False
         count = structured_kernel_dim(ts)
         in_kernel = rank(IntMatrix(d2.rows + len(l_rows), cells, d2.row_pairs + l_rows)) == r
         rank_l = rank(IntMatrix(len(l_rows), cells, l_rows))
@@ -674,9 +607,8 @@ def _label_phi2(ts: TilingSystem) -> LabelImage:
     F^T.phi2 sums the rows t of phi2 with b'(t) = x: so the tiles of orbit
     k add the signs (1, -1, -1, 1) at column k of the rows of their primed
     labels, b'(t) for F and a'(t) for G, and the sums of a label that
-    occurs twice in the orbit are merged (_label_sums on phi2, without
-    phi2).  The columns come in increasing order, so each row comes out
-    sorted.
+    occurs twice in the orbit are merged, with no phi2 formed.  The
+    columns come in increasing order, so each row comes out sorted.
     """
     out = []
     for labels, flip, counts in zip((ts.b, ts.a), (2, 1), ts.label_counts):
@@ -701,35 +633,54 @@ def _label_phi2(ts: TilingSystem) -> LabelImage:
     return out[0], out[1]
 
 
-def _phi_image(
-    ts: TilingSystem, vertical: int, d2: IntMatrix, image: IntMatrix
-) -> LabelImage | None:
-    """The label_image argument of structured_kernel_dim, the rows of
-    Phi.B^T by label, a dict for the b labels and one for the a labels,
-    when check (1) holds at label resolution for the chain maps of the
-    tiles of ts; else None.  vertical is the first vertical edge code
-    (complex_model.EdgeTable), and image the image block B^T of d2.
+def _label_square(
+    ts: TilingSystem, vertical: int, d2: IntMatrix
+) -> tuple[bool, tuple[Row, ...], LabelImage]:
+    """(commutes, L, Phi): check (1) at label resolution for the chain
+    maps of the tiles of ts, the one implementation of it, with L =
+    F^T.phi2 over G^T.phi2, one row per label (_label_phi2), and Phi the
+    phi1 row of each label, by label, a dict for the b labels and one for
+    the a labels, in the order of the rows of L.  vertical is the first
+    vertical edge code (complex_model.EdgeTable).
 
-    The argument.  Row s of the phi1 of chain_maps is +-e of b(s) in its
-    top block, and +-e of a(s) in its bottom one, a function of the label
-    alone, and its phi2 is the canonical one, which alternates.  So both
-    are of the form _square_by_labels asks for, and its matrices are read
-    off the labels here, with no per-tile map.  Phi holds the phi1 row of
-    each label: ((x + vertical) >> 1, s) for a b label x, its code less
-    vertical, with s = -1 when x is reversed (x & 1); and (x >> 1, s) for
-    an a label x, its code, with s = -1 when x is forward.  A label of the
-    wrong axis gets an empty row, as in chain_maps.  L = F^T.phi2 over
-    G^T.phi2 (_label_phi2).  By that docstring, S.phi2 = phi1.d2 iff
-    L = Phi.d2, compared row by row: row x of Phi.d2 is +-d2[e] for the
-    pair (e, +-1) of Phi[x] (zlinalg.mul_rows).
+    Phi is read off the labels: ((x + vertical) >> 1, s) for a b label x,
+    its code less vertical, with s = -1 when x is reversed (x & 1); and
+    (x >> 1, s) for an a label x, its code, with s = -1 when x is forward.
+    A label of the wrong axis gets an empty row, as in chain_maps.  So row
+    s of the phi1 of chain_maps is Phi[b(s)] in its top block and Phi[a(s)]
+    in its bottom one, and its phi2 is the canonical one, which alternates.
+
+    The argument.  Since (I + P_h).phi2 = (I + P_v).phi2 = 0, S.phi2 =
+    (E.F^T.phi2 over E'.G^T.phi2), the factors of S being those of
+    TilingSystem, and phi1 = (E.Phi_b over E'.Phi_a).  Write E^ for the
+    block diagonal (E, E'), so S.phi2 = E^.L and phi1 = E^.Phi, each on
+    the labels that occur, b's then a's.  E^ has exactly one 1 per row and
+    a 1 in every column, so E^.X = E^.Y iff X = Y; and every label b(s) is
+    a primed label b'(s ^ 2), so L has a row for it.  Hence S.phi2 =
+    phi1.d2 iff L = Phi.d2; (S.phi2).H = 0 iff L.H = 0; and
+    phi1.(d2.H) = 0 iff Phi.(d2.H) = 0: each check reads the same with
+    (L, Phi) in place of (S.phi2, phi1), on 2|E| rows instead of 2n.
+
+    commutes is L = Phi.d2, compared row by row, and no matrix product is
+    formed: row x of Phi.d2 is +-d2[e] for the pair (e, +-1) of Phi[x]
+    (zlinalg.mul_rows).
     """
     left_b, left_a = _label_phi2(ts)
-    phi = [(((x + vertical) >> 1, -1 if x & 1 else 1),) if x >= 0 else () for x in left_b]
-    phi += [((x >> 1, 1 if x & 1 else -1),) if x < vertical else () for x in left_a]
-    if (*left_b.values(), *left_a.values()) != mul_rows(phi, d2.row_pairs, d2.cols):
-        return None
-    rows = mul_rows(phi, image.row_pairs, image.cols)
-    return dict(zip(left_b, rows)), dict(zip(left_a, rows[len(left_b) :]))
+    phi_b = {x: (((x + vertical) >> 1, -1 if x & 1 else 1),) if x >= 0 else () for x in left_b}
+    phi_a = {x: ((x >> 1, 1 if x & 1 else -1),) if x < vertical else () for x in left_a}
+    l_rows = (*left_b.values(), *left_a.values())
+    phi = (*phi_b.values(), *phi_a.values())
+    return l_rows == mul_rows(phi, d2.row_pairs, d2.cols), l_rows, (phi_b, phi_a)
+
+
+def _phi_image(phi: LabelImage, image: IntMatrix) -> LabelImage:
+    """The label_image argument of structured_kernel_dim where check (1)
+    holds at label resolution: the rows of Phi.B^T by label, for Phi by
+    label as _label_square gives it and image the image block B^T of d2
+    (zlinalg.image_and_smith_form)."""
+    phi_b, phi_a = phi
+    rows = mul_rows((*phi_b.values(), *phi_a.values()), image.row_pairs, image.cols)
+    return dict(zip(phi_b, rows)), dict(zip(phi_a, rows[len(phi_b) :]))
 
 
 def _within_hypotheses(c: SquareComplex) -> bool:

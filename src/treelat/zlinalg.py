@@ -167,15 +167,11 @@ class SmithDecomposition(NamedTuple):
 def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
     """Canonical Smith normal form; deterministic for a fixed input.
 
-    The elimination of [a^T | I] without its I part
-    (_kernels_py.unimodular_elimination) is column operations on a, which
-    leave B^T and zero columns; _smith_of_pivots reads the factors off the
-    pivot rows of B.  image_and_smith_form reads the same pivot rows for
-    the Smith form of B^T itself, whose invariant factors are those of a,
-    from the one elimination that gives B^T.
+    The Smith form of image_and_smith_form: that of B^T, whose invariant
+    factors are those of a, since the elimination that gives B^T is
+    column operations on a, which leave B^T and zero columns.
     """
-    _, pivots = _impl.unimodular_elimination(a.transpose().row_pairs, with_transform=False)
-    return _smith_of_pivots(pivots, a.rows)
+    return image_and_smith_form(a)[1]
 
 
 def _smith_of_pivots(pivots, rows: int) -> SmithDecomposition:

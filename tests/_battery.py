@@ -162,7 +162,7 @@ def assert_instance_properties(analysis):
     h2_basis = kernel_basis(maps.d2)
     h = M(h2_basis, maps.d2.cols).transpose()
     certified = stacked_kernel_basis(
-        ts, maps, h, commuting_square(ts, maps, h)
+        ts, maps, h, commuting_square(c, ts, maps, h)
     ).transpose().entries
     dense = kernel_basis(stacked)
     assert hermite_row_basis(certified) == hermite_row_basis(dense)
@@ -193,7 +193,7 @@ def assert_instance_properties(analysis):
         expected = dense_verify(c, r, maps, stacked, kernel, h2)
         k = M(kernel, n).transpose()
         h = M(h2, maps.d2.cols).transpose()
-        square = commuting_square(ts, maps, h)
+        square = commuting_square(c, ts, maps, h)
         assert verify_main_theorem(c, tiles, maps, k, h, square) == expected
 
     assert verdict.diagram_commutes
@@ -389,7 +389,7 @@ def assert_tampered_tiles_build_the_operator_once(monkeypatch, analysis, slot):
     monkeypatch.setattr(tiling_system, "stacked_matrix", counted)
     h2_basis = kernel_basis(maps.d2)
     h = M(h2_basis, maps.d2.cols).transpose()
-    square = commuting_square(ts, maps, h)
+    square = commuting_square(c, ts, maps, h)
     kernel = stacked_kernel_basis(ts, maps, h, square)
     assert built == [ts]
     assert ts.stacked == stacked

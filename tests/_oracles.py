@@ -730,17 +730,75 @@ def edge_graph_components_by_tiles(n_vertices, component, labels, oriented):
     )
 
 
+def label_sums(rows, labels, flip):
+    """Row x of F^T.X, for the matrix X with these rows and F[t][x] =
+    [labels[t ^ flip] = x]: the sum of the rows t of X whose primed label
+    labels[t ^ flip] is x.  With (b, 2) that is b'(t) = b(t^h), and F^T.X;
+    with (a, 1) it is a'(t) = a(t^v), and G^T.X (TilingSystem).  The
+    per-tile reading that homology._label_phi2 replaces for the phi2 of
+    chain_maps."""
+    sums = {}
+    for t, pairs in enumerate(rows):
+        acc = sums.setdefault(labels[t ^ flip], {})
+        for j, x in pairs:
+            acc[j] = acc.get(j, 0) + x
+    return {x: tuple(sorted([(j, v) for j, v in acc.items() if v])) for x, acc in sums.items()}
+
+
+def rows_by_label(rows, labels):
+    """The row of each label, in the order the labels first occur, when
+    rows[s], a tuple, depends on labels[s] alone; else None."""
+    by_label = dict(zip(labels, rows))
+    if tuple(map(by_label.__getitem__, labels)) != rows:
+        return None
+    return by_label
+
+
+def square_by_labels(ts, maps):
+    """(commutes, L, Phi, labels): check (1) at label resolution read back
+    out of the per-tile chain maps, S.phi2 and phi1 with one row per label,
+    and the labels of their rows, b's then a's; or None when row s of phi1
+    does not depend on b(s) alone in the top block and on a(s) alone in
+    the bottom one.  The reference for homology._label_square, which reads
+    Phi and L off the labels: phi2 must alternate (homology._alternates),
+    so that S.phi2 = E^.L, and Phi is taken from phi1 and L from the
+    per-label sums of phi2 (label_sums)."""
+    from treelat.zlinalg import IntMatrix, mul_rows
+
+    phi1, phi2, d2 = maps.phi1, maps.phi2, maps.d2
+    b, a = ts.b, ts.a
+    n = len(b)
+    if (phi2.rows, phi1.rows, phi1.cols) != (n, 2 * n, d2.rows):
+        return None
+    left, right, keys = [], [], []
+    for labels, flip, rows in ((b, 2, phi1.row_pairs[:n]), (a, 1, phi1.row_pairs[n:])):
+        phi = rows_by_label(rows, labels)
+        if phi is None:
+            return None
+        sums = label_sums(phi2.row_pairs, labels, flip)
+        left += map(sums.__getitem__, phi)
+        right += phi.values()
+        keys.append(list(phi))
+    l_rows = tuple(left)
+    return (
+        l_rows == mul_rows(right, d2.row_pairs, d2.cols),
+        IntMatrix(len(l_rows), phi2.cols, l_rows),
+        IntMatrix(len(right), phi1.cols, tuple(right)),
+        (keys[0], keys[1]),
+    )
+
+
 def stacked_phi2_from_factors(phi2, factors):
     """S.phi2 read off the factors (b, a) of S (TilingSystem), or None
     when phi2 does not alternate: the E-expansion of the per-label sums of
-    homology._label_sums, row s of the top block being the sum for b(s)
-    and of the bottom block the sum for a(s).
+    label_sums, row s of the top block being the sum for b(s) and of the
+    bottom block the sum for a(s).
 
     With S = (E.F^T - P_h - I over E'.G^T - P_v - I) and
     (I + P_h).phi2 = (I + P_v).phi2 = 0, S.phi2 = (E.(F^T.phi2) over
     E'.(G^T.phi2)), and row s of E.X is row b(s) of X.
     """
-    from treelat.homology import _alternates, _label_sums
+    from treelat.homology import _alternates
     from treelat.zlinalg import IntMatrix
 
     b, a = factors
@@ -749,7 +807,7 @@ def stacked_phi2_from_factors(phi2, factors):
         return None
     blocks = []
     for labels, flip in ((b, 2), (a, 1)):
-        sums = _label_sums(rows, labels, flip)
+        sums = label_sums(rows, labels, flip)
         blocks += [sums[x] for x in labels]
     return IntMatrix(2 * len(b), phi2.cols, tuple(blocks))
 
@@ -759,15 +817,15 @@ def label_image_by_chain_maps(ts, maps, image):
     Phi.B^T by label, read off the per-tile chain maps, or None where
     check (1) does not hold at label resolution: the route certified_theorem
     took before it read Phi and L off the labels.  phi2 must be the one
-    chain_maps builds, and homology._square_by_labels gives Phi, by label,
-    from the rows of phi1 and check (1) from L, the per-label sums of phi2.
-    image is the image block B^T of maps.d2."""
-    from treelat.homology import _phi2_rows, _square_by_labels
+    chain_maps builds, and square_by_labels gives Phi, by label, from the
+    rows of phi1 and check (1) from L, the per-label sums of phi2.  image
+    is the image block B^T of maps.d2."""
+    from treelat.homology import _phi2_rows
     from treelat.zlinalg import mul_rows
 
     if maps.phi2.row_pairs != _phi2_rows(len(ts.b)):
         return None
-    square = _square_by_labels(ts, maps)
+    square = square_by_labels(ts, maps)
     if square is None or not square[0]:
         return None
     _, _, phi, (b_labels, a_labels) = square
@@ -1191,7 +1249,7 @@ def structured_kernel_dim_by_one_rank(ts, label_image=None):
     """
     from collections import Counter
 
-    from treelat.homology import _label_sums, _phi2_rows
+    from treelat.homology import _phi2_rows
     from treelat.tiling_system import _primed
     from treelat.zlinalg import IntMatrix, rank
 
@@ -1225,7 +1283,7 @@ def structured_kernel_dim_by_one_rank(ts, label_image=None):
 
     if label_image is None:
         phi2 = _phi2_rows(n)
-        label_image = _label_sums(phi2, b, 2), _label_sums(phi2, a, 1)
+        label_image = label_sums(phi2, b, 2), label_sums(phi2, a, 1)
     for by_label, image in zip((b_rows, a_rows), label_image):
         for x, acc in by_label.items():
             for k, v in image[x]:

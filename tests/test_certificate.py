@@ -11,10 +11,15 @@ the one rank of its whole system that the triangular rows replaced
 and the theorem block of analyze to that of verify and of the dense
 verifier, on the ladder, the small complexes, the presentation battery,
 random one-vertex complexes and products, and tampered tiles, d2 and
-chain maps.  analyze reads phi1 and phi2 off the tile labels
-(homology._phi_image); the label image and the verdict it certifies are
-held to those read off the per-tile chain maps, on the ladder, the small
-complexes and products of two cycles.
+chain maps.  Check (1) at label resolution has one implementation,
+homology._label_square, which reads Phi and L off the tile labels and
+which analyze's certificate and verify's square both call; its L, Phi and
+verdict, and the label image analyze counts with, are held to those read
+back out of the per-tile chain maps (_oracles.square_by_labels), on the
+ladder, the small complexes, the presentation battery, random complexes
+and products of two cycles.  verify reaches it only through an O(n) form
+test of its own phi1 and phi2, and every tampered phi1 or phi2 takes the
+dense square.
 """
 
 import json
@@ -22,7 +27,7 @@ import random
 
 import pytest
 
-from treelat import cli, homology
+from treelat import cli, homology, tiling_system
 from treelat.complex_model import load_complex, validate_vht
 from treelat.homology import structured_kernel_dim
 from treelat.mozes import generate_mozes_complex
@@ -43,6 +48,8 @@ from _oracles import (
     dense_verify,
     factor_tiling,
     label_image_by_chain_maps,
+    label_sums,
+    square_by_labels,
     structured_kernel_dim_by_one_rank,
     structured_kernel_dim_by_orbits,
     tile_squares,
@@ -131,31 +138,43 @@ def spy_clearing(monkeypatch):
     return seen
 
 
+def label_image(c, ts, d2, image):
+    """The label image that certified_theorem hands the count, the rows of
+    Phi.B^T by label, or None where check (1) fails at label resolution."""
+    commutes, _, phi = homology._label_square(ts, c.edge_table.vertical, d2)
+    return homology._phi_image(phi, image) if commutes else None
+
+
 def assert_counts_agree(c, ts, maps, cleared):
     """The count with either orbit block, L and, when check (1) holds,
     Phi.B^T, equals the orbit-column oracle; with Phi.B^T it also equals
     the one rank of its whole system, and the triangular rows clear its
-    orbit columns, rank d2 of them.  L and the label image, Phi.B^T, read
-    off the labels of ts, are those read off the chain maps of c on its
-    tiles, the image None exactly where check (1) fails on them.  cleared is
-    spy_clearing's record.  Returns the label image."""
+    orbit columns, rank d2 of them.  L, Phi, check (1) and the label image,
+    Phi.B^T, read off the labels of ts (homology._label_square), are those
+    read back out of the chain maps of c on its tiles, the image None
+    exactly where check (1) fails on them.  cleared is spy_clearing's
+    record.  Returns the label image."""
     oracle = structured_kernel_dim_by_orbits(ts)
     assert structured_kernel_dim(ts) == oracle
     phi2 = maps.phi2.row_pairs
-    sums = homology._label_sums(phi2, ts.b, 2), homology._label_sums(phi2, ts.a, 1)
-    assert homology._label_phi2(ts) == sums
+    assert homology._label_phi2(ts) == (label_sums(phi2, ts.b, 2), label_sums(phi2, ts.a, 1))
+    commutes, l_rows, (phi_b, phi_a) = homology._label_square(ts, c.edge_table.vertical, maps.d2)
+    reference = square_by_labels(ts, maps)
+    assert reference[0] == commutes and reference[1].row_pairs == l_rows
+    assert reference[2].row_pairs == (*phi_b.values(), *phi_a.values())
+    assert reference[3] == (list(phi_b), list(phi_a))
     image = image_and_smith_form(maps.d2)[0]
-    label_image = homology._phi_image(ts, c.edge_table.vertical, maps.d2, image)
-    assert label_image == label_image_by_chain_maps(ts, maps, image)
-    if label_image is not None:
+    certified = label_image(c, ts, maps.d2, image)
+    assert certified == label_image_by_chain_maps(ts, maps, image)
+    if certified is not None:
         del cleared[:]
-        assert structured_kernel_dim(ts, label_image) == oracle
-        assert structured_kernel_dim_by_one_rank(ts, label_image) == oracle
+        assert structured_kernel_dim(ts, certified) == oracle
+        assert structured_kernel_dim_by_one_rank(ts, certified) == oracle
         ((r, rest),) = cleared
         assert r == image.cols
         w0 = len(set(ts.components[0])) + len(set(ts.components[1]))
         assert all(j < w0 for row in rest for j, _ in row)
-    return label_image
+    return certified
 
 
 @pytest.mark.parametrize("group", GROUPS)
@@ -207,13 +226,13 @@ def test_count_with_non_unit_diagonals(monkeypatch, name):
     ts = build_tiling(tiles, c)
     maps = homology.chain_maps(c, tiles)
     image = image_and_smith_form(maps.d2)[0]
-    label_image = homology._phi_image(ts, c.edge_table.vertical, maps.d2, image)
+    certified = label_image(c, ts, maps.d2, image)
     cleared = spy_clearing(monkeypatch)
-    count = structured_kernel_dim(ts, label_image)
+    count = structured_kernel_dim(ts, certified)
     if name in ladder:
         assert count == maps.d2.cols - image.cols
     for m in (2, -3):
-        crafted = scaled(label_image, m)
+        crafted = scaled(certified, m)
         assert structured_kernel_dim(ts, crafted) == count
         assert structured_kernel_dim_by_one_rank(ts, crafted) == count
     assert [r for r, _ in cleared] == [image.cols] * 3
@@ -302,7 +321,7 @@ def test_count_on_tampered_tiles_takes_the_orbit_block(mozes513, slot):
     ts = build_tiling(tiles, c)
     maps = homology.chain_maps(c, tiles)
     image = image_and_smith_form(maps.d2)[0]
-    assert homology._phi_image(ts, c.edge_table.vertical, maps.d2, image) is None
+    assert label_image(c, ts, maps.d2, image) is None
     assert assert_counts_agree(c, ts, maps, []) is None
     assert structured_kernel_dim(ts) == len(kernel_basis(stacked_matrix(ts)))
 
@@ -375,8 +394,8 @@ def test_label_resolution_verdict_is_the_explicit_verdict(group):
         maps = homology.chain_maps(c, tiles)
         assert maps.d2 == d2, name
         image = image_and_smith_form(d2)[0]
-        label_image = homology._phi_image(ts, c.edge_table.vertical, d2, image)
-        assert label_image == label_image_by_chain_maps(ts, maps, image), name
+        certified = label_image(c, ts, d2, image)
+        assert certified == label_image_by_chain_maps(ts, maps, image), name
         explicit = cli._explicit_theorem(c, tiles, ts, maps)
         theorem = homology.certified_theorem(c, ts, d2, image)
         assert theorem == explicit, name
@@ -482,12 +501,35 @@ def test_tampered_maps_give_analyze_the_verdict_of_verify(monkeypatch, doc):
     }[doc]
 
 
+def spy_dense_squares(monkeypatch):
+    """Record the right factor of every product S.X formed, S a stacked
+    operator built through tiling_system.stacked_matrix: commuting_square
+    forms S.phi2 only on its dense square, and nothing else multiplies by
+    S."""
+    built, products = [], []
+    original_stacked, original_mul = tiling_system.stacked_matrix, IntMatrix.mul
+
+    def stacked(ts):
+        built.append(original_stacked(ts))
+        return built[-1]
+
+    def mul(self, other):
+        if any(self is s for s in built):
+            products.append(other)
+        return original_mul(self, other)
+
+    monkeypatch.setattr(tiling_system, "stacked_matrix", stacked)
+    monkeypatch.setattr(IntMatrix, "mul", mul)
+    return products
+
+
 @pytest.mark.parametrize("doc", sorted(TAMPERED_DOCS))
 def test_tampered_chain_maps_give_verify_the_dense_verdict(monkeypatch, runner, tmp_path, doc):
     # Chain maps changed one way each reach verify through chain_maps, and
     # its verdict is the dense verifier's.  analyze never calls
     # chain_maps, so it keeps the verdict of the untampered maps, whether
     # that holds or not.
+    dense = spy_dense_squares(monkeypatch)
     text = TAMPERED_DOCS[doc]()
     path = tmp_path / "doc.json"
     path.write_text(text)
@@ -498,16 +540,26 @@ def test_tampered_chain_maps_give_verify_the_dense_verdict(monkeypatch, runner, 
     theorem = homology.certified_theorem(c, ts, d2, image_and_smith_form(d2)[0])
     assert theorem == cli._explicit_theorem(c, tiles, ts, homology.chain_maps(c, tiles))
     assert theorem.holds == (doc != "klein")
+    assert dense == []
+    went_dense = []
     for name, maps in tampered_maps(homology.chain_maps(c, tiles)).items():
         calls = []
         monkeypatch.setattr(cli, "chain_maps", lambda c, tiles, maps=maps: calls.append(1) or maps)
         code, out, err = runner("verify", str(path), "--json")
         assert code == 0, err
+        if dense:
+            assert dense == [maps.phi2], name
+            went_dense.append(name)
+            del dense[:]
         assert json.loads(out)["theorem"] == dense_theorem(c, tiles, maps), name
         assert calls == [1], name
         del calls[:]
         analyzed = cli._analyze(c, v)
         assert analyzed.theorem == theorem and calls == [], name
+    # The form test sends every change of phi1 or phi2 to the dense square;
+    # a changed d2, like the untampered maps above, stays at label
+    # resolution.
+    assert went_dense == ["phi1_row", "phi2_row", "phi2_negated", "phi1_d2_negated"]
 
 
 @pytest.mark.parametrize("slot", ["b_prime", "a_prime"])

@@ -582,30 +582,28 @@ def test_certified_path_forms_no_kernel_basis(monkeypatch, mozes513_doc):
     assert calls == {name: [] for _, name in EXPLICIT_PATH}
 
 
-# The per-tile maps and their reading by label, which verify and export
-# build and a certified analysis does not.
+# The per-tile maps and the square that tests them against the labels,
+# which verify and export build and a certified analysis does not.
 PER_TILE = (
     (homology, "chain_maps"),
     (homology, "_phi2_rows"),
-    (homology, "_rows_by_label"),
-    (homology, "_label_sums"),
-    (homology, "_square_by_labels"),
     (homology, "commuting_square"),
 )
 
 
 def test_certified_analysis_builds_no_per_tile_map(monkeypatch, mozes513_doc):
     # On (5,13) the certificate holds: check (1) and the count read Phi and
-    # L off the tile labels and d2, so no phi1 or phi2 is built, phi2 is
-    # compared with nothing, no row is read back by label, and no kernel
+    # L off the tile labels and d2, once (_label_square), so no phi1 or
+    # phi2 is built, neither is compared with anything, and no kernel
     # basis is formed; d2 is built once.
     calls = {name: count_calls(monkeypatch, module, name) for module, name in PER_TILE}
     kernels = count_calls(monkeypatch, zlinalg, "kernel_and_image")
     built = count_calls(monkeypatch, cli, "boundary_d2")
+    squares = count_calls(monkeypatch, homology, "_label_square")
     _, analysis = analyze_document(mozes513_doc)
     assert analysis.theorem.holds
     assert calls == {name: [] for _, name in PER_TILE} and kernels == []
-    assert built == [analysis.complex]
+    assert built == [analysis.complex] and squares == [analysis.tiling]
 
 
 @pytest.mark.parametrize("doc", ["torus_doc", "klein_doc"])
@@ -642,14 +640,18 @@ def test_verify_takes_the_explicit_path(monkeypatch, runner, g513_file):
     # verify checks explicit bases even where analyze would certify, and
     # runs only the stages its verdict reads: no connectivity, homology,
     # K-ranks or Smith form.  The certified kernel phi2.H spares it the
-    # elimination of S.
+    # elimination of S.  Its chain maps pass the form test, so its square
+    # is the one check (1) at label resolution that analyze runs too.
     explicit = {name: count_calls(monkeypatch, module, name) for module, name in EXPLICIT_PATH}
     skipped = {name: count_calls(monkeypatch, module, name) for module, name in ANALYSIS_ONLY}
+    squares = count_calls(monkeypatch, homology, "_label_square")
+    built = count_calls(monkeypatch, tiling_system, "stacked_matrix")
     code, out, err = runner("verify", g513_file, "--json")
     assert code == 0, err
     assert json.loads(out)["theorem"]["holds"]
     assert skipped == {name: [] for _, name in ANALYSIS_ONLY}
     assert [len(seen) for seen in explicit.values()] == [1, 1, 1, 1]
+    assert len(squares) == 1 and built == []
 
 
 def spy_eliminations(monkeypatch):
@@ -686,7 +688,7 @@ def test_one_elimination_counts_the_stacked_kernel(monkeypatch):
     # is its row of Phi.B^T.
     ts, d2 = analysis.tiling, analysis.d2
     image = zlinalg.image_and_smith_form(d2)[0]
-    label_image = homology._phi_image(ts, analysis.complex.edge_table.vertical, d2, image)
+    label_image = test_certificate.label_image(analysis.complex, ts, d2, image)
     pairs = 0
     for by_label in label_image:
         for x, row in by_label.items():
@@ -917,7 +919,7 @@ def test_certificate_rests_on_the_commuting_square(monkeypatch, mozes513):
 
     snf = count_calls(monkeypatch, zlinalg, "smith_normal_form")
     eliminations = count_calls(monkeypatch, zlinalg, "kernel_and_image")
-    square = homology.commuting_square(ts, maps, bad_h)
+    square = homology.commuting_square(mozes513.complex, ts, maps, bad_h)
     assert square == (True, False)
     basis = homology.stacked_kernel_basis(ts, maps, bad_h, square)
     assert eliminations == [stacked] and snf == []
@@ -926,7 +928,7 @@ def test_certificate_rests_on_the_commuting_square(monkeypatch, mozes513):
     assert hermite(basis.transpose().entries) == hermite(dense)
 
     eliminations.clear()
-    square = homology.commuting_square(ts, maps, true_h)
+    square = homology.commuting_square(mozes513.complex, ts, maps, true_h)
     assert square == (True, True)
     certified = homology.stacked_kernel_basis(ts, maps, true_h, square)
     assert certified == maps.phi2.mul(true_h)

@@ -230,7 +230,7 @@ def test_verifier_flags_each_failed_edge_sum(mozes513):
     def mu_vanishes(vectors):
         k = M(vectors, n).transpose()
         return verify_main_theorem(
-            a.complex, tiles, maps, k, h, commuting_square(a.tiling, maps, h)
+            a.complex, tiles, maps, k, h, commuting_square(a.complex, a.tiling, maps, h)
         ).mu_vanishes
 
     def difference(s, t):
@@ -263,7 +263,8 @@ def test_verifier_rejects_a_unit_vector(mozes513):
     k = M(unit, len(tiles)).transpose()
     h = M(h2_basis, a.d2.cols).transpose()
     maps = maps_of(a)
-    verdict = verify_main_theorem(a.complex, tiles, maps, k, h, commuting_square(a.tiling, maps, h))
+    square = commuting_square(a.complex, a.tiling, maps, h)
+    verdict = verify_main_theorem(a.complex, tiles, maps, k, h, square)
     assert not verdict.kernel_symmetries_hold
     assert not verdict.kernel_in_phi2_image
     assert not verdict.mu_vanishes
@@ -299,9 +300,9 @@ def test_factored_square_equals_the_product_on_the_ladder(p, l):
 
 def test_non_alternating_phi2_takes_the_product(monkeypatch, mozes513):
     # Negate one row of phi2: it no longer alternates under the
-    # reflections, so check (1) builds S and forms the product S.phi2
-    # instead of reading it off the factors of S, and the verdict is the
-    # dense verifier's.
+    # reflections, so it is not the phi2 of chain_maps, and check (1)
+    # builds S and forms the product S.phi2 instead of reading the square
+    # off the labels, and the verdict is the dense verifier's.
     a = mozes513
     stacked = stacked_matrix(a.tiling)
     ts = build_tiling(a.complex.edge_table.tiles, a.complex)
@@ -332,9 +333,9 @@ def test_non_alternating_phi2_takes_the_product(monkeypatch, mozes513):
         return original_stacked(tiling)
 
     monkeypatch.setattr(tiling_system, "stacked_matrix", stacked_matrix_counted)
-    assert commuting_square(ts, maps_of(a), h) == (True, True)
+    assert commuting_square(a.complex, ts, maps_of(a), h) == (True, True)
     assert built == []
-    square = commuting_square(ts, maps, h)
+    square = commuting_square(a.complex, ts, maps, h)
     assert built == [ts] and ts.stacked == stacked
     assert sum(x is ts.stacked for x in left_factors) == 1
 
@@ -371,7 +372,7 @@ def test_stacked_kernel_certificate_steps(corpus):
         certified = upper == len(h2_basis)
         assert certified == (name not in ("torus", "klein")), name
         h = M(h2_basis, cells).transpose()
-        square = commuting_square(a.tiling, maps, h)
+        square = commuting_square(a.complex, a.tiling, maps, h)
         basis = stacked_kernel_basis(a.tiling, maps, h, square).transpose().entries
         assert (basis == vectors) == certified, name
         assert hermite_row_basis(basis) == hermite_row_basis(dense), name
@@ -383,7 +384,7 @@ def test_stacked_kernel_matches_dense_oracle_on_mozes(p, l):
     stacked = stacked_matrix(a.tiling)
     h = M(kernel_basis(a.d2), a.d2.cols).transpose()
     maps = maps_of(a)
-    square = commuting_square(a.tiling, maps, h)
+    square = commuting_square(a.complex, a.tiling, maps, h)
     certified = stacked_kernel_basis(a.tiling, maps, h, square).transpose().entries
     assert len(certified) == a.homology.h2_rank == (p - 1) * (l - 1) // 4 - 1
     assert hermite_row_basis(certified) == hermite_row_basis(kernel_basis(stacked))
@@ -408,7 +409,7 @@ def test_verifier_tests_phi2_image_against_the_operator(mozes513):
     def image_in_kernel(basis):
         h = M(basis, cells).transpose()
         return verify_main_theorem(
-            a.complex, tiles, maps, k, h, commuting_square(a.tiling, maps, h)
+            a.complex, tiles, maps, k, h, commuting_square(a.complex, a.tiling, maps, h)
         ).phi2_image_in_kernel
 
     assert image_in_kernel(h2_basis)
@@ -473,7 +474,7 @@ def _certified(a):
     h2_basis = kernel_basis(a.d2)
     h = M(h2_basis, a.d2.cols).transpose()
     maps = maps_of(a)
-    square = commuting_square(a.tiling, maps, h)
+    square = commuting_square(a.complex, a.tiling, maps, h)
     return h2_basis, h, square, stacked_kernel_basis(a.tiling, maps, h, square)
 
 
@@ -527,7 +528,7 @@ def test_phi1_not_a_function_of_its_label_takes_the_product(monkeypatch, mozes51
     maps = chain._replace(phi1=IntMatrix(len(rows), chain.phi1.cols, tuple(rows)))
     h2_basis, h, _, kernel = _certified(a)
     built = _count_builds(monkeypatch)
-    square = commuting_square(ts, maps, h)
+    square = commuting_square(a.complex, ts, maps, h)
     assert built == [ts]
     verdict = verify_main_theorem(a.complex, a.complex.edge_table.tiles, maps, kernel, h, square)
     assert not verdict.diagram_commutes
@@ -537,11 +538,12 @@ def test_phi1_not_a_function_of_its_label_takes_the_product(monkeypatch, mozes51
     assert verdict == dense_verify(a.complex, r, maps, stacked, vectors, h2_basis)
 
 
-def test_phi1_of_the_wrong_labels_fails_at_label_resolution(monkeypatch, mozes513):
+def test_phi1_of_the_wrong_labels_takes_the_dense_square(monkeypatch, mozes513):
     # Swap the phi1 rows of two b labels on every tile that carries them:
-    # each row still depends on its label alone, so the square stays at
-    # label resolution, builds no S, and finds that it does not commute;
-    # (3) is then read as L.H = 0.  Both agree with the dense verifier.
+    # each row still depends on its label alone, but it is not the row
+    # the labels give, so the form test sends the square to S, which finds
+    # that it does not commute; (3) is then read as (S.phi2).H = 0.  Both
+    # agree with the dense verifier.
     a = mozes513
     ts = build_tiling(a.complex.edge_table.tiles, a.complex)
     n = len(ts.b)
@@ -554,8 +556,8 @@ def test_phi1_of_the_wrong_labels_fails_at_label_resolution(monkeypatch, mozes51
     maps = chain._replace(phi1=IntMatrix(len(rows), chain.phi1.cols, tuple(rows)))
     h2_basis, h, _, kernel = _certified(a)
     built = _count_builds(monkeypatch)
-    square = commuting_square(ts, maps, h)
-    assert built == [] and square == (False, True)
+    square = commuting_square(a.complex, ts, maps, h)
+    assert built == [ts] and square == (False, True)
     verdict = verify_main_theorem(a.complex, a.complex.edge_table.tiles, maps, kernel, h, square)
     stacked = stacked_matrix(a.tiling)
     vectors = kernel.transpose().entries
@@ -564,9 +566,9 @@ def test_phi1_of_the_wrong_labels_fails_at_label_resolution(monkeypatch, mozes51
 
 
 def test_alternating_but_not_canonical_phi2_gets_the_dense_verdict(monkeypatch, mozes513):
-    # 2.phi2 alternates, so the square stays at label resolution (and
-    # fails: S.(2 phi2) = 2 phi1.d2); it is not the phi2 of chain_maps, so
-    # (4b) forms phi2.reps = 2K != K, while (4a) still holds.
+    # 2.phi2 alternates, but it is not the phi2 of chain_maps, so the form
+    # test sends the square to S (and it fails: S.(2 phi2) = 2 phi1.d2),
+    # and (4b) forms phi2.reps = 2K != K, while (4a) still holds.
     a = mozes513
     ts = build_tiling(a.complex.edge_table.tiles, a.complex)
     chain = maps_of(a)
@@ -577,8 +579,8 @@ def test_alternating_but_not_canonical_phi2_gets_the_dense_verdict(monkeypatch, 
     maps = chain._replace(phi2=doubled)
     h2_basis, h, _, kernel = _certified(a)
     built = _count_builds(monkeypatch)
-    square = commuting_square(ts, maps, h)
-    assert built == [] and square == (False, True)
+    square = commuting_square(a.complex, ts, maps, h)
+    assert built == [ts] and square == (False, True)
     verdict = verify_main_theorem(a.complex, a.complex.edge_table.tiles, maps, kernel, h, square)
     assert verdict.kernel_symmetries_hold and not verdict.kernel_in_phi2_image
     stacked = stacked_matrix(a.tiling)
